@@ -1,5 +1,6 @@
 //! The Agent state machine.
 
+use crate::lanes::LaneExecutor;
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::{ContainerRuntime, ImageRepository, NfvRuntime};
 use gnf_nf::{
@@ -7,7 +8,7 @@ use gnf_nf::{
 };
 use gnf_packet::{FieldMask, Packet, PacketBatch};
 use gnf_switch::{
-    BypassOutcome, Classified, Forwarding, MegaflowInstall, MegaflowState, SoftwareSwitch,
+    BypassOutcome, Forwarding, MegaflowInstall, MegaflowState, PortId, SoftwareSwitch,
     SteeringRule, TrafficSelector, DEFAULT_MEGAFLOW_CAPACITY,
 };
 use gnf_telemetry::{
@@ -21,6 +22,7 @@ use gnf_types::{
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Static configuration of one Agent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -258,34 +260,6 @@ impl Agent {
     /// Mutable access to the flight recorder, for the harness to drain.
     pub fn flight_mut(&mut self) -> &mut FlightRecorder {
         &mut self.flight
-    }
-
-    /// Emits the trace events one megaflow install implies: the seal, and an
-    /// eviction event when the capacity bound displaced entries to make
-    /// room. An associated function over a borrowed sink (not `&mut self`)
-    /// so the sharded spine — which holds disjoint borrows of the switch and
-    /// the sink — shares the exact emission logic of the serial path.
-    #[inline]
-    fn trace_install(trace: &mut TraceSink, now: SimTime, install: MegaflowInstall) {
-        if !trace.enabled() || !install.installed {
-            return;
-        }
-        trace.emit(
-            now,
-            TraceKind::MegaflowSeal {
-                outcome: install.outcome,
-                occupancy: install.occupancy,
-            },
-        );
-        if install.evicted > 0 {
-            trace.emit(
-                now,
-                TraceKind::MegaflowEvict {
-                    evicted: install.evicted,
-                    occupancy: install.occupancy,
-                },
-            );
-        }
     }
 
     /// Sets the intra-station RSS shard count (clamped to at least 1): how
@@ -780,19 +754,19 @@ impl Agent {
         &self.batch_sizes
     }
 
-    /// Processes a packet arriving from a client (upstream) at this station.
+    /// Processes a packet arriving from a client (upstream) at this station:
+    /// a batch of one through the data-plane pipeline.
     pub fn process_upstream_packet(&mut self, packet: Packet, now: SimTime) -> PacketOutcome {
-        self.report_hints.traffic = true;
         let port = self.switch.client_port();
-        self.process_packet(packet, port, now)
+        self.run_packet(packet, port, now)
     }
 
     /// Processes a packet arriving from the uplink (downstream, towards a
-    /// client) at this station.
+    /// client) at this station: a batch of one through the data-plane
+    /// pipeline.
     pub fn process_downstream_packet(&mut self, packet: Packet, now: SimTime) -> PacketOutcome {
-        self.report_hints.traffic = true;
         let port = self.switch.uplink_port();
-        self.process_packet(packet, port, now)
+        self.run_packet(packet, port, now)
     }
 
     /// Processes a batch of packets arriving from clients (upstream) at this
@@ -807,9 +781,8 @@ impl Agent {
         batch: PacketBatch,
         now: SimTime,
     ) -> Vec<PacketOutcome> {
-        self.report_hints.traffic = true;
         let port = self.switch.client_port();
-        self.process_packet_batch(batch, port, now)
+        self.run_pipeline(batch, port, now)
     }
 
     /// Processes a batch of packets arriving from the uplink (downstream,
@@ -822,9 +795,8 @@ impl Agent {
         batch: PacketBatch,
         now: SimTime,
     ) -> Vec<PacketOutcome> {
-        self.report_hints.traffic = true;
         let port = self.switch.uplink_port();
-        self.process_packet_batch(batch, port, now)
+        self.run_pipeline(batch, port, now)
     }
 
     /// Drains pending NF events into `NfNotification` messages for the Manager.
@@ -843,644 +815,59 @@ impl Agent {
         out
     }
 
-    fn process_packet_batch(
+    /// A per-packet call is a batch of one through the same pipeline.
+    fn run_packet(&mut self, packet: Packet, in_port: PortId, now: SimTime) -> PacketOutcome {
+        self.run_pipeline(PacketBatch::from(packet), in_port, now)
+            .pop()
+            .expect("the pipeline yields one outcome per packet")
+    }
+
+    /// How many chain-execution lanes a batch of `packets` spreads over
+    /// (1 = inline), picked from what the call can observe: never more lanes
+    /// than there are chains to own, and none for a single packet — a lane
+    /// thread that can only do strictly serial work is pure overhead.
+    fn lanes_for(&self, packets: usize) -> usize {
+        if packets > 1 {
+            self.station_shards.min(self.chains.len()).max(1)
+        } else {
+            1
+        }
+    }
+
+    /// Runs a batch through the station's one data-plane pipeline
+    /// ([`Spine::run`]) behind the executor [`Agent::lanes_for`] selects.
+    /// Outcomes, every counter and all NF state are byte-identical either
+    /// way.
+    fn run_pipeline(
         &mut self,
         batch: PacketBatch,
-        in_port: gnf_switch::PortId,
+        in_port: PortId,
         now: SimTime,
     ) -> Vec<PacketOutcome> {
+        self.report_hints.traffic = true;
         if batch.is_empty() {
             return Vec::new();
         }
-        if self.station_shards > 1 && !self.chains.is_empty() {
-            return self.process_packet_batch_sharded(batch, in_port, now);
-        }
         self.batch_sizes.record(batch.len() as u64);
-        let batch_len = batch.len() as u64;
-        let mut runs = 0u64;
-        let mut cursor = match self.switch.begin_receive_batch(&batch, in_port, now) {
-            Ok(cursor) => cursor,
-            Err(e) => {
-                let reason: Cow<'static, str> = e.to_string().into();
-                return batch
-                    .into_iter()
-                    .map(|_| PacketOutcome::Dropped(reason.clone()))
-                    .collect();
-            }
-        };
-        let mut outcomes = Vec::with_capacity(batch.len());
-        // Classify one run at a time and settle it — chain processing,
-        // megaflow sealing, counters — before classifying the next
-        // (`IntoIter::as_slice` is the unclassified tail): an entry sealed
-        // from run N already serves run N + 1 of the same flush
-        // (mid-batch sealing), exactly as in per-packet processing.
-        let mut packets = batch.into_vec().into_iter();
-        while let Some(run) = self
-            .switch
-            .next_decision_run(&mut cursor, packets.as_slice())
-        {
-            runs += 1;
-            let run_count = run.count as u64;
-            // Flight probe: runs are single-flow, so the first unclassified
-            // packet names the run's flow. Sampling is a seeded hash check;
-            // the tuple string is only rendered for sampled flows.
-            let flight_probe: Option<(u64, String)> = if self.flight.enabled() {
-                packets
-                    .as_slice()
-                    .first()
-                    .and_then(|p| p.five_tuple())
-                    .filter(|t| self.flight.samples(t.shard_hash()))
-                    .map(|t| (t.shard_hash(), t.to_string()))
-            } else {
-                None
-            };
-            let stage = match (&run.decision.steering, &run.megaflow) {
-                (None, _) => "unsteered",
-                (_, MegaflowState::Bypass(_)) => "megaflow-bypass",
-                (_, MegaflowState::DropBypass { .. }) => "megaflow-drop",
-                (_, MegaflowState::Seed(_)) => "slow-path",
-                (_, MegaflowState::None) => "exact",
-            };
-            let verdicts: Vec<Verdict> = match run.decision.steering {
-                Some((rule, upstream)) => {
-                    let direction = if upstream {
-                        Direction::Ingress
-                    } else {
-                        Direction::Egress
-                    };
-                    match run.megaflow {
-                        // A wildcard entry certified the chain bypass for
-                        // this run's flow: forward unchanged, replay NF
-                        // statistics.
-                        MegaflowState::Bypass(tokens) => {
-                            let run_packets: Vec<Packet> =
-                                packets.by_ref().take(run.count).collect();
-                            let bytes: u64 = run_packets.iter().map(|p| p.len() as u64).sum();
-                            if let Some(deployed) = self.chains.get_mut(&rule.chain) {
-                                deployed.chain.credit_bypass(
-                                    direction,
-                                    &tokens,
-                                    run_packets.len() as u64,
-                                    bytes,
-                                );
-                            }
-                            run_packets.into_iter().map(Verdict::Forward).collect()
-                        }
-                        // A wildcard entry certified the chain *drops* this
-                        // run's flow: retire the whole run before the chain
-                        // runs, replaying statistics and the exact reason.
-                        MegaflowState::DropBypass { tokens, reason } => {
-                            let bytes: u64 = packets
-                                .by_ref()
-                                .take(run.count)
-                                .map(|p| p.len() as u64)
-                                .sum();
-                            if let Some(deployed) = self.chains.get_mut(&rule.chain) {
-                                deployed.chain.credit_bypass_drop(
-                                    direction,
-                                    &tokens,
-                                    run.count as u64,
-                                    bytes,
-                                );
-                            }
-                            (0..run.count)
-                                .map(|_| Verdict::Drop(reason.clone()))
-                                .collect()
-                        }
-                        megaflow => {
-                            match self.chains.get_mut(&rule.chain) {
-                                Some(deployed) => {
-                                    let ctx = NfContext::for_client(now, deployed.client);
-                                    let verdicts = if run.count == 1 {
-                                        let packet = packets.next().expect("runs cover the batch");
-                                        vec![deployed.chain.process(packet, direction, &ctx)]
-                                    } else {
-                                        let chunk: PacketBatch =
-                                            packets.by_ref().take(run.count).collect();
-                                        deployed.chain.process_batch(chunk, direction, &ctx)
-                                    };
-                                    // Seal the slow-path seed into a
-                                    // wildcard entry: a certified forward or
-                                    // drop bypass when the chain vouches for
-                                    // this (single-flow) run's processing,
-                                    // the switch decision alone otherwise.
-                                    if let MegaflowState::Seed(seed) = megaflow {
-                                        let report = seal_report(
-                                            self.megaflow_drops,
-                                            &deployed.chain,
-                                            direction,
-                                            &verdicts,
-                                        );
-                                        let install = self.switch.install_megaflow(seed, report);
-                                        Self::trace_install(&mut self.trace, now, install);
-                                    }
-                                    verdicts
-                                }
-                                // The steering rule exists but the chain is
-                                // gone (mid reconfiguration): forward
-                                // unprocessed.
-                                None => packets
-                                    .by_ref()
-                                    .take(run.count)
-                                    .map(Verdict::Forward)
-                                    .collect(),
-                            }
-                        }
-                    }
-                }
-                None => packets
-                    .by_ref()
-                    .take(run.count)
-                    .map(Verdict::Forward)
-                    .collect(),
-            };
-            // Settle the run's verdicts: one TX-counter update per run for
-            // the forwarded packets instead of one per packet.
-            let mut forwarded = 0u64;
-            let mut forwarded_bytes = 0u64;
-            let mut dropped = 0u64;
-            let mut replied = 0u64;
-            for verdict in verdicts {
-                match verdict {
-                    Verdict::Forward(p) => {
-                        forwarded += 1;
-                        forwarded_bytes += p.len() as u64;
-                        outcomes.push(PacketOutcome::Forwarded(p));
-                    }
-                    Verdict::Drop(reason) => {
-                        dropped += 1;
-                        outcomes.push(PacketOutcome::Dropped(reason));
-                    }
-                    Verdict::Reply(replies) => {
-                        replied += 1;
-                        for reply in &replies {
-                            self.switch.record_tx(in_port, reply.len());
-                        }
-                        outcomes.push(PacketOutcome::Replied(replies));
-                    }
-                }
-            }
-            if forwarded > 0 {
-                match &run.decision.forwarding {
-                    Forwarding::Unicast(port) => {
-                        self.switch
-                            .record_tx_batch(*port, forwarded, forwarded_bytes)
-                    }
-                    Forwarding::Flood(ports) => {
-                        for port in ports.iter() {
-                            self.switch
-                                .record_tx_batch(*port, forwarded, forwarded_bytes);
-                        }
-                    }
-                }
-            }
-            if let Some((flow, tuple)) = flight_probe {
-                self.flight.record(
-                    now,
-                    FlowRecord {
-                        station: self.config.station.raw(),
-                        flow,
-                        tuple,
-                        stage,
-                        verdict: run_verdict(run_count, dropped, replied),
-                        count: run_count,
-                    },
-                );
-            }
-        }
-        debug_assert!(packets.next().is_none(), "runs must cover the whole batch");
-        self.trace.emit(
+        let runner = ChainRunner {
             now,
-            TraceKind::BatchFlush {
-                packets: batch_len,
-                runs,
-            },
-        );
-        outcomes
-    }
-
-    /// The sharded counterpart of [`process_packet_batch`]: classification,
-    /// cache maintenance, megaflow installs and TX counters stay serial on
-    /// the calling thread (the *spine*), while chain work is dispatched to
-    /// `station_shards` lane threads, each owning a chain-hash partition of
-    /// the deployed chains (see [`crate::lanes`] for the determinism
-    /// argument). Observably equivalent to the serial path: outcomes, every
-    /// counter and all NF state land byte-identical, because each chain
-    /// still sees its work in run order and everything order-sensitive runs
-    /// on the spine.
-    ///
-    /// [`process_packet_batch`]: Agent::process_packet_batch
-    fn process_packet_batch_sharded(
-        &mut self,
-        batch: PacketBatch,
-        in_port: gnf_switch::PortId,
-        now: SimTime,
-    ) -> Vec<PacketOutcome> {
-        use crate::lanes::{lane_of_chain, lane_worker, LaneMsg};
-        use std::sync::mpsc;
-
-        self.batch_sizes.record(batch.len() as u64);
-        let batch_len = batch.len() as u64;
-        let mut runs = 0u64;
-        let mut cursor = match self.switch.begin_receive_batch(&batch, in_port, now) {
-            Ok(cursor) => cursor,
-            Err(e) => {
-                let reason: Cow<'static, str> = e.to_string().into();
-                return batch
-                    .into_iter()
-                    .map(|_| PacketOutcome::Dropped(reason.clone()))
-                    .collect();
-            }
+            megaflow_drops: self.megaflow_drops,
         };
-        // Partition the chains over the lanes by stable chain-id hash; the
-        // spine keeps a read-only routing map.
-        let lanes = self.station_shards.min(self.chains.len()).max(1);
-        let mut lane_chains: Vec<HashMap<ChainId, &mut DeployedChain>> =
-            (0..lanes).map(|_| HashMap::new()).collect();
-        let mut lane_of: HashMap<ChainId, usize> = HashMap::with_capacity(self.chains.len());
-        for (&chain, deployed) in self.chains.iter_mut() {
-            let lane = lane_of_chain(chain, lanes);
-            lane_of.insert(chain, lane);
-            lane_chains[lane].insert(chain, deployed);
-        }
-        let switch = &mut self.switch;
-        let megaflow_drops = self.megaflow_drops;
-        let trace = &mut self.trace;
-        let flight = &mut self.flight;
-        let station = self.config.station.raw();
-        let mut outcomes = Vec::with_capacity(batch.len());
-        std::thread::scope(|scope| {
-            let (results_tx, results_rx) = mpsc::channel();
-            let mut senders = Vec::with_capacity(lanes);
-            for chains in lane_chains {
-                let (tx, rx) = mpsc::channel::<LaneMsg>();
-                let results = results_tx.clone();
-                scope.spawn(move || lane_worker(chains, rx, results, now, megaflow_drops));
-                senders.push(tx);
-            }
-            drop(results_tx);
-            // The spine: classify one run at a time exactly as the serial
-            // path does. Runs whose verdicts the spine can compute itself
-            // (bypasses, unsteered, chain-gone) settle their slot
-            // immediately; chain runs are dispatched to the owning lane and
-            // their slot is filled from the results channel after
-            // classification finishes. Seed runs block on the lane's reply
-            // so the wildcard entry is installed before the next run is
-            // classified (mid-batch sealing, as on the serial path).
-            let mut packets = batch.into_vec().into_iter();
-            #[allow(clippy::type_complexity)]
-            let mut pending: Vec<(
-                Forwarding,
-                Option<Vec<Verdict>>,
-                u64,
-                &'static str,
-                Option<(u64, String)>,
-            )> = Vec::new();
-            let mut dispatched = 0usize;
-            while let Some(run) = switch.next_decision_run(&mut cursor, packets.as_slice()) {
-                runs += 1;
-                let run_count = run.count as u64;
-                // Same flight probe and stage attribution as the serial
-                // path, so sampled records are byte-identical across shard
-                // counts (settling happens in run order either way).
-                let flight_probe: Option<(u64, String)> = if flight.enabled() {
-                    packets
-                        .as_slice()
-                        .first()
-                        .and_then(|p| p.five_tuple())
-                        .filter(|t| flight.samples(t.shard_hash()))
-                        .map(|t| (t.shard_hash(), t.to_string()))
-                } else {
-                    None
-                };
-                let stage = match (&run.decision.steering, &run.megaflow) {
-                    (None, _) => "unsteered",
-                    (_, MegaflowState::Bypass(_)) => "megaflow-bypass",
-                    (_, MegaflowState::DropBypass { .. }) => "megaflow-drop",
-                    (_, MegaflowState::Seed(_)) => "slow-path",
-                    (_, MegaflowState::None) => "exact",
-                };
-                let run_ix = pending.len();
-                let forwarding = run.decision.forwarding.clone();
-                let verdicts: Option<Vec<Verdict>> = match run.decision.steering {
-                    Some((rule, upstream)) => {
-                        let direction = if upstream {
-                            Direction::Ingress
-                        } else {
-                            Direction::Egress
-                        };
-                        match run.megaflow {
-                            MegaflowState::Bypass(tokens) => {
-                                let run_packets: Vec<Packet> =
-                                    packets.by_ref().take(run.count).collect();
-                                let bytes: u64 = run_packets.iter().map(|p| p.len() as u64).sum();
-                                if let Some(&lane) = lane_of.get(&rule.chain) {
-                                    let _ = senders[lane].send(LaneMsg::CreditBypass {
-                                        chain: rule.chain,
-                                        direction,
-                                        tokens,
-                                        packets: run_packets.len() as u64,
-                                        bytes,
-                                    });
-                                }
-                                Some(run_packets.into_iter().map(Verdict::Forward).collect())
-                            }
-                            MegaflowState::DropBypass { tokens, reason } => {
-                                let bytes: u64 = packets
-                                    .by_ref()
-                                    .take(run.count)
-                                    .map(|p| p.len() as u64)
-                                    .sum();
-                                if let Some(&lane) = lane_of.get(&rule.chain) {
-                                    let _ = senders[lane].send(LaneMsg::CreditBypassDrop {
-                                        chain: rule.chain,
-                                        direction,
-                                        tokens,
-                                        packets: run.count as u64,
-                                        bytes,
-                                    });
-                                }
-                                Some(
-                                    (0..run.count)
-                                        .map(|_| Verdict::Drop(reason.clone()))
-                                        .collect(),
-                                )
-                            }
-                            megaflow => match lane_of.get(&rule.chain) {
-                                Some(&lane) => {
-                                    let chunk: PacketBatch =
-                                        packets.by_ref().take(run.count).collect();
-                                    if let MegaflowState::Seed(seed) = megaflow {
-                                        let (seal_tx, seal_rx) = mpsc::channel();
-                                        senders[lane]
-                                            .send(LaneMsg::Run {
-                                                run_ix,
-                                                chain: rule.chain,
-                                                direction,
-                                                packets: chunk,
-                                                seal: Some(seal_tx),
-                                            })
-                                            .expect("lane outlives the spine");
-                                        let reply =
-                                            seal_rx.recv().expect("lane replies to seed runs");
-                                        let install = switch.install_megaflow(seed, reply.report);
-                                        Self::trace_install(trace, now, install);
-                                        Some(reply.verdicts)
-                                    } else {
-                                        senders[lane]
-                                            .send(LaneMsg::Run {
-                                                run_ix,
-                                                chain: rule.chain,
-                                                direction,
-                                                packets: chunk,
-                                                seal: None,
-                                            })
-                                            .expect("lane outlives the spine");
-                                        dispatched += 1;
-                                        None
-                                    }
-                                }
-                                // Steering rule without a chain (mid
-                                // reconfiguration): forward unprocessed.
-                                None => Some(
-                                    packets
-                                        .by_ref()
-                                        .take(run.count)
-                                        .map(Verdict::Forward)
-                                        .collect(),
-                                ),
-                            },
-                        }
-                    }
-                    None => Some(
-                        packets
-                            .by_ref()
-                            .take(run.count)
-                            .map(Verdict::Forward)
-                            .collect(),
-                    ),
-                };
-                pending.push((forwarding, verdicts, run_count, stage, flight_probe));
-            }
-            debug_assert!(packets.next().is_none(), "runs must cover the whole batch");
-            // Close the queues: lanes drain their FIFOs and exit.
-            drop(senders);
-            for _ in 0..dispatched {
-                let (run_ix, verdicts) = results_rx
-                    .recv()
-                    .expect("every dispatched run yields verdicts");
-                pending[run_ix].1 = Some(verdicts);
-            }
-            // Settle in run order — identical outcome order and identical
-            // final counter values as the serial path's per-run settling
-            // (counter updates are sums, so deferring them to one in-order
-            // pass after classification commutes).
-            for (forwarding, verdicts, run_count, stage, flight_probe) in pending {
-                let verdicts = verdicts.expect("every run's slot was filled");
-                let mut forwarded = 0u64;
-                let mut forwarded_bytes = 0u64;
-                let mut dropped = 0u64;
-                let mut replied = 0u64;
-                for verdict in verdicts {
-                    match verdict {
-                        Verdict::Forward(p) => {
-                            forwarded += 1;
-                            forwarded_bytes += p.len() as u64;
-                            outcomes.push(PacketOutcome::Forwarded(p));
-                        }
-                        Verdict::Drop(reason) => {
-                            dropped += 1;
-                            outcomes.push(PacketOutcome::Dropped(reason));
-                        }
-                        Verdict::Reply(replies) => {
-                            replied += 1;
-                            for reply in &replies {
-                                switch.record_tx(in_port, reply.len());
-                            }
-                            outcomes.push(PacketOutcome::Replied(replies));
-                        }
-                    }
-                }
-                if forwarded > 0 {
-                    match &forwarding {
-                        Forwarding::Unicast(port) => {
-                            switch.record_tx_batch(*port, forwarded, forwarded_bytes)
-                        }
-                        Forwarding::Flood(ports) => {
-                            for port in ports.iter() {
-                                switch.record_tx_batch(*port, forwarded, forwarded_bytes);
-                            }
-                        }
-                    }
-                }
-                if let Some((flow, tuple)) = flight_probe {
-                    flight.record(
-                        now,
-                        FlowRecord {
-                            station,
-                            flow,
-                            tuple,
-                            stage,
-                            verdict: run_verdict(run_count, dropped, replied),
-                            count: run_count,
-                        },
-                    );
-                }
-            }
-        });
-        self.trace.emit(
+        let lanes = self.lanes_for(batch.len());
+        let chains = &mut self.chains;
+        let mut spine = Spine {
+            switch: &mut self.switch,
+            trace: &mut self.trace,
+            flight: &mut self.flight,
+            station: self.config.station.raw(),
+            in_port,
             now,
-            TraceKind::BatchFlush {
-                packets: batch_len,
-                runs,
-            },
-        );
-        outcomes
-    }
-
-    fn process_packet(
-        &mut self,
-        packet: Packet,
-        in_port: gnf_switch::PortId,
-        now: SimTime,
-    ) -> PacketOutcome {
-        self.batch_sizes.record(1);
-        let Classified { decision, megaflow } = match self.switch.classify(&packet, in_port, now) {
-            Ok(c) => c,
-            Err(e) => return PacketOutcome::Dropped(e.to_string().into()),
         };
-        // Flight probe and stage, mirroring the batch paths: a per-packet
-        // call is a degenerate single-flow run of one.
-        let flight_probe: Option<(u64, String)> = if self.flight.enabled() {
-            packet
-                .five_tuple()
-                .filter(|t| self.flight.samples(t.shard_hash()))
-                .map(|t| (t.shard_hash(), t.to_string()))
+        if lanes > 1 {
+            LaneExecutor::scoped(chains, lanes, runner, |exec| spine.run(exec, batch))
         } else {
-            None
-        };
-        let stage = match (&decision.steering, &megaflow) {
-            (None, _) => "unsteered",
-            (_, MegaflowState::Bypass(_)) => "megaflow-bypass",
-            (_, MegaflowState::DropBypass { .. }) => "megaflow-drop",
-            (_, MegaflowState::Seed(_)) => "slow-path",
-            (_, MegaflowState::None) => "exact",
-        };
-
-        let processed = match decision.steering {
-            Some((rule, upstream)) => {
-                let direction = if upstream {
-                    Direction::Ingress
-                } else {
-                    Direction::Egress
-                };
-                match megaflow {
-                    // A wildcard entry certified the chain bypass: forward
-                    // the unchanged packet and replay the chain's
-                    // statistics.
-                    MegaflowState::Bypass(tokens) => {
-                        if let Some(deployed) = self.chains.get_mut(&rule.chain) {
-                            deployed.chain.credit_bypass(
-                                direction,
-                                &tokens,
-                                1,
-                                packet.len() as u64,
-                            );
-                        }
-                        Verdict::Forward(packet)
-                    }
-                    // A wildcard entry certified the chain *drops* this
-                    // packet: retire it before the chain runs, replaying
-                    // the visited NFs' statistics and the exact reason.
-                    MegaflowState::DropBypass { tokens, reason } => {
-                        if let Some(deployed) = self.chains.get_mut(&rule.chain) {
-                            deployed.chain.credit_bypass_drop(
-                                direction,
-                                &tokens,
-                                1,
-                                packet.len() as u64,
-                            );
-                        }
-                        Verdict::Drop(reason)
-                    }
-                    megaflow => {
-                        match self.chains.get_mut(&rule.chain) {
-                            Some(deployed) => {
-                                let ctx = NfContext::for_client(now, deployed.client);
-                                let verdict = deployed.chain.process(packet, direction, &ctx);
-                                // Seal the slow-path seed into a wildcard
-                                // entry: a certified forward or drop bypass
-                                // when the chain vouches for this packet's
-                                // processing, the switch decision alone
-                                // otherwise.
-                                if let MegaflowState::Seed(seed) = megaflow {
-                                    let report = seal_report(
-                                        self.megaflow_drops,
-                                        &deployed.chain,
-                                        direction,
-                                        std::slice::from_ref(&verdict),
-                                    );
-                                    let install = self.switch.install_megaflow(seed, report);
-                                    Self::trace_install(&mut self.trace, now, install);
-                                }
-                                verdict
-                            }
-                            // The steering rule exists but the chain is gone
-                            // (mid reconfiguration): forward unprocessed.
-                            None => Verdict::Forward(packet),
-                        }
-                    }
-                }
-            }
-            None => Verdict::Forward(packet),
-        };
-
-        let outcome = match processed {
-            Verdict::Forward(p) => {
-                match decision.forwarding {
-                    gnf_switch::Forwarding::Unicast(port) => self.switch.record_tx(port, p.len()),
-                    gnf_switch::Forwarding::Flood(ports) => {
-                        for port in ports.iter() {
-                            self.switch.record_tx(*port, p.len());
-                        }
-                    }
-                }
-                PacketOutcome::Forwarded(p)
-            }
-            Verdict::Drop(reason) => PacketOutcome::Dropped(reason),
-            Verdict::Reply(replies) => {
-                for reply in &replies {
-                    self.switch.record_tx(in_port, reply.len());
-                }
-                PacketOutcome::Replied(replies)
-            }
-        };
-        if let Some((flow, tuple)) = flight_probe {
-            let (dropped, replied) = match &outcome {
-                PacketOutcome::Forwarded(_) => (0, 0),
-                PacketOutcome::Dropped(_) => (1, 0),
-                PacketOutcome::Replied(_) => (0, 1),
-            };
-            self.flight.record(
-                now,
-                FlowRecord {
-                    station: self.config.station.raw(),
-                    flow,
-                    tuple,
-                    stage,
-                    verdict: run_verdict(1, dropped, replied),
-                    count: 1,
-                },
-            );
+            spine.run(InlineExecutor { chains, runner }, batch)
         }
-        self.trace.emit(
-            now,
-            TraceKind::BatchFlush {
-                packets: 1,
-                runs: 1,
-            },
-        );
-        outcome
     }
 
     /// Installs a chain: pulls images, creates a container per NF, wires the
@@ -1746,6 +1133,443 @@ impl Agent {
             chain: chain_id,
         });
         Ok(self.runtime.cost_model().restore_time(delta_bytes))
+    }
+}
+
+/// One chain run's result: the verdicts in packet order and, for a run that
+/// carried a megaflow seed, the report the seed seals with.
+pub(crate) struct ChainRun {
+    /// The run's verdicts, in packet order.
+    pub verdicts: Vec<Verdict>,
+    /// The seal report (gated through [`seal_report`]); `None` for a run
+    /// without a seed and for a seed that seals decision-only.
+    pub report: Option<(FieldMask, BypassOutcome)>,
+}
+
+/// The one chain dispatch, shared by both executors so the thread a chain
+/// runs on cannot change what it is asked to do.
+#[derive(Clone, Copy)]
+pub(crate) struct ChainRunner {
+    /// The batch's virtual timestamp.
+    pub now: SimTime,
+    /// Whether certified drops may seal into drop entries.
+    pub megaflow_drops: bool,
+}
+
+impl ChainRunner {
+    /// Takes the next `count` packets through `deployed`: the scalar entry
+    /// point for a single packet, the batched one otherwise. With `seal` the
+    /// run carries a megaflow seed and the chain's report rides along.
+    pub(crate) fn run(
+        self,
+        deployed: &mut DeployedChain,
+        mut packets: impl Iterator<Item = Packet>,
+        count: usize,
+        direction: Direction,
+        seal: bool,
+    ) -> ChainRun {
+        let ctx = NfContext::for_client(self.now, deployed.client);
+        let verdicts = if count == 1 {
+            let packet = packets.next().expect("runs cover the batch");
+            vec![deployed.chain.process(packet, direction, &ctx)]
+        } else {
+            let chunk: PacketBatch = packets.take(count).collect();
+            deployed.chain.process_batch(chunk, direction, &ctx)
+        };
+        let report = if seal {
+            seal_report(self.megaflow_drops, &deployed.chain, direction, &verdicts)
+        } else {
+            None
+        };
+        ChainRun { verdicts, report }
+    }
+}
+
+/// The statistics replay one wildcard-bypass hit owes its chain: a run of
+/// `packets` packets totalling `bytes` that traversed `direction` without
+/// running the chain, credited through the entry's per-NF `tokens`.
+pub(crate) struct BypassCredit {
+    /// Traversal direction.
+    pub direction: Direction,
+    /// Per-NF replay tokens from the wildcard entry, in traversal order.
+    pub tokens: Arc<[u64]>,
+    /// Packets in the run.
+    pub packets: u64,
+    /// Bytes in the run.
+    pub bytes: u64,
+    /// The entry certified a drop (at the last tokened NF), not a forward.
+    pub dropped: bool,
+}
+
+impl BypassCredit {
+    /// Replays the run into `chain`'s statistics.
+    pub(crate) fn apply(&self, chain: &mut NfChain) {
+        if self.dropped {
+            chain.credit_bypass_drop(self.direction, &self.tokens, self.packets, self.bytes);
+        } else {
+            chain.credit_bypass(self.direction, &self.tokens, self.packets, self.bytes);
+        }
+    }
+}
+
+/// What [`ChainExecutor::execute`] did with a chain run.
+pub(crate) enum Executed {
+    /// The chain processed the run; its verdicts are ready.
+    Done(ChainRun),
+    /// The run is queued behind its chain's earlier work; its verdicts
+    /// arrive through [`ChainExecutor::finish`].
+    Deferred,
+    /// The steering rule names a chain that is not deployed (mid
+    /// reconfiguration); the packets were left untouched.
+    NoChain,
+}
+
+/// The *execute* stage of the pipeline: whoever owns the deployed chains
+/// for the duration of one batch. Everything order-sensitive — classification,
+/// sealing, settling — stays in [`Spine::run`]; an executor only decides
+/// *where* a chain runs. Exactly two implementations exist:
+/// [`InlineExecutor`] (this thread, verdicts at once) and
+/// [`LaneExecutor`] (chain-affinity lane threads, see [`crate::lanes`]).
+pub(crate) trait ChainExecutor {
+    /// Runs the next `count` of `packets` through `chain`. `slot` names the
+    /// run should the executor defer it; a `seal` run is never deferred.
+    fn execute(
+        &mut self,
+        slot: usize,
+        chain: ChainId,
+        direction: Direction,
+        packets: &mut std::vec::IntoIter<Packet>,
+        count: usize,
+        seal: bool,
+    ) -> Executed;
+
+    /// Replays a certified bypass's NF statistics into `chain`, in order
+    /// with the chain's other work (a no-op for an undeployed chain).
+    fn credit(&mut self, chain: ChainId, credit: BypassCredit);
+
+    /// Ends the batch, handing every deferred run's verdicts to `fill`
+    /// under the slot it was submitted with.
+    fn finish(self, fill: impl FnMut(usize, Vec<Verdict>));
+}
+
+/// Runs every chain on the calling thread, in run order.
+struct InlineExecutor<'a> {
+    chains: &'a mut HashMap<ChainId, DeployedChain>,
+    runner: ChainRunner,
+}
+
+impl ChainExecutor for InlineExecutor<'_> {
+    fn execute(
+        &mut self,
+        _slot: usize,
+        chain: ChainId,
+        direction: Direction,
+        packets: &mut std::vec::IntoIter<Packet>,
+        count: usize,
+        seal: bool,
+    ) -> Executed {
+        match self.chains.get_mut(&chain) {
+            Some(deployed) => {
+                Executed::Done(self.runner.run(deployed, packets, count, direction, seal))
+            }
+            None => Executed::NoChain,
+        }
+    }
+
+    fn credit(&mut self, chain: ChainId, credit: BypassCredit) {
+        if let Some(deployed) = self.chains.get_mut(&chain) {
+            credit.apply(&mut deployed.chain);
+        }
+    }
+
+    fn finish(self, _fill: impl FnMut(usize, Vec<Verdict>)) {}
+}
+
+/// What settling one run needs once its verdicts are known.
+struct RunSettle {
+    forwarding: Forwarding,
+    count: u64,
+    stage: &'static str,
+    /// The sampled flow's hash and rendered five-tuple, when the flight
+    /// recorder samples this run's flow.
+    probe: Option<(u64, String)>,
+}
+
+/// The serial half of the data plane for one batch — everything of the
+/// Agent the batch touches except the deployed chains, which the
+/// [`ChainExecutor`] owns while it runs — plus the batch's ingress port and
+/// virtual timestamp.
+struct Spine<'a> {
+    switch: &'a mut SoftwareSwitch,
+    trace: &'a mut TraceSink,
+    flight: &'a mut FlightRecorder,
+    station: u64,
+    in_port: PortId,
+    now: SimTime,
+}
+
+impl Spine<'_> {
+    /// The station's one data-plane pipeline: begin the batch, then for each
+    /// single-flow [`gnf_switch::DecisionRun`] probe + stage → execute →
+    /// seal → settle, then emit the `BatchFlush`.
+    ///
+    /// Runs are classified one at a time and sealed before the next is
+    /// classified (`IntoIter::as_slice` is the unclassified tail), so an
+    /// entry sealed from run N already serves run N + 1 of the same flush
+    /// (mid-batch sealing). A run settles as soon as its verdicts are known
+    /// unless an earlier run is still deferred; from the first deferred run
+    /// on, runs wait in `waiting` and settle in run order after
+    /// [`ChainExecutor::finish`]. Counter updates are sums, so settling late
+    /// commutes with classification, and outcome and flight-record order is
+    /// run order either way.
+    fn run<E: ChainExecutor>(&mut self, mut exec: E, batch: PacketBatch) -> Vec<PacketOutcome> {
+        let (in_port, now) = (self.in_port, self.now);
+        let batch_len = batch.len() as u64;
+        let mut runs = 0u64;
+        let mut cursor = match self.switch.begin_receive_batch(&batch, in_port, now) {
+            Ok(cursor) => cursor,
+            Err(e) => {
+                let reason: Cow<'static, str> = e.to_string().into();
+                return batch
+                    .into_iter()
+                    .map(|_| PacketOutcome::Dropped(reason.clone()))
+                    .collect();
+            }
+        };
+        let mut outcomes = Vec::with_capacity(batch.len());
+        let mut waiting: Vec<(RunSettle, Option<Vec<Verdict>>)> = Vec::new();
+        let mut packets = batch.into_vec().into_iter();
+        while let Some(run) = self
+            .switch
+            .next_decision_run(&mut cursor, packets.as_slice())
+        {
+            runs += 1;
+            // Flight probe: runs are single-flow, so the first unclassified
+            // packet names the run's flow. Sampling is a seeded hash check;
+            // the tuple string is only rendered for sampled flows.
+            let probe: Option<(u64, String)> = if self.flight.enabled() {
+                packets
+                    .as_slice()
+                    .first()
+                    .and_then(|p| p.five_tuple())
+                    .filter(|t| self.flight.samples(t.shard_hash()))
+                    .map(|t| (t.shard_hash(), t.to_string()))
+            } else {
+                None
+            };
+            let stage = match (&run.decision.steering, &run.megaflow) {
+                (None, _) => "unsteered",
+                (_, MegaflowState::Bypass(_)) => "megaflow-bypass",
+                (_, MegaflowState::DropBypass { .. }) => "megaflow-drop",
+                (_, MegaflowState::Seed(_)) => "slow-path",
+                (_, MegaflowState::None) => "exact",
+            };
+            let verdicts: Option<Vec<Verdict>> = match run.decision.steering {
+                Some((rule, upstream)) => {
+                    let direction = if upstream {
+                        Direction::Ingress
+                    } else {
+                        Direction::Egress
+                    };
+                    match run.megaflow {
+                        // A wildcard entry certified the chain bypass for
+                        // this run's flow: forward unchanged, replay NF
+                        // statistics.
+                        MegaflowState::Bypass(tokens) => {
+                            let run_packets: Vec<Packet> =
+                                packets.by_ref().take(run.count).collect();
+                            let bytes: u64 = run_packets.iter().map(|p| p.len() as u64).sum();
+                            let credit = BypassCredit {
+                                direction,
+                                tokens,
+                                packets: run_packets.len() as u64,
+                                bytes,
+                                dropped: false,
+                            };
+                            exec.credit(rule.chain, credit);
+                            Some(run_packets.into_iter().map(Verdict::Forward).collect())
+                        }
+                        // A wildcard entry certified the chain *drops* this
+                        // run's flow: retire the whole run before the chain
+                        // runs, replaying statistics and the exact reason.
+                        MegaflowState::DropBypass { tokens, reason } => {
+                            let bytes: u64 = packets
+                                .by_ref()
+                                .take(run.count)
+                                .map(|p| p.len() as u64)
+                                .sum();
+                            let credit = BypassCredit {
+                                direction,
+                                tokens,
+                                packets: run.count as u64,
+                                bytes,
+                                dropped: true,
+                            };
+                            exec.credit(rule.chain, credit);
+                            Some(
+                                (0..run.count)
+                                    .map(|_| Verdict::Drop(reason.clone()))
+                                    .collect(),
+                            )
+                        }
+                        megaflow => {
+                            let seed = match megaflow {
+                                MegaflowState::Seed(seed) => Some(seed),
+                                _ => None,
+                            };
+                            match exec.execute(
+                                waiting.len(),
+                                rule.chain,
+                                direction,
+                                &mut packets,
+                                run.count,
+                                seed.is_some(),
+                            ) {
+                                Executed::Done(ChainRun { verdicts, report }) => {
+                                    // Seal the slow-path seed into a
+                                    // wildcard entry: a certified forward or
+                                    // drop bypass when the chain vouches for
+                                    // this (single-flow) run's processing,
+                                    // the switch decision alone otherwise.
+                                    if let Some(seed) = seed {
+                                        let install = self.switch.install_megaflow(seed, report);
+                                        self.trace_install(install);
+                                    }
+                                    Some(verdicts)
+                                }
+                                Executed::Deferred => None,
+                                Executed::NoChain => {
+                                    Some(Self::pass_through(&mut packets, run.count))
+                                }
+                            }
+                        }
+                    }
+                }
+                None => Some(Self::pass_through(&mut packets, run.count)),
+            };
+            let settle = RunSettle {
+                forwarding: run.decision.forwarding,
+                count: run.count as u64,
+                stage,
+                probe,
+            };
+            match verdicts {
+                Some(verdicts) if waiting.is_empty() => {
+                    self.settle(settle, verdicts, &mut outcomes)
+                }
+                verdicts => waiting.push((settle, verdicts)),
+            }
+        }
+        debug_assert!(packets.next().is_none(), "runs must cover the whole batch");
+        exec.finish(|slot, verdicts| waiting[slot].1 = Some(verdicts));
+        for (settle, verdicts) in waiting {
+            let verdicts = verdicts.expect("finish fills every deferred run's slot");
+            self.settle(settle, verdicts, &mut outcomes);
+        }
+        self.trace.emit(
+            now,
+            TraceKind::BatchFlush {
+                packets: batch_len,
+                runs,
+            },
+        );
+        outcomes
+    }
+
+    /// Forwards the next `count` packets unprocessed: unsteered traffic, or
+    /// a steering rule whose chain is gone.
+    fn pass_through(packets: &mut std::vec::IntoIter<Packet>, count: usize) -> Vec<Verdict> {
+        packets.take(count).map(Verdict::Forward).collect()
+    }
+
+    /// Emits the trace events one megaflow install implies: the seal, and an
+    /// eviction event when the capacity bound displaced entries to make
+    /// room.
+    #[inline]
+    fn trace_install(&mut self, install: MegaflowInstall) {
+        if !self.trace.enabled() || !install.installed {
+            return;
+        }
+        let now = self.now;
+        self.trace.emit(
+            now,
+            TraceKind::MegaflowSeal {
+                outcome: install.outcome,
+                occupancy: install.occupancy,
+            },
+        );
+        if install.evicted > 0 {
+            self.trace.emit(
+                now,
+                TraceKind::MegaflowEvict {
+                    evicted: install.evicted,
+                    occupancy: install.occupancy,
+                },
+            );
+        }
+    }
+
+    /// Settles one run's verdicts into per-packet outcomes: one TX-counter
+    /// update per run for the forwarded packets instead of one per packet,
+    /// and the run's flight record when its flow is sampled.
+    #[inline]
+    fn settle(
+        &mut self,
+        run: RunSettle,
+        verdicts: Vec<Verdict>,
+        outcomes: &mut Vec<PacketOutcome>,
+    ) {
+        let mut forwarded = 0u64;
+        let mut forwarded_bytes = 0u64;
+        let mut dropped = 0u64;
+        let mut replied = 0u64;
+        for verdict in verdicts {
+            match verdict {
+                Verdict::Forward(p) => {
+                    forwarded += 1;
+                    forwarded_bytes += p.len() as u64;
+                    outcomes.push(PacketOutcome::Forwarded(p));
+                }
+                Verdict::Drop(reason) => {
+                    dropped += 1;
+                    outcomes.push(PacketOutcome::Dropped(reason));
+                }
+                Verdict::Reply(replies) => {
+                    replied += 1;
+                    for reply in &replies {
+                        self.switch.record_tx(self.in_port, reply.len());
+                    }
+                    outcomes.push(PacketOutcome::Replied(replies));
+                }
+            }
+        }
+        if forwarded > 0 {
+            match &run.forwarding {
+                Forwarding::Unicast(port) => {
+                    self.switch
+                        .record_tx_batch(*port, forwarded, forwarded_bytes)
+                }
+                Forwarding::Flood(ports) => {
+                    for port in ports.iter() {
+                        self.switch
+                            .record_tx_batch(*port, forwarded, forwarded_bytes);
+                    }
+                }
+            }
+        }
+        if let Some((flow, tuple)) = run.probe {
+            self.flight.record(
+                self.now,
+                FlowRecord {
+                    station: self.station,
+                    flow,
+                    tuple,
+                    stage: run.stage,
+                    verdict: run_verdict(run.count, dropped, replied),
+                    count: run.count,
+                },
+            );
+        }
     }
 }
 
@@ -2206,6 +2030,197 @@ mod tests {
             assert_eq!(a.chain.stats(), b.chain.stats());
             assert_eq!(a.chain.per_nf_stats(), b.chain.per_nf_stats());
         }
+    }
+
+    /// One mixed batch that visits every pipeline stage, driven through the
+    /// three ways a caller can reach the pipeline: N per-packet calls, one
+    /// batch behind the inline executor and one batch behind the lanes
+    /// executor. All three must agree on outcomes, port counters and NF
+    /// stats/state; the two batch legs also on flight records and events.
+    #[test]
+    fn every_stage_settles_identically_per_packet_inline_and_on_lanes() {
+        use gnf_nf::firewall::{
+            FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
+        };
+        use gnf_nf::NfConfig;
+        use gnf_telemetry::TraceScope;
+
+        let server = MacAddr::derived(0xA0, 1);
+        let dst = Ipv4Addr::new(203, 0, 113, 10);
+        // Client 0 rides a pure (conntrack-off) firewall whose verdicts seal
+        // into certified bypass entries, client 1 an opaque firewall + HTTP
+        // filter chain (the reply), client 2 has a steering rule but no
+        // chain; the stranger has neither.
+        let macs: Vec<MacAddr> = (0..3).map(|c| MacAddr::derived(1, c)).collect();
+        let ips: Vec<Ipv4Addr> = (0..3).map(|c| Ipv4Addr::new(172, 16, 0, 2 + c)).collect();
+        let pure_fw = NfSpec::new(
+            "fw",
+            NfConfig::Firewall(FirewallConfig {
+                rules: vec![FirewallRule {
+                    protocol: ProtocolMatch::Tcp,
+                    dst_port: PortMatch::Range(1, 1023),
+                    action: RuleAction::Drop,
+                    ..FirewallRule::any("privileged", RuleAction::Drop)
+                }],
+                default_action: RuleAction::Accept,
+                track_connections: false,
+                conntrack_idle_timeout_secs: 60,
+            }),
+        );
+        let opaque = vec![sample_specs()[0].clone(), sample_specs()[1].clone()];
+        let make_agent = |shards: usize| {
+            let (mut agent, _) = agent();
+            agent.set_megaflow_enabled(true);
+            agent.set_station_shards(shards);
+            let scope = TraceScope::Station(1);
+            agent.set_tracing(
+                TraceSink::buffered(scope, 256),
+                FlightRecorder::armed(scope, 7, 1, 256),
+            );
+            for (client, specs) in [vec![pure_fw.clone()], opaque.clone()]
+                .into_iter()
+                .enumerate()
+            {
+                agent.client_associated(ClientId::new(client as u64), macs[client], ips[client]);
+                agent.handle_manager_msg(
+                    ManagerToAgent::DeployChain {
+                        chain: ChainId::new(client as u64 + 1),
+                        client: ClientId::new(client as u64),
+                        client_mac: macs[client],
+                        specs,
+                        selector: TrafficSelector::all(),
+                        restore_state: None,
+                        migration: None,
+                    },
+                    SimTime::from_secs(1),
+                );
+            }
+            agent.switch.steering_mut().install(SteeringRule {
+                client: ClientId::new(2),
+                client_mac: macs[2],
+                selector: TrafficSelector::all(),
+                chain: ChainId::new(9),
+            });
+            agent
+        };
+        let syn = |client: usize, sport: u16, dport: u16| {
+            builder::tcp_syn(macs[client], server, ips[client], dst, sport, dport)
+        };
+        let get = |sport: u16, host: &str| {
+            builder::http_get(macs[1], server, ips[1], dst, sport, host, "/")
+        };
+        // (packet, the stage it is classified into, its verdict).
+        let table: Vec<(Packet, &str, &str)> = vec![
+            (
+                builder::tcp_syn(
+                    MacAddr::derived(7, 7),
+                    server,
+                    Ipv4Addr::new(10, 9, 9, 9),
+                    dst,
+                    5_000,
+                    80,
+                ),
+                "unsteered",
+                "forwarded",
+            ),
+            // A new pattern walks the chain and seals a forward bypass...
+            (syn(0, 40_000, 8080), "slow-path", "forwarded"),
+            // ...which the next new flow of the pattern rides,
+            (syn(0, 40_001, 8080), "megaflow-bypass", "forwarded"),
+            // while the first flow itself stays on the exact cache (two
+            // back-to-back packets: one run of two on the batch legs).
+            (syn(0, 40_000, 8080), "exact", "forwarded"),
+            (syn(0, 40_000, 8080), "exact", "forwarded"),
+            // A denied pattern seals a certified drop, then retires on it.
+            (syn(0, 40_010, 22), "slow-path", "dropped"),
+            (syn(0, 40_011, 22), "megaflow-drop", "dropped"),
+            // Steering rule without a chain: forwarded unprocessed, the
+            // seed is discarded.
+            (syn(2, 40_020, 8080), "slow-path", "forwarded"),
+            // The opaque chain answers a blocked URL itself; its pattern
+            // seals decision-only, so the next request still walks it.
+            (get(40_030, "ads.example"), "slow-path", "replied"),
+            (get(40_031, "ok.example"), "exact", "forwarded"),
+        ];
+        let packets: Vec<Packet> = table.iter().map(|(p, _, _)| p.clone()).collect();
+        let now = SimTime::from_secs(2);
+
+        let mut per_packet = make_agent(4);
+        let expected: Vec<PacketOutcome> = packets
+            .iter()
+            .map(|p| per_packet.process_upstream_packet(p.clone(), now))
+            .collect();
+        // Per-packet, every row is its own run: the flight records *are*
+        // the table's stage and verdict columns.
+        let staged: Vec<(&str, &str)> = per_packet
+            .flight_mut()
+            .take_events()
+            .into_iter()
+            .map(|e| match e.kind {
+                TraceKind::Flow(r) => (r.stage, r.verdict),
+                other => panic!("flight recorder holds only flow records, got {other:?}"),
+            })
+            .collect();
+        let columns: Vec<(&str, &str)> = table.iter().map(|(_, s, v)| (*s, *v)).collect();
+        assert_eq!(staged, columns);
+        assert!(matches!(expected[8], PacketOutcome::Replied(_)));
+        let notifications = per_packet.drain_nf_notifications(now).len();
+        assert_eq!(notifications, 1, "the blocked URL raised an alert");
+
+        let mut inline = make_agent(1);
+        assert_eq!(inline.lanes_for(packets.len()), 1);
+        let mut lanes = make_agent(4);
+        assert_eq!(lanes.lanes_for(packets.len()), 2, "two chains: two lanes");
+        assert_eq!(lanes.lanes_for(1), 1, "a single packet never fans out");
+        for batched in [&mut inline, &mut lanes] {
+            let outcomes = batched.process_upstream_batch(packets.clone().into(), now);
+            assert_eq!(outcomes, expected);
+            for id in [1, 2] {
+                let (a, b) = (
+                    &batched.chain(ChainId::new(id)).expect("deployed").chain,
+                    &per_packet.chain(ChainId::new(id)).expect("deployed").chain,
+                );
+                assert_eq!(a.stats(), b.stats());
+                assert_eq!(a.per_nf_stats(), b.per_nf_stats());
+                assert_eq!(a.export_state(), b.export_state());
+            }
+            for (a, b) in batched
+                .switch()
+                .ports()
+                .iter()
+                .zip(per_packet.switch().ports())
+            {
+                assert_eq!(a.counters, b.counters, "port {} counters", a.name);
+            }
+            assert_eq!(
+                batched.megaflow_telemetry(),
+                per_packet.megaflow_telemetry()
+            );
+            assert_eq!(
+                batched.flow_cache_telemetry(),
+                per_packet.flow_cache_telemetry()
+            );
+            assert_eq!(batched.drain_nf_notifications(now).len(), notifications);
+        }
+        let records = inline.flight_mut().take_events();
+        assert_eq!(
+            records.len(),
+            table.len() - 1,
+            "the repeat merged into a run"
+        );
+        assert_eq!(lanes.flight_mut().take_events(), records);
+        let events = inline.trace_mut().take_events();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e.kind, TraceKind::MegaflowSeal { .. })));
+        assert!(matches!(
+            events.last().map(|e| &e.kind),
+            Some(TraceKind::BatchFlush {
+                packets: 10,
+                runs: 9
+            })
+        ));
+        assert_eq!(lanes.trace_mut().take_events(), events);
     }
 
     #[test]

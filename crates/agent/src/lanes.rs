@@ -1,16 +1,17 @@
-//! Intra-station RSS execution lanes: the worker side of the Agent's
-//! sharded batch path.
+//! Intra-station RSS execution lanes: the [`ChainExecutor`] that runs chains
+//! off the pipeline's thread.
 //!
-//! When a station runs with more than one shard, the Agent keeps all switch
-//! work — classification, cache lookups, megaflow installs, TX counters — on
-//! the calling thread (the *spine*) and dispatches NF-chain work to `N` lane
-//! threads. Every chain is owned by exactly one lane for the duration of a
-//! batch, chosen by a stable hash of its [`ChainId`], and each lane drains
-//! its queue in FIFO order; together these two facts mean every chain sees
-//! its runs, bypass credits and drop credits in exactly the order the serial
-//! path would have applied them, so NF state, statistics, verdicts and
-//! emitted events never diverge from the unsharded run — only the thread
-//! that executes the chain changes.
+//! When a batch is worth spreading (more than one lane would own a chain,
+//! more than one packet to spread), the Agent keeps the pipeline — all
+//! switch work, sealing, settling — on the calling thread (the *spine*) and
+//! [`LaneExecutor`] dispatches NF-chain work to `N` lane threads. Every chain
+//! is owned by exactly one lane for the duration of a batch, chosen by a
+//! stable hash of its [`ChainId`], and each lane drains its queue in FIFO
+//! order; together these two facts mean every chain sees its runs, bypass
+//! credits and drop credits in exactly the order the inline executor would
+//! have applied them, so NF state, statistics, verdicts and emitted events
+//! never diverge from the unsharded run — only the thread that executes the
+//! chain changes.
 //!
 //! Slow-path runs that carry a megaflow *seed* are the one synchronous case:
 //! the spine must install the sealed wildcard entry before classifying the
@@ -18,24 +19,28 @@
 //! run N + 1), so those runs carry a reply channel and the spine blocks
 //! until the owning lane reports the verdicts and the seal report. Seeds
 //! only occur on slow-path classifications, so a warm steady-state batch
-//! never blocks.
+//! never blocks. Every other run is *deferred*: its verdicts come back over
+//! a shared results channel and the pipeline settles them in run order once
+//! the batch is classified.
+//!
+//! This is a streaming spine — work is routed while the batch is still being
+//! classified — not a fork-join; the emulator's fan-outs use
+//! `gnf_sim::fork_join` instead.
 
-use crate::agent::{seal_report, DeployedChain};
-use gnf_nf::{Direction, NfContext, Verdict};
-use gnf_packet::{FieldMask, PacketBatch};
-use gnf_switch::BypassOutcome;
-use gnf_types::{ChainId, SimTime};
+use crate::agent::{BypassCredit, ChainExecutor, ChainRun, ChainRunner, DeployedChain, Executed};
+use gnf_nf::{Direction, Verdict};
+use gnf_packet::{Packet, PacketBatch};
+use gnf_types::ChainId;
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::Arc;
 
 /// One unit of chain work routed to a lane. Messages for the same chain are
 /// always sent to the same lane, in spine (run) order.
-pub(crate) enum LaneMsg {
+enum LaneMsg {
     /// Process a single-flow run through its chain.
     Run {
-        /// Index of the run within the batch (for result reassembly).
-        run_ix: usize,
+        /// The pipeline's slot for the run (for result reassembly).
+        slot: usize,
         /// The owning chain (guaranteed to live on this lane).
         chain: ChainId,
         /// Traversal direction.
@@ -45,48 +50,15 @@ pub(crate) enum LaneMsg {
         /// `Some` when the run carries a megaflow seed: the lane must reply
         /// with the verdicts *and* the seal report so the spine can install
         /// the wildcard entry before classifying the next run.
-        seal: Option<mpsc::Sender<SealReply>>,
+        seal: Option<mpsc::Sender<ChainRun>>,
     },
-    /// Replay the statistics of a wildcard forward-bypass hit.
-    CreditBypass {
-        /// The credited chain.
-        chain: ChainId,
-        /// Traversal direction.
-        direction: Direction,
-        /// Per-NF replay tokens from the wildcard entry.
-        tokens: Arc<[u64]>,
-        /// Packets bypassed.
-        packets: u64,
-        /// Bytes bypassed.
-        bytes: u64,
-    },
-    /// Replay the statistics of a wildcard certified-drop hit.
-    CreditBypassDrop {
-        /// The credited chain.
-        chain: ChainId,
-        /// Traversal direction.
-        direction: Direction,
-        /// Per-NF replay tokens, the dropping NF last.
-        tokens: Arc<[u64]>,
-        /// Packets retired.
-        packets: u64,
-        /// Bytes retired.
-        bytes: u64,
-    },
-}
-
-/// A lane's synchronous answer to a seed-carrying [`LaneMsg::Run`].
-pub(crate) struct SealReply {
-    /// The run's verdicts, in packet order.
-    pub verdicts: Vec<Verdict>,
-    /// The seal report for the run's megaflow seed (gated through
-    /// [`seal_report`], exactly as on the serial path).
-    pub report: Option<(FieldMask, BypassOutcome)>,
+    /// Replay the statistics of a wildcard bypass hit.
+    Credit(ChainId, BypassCredit),
 }
 
 /// The stable lane assignment of a chain: an avalanche hash of the raw id
 /// (MurmurHash3 `fmix64`) so consecutive chain ids spread over lanes.
-pub(crate) fn lane_of_chain(chain: ChainId, lanes: usize) -> usize {
+fn lane_of_chain(chain: ChainId, lanes: usize) -> usize {
     if lanes <= 1 {
         return 0;
     }
@@ -99,78 +71,151 @@ pub(crate) fn lane_of_chain(chain: ChainId, lanes: usize) -> usize {
     (hash % lanes as u64) as usize
 }
 
+/// The spine's handle on the lane threads of one batch: a read-only routing
+/// map, one FIFO per lane and the shared channel deferred verdicts return on.
+pub(crate) struct LaneExecutor {
+    lane_of: HashMap<ChainId, usize>,
+    senders: Vec<mpsc::Sender<LaneMsg>>,
+    results: mpsc::Receiver<(usize, Vec<Verdict>)>,
+    dispatched: usize,
+}
+
+impl LaneExecutor {
+    /// Partitions `chains` over `lanes` scoped threads by stable chain-id
+    /// hash and hands `spine` the executor that fronts them. Returns
+    /// `spine`'s result once every lane has drained its queue and exited.
+    pub(crate) fn scoped<R>(
+        chains: &mut HashMap<ChainId, DeployedChain>,
+        lanes: usize,
+        runner: ChainRunner,
+        spine: impl FnOnce(LaneExecutor) -> R,
+    ) -> R {
+        let mut lane_chains: Vec<HashMap<ChainId, &mut DeployedChain>> =
+            (0..lanes).map(|_| HashMap::new()).collect();
+        let mut lane_of: HashMap<ChainId, usize> = HashMap::with_capacity(chains.len());
+        for (&chain, deployed) in chains.iter_mut() {
+            let lane = lane_of_chain(chain, lanes);
+            lane_of.insert(chain, lane);
+            lane_chains[lane].insert(chain, deployed);
+        }
+        std::thread::scope(|scope| {
+            let (results_tx, results) = mpsc::channel();
+            let senders = lane_chains
+                .into_iter()
+                .map(|chains| {
+                    let (tx, queue) = mpsc::channel();
+                    let results = results_tx.clone();
+                    scope.spawn(move || lane_worker(chains, queue, results, runner));
+                    tx
+                })
+                .collect();
+            // Only the lanes hold result senders from here on, so a dead
+            // lane surfaces as a hang-up instead of a deadlock.
+            drop(results_tx);
+            spine(LaneExecutor {
+                lane_of,
+                senders,
+                results,
+                dispatched: 0,
+            })
+        })
+    }
+}
+
+impl ChainExecutor for LaneExecutor {
+    fn execute(
+        &mut self,
+        slot: usize,
+        chain: ChainId,
+        direction: Direction,
+        packets: &mut std::vec::IntoIter<Packet>,
+        count: usize,
+        seal: bool,
+    ) -> Executed {
+        let Some(&lane) = self.lane_of.get(&chain) else {
+            return Executed::NoChain;
+        };
+        let (seal, reply) = seal.then(mpsc::channel).unzip();
+        self.senders[lane]
+            .send(LaneMsg::Run {
+                slot,
+                chain,
+                direction,
+                packets: packets.take(count).collect(),
+                seal,
+            })
+            .expect("lane outlives the spine");
+        match reply {
+            Some(reply) => Executed::Done(reply.recv().expect("lane replies to seed runs")),
+            None => {
+                self.dispatched += 1;
+                Executed::Deferred
+            }
+        }
+    }
+
+    fn credit(&mut self, chain: ChainId, credit: BypassCredit) {
+        if let Some(&lane) = self.lane_of.get(&chain) {
+            let _ = self.senders[lane].send(LaneMsg::Credit(chain, credit));
+        }
+    }
+
+    fn finish(self, mut fill: impl FnMut(usize, Vec<Verdict>)) {
+        // Close the queues: lanes drain their FIFOs and exit.
+        drop(self.senders);
+        for _ in 0..self.dispatched {
+            let (slot, verdicts) = self
+                .results
+                .recv()
+                .expect("every dispatched run yields verdicts");
+            fill(slot, verdicts);
+        }
+    }
+}
+
 /// Body of one lane thread: drains the queue in FIFO order, applying each
 /// message to the owned chains, until the spine drops the sender.
 ///
-/// Non-seed run verdicts go back through the shared `results` channel (the
-/// spine reassembles them by `run_ix`); seed runs reply synchronously on
+/// Deferred run verdicts go back through the shared `results` channel (the
+/// pipeline reassembles them by slot); seed runs reply synchronously on
 /// their dedicated channel. Credits mutate only NF statistics, but routing
 /// them through the owning lane's queue keeps *every* chain mutation in
 /// spine order, so even an NF whose credit accounting interacted with its
 /// processing state could not observe a sharded/serial difference.
-pub(crate) fn lane_worker(
+fn lane_worker(
     mut chains: HashMap<ChainId, &mut DeployedChain>,
     queue: mpsc::Receiver<LaneMsg>,
     results: mpsc::Sender<(usize, Vec<Verdict>)>,
-    now: SimTime,
-    megaflow_drops: bool,
+    runner: ChainRunner,
 ) {
     while let Ok(msg) = queue.recv() {
         match msg {
             LaneMsg::Run {
-                run_ix,
+                slot,
                 chain,
                 direction,
                 packets,
                 seal,
             } => {
                 let deployed = chains.get_mut(&chain).expect("run routed to owning lane");
-                let ctx = NfContext::for_client(now, deployed.client);
-                // Mirror the serial path: single packets take the scalar
-                // entry point, longer runs the batched one.
-                let verdicts = if packets.len() == 1 {
-                    let packet = packets.into_iter().next().expect("length checked");
-                    vec![deployed.chain.process(packet, direction, &ctx)]
-                } else {
-                    deployed.chain.process_batch(packets, direction, &ctx)
+                let count = packets.len();
+                let run = runner.run(
+                    deployed,
+                    packets.into_iter(),
+                    count,
+                    direction,
+                    seal.is_some(),
+                );
+                // The spine blocks on a seed reply and collects every
+                // deferred run, so neither receiver can have hung up.
+                let _ = match seal {
+                    Some(reply) => reply.send(run).ok(),
+                    None => results.send((slot, run.verdicts)).ok(),
                 };
-                match seal {
-                    Some(reply) => {
-                        let report =
-                            seal_report(megaflow_drops, &deployed.chain, direction, &verdicts);
-                        // The spine blocks on this reply; it cannot have
-                        // hung up.
-                        let _ = reply.send(SealReply { verdicts, report });
-                    }
-                    None => {
-                        let _ = results.send((run_ix, verdicts));
-                    }
-                }
             }
-            LaneMsg::CreditBypass {
-                chain,
-                direction,
-                tokens,
-                packets,
-                bytes,
-            } => {
+            LaneMsg::Credit(chain, credit) => {
                 if let Some(deployed) = chains.get_mut(&chain) {
-                    deployed
-                        .chain
-                        .credit_bypass(direction, &tokens, packets, bytes);
-                }
-            }
-            LaneMsg::CreditBypassDrop {
-                chain,
-                direction,
-                tokens,
-                packets,
-                bytes,
-            } => {
-                if let Some(deployed) = chains.get_mut(&chain) {
-                    deployed
-                        .chain
-                        .credit_bypass_drop(direction, &tokens, packets, bytes);
+                    credit.apply(&mut deployed.chain);
                 }
             }
         }

@@ -14,23 +14,37 @@
 //!
 //! ## The Agent in the data plane
 //!
-//! The Agent owns the station's data plane end to end and stitches the
-//! caching/batching layers together:
+//! The Agent owns the station's data plane end to end, and it is **one
+//! pipeline**: every entry point — [`Agent::process_upstream_batch`] /
+//! [`Agent::process_downstream_batch`], and the per-packet
+//! [`Agent::process_upstream_packet`] / [`Agent::process_downstream_packet`],
+//! which are batches of one — runs the same loop over the batch's
+//! run-length-grouped [`gnf_switch::DecisionRun`]s:
 //!
-//! * **Slow path** — a steered packet is classified by the
-//!   [`gnf_switch::SoftwareSwitch`] (steering + MAC lookup) and traverses its
-//!   client's [`gnf_nf::NfChain`]; the switch memoizes the decision in its
-//!   exact-match flow cache.
-//! * **Fast path** — later packets of the flow hit the exact cache; on exact
-//!   misses the megaflow (wildcard) layer may serve *new* flows of a known
-//!   pattern, including a certified **chain bypass** whose NF statistics the
-//!   Agent replays via `NfChain::credit_bypass`. After a slow-path packet,
-//!   the Agent seals the switch's wildcard seed with the chain's
-//!   consulted-field report (`NfChain::wildcard_report`).
-//! * **Batch path** — [`Agent::process_upstream_batch`] /
-//!   [`Agent::process_downstream_batch`] run the same pipeline per
-//!   run-length-grouped [`gnf_switch::DecisionRun`], amortizing switch
-//!   lookups, chain dispatch and counter updates over the batch.
+//! ```text
+//! begin batch → for each run: probe + stage → execute → seal → settle → BatchFlush
+//! ```
+//!
+//! * **Classify** — the [`gnf_switch::SoftwareSwitch`] decides each run from
+//!   its exact-match flow cache, else its megaflow (wildcard) layer, else the
+//!   slow path (steering + MAC lookup), which memoizes the decision and
+//!   hands back a wildcard *seed*.
+//! * **Execute** — a steered run traverses its client's [`gnf_nf::NfChain`],
+//!   unless a wildcard entry certified a **chain bypass** (forward or drop),
+//!   in which case the chain's NF statistics are replayed instead
+//!   (`NfChain::credit_bypass` / `credit_bypass_drop`). *Where* chains run is
+//!   the pipeline's one variation point, a statically dispatched executor
+//!   with two implementations: inline on the calling thread, or
+//!   chain-affinity lane threads (`station_shards > 1`, more than one chain
+//!   and more than one packet). Outcomes, counters and NF state are
+//!   byte-identical either way.
+//! * **Seal** — after a slow-path run, the seed is completed with the
+//!   chain's consulted-field report (`NfChain::wildcard_report`, gated by
+//!   [`seal_report`]) before the next run is classified, so an entry sealed
+//!   from run *N* already serves run *N + 1* of the same batch.
+//! * **Settle** — verdicts become [`PacketOutcome`]s in batch order, TX
+//!   counters are updated once per run, sampled flows get their flight
+//!   record.
 //!
 //! Every layer's counters surface in the periodic
 //! [`gnf_telemetry::StationReport`] (`flow_cache`, `megaflow`, `batches`).

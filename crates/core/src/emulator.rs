@@ -19,7 +19,7 @@ use gnf_container::ImageRepository;
 use gnf_edge::{MobilityModel, TrafficGenerator};
 use gnf_manager::{Manager, ManagerAction};
 use gnf_packet::{Packet, PacketBatch};
-use gnf_sim::{EventQueue, Histogram, Rng};
+use gnf_sim::{fork_join, EventQueue, Histogram, Rng};
 use gnf_telemetry::{
     FlightRecorder, FlowCacheTelemetry, FlowRecord, MegaflowTelemetry, MetricsSample,
     MetricsSeries, MigrationPoolTelemetry, NotificationSeverity, RegionAggregator, TraceKind,
@@ -125,10 +125,11 @@ struct PendingMigration {
     msg: ManagerToAgent,
 }
 
-/// One station's parked migration commands (in park order) paired with the
-/// Agent that will execute them — the unit of work the migration pool
-/// shards across its threads.
-type MigrationGroup<'a> = (StationId, &'a mut Agent, Vec<(usize, ManagerToAgent)>);
+/// One station's share of a flush paired with the Agent that will execute
+/// it — the unit of work [`fork_join`] packs over its workers. `G` is the
+/// station's parked migration commands (in park order) or its coalesced
+/// packet batches (in time order).
+type StationGroup<'a, G> = (StationId, &'a mut Agent, G);
 
 /// True for the Manager→Agent commands that belong to the migration
 /// lifecycle: the station-side work (checkpoints, staged deploys, delta
@@ -173,14 +174,6 @@ enum GapState {
     /// baseline — the dirty delta replayed at cutover is exactly the state
     /// these packets created.
     Hairpin(StationId),
-}
-
-/// One station's coalesced data-plane work for a flush: batches grouped by
-/// virtual timestamp, in time order.
-struct StationWork<'a> {
-    station: StationId,
-    agent: &'a mut Agent,
-    groups: Vec<(SimTime, PacketBatch)>,
 }
 
 /// What one station's flush produced, merged back on the main thread.
@@ -1340,8 +1333,8 @@ impl Emulator {
     /// (exactly what the inline path would have done per event), then groups
     /// the survivors per station — commands to one station stay in park
     /// order, commands to different stations touch disjoint Agents — and
-    /// shards the station groups across the migration pool. Replies are
-    /// merged back in park-index order and dispatched at the parked
+    /// fans the station groups out over the migration pool ([`fork_join`]).
+    /// Replies land in park order and are dispatched at the parked
     /// timestamp, so queue sequence numbers (and therefore every downstream
     /// pop) are identical to inline execution: the `RunReport` is
     /// byte-identical for any `migration_workers`.
@@ -1356,8 +1349,8 @@ impl Emulator {
         );
         self.migration_pool.record_batch(parked.len() as u64);
 
-        let mut live: Vec<(usize, StationId, ManagerToAgent)> = Vec::with_capacity(parked.len());
-        for (ix, cmd) in parked.drain(..).enumerate() {
+        let mut live: Vec<(StationId, ManagerToAgent)> = Vec::with_capacity(parked.len());
+        for cmd in parked.drain(..) {
             if self.link_broken(cmd.station) {
                 self.chaos_absorb(
                     cmd.station,
@@ -1367,89 +1360,40 @@ impl Emulator {
                     },
                 );
             } else if self.agents.contains_key(&cmd.station) {
-                live.push((ix, cmd.station, cmd.msg));
+                live.push((cmd.station, cmd.msg));
             }
         }
 
-        // Group per station, preserving park order within each group, and
-        // pair each group with its Agent (both sides iterate in station
-        // order, so one linear walk pairs them all).
-        let mut groups: BTreeMap<StationId, Vec<(usize, ManagerToAgent)>> = BTreeMap::new();
-        for (ix, station, msg) in live {
-            groups.entry(station).or_default().push((ix, msg));
-        }
-        let mut work: Vec<MigrationGroup<'_>> = Vec::with_capacity(groups.len());
-        let mut agents = self.agents.iter_mut();
-        for (station, cmds) in groups {
-            let agent = loop {
-                let (id, agent) = agents.next().expect("groups only name existing stations");
-                if *id == station {
-                    break agent;
-                }
-            };
-            work.push((station, agent, cmds));
+        // Group per station, preserving park order within each group. Every
+        // command travels with its own reply slot, so the replies sit in
+        // park order whichever worker ran what.
+        let mut replies: Vec<(StationId, Vec<AgentToManager>)> = live
+            .iter()
+            .map(|(station, _)| (*station, Vec::new()))
+            .collect();
+        let mut groups: BTreeMap<StationId, Vec<(ManagerToAgent, &mut Vec<AgentToManager>)>> =
+            BTreeMap::new();
+        for ((station, msg), (_, slot)) in live.into_iter().zip(&mut replies) {
+            groups.entry(station).or_default().push((msg, slot));
         }
 
-        // One station runs its commands serially; distinct stations run on
-        // the pool. `migration_workers = 1` (or a single busy station) runs
-        // inline; both paths execute the identical per-command routine.
-        let mut results: Vec<(usize, StationId, Vec<AgentToManager>)> =
-            if self.migration_workers <= 1 || work.len() <= 1 {
-                work.into_iter()
-                    .flat_map(|(station, agent, cmds)| {
-                        Self::run_migration_group(station, agent, cmds, now)
-                    })
-                    .collect()
-            } else {
-                // LPT by command count: heaviest station group first into
-                // the least-loaded worker. Assignment is report-invariant —
-                // results are merged in park order below regardless of
-                // which worker ran what.
-                let shard_count = self.migration_workers.min(work.len());
-                let mut sized: Vec<(u64, MigrationGroup<'_>)> = work
-                    .into_iter()
-                    .map(|item| (item.2.len() as u64, item))
-                    .collect();
-                sized.sort_by_key(|(cost, _)| std::cmp::Reverse(*cost));
-                let mut shards: Vec<Vec<MigrationGroup<'_>>> =
-                    (0..shard_count).map(|_| Vec::new()).collect();
-                let mut loads = vec![0u64; shard_count];
-                for (cost, item) in sized {
-                    let lightest = loads
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, load)| **load)
-                        .map(|(ix, _)| ix)
-                        .expect("at least one shard");
-                    loads[lightest] += cost;
-                    shards[lightest].push(item);
+        // One station runs its commands serially; distinct stations touch
+        // disjoint Agents and fan out over the migration pool, weighted by
+        // command count.
+        fork_join(
+            Self::pair_with_agents(&mut self.agents, groups),
+            |(_, _, cmds)| cmds.len() as u64,
+            self.migration_workers,
+            |(_, agent, cmds)| {
+                for (msg, slot) in cmds {
+                    *slot = agent.handle_manager_msg(msg, now);
                 }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .into_iter()
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                shard
-                                    .into_iter()
-                                    .flat_map(|(station, agent, cmds)| {
-                                        Self::run_migration_group(station, agent, cmds, now)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|handle| handle.join().expect("migration worker panicked"))
-                        .collect()
-                })
-            };
+            },
+        );
 
-        // Deterministic merge: park order, regardless of which worker
-        // finished first. The reply scan and dispatch then run in exactly
-        // the order (and at the time) the inline path would have used.
-        results.sort_by_key(|(ix, _, _)| *ix);
-        for (_, station, replies) in results {
+        // The reply scan and dispatch run in exactly the order (and at the
+        // time) the inline path would have used.
+        for (station, replies) in replies {
             let extra_delay = self.scan_agent_replies(station, &replies, now);
             self.dispatch_agent_messages(station, replies, now, extra_delay);
         }
@@ -1587,82 +1531,16 @@ impl Emulator {
             }
         }
 
-        // Pair each busy station with its Agent (both sides iterate in
-        // station order, so one linear walk pairs them all).
-        let mut work: Vec<StationWork<'_>> = Vec::with_capacity(jobs.len());
-        let mut agents = self.agents.iter_mut();
-        for (station, groups) in jobs {
-            let agent = loop {
-                let (id, agent) = agents.next().expect("jobs only name existing stations");
-                if *id == station {
-                    break agent;
-                }
-            };
-            work.push(StationWork {
-                station,
-                agent,
-                groups,
-            });
-        }
-
-        // Shard the independent station work across workers. `workers = 1`
-        // (or a single busy station) runs inline on this thread; both paths
-        // execute the identical per-station routine.
-        let mut outcomes: Vec<StationOutcome> = if self.workers <= 1 || work.len() <= 1 {
-            work.into_iter().map(Self::run_station).collect()
-        } else {
-            // Size-aware assignment: largest station first into the
-            // least-loaded worker (classic LPT bin packing), so one hot
-            // station no longer drags a round-robin bucket of cold ones
-            // behind it. Assignment is report-invariant — outcomes are
-            // merged in station order below regardless of which worker ran
-            // what.
-            let shard_count = self.workers.min(work.len());
-            let mut sized: Vec<(u64, StationWork<'_>)> = work
-                .into_iter()
-                .map(|item| {
-                    let packets: u64 = item
-                        .groups
-                        .iter()
-                        .map(|(_, batch)| batch.len() as u64)
-                        .sum();
-                    (packets, item)
-                })
-                .collect();
-            // `sort_by_key` is stable, so equally-sized stations keep their
-            // station-order tiebreak.
-            sized.sort_by_key(|(packets, _)| std::cmp::Reverse(*packets));
-            let mut shards: Vec<Vec<StationWork<'_>>> =
-                (0..shard_count).map(|_| Vec::new()).collect();
-            let mut loads = vec![0u64; shard_count];
-            for (packets, item) in sized {
-                let lightest = loads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, load)| **load)
-                    .map(|(ix, _)| ix)
-                    .expect("at least one shard");
-                loads[lightest] += packets;
-                shards[lightest].push(item);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            shard.into_iter().map(Self::run_station).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("station worker panicked"))
-                    .collect()
-            })
-        };
-        // Deterministic merge: station order, regardless of which worker
-        // finished first.
-        outcomes.sort_by_key(|o| o.station);
+        // Fan the independent station work out over the workers, weighted by
+        // packet count so one hot station does not drag a bucket of cold
+        // ones behind it. Outcomes come back in submission — station —
+        // order, so any worker count produces identical state.
+        let outcomes: Vec<StationOutcome> = fork_join(
+            Self::pair_with_agents(&mut self.agents, jobs),
+            |(_, _, groups)| groups.iter().map(|(_, batch)| batch.len() as u64).sum(),
+            self.workers,
+            Self::run_station,
+        );
 
         for outcome in outcomes {
             tally.forwarded += outcome.forwarded;
@@ -1725,30 +1603,38 @@ impl Emulator {
         );
     }
 
-    /// Runs one station's parked migration commands, in park order, on
-    /// whichever thread owns it.
-    fn run_migration_group(
-        station: StationId,
-        agent: &mut Agent,
-        cmds: Vec<(usize, ManagerToAgent)>,
-        now: SimTime,
-    ) -> Vec<(usize, StationId, Vec<AgentToManager>)> {
-        cmds.into_iter()
-            .map(|(ix, msg)| (ix, station, agent.handle_manager_msg(msg, now)))
+    /// Pairs each station-keyed group of a flush with its Agent. Both sides
+    /// iterate in station order, so one linear walk pairs them all and the
+    /// returned work is in station order too.
+    fn pair_with_agents<G>(
+        agents: &mut BTreeMap<StationId, Agent>,
+        groups: BTreeMap<StationId, G>,
+    ) -> Vec<StationGroup<'_, G>> {
+        let mut agents = agents.iter_mut();
+        groups
+            .into_iter()
+            .map(|(station, group)| {
+                let (_, agent) = agents
+                    .find(|(id, _)| **id == station)
+                    .expect("groups only name existing stations");
+                (station, agent, group)
+            })
             .collect()
     }
 
     /// Processes one station's coalesced batches on whichever thread owns it.
-    fn run_station(work: StationWork<'_>) -> StationOutcome {
+    fn run_station(
+        (station, agent, groups): StationGroup<'_, Vec<(SimTime, PacketBatch)>>,
+    ) -> StationOutcome {
         let mut outcome = StationOutcome {
-            station: work.station,
+            station,
             forwarded: 0,
             dropped_by_nf: 0,
             replied_by_nf: 0,
             notifications: Vec::new(),
         };
-        for (time, batch) in work.groups {
-            for result in work.agent.process_upstream_batch(batch, time) {
+        for (time, batch) in groups {
+            for result in agent.process_upstream_batch(batch, time) {
                 match result {
                     PacketOutcome::Forwarded(_) => outcome.forwarded += 1,
                     PacketOutcome::Dropped(_) => outcome.dropped_by_nf += 1,
@@ -1758,7 +1644,7 @@ impl Emulator {
             // Drain after every batch, stamped with the batch's own virtual
             // time, so alerts carry the time of the traffic that raised them
             // (not the flush boundary).
-            let notifications = work.agent.drain_nf_notifications(time);
+            let notifications = agent.drain_nf_notifications(time);
             if !notifications.is_empty() {
                 outcome.notifications.push((time, notifications));
             }

@@ -18,6 +18,8 @@
 //!   distributions the edge/traffic models need.
 //! * [`stats`] — counters, summaries, histograms (with quantiles/CDFs) and
 //!   time series used by experiments and telemetry.
+//! * [`fork_join()`] — the one deterministic fan-out: LPT-pack independent
+//!   work items over scoped threads, results back in submission order.
 //!
 //! The world model itself (stations, clients, the Manager, ...) lives in
 //! `gnf-core`, which defines its own event enum and drives this queue.
@@ -25,10 +27,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fork_join;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 
+pub use fork_join::fork_join;
 pub use queue::{EventQueue, Scheduled};
 pub use rng::Rng;
 pub use stats::{rate_per_second, Counter, Histogram, Summary, TimeSeries};

@@ -18,6 +18,7 @@ use gnf_nf::http_filter::HttpFilterConfig;
 use gnf_nf::{NfConfig, NfSpec};
 use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_switch::{SoftwareSwitch, SteeringRule, SwitchDecision, TrafficSelector};
+use gnf_telemetry::{FlightRecorder, TraceScope, TraceSink};
 use gnf_types::{
     AgentId, ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId,
 };
@@ -213,8 +214,10 @@ fn arb_sharded_attack_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
-/// Three associated clients, each with its own deployed chain of `specs`.
-fn build_multi_client_agent(specs: Vec<NfSpec>) -> Agent {
+/// `clients` associated clients, each with its own deployed chain of
+/// `specs`, with the data-plane trace sink armed and the flight recorder
+/// sampling every flow.
+fn build_multi_client_agent(specs: Vec<NfSpec>, clients: u32) -> Agent {
     let (mut agent, _) = Agent::new(
         AgentConfig {
             agent: AgentId::new(1),
@@ -225,7 +228,12 @@ fn build_multi_client_agent(specs: Vec<NfSpec>) -> Agent {
     );
     agent.set_megaflow_enabled(true);
     agent.set_megaflow_drop_enabled(true);
-    for client in 0..3u32 {
+    let scope = TraceScope::Station(1);
+    agent.set_tracing(
+        TraceSink::buffered(scope, 1 << 12),
+        FlightRecorder::armed(scope, 7, 1, 1 << 12),
+    );
+    for client in 0..clients {
         let mac = MacAddr::derived(1, client);
         agent.client_associated(
             ClientId::new(client as u64),
@@ -561,8 +569,9 @@ proptest! {
     /// The RSS-sharded station pipeline equals the serial one under
     /// attack-shaped churn across random rule sets and shard counts:
     /// identical packet outcomes, NF statistics and exported state, port
-    /// counters, notifications and cache telemetry — and the per-shard
-    /// telemetry blocks sum exactly to the station-level aggregates.
+    /// counters, notifications, cache telemetry, flight records and trace
+    /// events — and the per-shard telemetry blocks sum exactly to the
+    /// station-level aggregates.
     #[test]
     fn sharded_station_equals_serial_station(
         fw in arb_firewall_config(),
@@ -571,51 +580,75 @@ proptest! {
     ) {
         let specs = vec![NfSpec::new("fw", NfConfig::Firewall(fw))];
         let now = SimTime::from_secs(2);
+        let flush = |agent: &mut Agent, chunk: usize| -> Vec<PacketOutcome> {
+            packets
+                .chunks(chunk)
+                .flat_map(|c| agent.process_upstream_batch(PacketBatch::from(c.to_vec()), now))
+                .collect()
+        };
 
-        let mut serial = build_multi_client_agent(specs.clone());
-        let expected = serial.process_upstream_batch(PacketBatch::from(packets.clone()), now);
-        let expected_notifications = serial.drain_nf_notifications(now).len();
+        // Three chains in one flush is the lanes executor's home ground; the
+        // other shapes are its degenerate cases, which must stay inline: a
+        // one-chain station (nothing to spread over lanes, and two of the
+        // three clients unsteered), one-packet batches, and short batches
+        // over two chains.
+        for (clients, chunk) in [(3u32, packets.len()), (1, packets.len()), (3, 1), (2, 7)] {
+            let mut serial = build_multi_client_agent(specs.clone(), clients);
+            let expected = flush(&mut serial, chunk);
+            let expected_notifications = serial.drain_nf_notifications(now).len();
 
-        let mut sharded = build_multi_client_agent(specs);
-        sharded.set_station_shards(shards);
-        let outcomes = sharded.process_upstream_batch(PacketBatch::from(packets), now);
-        prop_assert_eq!(&outcomes, &expected);
-        assert_station_equivalent(&sharded, &serial)?;
-        prop_assert_eq!(sharded.drain_nf_notifications(now).len(), expected_notifications);
-        prop_assert_eq!(sharded.flow_cache_telemetry(), serial.flow_cache_telemetry());
-        prop_assert_eq!(sharded.megaflow_telemetry(), serial.megaflow_telemetry());
+            let mut sharded = build_multi_client_agent(specs.clone(), clients);
+            sharded.set_station_shards(shards);
+            let outcomes = flush(&mut sharded, chunk);
+            prop_assert_eq!(&outcomes, &expected);
+            assert_station_equivalent(&sharded, &serial)?;
+            prop_assert_eq!(sharded.drain_nf_notifications(now).len(), expected_notifications);
+            prop_assert_eq!(sharded.flow_cache_telemetry(), serial.flow_cache_telemetry());
+            prop_assert_eq!(sharded.megaflow_telemetry(), serial.megaflow_telemetry());
 
-        // Per-shard attribution is exhaustive: every counter lands in
-        // exactly one shard block, so the blocks sum back to the
-        // aggregates (drop hits are a subset of hits in both views).
-        let blocks = sharded.shard_telemetry();
-        prop_assert_eq!(blocks.len(), shards);
-        let flow = sharded.flow_cache_telemetry();
-        prop_assert_eq!(
-            blocks.iter().map(|b| b.flow.hits).sum::<u64>(),
-            flow.stats.hits
-        );
-        prop_assert_eq!(
-            blocks.iter().map(|b| b.flow.misses).sum::<u64>(),
-            flow.stats.misses
-        );
-        prop_assert_eq!(
-            blocks.iter().map(|b| b.flow.entries).sum::<u64>(),
-            flow.entries as u64
-        );
-        let mega = sharded.megaflow_telemetry();
-        prop_assert_eq!(
-            blocks.iter().map(|b| b.megaflow.hits).sum::<u64>(),
-            mega.stats.hits
-        );
-        prop_assert_eq!(
-            blocks.iter().map(|b| b.megaflow.misses).sum::<u64>(),
-            mega.stats.misses
-        );
-        prop_assert_eq!(
-            blocks.iter().map(|b| b.megaflow.entries).sum::<u64>(),
-            mega.entries as u64
-        );
+            // Observability is executor-invariant too: the same sampled
+            // `FlowRecord`s (stage, verdict, count) in the same order, and
+            // the same `BatchFlush` / `MegaflowSeal` / `MegaflowEvict`
+            // events with the same per-scope sequence numbers.
+            let records = serial.flight_mut().take_events();
+            prop_assert!(!records.is_empty(), "every flow is sampled");
+            prop_assert_eq!(sharded.flight_mut().take_events(), records);
+            let events = serial.trace_mut().take_events();
+            prop_assert!(events.len() >= packets.len().div_ceil(chunk), "one flush per batch");
+            prop_assert_eq!(sharded.trace_mut().take_events(), events);
+
+            // Per-shard attribution is exhaustive: every counter lands in
+            // exactly one shard block, so the blocks sum back to the
+            // aggregates (drop hits are a subset of hits in both views).
+            let blocks = sharded.shard_telemetry();
+            prop_assert_eq!(blocks.len(), shards);
+            let flow = sharded.flow_cache_telemetry();
+            prop_assert_eq!(
+                blocks.iter().map(|b| b.flow.hits).sum::<u64>(),
+                flow.stats.hits
+            );
+            prop_assert_eq!(
+                blocks.iter().map(|b| b.flow.misses).sum::<u64>(),
+                flow.stats.misses
+            );
+            prop_assert_eq!(
+                blocks.iter().map(|b| b.flow.entries).sum::<u64>(),
+                flow.entries as u64
+            );
+            let mega = sharded.megaflow_telemetry();
+            prop_assert_eq!(
+                blocks.iter().map(|b| b.megaflow.hits).sum::<u64>(),
+                mega.stats.hits
+            );
+            prop_assert_eq!(
+                blocks.iter().map(|b| b.megaflow.misses).sum::<u64>(),
+                mega.stats.misses
+            );
+            prop_assert_eq!(
+                blocks.iter().map(|b| b.megaflow.entries).sum::<u64>(),
+                mega.entries as u64
+            );
+        }
     }
 }
 
