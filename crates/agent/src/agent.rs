@@ -57,7 +57,7 @@ pub struct DeployedChain {
     /// the baseline state is imported, but no steering rule exists, so the
     /// chain never sees traffic until activated.
     pub staged: bool,
-    /// Baseline snapshot retained by the *source* after a pre-copy export,
+    /// Baseline snapshot retained by the *source* after a pre-copy checkpoint,
     /// used to compute the dirty delta at switchover.
     pub precopy_baseline: Option<Vec<NfStateSnapshot>>,
 }
@@ -478,9 +478,10 @@ impl Agent {
     /// back.
     pub fn handle_manager_msg(&mut self, msg: ManagerToAgent, now: SimTime) -> Vec<AgentToManager> {
         self.commands_handled += 1;
-        match msg {
-            ManagerToAgent::RegisterAck { .. } => Vec::new(),
-            ManagerToAgent::Ping => vec![AgentToManager::Pong],
+        let migration = msg.migration();
+        let (chain, result) = match msg {
+            ManagerToAgent::RegisterAck { .. } => return self.drain_nf_notifications(now),
+            ManagerToAgent::Ping => (None, Ok(AgentToManager::Pong)),
             ManagerToAgent::DeployChain {
                 chain,
                 client,
@@ -489,75 +490,54 @@ impl Agent {
                 selector,
                 restore_state,
                 migration,
-            } => {
-                match self.deploy_chain(chain, client, client_mac, &specs, selector, restore_state)
-                {
-                    Ok(deployed) => vec![AgentToManager::ChainDeployed {
-                        chain,
-                        client,
-                        latency: deployed.0,
-                        images_cached: deployed.1,
-                        migration,
-                    }],
-                    Err(error) => vec![AgentToManager::CommandFailed {
-                        chain: Some(chain),
-                        error,
-                        migration,
-                    }],
-                }
-            }
+            } => (
+                Some(chain),
+                self.deploy_chain(
+                    chain,
+                    client,
+                    client_mac,
+                    &specs,
+                    selector,
+                    restore_state,
+                    false,
+                )
+                .map(|(latency, images_cached)| AgentToManager::ChainDeployed {
+                    chain,
+                    client,
+                    latency,
+                    images_cached,
+                    migration,
+                }),
+            ),
             ManagerToAgent::RemoveChain {
                 chain,
                 client,
                 migration,
-            } => match self.remove_chain(chain) {
-                Ok(()) => vec![AgentToManager::ChainRemoved {
-                    chain,
-                    client,
-                    migration,
-                }],
-                Err(error) => vec![AgentToManager::CommandFailed {
-                    chain: Some(chain),
-                    error,
-                    migration,
-                }],
-            },
+            } => (
+                Some(chain),
+                self.remove_chain(chain)
+                    .map(|()| AgentToManager::ChainRemoved {
+                        chain,
+                        client,
+                        migration,
+                    }),
+            ),
             ManagerToAgent::CheckpointChain {
                 chain,
                 client,
                 migration,
-            } => match self.checkpoint_chain(chain) {
-                Ok((state, latency)) => vec![AgentToManager::ChainState {
-                    chain,
-                    client,
-                    migration,
-                    state,
-                    checkpoint_latency: latency,
-                }],
-                Err(error) => vec![AgentToManager::CommandFailed {
-                    chain: Some(chain),
-                    error,
-                    migration: Some(migration),
-                }],
-            },
-            ManagerToAgent::PreCopyChain {
-                chain,
-                client,
-                migration,
-            } => match self.precopy_chain(chain) {
-                Ok((state, latency)) => vec![AgentToManager::ChainPreCopy {
-                    chain,
-                    client,
-                    migration,
-                    state,
-                    checkpoint_latency: latency,
-                }],
-                Err(error) => vec![AgentToManager::CommandFailed {
-                    chain: Some(chain),
-                    error,
-                    migration: Some(migration),
-                }],
-            },
+                retain_baseline,
+            } => (
+                Some(chain),
+                self.checkpoint_chain(chain, retain_baseline)
+                    .map(|(state, checkpoint_latency)| AgentToManager::ChainState {
+                        chain,
+                        client,
+                        migration,
+                        state,
+                        checkpoint_latency,
+                    }),
+            ),
             ManagerToAgent::PrepareChain {
                 chain,
                 client,
@@ -566,65 +546,69 @@ impl Agent {
                 selector,
                 precopy_state,
                 migration,
-            } => {
-                match self.prepare_chain(chain, client, client_mac, &specs, selector, precopy_state)
-                {
-                    Ok((latency, images_cached)) => vec![AgentToManager::ChainPrepared {
-                        chain,
-                        client,
-                        migration,
-                        latency,
-                        images_cached,
-                    }],
-                    Err(error) => vec![AgentToManager::CommandFailed {
-                        chain: Some(chain),
-                        error,
-                        migration: Some(migration),
-                    }],
-                }
-            }
+            } => (
+                Some(chain),
+                self.deploy_chain(
+                    chain,
+                    client,
+                    client_mac,
+                    &specs,
+                    selector,
+                    Some(precopy_state),
+                    true,
+                )
+                .map(|(latency, images_cached)| AgentToManager::ChainPrepared {
+                    chain,
+                    client,
+                    migration,
+                    latency,
+                    images_cached,
+                }),
+            ),
             ManagerToAgent::DeltaChain {
                 chain,
                 client,
                 migration,
-            } => match self.delta_chain(chain) {
-                Ok((deltas, latency)) => vec![AgentToManager::ChainDelta {
-                    chain,
-                    client,
-                    migration,
-                    deltas,
-                    checkpoint_latency: latency,
-                }],
-                Err(error) => vec![AgentToManager::CommandFailed {
-                    chain: Some(chain),
-                    error,
-                    migration: Some(migration),
-                }],
-            },
+            } => (
+                Some(chain),
+                self.delta_chain(chain).map(|(deltas, checkpoint_latency)| {
+                    AgentToManager::ChainDelta {
+                        chain,
+                        client,
+                        migration,
+                        deltas,
+                        checkpoint_latency,
+                    }
+                }),
+            ),
             ManagerToAgent::ActivateChain {
                 chain,
                 client,
                 migration,
                 deltas,
-            } => match self.activate_chain(chain, deltas) {
-                Ok(latency) => vec![AgentToManager::ChainDeployed {
-                    chain,
-                    client,
-                    latency,
-                    // Activation never pulls images: the staged deploy did.
-                    images_cached: true,
-                    migration: Some(migration),
-                }],
-                Err(error) => vec![AgentToManager::CommandFailed {
-                    chain: Some(chain),
-                    error,
-                    migration: Some(migration),
-                }],
-            },
-        }
-        .into_iter()
-        .chain(self.drain_nf_notifications(now))
-        .collect()
+            } => (
+                Some(chain),
+                self.activate_chain(chain, deltas)
+                    .map(|latency| AgentToManager::ChainDeployed {
+                        chain,
+                        client,
+                        latency,
+                        // Activation never pulls images: the staged deploy did.
+                        images_cached: true,
+                        migration: Some(migration),
+                    }),
+            ),
+        };
+        // Every command answers with its own reply, or with a failure naming
+        // the chain and the migration the command belonged to.
+        let reply = result.unwrap_or_else(|error| AgentToManager::CommandFailed {
+            chain,
+            error,
+            migration,
+        });
+        std::iter::once(reply)
+            .chain(self.drain_nf_notifications(now))
+            .collect()
     }
 
     /// Builds the periodic station report ("reporting periodically the state
@@ -870,10 +854,16 @@ impl Agent {
         }
     }
 
-    /// Installs a chain: pulls images, creates a container per NF, wires the
-    /// veth pairs into the switch, instantiates the NFs, optionally restores
-    /// migrated state and installs the steering rule. Returns (latency,
-    /// all-images-cached).
+    /// Instantiates a chain: pulls images, creates a container per NF, wires
+    /// the veth pairs into the switch, instantiates the NFs and restores
+    /// `state` (migrated state, or a pre-copy baseline). A serving deploy
+    /// then installs the steering rule; a `staged` one installs **none** —
+    /// the chain never sees traffic until [`Agent::activate_chain`] switches
+    /// it over. Re-staging an already-staged chain is idempotent (the
+    /// baseline is replaced wholesale), so a retried `PrepareChain` after a
+    /// lost reply converges; anything else over an existing chain is
+    /// `already_exists`. Returns (latency, all-images-cached).
+    #[allow(clippy::too_many_arguments)]
     fn deploy_chain(
         &mut self,
         chain_id: ChainId,
@@ -881,102 +871,28 @@ impl Agent {
         client_mac: MacAddr,
         specs: &[NfSpec],
         selector: TrafficSelector,
-        restore_state: Option<Vec<NfStateSnapshot>>,
+        state: Option<Vec<NfStateSnapshot>>,
+        staged: bool,
     ) -> GnfResult<(SimDuration, bool)> {
-        if self.chains.contains_key(&chain_id) {
-            return Err(GnfError::already_exists("chain", chain_id));
-        }
         self.report_hints.nfs = true;
         self.report_hints.traffic = true;
-        let mut total_latency = SimDuration::ZERO;
-        let mut all_cached = true;
-        let mut containers = Vec::with_capacity(specs.len());
-        let mut chain = NfChain::new(&format!("chain-{}", chain_id.raw()));
-
-        let state_bytes: usize = restore_state
-            .as_ref()
-            .map(|s| s.iter().map(|x| x.approximate_size_bytes()).sum())
-            .unwrap_or(0);
-
-        for spec in specs {
-            let image = self.repository.by_name(spec.image_name())?.clone();
-            let deployed = self
-                .runtime
-                .deploy(&spec.name, &image, spec.container_footprint())?;
-            total_latency += deployed.total_duration;
-            all_cached &= deployed.image_was_cached;
-            self.switch.connect_container(deployed.handle, &spec.name);
-            containers.push(deployed.handle);
-            chain.push(spec.instantiate());
-        }
-
-        if let Some(state) = restore_state {
-            // Restoring state costs time proportional to its size on the
-            // first container of the chain (the transfer is serialised).
-            if let Some(first) = containers.first() {
-                // The container is already running after deploy(); model the
-                // restore cost explicitly via the cost model.
-                total_latency += self.runtime.cost_model().restore_time(state_bytes);
-                let _ = first;
-            }
-            chain.import_state(state);
-        }
-
-        self.switch.steering_mut().install(SteeringRule {
-            client,
-            client_mac,
-            selector,
-            chain: chain_id,
+        // Restoring state costs time proportional to its size (the transfer
+        // is serialised). The containers are already running after
+        // `deploy()`, so the restore is charged through the cost model.
+        let restore_latency = state.as_ref().map_or(SimDuration::ZERO, |state| {
+            let bytes = state.iter().map(|s| s.approximate_size_bytes()).sum();
+            self.runtime.cost_model().restore_time(bytes)
         });
-
-        self.chains.insert(
-            chain_id,
-            DeployedChain {
-                chain_id,
-                client,
-                client_mac,
-                specs: specs.to_vec(),
-                chain,
-                containers,
-                selector,
-                deploy_latency: total_latency,
-                staged: false,
-                precopy_baseline: None,
-            },
-        );
-        Ok((total_latency, all_cached))
-    }
-
-    /// Stages a chain on a pre-copy migration target: deploys the containers
-    /// and imports the baseline state exactly like [`Agent::deploy_chain`],
-    /// but installs **no steering rule** — the staged chain never sees
-    /// traffic until [`Agent::activate_chain`] switches it over. Re-preparing
-    /// an already-staged chain is idempotent (the baseline is replaced
-    /// wholesale), so a retried `PrepareChain` after a lost reply converges.
-    fn prepare_chain(
-        &mut self,
-        chain_id: ChainId,
-        client: ClientId,
-        client_mac: MacAddr,
-        specs: &[NfSpec],
-        selector: TrafficSelector,
-        precopy_state: Vec<NfStateSnapshot>,
-    ) -> GnfResult<(SimDuration, bool)> {
-        self.report_hints.nfs = true;
-        self.report_hints.traffic = true;
-        let state_bytes: usize = precopy_state
-            .iter()
-            .map(|s| s.approximate_size_bytes())
-            .sum();
         if let Some(existing) = self.chains.get_mut(&chain_id) {
-            if !existing.staged {
-                return Err(GnfError::already_exists("chain", chain_id));
-            }
-            existing.chain.replace_state(precopy_state);
-            let latency = self.runtime.cost_model().restore_time(state_bytes);
-            return Ok((latency, true));
+            return match state {
+                Some(baseline) if staged && existing.staged => {
+                    existing.chain.replace_state(baseline);
+                    Ok((restore_latency, true))
+                }
+                _ => Err(GnfError::already_exists("chain", chain_id)),
+            };
         }
-        let mut total_latency = SimDuration::ZERO;
+        let mut total_latency = restore_latency;
         let mut all_cached = true;
         let mut containers = Vec::with_capacity(specs.len());
         let mut chain = NfChain::new(&format!("chain-{}", chain_id.raw()));
@@ -991,8 +907,17 @@ impl Agent {
             containers.push(deployed.handle);
             chain.push(spec.instantiate());
         }
-        total_latency += self.runtime.cost_model().restore_time(state_bytes);
-        chain.replace_state(precopy_state);
+        if let Some(state) = state {
+            chain.replace_state(state);
+        }
+        if !staged {
+            self.switch.steering_mut().install(SteeringRule {
+                client,
+                client_mac,
+                selector,
+                chain: chain_id,
+            });
+        }
         self.chains.insert(
             chain_id,
             DeployedChain {
@@ -1004,7 +929,7 @@ impl Agent {
                 containers,
                 selector,
                 deploy_latency: total_latency,
-                staged: true,
+                staged,
                 precopy_baseline: None,
             },
         );
@@ -1034,45 +959,48 @@ impl Agent {
         Ok(())
     }
 
+    /// Time to checkpoint `bytes` of state out of a chain, spread evenly over
+    /// its containers.
+    fn checkpoint_latency(
+        runtime: &mut ContainerRuntime,
+        containers: &[u64],
+        bytes: usize,
+    ) -> GnfResult<SimDuration> {
+        let mut latency = SimDuration::ZERO;
+        for handle in containers {
+            latency += runtime.checkpoint(*handle, bytes / containers.len().max(1))?;
+        }
+        Ok(latency)
+    }
+
     /// Checkpoints a chain's NF state for migration. Returns the state and the
-    /// time the checkpoint took on this station.
+    /// time the checkpoint took on this station. With `retain` (pre-copy) a
+    /// copy stays behind as the baseline a later [`Agent::delta_chain`] diffs
+    /// against. The chain keeps serving traffic throughout — nothing is torn
+    /// down or paused.
     fn checkpoint_chain(
         &mut self,
         chain_id: ChainId,
+        retain: bool,
     ) -> GnfResult<(Vec<NfStateSnapshot>, SimDuration)> {
         let deployed = self
             .chains
-            .get(&chain_id)
+            .get_mut(&chain_id)
             .ok_or_else(|| GnfError::not_found("chain", chain_id))?;
         let state = deployed.chain.export_state();
         let state_bytes: usize = state.iter().map(|s| s.approximate_size_bytes()).sum();
-        let mut latency = SimDuration::ZERO;
-        for handle in &deployed.containers {
-            latency += self
-                .runtime
-                .checkpoint(*handle, state_bytes / deployed.containers.len().max(1))?;
-        }
-        Ok((state, latency))
-    }
-
-    /// Exports the chain's full state as a pre-copy baseline and retains a
-    /// copy so a later [`Agent::delta_chain`] can diff against it. The chain
-    /// keeps serving traffic throughout — nothing is torn down or paused.
-    fn precopy_chain(
-        &mut self,
-        chain_id: ChainId,
-    ) -> GnfResult<(Vec<NfStateSnapshot>, SimDuration)> {
-        let (state, latency) = self.checkpoint_chain(chain_id)?;
-        if let Some(deployed) = self.chains.get_mut(&chain_id) {
+        let latency =
+            Self::checkpoint_latency(&mut self.runtime, &deployed.containers, state_bytes)?;
+        if retain {
             deployed.precopy_baseline = Some(state.clone());
         }
         Ok((state, latency))
     }
 
     /// Diffs the chain's current state against the baseline retained by
-    /// [`Agent::precopy_chain`], returning only the dirty delta. The baseline
-    /// stays retained, so a retried `DeltaChain` after a lost reply is
-    /// idempotent.
+    /// [`Agent::checkpoint_chain`], returning only the dirty delta. The
+    /// baseline stays retained, so a retried `DeltaChain` after a lost reply
+    /// is idempotent.
     fn delta_chain(&mut self, chain_id: ChainId) -> GnfResult<(Vec<NfStateDelta>, SimDuration)> {
         let deployed = self
             .chains
@@ -1091,12 +1019,8 @@ impl Agent {
         // Checkpointing the delta costs time proportional to the *dirty*
         // bytes, not the full table — that is the whole point of pre-copy.
         let delta_bytes: usize = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
-        let mut latency = SimDuration::ZERO;
-        for handle in &deployed.containers {
-            latency += self
-                .runtime
-                .checkpoint(*handle, delta_bytes / deployed.containers.len().max(1))?;
-        }
+        let latency =
+            Self::checkpoint_latency(&mut self.runtime, &deployed.containers, delta_bytes)?;
         Ok((deltas, latency))
     }
 
@@ -2358,6 +2282,7 @@ mod tests {
                 chain: ChainId::new(1),
                 client: ClientId::new(0),
                 migration: MigrationId::new(1),
+                retain_baseline: false,
             },
             SimTime::from_secs(3),
         );
@@ -2398,6 +2323,117 @@ mod tests {
                 .chain
                 .state_size_bytes()
                 > 0
+        );
+    }
+
+    #[test]
+    fn staged_deploy_plus_empty_activation_equals_a_serving_restore() {
+        let (chain, client) = (ChainId::new(1), ClientId::new(0));
+        let migration = MigrationId::new(1);
+        let flow = |sport| {
+            builder::tcp_syn(
+                client_mac(),
+                MacAddr::derived(0xA0, 1),
+                client_ip(),
+                Ipv4Addr::new(203, 0, 113, 10),
+                sport,
+                443,
+            )
+        };
+        // Source: the full sample chain, with state accumulated by traffic.
+        let (mut source, _) = agent();
+        source.client_associated(client, client_mac(), client_ip());
+        source.handle_manager_msg(deploy_msg(1, sample_specs()), SimTime::from_secs(1));
+        for sport in 41_000..41_020 {
+            source.process_upstream_packet(flow(sport), SimTime::from_secs(2));
+        }
+        let state = source.chain(chain).unwrap().chain.export_state();
+        assert!(state.iter().any(|s| !s.is_empty()));
+
+        // Monolithic target: one serving deploy that restores the state.
+        let (mut serving, _) = agent();
+        serving.client_associated(client, client_mac(), client_ip());
+        let replies = serving.handle_manager_msg(
+            ManagerToAgent::DeployChain {
+                chain,
+                client,
+                client_mac: client_mac(),
+                specs: sample_specs(),
+                selector: TrafficSelector::all(),
+                restore_state: Some(state.clone()),
+                migration: Some(migration),
+            },
+            SimTime::from_secs(3),
+        );
+        let AgentToManager::ChainDeployed {
+            latency: serving_latency,
+            images_cached: serving_cached,
+            ..
+        } = replies[0]
+        else {
+            panic!("expected a deploy confirmation, got {:?}", replies[0]);
+        };
+
+        // Pre-copy target: the same instantiation staged, then activated
+        // with nothing dirty.
+        let (mut staged, _) = agent();
+        staged.client_associated(client, client_mac(), client_ip());
+        let replies = staged.handle_manager_msg(
+            ManagerToAgent::PrepareChain {
+                chain,
+                client,
+                client_mac: client_mac(),
+                specs: sample_specs(),
+                selector: TrafficSelector::all(),
+                precopy_state: state.clone(),
+                migration,
+            },
+            SimTime::from_secs(3),
+        );
+        let AgentToManager::ChainPrepared {
+            latency: staged_latency,
+            images_cached: staged_cached,
+            ..
+        } = replies[0]
+        else {
+            panic!("expected a staging confirmation, got {:?}", replies[0]);
+        };
+        assert_eq!(
+            (staged_latency, staged_cached),
+            (serving_latency, serving_cached)
+        );
+        assert!(staged.chain(chain).unwrap().staged);
+        assert!(staged.switch().steering().is_empty(), "staged: no steering");
+        let replies = staged.handle_manager_msg(
+            ManagerToAgent::ActivateChain {
+                chain,
+                client,
+                migration,
+                deltas: Vec::new(),
+            },
+            SimTime::from_secs(4),
+        );
+        assert!(matches!(replies[0], AgentToManager::ChainDeployed { .. }));
+
+        for agent in [&serving, &staged] {
+            let deployed = agent.chain(chain).unwrap();
+            assert!(!deployed.staged);
+            assert_eq!(deployed.chain.export_state(), state);
+            assert_eq!(deployed.containers.len(), sample_specs().len());
+        }
+        assert_eq!(
+            staged.switch().steering().rules_for(client_mac()),
+            serving.switch().steering().rules_for(client_mac())
+        );
+        // Both now serve the client identically.
+        let now = SimTime::from_secs(5);
+        assert_eq!(
+            staged.process_upstream_packet(flow(41_000), now),
+            serving.process_upstream_packet(flow(41_000), now)
+        );
+        assert_eq!(
+            staged.chain(chain).unwrap().chain.export_state(),
+            serving.chain(chain).unwrap().chain.export_state()
         );
     }
 

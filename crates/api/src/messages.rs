@@ -52,7 +52,7 @@ pub enum ManagerToAgent {
         migration: Option<MigrationId>,
     },
     /// Checkpoint the chain's NF state and send it back (source side of a
-    /// migration).
+    /// migration). The source keeps serving traffic throughout.
     CheckpointChain {
         /// The chain to checkpoint.
         chain: ChainId,
@@ -60,19 +60,11 @@ pub enum ManagerToAgent {
         client: ClientId,
         /// The migration the checkpoint belongs to.
         migration: MigrationId,
+        /// Pre-copy: also retain the exported state as the baseline a later
+        /// [`ManagerToAgent::DeltaChain`] diffs against.
+        retain_baseline: bool,
     },
-    /// Pre-copy phase 1, source side: export the chain's full NF state AND
-    /// retain it as the baseline for a later [`ManagerToAgent::DeltaChain`].
-    /// The source keeps serving traffic throughout.
-    PreCopyChain {
-        /// The chain to pre-copy.
-        chain: ChainId,
-        /// The client it belongs to.
-        client: ClientId,
-        /// The migration the baseline belongs to.
-        migration: MigrationId,
-    },
-    /// Pre-copy phase 2, target side: deploy the chain's containers and
+    /// Pre-copy, target side: deploy the chain's containers and
     /// import the shipped baseline, but install **no steering** — the chain
     /// is staged, not serving, until [`ManagerToAgent::ActivateChain`].
     PrepareChain {
@@ -91,9 +83,9 @@ pub enum ManagerToAgent {
         /// The migration this staging belongs to.
         migration: MigrationId,
     },
-    /// Pre-copy phase 3, source side: diff the chain's current state against
-    /// the baseline retained by [`ManagerToAgent::PreCopyChain`] and send
-    /// back only the dirty delta.
+    /// Pre-copy, source side: diff the chain's current state against the
+    /// baseline retained by a [`ManagerToAgent::CheckpointChain`] with
+    /// `retain_baseline` and send back only the dirty delta.
     DeltaChain {
         /// The chain to diff.
         chain: ChainId,
@@ -102,7 +94,7 @@ pub enum ManagerToAgent {
         /// The migration the delta belongs to.
         migration: MigrationId,
     },
-    /// Pre-copy phase 4, target side: replay the delta onto the staged
+    /// Pre-copy, target side: replay the delta onto the staged
     /// baseline and install steering — the switchover proper.
     ActivateChain {
         /// The staged chain to activate.
@@ -176,7 +168,9 @@ pub enum AgentToManager {
         /// The migration this removal belonged to, if any.
         migration: Option<MigrationId>,
     },
-    /// The requested checkpoint of a chain's NF state.
+    /// The requested checkpoint of a chain's NF state (reply to
+    /// [`ManagerToAgent::CheckpointChain`]; under `retain_baseline` the source
+    /// kept a copy for the later delta).
     ChainState {
         /// The chain.
         chain: ChainId,
@@ -187,21 +181,6 @@ pub enum AgentToManager {
         /// Per-NF state snapshots in chain order.
         state: Vec<NfStateSnapshot>,
         /// How long the checkpoint took on the station.
-        checkpoint_latency: SimDuration,
-    },
-    /// The pre-copied baseline of a chain's NF state (reply to
-    /// [`ManagerToAgent::PreCopyChain`]; the source retains a copy for the
-    /// later delta).
-    ChainPreCopy {
-        /// The chain.
-        chain: ChainId,
-        /// The client it serves.
-        client: ClientId,
-        /// The migration the baseline belongs to.
-        migration: MigrationId,
-        /// Per-NF baseline snapshots in chain order.
-        state: Vec<NfStateSnapshot>,
-        /// How long the baseline checkpoint took on the station.
         checkpoint_latency: SimDuration,
     },
     /// A staged chain finished deploying on the migration target (reply to
@@ -258,40 +237,37 @@ pub enum AgentToManager {
 }
 
 impl ManagerToAgent {
-    /// Short label for logging/telemetry.
-    pub fn label(&self) -> &'static str {
+    /// The migration this command belongs to; `None` for commands outside
+    /// the migration lifecycle (plain deploys and removals included).
+    pub fn migration(&self) -> Option<MigrationId> {
         match self {
-            ManagerToAgent::RegisterAck { .. } => "register-ack",
-            ManagerToAgent::DeployChain { .. } => "deploy-chain",
-            ManagerToAgent::RemoveChain { .. } => "remove-chain",
-            ManagerToAgent::CheckpointChain { .. } => "checkpoint-chain",
-            ManagerToAgent::PreCopyChain { .. } => "precopy-chain",
-            ManagerToAgent::PrepareChain { .. } => "prepare-chain",
-            ManagerToAgent::DeltaChain { .. } => "delta-chain",
-            ManagerToAgent::ActivateChain { .. } => "activate-chain",
-            ManagerToAgent::Ping => "ping",
+            ManagerToAgent::DeployChain { migration, .. }
+            | ManagerToAgent::RemoveChain { migration, .. } => *migration,
+            ManagerToAgent::CheckpointChain { migration, .. }
+            | ManagerToAgent::PrepareChain { migration, .. }
+            | ManagerToAgent::DeltaChain { migration, .. }
+            | ManagerToAgent::ActivateChain { migration, .. } => Some(*migration),
+            ManagerToAgent::RegisterAck { .. } | ManagerToAgent::Ping => None,
         }
     }
 }
 
 impl AgentToManager {
-    /// Short label for logging/telemetry.
-    pub fn label(&self) -> &'static str {
+    /// How long the command this message answers kept the station busy
+    /// (deployments, checkpoints, staged restores, delta replays): the reply
+    /// leaves the station that much later. `None` for messages that report
+    /// no station-side work.
+    pub fn station_latency(&self) -> Option<SimDuration> {
         match self {
-            AgentToManager::Register { .. } => "register",
-            AgentToManager::ClientConnected { .. } => "client-connected",
-            AgentToManager::ClientDisconnected { .. } => "client-disconnected",
-            AgentToManager::Report(_) => "report",
-            AgentToManager::ReportDelta(_) => "report-delta",
-            AgentToManager::ChainDeployed { .. } => "chain-deployed",
-            AgentToManager::ChainRemoved { .. } => "chain-removed",
-            AgentToManager::ChainState { .. } => "chain-state",
-            AgentToManager::ChainPreCopy { .. } => "chain-precopy",
-            AgentToManager::ChainPrepared { .. } => "chain-prepared",
-            AgentToManager::ChainDelta { .. } => "chain-delta",
-            AgentToManager::NfNotification { .. } => "nf-notification",
-            AgentToManager::CommandFailed { .. } => "command-failed",
-            AgentToManager::Pong => "pong",
+            AgentToManager::ChainDeployed { latency, .. }
+            | AgentToManager::ChainPrepared { latency, .. } => Some(*latency),
+            AgentToManager::ChainState {
+                checkpoint_latency, ..
+            }
+            | AgentToManager::ChainDelta {
+                checkpoint_latency, ..
+            } => Some(*checkpoint_latency),
+            _ => None,
         }
     }
 }
@@ -316,7 +292,6 @@ mod tests {
         let json = serde_json::to_string(&deploy).unwrap();
         let back: ManagerToAgent = serde_json::from_str(&json).unwrap();
         assert_eq!(back, deploy);
-        assert_eq!(deploy.label(), "deploy-chain");
 
         let register = AgentToManager::Register {
             agent: AgentId::new(1),
@@ -327,106 +302,182 @@ mod tests {
         let json = serde_json::to_string(&register).unwrap();
         let back: AgentToManager = serde_json::from_str(&json).unwrap();
         assert_eq!(back, register);
-        assert_eq!(register.label(), "register");
     }
 
     #[test]
-    fn every_variant_has_a_label() {
+    fn accessors_know_the_migration_and_latency_of_every_variant() {
+        let (chain, client) = (ChainId::new(1), ClientId::new(1));
+        let migration = MigrationId::new(1);
+        let deploy = |migration| ManagerToAgent::DeployChain {
+            chain,
+            client,
+            client_mac: MacAddr::derived(1, 1),
+            specs: sample_specs(),
+            selector: TrafficSelector::all(),
+            restore_state: None,
+            migration,
+        };
         let m2a = [
-            ManagerToAgent::RegisterAck {
-                station: StationId::new(1),
-            },
-            ManagerToAgent::RemoveChain {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: None,
-            },
-            ManagerToAgent::CheckpointChain {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: MigrationId::new(1),
-            },
-            ManagerToAgent::PreCopyChain {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: MigrationId::new(1),
-            },
-            ManagerToAgent::PrepareChain {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                client_mac: MacAddr::derived(1, 1),
-                specs: sample_specs(),
-                selector: TrafficSelector::all(),
-                precopy_state: vec![NfStateSnapshot::Stateless],
-                migration: MigrationId::new(1),
-            },
-            ManagerToAgent::DeltaChain {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: MigrationId::new(1),
-            },
-            ManagerToAgent::ActivateChain {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: MigrationId::new(1),
-                deltas: vec![NfStateDelta::Unchanged],
-            },
-            ManagerToAgent::Ping,
+            (
+                ManagerToAgent::RegisterAck {
+                    station: StationId::new(1),
+                },
+                None,
+            ),
+            (deploy(None), None),
+            (deploy(Some(migration)), Some(migration)),
+            (
+                ManagerToAgent::RemoveChain {
+                    chain,
+                    client,
+                    migration: None,
+                },
+                None,
+            ),
+            (
+                ManagerToAgent::RemoveChain {
+                    chain,
+                    client,
+                    migration: Some(migration),
+                },
+                Some(migration),
+            ),
+            (
+                ManagerToAgent::CheckpointChain {
+                    chain,
+                    client,
+                    migration,
+                    retain_baseline: false,
+                },
+                Some(migration),
+            ),
+            (
+                ManagerToAgent::CheckpointChain {
+                    chain,
+                    client,
+                    migration,
+                    retain_baseline: true,
+                },
+                Some(migration),
+            ),
+            (
+                ManagerToAgent::PrepareChain {
+                    chain,
+                    client,
+                    client_mac: MacAddr::derived(1, 1),
+                    specs: sample_specs(),
+                    selector: TrafficSelector::all(),
+                    precopy_state: vec![NfStateSnapshot::Stateless],
+                    migration,
+                },
+                Some(migration),
+            ),
+            (
+                ManagerToAgent::DeltaChain {
+                    chain,
+                    client,
+                    migration,
+                },
+                Some(migration),
+            ),
+            (
+                ManagerToAgent::ActivateChain {
+                    chain,
+                    client,
+                    migration,
+                    deltas: vec![NfStateDelta::Unchanged],
+                },
+                Some(migration),
+            ),
+            (ManagerToAgent::Ping, None),
         ];
-        for msg in m2a {
-            assert!(!msg.label().is_empty());
+        for (msg, expected) in m2a {
+            assert_eq!(msg.migration(), expected, "{msg:?}");
         }
+
+        let ms = SimDuration::from_millis;
         let a2m = [
-            AgentToManager::ClientDisconnected {
-                client: ClientId::new(1),
-            },
-            AgentToManager::ChainPreCopy {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: MigrationId::new(1),
-                state: vec![NfStateSnapshot::Stateless],
-                checkpoint_latency: SimDuration::from_millis(3),
-            },
-            AgentToManager::ChainPrepared {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: MigrationId::new(1),
-                latency: SimDuration::from_millis(40),
-                images_cached: true,
-            },
-            AgentToManager::ChainDelta {
-                chain: ChainId::new(1),
-                client: ClientId::new(1),
-                migration: MigrationId::new(1),
-                deltas: vec![NfStateDelta::Unchanged],
-                checkpoint_latency: SimDuration::from_millis(1),
-            },
-            AgentToManager::Pong,
-            AgentToManager::CommandFailed {
-                chain: None,
-                error: GnfError::internal("x"),
-                migration: None,
-            },
-            AgentToManager::ReportDelta(Box::new(ReportDelta {
-                station: StationId::new(1),
-                agent: AgentId::new(1),
-                produced_at: SimTime::from_secs(1),
-                generation: 1,
-                seq: 1,
-                forced: false,
-                identity: None,
-                usage: None,
-                clients: None,
-                nfs: None,
-                flow_cache: None,
-                megaflow: None,
-                batches: None,
-                shards: None,
-                chaos: None,
-            })),
+            (AgentToManager::ClientDisconnected { client }, None),
+            (
+                AgentToManager::ChainDeployed {
+                    chain,
+                    client,
+                    latency: ms(250),
+                    images_cached: false,
+                    migration: None,
+                },
+                Some(ms(250)),
+            ),
+            (
+                AgentToManager::ChainRemoved {
+                    chain,
+                    client,
+                    migration: None,
+                },
+                None,
+            ),
+            (
+                AgentToManager::ChainState {
+                    chain,
+                    client,
+                    migration,
+                    state: vec![NfStateSnapshot::Stateless],
+                    checkpoint_latency: ms(3),
+                },
+                Some(ms(3)),
+            ),
+            (
+                AgentToManager::ChainPrepared {
+                    chain,
+                    client,
+                    migration,
+                    latency: ms(40),
+                    images_cached: true,
+                },
+                Some(ms(40)),
+            ),
+            (
+                AgentToManager::ChainDelta {
+                    chain,
+                    client,
+                    migration,
+                    deltas: vec![NfStateDelta::Unchanged],
+                    checkpoint_latency: ms(1),
+                },
+                Some(ms(1)),
+            ),
+            (AgentToManager::Pong, None),
+            (
+                AgentToManager::CommandFailed {
+                    chain: None,
+                    error: GnfError::internal("x"),
+                    migration: None,
+                },
+                None,
+            ),
+            (
+                AgentToManager::ReportDelta(Box::new(ReportDelta {
+                    station: StationId::new(1),
+                    agent: AgentId::new(1),
+                    produced_at: SimTime::from_secs(1),
+                    generation: 1,
+                    seq: 1,
+                    forced: false,
+                    identity: None,
+                    usage: None,
+                    clients: None,
+                    nfs: None,
+                    flow_cache: None,
+                    megaflow: None,
+                    batches: None,
+                    shards: None,
+                    chaos: None,
+                })),
+                None,
+            ),
         ];
-        for msg in a2m {
-            assert!(!msg.label().is_empty());
+        for (msg, expected) in a2m {
+            assert_eq!(msg.station_latency(), expected, "{msg:?}");
         }
     }
 
@@ -453,7 +504,6 @@ mod tests {
         let json = serde_json::to_string(&msg).unwrap();
         let back: AgentToManager = serde_json::from_str(&json).unwrap();
         assert_eq!(msg, back);
-        assert_eq!(back.label(), "report-delta");
     }
 
     #[test]
@@ -470,7 +520,6 @@ mod tests {
         let json = serde_json::to_string(&prepare).unwrap();
         let back: ManagerToAgent = serde_json::from_str(&json).unwrap();
         assert_eq!(back, prepare);
-        assert_eq!(prepare.label(), "prepare-chain");
 
         let delta = AgentToManager::ChainDelta {
             chain: ChainId::new(3),
@@ -482,6 +531,5 @@ mod tests {
         let json = serde_json::to_string(&delta).unwrap();
         let back: AgentToManager = serde_json::from_str(&json).unwrap();
         assert_eq!(back, delta);
-        assert_eq!(delta.label(), "chain-delta");
     }
 }

@@ -5,7 +5,9 @@
 //! reports the migration timeline (downtime, total duration, state size) for
 //! a cold image cache, a warm cache (second handover back), and both
 //! migration modes (make-before-break vs break-before-make), plus the fate of
-//! packets that arrive during the gap.
+//! packets that arrive during the gap. The only harness that drives the
+//! default monolithic plan and break-before-make end to end, so it asserts
+//! its own contract and runs as a CI smoke.
 
 use gnf_bench::{section, ObservabilityArgs};
 use gnf_core::{Emulator, Mobility, Scenario};
@@ -88,6 +90,37 @@ fn run_mode(
         report.all_migrations_completed(),
         report.handovers
     );
+    // The harness's contract (it runs as a CI smoke): every handover moves
+    // the chain, no packet goes unaccounted, and only make-before-break
+    // carries NF state across — monolithically, pre-copy is off here.
+    assert!(
+        report.all_migrations_completed(),
+        "{label}: migration stuck"
+    );
+    assert_eq!(report.handovers, 4, "{label}: handovers");
+    assert_eq!(report.migrations.len(), 4, "{label}: one move per handover");
+    // A gap-bypassed packet is forwarded (unprocessed), so it is already in
+    // `forwarded` and stays out of the sum.
+    let p = &report.packets;
+    assert_eq!(
+        p.generated,
+        p.forwarded + p.dropped_by_nf + p.replied_by_nf + p.dropped_in_gap + p.dropped_station_down,
+        "{label}: packet conservation"
+    );
+    let (gap_dropped, gap_bypassed) = (p.dropped_in_gap > 0, p.bypassed_in_gap > 0);
+    assert_eq!(
+        (gap_dropped, gap_bypassed),
+        (!bypass, bypass),
+        "{label}: gap"
+    );
+    for m in &report.migrations {
+        assert!(!m.precopy && m.delta_bytes == 0, "{label}: pre-copy is off");
+        assert_eq!(
+            m.state_bytes > 0,
+            make_before_break,
+            "{label}: state moves exactly under make-before-break"
+        );
+    }
     obs.write(&mut emulator);
 }
 

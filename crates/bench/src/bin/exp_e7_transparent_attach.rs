@@ -4,7 +4,7 @@
 //! packet.
 
 use gnf_agent::{Agent, AgentConfig, PacketOutcome};
-use gnf_api::messages::ManagerToAgent;
+use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_bench::section;
 use gnf_container::ImageRepository;
 use gnf_nf::testing::sample_specs;
@@ -68,10 +68,14 @@ fn main() {
                 },
                 now,
             );
+            assert!(
+                matches!(replies[0], AgentToManager::ChainDeployed { .. }),
+                "attach must succeed, got {:?}",
+                replies[0]
+            );
             println!(
-                "t={:>6.1}s packet #{seq}: chain attached ({})",
-                now.as_secs_f64(),
-                replies[0].label()
+                "t={:>6.1}s packet #{seq}: chain attached (chain-deployed)",
+                now.as_secs_f64()
             );
         }
         if seq == detach_at {
@@ -83,10 +87,14 @@ fn main() {
                 },
                 now,
             );
+            assert!(
+                matches!(replies[0], AgentToManager::ChainRemoved { .. }),
+                "detach must succeed, got {:?}",
+                replies[0]
+            );
             println!(
-                "t={:>6.1}s packet #{seq}: chain removed ({})",
-                now.as_secs_f64(),
-                replies[0].label()
+                "t={:>6.1}s packet #{seq}: chain removed (chain-removed)",
+                now.as_secs_f64()
             );
         }
         let generation = agent.switch().steering().generation();

@@ -131,31 +131,6 @@ struct PendingMigration {
 /// packet batches (in time order).
 type StationGroup<'a, G> = (StationId, &'a mut Agent, G);
 
-/// True for the Manager→Agent commands that belong to the migration
-/// lifecycle: the station-side work (checkpoints, staged deploys, delta
-/// replays) dominates a mass-roam's control-plane cost, the commands target
-/// per-chain Agent state, and same-timestamp runs of them are therefore safe
-/// to execute on a worker pool. Plain deploys and removals (no migration id)
-/// stay inline — they interleave with association bookkeeping.
-fn is_migration_command(msg: &ManagerToAgent) -> bool {
-    matches!(
-        msg,
-        ManagerToAgent::CheckpointChain { .. }
-            | ManagerToAgent::PreCopyChain { .. }
-            | ManagerToAgent::PrepareChain { .. }
-            | ManagerToAgent::DeltaChain { .. }
-            | ManagerToAgent::ActivateChain { .. }
-            | ManagerToAgent::DeployChain {
-                migration: Some(_),
-                ..
-            }
-            | ManagerToAgent::RemoveChain {
-                migration: Some(_),
-                ..
-            }
-    )
-}
-
 /// Per-client gap state, computed once per client per flush (control-plane
 /// state is frozen between flushes, so it cannot change mid-flush).
 #[derive(Clone, Copy)]
@@ -785,8 +760,14 @@ impl Emulator {
                     // batch per source, ever.
                     self.pump_workload(source);
                 }
-                EmuEvent::ToAgent { station, msg } if is_migration_command(&msg) => {
-                    // Park for pooled execution. At most one of the packet
+                EmuEvent::ToAgent { station, msg } if msg.migration().is_some() => {
+                    // A migration-lifecycle command: its station-side work
+                    // (checkpoints, staged deploys, delta replays) dominates
+                    // a mass-roam's control-plane cost and touches only
+                    // per-chain Agent state, so same-timestamp runs are
+                    // parked for pooled execution. Plain deploys and removals
+                    // stay inline — they interleave with association
+                    // bookkeeping. At most one of the packet
                     // and migration batches is ever non-empty: parking one
                     // kind flushes the other first, so the relative order of
                     // data-plane and migration work is exactly event order.
@@ -1294,29 +1275,15 @@ impl Emulator {
     ) -> SimDuration {
         let mut extra_delay = SimDuration::ZERO;
         for reply in replies {
+            extra_delay = extra_delay.max(reply.station_latency().unwrap_or(SimDuration::ZERO));
             match reply {
+                // A staged chain (ChainPrepared) is deliberately NOT marked
+                // ready: it holds state but no steering, so traffic at its
+                // station still counts as in-gap until activation (the
+                // ChainDeployed reply to ActivateChain) flips it.
                 AgentToManager::ChainDeployed { chain, latency, .. } => {
-                    extra_delay = extra_delay.max(*latency);
                     self.chain_ready.insert((station, *chain), now + *latency);
                     self.deploy_latency_ms.record(latency.as_millis_f64());
-                }
-                // A staged chain (PrepareChain reply) is deliberately NOT
-                // marked ready: it holds state but no steering, so traffic
-                // at its station still counts as in-gap until activation
-                // (the ChainDeployed reply to ActivateChain) flips it.
-                AgentToManager::ChainPrepared { latency, .. } => {
-                    extra_delay = extra_delay.max(*latency);
-                }
-                AgentToManager::ChainState {
-                    checkpoint_latency, ..
-                }
-                | AgentToManager::ChainPreCopy {
-                    checkpoint_latency, ..
-                }
-                | AgentToManager::ChainDelta {
-                    checkpoint_latency, ..
-                } => {
-                    extra_delay = extra_delay.max(*checkpoint_latency);
                 }
                 AgentToManager::ChainRemoved { chain, .. } => {
                     self.chain_ready.remove(&(station, *chain));

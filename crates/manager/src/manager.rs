@@ -148,6 +148,16 @@ struct RetryPlan {
     attempt: u32,
 }
 
+/// What a source or target reply contributes to [`Manager::advance`].
+enum MigrationReply {
+    /// `ChainState`: the source's checkpoint (the baseline, under pre-copy).
+    State(Vec<NfStateSnapshot>),
+    /// `ChainPrepared`: the target staged the chain.
+    Prepared,
+    /// `ChainDelta`: what the source dirtied since the baseline.
+    Delta(Vec<NfStateDelta>),
+}
+
 /// The GNF Manager.
 pub struct Manager {
     config: GnfConfig,
@@ -236,8 +246,8 @@ impl Manager {
         &mut self.trace
     }
 
-    /// Stable span label of a migration phase. The pre-copy pipeline renders
-    /// as `PreCopy → Prepare → Delta → Activate`, the classic path as
+    /// Stable span label of a migration phase. The pre-copy plan renders as
+    /// `PreCopy → Prepare → Delta → Activate`, the monolithic plan as
     /// `Checkpoint → Deploy`, both tailed by `RemoveOld`.
     fn phase_label(phase: MigrationPhase) -> &'static str {
         match phase {
@@ -344,7 +354,7 @@ impl Manager {
             .ok_or_else(|| GnfError::not_found("client", client))?
             .clone();
         let chain: ChainId = self.chain_ids.next_id();
-        let mut attachment = AttachmentRecord {
+        let attachment = AttachmentRecord {
             chain,
             client,
             specs,
@@ -359,12 +369,10 @@ impl Manager {
         let in_window = window
             .map(|(from, to)| now >= from && now < to)
             .unwrap_or(true);
-        if in_window {
-            if let Some(station) = record.station {
-                actions.push(self.deploy_action(&mut attachment, station, None));
-            }
+        match record.station {
+            Some(station) if in_window => actions.push(self.deploy_on(attachment, station, None)),
+            _ => self.desired.insert(attachment),
         }
-        self.desired.insert(attachment);
         self.stats.messages_sent += actions.len() as u64;
         Ok((chain, actions))
     }
@@ -500,30 +508,16 @@ impl Manager {
             }
             AgentToManager::ChainRemoved {
                 chain, migration, ..
-            } => self.on_chain_removed(from, chain, migration, now),
+            } => self.on_chain_removed(chain, migration, now),
             AgentToManager::ChainState {
-                chain,
-                client,
-                migration,
-                state,
-                ..
-            } => self.on_chain_state(chain, client, migration, state, now),
-            AgentToManager::ChainPreCopy {
-                chain,
-                client,
-                migration,
-                state,
-                ..
-            } => self.on_chain_precopy(chain, client, migration, state, now),
-            AgentToManager::ChainPrepared {
-                chain, migration, ..
-            } => self.on_chain_prepared(chain, migration, now),
+                migration, state, ..
+            } => self.advance(migration, MigrationReply::State(state), now),
+            AgentToManager::ChainPrepared { migration, .. } => {
+                self.advance(migration, MigrationReply::Prepared, now)
+            }
             AgentToManager::ChainDelta {
-                chain,
-                migration,
-                deltas,
-                ..
-            } => self.on_chain_delta(chain, migration, deltas, now),
+                migration, deltas, ..
+            } => self.advance(migration, MigrationReply::Delta(deltas), now),
             AgentToManager::NfNotification {
                 chain,
                 client,
@@ -615,10 +609,7 @@ impl Manager {
                 // Time to enable the chain on the client's current station.
                 if let Some(station) = self.clients.get(&attachment.client).and_then(|c| c.station)
                 {
-                    let mut updated = attachment.clone();
-                    let action = self.deploy_action(&mut updated, station, None);
-                    self.desired.insert(updated);
-                    actions.push(action);
+                    actions.push(self.deploy_on(attachment, station, None));
                 }
             } else if !in_window && now >= from {
                 if let Some(station) = attachment.station {
@@ -643,7 +634,6 @@ impl Manager {
         // backoff retry while attempts remain. The deadline-ordered index
         // pops only due entries — O(overdue), not O(in-flight) — and each is
         // validated against the live record before acting.
-        let mut overdue: Vec<MigrationId> = Vec::new();
         while let Some(&(at, id)) = self.deadline_index.iter().next() {
             if at > now {
                 break;
@@ -652,67 +642,23 @@ impl Manager {
             let Some(record) = self.migrations.get(&id) else {
                 continue;
             };
-            if record.deadline == Some(at)
-                && matches!(
-                    record.phase,
-                    MigrationPhase::AwaitingState
-                        | MigrationPhase::Deploying
-                        | MigrationPhase::AwaitingPreCopy
-                        | MigrationPhase::Preparing
-                        | MigrationPhase::AwaitingDelta
-                        | MigrationPhase::SwitchingOver
-                )
+            if record.deadline != Some(at)
+                || record.is_finished()
+                || record.phase == MigrationPhase::RemovingOld
             {
-                overdue.push(id);
-            }
-        }
-        for id in overdue {
-            let Some(record) = self.migrations.get_mut(&id) else {
                 continue;
-            };
-            let aborted_in = record.phase;
-            Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-            record.phase = MigrationPhase::TimedOut;
-            record.failure = Some("migration deadline exceeded".into());
-            Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
-            let record = record.clone();
-            self.stats.migrations_timed_out += 1;
-            // Roll back: under make-before-break the source chain never
-            // stopped serving, so point the attachment back at it. A
-            // stateless redeploy has no source to fall back to — the
-            // retry simply deploys again.
-            if record.with_state {
-                self.desired.update(record.chain, |attachment| {
-                    if attachment.station == Some(record.to) {
-                        attachment.station = Some(record.from);
-                        attachment.active = true;
-                    }
-                });
             }
             // A pre-copy migration aborted once `PrepareChain` went out may
-            // have left a staged (steering-less) chain on the target; tear it
-            // down so an `already_exists` reconciliation on a later retry can
-            // never activate a stale baseline. The removal carries the
-            // migration id so `on_chain_removed` treats it as abort cleanup,
-            // not a detach; a not-found reply (the target never staged it) is
+            // have left a staged (steering-less) chain on the target; a
+            // not-found reply to its removal (the target never staged it) is
             // benign.
-            if record.precopy
+            let maybe_staged = record.precopy
                 && matches!(
-                    aborted_in,
+                    record.phase,
                     MigrationPhase::Preparing
                         | MigrationPhase::AwaitingDelta
                         | MigrationPhase::SwitchingOver
-                )
-            {
-                actions.push(ManagerAction::send(
-                    record.to,
-                    ManagerToAgent::RemoveChain {
-                        chain: record.chain,
-                        client: record.client,
-                        migration: Some(id),
-                    },
-                ));
-            }
+                );
             self.notifications.raise(
                 now,
                 NotificationSeverity::Warning,
@@ -724,16 +670,14 @@ impl Manager {
                 ),
                 Some(record.client),
             );
-            if record.attempt < self.config.migration_max_retries {
-                self.push_retry(RetryPlan {
-                    chain: record.chain,
-                    client: record.client,
-                    from: record.from,
-                    to: record.to,
-                    at: now + self.retry_backoff(record.attempt),
-                    attempt: record.attempt + 1,
-                });
-            }
+            self.stats.migrations_timed_out += 1;
+            actions.extend(self.abort_migration(
+                id,
+                MigrationPhase::TimedOut,
+                "migration deadline exceeded".into(),
+                maybe_staged,
+                now,
+            ));
         }
 
         // Launch due retries — unless the fleet moved on while the plan
@@ -777,30 +721,21 @@ impl Manager {
                 // deploy is wedged): redeploy the chain statelessly on the
                 // target under a fresh deadline.
                 _ => {
-                    let id: MigrationId = self.migration_ids.next_id();
-                    let mut record = MigrationRecord::new(
-                        id,
+                    let record = self.open_migration(
                         plan.chain,
                         plan.client,
                         plan.from,
                         plan.to,
                         now,
+                        plan.attempt,
                         false,
                     );
-                    record.attempt = plan.attempt;
-                    let deadline = now + self.config.migration_deadline;
-                    record.deadline = Some(deadline);
-                    self.deadline_index.insert((deadline, id));
                     // Nothing to tear down on the old side: the deploy
                     // confirmation alone completes this record (the
                     // timestamp is bumped then).
                     record.completed_at = Some(now);
-                    self.migrations.insert(id, record);
-                    self.stats.migrations_started += 1;
-                    let mut updated = attachment;
-                    let action = self.deploy_action(&mut updated, plan.to, Some((id, Vec::new())));
-                    self.desired.insert(updated);
-                    actions.push(action);
+                    let id = record.id;
+                    actions.push(self.deploy_on(attachment, plan.to, Some((id, Vec::new()))));
                 }
             }
         }
@@ -939,65 +874,62 @@ impl Manager {
     // Internal transitions
     // ------------------------------------------------------------------
 
-    fn deploy_action(
+    /// Builds the one chain-carrying command: instantiate `attachment`'s
+    /// chain on `station`, restoring the state `migration` ships. `staged`
+    /// selects the pre-copy `PrepareChain` (containers plus baseline, no
+    /// steering) over a serving `DeployChain`. The attachment itself is not
+    /// touched, so a make-before-break target deploy leaves it pointed at
+    /// the serving source until the target confirms. (An associated function
+    /// over the client table: `advance` calls it holding its record.)
+    fn chain_command(
+        clients: &BTreeMap<ClientId, ClientRecord>,
+        attachment: &AttachmentRecord,
+        station: StationId,
+        migration: Option<(MigrationId, Vec<NfStateSnapshot>)>,
+        staged: bool,
+    ) -> ManagerAction {
+        let (chain, client) = (attachment.chain, attachment.client);
+        let client_mac = clients.get(&client).map(|c| c.mac).unwrap_or(MacAddr::ZERO);
+        let (specs, selector) = (attachment.specs.clone(), attachment.selector);
+        let message = match migration {
+            Some((migration, precopy_state)) if staged => ManagerToAgent::PrepareChain {
+                chain,
+                client,
+                client_mac,
+                specs,
+                selector,
+                precopy_state,
+                migration,
+            },
+            migration => {
+                let (migration, restore_state) = migration.unzip();
+                ManagerToAgent::DeployChain {
+                    chain,
+                    client,
+                    client_mac,
+                    specs,
+                    selector,
+                    restore_state,
+                    migration,
+                }
+            }
+        };
+        ManagerAction::send(station, message)
+    }
+
+    /// Claims `attachment` for `station` (placed there, not yet active),
+    /// stores it and returns the serving deploy command.
+    fn deploy_on(
         &mut self,
-        attachment: &mut AttachmentRecord,
+        mut attachment: AttachmentRecord,
         station: StationId,
         migration: Option<(MigrationId, Vec<NfStateSnapshot>)>,
     ) -> ManagerAction {
-        let client_record = self.clients.get(&attachment.client);
-        let client_mac = client_record.map(|c| c.mac).unwrap_or(MacAddr::ZERO);
-        let (migration_id, restore_state) = match migration {
-            Some((id, state)) => (Some(id), Some(state)),
-            None => (None, None),
-        };
         attachment.station = Some(station);
         attachment.active = false;
-        ManagerAction::send(
-            station,
-            ManagerToAgent::DeployChain {
-                chain: attachment.chain,
-                client: attachment.client,
-                client_mac,
-                specs: attachment.specs.clone(),
-                selector: attachment.selector,
-                restore_state,
-                migration: migration_id,
-            },
-        )
-    }
-
-    /// Like [`Manager::deploy_action`] but without touching the attachment:
-    /// used for the target-side deploy of a make-before-break migration,
-    /// where the source chain keeps serving throughout the checkpoint/restore
-    /// round-trip. The attachment stays pointed at the serving source for
-    /// the whole phase and only flips when the target confirms — each phase
-    /// updates the attachment table on its own completion instead of the
-    /// table being claimed for the entire migration.
-    fn deploy_action_keep_serving(
-        &self,
-        attachment: &AttachmentRecord,
-        station: StationId,
-        migration: MigrationId,
-        restore_state: Vec<NfStateSnapshot>,
-    ) -> ManagerAction {
-        let client_mac = self
-            .clients
-            .get(&attachment.client)
-            .map(|c| c.mac)
-            .unwrap_or(MacAddr::ZERO);
-        ManagerAction::send(
-            station,
-            ManagerToAgent::DeployChain {
-                chain: attachment.chain,
-                client: attachment.client,
-                client_mac,
-                specs: attachment.specs.clone(),
-                selector: attachment.selector,
-                restore_state: Some(restore_state),
-                migration: Some(migration),
-            },
-        )
+        let action = Self::chain_command(&self.clients, &attachment, station, migration, false);
+        self.desired.insert(attachment);
+        action
     }
 
     fn on_client_connected(
@@ -1008,7 +940,6 @@ impl Manager {
         ip: Ipv4Addr,
         now: SimTime,
     ) -> Vec<ManagerAction> {
-        let previous_station = self.clients.get(&client).and_then(|c| c.station);
         self.clients.insert(
             client,
             ClientRecord {
@@ -1038,31 +969,47 @@ impl Manager {
                 // Already on the right station: nothing to do.
                 Some(current) if current == station => {}
                 // Running somewhere else: migrate ("function roaming").
-                Some(old_station) => {
-                    actions.extend(self.start_migration(chain, client, old_station, station, now));
-                }
+                Some(old_station) => actions.extend(self.start_migration_attempt(
+                    chain,
+                    client,
+                    old_station,
+                    station,
+                    now,
+                    0,
+                )),
                 // Not deployed anywhere yet: plain deployment.
-                None => {
-                    let mut updated = attachment;
-                    let action = self.deploy_action(&mut updated, station, None);
-                    self.desired.insert(updated);
-                    actions.push(action);
-                }
+                None => actions.push(self.deploy_on(attachment, station, None)),
             }
         }
-        let _ = previous_station;
         actions
     }
 
-    fn start_migration(
+    /// Opens a migration record under a fresh id and deadline. `with_state`
+    /// selects a stateful plan (pre-copy when configured, else monolithic)
+    /// over a stateless redeploy.
+    #[allow(clippy::too_many_arguments)]
+    fn open_migration(
         &mut self,
         chain: ChainId,
         client: ClientId,
         from: StationId,
         to: StationId,
         now: SimTime,
-    ) -> Vec<ManagerAction> {
-        self.start_migration_attempt(chain, client, from, to, now, 0)
+        attempt: u32,
+        with_state: bool,
+    ) -> &mut MigrationRecord {
+        let id: MigrationId = self.migration_ids.next_id();
+        let mut record = MigrationRecord::new(id, chain, client, from, to, now, with_state);
+        record.attempt = attempt;
+        if with_state && self.config.migration_precopy {
+            record.precopy = true;
+            record.phase = MigrationPhase::AwaitingPreCopy;
+        }
+        let deadline = now + self.config.migration_deadline;
+        record.deadline = Some(deadline);
+        self.deadline_index.insert((deadline, id));
+        self.stats.migrations_started += 1;
+        self.migrations.entry(id).or_insert(record)
     }
 
     fn start_migration_attempt(
@@ -1078,20 +1025,9 @@ impl Manager {
         let Some(attachment) = self.desired.get(chain).cloned() else {
             return Vec::new();
         };
-        let id: MigrationId = self.migration_ids.next_id();
         let with_state = self.config.make_before_break;
-        let precopy = with_state && self.config.migration_precopy;
-        let mut record = MigrationRecord::new(id, chain, client, from, to, now, with_state);
-        record.attempt = attempt;
-        let deadline = now + self.config.migration_deadline;
-        record.deadline = Some(deadline);
-        self.deadline_index.insert((deadline, id));
-        if precopy {
-            record.precopy = true;
-            record.phase = MigrationPhase::AwaitingPreCopy;
-        }
-        self.migrations.insert(id, record);
-        self.stats.migrations_started += 1;
+        let record = self.open_migration(chain, client, from, to, now, attempt, with_state);
+        let (id, precopy) = (record.id, record.precopy);
         self.notifications.raise(
             now,
             NotificationSeverity::Info,
@@ -1101,36 +1037,23 @@ impl Manager {
             Some(client),
         );
 
-        if precopy {
-            // Pre-copy pipeline: ship the bulk of the state ahead of
-            // switchover while the source keeps serving, then replay only
-            // the dirty delta at cutover. The source retains the exported
-            // baseline so the later `DeltaChain` can diff against it.
-            vec![ManagerAction::send(
-                from,
-                ManagerToAgent::PreCopyChain {
-                    chain,
-                    client,
-                    migration: id,
-                },
-            )]
-        } else if with_state {
+        if with_state {
             // Make-before-break: fetch the state first, deploy on the target,
-            // and only then tear down the source.
+            // and only then tear down the source. Under pre-copy the source
+            // also retains the exported baseline, so the later `DeltaChain`
+            // can ship only what the still-serving chain dirtied since.
             vec![ManagerAction::send(
                 from,
                 ManagerToAgent::CheckpointChain {
                     chain,
                     client,
                     migration: id,
+                    retain_baseline: precopy,
                 },
             )]
         } else {
             // Break-before-make: remove the old instance immediately and
             // deploy a fresh (stateless) chain on the target in parallel.
-            let mut attachment = attachment;
-            let deploy = self.deploy_action(&mut attachment, to, Some((id, Vec::new())));
-            self.desired.insert(attachment);
             vec![
                 ManagerAction::send(
                     from,
@@ -1140,143 +1063,162 @@ impl Manager {
                         migration: Some(id),
                     },
                 ),
-                deploy,
+                self.deploy_on(attachment, to, Some((id, Vec::new()))),
             ]
         }
     }
 
-    fn on_chain_state(
+    /// The migration engine's one transition function: applies a source or
+    /// target reply to the migration it names.
+    ///
+    /// | phase             | reply      | next phase      | command                      |
+    /// |-------------------|------------|-----------------|------------------------------|
+    /// | `AwaitingState`   | `State`    | `Deploying`     | `DeployChain(state)` → to    |
+    /// | `AwaitingPreCopy` | `State`    | `Preparing`     | `PrepareChain(baseline)` → to|
+    /// | `Preparing`       | `Prepared` | `AwaitingDelta` | `DeltaChain` → from          |
+    /// | `AwaitingDelta`   | `Delta`    | `SwitchingOver` | `ActivateChain(deltas)` → to |
+    ///
+    /// Every other pair — a reply for an aborted, superseded, finished or
+    /// unknown migration, or one the record's plan never asks for — is
+    /// ignored with the record untouched, and the record is only mutated
+    /// once the next command is certain to go out. The attachment is never
+    /// touched here: the source chain keeps serving, so the attachment keeps
+    /// pointing at it until the target's deploy confirmation flips it
+    /// (`on_chain_deployed`). Claiming it earlier would mark the chain
+    /// inactive — and mis-route concurrent steering decisions — for the whole
+    /// transfer.
+    fn advance(
         &mut self,
-        chain: ChainId,
-        client: ClientId,
         migration: MigrationId,
-        state: Vec<NfStateSnapshot>,
+        reply: MigrationReply,
         now: SimTime,
     ) -> Vec<ManagerAction> {
         let Some(record) = self.migrations.get_mut(&migration) else {
             return Vec::new();
         };
-        // A checkpoint that arrives after the migration was aborted (timed
-        // out, failed, superseded by a retry) must not restart it.
-        if record.phase != MigrationPhase::AwaitingState {
-            return Vec::new();
-        }
-        record.state_bytes = state.iter().map(|s| s.approximate_size_bytes()).sum();
-        Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::Deploying;
-        let to = record.to;
-        // The attachment is deliberately NOT updated here: the source chain
-        // keeps serving during the restore, so the attachment keeps pointing
-        // at it until the target's deploy confirmation flips it
-        // (on_chain_deployed). Claiming the attachment for the whole
-        // checkpoint/restore round-trip would mark the chain inactive — and
-        // mis-route concurrent steering decisions — for the entire window.
-        let Some(attachment) = self.desired.get(chain) else {
-            return Vec::new();
+        let next = match (record.phase, &reply) {
+            (MigrationPhase::AwaitingState, MigrationReply::State(_)) => MigrationPhase::Deploying,
+            (MigrationPhase::AwaitingPreCopy, MigrationReply::State(_)) => {
+                MigrationPhase::Preparing
+            }
+            (MigrationPhase::Preparing, MigrationReply::Prepared) => MigrationPhase::AwaitingDelta,
+            (MigrationPhase::AwaitingDelta, MigrationReply::Delta(_)) => {
+                MigrationPhase::SwitchingOver
+            }
+            _ => return Vec::new(),
         };
-        let action = self.deploy_action_keep_serving(attachment, to, migration, state);
-        let _ = client;
+        let (chain, client) = (record.chain, record.client);
+        let action = match reply {
+            MigrationReply::State(state) => {
+                // Detached mid-migration: there is nothing left to deploy.
+                let Some(attachment) = self.desired.get(chain) else {
+                    return Vec::new();
+                };
+                record.state_bytes = state.iter().map(|s| s.approximate_size_bytes()).sum();
+                Self::chain_command(
+                    &self.clients,
+                    attachment,
+                    record.to,
+                    Some((migration, state)),
+                    next == MigrationPhase::Preparing,
+                )
+            }
+            MigrationReply::Prepared => {
+                // The staged target is ready: the switchover window opens
+                // now, with the request for the source's dirty delta.
+                record.switchover_started_at = Some(now);
+                ManagerAction::send(
+                    record.from,
+                    ManagerToAgent::DeltaChain {
+                        chain,
+                        client,
+                        migration,
+                    },
+                )
+            }
+            MigrationReply::Delta(deltas) => {
+                record.delta_bytes = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
+                ManagerAction::send(
+                    record.to,
+                    ManagerToAgent::ActivateChain {
+                        chain,
+                        client,
+                        migration,
+                        deltas,
+                    },
+                )
+            }
+        };
+        Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
+        record.phase = next;
         vec![action]
     }
 
-    fn on_chain_precopy(
-        &mut self,
-        chain: ChainId,
-        client: ClientId,
-        migration: MigrationId,
-        state: Vec<NfStateSnapshot>,
-        now: SimTime,
-    ) -> Vec<ManagerAction> {
-        let Some(record) = self.migrations.get_mut(&migration) else {
-            return Vec::new();
+    /// Marks migration `id` complete at `now`.
+    fn complete_migration(&mut self, id: MigrationId, now: SimTime) {
+        let Some(record) = self.migrations.get_mut(&id) else {
+            return;
         };
-        // A baseline arriving after the migration was aborted (timed out,
-        // failed, superseded) must not restart the pipeline.
-        if record.phase != MigrationPhase::AwaitingPreCopy {
-            return Vec::new();
-        }
-        record.state_bytes = state.iter().map(|s| s.approximate_size_bytes()).sum();
         Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::Preparing;
-        let to = record.to;
-        let Some(attachment) = self.desired.get(chain) else {
-            return Vec::new();
-        };
-        let client_mac = self
-            .clients
-            .get(&client)
-            .map(|c| c.mac)
-            .unwrap_or(MacAddr::ZERO);
-        // Stage the chain on the target: containers plus baseline, no
-        // steering. The attachment stays pointed at the serving source.
-        vec![ManagerAction::send(
-            to,
-            ManagerToAgent::PrepareChain {
-                chain,
-                client,
-                client_mac,
-                specs: attachment.specs.clone(),
-                selector: attachment.selector,
-                precopy_state: state,
-                migration,
-            },
-        )]
+        record.phase = MigrationPhase::Complete;
+        record.completed_at = Some(now);
+        Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
+        self.stats.migrations_completed += 1;
     }
 
-    fn on_chain_prepared(
+    /// Aborts in-flight migration `id` into the terminal `phase` (`TimedOut`
+    /// or `Failed`) and schedules a backoff retry while attempts remain.
+    /// Rolls back first: under make-before-break the source chain never
+    /// stopped serving, so the attachment points back at it; a stateless
+    /// redeploy has no source to fall back to — the retry simply deploys
+    /// again. With `remove_staged` (the caller knows whether the target may
+    /// hold a staged chain) the returned command tears that chain down, so an
+    /// `already_exists` reconciliation on a later retry can never activate a
+    /// stale baseline; it carries the migration id so `on_chain_removed`
+    /// treats it as abort cleanup, not a detach.
+    fn abort_migration(
         &mut self,
-        chain: ChainId,
-        migration: MigrationId,
+        id: MigrationId,
+        phase: MigrationPhase,
+        failure: String,
+        remove_staged: bool,
         now: SimTime,
-    ) -> Vec<ManagerAction> {
-        let Some(record) = self.migrations.get_mut(&migration) else {
-            return Vec::new();
-        };
-        if record.phase != MigrationPhase::Preparing {
-            return Vec::new();
-        }
-        // The staged target is ready: the switchover window opens now, with
-        // the request for the source's dirty delta.
+    ) -> Option<ManagerAction> {
+        let record = self.migrations.get_mut(&id)?;
         Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::AwaitingDelta;
-        record.switchover_started_at = Some(now);
-        let (from, client) = (record.from, record.client);
-        vec![ManagerAction::send(
-            from,
-            ManagerToAgent::DeltaChain {
+        record.phase = phase;
+        record.failure = Some(failure);
+        Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
+        let (chain, client, from, to) = (record.chain, record.client, record.from, record.to);
+        let (attempt, with_state) = (record.attempt, record.with_state);
+        if with_state {
+            self.desired.update(chain, |attachment| {
+                if attachment.station == Some(to) {
+                    attachment.station = Some(from);
+                    attachment.active = true;
+                }
+            });
+        }
+        if attempt < self.config.migration_max_retries {
+            self.push_retry(RetryPlan {
                 chain,
                 client,
-                migration,
-            },
-        )]
-    }
-
-    fn on_chain_delta(
-        &mut self,
-        chain: ChainId,
-        migration: MigrationId,
-        deltas: Vec<NfStateDelta>,
-        now: SimTime,
-    ) -> Vec<ManagerAction> {
-        let Some(record) = self.migrations.get_mut(&migration) else {
-            return Vec::new();
-        };
-        if record.phase != MigrationPhase::AwaitingDelta {
-            return Vec::new();
+                from,
+                to,
+                at: now + self.retry_backoff(attempt),
+                attempt: attempt + 1,
+            });
         }
-        record.delta_bytes = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
-        Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::SwitchingOver;
-        let (to, client) = (record.to, record.client);
-        vec![ManagerAction::send(
-            to,
-            ManagerToAgent::ActivateChain {
-                chain,
-                client,
-                migration,
-                deltas,
-            },
-        )]
+        remove_staged.then(|| {
+            ManagerAction::send(
+                to,
+                ManagerToAgent::RemoveChain {
+                    chain,
+                    client,
+                    migration: Some(id),
+                },
+            )
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1307,70 +1249,48 @@ impl Manager {
         // Any deploy confirmation for this chain supersedes pending retries.
         self.pending_retries.retain(|_, plan| plan.chain != chain);
         let mut actions = Vec::new();
-        if let Some(id) = migration {
-            if let Some(record) = self.migrations.get_mut(&id) {
-                record.service_restored_at = Some(now);
-                // `TimedOut` is a late success: the deploy confirmation
-                // outran its abort, so resurrect the migration — the
-                // attachment already points at the target again (above).
-                if matches!(
-                    record.phase,
-                    MigrationPhase::Deploying
-                        | MigrationPhase::AwaitingState
-                        // Pre-copy phases: SwitchingOver is the normal
-                        // activation confirmation; Preparing/AwaitingDelta
-                        // cover an `already_exists` reconciliation where the
-                        // target already serves the chain (a prior attempt's
-                        // activation outran its lost reply).
-                        | MigrationPhase::Preparing
-                        | MigrationPhase::AwaitingDelta
-                        | MigrationPhase::SwitchingOver
-                        | MigrationPhase::TimedOut
-                ) {
+        if let Some(record) = migration.and_then(|id| self.migrations.get_mut(&id)) {
+            record.service_restored_at = Some(now);
+            // `TimedOut` is a late success: the deploy confirmation
+            // outran its abort, so resurrect the migration — the
+            // attachment already points at the target again (above).
+            if matches!(
+                record.phase,
+                MigrationPhase::Deploying
+                    | MigrationPhase::AwaitingState
+                    // Pre-copy phases: SwitchingOver is the normal
+                    // activation confirmation; Preparing/AwaitingDelta
+                    // cover an `already_exists` reconciliation where the
+                    // target already serves the chain (a prior attempt's
+                    // activation outran its lost reply).
+                    | MigrationPhase::Preparing
+                    | MigrationPhase::AwaitingDelta
+                    | MigrationPhase::SwitchingOver
+                    | MigrationPhase::TimedOut
+            ) {
+                if record.with_state || record.completed_at.is_none() {
+                    Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
+                    record.phase = MigrationPhase::RemovingOld;
+                    // A stateful move tears the source down only now; a
+                    // break-before-make removal went out with the deploy
+                    // and is still outstanding (`on_chain_removed`
+                    // completes the record).
                     if record.with_state {
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
-                        record.phase = MigrationPhase::RemovingOld;
                         actions.push(ManagerAction::send(
                             record.from,
                             ManagerToAgent::RemoveChain {
                                 chain,
                                 client,
-                                migration: Some(id),
+                                migration: Some(record.id),
                             },
                         ));
-                    } else {
-                        // Stateless deploy (break-before-make or a retry
-                        // redeploy): the old side was already told to remove
-                        // — or there is nothing to remove; deployment
-                        // completes the migration unless the removal is
-                        // still outstanding (handled in on_chain_removed).
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
-                        if let Some(done) = record.completed_at {
-                            record.phase = MigrationPhase::Complete;
-                            if done < now {
-                                record.completed_at = Some(now);
-                            }
-                            self.stats.migrations_completed += 1;
-                            Self::trace_outcome(
-                                &mut self.trace,
-                                &mut self.phase_entered,
-                                record,
-                                now,
-                            );
-                        } else {
-                            record.phase = MigrationPhase::RemovingOld;
-                        }
                     }
+                } else {
+                    // Stateless deploy whose old side is already gone (its
+                    // removal was confirmed first, or a retry redeploy had
+                    // nothing to remove): the confirmation completes it.
+                    let id = record.id;
+                    self.complete_migration(id, now);
                 }
             }
         }
@@ -1379,7 +1299,6 @@ impl Manager {
 
     fn on_chain_removed(
         &mut self,
-        from: StationId,
         chain: ChainId,
         migration: Option<MigrationId>,
         now: SimTime,
@@ -1388,24 +1307,12 @@ impl Manager {
             Some(id) => {
                 if let Some(record) = self.migrations.get_mut(&id) {
                     // A removal confirmation for an aborted migration must
-                    // not mark it complete.
-                    if matches!(
-                        record.phase,
-                        MigrationPhase::Failed | MigrationPhase::TimedOut
-                    ) {
+                    // not mark it complete, nor a duplicate complete it twice.
+                    if record.is_finished() {
                         return Vec::new();
                     }
                     record.completed_at = Some(now);
                     if record.service_restored_at.is_some() {
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
-                        record.phase = MigrationPhase::Complete;
-                        Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
-                        self.stats.migrations_completed += 1;
                         self.notifications.raise(
                             now,
                             NotificationSeverity::Info,
@@ -1419,6 +1326,7 @@ impl Manager {
                             ),
                             Some(record.client),
                         );
+                        self.complete_migration(id, now);
                     }
                     // else: break-before-make with the deploy still pending;
                     // on_chain_deployed completes it.
@@ -1436,7 +1344,6 @@ impl Manager {
                         self.desired.remove(chain);
                     }
                 }
-                let _ = from;
             }
         }
         Vec::new()
@@ -1474,18 +1381,7 @@ impl Manager {
                     );
                 }
                 if error.category() == "not_found" && record.phase == MigrationPhase::RemovingOld {
-                    if let Some(record) = self.migrations.get_mut(&id) {
-                        record.completed_at = Some(now);
-                        Self::trace_phase_left(
-                            &mut self.trace,
-                            &mut self.phase_entered,
-                            record,
-                            now,
-                        );
-                        record.phase = MigrationPhase::Complete;
-                        Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
-                        self.stats.migrations_completed += 1;
-                    }
+                    self.complete_migration(id, now);
                     return Vec::new();
                 }
             }
@@ -1498,60 +1394,25 @@ impl Manager {
             format!("command failed on {from}: {error}"),
             None,
         );
-        let mut actions = Vec::new();
-        if let Some(id) = migration {
-            if let Some(record) = self.migrations.get_mut(&id) {
-                if !record.is_finished() {
-                    let failed_in = record.phase;
-                    Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-                    record.phase = MigrationPhase::Failed;
-                    record.failure = Some(error.to_string());
-                    Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
-                    let record = record.clone();
-                    self.stats.migrations_failed += 1;
-                    // Roll back exactly as a timeout would, and retry with
-                    // backoff while attempts remain.
-                    if record.with_state {
-                        self.desired.update(record.chain, |attachment| {
-                            if attachment.station == Some(record.to) {
-                                attachment.station = Some(record.from);
-                                attachment.active = true;
-                            }
-                        });
-                    }
-                    // A source-side failure after the target confirmed its
-                    // staging (pre-copy) leaves a staged chain behind there;
-                    // tear it down so no stale baseline survives to a retry.
-                    if record.precopy
-                        && from == record.from
-                        && matches!(
-                            failed_in,
-                            MigrationPhase::AwaitingDelta | MigrationPhase::SwitchingOver
-                        )
-                    {
-                        actions.push(ManagerAction::send(
-                            record.to,
-                            ManagerToAgent::RemoveChain {
-                                chain: record.chain,
-                                client: record.client,
-                                migration: Some(id),
-                            },
-                        ));
-                    }
-                    if record.attempt < self.config.migration_max_retries {
-                        self.push_retry(RetryPlan {
-                            chain: record.chain,
-                            client: record.client,
-                            from: record.from,
-                            to: record.to,
-                            at: now + self.retry_backoff(record.attempt),
-                            attempt: record.attempt + 1,
-                        });
-                    }
-                }
-            }
-        }
-        actions
+        let in_flight = migration
+            .and_then(|id| self.migrations.get(&id))
+            .filter(|record| !record.is_finished());
+        let Some(record) = in_flight else {
+            return Vec::new();
+        };
+        // A source-side failure after the target confirmed its staging
+        // (pre-copy) leaves a staged chain behind there.
+        let staged = record.precopy
+            && from == record.from
+            && matches!(
+                record.phase,
+                MigrationPhase::AwaitingDelta | MigrationPhase::SwitchingOver
+            );
+        self.stats.migrations_failed += 1;
+        let id = record.id;
+        self.abort_migration(id, MigrationPhase::Failed, error.to_string(), staged, now)
+            .into_iter()
+            .collect()
     }
 }
 
@@ -2323,10 +2184,11 @@ mod tests {
         assert!(stats.messages_sent >= 1);
     }
 
-    /// Sets up a pre-copy Manager with a chain serving client 0 on station 0
-    /// and the client roamed to station 1, returning (chain, migration id)
-    /// with the pipeline stopped in `AwaitingPreCopy`.
-    fn start_precopy_migration(m: &mut Manager) -> (ChainId, MigrationId) {
+    /// Sets up a make-before-break Manager with a chain serving client 0 on
+    /// station 0 and the client roamed to station 1, returning (chain,
+    /// migration id, whether the checkpoint retains a baseline) with the
+    /// migration stopped waiting for the source's state.
+    fn start_stateful_migration(m: &mut Manager) -> (ChainId, MigrationId, bool) {
         register(m, 0, SimTime::ZERO);
         register(m, 1, SimTime::ZERO);
         connect_client(m, 0, 0, SimTime::from_secs(1));
@@ -2353,10 +2215,23 @@ mod tests {
         assert_eq!(actions.len(), 1);
         let ManagerAction::Send { station, message } = &actions[0];
         assert_eq!(*station, StationId::new(0));
-        let ManagerToAgent::PreCopyChain { migration, .. } = message else {
-            panic!("expected a pre-copy command, got {message:?}");
+        let ManagerToAgent::CheckpointChain {
+            migration,
+            retain_baseline,
+            ..
+        } = message
+        else {
+            panic!("expected a checkpoint command, got {message:?}");
         };
-        (chain, *migration)
+        (chain, *migration, *retain_baseline)
+    }
+
+    /// [`start_stateful_migration`] on a pre-copy Manager: the pipeline is
+    /// stopped in `AwaitingPreCopy`.
+    fn start_precopy_migration(m: &mut Manager) -> (ChainId, MigrationId) {
+        let (chain, migration, retain_baseline) = start_stateful_migration(m);
+        assert!(retain_baseline, "pre-copy must retain the baseline");
+        (chain, migration)
     }
 
     #[test]
@@ -2378,7 +2253,7 @@ mod tests {
         }];
         let actions = m.handle_agent_msg(
             StationId::new(0),
-            AgentToManager::ChainPreCopy {
+            AgentToManager::ChainState {
                 chain,
                 client: ClientId::new(0),
                 migration,
@@ -2489,7 +2364,7 @@ mod tests {
         // PrepareChain reply is lost.
         m.handle_agent_msg(
             StationId::new(0),
-            AgentToManager::ChainPreCopy {
+            AgentToManager::ChainState {
                 chain,
                 client: ClientId::new(0),
                 migration,
@@ -2540,5 +2415,172 @@ mod tests {
             m.migrations().find(|r| r.id == migration).unwrap().phase,
             MigrationPhase::TimedOut
         );
+    }
+
+    /// A reply of every kind `advance` understands, addressed to `migration`.
+    fn replies_for(chain: ChainId, migration: MigrationId) -> [AgentToManager; 3] {
+        let client = ClientId::new(0);
+        [
+            AgentToManager::ChainState {
+                chain,
+                client,
+                migration,
+                state: vec![NfStateSnapshot::Firewall {
+                    established: vec![],
+                }],
+                checkpoint_latency: SimDuration::from_millis(30),
+            },
+            AgentToManager::ChainPrepared {
+                chain,
+                client,
+                migration,
+                latency: SimDuration::from_millis(400),
+                images_cached: false,
+            },
+            AgentToManager::ChainDelta {
+                chain,
+                client,
+                migration,
+                deltas: vec![NfStateDelta::Unchanged],
+                checkpoint_latency: SimDuration::from_millis(1),
+            },
+        ]
+    }
+
+    /// A copy of the record, to compare field for field (`gnf-manager` has no
+    /// JSON dependency; the derived `PartialEq` covers every field).
+    fn record_of(m: &Manager, migration: MigrationId) -> MigrationRecord {
+        m.migrations().find(|r| r.id == migration).unwrap().clone()
+    }
+
+    #[test]
+    fn only_the_four_table_pairs_advance_a_migration() {
+        use MigrationPhase::*;
+        const PHASES: [MigrationPhase; 10] = [
+            AwaitingState,
+            AwaitingPreCopy,
+            Preparing,
+            AwaitingDelta,
+            SwitchingOver,
+            Deploying,
+            RemovingOld,
+            Complete,
+            Failed,
+            TimedOut,
+        ];
+        let (source, target) = (StationId::new(0), StationId::new(1));
+        let now = SimTime::from_millis(10_500);
+        for precopy in [false, true] {
+            for phase in PHASES {
+                for kind in 0..3 {
+                    let mut m = Manager::new(GnfConfig::default().with_migration_precopy(true));
+                    let (chain, migration) = start_precopy_migration(&mut m);
+                    let record = m.migrations.get_mut(&migration).unwrap();
+                    record.phase = phase;
+                    // The table is keyed on the phase alone: a wrong-mode
+                    // pair (say a delta for a monolithic record) can only
+                    // arrive in a phase that ignores it.
+                    record.precopy = precopy;
+                    let before = record_of(&m, migration);
+                    let reply = replies_for(chain, migration)[kind].clone();
+                    let actions = m.handle_agent_msg(source, reply, now);
+                    let after = m.migrations().find(|r| r.id == migration).unwrap();
+                    let expected = match (phase, kind) {
+                        (AwaitingState, 0) => Some((Deploying, target)),
+                        (AwaitingPreCopy, 0) => Some((Preparing, target)),
+                        (Preparing, 1) => Some((AwaitingDelta, source)),
+                        (AwaitingDelta, 2) => Some((SwitchingOver, target)),
+                        _ => None,
+                    };
+                    let Some((next, to)) = expected else {
+                        assert!(actions.is_empty(), "{phase:?} × reply {kind}: {actions:?}");
+                        assert_eq!(record_of(&m, migration), before, "{phase:?} × reply {kind}");
+                        continue;
+                    };
+                    assert_eq!(after.phase, next);
+                    assert_eq!(actions.len(), 1, "{phase:?} × reply {kind}");
+                    let ManagerAction::Send { station, message } = &actions[0];
+                    assert_eq!(*station, to);
+                    assert_eq!(message.migration(), Some(migration));
+                    let command_fits = match next {
+                        Deploying => matches!(
+                            message,
+                            ManagerToAgent::DeployChain {
+                                restore_state: Some(state),
+                                ..
+                            } if state.len() == 1
+                        ),
+                        Preparing => matches!(
+                            message,
+                            ManagerToAgent::PrepareChain { precopy_state, .. }
+                                if precopy_state.len() == 1
+                        ),
+                        AwaitingDelta => matches!(message, ManagerToAgent::DeltaChain { .. }),
+                        _ => matches!(
+                            message,
+                            ManagerToAgent::ActivateChain { deltas, .. } if deltas.len() == 1
+                        ),
+                    };
+                    assert!(command_fits, "{phase:?} × reply {kind}: {message:?}");
+                    assert_eq!(
+                        after.switchover_started_at,
+                        (next == AwaitingDelta).then_some(now)
+                    );
+                }
+            }
+        }
+
+        // A reply naming a migration the Manager never opened is ignored.
+        let mut m = Manager::new(GnfConfig::default().with_migration_precopy(true));
+        let (chain, migration) = start_precopy_migration(&mut m);
+        let before = record_of(&m, migration);
+        for reply in replies_for(chain, MigrationId::new(99)) {
+            assert!(m.handle_agent_msg(source, reply, now).is_empty());
+        }
+        assert_eq!(record_of(&m, migration), before);
+        assert_eq!(m.migrations().count(), 1);
+    }
+
+    #[test]
+    fn late_state_for_a_detached_chain_leaves_the_record_untouched() {
+        for precopy in [false, true] {
+            let mut m = Manager::new(GnfConfig::default().with_migration_precopy(precopy));
+            let (chain, migration, retain_baseline) = start_stateful_migration(&mut m);
+            assert_eq!(retain_baseline, precopy);
+            // The operator detaches the chain while the checkpoint is out.
+            let actions = m.detach_chain(chain, SimTime::from_millis(10_050)).unwrap();
+            assert_eq!(actions.len(), 1);
+            m.handle_agent_msg(
+                StationId::new(0),
+                AgentToManager::ChainRemoved {
+                    chain,
+                    client: ClientId::new(0),
+                    migration: None,
+                },
+                SimTime::from_millis(10_080),
+            );
+            assert!(m.attachment(chain).is_none());
+
+            // The checkpoint lands after all: there is nothing left to
+            // deploy, so the record must not claim a command went out.
+            let before = record_of(&m, migration);
+            let state = replies_for(chain, migration)[0].clone();
+            let actions =
+                m.handle_agent_msg(StationId::new(0), state, SimTime::from_millis(10_100));
+            assert!(actions.is_empty());
+            assert_eq!(record_of(&m, migration), before);
+
+            // The deadline sweep times the orphan out; its retry finds no
+            // attachment and launches nothing.
+            let deadline = SimTime::from_secs(10) + m.config().migration_deadline;
+            assert!(m.tick(deadline + SimDuration::from_secs(1)).is_empty());
+            let record = m.migrations().find(|r| r.id == migration).unwrap();
+            assert_eq!(record.phase, MigrationPhase::TimedOut);
+            assert!(m
+                .tick(deadline + m.config().migration_backoff_cap * 2)
+                .is_empty());
+            assert_eq!(m.stats().migration_retries, 0);
+            assert_eq!(m.migrations().count(), 1);
+        }
     }
 }

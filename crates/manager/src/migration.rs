@@ -1,11 +1,23 @@
-//! The per-migration state machine.
+//! The per-migration record the Manager's migration engine drives.
 //!
-//! When a client roams, its chains must follow it. The Manager drives one
-//! [`MigrationRecord`] per (chain, handover): checkpoint the NF state on the
-//! old station, deploy the chain (with the state) on the new station, switch
-//! steering over, and finally tear the old instance down. The record captures
-//! the timeline so experiments can report migration latency and service
-//! downtime.
+//! When a client roams, its chains must follow it. The Manager opens one
+//! [`MigrationRecord`] per (chain, handover) under one of three plans and
+//! advances it reply by reply (`Manager::advance`):
+//!
+//! * **break-before-make** — remove the old instance and deploy a fresh,
+//!   stateless one in parallel: `Deploying → RemovingOld → Complete`;
+//! * **monolithic** make-before-break — checkpoint the NF state on the old
+//!   station, deploy the chain with it on the new one, then tear the old
+//!   instance down: `AwaitingState → Deploying → RemovingOld → Complete`;
+//! * **pre-copy** — the same checkpoint retained as a baseline while the
+//!   source keeps serving, a *staged* deploy on the target, and only the
+//!   dirty delta replayed inside the switchover window: `AwaitingPreCopy →
+//!   Preparing → AwaitingDelta → SwitchingOver → RemovingOld → Complete`.
+//!
+//! Any in-flight phase can instead end in `Failed` or `TimedOut` (rolled
+//! back; a retry runs as a fresh record). The record captures the timeline so
+//! experiments can report migration latency, service downtime and — for
+//! pre-copy — the downtime of the switchover window alone.
 
 use gnf_types::{ChainId, ClientId, MigrationId, SimDuration, SimTime, StationId};
 use serde::{Deserialize, Serialize};

@@ -9,7 +9,7 @@
 //! ```
 
 use gnf_agent::{Agent, AgentConfig, PacketOutcome};
-use gnf_api::messages::ManagerToAgent;
+use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
 use gnf_nf::firewall::{FirewallConfig, FirewallRule};
 use gnf_nf::http_filter::HttpFilterConfig;
@@ -72,7 +72,12 @@ fn main() {
         },
         SimTime::from_secs(1),
     );
-    println!("deploy reply: {:?}\n", replies.first().map(|r| r.label()));
+    match replies.first() {
+        Some(AgentToManager::ChainDeployed { latency, .. }) => {
+            println!("deploy reply: chain deployed after {latency}\n")
+        }
+        other => panic!("the chain must deploy, got {other:?}"),
+    }
 
     let gateway = MacAddr::derived(0xA0, 0);
     let server = Ipv4Addr::new(203, 0, 113, 10);
@@ -138,7 +143,9 @@ fn main() {
 
     println!("\nNF notifications relayed to the Manager:");
     for msg in agent.drain_nf_notifications(now) {
-        println!("  {}", msg.label());
+        if let AgentToManager::NfNotification { nf_name, event, .. } = msg {
+            println!("  {nf_name} [{}]: {}", event.category, event.message);
+        }
     }
 
     println!("\nper-NF statistics:");
