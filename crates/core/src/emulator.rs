@@ -133,7 +133,7 @@ type StationGroup<'a, G> = (StationId, &'a mut Agent, G);
 
 /// Per-client gap state, computed once per client per flush (control-plane
 /// state is frozen between flushes, so it cannot change mid-flush).
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GapState {
     /// No policy attached: traffic flows unprotected, never in a gap.
     NoPolicy,
@@ -208,6 +208,8 @@ pub struct Emulator {
     /// `GnfConfig::region_size > 0`. Station reports are absorbed here and
     /// reach the Manager as per-region summaries on the flush timer.
     regions: BTreeMap<u64, RegionAggregator>,
+    /// `flush_packets`' per-flush gap states; kept only for its allocation.
+    gap_cache: HashMap<(ClientId, StationId), GapState>,
 }
 
 /// Bound on retained fleet metrics samples.
@@ -397,19 +399,22 @@ impl Emulator {
         // generation order; ordering across stations at one timestamp is by
         // station id, which is deterministic (and packets to different
         // stations are independent).
+        //
+        // The batches come out in time order, so they go to the queue's
+        // sorted lane: the ~10^5 pre-generated traffic events never enter
+        // the heap, which stays O(stations) deep for every other event.
         traffic.sort_by_key(|(at, station, _, _)| (*at, *station));
         let mut traffic = traffic.into_iter().peekable();
-        while let Some((at, station, client, packet)) = traffic.next() {
+        queue.schedule_sorted(std::iter::from_fn(|| {
+            let (at, station, client, packet) = traffic.next()?;
             let mut packets = vec![(client, packet)];
-            while let Some((next_at, next_station, _, _)) = traffic.peek() {
-                if *next_at != at || *next_station != station {
-                    break;
-                }
-                let (_, _, client, packet) = traffic.next().expect("peeked");
+            while let Some((_, _, client, packet)) = traffic
+                .next_if(|(next_at, next_station, _, _)| *next_at == at && *next_station == station)
+            {
                 packets.push((client, packet));
             }
-            queue.schedule_at(at, EmuEvent::PacketBatch { station, packets });
-        }
+            Some((at, EmuEvent::PacketBatch { station, packets }))
+        }));
 
         let migration_workers = config.migration_workers.max(1);
         let migration_queue_size = config.migration_queue_size.max(1);
@@ -437,6 +442,7 @@ impl Emulator {
             flight: FlightRecorder::default(),
             sampler: None,
             regions,
+            gap_cache: HashMap::new(),
         }
     }
 
@@ -577,11 +583,7 @@ impl Emulator {
                 megaflow_hit_rate,
                 flow_entries: flow.entries as u64,
                 megaflow_entries: mega.entries as u64,
-                in_flight_migrations: self
-                    .manager
-                    .migrations()
-                    .filter(|m| !m.is_finished())
-                    .count() as u64,
+                in_flight_migrations: self.manager.migrations_in_flight() as u64,
                 dead_stations: self.dead.len() as u64,
                 shard_occupancy,
             });
@@ -902,7 +904,7 @@ impl Emulator {
                     .client(client)
                     .ok()
                     .and_then(|c| c.attached_cell);
-                if old_cell == Some(cell) && self.manager.clients().any(|c| c.client == client) {
+                if old_cell == Some(cell) && self.manager.client(client).is_some() {
                     return;
                 }
                 if old_cell.is_some() && old_cell != Some(cell) {
@@ -1209,6 +1211,32 @@ impl Emulator {
         }
     }
 
+    /// Where `client`'s traffic arriving at `station` (whose Agent is
+    /// `agent`) stands against policy, from the Manager's by-client indexes:
+    /// the client's own attachments and in-flight migrations, never the
+    /// fleet's. With several chains on the station the earliest `ready`
+    /// opens the gate.
+    fn gap_state(&self, agent: &Agent, client: ClientId, station: StationId) -> GapState {
+        let mut wanted = false;
+        let mut ready: Option<SimTime> = None;
+        for attachment in self.manager.attachments_of(client) {
+            wanted = true;
+            if agent.chain(attachment.chain).is_some() {
+                if let Some(at) = self.chain_ready.get(&(station, attachment.chain)) {
+                    ready = Some(ready.map_or(*at, |r| r.min(*at)));
+                }
+            }
+        }
+        match (wanted, ready) {
+            (false, _) => GapState::NoPolicy,
+            (true, Some(at)) => GapState::ReadyAt(at),
+            (true, None) => match self.precopy_hairpin(client, station) {
+                Some(source) => GapState::Hairpin(source),
+                None => GapState::NeverReady,
+            },
+        }
+    }
+
     /// The station whose chain keeps serving `client` while its pre-copy
     /// migration to `station` is in flight, if any. Only pre-copy records
     /// hairpin — the classic monolithic path freezes the source at
@@ -1216,8 +1244,8 @@ impl Emulator {
     fn precopy_hairpin(&self, client: ClientId, station: StationId) -> Option<StationId> {
         let record = self
             .manager
-            .migrations()
-            .find(|m| m.client == client && m.to == station && m.precopy && !m.is_finished())?;
+            .migrations_in_flight_of(client)
+            .find(|m| m.to == station && m.precopy)?;
         let source = record.from;
         if source == station || self.dead.contains_key(&source) {
             return None;
@@ -1241,11 +1269,7 @@ impl Emulator {
             if site.station != station {
                 continue;
             }
-            for attachment in self
-                .manager
-                .attachments()
-                .filter(|a| a.client == device.client)
-            {
+            for attachment in self.manager.attachments_of(device.client) {
                 // Checking the Agent's deployed chains (not just the
                 // Manager's bookkeeping) rejects the stale pre-crash
                 // "active" state that persists until the re-registration
@@ -1369,8 +1393,9 @@ impl Emulator {
 
     /// Delivers every pending packet event: gap-filters on the main thread
     /// (control-plane state is frozen between flushes, so the per-client
-    /// attachment scan happens once per client per flush, not once per
-    /// packet), coalesces the survivors into per-station per-timestamp
+    /// attachment lookup happens once per client per flush, not once per
+    /// packet — and through the Manager's by-client index, so its cost does
+    /// not grow with the fleet), coalesces the survivors into per-station per-timestamp
     /// batches, shards the station work across the configured workers and
     /// merges the results back in station order — the merge is a function of
     /// station ids only, so any worker count produces identical state.
@@ -1379,7 +1404,8 @@ impl Emulator {
             return;
         }
         let mut tally = PacketStats::default();
-        let mut gap_cache: HashMap<(ClientId, StationId), GapState> = HashMap::new();
+        let mut gap_cache = std::mem::take(&mut self.gap_cache);
+        gap_cache.clear();
         let mut jobs: BTreeMap<StationId, Vec<(SimTime, PacketBatch)>> = BTreeMap::new();
         for group in pending.drain(..) {
             tally.generated += group.packets.len() as u64;
@@ -1401,44 +1427,20 @@ impl Emulator {
                 }
                 continue;
             }
-            if !self.agents.contains_key(&group.station) {
+            let Some(agent) = self.agents.get(&group.station) else {
                 tally.dropped_in_gap += group.packets.len() as u64;
                 continue;
-            }
+            };
             let mut batch = PacketBatch::with_capacity(group.packets.len());
             let mut hairpins: BTreeMap<StationId, PacketBatch> = BTreeMap::new();
             for (client, packet) in group.packets {
                 // Does policy say this client's traffic must traverse a
                 // chain right now, and is that chain ready on this station?
-                // The attachment scan runs once per (client, station) per
+                // The index lookup runs once per (client, station) per
                 // flush; each packet then pays one compare.
-                let state = gap_cache.entry((client, group.station)).or_insert_with(|| {
-                    let mut wanted = false;
-                    let mut ready: Option<SimTime> = None;
-                    for attachment in self.manager.attachments().filter(|a| a.client == client) {
-                        wanted = true;
-                        let deployed = self
-                            .agents
-                            .get(&group.station)
-                            .map(|agent| agent.chain(attachment.chain).is_some())
-                            .unwrap_or(false);
-                        if deployed {
-                            if let Some(at) =
-                                self.chain_ready.get(&(group.station, attachment.chain))
-                            {
-                                ready = Some(ready.map_or(*at, |r| r.min(*at)));
-                            }
-                        }
-                    }
-                    match (wanted, ready) {
-                        (false, _) => GapState::NoPolicy,
-                        (true, Some(at)) => GapState::ReadyAt(at),
-                        (true, None) => match self.precopy_hairpin(client, group.station) {
-                            Some(source) => GapState::Hairpin(source),
-                            None => GapState::NeverReady,
-                        },
-                    }
-                });
+                let state = gap_cache
+                    .entry((client, group.station))
+                    .or_insert_with(|| self.gap_state(agent, client, group.station));
                 let in_gap = match state {
                     GapState::NoPolicy | GapState::Hairpin(_) => false,
                     GapState::ReadyAt(at) => group.time < *at,
@@ -1526,6 +1528,8 @@ impl Emulator {
                 );
             }
         }
+
+        self.gap_cache = gap_cache;
 
         // One add per counter per flush instead of one per packet.
         self.packets.generated += tally.generated;
@@ -1869,6 +1873,108 @@ mod tests {
             pool.commands >= 5,
             "precopy + prepare + delta + activate + remove, got {pool:?}"
         );
+    }
+
+    /// The four gap outcomes, each read through the Manager's by-client
+    /// indexes, in a fleet where every other client is in another state.
+    #[test]
+    fn gap_state_is_read_per_client_from_the_manager_indexes() {
+        use crate::chaos::{FaultKind, FaultSchedule};
+        use gnf_edge::RoamTrace;
+
+        let roam_at = SimTime::from_secs(20);
+        // Clients 0–3 start on stations 0–3; stations 4 and 5 are roam
+        // targets. Returns the emulator after `run_for` of virtual time.
+        let run_for = |duration: SimDuration| {
+            let config = GnfConfig {
+                migration_precopy: true,
+                ..Default::default()
+            };
+            let mut builder = Scenario::builder(6, HostClass::EdgeServer);
+            let clients = builder.add_clients(4, TrafficProfile::smartphone());
+            let one_nf = || vec![sample_specs()[0].clone()];
+            let all = TrafficSelector::all();
+            let scenario = builder
+                .with_config(config)
+                .with_duration(duration)
+                // Client 0: no policy. Client 1: two chains, ready at
+                // different times. Clients 2 and 3: one chain each, roaming.
+                .attach_policy(clients[1], one_nf(), all, SimTime::from_secs(1))
+                .attach_policy(clients[1], one_nf(), all, SimTime::from_secs(3))
+                .attach_policy(clients[2], one_nf(), all, SimTime::from_secs(1))
+                .attach_policy(clients[3], one_nf(), all, SimTime::from_secs(1))
+                .with_mobility(Mobility::Trace(
+                    RoamTrace::new()
+                        .roam(roam_at, clients[2], CellId::new(4))
+                        .roam(roam_at, clients[3], CellId::new(5)),
+                ))
+                .build();
+            let mut emulator = Emulator::new(scenario);
+            // Client 3's source dies right behind it, for longer than the run.
+            let mut faults = FaultSchedule::new();
+            faults.push(
+                roam_at + SimDuration::from_millis(1),
+                FaultKind::StationCrash {
+                    station: StationId::new(3),
+                    down_for: SimDuration::from_secs(600),
+                },
+            );
+            emulator.set_fault_schedule(faults);
+            emulator.run();
+            (emulator, clients)
+        };
+        let gap = |emulator: &Emulator, client: ClientId, station: u64| {
+            let station = StationId::new(station);
+            let agent = emulator.agent(station).expect("station exists");
+            emulator.gap_state(agent, client, station)
+        };
+
+        // Stop at the first instant both pre-copy migrations are in flight.
+        let (emulator, clients) = (1..40)
+            .map(|step| {
+                run_for(roam_at.duration_since(SimTime::ZERO) + SimDuration::from_millis(50 * step))
+            })
+            .find(|(emulator, _)| emulator.manager().migrations_in_flight() == 2)
+            .expect("both roams are mid-migration at some 50 ms step");
+
+        // No attachment at all.
+        assert_eq!(gap(&emulator, clients[0], 0), GapState::NoPolicy);
+
+        // Two chains on one station: the earlier `ready` opens the gate.
+        let ready: Vec<SimTime> = emulator
+            .manager()
+            .attachments_of(clients[1])
+            .map(|a| emulator.chain_ready[&(StationId::new(1), a.chain)])
+            .collect();
+        assert_eq!(ready.len(), 2);
+        assert!(ready[0] < ready[1], "the chains came up at different times");
+        assert_eq!(gap(&emulator, clients[1], 1), GapState::ReadyAt(ready[0]));
+        // The same client seen from a station that runs none of its chains.
+        assert_eq!(gap(&emulator, clients[1], 0), GapState::NeverReady);
+
+        // Mid pre-copy: the target hairpins to the still-serving source.
+        let moving = emulator
+            .manager()
+            .migrations_in_flight_of(clients[2])
+            .next()
+            .expect("client 2 is mid-migration");
+        assert!(moving.precopy);
+        assert_eq!((moving.from.raw(), moving.to.raw()), (2, 4));
+        assert_eq!(
+            gap(&emulator, clients[2], 4),
+            GapState::Hairpin(StationId::new(2))
+        );
+
+        // Same phase, dead source: nothing can serve, the client is in the gap.
+        assert_eq!(
+            emulator
+                .manager()
+                .migrations_in_flight_of(clients[3])
+                .count(),
+            1
+        );
+        assert!(emulator.dead.contains_key(&StationId::new(3)));
+        assert_eq!(gap(&emulator, clients[3], 5), GapState::NeverReady);
     }
 
     #[test]

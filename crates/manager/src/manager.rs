@@ -167,6 +167,12 @@ pub struct Manager {
     /// (by-client, by-station, window boundaries, dirty set).
     desired: DesiredState,
     migrations: BTreeMap<MigrationId, MigrationRecord>,
+    /// The unfinished migrations, keyed for a by-client range scan: exactly
+    /// the records with `!is_finished()`. `open_migration` enters a record
+    /// and every later phase change goes through `set_phase`, which re-files
+    /// it — so per-client lookups and the in-flight count never walk the
+    /// migration history, and the index cannot drift from the records.
+    in_flight: BTreeSet<(ClientId, MigrationId)>,
     /// In-flight migration deadlines ordered by expiry: the tick-time
     /// timeout scan pops only due entries instead of filtering the whole
     /// migration table. Entries are validated lazily against the live
@@ -215,6 +221,7 @@ impl Manager {
             clients: BTreeMap::new(),
             desired: DesiredState::new(),
             migrations: BTreeMap::new(),
+            in_flight: BTreeSet::new(),
             deadline_index: BTreeSet::new(),
             monitoring,
             reassembler: ReportReassembler::new(),
@@ -815,9 +822,20 @@ impl Manager {
         self.clients.values()
     }
 
+    /// One client, by id.
+    pub fn client(&self, client: ClientId) -> Option<&ClientRecord> {
+        self.clients.get(&client)
+    }
+
     /// Chain attachments.
     pub fn attachments(&self) -> impl Iterator<Item = &AttachmentRecord> {
         self.desired.iter()
+    }
+
+    /// The attachments following one client, in chain order — an index
+    /// lookup, not a filter over [`Manager::attachments`].
+    pub fn attachments_of(&self, client: ClientId) -> impl Iterator<Item = &AttachmentRecord> {
+        self.desired.attachments_of(client)
     }
 
     /// One attachment.
@@ -828,6 +846,23 @@ impl Manager {
     /// Migration history (including in-flight migrations).
     pub fn migrations(&self) -> impl Iterator<Item = &MigrationRecord> {
         self.migrations.values()
+    }
+
+    /// One client's unfinished migrations, in migration-id order — the
+    /// records [`Manager::migrations`] yields for it with `!is_finished()`,
+    /// found through the in-flight index.
+    pub fn migrations_in_flight_of(
+        &self,
+        client: ClientId,
+    ) -> impl Iterator<Item = &MigrationRecord> {
+        self.in_flight
+            .range((client, MigrationId::new(0))..=(client, MigrationId::new(u64::MAX)))
+            .filter_map(|(_, id)| self.migrations.get(id))
+    }
+
+    /// How many migrations are unfinished, fleet-wide.
+    pub fn migrations_in_flight(&self) -> usize {
+        self.in_flight.len()
     }
 
     /// The notification log.
@@ -1008,6 +1043,7 @@ impl Manager {
         let deadline = now + self.config.migration_deadline;
         record.deadline = Some(deadline);
         self.deadline_index.insert((deadline, id));
+        self.in_flight.insert((client, id));
         self.stats.migrations_started += 1;
         self.migrations.entry(id).or_insert(record)
     }
@@ -1150,8 +1186,24 @@ impl Manager {
             }
         };
         Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = next;
+        Self::set_phase(&mut self.in_flight, record, next);
         vec![action]
+    }
+
+    /// The one way a record changes phase after `open_migration`: files it
+    /// in or out of the in-flight index as the new phase demands. (An
+    /// associated function: callers hold the record borrowed.)
+    fn set_phase(
+        in_flight: &mut BTreeSet<(ClientId, MigrationId)>,
+        record: &mut MigrationRecord,
+        phase: MigrationPhase,
+    ) {
+        record.phase = phase;
+        if record.is_finished() {
+            in_flight.remove(&(record.client, record.id));
+        } else {
+            in_flight.insert((record.client, record.id));
+        }
     }
 
     /// Marks migration `id` complete at `now`.
@@ -1160,7 +1212,7 @@ impl Manager {
             return;
         };
         Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = MigrationPhase::Complete;
+        Self::set_phase(&mut self.in_flight, record, MigrationPhase::Complete);
         record.completed_at = Some(now);
         Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
         self.stats.migrations_completed += 1;
@@ -1186,7 +1238,7 @@ impl Manager {
     ) -> Option<ManagerAction> {
         let record = self.migrations.get_mut(&id)?;
         Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-        record.phase = phase;
+        Self::set_phase(&mut self.in_flight, record, phase);
         record.failure = Some(failure);
         Self::trace_outcome(&mut self.trace, &mut self.phase_entered, record, now);
         let (chain, client, from, to) = (record.chain, record.client, record.from, record.to);
@@ -1270,7 +1322,8 @@ impl Manager {
             ) {
                 if record.with_state || record.completed_at.is_none() {
                     Self::trace_phase_left(&mut self.trace, &mut self.phase_entered, record, now);
-                    record.phase = MigrationPhase::RemovingOld;
+                    // (Back in flight when this resurrects a `TimedOut`.)
+                    Self::set_phase(&mut self.in_flight, record, MigrationPhase::RemovingOld);
                     // A stateful move tears the source down only now; a
                     // break-before-make removal went out with the deploy
                     // and is still outstanding (`on_chain_removed`

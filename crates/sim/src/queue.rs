@@ -9,12 +9,29 @@
 //! The queue is generic over the event payload so the kernel can be tested in
 //! isolation and reused by any world model (the GNF emulator defines its own
 //! event enum in `gnf-core`).
+//!
+//! # Two lanes, one order
+//!
+//! Entries live in one of two containers: a binary heap, which accepts any
+//! time, and a FIFO *sorted lane* fed by [`EventQueue::schedule_sorted`],
+//! which holds a run whose times were already non-decreasing when it was
+//! scheduled (the emulator's pre-generated traffic). Both draw their
+//! sequence numbers from the one counter, so every entry has a unique
+//! `(time, seq)` key whichever container holds it, and the lane only ever
+//! appends an entry whose key exceeds its current tail's — anything else
+//! goes to the heap. The lane is therefore sorted by key front to back, its
+//! head is its minimum, the heap's head is the heap's minimum, and popping
+//! the smaller of the two heads pops the global minimum: the pop order is the
+//! total order by `(time, seq)`, exactly what a single heap fed the same
+//! calls through [`EventQueue::schedule_at`] produces. What the lane buys is
+//! cost: a sorted run of `n` entries is appended and popped in `O(1)` each and
+//! never deepens the heap that every other event sifts through.
 
 use gnf_types::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Internal heap entry. Ordered so that the *earliest* time pops first and,
+/// Internal queue entry. Ordered so that the *earliest* time pops first and,
 /// within a time, the lowest sequence number pops first.
 struct Entry<E> {
     time: SimTime,
@@ -22,9 +39,16 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    /// The total-order key: unique per entry, across both lanes.
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -38,10 +62,7 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the smallest (time, seq) wins.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -57,6 +78,8 @@ pub struct Scheduled<E> {
 /// A deterministic, time-ordered event queue with a virtual clock.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The sorted lane: keys strictly increase front to back.
+    lane: VecDeque<Entry<E>>,
     now: SimTime,
     next_seq: u64,
     scheduled_total: u64,
@@ -74,6 +97,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             scheduled_total: 0,
@@ -88,12 +112,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// Total number of events ever scheduled.
@@ -109,11 +133,36 @@ impl<E> EventQueue<E> {
     /// Schedules an event at an absolute time. Times in the past are clamped
     /// to `now` (the event will still run, immediately, preserving causality).
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
+        let entry = self.stamp(time, event);
+        self.heap.push(entry);
+    }
+
+    /// Schedules a run of events whose times are already non-decreasing —
+    /// the same clamping, sequence numbers and pop order as one
+    /// [`schedule_at`](EventQueue::schedule_at) call per element, but an
+    /// in-order element is appended to the sorted lane instead of being
+    /// sifted into the heap. An element that is earlier than the lane's tail
+    /// (an unsorted input, or one clamped to `now` behind a later tail) just
+    /// takes the heap: always correct, merely not faster.
+    pub fn schedule_sorted(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
+        for (time, event) in events {
+            let entry = self.stamp(time, event);
+            // Sequence numbers only grow, so the key exceeds the tail's
+            // exactly when the time does not precede it.
+            match self.lane.back() {
+                Some(tail) if entry.time < tail.time => self.heap.push(entry),
+                _ => self.lane.push_back(entry),
+            }
+        }
+    }
+
+    /// Clamps `time` to the clock and draws the next sequence number.
+    fn stamp(&mut self, time: SimTime, event: E) -> Entry<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.heap.push(Entry { time, seq, event });
+        Entry { time, seq, event }
     }
 
     /// Schedules an event `delay` after the current time.
@@ -129,12 +178,29 @@ impl<E> EventQueue<E> {
 
     /// The time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let next = if self.lane_is_next() {
+            self.lane.front()
+        } else {
+            self.heap.peek()
+        };
+        next.map(|e| e.time)
+    }
+
+    /// True when the next entry in `(time, seq)` order is the lane's head.
+    fn lane_is_next(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(heap)) => lane.key() < heap.key(),
+            (lane, _) => lane.is_some(),
+        }
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let entry = self.heap.pop()?;
+        let entry = if self.lane_is_next() {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
         debug_assert!(entry.time >= self.now, "virtual time must not go backwards");
         self.now = entry.time;
         self.processed_total += 1;
@@ -164,6 +230,7 @@ impl<E> EventQueue<E> {
     /// Drops every pending event (used when a scenario is aborted).
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
     }
 }
 
@@ -245,5 +312,81 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 2);
+    }
+
+    fn at_secs<E>(run: impl IntoIterator<Item = (u64, E)>) -> Vec<(SimTime, E)> {
+        run.into_iter()
+            .map(|(s, e)| (SimTime::from_secs(s), e))
+            .collect()
+    }
+
+    #[test]
+    fn a_sorted_run_never_touches_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_sorted(at_secs([(1, "a"), (1, "b"), (2, "c"), (5, "d")]));
+        assert!(q.heap.is_empty());
+        assert_eq!(q.lane.len(), 4);
+        // A second run continuing at or after the tail extends the lane.
+        q.schedule_sorted(at_secs([(5, "e"), (9, "f")]));
+        assert!(q.heap.is_empty());
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        assert_eq!(order, vec!["a", "b", "c", "d", "e", "f"]);
+    }
+
+    #[test]
+    fn out_of_order_and_past_elements_fall_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(4), "clock");
+        q.pop();
+        // "early" precedes the tail; "past" is clamped to now = 4 s, behind
+        // the 7 s tail: both take the heap and still pop in key order.
+        q.schedule_sorted(at_secs([
+            (7, "tail"),
+            (6, "early"),
+            (1, "past"),
+            (7, "tie"),
+        ]));
+        assert_eq!(q.heap.len(), 2);
+        assert_eq!(q.lane.len(), 2);
+        let popped: Vec<(SimTime, &str)> =
+            std::iter::from_fn(|| q.pop().map(|s| (s.time, s.event))).collect();
+        assert_eq!(
+            popped,
+            at_secs([(4, "past"), (6, "early"), (7, "tail"), (7, "tie")])
+        );
+    }
+
+    #[test]
+    fn accessors_cover_both_lanes() {
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(SimTime::from_secs(3), "heap-3");
+        q.schedule_sorted(at_secs([(2, "lane-2"), (3, "lane-3")]));
+        q.schedule_at(SimTime::from_secs(1), "heap-1");
+        assert_eq!(q.len(), 4);
+        assert!(!q.is_empty());
+        assert_eq!(q.scheduled_total(), 4);
+
+        // The head is whichever lane holds the smaller (time, seq).
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.pop().unwrap().event, "heap-1");
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.pop_until(SimTime::from_secs(2)).unwrap().event, "lane-2");
+        assert!(q.pop_until(SimTime::from_secs(2)).is_none());
+        // Same time in both lanes: insertion order decides.
+        assert_eq!(q.pop().unwrap().event, "heap-3");
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
+
+        q.schedule_at(SimTime::from_secs(8), "heap-8");
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
+        assert_eq!(q.scheduled_total(), 5);
+        assert_eq!(q.processed_total(), 3);
     }
 }

@@ -35,6 +35,77 @@ proptest! {
         prop_assert_eq!(order, expected);
     }
 
+    /// The two-lane queue is observationally a single heap: any interleaving
+    /// of `schedule_at`, `schedule_sorted` (sorted, raw, constant-time and —
+    /// once pops have moved the clock — past-time runs) and `pop_until`
+    /// pops the sequence a reference queue pops when it is fed the same
+    /// events through `schedule_at` only.
+    #[test]
+    fn sorted_lane_pops_exactly_like_schedule_at_only(
+        ops in proptest::collection::vec(
+            (0u8..5, 0u64..400, proptest::collection::vec(0u64..400, 0..12)),
+            1..40,
+        )
+    ) {
+        let mut lanes: EventQueue<u32> = EventQueue::new();
+        let mut reference: EventQueue<u32> = EventQueue::new();
+        let mut next_event = 0u32;
+        let mut tag = |times: Vec<u64>| -> Vec<(SimTime, u32)> {
+            times
+                .into_iter()
+                .map(|t| {
+                    next_event += 1;
+                    (SimTime::from_millis(t), next_event)
+                })
+                .collect()
+        };
+        for (kind, t, mut run) in ops {
+            match kind {
+                0 => {
+                    let (time, event) = tag(vec![t])[0];
+                    lanes.schedule_at(time, event);
+                    reference.schedule_at(time, event);
+                }
+                4 => {
+                    // Pops move the clock, so later runs start in the past.
+                    let limit = SimTime::from_millis(t);
+                    loop {
+                        let (got, want) = (lanes.pop_until(limit), reference.pop_until(limit));
+                        prop_assert_eq!(&got, &want);
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+                shape => {
+                    match shape {
+                        1 => run.sort_unstable(),
+                        2 => run.fill(t),
+                        _ => {} // raw: unsorted, with duplicates
+                    }
+                    let run = tag(run);
+                    for (time, event) in &run {
+                        reference.schedule_at(*time, *event);
+                    }
+                    lanes.schedule_sorted(run);
+                }
+            }
+            prop_assert_eq!(lanes.len(), reference.len());
+            prop_assert_eq!(lanes.is_empty(), reference.is_empty());
+            prop_assert_eq!(lanes.peek_time(), reference.peek_time());
+            prop_assert_eq!(lanes.now(), reference.now());
+            prop_assert_eq!(lanes.scheduled_total(), reference.scheduled_total());
+        }
+        loop {
+            let (got, want) = (lanes.pop(), reference.pop());
+            prop_assert_eq!(&got, &want);
+            if got.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(lanes.processed_total(), reference.processed_total());
+    }
+
     #[test]
     fn rng_is_deterministic_per_seed(seed in any::<u64>()) {
         let mut a = Rng::new(seed);

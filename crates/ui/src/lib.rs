@@ -150,7 +150,7 @@ impl Dashboard {
             enabled_chains: manager.attachments().filter(|a| a.active).count(),
             running_nfs: monitoring.running_nfs(),
             migrations_completed: manager.stats().migrations_completed,
-            migrations_in_flight: manager.migrations().filter(|m| !m.is_finished()).count(),
+            migrations_in_flight: manager.migrations_in_flight(),
             critical_notifications: manager
                 .notifications()
                 .total(NotificationSeverity::Critical),

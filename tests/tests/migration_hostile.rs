@@ -2,8 +2,9 @@
 //! whatever order, multiplicity or subset of an otherwise valid exchange
 //! reaches the Manager's transition function or an Agent's chain lifecycle,
 //! the answer is a typed reply or a no-op — never a panic, a migration
-//! completed twice, a chain serving where nothing confirmed a deploy, or a
-//! staged chain that owns steering.
+//! completed twice, a chain serving where nothing confirmed a deploy, a
+//! staged chain that owns steering, or an in-flight index that disagrees
+//! with the migration records.
 
 use gnf_agent::{Agent, AgentConfig};
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
@@ -152,6 +153,29 @@ fn record_roam(config: GnfConfig) -> Roam {
     }
 }
 
+/// The Manager's in-flight index answers exactly what a scan of the migration
+/// history answers — per client in id order, and as a fleet-wide count —
+/// wherever open / advance / abort / complete / resurrect left the records.
+fn check_in_flight_index(manager: &Manager) -> Result<(), TestCaseError> {
+    for client in [CLIENT, ClientId::new(1)] {
+        let indexed: Vec<MigrationId> = manager
+            .migrations_in_flight_of(client)
+            .map(|m| m.id)
+            .collect();
+        let scanned: Vec<MigrationId> = manager
+            .migrations()
+            .filter(|m| m.client == client && !m.is_finished())
+            .map(|m| m.id)
+            .collect();
+        prop_assert_eq!(indexed, scanned);
+    }
+    prop_assert_eq!(
+        manager.migrations_in_flight(),
+        manager.migrations().filter(|m| !m.is_finished()).count()
+    );
+    Ok(())
+}
+
 /// Replays the roam's set-up into a fresh Manager, then delivers `picks` —
 /// arbitrary indices into the valid replies (so any reply may be dropped,
 /// repeated or reordered), the index one past the end standing for "the
@@ -172,6 +196,7 @@ fn replay_hostile(roam: &Roam, picks: &[usize]) -> Result<(), TestCaseError> {
         let Some((station, msg)) = delivery else {
             now += roam.config.migration_deadline + SimDuration::from_secs(1);
             manager.tick(now);
+            check_in_flight_index(&manager)?;
             continue;
         };
         now += SimDuration::from_millis(10);
@@ -179,6 +204,7 @@ fn replay_hostile(roam: &Roam, picks: &[usize]) -> Result<(), TestCaseError> {
             confirmed.insert(*station);
         }
         manager.handle_agent_msg(*station, msg.clone(), now);
+        check_in_flight_index(&manager)?;
 
         let stats = manager.stats();
         prop_assert!(stats.migrations_completed <= stats.migrations_started);

@@ -1,0 +1,215 @@
+#!/usr/bin/env python3
+"""Paired parent/change benchmark runs, written to a checked-in ledger.
+
+The protocol of `choosing-metrics` §8 on the repository benchmark
+(`BENCHMARK.json`): export the parent and the change into two fresh
+directories, build each once, run >= 10 alternating parent/change pairs of
+the `BENCHMARK.json` command on the claimed workload, run every other
+workload once per side, and record every run. A gain is claimed only when the
+change wins at least nine tenths of the pairs (ties count for neither) and
+the medians are further apart than the parent's own quartile distance.
+
+    # measure: the staged index against HEAD, both seeds, write the ledger
+    tools/bench_pair.py --parent HEAD --change INDEX --workload fleet_steady \
+        --metric pkts_per_s --seeds 7,1016 --pairs 10 --out BENCH_15.json
+    # CI: parse a ledger and fail if any RunReport digest pair differs
+    tools/bench_pair.py --check BENCH_15.json
+
+A side is a git revision (exported with `git archive`) or the literal
+`INDEX`, the staged index (`git checkout-index`) — what a not-yet-committed
+PR is. Either way a side is exactly the tracked files in a new directory,
+which is how the benchmark driver runs them.
+"""
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGEST = re.compile(r"RunReport fnv ([0-9a-f]+)")
+
+
+def git(*args):
+    return subprocess.run(
+        ("git", "-C", REPO) + args, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export(side, into):
+    """Materialises `side` under `into`; returns what identifies its source."""
+    os.makedirs(into)
+    if side == "INDEX":
+        subprocess.run(
+            ("git", "-C", REPO, "checkout-index", "-a", "-f", f"--prefix={into}/"),
+            check=True,
+        )
+        return {"rev": git("rev-parse", "HEAD") + "+index", "tree": git("write-tree")}
+    rev = git("rev-parse", side)
+    archive = subprocess.Popen(("git", "-C", REPO, "archive", rev), stdout=subprocess.PIPE)
+    subprocess.run(("tar", "-x", "-C", into), stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+    return {"rev": rev, "tree": git("rev-parse", f"{rev}^{{tree}}")}
+
+
+def build(command, cwd):
+    """Builds what `command` runs, so no timed run pays for compilation."""
+    if command[:2] != ["cargo", "run"]:
+        raise SystemExit("BENCHMARK.json command is not `cargo run ...`; teach build() about it")
+    subprocess.run(["cargo", "build"] + [a for a in command[2:] if a != "--"], cwd=cwd, check=True)
+
+
+def run(command, cwd, workload, seed, seconds):
+    """One driver-mode run: the end-to-end metrics, the operation counts and
+    the RunReport digest it printed."""
+    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command + args, cwd=cwd, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{workload} failed in {cwd}:\n{done.stdout}\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    digest = DIGEST.search(done.stdout)
+    return {
+        "metrics": {name: row["value"] for name, row in result["metrics"].items()},
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "digest": digest.group(1) if digest else None,
+    }
+
+
+def one_digest(runs):
+    """The digest every run printed — or all of them, if one side's runs
+    already disagree (which `check` then reports as a difference)."""
+    found = sorted({run["digest"] for run in runs})
+    return found[0] if len(found) == 1 else found
+
+
+def spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def judge(pairs, metric, higher_is_better):
+    """The §8 rule over the recorded pairs."""
+    parent = [p["parent"]["metrics"][metric] for p in pairs]
+    change = [p["change"]["metrics"][metric] for p in pairs]
+    sign = 1 if higher_is_better else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    parent_stats, change_stats = spread(parent), spread(change)
+    gap = sign * (change_stats["median"] - parent_stats["median"])
+    return {
+        "metric": metric,
+        "pairs": len(pairs),
+        "wins": wins,
+        "ties": ties,
+        "parent": parent_stats,
+        "change": change_stats,
+        "median_ratio": change_stats["median"] / parent_stats["median"],
+        "gain": wins >= 0.9 * len(pairs) and gap > parent_stats["q3"] - parent_stats["q1"],
+    }
+
+
+def measure(args):
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    command, seconds = bench["command"], bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload not in workloads or args.metric not in better:
+        raise SystemExit(f"unknown workload or metric; have {workloads} x {list(better)}")
+    if args.pairs < 10:
+        raise SystemExit("the protocol needs at least ten pairs")
+
+    scratch = tempfile.mkdtemp(prefix="bench_pair_", dir=args.scratch)
+    dirs = {side: os.path.join(scratch, side) for side in ("parent", "change")}
+    ledger = {
+        "protocol": "choosing-metrics §8: alternating parent/change pairs of the BENCHMARK.json command",
+        "command": command,
+        "run_seconds": seconds,
+        "nproc": os.cpu_count(),
+        "parent": export(args.parent, dirs["parent"]),
+        "change": export(args.change, dirs["change"]),
+        "claim": {"workload": args.workload, "metric": args.metric},
+        "seeds": {},
+    }
+    for cwd in dirs.values():
+        build(command, cwd)
+
+    def pair(i, workload, seed):
+        """Both sides once; which goes first alternates with `i`."""
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {side: run(command, dirs[side], workload, seed, seconds) for side in order}
+        return {"first": order[0], **runs}
+
+    for seed in args.seeds:
+        pairs = []
+        for i in range(args.pairs):
+            pairs.append(pair(i, args.workload, seed))
+            print(f"seed {seed} pair {i + 1}/{args.pairs}:",
+                  *(f"{side} {pairs[-1][side]['metrics'][args.metric]:.6g}" for side in dirs),
+                  flush=True)
+        others = {
+            name: pair(i, name, seed)
+            for i, name in enumerate(w for w in workloads if w != args.workload)
+        }
+        digests = {name: {side: sides[side]["digest"] for side in dirs} for name, sides in others.items()}
+        digests[args.workload] = {side: one_digest(p[side] for p in pairs) for side in dirs}
+        verdict = judge(pairs, args.metric, better[args.metric] == "higher")
+        print(f"seed {seed}: {verdict}", flush=True)
+        ledger["seeds"][str(seed)] = {
+            "verdict": verdict,
+            "pairs": pairs,
+            "others": others,
+            "digests": digests,
+        }
+
+    with open(args.out, "w") as f:
+        json.dump(ledger, f, indent=1)
+        f.write("\n")
+    print(f"wrote {args.out}; exports and builds left in {scratch}")
+    return check(args.out)
+
+
+def check(path):
+    """Fails (returns 1) if any parent/change digest pair in the ledger differs."""
+    with open(path) as f:
+        ledger = json.load(f)
+    bad = 0
+    for seed, block in ledger["seeds"].items():
+        for workload, sides in sorted(block["digests"].items()):
+            same = isinstance(sides["parent"], str) and sides["parent"] == sides["change"]
+            bad += not same
+            print(f"seed {seed:>5} {workload:<16} parent {sides['parent']} change {sides['change']}"
+                  f" {'identical' if same else 'DIFFERENT'}")
+    if not ledger["seeds"]:
+        print(f"{path}: no seeds recorded")
+        bad += 1
+    return 1 if bad else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--check", metavar="LEDGER", help="only verify a ledger's digest pairs")
+    parser.add_argument("--parent", default="HEAD", help="git revision or INDEX")
+    parser.add_argument("--change", default="INDEX", help="git revision or INDEX")
+    parser.add_argument("--workload", help="the workload the claim is about")
+    parser.add_argument("--metric", default="pkts_per_s", help="the end-to-end metric claimed")
+    parser.add_argument("--seeds", default="7", type=lambda s: [int(x) for x in s.split(",")])
+    parser.add_argument("--pairs", default=10, type=int)
+    parser.add_argument("--out", help="ledger file to write")
+    parser.add_argument("--scratch", help="where the two exports are built (default: the system temp dir)")
+    args = parser.parse_args()
+    if args.check:
+        return check(args.check)
+    if not (args.workload and args.out):
+        parser.error("measuring needs --workload and --out")
+    return measure(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
