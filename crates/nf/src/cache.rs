@@ -113,14 +113,13 @@ impl NetworkFunction for HttpCache {
 
         let verdict = match direction {
             Direction::Ingress => {
-                if let Some(req) = packet.http_request() {
+                if let Some(req) = packet.http_request_view() {
                     if req.method == HttpMethod::Get {
                         let url = req.url();
                         if let Some(cached) = self.entries.get(&url).cloned() {
                             self.hits += 1;
                             self.touch(&url);
                             let tuple = packet.five_tuple().expect("HTTP request is TCP/IPv4");
-                            let tcp = packet.tcp().expect("HTTP request has TCP");
                             let response = HttpResponse::parse(&cached)
                                 .unwrap_or_else(|_| HttpResponse::ok(&cached));
                             let reply = builder::http_response(
@@ -128,7 +127,7 @@ impl NetworkFunction for HttpCache {
                                 packet.src_mac(),
                                 tuple.dst_ip,
                                 tuple.src_ip,
-                                tcp.src_port,
+                                tuple.src_port,
                                 &response,
                             );
                             Verdict::Reply(vec![reply])
@@ -271,6 +270,9 @@ mod tests {
         let served = HttpResponse::parse(replies[0].tcp_payload().unwrap()).unwrap();
         assert_eq!(served.status, 200);
         assert_eq!(served.body, b"PNG-BYTES");
+        // The reply heads back to the requesting flow's own port.
+        let tuple = replies[0].five_tuple().unwrap();
+        assert_eq!((tuple.dst_ip, tuple.dst_port), (client_ip(), 41_001));
         assert_eq!(cache.hits(), 1);
         assert!((cache.hit_ratio() - 0.5).abs() < 1e-12);
     }

@@ -397,13 +397,16 @@ impl NfChain {
             .sum()
     }
 
-    /// Drains pending events from every NF in the chain.
+    /// Drains pending events from every NF in the chain, each paired with
+    /// the name of the NF that raised it. An NF is only named when it has
+    /// events, so draining an idle chain allocates nothing.
     pub fn drain_events(&mut self) -> Vec<(String, NfEvent)> {
         let mut out = Vec::new();
         for nf in &mut self.nfs {
-            let name = nf.name().to_string();
-            for event in nf.drain_events() {
-                out.push((name.clone(), event));
+            let events = nf.drain_events();
+            if !events.is_empty() {
+                let name = nf.name().to_string();
+                out.extend(events.into_iter().map(|event| (name.clone(), event)));
             }
         }
         out

@@ -26,17 +26,33 @@ pub enum UrlPattern {
 }
 
 impl UrlPattern {
-    /// True when the pattern matches the request's host and path.
+    /// True when the pattern matches the request's host and path. Hosts
+    /// compare ASCII-case-insensitively, paths exactly; the host and path
+    /// patterns compare in place, without allocating.
     pub fn matches(&self, host: &str, path: &str) -> bool {
-        let host = host.to_ascii_lowercase();
         match self {
-            UrlPattern::HostExact(h) => host == h.to_ascii_lowercase(),
+            UrlPattern::HostExact(h) => host.eq_ignore_ascii_case(h),
             UrlPattern::HostSuffix(suffix) => {
-                let suffix = suffix.to_ascii_lowercase();
-                host == suffix || host.ends_with(&format!(".{suffix}"))
+                let (host, suffix) = (host.as_bytes(), suffix.as_bytes());
+                match host.len().checked_sub(suffix.len()) {
+                    Some(0) => host.eq_ignore_ascii_case(suffix),
+                    // A longer host matches on a label boundary only.
+                    Some(at) => host[at - 1] == b'.' && host[at..].eq_ignore_ascii_case(suffix),
+                    None => false,
+                }
             }
             UrlPattern::UrlContains(needle) => {
-                format!("{host}{path}").contains(&needle.to_ascii_lowercase())
+                // The URL is the lower-cased host followed by the path as
+                // sent; it must contain the lower-cased needle.
+                let mut url = host.to_ascii_lowercase();
+                url.push_str(path);
+                needle.is_empty()
+                    || url.as_bytes().windows(needle.len()).any(|window| {
+                        window
+                            .iter()
+                            .zip(needle.bytes())
+                            .all(|(byte, wanted)| *byte == wanted.to_ascii_lowercase())
+                    })
             }
             UrlPattern::PathPrefix(prefix) => path.starts_with(prefix.as_str()),
         }
@@ -117,41 +133,42 @@ impl NetworkFunction for HttpFilter {
         self.stats.record_in(packet.len());
 
         // Only client→network traffic carries requests worth inspecting.
-        let request = if direction == Direction::Ingress {
-            packet.http_request()
-        } else {
-            None
-        };
+        // The request is read through a view borrowing the frame; only a
+        // blocked request's URL is copied out (for the event and the drop
+        // reason), so a pass-through request allocates nothing.
+        let blocked_url = match direction {
+            Direction::Ingress => packet.http_request_view(),
+            Direction::Egress => None,
+        }
+        .and_then(|req| {
+            self.inspected_requests += 1;
+            let host = req.host().unwrap_or("");
+            self.is_blocked(host, req.path)
+                .then(|| format!("{host}{}", req.path))
+        });
 
-        let verdict = match request {
-            Some(req) => {
-                self.inspected_requests += 1;
-                let host = req.host().unwrap_or("").to_string();
-                if self.is_blocked(&host, &req.path) {
-                    self.blocked_requests += 1;
-                    self.events.push(NfEvent::warning(
-                        "blocked-url",
-                        format!("blocked HTTP request to {}{}", host, req.path),
-                    ));
-                    if self.config.respond_with_403 {
-                        let tuple = packet
-                            .five_tuple()
-                            .expect("an HTTP request is always TCP/IPv4");
-                        let tcp = packet.tcp().expect("an HTTP request always has TCP");
-                        let reply = builder::http_response(
-                            packet.dst_mac(),
-                            packet.src_mac(),
-                            tuple.dst_ip,
-                            tuple.src_ip,
-                            tcp.src_port,
-                            &HttpResponse::forbidden(),
-                        );
-                        Verdict::Reply(vec![reply])
-                    } else {
-                        Verdict::Drop(format!("blocked URL {}{}", host, req.path).into())
-                    }
+        let verdict = match blocked_url {
+            Some(url) => {
+                self.blocked_requests += 1;
+                self.events.push(NfEvent::warning(
+                    "blocked-url",
+                    format!("blocked HTTP request to {url}"),
+                ));
+                if self.config.respond_with_403 {
+                    let tuple = packet
+                        .five_tuple()
+                        .expect("an HTTP request is always TCP/IPv4");
+                    let reply = builder::http_response(
+                        packet.dst_mac(),
+                        packet.src_mac(),
+                        tuple.dst_ip,
+                        tuple.src_ip,
+                        tuple.src_port,
+                        &HttpResponse::forbidden(),
+                    );
+                    Verdict::Reply(vec![reply])
                 } else {
-                    Verdict::Forward(packet)
+                    Verdict::Drop(format!("blocked URL {url}").into())
                 }
             }
             None => Verdict::Forward(packet),
@@ -173,6 +190,7 @@ impl NetworkFunction for HttpFilter {
 mod tests {
     use super::*;
     use gnf_types::{MacAddr, SimTime};
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     fn ctx() -> NfContext {
@@ -201,6 +219,91 @@ mod tests {
         assert!(UrlPattern::UrlContains("tracker".into()).matches("x.com", "/tracker.js"));
         assert!(UrlPattern::PathPrefix("/admin".into()).matches("any.host", "/admin/panel"));
         assert!(!UrlPattern::PathPrefix("/admin".into()).matches("any.host", "/public"));
+    }
+
+    /// The historical matcher: lower-case everything, then compare. The
+    /// specification the in-place comparisons are held to.
+    fn lower_casing_reference(pattern: &UrlPattern, host: &str, path: &str) -> bool {
+        let host = host.to_ascii_lowercase();
+        match pattern {
+            UrlPattern::HostExact(h) => host == h.to_ascii_lowercase(),
+            UrlPattern::HostSuffix(suffix) => {
+                let suffix = suffix.to_ascii_lowercase();
+                host == suffix || host.ends_with(&format!(".{suffix}"))
+            }
+            UrlPattern::UrlContains(needle) => {
+                format!("{host}{path}").contains(&needle.to_ascii_lowercase())
+            }
+            UrlPattern::PathPrefix(prefix) => path.starts_with(prefix.as_str()),
+        }
+    }
+
+    fn all_patterns(text: &str) -> [UrlPattern; 4] {
+        [
+            UrlPattern::HostExact(text.into()),
+            UrlPattern::HostSuffix(text.into()),
+            UrlPattern::UrlContains(text.into()),
+            UrlPattern::PathPrefix(text.into()),
+        ]
+    }
+
+    #[test]
+    fn pattern_matching_boundaries_equal_the_reference() {
+        let hosts = [
+            "",
+            ".",
+            "org",
+            "example.org",
+            "EXAMPLE.ORG",
+            ".example.org",
+            "badexample.org",
+            "a.Example.Org",
+            "example.org.",
+            "exämple.org",
+        ];
+        for text in ["", ".", "example.org", "Example.ORG", "ämple.org", "/a"] {
+            for pattern in all_patterns(text) {
+                for host in hosts {
+                    for path in ["/", "/a/Example.org", "/A"] {
+                        assert_eq!(
+                            pattern.matches(host, path),
+                            lower_casing_reference(&pattern, host, path),
+                            "{pattern:?} on {host:?} {path:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pattern_matching_equals_the_lower_casing_reference(
+            stem in "[a-bA-B.]{0,5}",
+            text in "[a-bA-B./]{0,5}",
+            path in "/[a-bA-B/]{0,5}",
+            glue in 0u8..3,
+            flips in any::<u32>(),
+        ) {
+            // A host that often ends in a re-cased copy of the pattern, on
+            // and off a label boundary, so matches are as common as misses.
+            let recased: String = text
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if flips >> i & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                .collect();
+            let host = match glue {
+                0 => stem,
+                1 => format!("{stem}{recased}"),
+                _ => format!("{stem}.{recased}"),
+            };
+            for pattern in all_patterns(&text) {
+                prop_assert!(
+                    pattern.matches(&host, &path) == lower_casing_reference(&pattern, &host, &path),
+                    "{:?} on {:?} {:?}", pattern, host, path
+                );
+            }
+        }
     }
 
     #[test]
@@ -233,6 +336,10 @@ mod tests {
         let events = filter.drain_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].category, "blocked-url");
+        assert_eq!(
+            events[0].message,
+            "blocked HTTP request to www.blocked.example/page"
+        );
         assert!(
             filter.drain_events().is_empty(),
             "events drain exactly once"
@@ -246,8 +353,16 @@ mod tests {
             respond_with_403: false,
         };
         let mut filter = HttpFilter::new("hf", config);
-        let verdict = filter.process(http_to("blocked.example", "/"), Direction::Ingress, &ctx());
-        assert!(verdict.is_drop());
+        let verdict = filter.process(http_to("Blocked.Example", "/x"), Direction::Ingress, &ctx());
+        // The reason and the event quote the host as the client sent it.
+        assert_eq!(
+            verdict,
+            Verdict::Drop("blocked URL Blocked.Example/x".into())
+        );
+        assert_eq!(
+            filter.drain_events()[0].message,
+            "blocked HTTP request to Blocked.Example/x"
+        );
     }
 
     #[test]

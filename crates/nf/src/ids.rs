@@ -96,7 +96,7 @@ impl Ids {
         self.config
             .signatures
             .iter()
-            .any(|sig| !sig.is_empty() && payload.windows(sig.len()).any(|w| w == sig.as_slice()))
+            .any(|sig| contains(payload, sig))
     }
 
     /// Inspects one packet (window already rolled): SYN counting plus
@@ -144,6 +144,23 @@ impl Ids {
         }
         Verdict::Forward(packet)
     }
+}
+
+/// True when the non-empty `needle` occurs in `haystack`. Skips to each
+/// occurrence of the needle's first byte and compares only there, instead
+/// of comparing a full window at every offset.
+fn contains(haystack: &[u8], needle: &[u8]) -> bool {
+    let Some((first, rest)) = needle.split_first() else {
+        return false;
+    };
+    let mut tail = haystack;
+    while let Some(at) = tail.iter().position(|byte| byte == first) {
+        tail = &tail[at + 1..];
+        if tail.starts_with(rest) {
+            return true;
+        }
+    }
+    false
 }
 
 impl NetworkFunction for Ids {
@@ -295,6 +312,20 @@ mod tests {
             );
         }
         assert!(ids.drain_events().is_empty());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn signature_scan_equals_the_window_scan(
+            haystack in proptest::collection::vec(0u8..3, 0..24),
+            needle in proptest::collection::vec(0u8..3, 0..4),
+        ) {
+            // A three-letter alphabet makes repeated first bytes, partial
+            // matches and matches at either end common.
+            let windows = !needle.is_empty()
+                && haystack.windows(needle.len()).any(|w| w == needle.as_slice());
+            proptest::prop_assert_eq!(contains(&haystack, &needle), windows);
+        }
     }
 
     #[test]

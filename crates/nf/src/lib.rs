@@ -26,6 +26,12 @@
 //!
 //! ## The NF contract in the fast/batch/wildcard paths
 //!
+//! On the per-packet path NFs inspect packets through borrowed views
+//! ([`gnf_packet::Packet::http_request_view`], the payload and five-tuple
+//! accessors) and rewrite them in place
+//! ([`gnf_packet::Packet::with_rewritten_endpoints`]); see
+//! [`NetworkFunction::process`].
+//!
 //! Beyond per-packet [`NetworkFunction::process`], the trait has two optional
 //! fast-path surfaces, both of which must stay *observably equivalent* to
 //! per-packet processing (the batch- and megaflow-equivalence property tests

@@ -4,15 +4,17 @@
 //! configured public address and allocates an ephemeral source port per flow;
 //! on downstream traffic it reverses the translation. The translation table is
 //! part of the migratable state so established flows survive a roam.
+//!
+//! The rewrite is [`Packet::with_rewritten_endpoints`]: one copy of the
+//! frame, the addresses and ports patched in place, both checksums updated
+//! incrementally. Every other byte survives — IPv4 and TCP options, the
+//! payload, padding beyond the IP total length, and a UDP datagram sent
+//! without a checksum stays without one.
 
 use crate::nf::{Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
-use bytes::BytesMut;
-use gnf_packet::ethernet::EthernetHeader;
-use gnf_packet::ipv4::Ipv4Header;
-use gnf_packet::{FiveTuple, IpProtocol, Packet, TcpHeader, UdpHeader};
-
+use gnf_packet::{FiveTuple, IpProtocol, Packet};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -86,58 +88,6 @@ impl Nat {
         self.reverse.insert(candidate, original);
         candidate
     }
-
-    /// Rebuilds a packet with rewritten IPv4 addresses and transport ports,
-    /// preserving every other header field and the payload.
-    fn rewrite(
-        packet: &Packet,
-        new_src: Ipv4Addr,
-        new_dst: Ipv4Addr,
-        new_src_port: u16,
-        new_dst_port: u16,
-    ) -> Option<Packet> {
-        let ip = packet.ipv4()?;
-        let eth = packet.ethernet();
-
-        let mut new_ip = ip.clone();
-        new_ip.src = new_src;
-        new_ip.dst = new_dst;
-
-        let mut l4 = BytesMut::new();
-        match ip.protocol {
-            IpProtocol::Tcp => {
-                let tcp = packet.tcp()?;
-                let payload = packet.tcp_payload().unwrap_or(&[]);
-                let mut new_tcp: TcpHeader = tcp.clone();
-                new_tcp.src_port = new_src_port;
-                new_tcp.dst_port = new_dst_port;
-                new_tcp.emit(&mut l4, new_src, new_dst, payload);
-            }
-            IpProtocol::Udp => {
-                let udp = packet.udp()?;
-                let payload = packet.udp_payload().unwrap_or(&[]);
-                let new_udp = UdpHeader::new(new_src_port, new_dst_port, payload.len());
-                let _ = udp; // lengths are recomputed from the payload
-                new_udp.emit(&mut l4, new_src, new_dst, payload);
-            }
-            _ => return None,
-        }
-
-        let new_eth = EthernetHeader {
-            dst: eth.dst,
-            src: eth.src,
-            ethertype: eth.ethertype,
-        };
-        let mut frame = BytesMut::with_capacity(14 + 20 + l4.len());
-        new_eth.emit(&mut frame);
-        let ip_out = Ipv4Header {
-            options: Vec::new(),
-            ..new_ip
-        };
-        ip_out.emit(&mut frame, l4.len());
-        frame.extend_from_slice(&l4);
-        Packet::parse(frame.freeze()).ok()
-    }
 }
 
 impl NetworkFunction for Nat {
@@ -166,8 +116,7 @@ impl NetworkFunction for Nat {
         let verdict = match direction {
             Direction::Ingress => {
                 let public_port = self.allocate_port(tuple);
-                match Self::rewrite(
-                    &packet,
+                match packet.with_rewritten_endpoints(
                     self.public_ip,
                     tuple.dst_ip,
                     public_port,
@@ -184,8 +133,7 @@ impl NetworkFunction for Nat {
                 // Downstream: the packet is addressed to (public_ip, public_port).
                 if tuple.dst_ip == self.public_ip {
                     if let Some(original) = self.reverse.get(&tuple.dst_port).copied() {
-                        match Self::rewrite(
-                            &packet,
+                        match packet.with_rewritten_endpoints(
                             tuple.src_ip,
                             original.src_ip,
                             tuple.src_port,
@@ -251,7 +199,10 @@ impl NetworkFunction for Nat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnf_packet::builder;
+    use bytes::BytesMut;
+    use gnf_packet::ethernet::{EtherType, EthernetHeader};
+    use gnf_packet::ipv4::Ipv4Header;
+    use gnf_packet::{builder, TcpFlags, TcpHeader};
     use gnf_types::{MacAddr, SimTime};
 
     fn public_ip() -> Ipv4Addr {
@@ -381,6 +332,101 @@ mod tests {
             out.dns().unwrap().first_question_name(),
             Some("example.com")
         );
+    }
+
+    /// The client's upstream frame around a ready-made transport segment,
+    /// with the IPv4 options and trailing bytes the builders never emit.
+    fn upstream_frame(
+        protocol: IpProtocol,
+        ip_options: &[u8],
+        segment: &[u8],
+        trailer: &[u8],
+    ) -> Packet {
+        let mut frame = BytesMut::new();
+        EthernetHeader {
+            dst: MacAddr::derived(2, 1),
+            src: MacAddr::derived(1, 1),
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(&mut frame);
+        let mut ip = Ipv4Header::new(client_ip(), server_ip(), protocol, segment.len());
+        ip.options = ip_options.to_vec();
+        ip.emit(&mut frame, segment.len());
+        frame.extend_from_slice(segment);
+        frame.extend_from_slice(trailer);
+        Packet::parse(frame.freeze()).unwrap()
+    }
+
+    /// Masquerades `packet` and checks what every translation must hold:
+    /// the endpoints changed, the frame kept its length, and the transport
+    /// checksum (when there is one) verifies from scratch.
+    fn masquerade(packet: &Packet) -> Packet {
+        let mut nat = Nat::new("nat", public_ip());
+        let out = nat
+            .process(packet.clone(), Direction::Ingress, &ctx())
+            .into_forwarded()
+            .unwrap();
+        assert_eq!(nat.translated_packets(), 1);
+        let tuple = out.five_tuple().unwrap();
+        assert_eq!((tuple.src_ip, tuple.src_port), (public_ip(), NAT_PORT_BASE));
+        assert_eq!(out.len(), packet.len());
+        let ip = out.ipv4().unwrap();
+        let segment = &out.bytes()[14 + ip.header_len()..14 + usize::from(ip.total_length)];
+        let sent_without_checksum = ip.protocol == IpProtocol::Udp && segment[6..8] == [0, 0];
+        if !sent_without_checksum {
+            let mut checksum = ip.pseudo_header_checksum(segment.len());
+            checksum.add_bytes(segment);
+            assert_eq!(checksum.finish(), 0, "transport checksum must verify");
+        }
+        out
+    }
+
+    fn tcp_segment(options: &[u8], payload: &[u8]) -> BytesMut {
+        let mut tcp = TcpHeader::new(50_000, 80, TcpFlags::SYN);
+        tcp.options = options.to_vec();
+        let mut segment = BytesMut::new();
+        tcp.emit(&mut segment, client_ip(), server_ip(), payload);
+        segment
+    }
+
+    #[test]
+    fn ipv4_and_tcp_options_survive_the_rewrite() {
+        // Regression: the rebuild emitted `options: Vec::new()`.
+        let record_route = [0x07, 0x07, 0x04, 0, 0, 0, 0, 0x00];
+        let mss = [0x02, 0x04, 0x05, 0xb4];
+        let packet = upstream_frame(
+            IpProtocol::Tcp,
+            &record_route,
+            &tcp_segment(&mss, b"data"),
+            &[],
+        );
+        let out = masquerade(&packet);
+        assert_eq!(out.ipv4().unwrap().options, record_route);
+        assert_eq!(out.tcp().unwrap().options, mss);
+        assert_eq!(out.tcp_payload().unwrap(), b"data");
+    }
+
+    #[test]
+    fn bytes_beyond_the_ip_total_length_survive_the_rewrite() {
+        // Regression: the rebuild dropped Ethernet padding (a bare SYN is 54
+        // bytes; the wire minimum is 60).
+        let padding = [0u8, 0, 0, 0, 0xde, 0xad];
+        let packet = upstream_frame(IpProtocol::Tcp, &[], &tcp_segment(&[], b""), &padding);
+        let out = masquerade(&packet);
+        assert_eq!(out.len(), 60);
+        assert_eq!(out.bytes()[54..], padding);
+        assert_eq!(out.tcp_payload().unwrap(), b"");
+    }
+
+    #[test]
+    fn a_udp_datagram_sent_without_a_checksum_stays_without_one() {
+        // Regression: the rebuild computed a checksum the sender opted out of.
+        let mut segment = vec![0xd4, 0x31, 0x00, 0x35, 0x00, 0x0c, 0x00, 0x00];
+        segment.extend_from_slice(b"abcd");
+        let packet = upstream_frame(IpProtocol::Udp, &[], &segment, &[]);
+        let out = masquerade(&packet);
+        assert_eq!(out.bytes()[34 + 6..34 + 8], [0, 0]);
+        assert_eq!(out.udp_payload().unwrap(), b"abcd");
     }
 
     #[test]

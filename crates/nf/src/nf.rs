@@ -278,6 +278,19 @@ pub trait NetworkFunction: Send {
     fn kind(&self) -> NfKind;
 
     /// Processes one packet travelling in `direction`, returning a verdict.
+    ///
+    /// This is the per-packet hot path, so an NF **inspects through views**:
+    /// the accessors that borrow the frame — [`Packet::five_tuple`],
+    /// [`Packet::tcp_flags`], [`Packet::tcp_payload`] /
+    /// [`Packet::udp_payload`], [`Packet::http_request_view`] — cost no
+    /// copy and no allocation. Copy out only what must outlive the packet
+    /// (an event string, a cache key) and forward the packet that came in.
+    /// An NF that rewrites addresses goes through
+    /// [`Packet::with_rewritten_endpoints`] — one copy of the frame,
+    /// checksums updated incrementally — rather than re-emitting headers.
+    /// The typed accessors (`ipv4()`, `tcp()`, ...) build the full layer
+    /// view on first use: fine on a rare branch (building a reject reply),
+    /// a per-packet cost anywhere else.
     fn process(&mut self, packet: Packet, direction: Direction, ctx: &NfContext) -> Verdict;
 
     /// Processes a batch of packets travelling in `direction`, returning one

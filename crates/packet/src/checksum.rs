@@ -88,6 +88,32 @@ pub fn transport_checksum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, segment: &
     }
 }
 
+/// Incrementally updates a checksum after the covered 16-bit words `old`
+/// were overwritten with `new` (RFC 1624 eqn. 3: `HC' = ~(~HC + ~m + m')`),
+/// without touching the rest of the covered data.
+///
+/// The result is the value a full recomputation over the patched data
+/// returns, bit for bit: both are the complement of a one's-complement sum
+/// folded into `1..=0xffff` (the covered data is never all zero — an IPv4
+/// header has a version, a pseudo-header a protocol), and the two sums are
+/// congruent modulo `0xffff`. A stored checksum that does not verify stays
+/// wrong by the same amount, so a corrupt packet is not laundered.
+pub fn incremental_update(checksum: u16, old: &[u16], new: &[u16]) -> u16 {
+    debug_assert_eq!(old.len(), new.len());
+    let mut sum = u32::from(!checksum);
+    for (old, new) in old.iter().zip(new) {
+        sum += u32::from(!old) + u32::from(*new);
+    }
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    // +0 and -0 are the same sum; a full computation only ever yields -0.
+    if sum == 0 {
+        sum = 0xffff;
+    }
+    !(sum as u16)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +166,47 @@ mod tests {
         check.add_u16(segment.len() as u16);
         check.add_bytes(&segment);
         assert_eq!(check.finish(), 0);
+    }
+
+    #[test]
+    fn incremental_update_rfc1624_worked_example() {
+        // RFC 1624 section 4: the case RFC 1141's equation gets wrong
+        // (it yields 0xffff where a recomputation yields 0x0000).
+        assert_eq!(incremental_update(0xdd2f, &[0x5555], &[0x3285]), 0x0000);
+    }
+
+    #[test]
+    fn incremental_update_folds_both_zeros_to_the_computed_one() {
+        // A transport checksum sent as 0xffff stands for a computed 0: the
+        // sum behind it is all-ones, and stays so when a 0xffff word becomes
+        // 0x0000. A recomputation yields 0, never the other spelling.
+        assert_eq!(incremental_update(0xffff, &[0xffff], &[0x0000]), 0x0000);
+    }
+
+    #[test]
+    fn incremental_update_equals_full_recomputation() {
+        // Every pairing of the corner words, over a header-like block whose
+        // first word keeps the data non-zero.
+        let corners = [0x0000u16, 0x0001, 0x5555, 0xaaaa, 0xfffe, 0xffff];
+        let checksum_of = |a: u16, b: u16| {
+            let mut data = vec![0x45, 0x00];
+            data.extend_from_slice(&a.to_be_bytes());
+            data.extend_from_slice(&b.to_be_bytes());
+            internet_checksum(&data)
+        };
+        for a in corners {
+            for b in corners {
+                for a2 in corners {
+                    for b2 in corners {
+                        assert_eq!(
+                            incremental_update(checksum_of(a, b), &[a, b], &[a2, b2]),
+                            checksum_of(a2, b2),
+                            "{a:#06x} {b:#06x} -> {a2:#06x} {b2:#06x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -106,42 +106,10 @@ impl HttpRequest {
         format!("{}{}", self.host().unwrap_or(""), self.path)
     }
 
-    /// Parses a request from the beginning of a TCP payload.
+    /// Parses a request from the beginning of a TCP payload: the owned copy
+    /// of what [`HttpRequestView::parse`] accepts.
     pub fn parse(data: &[u8]) -> GnfResult<Self> {
-        let (head, body) = split_head(data)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing request line"))?;
-        let mut parts = request_line.split_whitespace();
-        let method_token = parts
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing method"))?;
-        let method = HttpMethod::parse(method_token).ok_or_else(|| {
-            GnfError::malformed_packet("http", format!("unknown method {method_token:?}"))
-        })?;
-        let path = parts
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing request target"))?
-            .to_string();
-        let version = parts
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing version"))?
-            .to_string();
-        if !version.starts_with("HTTP/") {
-            return Err(GnfError::malformed_packet(
-                "http",
-                format!("bad version {version:?}"),
-            ));
-        }
-        let headers = parse_headers(lines)?;
-        Ok(HttpRequest {
-            method,
-            path,
-            version,
-            headers,
-            body: body.to_vec(),
-        })
+        HttpRequestView::parse(data).map(|view| view.to_owned())
     }
 
     /// Serialises the request into wire bytes.
@@ -162,6 +130,96 @@ impl HttpRequest {
         let mut bytes = out.into_bytes();
         bytes.extend_from_slice(&self.body);
         bytes
+    }
+}
+
+/// A parsed HTTP request that borrows the TCP payload it was parsed from:
+/// the zero-copy counterpart of [`HttpRequest`], for NFs that only inspect.
+/// Parsing validates the whole header block but copies and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpRequestView<'a> {
+    /// Request method.
+    pub method: HttpMethod,
+    /// Request target (path and query).
+    pub path: &'a str,
+    /// Protocol version string (e.g. `HTTP/1.1`).
+    pub version: &'a str,
+    /// The header lines after the request line; every non-empty one is
+    /// known to contain a `:`.
+    header_block: &'a str,
+    /// Opaque body bytes.
+    pub body: &'a [u8],
+}
+
+impl<'a> HttpRequestView<'a> {
+    /// Parses a request from the beginning of a TCP payload.
+    pub fn parse(data: &'a [u8]) -> GnfResult<Self> {
+        let (head, body) = split_head(data)?;
+        let (request_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
+        let mut parts = request_line.split_whitespace();
+        let method_token = parts
+            .next()
+            .ok_or_else(|| GnfError::malformed_packet("http", "missing method"))?;
+        let method = HttpMethod::parse(method_token).ok_or_else(|| {
+            GnfError::malformed_packet("http", format!("unknown method {method_token:?}"))
+        })?;
+        let path = parts
+            .next()
+            .ok_or_else(|| GnfError::malformed_packet("http", "missing request target"))?;
+        let version = parts
+            .next()
+            .ok_or_else(|| GnfError::malformed_packet("http", "missing version"))?;
+        if !version.starts_with("HTTP/") {
+            return Err(GnfError::malformed_packet(
+                "http",
+                format!("bad version {version:?}"),
+            ));
+        }
+        for line in header_lines(header_block) {
+            split_header(line)?;
+        }
+        Ok(HttpRequestView {
+            method,
+            path,
+            version,
+            header_block,
+            body,
+        })
+    }
+
+    /// Header name/value pairs in order of appearance, trimmed, names in
+    /// the case they were sent in.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        header_lines(self.header_block).filter_map(|line| split_header(line).ok())
+    }
+
+    /// Returns the value of a header (case-insensitive lookup).
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    /// Returns the Host header, if present.
+    pub fn host(&self) -> Option<&'a str> {
+        self.header("host")
+    }
+
+    /// Returns `host + path`, the string the HTTP filter's URL rules match on.
+    pub fn url(&self) -> String {
+        format!("{}{}", self.host().unwrap_or(""), self.path)
+    }
+
+    /// Copies the view into an owned [`HttpRequest`] (header names
+    /// lower-cased).
+    pub fn to_owned(&self) -> HttpRequest {
+        HttpRequest {
+            method: self.method,
+            path: self.path.to_string(),
+            version: self.version.to_string(),
+            headers: self.headers().map(owned_header).collect(),
+            body: self.body.to_vec(),
+        }
     }
 }
 
@@ -221,10 +279,7 @@ impl HttpResponse {
     /// Parses a response from the beginning of a TCP payload.
     pub fn parse(data: &[u8]) -> GnfResult<Self> {
         let (head, body) = split_head(data)?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing status line"))?;
+        let (status_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
         let mut parts = status_line.splitn(3, ' ');
         let version = parts
             .next()
@@ -241,7 +296,9 @@ impl HttpResponse {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| GnfError::malformed_packet("http", "bad status code"))?;
         let reason = parts.next().unwrap_or("").to_string();
-        let headers = parse_headers(lines)?;
+        let headers = header_lines(header_block)
+            .map(|line| split_header(line).map(owned_header))
+            .collect::<GnfResult<_>>()?;
         Ok(HttpResponse {
             version,
             status,
@@ -282,29 +339,32 @@ pub fn looks_like_http_request(data: &[u8]) -> bool {
 }
 
 /// Splits the header block from the body at the first blank line.
-fn split_head(data: &[u8]) -> GnfResult<(String, &[u8])> {
+fn split_head(data: &[u8]) -> GnfResult<(&str, &[u8])> {
     let separator = data
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
         .ok_or_else(|| GnfError::malformed_packet("http", "incomplete header block"))?;
     let head = std::str::from_utf8(&data[..separator])
         .map_err(|_| GnfError::malformed_packet("http", "non-UTF8 header block"))?;
-    Ok((head.to_string(), &data[separator + 4..]))
+    Ok((head, &data[separator + 4..]))
 }
 
-/// Parses `Name: value` lines into lower-cased pairs.
-fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> GnfResult<Vec<(String, String)>> {
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| {
-            GnfError::malformed_packet("http", format!("bad header line {line:?}"))
-        })?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    Ok(headers)
+/// The non-empty lines of a header block.
+fn header_lines(block: &str) -> impl Iterator<Item = &str> {
+    block.split("\r\n").filter(|line| !line.is_empty())
+}
+
+/// Splits one `Name: value` line into its trimmed halves.
+fn split_header(line: &str) -> GnfResult<(&str, &str)> {
+    let (name, value) = line
+        .split_once(':')
+        .ok_or_else(|| GnfError::malformed_packet("http", format!("bad header line {line:?}")))?;
+    Ok((name.trim(), value.trim()))
+}
+
+/// Copies a header pair into the owned representation (name lower-cased).
+fn owned_header((name, value): (&str, &str)) -> (String, String) {
+    (name.to_ascii_lowercase(), value.to_string())
 }
 
 #[cfg(test)]
@@ -368,6 +428,33 @@ mod tests {
         assert_eq!(req.header("Host"), Some("Example.COM"));
         assert_eq!(req.header("HOST"), Some("Example.COM"));
         assert_eq!(req.header("missing"), None);
+    }
+
+    #[test]
+    fn view_borrows_the_payload_and_owns_to_the_same_request() {
+        let bytes =
+            b"POST /submit?x=1 HTTP/1.1\r\nHoSt:  Example.COM \r\nX-Empty:\r\n\r\nkey=value";
+        let view = HttpRequestView::parse(bytes).unwrap();
+        assert_eq!(view.method, HttpMethod::Post);
+        assert_eq!(view.path, "/submit?x=1");
+        assert_eq!(view.version, "HTTP/1.1");
+        assert_eq!(view.body, b"key=value");
+        assert_eq!(
+            view.headers().collect::<Vec<_>>(),
+            [("HoSt", "Example.COM"), ("X-Empty", "")]
+        );
+        assert_eq!(view.host(), Some("Example.COM"));
+        assert_eq!(view.header("x-empty"), Some(""));
+        assert_eq!(view.header("missing"), None);
+        assert_eq!(view.url(), "Example.COM/submit?x=1");
+        // Every field points into the payload: nothing was copied.
+        let range = bytes.as_ptr_range();
+        assert!(range.contains(&view.path.as_ptr()) && range.contains(&view.body.as_ptr()));
+
+        let owned = view.to_owned();
+        assert_eq!(owned, HttpRequest::parse(bytes).unwrap());
+        assert_eq!(owned.headers[0], ("host".into(), "Example.COM".into()));
+        assert_eq!(owned.url(), view.url());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use batch::PacketBatch;
 pub use dns::{DnsMessage, DnsQuestion, DnsRecordType, DnsResponseCode};
 pub use ethernet::{EtherType, EthernetHeader};
 pub use flow::FiveTuple;
-pub use http::{HttpMethod, HttpRequest, HttpResponse};
+pub use http::{HttpMethod, HttpRequest, HttpRequestView, HttpResponse};
 pub use icmp::{IcmpKind, IcmpMessage};
 pub use ipv4::{IpProtocol, Ipv4Header};
 pub use mask::{FieldMask, MaskedTuple};

@@ -25,10 +25,11 @@
 //! been validated to the same depth the eager parser enforced.
 
 use crate::arp::ArpPacket;
+use crate::checksum::incremental_update;
 use crate::dns::{DnsMessage, DNS_PORT};
 use crate::ethernet::{EtherType, EthernetHeader, ETHERNET_HEADER_LEN};
 use crate::flow::FiveTuple;
-use crate::http::{looks_like_http_request, HttpRequest, HTTP_PORT};
+use crate::http::{looks_like_http_request, HttpRequest, HttpRequestView, HTTP_PORT};
 use crate::icmp::{IcmpMessage, ICMP_HEADER_LEN};
 use crate::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use crate::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
@@ -37,6 +38,7 @@ use bytes::Bytes;
 use gnf_types::{GnfError, GnfResult, MacAddr};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
 /// The parsed network layer of a frame.
@@ -516,9 +518,11 @@ impl Packet {
     }
 
     /// Attempts to parse the payload as an HTTP request (TCP port 80 on the
-    /// destination side, payload starting with a known method token). Works
-    /// on the fast-scan offsets, so a non-HTTP packet costs one comparison.
-    pub fn http_request(&self) -> Option<HttpRequest> {
+    /// destination side, payload starting with a known method token) and
+    /// returns a view borrowing this packet's frame — no copy, no
+    /// allocation. Works on the fast-scan offsets, so a non-HTTP packet
+    /// costs one comparison.
+    pub fn http_request_view(&self) -> Option<HttpRequestView<'_>> {
         let tuple = self.flow_meta()?.tuple;
         if tuple.protocol != IpProtocol::Tcp || tuple.dst_port != HTTP_PORT {
             return None;
@@ -527,7 +531,87 @@ impl Packet {
         if !looks_like_http_request(payload) {
             return None;
         }
-        HttpRequest::parse(payload).ok()
+        HttpRequestView::parse(payload).ok()
+    }
+
+    /// [`Packet::http_request_view`], copied into an owned request.
+    pub fn http_request(&self) -> Option<HttpRequest> {
+        self.http_request_view().map(|view| view.to_owned())
+    }
+
+    /// A copy of this TCP or UDP packet with its IPv4 addresses and
+    /// transport ports replaced — what an address translator emits. Every
+    /// other byte of the frame (IPv4 options, TCP options, payload, bytes
+    /// beyond the IP total length) is preserved. `None` for anything but
+    /// TCP/UDP over IPv4.
+    ///
+    /// The frame is copied once into a fresh buffer, the twelve endpoint
+    /// bytes are patched at the fast-scan offsets, and the IPv4 header and
+    /// transport checksums are updated incrementally
+    /// ([`checksum::incremental_update`]) instead of re-summing the
+    /// payload. A UDP datagram sent without a checksum (0) stays without
+    /// one; a checksum that updates to 0 is transmitted as `0xffff`, as
+    /// [`checksum::transport_checksum`] does. The result is re-validated
+    /// through [`Packet::parse`].
+    ///
+    /// [`checksum::incremental_update`]: crate::checksum::incremental_update
+    /// [`checksum::transport_checksum`]: crate::checksum::transport_checksum
+    pub fn with_rewritten_endpoints(
+        &self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        src_port: u16,
+        dst_port: u16,
+    ) -> Option<Packet> {
+        let meta = self.flow_meta()?;
+        let l4 = meta.l4_offset;
+        // RFC 768: a UDP checksum of 0 means "none was computed".
+        let (l4_checksum, optional) = match meta.tuple.protocol {
+            IpProtocol::Tcp => (l4 + 16, false),
+            IpProtocol::Udp => (l4 + 6, true),
+            _ => return None,
+        };
+        let addresses = ETHERNET_HEADER_LEN + 12;
+        let ip_checksum = ETHERNET_HEADER_LEN + 10;
+        // The six 16-bit words that change: four of addresses, two of ports.
+        let offsets = [
+            addresses,
+            addresses + 2,
+            addresses + 4,
+            addresses + 6,
+            l4,
+            l4 + 2,
+        ];
+        let (src, dst) = (u32::from(src), u32::from(dst));
+        let new = [
+            (src >> 16) as u16,
+            src as u16,
+            (dst >> 16) as u16,
+            dst as u16,
+            src_port,
+            dst_port,
+        ];
+        let bytes = Bytes::copy_patched(&self.bytes, |frame| {
+            let word = |frame: &[u8], at: usize| u16::from_be_bytes([frame[at], frame[at + 1]]);
+            let mut old = [0u16; 6];
+            for ((at, old), new) in offsets.into_iter().zip(&mut old).zip(new) {
+                *old = word(frame, at);
+                frame[at..at + 2].copy_from_slice(&new.to_be_bytes());
+            }
+            // The IPv4 header checksum covers the addresses; the transport
+            // checksum covers them too (pseudo-header) and the ports.
+            let updated = incremental_update(word(frame, ip_checksum), &old[..4], &new[..4]);
+            frame[ip_checksum..ip_checksum + 2].copy_from_slice(&updated.to_be_bytes());
+            let stored = word(frame, l4_checksum);
+            if !(optional && stored == 0) {
+                let updated = match incremental_update(stored, &old, &new) {
+                    0 => 0xffff,
+                    updated => updated,
+                };
+                frame[l4_checksum..l4_checksum + 2].copy_from_slice(&updated.to_be_bytes());
+            }
+        });
+        Packet::parse(bytes).ok()
     }
 
     /// True when this packet is an IPv4 packet addressed *from* the given MAC
@@ -857,6 +941,74 @@ mod tests {
             b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
         );
         assert!(other.http_request().is_none());
+    }
+
+    #[test]
+    fn rewritten_endpoints_patch_the_frame_and_keep_checksums_valid() {
+        let pkt = builder::tcp_data(
+            client_mac(),
+            gw_mac(),
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(93, 184, 216, 34),
+            40000,
+            80,
+            b"odd",
+        );
+        let public = Ipv4Addr::new(198, 51, 100, 1);
+        let out = pkt
+            .with_rewritten_endpoints(public, Ipv4Addr::new(93, 184, 216, 34), 40_001, 80)
+            .unwrap();
+        assert_eq!(
+            out.five_tuple().unwrap(),
+            FiveTuple::new(
+                public,
+                Ipv4Addr::new(93, 184, 216, 34),
+                IpProtocol::Tcp,
+                40_001,
+                80
+            )
+        );
+        assert_eq!(out.tcp_payload().unwrap(), b"odd");
+        assert_eq!(out.tcp().unwrap().flags, pkt.tcp().unwrap().flags);
+        assert_eq!(out.len(), pkt.len());
+        // The incrementally updated TCP checksum is the one a sender would
+        // compute from scratch over the rewritten segment.
+        let mut segment = out.bytes()[34..].to_vec();
+        let stored = u16::from_be_bytes([segment[16], segment[17]]);
+        segment[16..18].fill(0);
+        assert_eq!(
+            stored,
+            crate::checksum::transport_checksum(public, out.ipv4().unwrap().dst, 6, &segment)
+        );
+        // Rewriting back restores the original frame bit for bit.
+        let back = out
+            .with_rewritten_endpoints(
+                Ipv4Addr::new(10, 0, 0, 2),
+                Ipv4Addr::new(93, 184, 216, 34),
+                40000,
+                80,
+            )
+            .unwrap();
+        assert_eq!(back.bytes(), pkt.bytes());
+
+        // Only TCP and UDP carry endpoints to rewrite.
+        let ping = builder::icmp_echo_request(
+            client_mac(),
+            gw_mac(),
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(1, 1, 1, 1),
+            7,
+            1,
+        );
+        assert!(ping
+            .with_rewritten_endpoints(public, public, 1, 2)
+            .is_none());
+        let arp = builder::arp_request(
+            client_mac(),
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(10, 0, 0, 1),
+        );
+        assert!(arp.with_rewritten_endpoints(public, public, 1, 2).is_none());
     }
 
     #[test]

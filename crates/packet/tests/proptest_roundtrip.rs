@@ -2,8 +2,13 @@
 //! builders must survive a parse → re-parse cycle, checksums must verify, and
 //! random byte strings must never cause a panic.
 
+use bytes::BytesMut;
 use gnf_packet::builder;
-use gnf_packet::{DnsMessage, HttpRequest, Packet, TcpFlags};
+use gnf_packet::checksum;
+use gnf_packet::{
+    DnsMessage, HttpMethod, HttpRequest, HttpRequestView, IpProtocol, Ipv4Header, Packet, TcpFlags,
+    UdpHeader,
+};
 use gnf_types::MacAddr;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -22,6 +27,249 @@ fn arb_flags() -> impl Strategy<Value = TcpFlags> {
 
 fn arb_dns_name() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-z0-9]{1,12}", 1..5).prop_map(|labels| labels.join("."))
+}
+
+/// A 16-bit word that is all-zeros or all-ones half of the time — the words
+/// on which one's-complement arithmetic has two spellings of zero.
+fn arb_corner_word() -> impl Strategy<Value = u16> {
+    (any::<u16>(), 0u8..4).prop_map(|(word, pick)| match pick {
+        0 => 0x0000,
+        1 => 0xffff,
+        _ => word,
+    })
+}
+
+fn arb_corner_ipv4() -> impl Strategy<Value = Ipv4Addr> {
+    (arb_corner_word(), arb_corner_word())
+        .prop_map(|(hi, lo)| Ipv4Addr::from(u32::from(hi) << 16 | u32::from(lo)))
+}
+
+/// The HTTP request parser as it was before the borrowed view existed —
+/// split the head off, copy it, allocate every field. Kept as the
+/// specification [`HttpRequestView::parse`] is held to, byte for byte.
+fn reference_http_parse(data: &[u8]) -> Option<HttpRequest> {
+    let separator = data.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = std::str::from_utf8(&data[..separator]).ok()?.to_string();
+    let mut lines = head.split("\r\n");
+    let mut parts = lines.next()?.split_whitespace();
+    let method = HttpMethod::parse(parts.next()?)?;
+    let path = parts.next()?.to_string();
+    let version = parts.next()?.to_string();
+    if !version.starts_with("HTTP/") {
+        return None;
+    }
+    let mut headers = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        let (name, value) = line.split_once(':')?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+    Some(HttpRequest {
+        method,
+        path,
+        version,
+        headers,
+        body: data[separator + 4..].to_vec(),
+    })
+}
+
+/// The address translator's rewrite as it was before the in-place patch:
+/// parse every header, emit every header again, recompute both checksums
+/// over the whole frame. Kept as the specification
+/// [`Packet::with_rewritten_endpoints`] is held to on the frames both
+/// handle alike (no IPv4 options, no padding, a checksum present).
+fn reference_rebuild(
+    packet: &Packet,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+) -> Option<Packet> {
+    let mut l4 = BytesMut::new();
+    match packet.ipv4()?.protocol {
+        IpProtocol::Tcp => {
+            let mut tcp = packet.tcp()?.clone();
+            tcp.src_port = src_port;
+            tcp.dst_port = dst_port;
+            tcp.emit(&mut l4, src, dst, packet.tcp_payload()?);
+        }
+        IpProtocol::Udp => {
+            let payload = packet.udp_payload()?;
+            UdpHeader::new(src_port, dst_port, payload.len()).emit(&mut l4, src, dst, payload);
+        }
+        _ => return None,
+    }
+    let ip = Ipv4Header {
+        src,
+        dst,
+        options: Vec::new(),
+        ..packet.ipv4()?.clone()
+    };
+    let mut frame = BytesMut::with_capacity(14 + 20 + l4.len());
+    packet.ethernet().emit(&mut frame);
+    ip.emit(&mut frame, l4.len());
+    frame.extend_from_slice(&l4);
+    Packet::parse(frame.freeze()).ok()
+}
+
+/// True when the IPv4 header checksum and the transport checksum of a
+/// TCP/UDP frame (no IPv4 options) both verify.
+fn checksums_verify(packet: &Packet) -> bool {
+    let ip = packet.ipv4().unwrap();
+    let segment = &packet.bytes()[34..14 + usize::from(ip.total_length)];
+    let mut transport = ip.pseudo_header_checksum(segment.len());
+    transport.add_bytes(segment);
+    checksum::verify(&packet.bytes()[14..34]) && transport.finish() == 0
+}
+
+proptest! {
+    // Differential tests against the two reference implementations above:
+    // cheap per case, and the corners are rare, so run more cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn http_view_agrees_with_the_owned_reference_parser(
+        method in "(GET|HEAD|POST|PUT|DELETE|CONNECT|OPTIONS|BREW|get)",
+        path in "/[a-zA-Z0-9/_.?=-]{0,24}",
+        version in "(HTTP/1\\.1|HTTP/1\\.0|HTTP/|SPDY/3|http/1\\.1)",
+        headers in proptest::collection::vec(
+            ("[A-Za-z][A-Za-z-]{0,9}", "[ \t]{0,2}", "[a-zA-Z0-9.:/ -]{0,16}", "[ \t]{0,2}"),
+            0..5,
+        ),
+        body in proptest::collection::vec(any::<u8>(), 0..40),
+        mutation in 0u8..9,
+        position in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let mut bytes = format!("{method} {path} {version}\r\n").into_bytes();
+        for (name, pad, value, trail) in &headers {
+            bytes.extend_from_slice(format!("{name}:{pad}{value}{trail}\r\n").as_bytes());
+        }
+        let head_len = bytes.len();
+        bytes.extend_from_slice(b"\r\n");
+        bytes.extend_from_slice(&body);
+
+        // Hostile variants of the well-formed request.
+        let at = position % bytes.len();
+        match mutation {
+            0 | 1 => {}
+            2 => bytes.truncate(at),
+            3 => bytes[at] ^= 1 << bit,
+            4 => bytes.insert(position % head_len, 0xff),
+            5 => {
+                // A header line without a colon.
+                if let Some(colon) = bytes[..head_len].iter().rposition(|b| *b == b':') {
+                    bytes[colon] = b' ';
+                }
+            }
+            6 => {
+                // A bare `\n` where a `\r\n` was.
+                let cr = bytes.iter().position(|b| *b == b'\r').unwrap();
+                bytes.remove(cr);
+            }
+            7 => {
+                // No blank line between head and body.
+                bytes.drain(head_len..head_len + 2);
+            }
+            _ => {
+                bytes.remove(at);
+            }
+        }
+
+        let reference = reference_http_parse(&bytes);
+        let view = HttpRequestView::parse(&bytes);
+        prop_assert_eq!(view.is_ok(), reference.is_some());
+        prop_assert_eq!(HttpRequest::parse(&bytes).ok(), reference.clone());
+        if let (Ok(view), Some(owned)) = (view, reference) {
+            prop_assert_eq!(view.to_owned(), owned.clone());
+            prop_assert_eq!(view.host(), owned.host());
+            prop_assert_eq!(view.url(), owned.url());
+            for (name, _) in &owned.headers {
+                prop_assert_eq!(view.header(&name.to_ascii_uppercase()), owned.header(name));
+            }
+            prop_assert_eq!(view.header("x-absent"), None);
+        }
+    }
+
+    #[test]
+    fn rewritten_endpoints_equal_a_full_rebuild(
+        udp in any::<bool>(),
+        flags in arb_flags(),
+        payload in proptest::collection::vec(any::<u8>(), 0..1501),
+        force in 0u8..3,
+        src_ip in arb_corner_ipv4(),
+        dst_ip in arb_corner_ipv4(),
+        src_port in arb_corner_word(),
+        dst_port in arb_corner_word(),
+        new_src_ip in arb_corner_ipv4(),
+        new_dst_ip in arb_corner_ipv4(),
+        new_src_port in arb_corner_word(),
+        new_dst_port in arb_corner_word(),
+    ) {
+        let (a, b) = (MacAddr::derived(1, 1), MacAddr::derived(2, 2));
+        let build = |src_ip, dst_ip, src_port, dst_port, payload: &[u8]| {
+            if udp {
+                builder::udp_packet(a, b, src_ip, dst_ip, src_port, dst_port, payload)
+            } else {
+                builder::tcp_packet(a, b, src_ip, dst_ip, src_port, dst_port, flags, payload)
+            }
+        };
+        // One case in three each: steer the transport checksum of the
+        // original, or of the rewritten frame, onto the value that computes
+        // to zero and is sent as 0xffff. With the first payload word zero
+        // the checksum is `c`; writing `c` there makes the sum all-ones.
+        let mut payload = payload;
+        if force > 0 && payload.len() >= 2 {
+            payload[..2].fill(0);
+            let probe = if force == 1 {
+                build(src_ip, dst_ip, src_port, dst_port, &payload)
+            } else {
+                build(new_src_ip, new_dst_ip, new_src_port, new_dst_port, &payload)
+            };
+            let at = if udp { 34 + 6 } else { 34 + 16 };
+            payload[..2].copy_from_slice(&probe.bytes()[at..at + 2]);
+        }
+        let original = build(src_ip, dst_ip, src_port, dst_port, &payload);
+        if force == 1 && payload.len() >= 2 {
+            let at = if udp { 34 + 6 } else { 34 + 16 };
+            prop_assert_eq!(&original.bytes()[at..at + 2], &[0xff, 0xff]);
+        }
+
+        let patched = original
+            .with_rewritten_endpoints(new_src_ip, new_dst_ip, new_src_port, new_dst_port)
+            .unwrap();
+        let rebuilt =
+            reference_rebuild(&original, new_src_ip, new_dst_ip, new_src_port, new_dst_port)
+                .unwrap();
+        prop_assert_eq!(patched.bytes(), rebuilt.bytes());
+        prop_assert!(checksums_verify(&patched));
+        let tuple = patched.five_tuple().unwrap();
+        prop_assert_eq!(
+            (tuple.src_ip, tuple.dst_ip, tuple.src_port, tuple.dst_port),
+            (new_src_ip, new_dst_ip, new_src_port, new_dst_port)
+        );
+
+        let restored = patched
+            .with_rewritten_endpoints(src_ip, dst_ip, src_port, dst_port)
+            .unwrap();
+        prop_assert_eq!(restored.bytes(), original.bytes());
+
+        // A datagram sent without a checksum gets the same patch and still
+        // carries none.
+        if udp {
+            let mut bare = original.bytes().to_vec();
+            bare[40..42].fill(0);
+            let bare = Packet::from_vec(bare)
+                .unwrap()
+                .with_rewritten_endpoints(new_src_ip, new_dst_ip, new_src_port, new_dst_port)
+                .unwrap();
+            prop_assert_eq!(&bare.bytes()[40..42], &[0, 0]);
+            prop_assert_eq!(&bare.bytes()[..40], &patched.bytes()[..40]);
+            prop_assert_eq!(&bare.bytes()[42..], &patched.bytes()[42..]);
+        }
+    }
 }
 
 proptest! {

@@ -32,6 +32,15 @@ impl Bytes {
         }
     }
 
+    /// Copies a slice into a new buffer and lets `patch` edit the copy
+    /// before it becomes immutable — one allocation and one copy, where
+    /// `BytesMut::from(data)` + `freeze` pays two of each.
+    pub fn copy_patched(data: &[u8], patch: impl FnOnce(&mut [u8])) -> Self {
+        let mut data: Arc<[u8]> = Arc::from(data);
+        patch(Arc::get_mut(&mut data).expect("a freshly copied buffer has one owner"));
+        Bytes { data }
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()

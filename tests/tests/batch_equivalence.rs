@@ -9,8 +9,11 @@ use gnf_edge::TrafficProfile;
 use gnf_nf::firewall::{
     CidrV4, Firewall, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
 };
+use gnf_nf::http_filter::HttpFilterConfig;
+use gnf_nf::ids::IdsConfig;
+use gnf_nf::rate_limiter::RateLimiterConfig;
 use gnf_nf::testing::sample_specs;
-use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfContext};
+use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfConfig, NfContext, NfSpec};
 use gnf_packet::{builder, Packet, PacketBatch, TcpFlags};
 use gnf_switch::{SoftwareSwitch, SteeringRule, SwitchDecision, TrafficSelector};
 use gnf_types::{ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime};
@@ -57,7 +60,16 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                         TcpFlags::from_byte(flags),
                         &payload,
                     ),
-                    1 => builder::udp_packet(src_mac, gw, src_ip, dst_ip, sport, dport, &payload),
+                    1 => {
+                        // Every other datagram carries the IDS test signature
+                        // somewhere inside its payload.
+                        let mut payload = payload;
+                        if flags & 1 == 1 {
+                            let at = payload.len() / 2;
+                            payload.splice(at..at, *b"MALWARE-TEST-SIGNATURE");
+                        }
+                        builder::udp_packet(src_mac, gw, src_ip, dst_ip, sport, dport, &payload)
+                    }
                     2 => builder::dns_query(
                         src_mac,
                         gw,
@@ -68,12 +80,48 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                         "prop.example",
                     ),
                     3 => {
-                        builder::http_get(src_mac, gw, src_ip, dst_ip, sport, "prop.example", "/x")
+                        // Allowed and blocked hosts, the blocked one in a
+                        // case the filter must fold.
+                        let host = if flags & 1 == 0 {
+                            "prop.example"
+                        } else {
+                            "cdn.Ads.Example"
+                        };
+                        builder::http_get(src_mac, gw, src_ip, dst_ip, sport, host, "/x")
                     }
                     _ => builder::icmp_echo_request(src_mac, gw, src_ip, dst_ip, sport, dport),
                 }
             },
         )
+}
+
+/// The benchmark's `stateful_replay` chain: five opaque NFs, so every packet
+/// runs all of them (conntrack firewall → HTTP filter → rate limiter that
+/// never limits → NAT → IDS).
+fn stateful_replay_chain() -> Vec<NfSpec> {
+    vec![
+        NfSpec::new(
+            "firewall",
+            NfConfig::Firewall(FirewallConfig::with_rules(vec![
+                FirewallRule::block_tcp_dst_port("no-ssh", 22),
+            ])),
+        ),
+        NfSpec::new(
+            "http-filter",
+            NfConfig::HttpFilter(HttpFilterConfig::block_hosts(&["ads.example"])),
+        ),
+        NfSpec::new(
+            "rate-limiter",
+            NfConfig::RateLimiter(RateLimiterConfig::per_client(1e12, 1e12)),
+        ),
+        NfSpec::new(
+            "nat",
+            NfConfig::Nat {
+                public_ip: Ipv4Addr::new(198, 51, 100, 1),
+            },
+        ),
+        NfSpec::new("ids", NfConfig::Ids(IdsConfig::default())),
+    ]
 }
 
 /// Deny-heavy firewall configurations: rules drawn from the same port pool
@@ -171,7 +219,8 @@ proptest! {
     }
 
     /// Chain batch processing == per-packet processing: verdicts aligned,
-    /// chain statistics and per-NF statistics identical.
+    /// chain statistics and per-NF statistics identical — for the
+    /// every-kind sample chain and for the `stateful_replay` chain.
     #[test]
     fn chain_batch_equals_per_packet(
         packets in proptest::collection::vec(arb_packet(), 1..50),
@@ -180,22 +229,25 @@ proptest! {
         let direction = if upstream { Direction::Ingress } else { Direction::Egress };
         let ctx = NfContext::at(SimTime::from_secs(1));
 
-        let mut reference = instantiate_chain("prop-chain", &sample_specs());
-        let expected: Vec<_> = packets
-            .iter()
-            .map(|p| reference.process(p.clone(), direction, &ctx))
-            .collect();
+        for specs in [sample_specs(), stateful_replay_chain()] {
+            let mut reference = instantiate_chain("prop-chain", &specs);
+            let expected: Vec<_> = packets
+                .iter()
+                .map(|p| reference.process(p.clone(), direction, &ctx))
+                .collect();
 
-        let mut batched = instantiate_chain("prop-chain", &sample_specs());
-        let verdicts = batched.process_batch(PacketBatch::from(packets), direction, &ctx);
+            let mut batched = instantiate_chain("prop-chain", &specs);
+            let verdicts =
+                batched.process_batch(PacketBatch::from(packets.clone()), direction, &ctx);
 
-        prop_assert_eq!(&verdicts, &expected);
-        prop_assert_eq!(batched.stats(), reference.stats());
-        prop_assert_eq!(batched.per_nf_stats(), reference.per_nf_stats());
-        // State export (conntrack tables, buckets, counters) matches too.
-        prop_assert_eq!(batched.export_state(), reference.export_state());
-        // Events produced in either mode agree.
-        prop_assert_eq!(batched.drain_events(), reference.drain_events());
+            prop_assert_eq!(&verdicts, &expected);
+            prop_assert_eq!(batched.stats(), reference.stats());
+            prop_assert_eq!(batched.per_nf_stats(), reference.per_nf_stats());
+            // State export (conntrack tables, buckets, counters) matches too.
+            prop_assert_eq!(batched.export_state(), reference.export_state());
+            // Events produced in either mode agree.
+            prop_assert_eq!(batched.drain_events(), reference.drain_events());
+        }
     }
 
     /// Switch receive_batch == per-packet receive: expanded decision runs

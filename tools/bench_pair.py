@@ -12,7 +12,9 @@ the medians are further apart than the parent's own quartile distance.
     # measure: the staged index against HEAD, both seeds, write the ledger
     tools/bench_pair.py --parent HEAD --change INDEX --workload fleet_steady \
         --metric pkts_per_s --seeds 7,1016 --pairs 10 --out BENCH_15.json
-    # CI: parse a ledger and fail if any RunReport digest pair differs
+    # CI: re-judge a ledger from its recorded runs; fail if a RunReport digest
+    # pair differs, the claim does not follow from the pairs, or more
+    # operations failed on the change side
     tools/bench_pair.py --check BENCH_15.json
 
 A side is a git revision (exported with `git archive`) or the literal
@@ -115,8 +117,7 @@ def judge(pairs, metric, higher_is_better):
 
 
 def measure(args):
-    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
-        bench = json.load(f)
+    bench = benchmark()
     command, seconds = bench["command"], bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
@@ -175,10 +176,28 @@ def measure(args):
     return check(args.out)
 
 
+def benchmark():
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+def failure_share_rose(sides):
+    """True when the change failed a larger share of what it attempted."""
+    parent, change = sides["parent"], sides["change"]
+    return change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]
+
+
 def check(path):
-    """Fails (returns 1) if any parent/change digest pair in the ledger differs."""
+    """Re-judges a ledger from the runs it records. Fails (returns 1) if a
+    parent/change digest pair differs, if the ledger names a claim that the
+    section 8 rule does not grant on its recorded pairs (or whose recorded
+    verdict is not what `judge` computes from them), or if any recorded pair
+    of runs failed a larger share of its operations on the change side."""
     with open(path) as f:
         ledger = json.load(f)
+    claim = ledger.get("claim")
+    if claim:
+        better = {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
     bad = 0
     for seed, block in ledger["seeds"].items():
         for workload, sides in sorted(block["digests"].items()):
@@ -186,6 +205,23 @@ def check(path):
             bad += not same
             print(f"seed {seed:>5} {workload:<16} parent {sides['parent']} change {sides['change']}"
                   f" {'identical' if same else 'DIFFERENT'}")
+        runs = [(claim["workload"] if claim else "?", pair) for pair in block["pairs"]]
+        for workload, sides in runs + sorted(block["others"].items()):
+            if failure_share_rose(sides):
+                bad += 1
+                print(f"seed {seed:>5} {workload:<16} failed/attempted ROSE: parent"
+                      f" {sides['parent']['failed']}/{sides['parent']['attempted']} change"
+                      f" {sides['change']['failed']}/{sides['change']['attempted']}")
+        if claim:
+            verdict = judge(block["pairs"], claim["metric"], better[claim["metric"]] == "higher")
+            followed = verdict == block["verdict"]
+            bad += not (verdict["gain"] and followed)
+            print(f"seed {seed:>5} claim {claim['workload']}/{claim['metric']}: {verdict['wins']}/"
+                  f"{verdict['pairs']} pairs won, medians {verdict['parent']['median']:.6g} ->"
+                  f" {verdict['change']['median']:.6g} (x{verdict['median_ratio']:.3f}), parent"
+                  f" quartile distance {verdict['parent']['q3'] - verdict['parent']['q1']:.6g}:"
+                  f" {'GRANTED' if verdict['gain'] else 'NOT MET'}"
+                  f"{'' if followed else ', and the recorded verdict DIFFERS'}")
     if not ledger["seeds"]:
         print(f"{path}: no seeds recorded")
         bad += 1
@@ -194,7 +230,8 @@ def check(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--check", metavar="LEDGER", help="only verify a ledger's digest pairs")
+    parser.add_argument("--check", metavar="LEDGER",
+                        help="only re-judge a ledger: digest pairs, the claim rule, failure shares")
     parser.add_argument("--parent", default="HEAD", help="git revision or INDEX")
     parser.add_argument("--change", default="INDEX", help="git revision or INDEX")
     parser.add_argument("--workload", help="the workload the claim is about")
