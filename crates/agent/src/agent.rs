@@ -80,8 +80,8 @@ pub enum PacketOutcome {
 ///
 /// * every packet was forwarded → the chain's [`ChainBypass::Forward`]
 ///   report, when it certifies one;
-/// * every packet was silently dropped **and** drop entries are enabled →
-///   the chain's [`ChainBypass::Drop`] report, when it certifies one;
+/// * every packet was silently dropped → the chain's
+///   [`ChainBypass::Drop`] report, when it certifies one;
 /// * anything else (replies, mixed verdicts, a report variant disagreeing
 ///   with the verdicts — which would mean an NF broke the purity contract)
 ///   → `None`: the entry seals decision-only and matching packets keep
@@ -92,7 +92,6 @@ pub enum PacketOutcome {
 /// megaflow guardrails measuring a sealing behavior production no longer
 /// takes.
 pub fn seal_report(
-    allow_drops: bool,
     chain: &NfChain,
     direction: Direction,
     verdicts: &[Verdict],
@@ -104,7 +103,7 @@ pub fn seal_report(
             }
             _ => None,
         }
-    } else if allow_drops && verdicts.iter().all(Verdict::is_drop) {
+    } else if verdicts.iter().all(Verdict::is_drop) {
         match chain.wildcard_report(direction) {
             Some(ChainBypass::Drop {
                 mask,
@@ -145,11 +144,6 @@ pub struct Agent {
     reports_sent: u64,
     commands_handled: u64,
     batch_sizes: BatchTelemetry,
-    /// Whether certified chain drops seal into wildcarded *drop* entries
-    /// (on by default). When off, a dropped slow-path packet seals
-    /// decision-only — the pre-drop-entry behavior — so outcomes and NF
-    /// statistics are equivalent either way.
-    megaflow_drops: bool,
     /// Intra-station RSS shards: how many chain-execution lanes the batched
     /// data plane uses (1 = the classic serial path). Outcomes, statistics
     /// and reports are byte-identical for any value.
@@ -215,7 +209,6 @@ impl Agent {
                 reports_sent: 0,
                 commands_handled: 0,
                 batch_sizes: BatchTelemetry::default(),
-                megaflow_drops: true,
                 station_shards: 1,
                 generation: 0,
                 chaos: ChaosTelemetry::default(),
@@ -334,26 +327,6 @@ impl Agent {
     /// True when the megaflow (wildcard) cache layer is enabled.
     pub fn megaflow_enabled(&self) -> bool {
         self.switch.megaflow_enabled()
-    }
-
-    /// Enables or disables wildcarded **drop** entries (on by default, but
-    /// only effective while the megaflow layer itself is enabled).
-    ///
-    /// When on, a chain that certifiably drops a slow-path packet seals
-    /// into a drop entry: matching attack churn (port scans, floods of
-    /// denied flows) is retired at the switch with the chain's statistics
-    /// and drop reason replayed exactly. When off, such seeds seal
-    /// decision-only and every denied packet re-walks the chain. Packet
-    /// outcomes, NF statistics and port counters are equivalent either way
-    /// — the drop-bypass equivalence property tests assert it.
-    pub fn set_megaflow_drop_enabled(&mut self, enabled: bool) {
-        self.megaflow_drops = enabled;
-        self.report_hints.traffic = true;
-    }
-
-    /// True when certified chain drops may seal into wildcard drop entries.
-    pub fn megaflow_drop_enabled(&self) -> bool {
-        self.megaflow_drops
     }
 
     /// Read access to the container runtime.
@@ -783,7 +756,10 @@ impl Agent {
         self.run_pipeline(batch, port, now)
     }
 
-    /// Drains pending NF events into `NfNotification` messages for the Manager.
+    /// Drains pending NF events into `NfNotification` messages for the
+    /// Manager, in `ChainId` order (each chain's events in NF order), so the
+    /// Manager's notification log does not depend on the chain table's
+    /// per-process hash order.
     pub fn drain_nf_notifications(&mut self, _now: SimTime) -> Vec<AgentToManager> {
         let mut out = Vec::new();
         for deployed in self.chains.values_mut() {
@@ -796,6 +772,12 @@ impl Agent {
                 });
             }
         }
+        // Stable, and sorting what was collected (not the chain ids up
+        // front) keeps the idle drain allocation-free.
+        out.sort_by_key(|message| match message {
+            AgentToManager::NfNotification { chain, .. } => Some(*chain),
+            _ => None,
+        });
         out
     }
 
@@ -833,10 +815,7 @@ impl Agent {
             return Vec::new();
         }
         self.batch_sizes.record(batch.len() as u64);
-        let runner = ChainRunner {
-            now,
-            megaflow_drops: self.megaflow_drops,
-        };
+        let runner = ChainRunner { now };
         let lanes = self.lanes_for(batch.len());
         let chains = &mut self.chains;
         let mut spine = Spine {
@@ -1076,32 +1055,27 @@ pub(crate) struct ChainRun {
 pub(crate) struct ChainRunner {
     /// The batch's virtual timestamp.
     pub now: SimTime,
-    /// Whether certified drops may seal into drop entries.
-    pub megaflow_drops: bool,
 }
 
 impl ChainRunner {
-    /// Takes the next `count` packets through `deployed`: the scalar entry
-    /// point for a single packet, the batched one otherwise. With `seal` the
-    /// run carries a megaflow seed and the chain's report rides along.
+    /// Takes the next `count` packets through `deployed`, one at a time.
+    /// With `seal` the run carries a megaflow seed and the chain's report
+    /// rides along.
     pub(crate) fn run(
         self,
         deployed: &mut DeployedChain,
-        mut packets: impl Iterator<Item = Packet>,
+        packets: impl Iterator<Item = Packet>,
         count: usize,
         direction: Direction,
         seal: bool,
     ) -> ChainRun {
         let ctx = NfContext::for_client(self.now, deployed.client);
-        let verdicts = if count == 1 {
-            let packet = packets.next().expect("runs cover the batch");
-            vec![deployed.chain.process(packet, direction, &ctx)]
-        } else {
-            let chunk: PacketBatch = packets.take(count).collect();
-            deployed.chain.process_batch(chunk, direction, &ctx)
-        };
+        let verdicts: Vec<Verdict> = packets
+            .take(count)
+            .map(|packet| deployed.chain.process(packet, direction, &ctx))
+            .collect();
         let report = if seal {
-            seal_report(self.megaflow_drops, &deployed.chain, direction, &verdicts)
+            seal_report(&deployed.chain, direction, &verdicts)
         } else {
             None
         };
@@ -1652,6 +1626,71 @@ mod tests {
         ));
     }
 
+    /// The chain table is a `HashMap` whose iteration order differs from
+    /// one Agent (one `RandomState`) to the next; what reaches the Manager
+    /// must not. With two chains the unsorted drain is in id order by
+    /// chance half the time, so 32 fresh Agents all agreeing by chance has
+    /// probability 2^-32.
+    #[test]
+    fn notifications_drain_in_chain_id_order_on_every_agent() {
+        let server = MacAddr::derived(0xA0, 1);
+        let dst = Ipv4Addr::new(203, 0, 113, 11);
+        let now = SimTime::from_secs(2);
+        for _ in 0..32 {
+            let (mut agent, _) = agent();
+            // Two clients, each behind its own HTTP filter; the chain ids
+            // are spread so neither insertion nor numeric order is the
+            // hash order.
+            let mut batch = Vec::new();
+            for (client, chain) in [(0u32, 9u64), (1, 4)] {
+                let mac = MacAddr::derived(1, client);
+                let ip = Ipv4Addr::new(172, 16, 0, 2 + client as u8);
+                agent.client_associated(ClientId::new(client as u64), mac, ip);
+                agent.handle_manager_msg(
+                    ManagerToAgent::DeployChain {
+                        chain: ChainId::new(chain),
+                        client: ClientId::new(client as u64),
+                        client_mac: mac,
+                        specs: vec![sample_specs()[1].clone()],
+                        selector: TrafficSelector::all(),
+                        restore_state: None,
+                        migration: None,
+                    },
+                    SimTime::from_secs(1),
+                );
+                // Two blocked requests per chain: per-chain event order
+                // must survive the sort.
+                for path in ["/first", "/second"] {
+                    batch.push(builder::http_get(
+                        mac,
+                        server,
+                        ip,
+                        dst,
+                        40_000 + client as u16,
+                        "ads.example",
+                        path,
+                    ));
+                }
+            }
+            agent.process_upstream_batch(batch.into(), now);
+            let drained: Vec<(u64, bool)> = agent
+                .drain_nf_notifications(now)
+                .into_iter()
+                .map(|message| match message {
+                    AgentToManager::NfNotification { chain, event, .. } => {
+                        (chain.raw(), event.message.contains("/first"))
+                    }
+                    other => panic!("expected a notification, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                drained,
+                [(4, true), (4, false), (9, true), (9, false)],
+                "ChainId order, each chain's events in the order it raised them"
+            );
+        }
+    }
+
     #[test]
     fn batched_processing_matches_per_packet_processing() {
         let make_agent = || {
@@ -1784,12 +1823,14 @@ mod tests {
             agent
         };
         // New-flow churn: every packet opens a brand-new flow, plus one
-        // blocked flow (privileged port) mixed in.
+        // blocked flow (privileged port) mixed in — then a 40-packet scan of
+        // the denied port (fresh source port each), the workload wildcard
+        // drop entries exist for.
         let server = MacAddr::derived(0xA0, 1);
         let dst = Ipv4Addr::new(203, 0, 113, 10);
-        let packets: Vec<gnf_packet::Packet> = (0..50u16)
+        let packets: Vec<gnf_packet::Packet> = (0..90u16)
             .map(|i| {
-                let dst_port = if i % 10 == 9 { 22 } else { 8080 };
+                let dst_port = if i % 10 == 9 || i >= 50 { 22 } else { 8080 };
                 builder::tcp_syn(client_mac(), server, client_ip(), dst, 40_000 + i, dst_port)
             })
             .collect();
@@ -1808,6 +1849,9 @@ mod tests {
             .collect();
 
         assert_eq!(outcomes, expected, "outcomes identical with megaflow on");
+        assert!(outcomes[50..]
+            .iter()
+            .all(|o| matches!(o, PacketOutcome::Dropped(_))));
         for (a, b) in on.chains().zip(off.chains()) {
             assert_eq!(
                 a.chain.stats(),
@@ -1828,11 +1872,12 @@ mod tests {
             stats.stats.hits > 40,
             "churn rides the wildcard entries: {stats:?}"
         );
-        assert!(
-            stats.stats.drop_hits >= 4,
-            "denied churn rides the drop entries: {stats:?}"
-        );
         assert_eq!(stats.stats.drop_installs, 1, "one dropped pattern");
+        assert_eq!(
+            stats.stats.drop_hits, 44,
+            "every denied packet after the first — four in the churn, the \
+             whole scan — is retired at the switch: {stats:?}"
+        );
         assert_eq!(off.megaflow_telemetry(), Default::default());
 
         // And the batched path produces the same outcomes, NF stats — and,
@@ -1851,109 +1896,6 @@ mod tests {
             "mid-batch sealing makes batched cache telemetry match per-packet"
         );
         assert_eq!(on_batched.flow_cache_telemetry(), on.flow_cache_telemetry());
-    }
-
-    #[test]
-    fn drop_bypass_toggle_preserves_outcomes_but_changes_the_cache_split() {
-        use gnf_nf::firewall::{
-            FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
-        };
-        use gnf_nf::{NfConfig, NfSpec};
-
-        // A conntrack-off firewall that denies every privileged port: the
-        // scan below is pure dropped-flow churn.
-        let blocking_fw = || {
-            NfSpec::new(
-                "fw",
-                NfConfig::Firewall(FirewallConfig {
-                    rules: vec![FirewallRule {
-                        protocol: ProtocolMatch::Tcp,
-                        dst_port: PortMatch::Range(1, 1023),
-                        action: RuleAction::Drop,
-                        ..FirewallRule::any("privileged", RuleAction::Drop)
-                    }],
-                    default_action: RuleAction::Accept,
-                    track_connections: false,
-                    conntrack_idle_timeout_secs: 60,
-                }),
-            )
-        };
-        let make_agent = |drops: bool| {
-            let (mut agent, _) = agent();
-            agent.set_megaflow_enabled(true);
-            agent.set_megaflow_drop_enabled(drops);
-            agent.client_associated(ClientId::new(0), client_mac(), client_ip());
-            agent.handle_manager_msg(deploy_msg(1, vec![blocking_fw()]), SimTime::from_secs(1));
-            agent
-        };
-        // A port scan: every packet a brand-new flow to the same denied
-        // port (fresh source ports), the wildcard drop entry's workload.
-        let server = MacAddr::derived(0xA0, 1);
-        let dst = Ipv4Addr::new(203, 0, 113, 10);
-        let packets: Vec<gnf_packet::Packet> = (0..40u16)
-            .map(|i| builder::tcp_syn(client_mac(), server, client_ip(), dst, 40_000 + i, 22))
-            .collect();
-        let now = SimTime::from_secs(2);
-
-        let mut with_drops = make_agent(true);
-        let on: Vec<PacketOutcome> = packets
-            .iter()
-            .map(|p| with_drops.process_upstream_packet(p.clone(), now))
-            .collect();
-        let mut without_drops = make_agent(false);
-        let off: Vec<PacketOutcome> = packets
-            .iter()
-            .map(|p| without_drops.process_upstream_packet(p.clone(), now))
-            .collect();
-
-        assert_eq!(on, off, "outcomes identical with and without drop entries");
-        assert!(on.iter().all(|o| matches!(o, PacketOutcome::Dropped(_))));
-        for (a, b) in with_drops.chains().zip(without_drops.chains()) {
-            assert_eq!(a.chain.stats(), b.chain.stats());
-            assert_eq!(a.chain.per_nf_stats(), b.chain.per_nf_stats());
-        }
-        for (a, b) in with_drops
-            .switch()
-            .ports()
-            .iter()
-            .zip(without_drops.switch().ports())
-        {
-            assert_eq!(a.counters, b.counters, "port {} counters", a.name);
-        }
-        // Only the cache split differs: with drop entries the scan is
-        // retired at the switch, without them every packet walks the chain.
-        let stats_on = with_drops.megaflow_telemetry().stats;
-        let stats_off = without_drops.megaflow_telemetry().stats;
-        assert_eq!(stats_on.drop_installs, 1);
-        assert_eq!(stats_on.drop_hits, 39, "the rest of the scan bypassed");
-        assert_eq!(stats_off.drop_hits, 0);
-        assert_eq!(stats_off.drop_installs, 0);
-        // Without drop entries the pattern still seals decision-only, so
-        // the wildcard layer serves the switch decision — but every packet
-        // re-walks the chain (chain packets_in above is 40 either way; with
-        // drops on, 39 of those were replayed, not processed).
-        assert_eq!(stats_off.hits, 39);
-        let walked = without_drops
-            .chains()
-            .next()
-            .expect("chain deployed")
-            .chain
-            .stats();
-        assert_eq!(walked.packets_in, 40);
-
-        // The batched entry point retires the scan identically — and the
-        // first packet's mid-batch seal serves the rest of the same flush.
-        let mut batched = make_agent(true);
-        let outcomes = batched.process_upstream_batch(packets.into(), now);
-        assert_eq!(outcomes, on);
-        assert_eq!(
-            batched.megaflow_telemetry(),
-            with_drops.megaflow_telemetry()
-        );
-        for (a, b) in batched.chains().zip(with_drops.chains()) {
-            assert_eq!(a.chain.stats(), b.chain.stats());
-            assert_eq!(a.chain.per_nf_stats(), b.chain.per_nf_stats());
-        }
     }
 
     /// One mixed batch that visits every pipeline stage, driven through the

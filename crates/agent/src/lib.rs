@@ -29,7 +29,9 @@
 //!   its exact-match flow cache, else its megaflow (wildcard) layer, else the
 //!   slow path (steering + MAC lookup), which memoizes the decision and
 //!   hands back a wildcard *seed*.
-//! * **Execute** — a steered run traverses its client's [`gnf_nf::NfChain`],
+//! * **Execute** — a steered run traverses its client's [`gnf_nf::NfChain`]
+//!   one packet at a time (`NfChain::process` per packet: NFs have a single
+//!   execution path, and ≈ 99 % of runs hold one packet anyway),
 //!   unless a wildcard entry certified a **chain bypass** (forward or drop),
 //!   in which case the chain's NF statistics are replayed instead
 //!   (`NfChain::credit_bypass` / `credit_bypass_drop`). *Where* chains run is

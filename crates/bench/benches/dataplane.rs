@@ -382,62 +382,6 @@ fn bench_megaflow_drop(c: &mut Criterion) {
     group.finish();
 }
 
-// ------------------------------------------------------------------- batch
-
-/// Per-packet vs batched station pipeline on a 3-NF chain (100-rule
-/// firewall + rate limiter + IDS) with an established flow: the ROADMAP's
-/// batching lever. Throughput is per packet, so the criterion lines are
-/// directly comparable across batch sizes.
-fn bench_batch(c: &mut Criterion) {
-    use gnf_bench::dataplane_fixture as fixture;
-
-    let mut group = quick(c).benchmark_group("batch");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    let ctx = NfContext::at(SimTime::from_secs(1));
-
-    // Per-packet baseline: the historical pipeline, one packet at a time.
-    let (mut sw, mut chain) = fixture::station(3, true);
-    let frame = fixture::established_flow_frame(10);
-    fixture::pipeline_step(&mut sw, &mut chain, &frame, &ctx); // warm caches
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("per_packet", |b| {
-        b.iter(|| {
-            black_box(fixture::pipeline_step(
-                &mut sw,
-                &mut chain,
-                black_box(&frame),
-                &ctx,
-            ))
-        })
-    });
-
-    for batch_size in [32usize, 256] {
-        let (mut sw, mut chain) = fixture::station(3, true);
-        let frames: Vec<_> = (0..batch_size)
-            .map(|_| fixture::established_flow_frame(10))
-            .collect();
-        fixture::pipeline_batch_step(&mut sw, &mut chain, &frames, &ctx); // warm caches
-        group.throughput(Throughput::Elements(batch_size as u64));
-        group.bench_with_input(
-            BenchmarkId::new("batched", batch_size),
-            &batch_size,
-            |b, _| {
-                b.iter(|| {
-                    black_box(fixture::pipeline_batch_step(
-                        &mut sw,
-                        &mut chain,
-                        black_box(&frames),
-                        &ctx,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 // ------------------------------------------------------- batch_hot_station
 
 /// One hot station under intra-station RSS sharding: an Agent with 8
@@ -550,7 +494,6 @@ criterion_group!(
     bench_flow_cache,
     bench_megaflow,
     bench_megaflow_drop,
-    bench_batch,
     bench_batch_hot_station,
     bench_trace_overhead
 );

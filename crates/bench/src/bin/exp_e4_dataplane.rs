@@ -247,44 +247,6 @@ fn main() {
         println!("speedup:            {:>10.2}x", slow_us / wild_us);
     }
 
-    section("batched station pipeline: per-packet vs batch-32 vs batch-256 (3-NF chain)");
-    {
-        use gnf_bench::dataplane_fixture as fixture;
-
-        let (mut sw, mut chain) = fixture::station(3, true);
-        let frame = fixture::established_flow_frame(10);
-        fixture::pipeline_step(&mut sw, &mut chain, &frame, &ctx);
-        let (pps, us) = measure(iterations, || {
-            fixture::pipeline_step(&mut sw, &mut chain, &frame, &ctx);
-        });
-        println!(
-            "per-packet:  {:>10.0} kpps  {:>8.3} us/packet",
-            pps / 1e3,
-            us
-        );
-        let per_packet_us = us;
-        for batch_size in [32usize, 256] {
-            let (mut sw, mut chain) = fixture::station(3, true);
-            let frames: Vec<_> = (0..batch_size)
-                .map(|_| fixture::established_flow_frame(10))
-                .collect();
-            fixture::pipeline_batch_step(&mut sw, &mut chain, &frames, &ctx);
-            let rounds = iterations / batch_size as u64;
-            let start = Instant::now();
-            for _ in 0..rounds {
-                fixture::pipeline_batch_step(&mut sw, &mut chain, &frames, &ctx);
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            let us = elapsed * 1e6 / (rounds * batch_size as u64) as f64;
-            println!(
-                "batch-{batch_size:<4}: {:>10.0} kpps  {:>8.3} us/packet  ({:.2}x per-packet)",
-                (rounds * batch_size as u64) as f64 / elapsed / 1e3,
-                us,
-                per_packet_us / us
-            );
-        }
-    }
-
     section("sharded multi-station emulation: aggregate throughput vs worker count");
     {
         let workers = workers_arg(2);

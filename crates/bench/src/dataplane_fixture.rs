@@ -15,7 +15,7 @@ use gnf_nf::firewall::{
 use gnf_nf::ids::{Ids, IdsConfig};
 use gnf_nf::rate_limiter::{RateLimiter, RateLimiterConfig};
 use gnf_nf::{Direction, NfChain, NfConfig, NfContext, NfSpec, Verdict};
-use gnf_packet::{builder, Packet, PacketBatch};
+use gnf_packet::{builder, Packet};
 use gnf_switch::{
     Classified, MegaflowState, SoftwareSwitch, SteeringRule, TrafficSelector,
     DEFAULT_MEGAFLOW_CAPACITY,
@@ -172,7 +172,6 @@ pub fn hot_station_agent(clients: u32) -> Agent {
         ImageRepository::with_standard_images(),
     );
     agent.set_megaflow_enabled(true);
-    agent.set_megaflow_drop_enabled(true);
     for client in 0..clients {
         let mac = MacAddr::derived(1, client);
         agent.client_associated(
@@ -281,7 +280,7 @@ pub fn pipeline_step_megaflow(
                     if let MegaflowState::Seed(seed) = megaflow {
                         sw.install_megaflow(
                             seed,
-                            seal_report(true, chain, direction, std::slice::from_ref(&verdict)),
+                            seal_report(chain, direction, std::slice::from_ref(&verdict)),
                         );
                     }
                     verdict.is_forward()
@@ -290,51 +289,4 @@ pub fn pipeline_step_megaflow(
         }
         None => true,
     }
-}
-
-/// One *batched* station-pipeline iteration, exactly as the Agent's batch
-/// entry point dispatches it: parse each arriving frame, consult the switch
-/// once per batch (run-length grouped decisions), run each steered run
-/// through the chain's batched path. Returns how many packets were
-/// forwarded.
-pub fn pipeline_batch_step(
-    sw: &mut SoftwareSwitch,
-    chain: &mut NfChain,
-    frames: &[Packet],
-    ctx: &NfContext,
-) -> usize {
-    let batch: PacketBatch = frames
-        .iter()
-        .map(|f| Packet::parse(f.bytes().clone()).unwrap())
-        .collect();
-    let port = sw.client_port();
-    let runs = sw
-        .receive_batch(&batch, port, SimTime::from_secs(1))
-        .unwrap();
-    let mut packets = batch.into_iter();
-    let mut forwarded = 0usize;
-    for run in runs {
-        match run.decision.steering {
-            Some((_, upstream)) => {
-                let direction = if upstream {
-                    Direction::Ingress
-                } else {
-                    Direction::Egress
-                };
-                let chunk: PacketBatch = packets.by_ref().take(run.count).collect();
-                forwarded += chain
-                    .process_batch(chunk, direction, ctx)
-                    .iter()
-                    .filter(|v| v.is_forward())
-                    .count();
-            }
-            None => {
-                forwarded += run.count;
-                for _ in 0..run.count {
-                    let _ = packets.next();
-                }
-            }
-        }
-    }
-    forwarded
 }

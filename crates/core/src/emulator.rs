@@ -693,19 +693,6 @@ impl Emulator {
         }
     }
 
-    /// Enables or disables wildcarded **drop** entries on every station's
-    /// switch (enabled by default, effective only while the megaflow layer
-    /// is). With drops on, attack churn whose chain verdict is a certified
-    /// silent drop (port scans into a deny rule, floods of blocked flows)
-    /// is retired at the switch with statistics and drop reasons replayed
-    /// exactly; outcomes are equivalent either way — the drop-bypass
-    /// equivalence property tests assert it.
-    pub fn set_megaflow_drop_enabled(&mut self, enabled: bool) {
-        for agent in self.agents.values_mut() {
-            agent.set_megaflow_drop_enabled(enabled);
-        }
-    }
-
     /// Runs the scenario to completion and returns the report.
     ///
     /// Packet events are coalesced: contiguous runs of packet events (the

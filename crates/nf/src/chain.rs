@@ -45,25 +45,11 @@ pub enum ChainBypass {
     },
 }
 
-/// Scratch buffers [`NfChain::process_batch`] reuses across calls: the
-/// verdict slots and the alive-index bookkeeping are the same shape every
-/// flush, so their allocations are paid once per chain, not once per batch.
-/// (The packet vector itself must still be handed to each NF by value — that
-/// is the batch contract — so packets are not pooled here.)
-#[derive(Default)]
-struct BatchScratch {
-    verdicts: Vec<Option<Verdict>>,
-    alive_ix: Vec<usize>,
-    next_ix: Vec<usize>,
-    spare: Vec<Packet>,
-}
-
 /// An ordered chain of network functions treated as a single function.
 pub struct NfChain {
     name: String,
     nfs: Vec<Box<dyn NetworkFunction>>,
     stats: NfStats,
-    scratch: BatchScratch,
 }
 
 impl NfChain {
@@ -73,7 +59,6 @@ impl NfChain {
             name: name.to_string(),
             nfs: Vec::new(),
             stats: NfStats::default(),
-            scratch: BatchScratch::default(),
         }
     }
 
@@ -152,92 +137,18 @@ impl NfChain {
     }
 
     /// Processes a batch of packets through the chain, returning one verdict
-    /// per packet aligned with the batch order.
-    ///
-    /// Equivalent to calling [`NfChain::process`] once per packet: because
-    /// every NF is a function of only its own state, the packets it is
-    /// handed and the (shared, single-timestamp) context, running the whole
-    /// batch through NF 1 before NF 2 sees any of it produces the same
-    /// verdicts and the same final NF state as interleaving per packet —
-    /// each NF still sees exactly the survivors of the previous stage, in
-    /// arrival order. Dropped/replied packets short-circuit out of later
-    /// stages exactly as in per-packet processing.
+    /// per packet aligned with the batch order: [`NfChain::process`] applied
+    /// to each packet in arrival order, under the batch's shared context.
     pub fn process_batch(
         &mut self,
         batch: PacketBatch,
         direction: Direction,
         ctx: &NfContext,
     ) -> Vec<Verdict> {
-        let total = batch.len();
-        self.stats
-            .record_in_batch(total as u64, batch.total_bytes());
-        let len = self.nfs.len();
-        // The bookkeeping buffers persist across batches (their allocations
-        // amortize to zero on a steady flush load); only their contents are
-        // per-call.
-        let mut verdicts = std::mem::take(&mut self.scratch.verdicts);
-        verdicts.clear();
-        verdicts.resize_with(total, || None);
-        // The packets still travelling the chain, with their original batch
-        // positions so early drop/reply verdicts land in the right slot.
-        let mut alive: Vec<Packet> = batch.into_vec();
-        let mut alive_ix = std::mem::take(&mut self.scratch.alive_ix);
-        alive_ix.clear();
-        alive_ix.extend(0..total);
-        let mut next_ix = std::mem::take(&mut self.scratch.next_ix);
-        // One retained packet vector seeds the first stage's survivor
-        // collection. Each NF consumes the vector it is handed (that is the
-        // by-value batch contract), so stages after the first still pay one
-        // fresh allocation — only the verdict/index buffers and this first
-        // collector amortize across batches.
-        let mut spare = std::mem::take(&mut self.scratch.spare);
-        spare.clear();
-        for step in 0..len {
-            if alive.is_empty() {
-                break;
-            }
-            let ix = match direction {
-                Direction::Ingress => step,
-                Direction::Egress => len - 1 - step,
-            };
-            spare.reserve(alive_ix.len());
-            let results = self.nfs[ix].process_batch(
-                PacketBatch::from(std::mem::replace(&mut alive, spare)),
-                direction,
-                ctx,
-            );
-            debug_assert_eq!(results.len(), alive_ix.len(), "NF batch must stay aligned");
-            next_ix.clear();
-            next_ix.reserve(alive_ix.len());
-            for (slot, verdict) in alive_ix.iter().copied().zip(results) {
-                match verdict {
-                    Verdict::Forward(packet) => {
-                        alive.push(packet);
-                        next_ix.push(slot);
-                    }
-                    verdict @ Verdict::Drop(_) | verdict @ Verdict::Reply(_) => {
-                        self.stats.record_verdict(&verdict);
-                        verdicts[slot] = Some(verdict);
-                    }
-                }
-            }
-            std::mem::swap(&mut alive_ix, &mut next_ix);
-            spare = Vec::new();
-        }
-        for (slot, packet) in alive_ix.drain(..).zip(alive.drain(..)) {
-            let verdict = Verdict::Forward(packet);
-            self.stats.record_verdict(&verdict);
-            verdicts[slot] = Some(verdict);
-        }
-        let out = verdicts
-            .drain(..)
-            .map(|v| v.expect("every batch slot received a verdict"))
-            .collect();
-        self.scratch.verdicts = verdicts;
-        self.scratch.alive_ix = alive_ix;
-        self.scratch.next_ix = next_ix;
-        self.scratch.spare = alive;
-        out
+        batch
+            .into_iter()
+            .map(|packet| self.process(packet, direction, ctx))
+            .collect()
     }
 
     /// The chain index visited at `step` of a traversal in `direction`
@@ -250,8 +161,7 @@ impl NfChain {
     }
 
     /// The chain's contribution to a megaflow (wildcard) cache entry for the
-    /// most recently processed packet (or single-flow batch) travelling in
-    /// `direction`.
+    /// most recently processed packet travelling in `direction`.
     ///
     /// Walks the NFs in traversal order asking each what the cache may
     /// assume ([`NetworkFunction::fields_consulted`]):
@@ -525,41 +435,6 @@ mod tests {
         // The firewall (last in egress order... first traversed) saw it first.
         let per_nf = chain.per_nf_stats();
         assert_eq!(per_nf[1].2.packets_in, 1);
-    }
-
-    #[test]
-    fn batch_processing_matches_per_packet_processing() {
-        let packets = vec![
-            http("ok.example"),
-            http("blocked.example"), // reply from the filter
-            builder::tcp_syn(
-                MacAddr::derived(1, 1),
-                MacAddr::derived(2, 1),
-                Ipv4Addr::new(10, 0, 0, 2),
-                Ipv4Addr::new(198, 51, 100, 7),
-                40_001,
-                22,
-            ), // dropped by the firewall
-            http("ok.example"),
-        ];
-
-        let mut per_packet = demo_chain();
-        let expected: Vec<Verdict> = packets
-            .iter()
-            .map(|p| per_packet.process(p.clone(), Direction::Ingress, &ctx()))
-            .collect();
-
-        let mut batched = demo_chain();
-        let verdicts = batched.process_batch(packets.into(), Direction::Ingress, &ctx());
-
-        assert_eq!(verdicts, expected, "verdicts aligned with inputs");
-        assert_eq!(batched.stats(), per_packet.stats());
-        let a = batched.per_nf_stats();
-        let b = per_packet.per_nf_stats();
-        assert_eq!(a, b, "per-NF statistics identical");
-        // The firewall-dropped SYN never reached the filter in either mode.
-        assert_eq!(a[1].2.packets_in, 3);
-        assert_eq!(a[0].2.packets_in, 4);
     }
 
     #[test]

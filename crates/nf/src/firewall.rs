@@ -14,9 +14,7 @@
 use crate::nf::{Direction, FieldsConsulted, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
-use gnf_packet::{
-    builder, FieldMask, FiveTuple, IpProtocol, MaskedTuple, Packet, PacketBatch, TcpFlags,
-};
+use gnf_packet::{builder, FieldMask, FiveTuple, IpProtocol, MaskedTuple, Packet, TcpFlags};
 use gnf_types::SimTime;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -581,126 +579,6 @@ impl NetworkFunction for Firewall {
         verdict
     }
 
-    fn process_batch(
-        &mut self,
-        batch: PacketBatch,
-        direction: Direction,
-        ctx: &NfContext,
-    ) -> Vec<Verdict> {
-        /// What the previous packet's flow resolved to — replayed for runs of
-        /// consecutive same-flow packets without re-probing conntrack or
-        /// re-walking the rules.
-        enum Memo {
-            /// Conntrack pass (hit, or just accepted and inserted): later
-            /// packets of the run would hit conntrack too.
-            Established,
-            /// A rule matched and denies (or accepts untracked): the
-            /// per-packet path re-evaluates and re-hits the same rule, so
-            /// replaying bumps its counter directly.
-            Rule(usize),
-            /// No rule matched: the default policy re-applies per packet.
-            Default,
-        }
-        let mut out = Vec::with_capacity(batch.len());
-        let mut memo: Option<(FiveTuple, Memo)> = None;
-        for packet in batch {
-            self.stats.record_in(packet.len());
-            let Some(tuple) = packet.five_tuple() else {
-                // Non-IP traffic (e.g. ARP) is not firewalled.
-                memo = None;
-                self.last_consulted = FieldsConsulted::Opaque;
-                let verdict = Verdict::Forward(packet);
-                self.stats.record_verdict(&verdict);
-                out.push(verdict);
-                continue;
-            };
-            // The memo is keyed on the *exact* tuple: rule matching depends
-            // on the packet's own endpoints/ports, so a reverse-direction
-            // packet of the same flow (same canonical tuple) must NOT replay
-            // the forward packet's rule resolution — it falls through to the
-            // full path below (where conntrack, which is direction-agnostic,
-            // is probed under the canonical key as usual).
-            if let Some((memo_key, replay)) = &memo {
-                if *memo_key == tuple {
-                    // `last_consulted` stays as the run's first packet set
-                    // it: same exact tuple, same evaluation path, same mask.
-                    let verdict = match replay {
-                        Memo::Established => Verdict::Forward(packet),
-                        Memo::Rule(ix) => {
-                            self.rule_hits[*ix] += 1;
-                            match self.config.rules[*ix].action {
-                                RuleAction::Accept => Verdict::Forward(packet),
-                                deny => Self::deny_verdict(deny, &packet),
-                            }
-                        }
-                        Memo::Default => {
-                            self.default_hits += 1;
-                            match self.config.default_action {
-                                RuleAction::Accept => Verdict::Forward(packet),
-                                deny => Self::deny_verdict(deny, &packet),
-                            }
-                        }
-                    };
-                    self.stats.record_verdict(&verdict);
-                    out.push(verdict);
-                    continue;
-                }
-            }
-
-            // First packet of a run: full conntrack probe + rule walk,
-            // exactly as the per-packet path.
-            if self.config.track_connections {
-                if let Some(last_seen) = self.conntrack.get_mut(&tuple.canonical()) {
-                    *last_seen = ctx.now;
-                    memo = Some((tuple, Memo::Established));
-                    self.last_consulted = FieldsConsulted::Opaque;
-                    let verdict = Verdict::Forward(packet);
-                    self.stats.record_verdict(&verdict);
-                    out.push(verdict);
-                    continue;
-                }
-            }
-            let mut mask = FieldMask::EMPTY;
-            let matched = self.find_match_masked(&tuple, direction, &mut mask);
-            let action = match matched {
-                Some(ix) => {
-                    self.rule_hits[ix] += 1;
-                    self.config.rules[ix].action
-                }
-                None => {
-                    self.default_hits += 1;
-                    self.config.default_action
-                }
-            };
-            let verdict = match action {
-                RuleAction::Accept => {
-                    if self.config.track_connections {
-                        self.conntrack.insert(tuple.canonical(), ctx.now);
-                        // The rest of the run rides the fresh conntrack entry.
-                        memo = Some((tuple, Memo::Established));
-                        self.last_consulted = FieldsConsulted::Opaque;
-                    } else {
-                        memo = Some((tuple, matched.map(Memo::Rule).unwrap_or(Memo::Default)));
-                        self.last_consulted = FieldsConsulted::Pure {
-                            mask,
-                            token: Self::path_token(matched),
-                        };
-                    }
-                    Verdict::Forward(packet)
-                }
-                deny => {
-                    memo = Some((tuple, matched.map(Memo::Rule).unwrap_or(Memo::Default)));
-                    self.last_consulted =
-                        self.deny_consulted(deny, mask, Self::path_token(matched));
-                    Self::deny_verdict(deny, &packet)
-                }
-            };
-            self.stats.record_verdict(&verdict);
-            out.push(verdict);
-        }
-        out
-    }
-
     fn stats(&self) -> NfStats {
         self.stats
     }
@@ -1073,60 +951,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_reverse_direction_packet_is_reevaluated_not_replayed() {
-        // An untracked allowlist firewall: forward-direction traffic to port
-        // 80 is accepted, everything else (including the reverse direction,
-        // whose dst port is the ephemeral one) hits the Drop default. The
-        // reverse packet shares the forward packet's *canonical* tuple, so a
-        // memo keyed canonically would wrongly replay the accept — a policy
-        // bypass.
-        let allow_http = FirewallRule {
-            protocol: ProtocolMatch::Tcp,
-            dst_port: PortMatch::Exact(80),
-            action: RuleAction::Accept,
-            ..FirewallRule::any("allow-http", RuleAction::Accept)
-        };
-        let config = FirewallConfig {
-            rules: vec![allow_http],
-            default_action: RuleAction::Drop,
-            track_connections: false,
-            conntrack_idle_timeout_secs: 60,
-        };
-        let forward = builder::tcp_syn(
-            MacAddr::derived(1, 1),
-            MacAddr::derived(2, 1),
-            client_ip(),
-            server_ip(),
-            40_000,
-            80,
-        );
-        let reverse = builder::tcp_data(
-            MacAddr::derived(2, 1),
-            MacAddr::derived(1, 1),
-            server_ip(),
-            client_ip(),
-            80,
-            40_000,
-            b"resp",
-        );
-        let batch: PacketBatch = vec![forward.clone(), reverse.clone()].into();
-
-        let mut per_packet = Firewall::new("fw", config.clone());
-        let expected: Vec<Verdict> = [forward, reverse]
-            .into_iter()
-            .map(|p| per_packet.process(p, Direction::Ingress, &ctx()))
-            .collect();
-        assert!(expected[0].is_forward());
-        assert!(expected[1].is_drop(), "reverse direction hits the default");
-
-        let mut batched = Firewall::new("fw", config);
-        let verdicts = batched.process_batch(batch, Direction::Ingress, &ctx());
-        assert_eq!(verdicts, expected);
-        assert_eq!(batched.rule_hits(), per_packet.rule_hits());
-        assert_eq!(batched.default_hits(), per_packet.default_hits());
-    }
-
     // ------------------------------------------------- wildcard reporting
 
     /// A conntrack-off config whose rules never match port-443 traffic: a
@@ -1328,20 +1152,6 @@ mod tests {
         assert_eq!(credited.stats(), processed.stats());
         assert_eq!(credited.rule_hits(), processed.rule_hits());
         assert_eq!(credited.default_hits(), processed.default_hits());
-    }
-
-    #[test]
-    fn batched_evaluation_reports_the_same_purity_as_per_packet() {
-        let pkt = tcp_to_port(443);
-        let mut per_packet = Firewall::new("fw", untracked_config());
-        per_packet.process(pkt.clone(), Direction::Ingress, &ctx());
-        let expected = per_packet.fields_consulted();
-        assert!(matches!(expected, FieldsConsulted::Pure { .. }));
-
-        let mut batched = Firewall::new("fw", untracked_config());
-        let batch: PacketBatch = vec![pkt.clone(), pkt.clone(), pkt].into();
-        batched.process_batch(batch, Direction::Ingress, &ctx());
-        assert_eq!(batched.fields_consulted(), expected);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::nf::{Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
-use gnf_packet::{Packet, PacketBatch};
+use gnf_packet::Packet;
 use gnf_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -178,26 +178,6 @@ impl NetworkFunction for Ids {
         let verdict = self.inspect(packet);
         self.stats.record_verdict(&verdict);
         verdict
-    }
-
-    fn process_batch(
-        &mut self,
-        batch: PacketBatch,
-        _direction: Direction,
-        ctx: &NfContext,
-    ) -> Vec<Verdict> {
-        // One window roll and one stats add per batch; the per-packet scan
-        // state (SYN counters, signature list) is shared across the batch.
-        self.stats
-            .record_in_batch(batch.len() as u64, batch.total_bytes());
-        self.roll_window(ctx.now);
-        let mut out = Vec::with_capacity(batch.len());
-        for packet in batch {
-            let verdict = self.inspect(packet);
-            self.stats.record_verdict(&verdict);
-            out.push(verdict);
-        }
-        out
     }
 
     fn stats(&self) -> NfStats {

@@ -24,23 +24,26 @@
 //! behaviour is mocked. Chains ([`chain::NfChain`]) compose them in order, and
 //! [`spec::NfSpec`] is the serializable descriptor the Manager ships to Agents.
 //!
-//! ## The NF contract in the fast/batch/wildcard paths
+//! ## The NF contract: one method, one optional report
 //!
-//! On the per-packet path NFs inspect packets through borrowed views
-//! ([`gnf_packet::Packet::http_request_view`], the payload and five-tuple
-//! accessors) and rewrite them in place
-//! ([`gnf_packet::Packet::with_rewritten_endpoints`]); see
-//! [`NetworkFunction::process`].
+//! An NF author implements **one** packet path:
+//! [`NetworkFunction::process`]. It is the only way a packet crosses an NF —
+//! a batch crosses a chain as one `process` call per packet, in arrival
+//! order ([`NfChain::process_batch`] is that loop). NFs inspect packets
+//! through borrowed views ([`gnf_packet::Packet::http_request_view`], the
+//! payload and five-tuple accessors) and rewrite them in place
+//! ([`gnf_packet::Packet::with_rewritten_endpoints`]).
 //!
-//! Beyond per-packet [`NetworkFunction::process`], the trait has two optional
-//! fast-path surfaces, both of which must stay *observably equivalent* to
-//! per-packet processing (the batch- and megaflow-equivalence property tests
-//! enforce it for the shipped NFs):
+//! There is deliberately no batched NF entry point: the only unit an NF
+//! could amortise over is a run of consecutive same-flow packets in one
+//! flush, and the workloads deliver about 1 % of their packets in such runs
+//! (ARCHITECTURE.md, "Measured effect (batching)";
+//! `tests/tests/traffic_shape.rs` pins the fact).
 //!
-//! * **Batching** — [`NetworkFunction::process_batch`] takes a
-//!   [`gnf_packet::PacketBatch`] and may amortize per-packet work (the
-//!   firewall replays one rule resolution per same-flow run, the rate
-//!   limiter refills tokens once per batch, the IDS rolls its window once).
+//! The one optional fast-path surface must stay *observably equivalent* to
+//! processing every packet (the megaflow-equivalence property tests enforce
+//! it for the shipped NFs):
+//!
 //! * **Wildcarding** — [`NetworkFunction::fields_consulted`] reports, after
 //!   each packet, [`FieldsConsulted::Pure`] (the forward verdict was a pure
 //!   function of a mask of five-tuple fields; the switch's megaflow cache

@@ -10,7 +10,7 @@
 
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
-use gnf_packet::{FieldMask, Packet, PacketBatch};
+use gnf_packet::{FieldMask, Packet};
 use gnf_types::{ClientId, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -266,6 +266,11 @@ impl NfEvent {
 
 /// The contract implemented by every GNF network function.
 ///
+/// One required packet method: [`process`](NetworkFunction::process), the
+/// only way a packet crosses an NF. Everything else has a default: the
+/// wildcard report ([`fields_consulted`](NetworkFunction::fields_consulted)
+/// and its two credit methods), state migration and events.
+///
 /// Implementations must be deterministic functions of their configuration,
 /// their accumulated state and the packets they have seen — all sources of
 /// randomness (e.g. the DNS load balancer's backend choice) are seeded
@@ -279,7 +284,9 @@ pub trait NetworkFunction: Send {
 
     /// Processes one packet travelling in `direction`, returning a verdict.
     ///
-    /// This is the per-packet hot path, so an NF **inspects through views**:
+    /// Every packet of every batch arrives here, one call each, in arrival
+    /// order; `ctx.now` is shared by the packets of one batch. This is the
+    /// per-packet hot path, so an NF **inspects through views**:
     /// the accessors that borrow the frame — [`Packet::five_tuple`],
     /// [`Packet::tcp_flags`], [`Packet::tcp_payload`] /
     /// [`Packet::udp_payload`], [`Packet::http_request_view`] — cost no
@@ -292,30 +299,6 @@ pub trait NetworkFunction: Send {
     /// view on first use: fine on a rare branch (building a reject reply),
     /// a per-packet cost anywhere else.
     fn process(&mut self, packet: Packet, direction: Direction, ctx: &NfContext) -> Verdict;
-
-    /// Processes a batch of packets travelling in `direction`, returning one
-    /// verdict per packet, aligned with the batch order.
-    ///
-    /// The default implementation falls back to per-packet [`process`] calls
-    /// and is always correct. Implementations may override it to amortize
-    /// per-packet work (one state probe per run of same-flow packets, one
-    /// token refill per batch, ...) — but an override MUST be observably
-    /// equivalent to the fallback: same verdicts in the same order, same
-    /// final NF state, same statistics and events. The batch-equivalence
-    /// property tests enforce this for the shipped NFs.
-    ///
-    /// [`process`]: NetworkFunction::process
-    fn process_batch(
-        &mut self,
-        batch: PacketBatch,
-        direction: Direction,
-        ctx: &NfContext,
-    ) -> Vec<Verdict> {
-        batch
-            .into_iter()
-            .map(|packet| self.process(packet, direction, ctx))
-            .collect()
-    }
 
     /// Cumulative statistics.
     fn stats(&self) -> NfStats;

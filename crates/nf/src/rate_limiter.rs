@@ -9,7 +9,7 @@
 use crate::nf::{Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
-use gnf_packet::{FiveTuple, Packet, PacketBatch};
+use gnf_packet::{FiveTuple, Packet};
 use gnf_types::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -182,70 +182,6 @@ impl NetworkFunction for RateLimiter {
         };
         self.stats.record_verdict(&verdict);
         verdict
-    }
-
-    fn process_batch(
-        &mut self,
-        batch: PacketBatch,
-        direction: Direction,
-        ctx: &NfContext,
-    ) -> Vec<Verdict> {
-        if !self.policed(direction) {
-            let mut out = Vec::with_capacity(batch.len());
-            for packet in batch {
-                self.stats.record_in(packet.len());
-                let verdict = Verdict::Forward(packet);
-                self.stats.record_verdict(&verdict);
-                out.push(verdict);
-            }
-            return out;
-        }
-        // One token refill per batch: every packet shares the batch
-        // timestamp, so the per-packet path's later refills are no-ops.
-        self.refill(ctx.now);
-        let mut out = Vec::with_capacity(batch.len());
-        // The active bucket is kept in a local and written back on key
-        // change, so a run of same-bucket packets (all of them, in
-        // per-client scope) costs one map probe instead of one per packet.
-        let mut cached: Option<(FiveTuple, f64)> = None;
-        for packet in batch {
-            self.stats.record_in(packet.len());
-            let key = self.bucket_key(&packet);
-            match &cached {
-                Some((cached_key, _)) if *cached_key == key => {}
-                _ => {
-                    if let Some((stale_key, level)) = cached.take() {
-                        self.buckets.insert(stale_key, level);
-                    }
-                    let level = *self.buckets.entry(key).or_insert(self.config.burst_bytes);
-                    cached = Some((key, level));
-                }
-            }
-            let level = &mut cached.as_mut().expect("bucket cached above").1;
-            let cost = packet.len() as f64;
-            let verdict = if *level >= cost {
-                *level -= cost;
-                self.conforming_bytes += packet.len() as u64;
-                self.limit_engaged = false;
-                Verdict::Forward(packet)
-            } else {
-                self.dropped_bytes += packet.len() as u64;
-                if !self.limit_engaged {
-                    self.limit_engaged = true;
-                    self.events.push(NfEvent::warning(
-                        "rate-limit",
-                        format!("client exceeded {} B/s", self.config.rate_bytes_per_sec),
-                    ));
-                }
-                Verdict::Drop("rate limit exceeded".into())
-            };
-            self.stats.record_verdict(&verdict);
-            out.push(verdict);
-        }
-        if let Some((key, level)) = cached.take() {
-            self.buckets.insert(key, level);
-        }
-        out
     }
 
     fn stats(&self) -> NfStats {

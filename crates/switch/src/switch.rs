@@ -593,62 +593,74 @@ impl SoftwareSwitch {
             self.mac_table.insert(packet.src_mac(), (in_port, now));
         }
 
-        // Fast path: exact-match lookup for transport flows.
-        if let Some(tuple) = packet.five_tuple() {
-            let key = FlowKey {
-                in_port,
-                src_mac: packet.src_mac(),
-                dst_mac: packet.dst_mac(),
-                tuple,
-            };
-            let steering_generation = self.steering.generation();
-            let dst_mapping = self.mac_table.get(&packet.dst_mac()).map(|(port, _)| *port);
-            if let Some(decision) = self.flow_cache.lookup(
-                &key,
-                self.topology_generation,
-                steering_generation,
-                dst_mapping,
-            ) {
-                return Ok(Classified {
-                    decision,
-                    megaflow: MegaflowState::None,
-                });
+        Ok(match packet.five_tuple() {
+            Some(tuple) => {
+                let (decision, megaflow, _) = self.classify_flow(packet, in_port, tuple);
+                Classified { decision, megaflow }
             }
-            // Second level: one wildcard entry covers every new flow of the
-            // same masked pattern.
-            if let Some(hit) = self.megaflow.lookup(
-                in_port,
-                key.src_mac,
-                key.dst_mac,
-                &tuple,
-                self.topology_generation,
-                steering_generation,
-                dst_mapping,
-            ) {
-                return Ok(Classified {
-                    decision: hit.decision,
-                    megaflow: MegaflowState::from_bypass(hit.bypass),
-                });
-            }
-            let (decision, switch_mask) = self.slow_path_masked(packet, in_port);
-            self.flow_cache.insert(
-                key,
-                decision.clone(),
-                self.topology_generation,
-                steering_generation,
-                dst_mapping,
-            );
-            let megaflow =
-                self.seed_or_install_megaflow(&key, tuple, switch_mask, &decision, dst_mapping);
-            Ok(Classified { decision, megaflow })
-        } else {
             // Non-flow frames (ARP, unknown EtherTypes) are rare control
             // traffic; they always take the slow path.
-            Ok(Classified {
+            None => Classified {
                 decision: self.slow_path(packet, in_port),
                 megaflow: MegaflowState::None,
-            })
+            },
+        })
+    }
+
+    /// The one classification of a transport-flow frame (its source MAC
+    /// already learned): the exact-match cache, else the megaflow layer —
+    /// one wildcard entry covers every new flow of the same masked pattern
+    /// — else the slow path, which memoizes the decision and seeds or
+    /// installs the wildcard entry. Also names the cache level that
+    /// decided, so a run's repeats credit the counters per-packet repeats
+    /// would.
+    fn classify_flow(
+        &mut self,
+        packet: &Packet,
+        in_port: PortId,
+        tuple: FiveTuple,
+    ) -> (SwitchDecision, MegaflowState, RunSource) {
+        let key = FlowKey {
+            in_port,
+            src_mac: packet.src_mac(),
+            dst_mac: packet.dst_mac(),
+            tuple,
+        };
+        let steering_generation = self.steering.generation();
+        let dst_mapping = self.mac_table.get(&key.dst_mac).map(|(port, _)| *port);
+        if let Some(decision) = self.flow_cache.lookup(
+            &key,
+            self.topology_generation,
+            steering_generation,
+            dst_mapping,
+        ) {
+            return (decision, MegaflowState::None, RunSource::Exact);
         }
+        if let Some(hit) = self.megaflow.lookup(
+            in_port,
+            key.src_mac,
+            key.dst_mac,
+            &tuple,
+            self.topology_generation,
+            steering_generation,
+            dst_mapping,
+        ) {
+            let source = RunSource::Megaflow {
+                drop_served: hit.bypass.as_ref().is_some_and(BypassOutcome::is_drop),
+            };
+            return (hit.decision, MegaflowState::from_bypass(hit.bypass), source);
+        }
+        let (decision, switch_mask) = self.slow_path_masked(packet, in_port);
+        self.flow_cache.insert(
+            key,
+            decision.clone(),
+            self.topology_generation,
+            steering_generation,
+            dst_mapping,
+        );
+        let megaflow =
+            self.seed_or_install_megaflow(&key, tuple, switch_mask, &decision, dst_mapping);
+        (decision, megaflow, RunSource::Exact)
     }
 
     /// Completes a slow-path seed into a wildcard cache entry.
@@ -823,56 +835,17 @@ impl SoftwareSwitch {
                 megaflow: MegaflowState::None,
             });
         };
-        let key = FlowKey {
-            in_port,
-            src_mac,
-            dst_mac: packet.dst_mac(),
-            tuple,
-        };
-        let steering_generation = self.steering.generation();
-        let dst_mapping = self.mac_table.get(&packet.dst_mac()).map(|(port, _)| *port);
-        let (decision, megaflow, source) = if let Some(decision) = self.flow_cache.lookup(
-            &key,
-            self.topology_generation,
-            steering_generation,
-            dst_mapping,
-        ) {
-            (decision, MegaflowState::None, RunSource::Exact)
-        } else if let Some(hit) = self.megaflow.lookup(
-            in_port,
-            key.src_mac,
-            key.dst_mac,
-            &tuple,
-            self.topology_generation,
-            steering_generation,
-            dst_mapping,
-        ) {
-            let source = RunSource::Megaflow {
-                drop_served: hit.bypass.as_ref().is_some_and(BypassOutcome::is_drop),
-            };
-            (hit.decision, MegaflowState::from_bypass(hit.bypass), source)
-        } else {
-            let (decision, switch_mask) = self.slow_path_masked(packet, in_port);
-            self.flow_cache.insert(
-                key,
-                decision.clone(),
-                self.topology_generation,
-                steering_generation,
-                dst_mapping,
-            );
-            let megaflow =
-                self.seed_or_install_megaflow(&key, tuple, switch_mask, &decision, dst_mapping);
-            (decision, megaflow, RunSource::Exact)
-        };
+        let (decision, megaflow, source) = self.classify_flow(packet, in_port, tuple);
         // Extend over the consecutive same-flow packets. Their source MAC
         // equals the run's (the key matched), so the learning skip above
         // already covers them.
+        let dst_mac = packet.dst_mac();
         let mut count = 1usize;
         let mut repeat_shard = None;
         for pkt in &remaining[1..] {
             if pkt.five_tuple() != Some(tuple)
-                || pkt.src_mac() != key.src_mac
-                || pkt.dst_mac() != key.dst_mac
+                || pkt.src_mac() != src_mac
+                || pkt.dst_mac() != dst_mac
             {
                 break;
             }
@@ -896,14 +869,10 @@ impl SoftwareSwitch {
         })
     }
 
-    /// The megaflow tail of a slow-path classification, shared by
-    /// [`classify`] and [`receive_batch`] so the two paths cannot diverge:
-    /// unsteered decisions install their wildcard entry right away (the
-    /// switch's own mask is the whole story), steered ones hand the caller a
-    /// seed to complete after the chain has reported its consulted fields.
-    ///
-    /// [`classify`]: SoftwareSwitch::classify
-    /// [`receive_batch`]: SoftwareSwitch::receive_batch
+    /// The megaflow tail of a slow-path classification: unsteered decisions
+    /// install their wildcard entry right away (the switch's own mask is the
+    /// whole story), steered ones hand the caller a seed to complete after
+    /// the chain has reported its consulted fields.
     fn seed_or_install_megaflow(
         &mut self,
         key: &FlowKey,

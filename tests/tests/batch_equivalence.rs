@@ -1,19 +1,13 @@
-//! Property tests for the batched data plane: processing a batch must be
-//! observably equivalent to processing its packets one at a time — same
-//! verdicts in the same order, same NF state and statistics, same switch
-//! counters — and the emulator's sharded execution must produce an
-//! identical `RunReport` for any worker count.
+//! Property tests for the batched data plane: classifying a batch must be
+//! observably equivalent to classifying its packets one at a time — same
+//! decisions in the same order, same switch counters — and the emulator's
+//! sharded execution must produce an identical `RunReport` for any worker
+//! count. (NF chains have no batched path of their own: a batch crosses a
+//! chain one `process` call per packet.)
 
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
-use gnf_nf::firewall::{
-    CidrV4, Firewall, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
-};
-use gnf_nf::http_filter::HttpFilterConfig;
-use gnf_nf::ids::IdsConfig;
-use gnf_nf::rate_limiter::RateLimiterConfig;
 use gnf_nf::testing::sample_specs;
-use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfConfig, NfContext, NfSpec};
 use gnf_packet::{builder, Packet, PacketBatch, TcpFlags};
 use gnf_switch::{SoftwareSwitch, SteeringRule, SwitchDecision, TrafficSelector};
 use gnf_types::{ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime};
@@ -29,7 +23,7 @@ fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
 /// Source and destination ports are drawn from one shared pool, so batches
 /// regularly contain both directions of "the same flow" (same canonical
 /// tuple, different exact tuple) — the shape that distinguishes a correct
-/// batch memo from one that wrongly replays across directions.
+/// run grouping from one that wrongly merges the two directions.
 const PORT_POOL: [u16; 6] = [22, 53, 80, 443, 40_001, 40_002];
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
@@ -95,160 +89,8 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         )
 }
 
-/// The benchmark's `stateful_replay` chain: five opaque NFs, so every packet
-/// runs all of them (conntrack firewall → HTTP filter → rate limiter that
-/// never limits → NAT → IDS).
-fn stateful_replay_chain() -> Vec<NfSpec> {
-    vec![
-        NfSpec::new(
-            "firewall",
-            NfConfig::Firewall(FirewallConfig::with_rules(vec![
-                FirewallRule::block_tcp_dst_port("no-ssh", 22),
-            ])),
-        ),
-        NfSpec::new(
-            "http-filter",
-            NfConfig::HttpFilter(HttpFilterConfig::block_hosts(&["ads.example"])),
-        ),
-        NfSpec::new(
-            "rate-limiter",
-            NfConfig::RateLimiter(RateLimiterConfig::per_client(1e12, 1e12)),
-        ),
-        NfSpec::new(
-            "nat",
-            NfConfig::Nat {
-                public_ip: Ipv4Addr::new(198, 51, 100, 1),
-            },
-        ),
-        NfSpec::new("ids", NfConfig::Ids(IdsConfig::default())),
-    ]
-}
-
-/// Deny-heavy firewall configurations: rules drawn from the same port pool
-/// as the traffic (so denies, rejects and accepts all fire), with conntrack
-/// both on and off and both default policies — the full deny-path surface.
-fn arb_deny_firewall() -> impl Strategy<Value = FirewallConfig> {
-    let rule = (
-        0usize..3,               // action
-        0usize..4,               // protocol constraint
-        0usize..4,               // dst-port constraint kind
-        0usize..PORT_POOL.len(), // port from the shared pool
-        0u8..4,                  // dst CIDR octet
-        any::<bool>(),           // constrain dst CIDR?
-    )
-        .prop_map(|(action, proto, port_kind, port_ix, octet, use_cidr)| {
-            let action = [RuleAction::Drop, RuleAction::Reject, RuleAction::Accept][action];
-            let port = PORT_POOL[port_ix];
-            FirewallRule {
-                protocol: [
-                    ProtocolMatch::Any,
-                    ProtocolMatch::Tcp,
-                    ProtocolMatch::Udp,
-                    ProtocolMatch::Icmp,
-                ][proto],
-                dst_port: match port_kind {
-                    0 => PortMatch::Any,
-                    1 => PortMatch::Exact(port),
-                    2 => PortMatch::Range(port, port.saturating_add(50)),
-                    _ => PortMatch::Range(1, 1023),
-                },
-                dst: if use_cidr {
-                    CidrV4::new(Ipv4Addr::new(10, 0, octet, 0), 24)
-                } else {
-                    CidrV4::any()
-                },
-                action,
-                ..FirewallRule::any(format!("deny-{proto}-{port_kind}-{port}"), action)
-            }
-        });
-    (
-        proptest::collection::vec(rule, 0..8),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(rules, drop_default, track)| FirewallConfig {
-            rules,
-            default_action: if drop_default {
-                RuleAction::Drop
-            } else {
-                RuleAction::Accept
-            },
-            track_connections: track,
-            conntrack_idle_timeout_secs: 60,
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The deny-path equivalence audit: a batched firewall must produce the
-    /// exact same verdicts (including drop *reasons*), per-rule hit
-    /// counters, default-policy hits, statistics, conntrack state and
-    /// wildcard report as per-packet processing — across deny-heavy rule
-    /// sets where the batch memo replays drops, rejects and accepts for
-    /// runs of same-flow packets.
-    #[test]
-    fn firewall_deny_batch_equals_per_packet(
-        config in arb_deny_firewall(),
-        packets in proptest::collection::vec(arb_packet(), 1..50),
-        upstream in any::<bool>(),
-    ) {
-        let direction = if upstream { Direction::Ingress } else { Direction::Egress };
-        let ctx = NfContext::at(SimTime::from_secs(1));
-
-        let mut reference = Firewall::new("fw", config.clone());
-        let expected: Vec<_> = packets
-            .iter()
-            .map(|p| reference.process(p.clone(), direction, &ctx))
-            .collect();
-
-        let mut batched = Firewall::new("fw", config);
-        let verdicts = batched.process_batch(PacketBatch::from(packets), direction, &ctx);
-
-        // Verdicts compare structurally, so drop reasons and reject replies
-        // are byte-identical too.
-        prop_assert_eq!(&verdicts, &expected);
-        prop_assert_eq!(batched.rule_hits(), reference.rule_hits());
-        prop_assert_eq!(batched.default_hits(), reference.default_hits());
-        prop_assert_eq!(batched.stats(), reference.stats());
-        prop_assert_eq!(batched.export_state(), reference.export_state());
-        // The wildcard report after the last packet agrees — in particular
-        // a batched deny run reports the same PureDrop mask/token/reason
-        // the per-packet path would.
-        prop_assert_eq!(batched.fields_consulted(), reference.fields_consulted());
-    }
-
-    /// Chain batch processing == per-packet processing: verdicts aligned,
-    /// chain statistics and per-NF statistics identical — for the
-    /// every-kind sample chain and for the `stateful_replay` chain.
-    #[test]
-    fn chain_batch_equals_per_packet(
-        packets in proptest::collection::vec(arb_packet(), 1..50),
-        upstream in any::<bool>(),
-    ) {
-        let direction = if upstream { Direction::Ingress } else { Direction::Egress };
-        let ctx = NfContext::at(SimTime::from_secs(1));
-
-        for specs in [sample_specs(), stateful_replay_chain()] {
-            let mut reference = instantiate_chain("prop-chain", &specs);
-            let expected: Vec<_> = packets
-                .iter()
-                .map(|p| reference.process(p.clone(), direction, &ctx))
-                .collect();
-
-            let mut batched = instantiate_chain("prop-chain", &specs);
-            let verdicts =
-                batched.process_batch(PacketBatch::from(packets.clone()), direction, &ctx);
-
-            prop_assert_eq!(&verdicts, &expected);
-            prop_assert_eq!(batched.stats(), reference.stats());
-            prop_assert_eq!(batched.per_nf_stats(), reference.per_nf_stats());
-            // State export (conntrack tables, buckets, counters) matches too.
-            prop_assert_eq!(batched.export_state(), reference.export_state());
-            // Events produced in either mode agree.
-            prop_assert_eq!(batched.drain_events(), reference.drain_events());
-        }
-    }
 
     /// Switch receive_batch == per-packet receive: expanded decision runs
     /// reproduce the per-packet decisions, and every counter agrees.

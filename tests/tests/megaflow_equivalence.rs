@@ -9,7 +9,7 @@
 use gnf_agent::{Agent, AgentConfig, PacketOutcome};
 use gnf_api::messages::ManagerToAgent;
 use gnf_container::ImageRepository;
-use gnf_core::{Emulator, Scenario};
+use gnf_core::{Emulator, RunReport, Scenario};
 use gnf_edge::TrafficProfile;
 use gnf_nf::firewall::{
     CidrV4, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
@@ -153,12 +153,7 @@ fn arb_attack_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
-fn build_agent(
-    megaflow: bool,
-    drops: bool,
-    specs: Vec<NfSpec>,
-    selector: TrafficSelector,
-) -> Agent {
+fn build_agent(megaflow: bool, specs: Vec<NfSpec>, selector: TrafficSelector) -> Agent {
     let (mut agent, _) = Agent::new(
         AgentConfig {
             agent: AgentId::new(1),
@@ -168,7 +163,6 @@ fn build_agent(
         ImageRepository::with_standard_images(),
     );
     agent.set_megaflow_enabled(megaflow);
-    agent.set_megaflow_drop_enabled(drops);
     agent.client_associated(ClientId::new(0), client_mac(), client_ip());
     agent.handle_manager_msg(
         ManagerToAgent::DeployChain {
@@ -227,7 +221,6 @@ fn build_multi_client_agent(specs: Vec<NfSpec>, clients: u32) -> Agent {
         ImageRepository::with_standard_images(),
     );
     agent.set_megaflow_enabled(true);
-    agent.set_megaflow_drop_enabled(true);
     let scope = TraceScope::Station(1);
     agent.set_tracing(
         TraceSink::buffered(scope, 1 << 12),
@@ -277,6 +270,64 @@ fn assert_station_equivalent(a: &Agent, b: &Agent) -> Result<(), proptest::TestC
     Ok(())
 }
 
+/// Runs a 3-station, 5-smartphone fleet whose every client is steered
+/// through a conntrack-off firewall of `rule` (default accept) with the
+/// megaflow layer on (the default) and off, and asserts the two runs report
+/// identical packet accounting and notifications, the disabled layer stays
+/// silent, and the megaflow-on `RunReport` is byte-identical for worker
+/// counts 1, 2 and 4. Returns the megaflow-on report.
+fn emulator_megaflow_on_equals_off(
+    seed: u64,
+    rule: FirewallRule,
+) -> Result<RunReport, proptest::TestCaseError> {
+    let fw = NfSpec::new(
+        "fw",
+        NfConfig::Firewall(FirewallConfig {
+            rules: vec![rule],
+            default_action: RuleAction::Accept,
+            track_connections: false,
+            conntrack_idle_timeout_secs: 60,
+        }),
+    );
+    let build = || {
+        let config = GnfConfig::default().with_seed(seed);
+        let mut builder = Scenario::builder(3, HostClass::EdgeServer).with_config(config);
+        let clients = builder.add_clients(5, TrafficProfile::smartphone());
+        let mut sb = builder.with_duration(SimDuration::from_secs(6));
+        for client in &clients {
+            sb = sb.attach_policy(
+                *client,
+                vec![fw.clone()],
+                TrafficSelector::all(),
+                SimTime::from_secs(1),
+            );
+        }
+        sb.build()
+    };
+
+    let report_on = Emulator::new(build()).run();
+    let mut disabled = Emulator::new(build());
+    disabled.set_megaflow_enabled(false);
+    let report_off = disabled.run();
+    prop_assert_eq!(&report_on.packets, &report_off.packets);
+    prop_assert_eq!(&report_on.notifications, &report_off.notifications);
+    prop_assert_eq!(report_off.megaflow.stats.hits, 0);
+    prop_assert_eq!(report_off.megaflow.stats.drop_hits, 0);
+    prop_assert_eq!(report_off.megaflow.stats.drop_installs, 0);
+
+    let reports: Vec<String> = [1usize, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let mut emulator = Emulator::new(build());
+            emulator.set_workers(workers);
+            serde_json::to_string(&emulator.run()).unwrap()
+        })
+        .collect();
+    prop_assert_eq!(&reports[0], &reports[1]);
+    prop_assert_eq!(&reports[0], &reports[2]);
+    Ok(report_on)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -305,7 +356,7 @@ proptest! {
         let now = SimTime::from_secs(2);
 
         // Reference: megaflow disabled (the historical pipeline).
-        let mut off = build_agent(false, true, specs.clone(), selector);
+        let mut off = build_agent(false, specs.clone(), selector);
         let expected: Vec<PacketOutcome> = packets
             .iter()
             .map(|p| off.process_upstream_packet(p.clone(), now))
@@ -313,7 +364,7 @@ proptest! {
         let expected_notifications = off.drain_nf_notifications(now).len();
 
         // Megaflow on, per-packet.
-        let mut on = build_agent(true, true, specs.clone(), selector);
+        let mut on = build_agent(true, specs.clone(), selector);
         let outcomes: Vec<PacketOutcome> = packets
             .iter()
             .map(|p| on.process_upstream_packet(p.clone(), now))
@@ -323,7 +374,7 @@ proptest! {
         prop_assert_eq!(on.drain_nf_notifications(now).len(), expected_notifications);
 
         // Megaflow on, batched.
-        let mut on_batched = build_agent(true, true, specs, selector);
+        let mut on_batched = build_agent(true, specs, selector);
         let outcomes = on_batched.process_upstream_batch(PacketBatch::from(packets), now);
         prop_assert_eq!(&outcomes, &expected);
         assert_station_equivalent(&on_batched, &off)?;
@@ -337,9 +388,8 @@ proptest! {
     /// (denies, rejects, conntrack on/off) and scan-shaped churn, the
     /// station pipeline produces identical packet outcomes (including drop
     /// reasons), NF statistics, exported state and port counters whether
-    /// wildcarded drop entries are enabled, disabled, or the megaflow layer
-    /// is off entirely — per-packet and batched (mid-batch sealing
-    /// included).
+    /// wildcarded drop entries retire the churn or the megaflow layer is
+    /// off entirely — per-packet and batched (mid-batch sealing included).
     #[test]
     fn drop_bypass_pipeline_equals_uncached_pipeline(
         fw in arb_firewall_config(),
@@ -350,14 +400,14 @@ proptest! {
         let now = SimTime::from_secs(2);
 
         // Reference: megaflow disabled entirely.
-        let mut off = build_agent(false, true, specs.clone(), selector);
+        let mut off = build_agent(false, specs.clone(), selector);
         let expected: Vec<PacketOutcome> = packets
             .iter()
             .map(|p| off.process_upstream_packet(p.clone(), now))
             .collect();
 
         // Megaflow on with drop entries, per-packet.
-        let mut drops_on = build_agent(true, true, specs.clone(), selector);
+        let mut drops_on = build_agent(true, specs.clone(), selector);
         let outcomes: Vec<PacketOutcome> = packets
             .iter()
             .map(|p| drops_on.process_upstream_packet(p.clone(), now))
@@ -365,20 +415,9 @@ proptest! {
         prop_assert_eq!(&outcomes, &expected);
         assert_station_equivalent(&drops_on, &off)?;
 
-        // Megaflow on with drop entries disabled (the pre-drop behavior).
-        let mut drops_off = build_agent(true, false, specs.clone(), selector);
-        let outcomes: Vec<PacketOutcome> = packets
-            .iter()
-            .map(|p| drops_off.process_upstream_packet(p.clone(), now))
-            .collect();
-        prop_assert_eq!(&outcomes, &expected);
-        assert_station_equivalent(&drops_off, &off)?;
-        prop_assert_eq!(drops_off.megaflow_telemetry().stats.drop_installs, 0);
-        prop_assert_eq!(drops_off.megaflow_telemetry().stats.drop_hits, 0);
-
         // Batched with drop entries: outcomes match, and mid-batch sealing
         // makes even the cache telemetry match the per-packet run.
-        let mut batched = build_agent(true, true, specs, selector);
+        let mut batched = build_agent(true, specs, selector);
         let outcomes = batched.process_upstream_batch(PacketBatch::from(packets), now);
         prop_assert_eq!(&outcomes, &expected);
         assert_station_equivalent(&batched, &off)?;
@@ -440,126 +479,34 @@ proptest! {
     /// 1, 2 and 4.
     #[test]
     fn emulator_megaflow_equivalence_across_worker_counts(seed in 0u64..100) {
-        let untracked_fw = NfSpec::new(
-            "fw",
-            NfConfig::Firewall(FirewallConfig {
-                rules: vec![FirewallRule {
-                    protocol: ProtocolMatch::Tcp,
-                    dst_port: PortMatch::Range(1, 23),
-                    action: RuleAction::Drop,
-                    ..FirewallRule::any("low-ports", RuleAction::Drop)
-                }],
-                default_action: RuleAction::Accept,
-                track_connections: false,
-                conntrack_idle_timeout_secs: 60,
-            }),
-        );
-        let build = || {
-            let config = GnfConfig::default().with_seed(seed);
-            let mut builder = Scenario::builder(3, HostClass::EdgeServer).with_config(config);
-            let clients = builder.add_clients(5, TrafficProfile::smartphone());
-            let mut sb = builder.with_duration(SimDuration::from_secs(6));
-            for client in &clients {
-                sb = sb.attach_policy(
-                    *client,
-                    vec![untracked_fw.clone()],
-                    TrafficSelector::all(),
-                    SimTime::from_secs(1),
-                );
-            }
-            sb.build()
+        let low_ports_denying_fw = FirewallRule {
+            protocol: ProtocolMatch::Tcp,
+            dst_port: PortMatch::Range(1, 23),
+            action: RuleAction::Drop,
+            ..FirewallRule::any("low-ports", RuleAction::Drop)
         };
-
-        // Megaflow on (the default) vs off: identical packet accounting.
-        let report_on = Emulator::new(build()).run();
-        let mut disabled = Emulator::new(build());
-        disabled.set_megaflow_enabled(false);
-        let report_off = disabled.run();
-        prop_assert_eq!(report_on.packets, report_off.packets);
-        prop_assert_eq!(report_on.notifications, report_off.notifications);
-        // The disabled layer stays silent.
-        prop_assert_eq!(report_off.megaflow.stats.hits, 0);
-
-        // Worker counts 1/2/4 with megaflow on: byte-identical reports.
-        let reports: Vec<String> = [1usize, 2, 4]
-            .into_iter()
-            .map(|workers| {
-                let mut emulator = Emulator::new(build());
-                emulator.set_workers(workers);
-                serde_json::to_string(&emulator.run()).unwrap()
-            })
-            .collect();
-        prop_assert_eq!(&reports[0], &reports[1]);
-        prop_assert_eq!(&reports[0], &reports[2]);
+        emulator_megaflow_on_equals_off(seed, low_ports_denying_fw)?;
     }
 
-    /// Emulator-level drop-bypass equivalence on an attack-shaped fleet: a
-    /// conntrack-off firewall denying the smartphones' DNS traffic turns
-    /// every lookup (fresh source port each) into dropped-flow churn. Drop
-    /// bypass on vs off reports the same packet accounting, notifications
-    /// and NF-visible statistics; with it on, the drop entries actually
-    /// engage and the RunReport is byte-identical for workers 1, 2 and 4.
+    /// The same on an attack-shaped fleet: a conntrack-off firewall denying
+    /// the smartphones' DNS traffic turns every lookup (fresh source port
+    /// each) into dropped-flow churn, which must actually ride the drop
+    /// entries.
     #[test]
     fn emulator_drop_bypass_equivalence_across_worker_counts(seed in 0u64..100) {
-        let dns_denying_fw = NfSpec::new(
-            "fw",
-            NfConfig::Firewall(FirewallConfig {
-                rules: vec![FirewallRule {
-                    protocol: ProtocolMatch::Udp,
-                    dst_port: PortMatch::Exact(53),
-                    action: RuleAction::Drop,
-                    ..FirewallRule::any("no-dns", RuleAction::Drop)
-                }],
-                default_action: RuleAction::Accept,
-                track_connections: false,
-                conntrack_idle_timeout_secs: 60,
-            }),
-        );
-        let build = || {
-            let config = GnfConfig::default().with_seed(seed);
-            let mut builder = Scenario::builder(3, HostClass::EdgeServer).with_config(config);
-            let clients = builder.add_clients(5, TrafficProfile::smartphone());
-            let mut sb = builder.with_duration(SimDuration::from_secs(6));
-            for client in &clients {
-                sb = sb.attach_policy(
-                    *client,
-                    vec![dns_denying_fw.clone()],
-                    TrafficSelector::all(),
-                    SimTime::from_secs(1),
-                );
-            }
-            sb.build()
+        let dns_denying_fw = FirewallRule {
+            protocol: ProtocolMatch::Udp,
+            dst_port: PortMatch::Exact(53),
+            action: RuleAction::Drop,
+            ..FirewallRule::any("no-dns", RuleAction::Drop)
         };
-
-        // Drop bypass on (the default) vs off: identical packet accounting
-        // and notifications; only the cache split may differ.
-        let report_on = Emulator::new(build()).run();
-        let mut disabled = Emulator::new(build());
-        disabled.set_megaflow_drop_enabled(false);
-        let report_off = disabled.run();
-        prop_assert_eq!(report_on.packets, report_off.packets);
-        prop_assert_eq!(report_on.notifications, report_off.notifications);
-        prop_assert_eq!(report_off.megaflow.stats.drop_hits, 0);
-        prop_assert_eq!(report_off.megaflow.stats.drop_installs, 0);
-        // The denied DNS churn actually rides the drop entries.
+        let report_on = emulator_megaflow_on_equals_off(seed, dns_denying_fw)?;
         prop_assert!(report_on.packets.dropped_by_nf > 0, "the deny rule fired");
         prop_assert!(
             report_on.megaflow.stats.drop_hits > 0,
             "dropped-flow churn must bypass: {:?}",
             report_on.megaflow
         );
-
-        // Worker counts 1/2/4 with drop bypass on: byte-identical reports.
-        let reports: Vec<String> = [1usize, 2, 4]
-            .into_iter()
-            .map(|workers| {
-                let mut emulator = Emulator::new(build());
-                emulator.set_workers(workers);
-                serde_json::to_string(&emulator.run()).unwrap()
-            })
-            .collect();
-        prop_assert_eq!(&reports[0], &reports[1]);
-        prop_assert_eq!(&reports[0], &reports[2]);
     }
 }
 

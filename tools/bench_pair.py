@@ -12,9 +12,13 @@ the medians are further apart than the parent's own quartile distance.
     # measure: the staged index against HEAD, both seeds, write the ledger
     tools/bench_pair.py --parent HEAD --change INDEX --workload fleet_steady \
         --metric pkts_per_s --seeds 7,1016 --pairs 10 --out BENCH_15.json
+    # no claim (omit --workload): >= 5 alternating pairs of *every* workload,
+    # and per (metric, workload) a verdict against the BENCHMARK.json bound:
+    # ok, regressed, or unresolved
+    tools/bench_pair.py --parent HEAD --change INDEX --seeds 7,1016 --out BENCH_18.json
     # CI: re-judge a ledger from its recorded runs; fail if a RunReport digest
-    # pair differs, the claim does not follow from the pairs, or more
-    # operations failed on the change side
+    # pair differs, the claim does not follow from the pairs (no-claim: a
+    # metric regressed), or more operations failed on the change side
     tools/bench_pair.py --check BENCH_15.json
 
 A side is a git revision (exported with `git archive`) or the literal
@@ -97,8 +101,9 @@ def spread(values):
 
 def judge(pairs, metric, higher_is_better):
     """The §8 rule over the recorded pairs."""
-    parent = [p["parent"]["metrics"][metric] for p in pairs]
-    change = [p["change"]["metrics"][metric] for p in pairs]
+    parent, change = (
+        [p[side]["metrics"][metric] for p in pairs] for side in ("parent", "change")
+    )
     sign = 1 if higher_is_better else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
@@ -116,15 +121,48 @@ def judge(pairs, metric, higher_is_better):
     }
 
 
+def no_regression(pairs, metric, higher_is_better, bound):
+    """The no-claim rule over the recorded pairs of one workload: `ok` when
+    the change's median is no worse than the parent's by more than `bound`
+    (a share of the parent's median); `regressed` when it is; `unresolved`
+    when the parent's own quartile distance is wider than the bound and the
+    two sides' runs overlap, so these runs cannot tell."""
+    parent, change = (
+        [p[side]["metrics"][metric] for p in pairs] for side in ("parent", "change")
+    )
+    sign = 1 if higher_is_better else -1
+    parent_stats, change_stats = spread(parent), spread(change)
+    allowed = bound * parent_stats["median"]
+    if parent_stats["q3"] - parent_stats["q1"] > allowed:
+        apart = min(change) > max(parent) if higher_is_better else max(change) < min(parent)
+        verdict = "ok" if apart else "unresolved"
+    elif sign * (parent_stats["median"] - change_stats["median"]) > allowed:
+        verdict = "regressed"
+    else:
+        verdict = "ok"
+    return {
+        "metric": metric,
+        "pairs": len(pairs),
+        "parent": parent_stats,
+        "change": change_stats,
+        "median_ratio": change_stats["median"] / parent_stats["median"],
+        "bound": bound,
+        "verdict": verdict,
+    }
+
+
 def measure(args):
     bench = benchmark()
     command, seconds = bench["command"], bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
-    if args.workload not in workloads or args.metric not in better:
+    claimed = args.workload is not None
+    if claimed and (args.workload not in workloads or args.metric not in better):
         raise SystemExit(f"unknown workload or metric; have {workloads} x {list(better)}")
-    if args.pairs < 10:
-        raise SystemExit("the protocol needs at least ten pairs")
+    least = 10 if claimed else 5
+    pair_count = args.pairs or least
+    if pair_count < least:
+        raise SystemExit(f"the protocol needs at least {least} pairs")
 
     scratch = tempfile.mkdtemp(prefix="bench_pair_", dir=args.scratch)
     dirs = {side: os.path.join(scratch, side) for side in ("parent", "change")}
@@ -135,7 +173,7 @@ def measure(args):
         "nproc": os.cpu_count(),
         "parent": export(args.parent, dirs["parent"]),
         "change": export(args.change, dirs["change"]),
-        "claim": {"workload": args.workload, "metric": args.metric},
+        "claim": {"workload": args.workload, "metric": args.metric} if claimed else None,
         "seeds": {},
     }
     for cwd in dirs.values():
@@ -147,11 +185,11 @@ def measure(args):
         runs = {side: run(command, dirs[side], workload, seed, seconds) for side in order}
         return {"first": order[0], **runs}
 
-    for seed in args.seeds:
+    def claimed_seed(seed):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(pair_count):
             pairs.append(pair(i, args.workload, seed))
-            print(f"seed {seed} pair {i + 1}/{args.pairs}:",
+            print(f"seed {seed} pair {i + 1}/{pair_count}:",
                   *(f"{side} {pairs[-1][side]['metrics'][args.metric]:.6g}" for side in dirs),
                   flush=True)
         others = {
@@ -162,12 +200,31 @@ def measure(args):
         digests[args.workload] = {side: one_digest(p[side] for p in pairs) for side in dirs}
         verdict = judge(pairs, args.metric, better[args.metric] == "higher")
         print(f"seed {seed}: {verdict}", flush=True)
-        ledger["seeds"][str(seed)] = {
-            "verdict": verdict,
-            "pairs": pairs,
-            "others": others,
-            "digests": digests,
+        return {"verdict": verdict, "pairs": pairs, "others": others, "digests": digests}
+
+    def no_claim_seed(seed):
+        # Round-robin over the workloads, so host drift during the session
+        # spreads over all of them instead of landing on one.
+        runs = {name: [] for name in workloads}
+        for i in range(pair_count):
+            for name in workloads:
+                runs[name].append(pair(i, name, seed))
+                print(f"seed {seed} pair {i + 1}/{pair_count} {name}:",
+                      *(f"{side} {runs[name][-1][side]['metrics']['pkts_per_s']:.6g}" for side in dirs),
+                      flush=True)
+        verdicts = {
+            name: {m["name"]: no_regression(pairs, m["name"], m["better"] == "higher", m["bound"])
+                   for m in bench["end_to_end"]}
+            for name, pairs in runs.items()
         }
+        for name, by_metric in verdicts.items():
+            print(f"seed {seed} {name}:", {m: v["verdict"] for m, v in by_metric.items()}, flush=True)
+        digests = {name: {side: one_digest(p[side] for p in pairs) for side in dirs}
+                   for name, pairs in runs.items()}
+        return {"verdicts": verdicts, "workloads": runs, "digests": digests}
+
+    for seed in args.seeds:
+        ledger["seeds"][str(seed)] = claimed_seed(seed) if claimed else no_claim_seed(seed)
 
     with open(args.out, "w") as f:
         json.dump(ledger, f, indent=1)
@@ -191,13 +248,17 @@ def check(path):
     """Re-judges a ledger from the runs it records. Fails (returns 1) if a
     parent/change digest pair differs, if the ledger names a claim that the
     section 8 rule does not grant on its recorded pairs (or whose recorded
-    verdict is not what `judge` computes from them), or if any recorded pair
-    of runs failed a larger share of its operations on the change side."""
+    verdict is not what `judge` computes from them), if a no-claim ledger
+    records a metric that regressed beyond its `BENCHMARK.json` bound (or a
+    verdict that is not what `no_regression` computes), or if any recorded
+    pair of runs failed a larger share of its operations on the change side.
+    An `unresolved` verdict is printed, not failed: it says these runs cannot
+    tell, which is what the ledger is there to record."""
     with open(path) as f:
         ledger = json.load(f)
     claim = ledger.get("claim")
-    if claim:
-        better = {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
+    end_to_end = benchmark()["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
     bad = 0
     for seed, block in ledger["seeds"].items():
         for workload, sides in sorted(block["digests"].items()):
@@ -205,8 +266,12 @@ def check(path):
             bad += not same
             print(f"seed {seed:>5} {workload:<16} parent {sides['parent']} change {sides['change']}"
                   f" {'identical' if same else 'DIFFERENT'}")
-        runs = [(claim["workload"] if claim else "?", pair) for pair in block["pairs"]]
-        for workload, sides in runs + sorted(block["others"].items()):
+        if "workloads" in block:
+            runs = [(name, pair) for name, pairs in sorted(block["workloads"].items()) for pair in pairs]
+        else:
+            runs = [(claim["workload"] if claim else "?", pair) for pair in block["pairs"]]
+            runs += sorted(block["others"].items())
+        for workload, sides in runs:
             if failure_share_rose(sides):
                 bad += 1
                 print(f"seed {seed:>5} {workload:<16} failed/attempted ROSE: parent"
@@ -222,6 +287,17 @@ def check(path):
                   f" quartile distance {verdict['parent']['q3'] - verdict['parent']['q1']:.6g}:"
                   f" {'GRANTED' if verdict['gain'] else 'NOT MET'}"
                   f"{'' if followed else ', and the recorded verdict DIFFERS'}")
+        for workload, pairs in sorted(block.get("workloads", {}).items()):
+            for m in end_to_end:
+                verdict = no_regression(pairs, m["name"], m["better"] == "higher", m["bound"])
+                followed = verdict == block["verdicts"][workload][m["name"]]
+                bad += verdict["verdict"] == "regressed" or not followed
+                print(f"seed {seed:>5} {workload:<16} {m['name']:<10} {verdict['pairs']} pairs, medians"
+                      f" {verdict['parent']['median']:.6g} -> {verdict['change']['median']:.6g}"
+                      f" (x{verdict['median_ratio']:.3f}), parent quartile distance"
+                      f" {verdict['parent']['q3'] - verdict['parent']['q1']:.6g}, bound"
+                      f" {m['bound']:.0%}: {verdict['verdict'].upper()}"
+                      f"{'' if followed else ', and the recorded verdict DIFFERS'}")
     if not ledger["seeds"]:
         print(f"{path}: no seeds recorded")
         bad += 1
@@ -234,17 +310,18 @@ def main():
                         help="only re-judge a ledger: digest pairs, the claim rule, failure shares")
     parser.add_argument("--parent", default="HEAD", help="git revision or INDEX")
     parser.add_argument("--change", default="INDEX", help="git revision or INDEX")
-    parser.add_argument("--workload", help="the workload the claim is about")
+    parser.add_argument("--workload",
+                        help="the workload the claim is about; omit to measure a no-claim ledger of every workload")
     parser.add_argument("--metric", default="pkts_per_s", help="the end-to-end metric claimed")
     parser.add_argument("--seeds", default="7", type=lambda s: [int(x) for x in s.split(",")])
-    parser.add_argument("--pairs", default=10, type=int)
+    parser.add_argument("--pairs", type=int, help="default and minimum: 10 with a claim, 5 per workload without")
     parser.add_argument("--out", help="ledger file to write")
     parser.add_argument("--scratch", help="where the two exports are built (default: the system temp dir)")
     args = parser.parse_args()
     if args.check:
         return check(args.check)
-    if not (args.workload and args.out):
-        parser.error("measuring needs --workload and --out")
+    if not args.out:
+        parser.error("measuring needs --out")
     return measure(args)
 
 
