@@ -8,7 +8,7 @@ use gnf_nf::{
 };
 use gnf_packet::{FieldMask, Packet, PacketBatch};
 use gnf_switch::{
-    BypassOutcome, Forwarding, MegaflowInstall, MegaflowState, PortId, SoftwareSwitch,
+    BypassOutcome, Classified, Forwarding, MegaflowInstall, MegaflowState, PortId, SoftwareSwitch,
     SteeringRule, TrafficSelector, DEFAULT_MEGAFLOW_CAPACITY,
 };
 use gnf_telemetry::{
@@ -76,60 +76,43 @@ pub enum PacketOutcome {
 }
 
 /// The chain report a slow-path megaflow seed seals with, gated on the
-/// (single-flow) run's verdicts:
+/// packet's verdict:
 ///
-/// * every packet was forwarded → the chain's [`ChainBypass::Forward`]
-///   report, when it certifies one;
-/// * every packet was silently dropped → the chain's
-///   [`ChainBypass::Drop`] report, when it certifies one;
-/// * anything else (replies, mixed verdicts, a report variant disagreeing
-///   with the verdicts — which would mean an NF broke the purity contract)
-///   → `None`: the entry seals decision-only and matching packets keep
-///   traversing the chain.
+/// * forwarded → the chain's [`ChainBypass::Forward`] report, when it
+///   certifies one;
+/// * silently dropped → the chain's [`ChainBypass::Drop`] report, when it
+///   certifies one;
+/// * anything else (a reply, a report variant disagreeing with the verdict
+///   — which would mean an NF broke the purity contract) → `None`: the
+///   entry seals decision-only and matching packets keep traversing the
+///   chain.
 ///
-/// Public so the bench fixtures seal through the *same* gate the Agent
+/// Public so the bench fixture seals through the *same* gate the Agent
 /// uses — a fixture re-implementation could silently drift and leave the
 /// megaflow guardrails measuring a sealing behavior production no longer
 /// takes.
 pub fn seal_report(
     chain: &NfChain,
     direction: Direction,
-    verdicts: &[Verdict],
+    verdict: &Verdict,
 ) -> Option<(FieldMask, BypassOutcome)> {
-    if verdicts.iter().all(Verdict::is_forward) {
-        match chain.wildcard_report(direction) {
-            Some(ChainBypass::Forward { mask, tokens }) => {
-                Some((mask, BypassOutcome::Forward(tokens)))
-            }
-            _ => None,
+    // A reply never seals a bypass, so its report is not even built.
+    if matches!(verdict, Verdict::Reply(_)) {
+        return None;
+    }
+    match (verdict, chain.wildcard_report(direction)?) {
+        (Verdict::Forward(_), ChainBypass::Forward { mask, tokens }) => {
+            Some((mask, BypassOutcome::Forward(tokens)))
         }
-    } else if verdicts.iter().all(Verdict::is_drop) {
-        match chain.wildcard_report(direction) {
-            Some(ChainBypass::Drop {
+        (
+            Verdict::Drop(_),
+            ChainBypass::Drop {
                 mask,
                 tokens,
                 reason,
-            }) => Some((mask, BypassOutcome::Drop { tokens, reason })),
-            _ => None,
-        }
-    } else {
-        None
-    }
-}
-
-/// Aggregate verdict label of one (single-flow) decision run, for the
-/// flight recorder: `dropped` when every packet dropped, `replied` when any
-/// packet drew replies, `mixed` for a run whose stateful chain flipped
-/// verdict mid-run, `forwarded` otherwise.
-fn run_verdict(count: u64, dropped: u64, replied: u64) -> &'static str {
-    if dropped == count {
-        "dropped"
-    } else if replied > 0 {
-        "replied"
-    } else if dropped > 0 {
-        "mixed"
-    } else {
-        "forwarded"
+            },
+        ) => Some((mask, BypassOutcome::Drop { tokens, reason })),
+        _ => None,
     }
 }
 
@@ -1039,12 +1022,12 @@ impl Agent {
     }
 }
 
-/// One chain run's result: the verdicts in packet order and, for a run that
+/// What a chain made of one packet: its verdict and, for a packet that
 /// carried a megaflow seed, the report the seed seals with.
 pub(crate) struct ChainRun {
-    /// The run's verdicts, in packet order.
-    pub verdicts: Vec<Verdict>,
-    /// The seal report (gated through [`seal_report`]); `None` for a run
+    /// The chain's verdict on the packet.
+    pub verdict: Verdict,
+    /// The seal report (gated through [`seal_report`]); `None` for a packet
     /// without a seed and for a seed that seals decision-only.
     pub report: Option<(FieldMask, BypassOutcome)>,
 }
@@ -1058,68 +1041,61 @@ pub(crate) struct ChainRunner {
 }
 
 impl ChainRunner {
-    /// Takes the next `count` packets through `deployed`, one at a time.
-    /// With `seal` the run carries a megaflow seed and the chain's report
-    /// rides along.
+    /// Takes `packet` through `deployed`. With `seal` the packet carries a
+    /// megaflow seed and the chain's report rides along.
     pub(crate) fn run(
         self,
         deployed: &mut DeployedChain,
-        packets: impl Iterator<Item = Packet>,
-        count: usize,
+        packet: Packet,
         direction: Direction,
         seal: bool,
     ) -> ChainRun {
         let ctx = NfContext::for_client(self.now, deployed.client);
-        let verdicts: Vec<Verdict> = packets
-            .take(count)
-            .map(|packet| deployed.chain.process(packet, direction, &ctx))
-            .collect();
+        let verdict = deployed.chain.process(packet, direction, &ctx);
         let report = if seal {
-            seal_report(&deployed.chain, direction, &verdicts)
+            seal_report(&deployed.chain, direction, &verdict)
         } else {
             None
         };
-        ChainRun { verdicts, report }
+        ChainRun { verdict, report }
     }
 }
 
-/// The statistics replay one wildcard-bypass hit owes its chain: a run of
-/// `packets` packets totalling `bytes` that traversed `direction` without
-/// running the chain, credited through the entry's per-NF `tokens`.
+/// The statistics replay one wildcard-bypass hit owes its chain: a packet
+/// of `bytes` bytes that traversed `direction` without running the chain,
+/// credited through the entry's per-NF `tokens`.
 pub(crate) struct BypassCredit {
     /// Traversal direction.
     pub direction: Direction,
     /// Per-NF replay tokens from the wildcard entry, in traversal order.
     pub tokens: Arc<[u64]>,
-    /// Packets in the run.
-    pub packets: u64,
-    /// Bytes in the run.
+    /// The packet's length.
     pub bytes: u64,
     /// The entry certified a drop (at the last tokened NF), not a forward.
     pub dropped: bool,
 }
 
 impl BypassCredit {
-    /// Replays the run into `chain`'s statistics.
+    /// Replays the packet into `chain`'s statistics.
     pub(crate) fn apply(&self, chain: &mut NfChain) {
         if self.dropped {
-            chain.credit_bypass_drop(self.direction, &self.tokens, self.packets, self.bytes);
+            chain.credit_bypass_drop(self.direction, &self.tokens, 1, self.bytes);
         } else {
-            chain.credit_bypass(self.direction, &self.tokens, self.packets, self.bytes);
+            chain.credit_bypass(self.direction, &self.tokens, 1, self.bytes);
         }
     }
 }
 
-/// What [`ChainExecutor::execute`] did with a chain run.
+/// What [`ChainExecutor::execute`] did with a packet.
 pub(crate) enum Executed {
-    /// The chain processed the run; its verdicts are ready.
+    /// The chain processed the packet; its verdict is ready.
     Done(ChainRun),
-    /// The run is queued behind its chain's earlier work; its verdicts
-    /// arrive through [`ChainExecutor::finish`].
+    /// The packet is queued behind its chain's earlier work; its verdict
+    /// arrives through [`ChainExecutor::finish`].
     Deferred,
     /// The steering rule names a chain that is not deployed (mid
-    /// reconfiguration); the packets were left untouched.
-    NoChain,
+    /// reconfiguration); the packet comes back untouched.
+    NoChain(Packet),
 }
 
 /// The *execute* stage of the pipeline: whoever owns the deployed chains
@@ -1129,15 +1105,14 @@ pub(crate) enum Executed {
 /// [`InlineExecutor`] (this thread, verdicts at once) and
 /// [`LaneExecutor`] (chain-affinity lane threads, see [`crate::lanes`]).
 pub(crate) trait ChainExecutor {
-    /// Runs the next `count` of `packets` through `chain`. `slot` names the
-    /// run should the executor defer it; a `seal` run is never deferred.
+    /// Takes `packet` through `chain`. `slot` names the packet should the
+    /// executor defer it; a `seal` packet is never deferred.
     fn execute(
         &mut self,
         slot: usize,
         chain: ChainId,
         direction: Direction,
-        packets: &mut std::vec::IntoIter<Packet>,
-        count: usize,
+        packet: Packet,
         seal: bool,
     ) -> Executed;
 
@@ -1145,12 +1120,12 @@ pub(crate) trait ChainExecutor {
     /// with the chain's other work (a no-op for an undeployed chain).
     fn credit(&mut self, chain: ChainId, credit: BypassCredit);
 
-    /// Ends the batch, handing every deferred run's verdicts to `fill`
+    /// Ends the batch, handing every deferred packet's verdict to `fill`
     /// under the slot it was submitted with.
-    fn finish(self, fill: impl FnMut(usize, Vec<Verdict>));
+    fn finish(self, fill: impl FnMut(usize, Verdict));
 }
 
-/// Runs every chain on the calling thread, in run order.
+/// Runs every chain on the calling thread, in packet order.
 struct InlineExecutor<'a> {
     chains: &'a mut HashMap<ChainId, DeployedChain>,
     runner: ChainRunner,
@@ -1162,15 +1137,12 @@ impl ChainExecutor for InlineExecutor<'_> {
         _slot: usize,
         chain: ChainId,
         direction: Direction,
-        packets: &mut std::vec::IntoIter<Packet>,
-        count: usize,
+        packet: Packet,
         seal: bool,
     ) -> Executed {
         match self.chains.get_mut(&chain) {
-            Some(deployed) => {
-                Executed::Done(self.runner.run(deployed, packets, count, direction, seal))
-            }
-            None => Executed::NoChain,
+            Some(deployed) => Executed::Done(self.runner.run(deployed, packet, direction, seal)),
+            None => Executed::NoChain(packet),
         }
     }
 
@@ -1180,16 +1152,15 @@ impl ChainExecutor for InlineExecutor<'_> {
         }
     }
 
-    fn finish(self, _fill: impl FnMut(usize, Vec<Verdict>)) {}
+    fn finish(self, _fill: impl FnMut(usize, Verdict)) {}
 }
 
-/// What settling one run needs once its verdicts are known.
-struct RunSettle {
+/// What settling one packet needs once its verdict is known.
+struct Settle {
     forwarding: Forwarding,
-    count: u64,
     stage: &'static str,
     /// The sampled flow's hash and rendered five-tuple, when the flight
-    /// recorder samples this run's flow.
+    /// recorder samples this packet's flow.
     probe: Option<(u64, String)>,
 }
 
@@ -1208,23 +1179,21 @@ struct Spine<'a> {
 
 impl Spine<'_> {
     /// The station's one data-plane pipeline: begin the batch, then for each
-    /// single-flow [`gnf_switch::DecisionRun`] probe + stage → execute →
-    /// seal → settle, then emit the `BatchFlush`.
+    /// packet classify → execute → seal → settle, then emit the
+    /// `BatchFlush`.
     ///
-    /// Runs are classified one at a time and sealed before the next is
-    /// classified (`IntoIter::as_slice` is the unclassified tail), so an
-    /// entry sealed from run N already serves run N + 1 of the same flush
-    /// (mid-batch sealing). A run settles as soon as its verdicts are known
-    /// unless an earlier run is still deferred; from the first deferred run
-    /// on, runs wait in `waiting` and settle in run order after
-    /// [`ChainExecutor::finish`]. Counter updates are sums, so settling late
-    /// commutes with classification, and outcome and flight-record order is
-    /// run order either way.
+    /// A packet is sealed before the next is classified, so an entry sealed
+    /// from packet N already serves packet N + 1 of the same flush
+    /// (mid-batch sealing). A packet settles as soon as its verdict is
+    /// known unless an earlier one is still deferred; from the first
+    /// deferred packet on, packets wait in `waiting` and settle in packet
+    /// order after [`ChainExecutor::finish`]. Counter updates are sums, so
+    /// settling late commutes with classification, and outcome and
+    /// flight-record order is packet order either way.
     fn run<E: ChainExecutor>(&mut self, mut exec: E, batch: PacketBatch) -> Vec<PacketOutcome> {
         let (in_port, now) = (self.in_port, self.now);
         let batch_len = batch.len() as u64;
-        let mut runs = 0u64;
-        let mut cursor = match self.switch.begin_receive_batch(&batch, in_port, now) {
+        let mut cursor = match self.switch.begin_batch(batch.as_slice(), in_port, now) {
             Ok(cursor) => cursor,
             Err(e) => {
                 let reason: Cow<'static, str> = e.to_string().into();
@@ -1235,80 +1204,60 @@ impl Spine<'_> {
             }
         };
         let mut outcomes = Vec::with_capacity(batch.len());
-        let mut waiting: Vec<(RunSettle, Option<Vec<Verdict>>)> = Vec::new();
-        let mut packets = batch.into_vec().into_iter();
-        while let Some(run) = self
-            .switch
-            .next_decision_run(&mut cursor, packets.as_slice())
-        {
-            runs += 1;
-            // Flight probe: runs are single-flow, so the first unclassified
-            // packet names the run's flow. Sampling is a seeded hash check;
-            // the tuple string is only rendered for sampled flows.
+        let mut waiting: Vec<(Settle, Option<Verdict>)> = Vec::new();
+        for packet in batch {
+            let Classified { decision, megaflow } = self.switch.classify(&mut cursor, &packet);
+            // Flight probe: sampling is a seeded hash check; the tuple
+            // string is only rendered for sampled flows.
             let probe: Option<(u64, String)> = if self.flight.enabled() {
-                packets
-                    .as_slice()
-                    .first()
-                    .and_then(|p| p.five_tuple())
+                packet
+                    .five_tuple()
                     .filter(|t| self.flight.samples(t.shard_hash()))
                     .map(|t| (t.shard_hash(), t.to_string()))
             } else {
                 None
             };
-            let stage = match (&run.decision.steering, &run.megaflow) {
+            let stage = match (&decision.steering, &megaflow) {
                 (None, _) => "unsteered",
                 (_, MegaflowState::Bypass(_)) => "megaflow-bypass",
                 (_, MegaflowState::DropBypass { .. }) => "megaflow-drop",
                 (_, MegaflowState::Seed(_)) => "slow-path",
                 (_, MegaflowState::None) => "exact",
             };
-            let verdicts: Option<Vec<Verdict>> = match run.decision.steering {
+            let verdict: Option<Verdict> = match decision.steering {
                 Some((rule, upstream)) => {
                     let direction = if upstream {
                         Direction::Ingress
                     } else {
                         Direction::Egress
                     };
-                    match run.megaflow {
+                    let bytes = packet.len() as u64;
+                    match megaflow {
                         // A wildcard entry certified the chain bypass for
-                        // this run's flow: forward unchanged, replay NF
+                        // this packet's flow: forward unchanged, replay NF
                         // statistics.
                         MegaflowState::Bypass(tokens) => {
-                            let run_packets: Vec<Packet> =
-                                packets.by_ref().take(run.count).collect();
-                            let bytes: u64 = run_packets.iter().map(|p| p.len() as u64).sum();
                             let credit = BypassCredit {
                                 direction,
                                 tokens,
-                                packets: run_packets.len() as u64,
                                 bytes,
                                 dropped: false,
                             };
                             exec.credit(rule.chain, credit);
-                            Some(run_packets.into_iter().map(Verdict::Forward).collect())
+                            Some(Verdict::Forward(packet))
                         }
                         // A wildcard entry certified the chain *drops* this
-                        // run's flow: retire the whole run before the chain
-                        // runs, replaying statistics and the exact reason.
+                        // packet's flow: retire it before the chain runs,
+                        // replaying statistics and the exact reason.
                         MegaflowState::DropBypass { tokens, reason } => {
-                            let bytes: u64 = packets
-                                .by_ref()
-                                .take(run.count)
-                                .map(|p| p.len() as u64)
-                                .sum();
                             let credit = BypassCredit {
                                 direction,
                                 tokens,
-                                packets: run.count as u64,
                                 bytes,
                                 dropped: true,
                             };
                             exec.credit(rule.chain, credit);
-                            Some(
-                                (0..run.count)
-                                    .map(|_| Verdict::Drop(reason.clone()))
-                                    .collect(),
-                            )
+                            Some(Verdict::Drop(reason))
                         }
                         megaflow => {
                             let seed = match megaflow {
@@ -1319,65 +1268,47 @@ impl Spine<'_> {
                                 waiting.len(),
                                 rule.chain,
                                 direction,
-                                &mut packets,
-                                run.count,
+                                packet,
                                 seed.is_some(),
                             ) {
-                                Executed::Done(ChainRun { verdicts, report }) => {
+                                Executed::Done(ChainRun { verdict, report }) => {
                                     // Seal the slow-path seed into a
                                     // wildcard entry: a certified forward or
                                     // drop bypass when the chain vouches for
-                                    // this (single-flow) run's processing,
-                                    // the switch decision alone otherwise.
+                                    // this packet's processing, the switch
+                                    // decision alone otherwise.
                                     if let Some(seed) = seed {
                                         let install = self.switch.install_megaflow(seed, report);
                                         self.trace_install(install);
                                     }
-                                    Some(verdicts)
+                                    Some(verdict)
                                 }
                                 Executed::Deferred => None,
-                                Executed::NoChain => {
-                                    Some(Self::pass_through(&mut packets, run.count))
-                                }
+                                Executed::NoChain(packet) => Some(Verdict::Forward(packet)),
                             }
                         }
                     }
                 }
-                None => Some(Self::pass_through(&mut packets, run.count)),
+                None => Some(Verdict::Forward(packet)),
             };
-            let settle = RunSettle {
-                forwarding: run.decision.forwarding,
-                count: run.count as u64,
+            let settle = Settle {
+                forwarding: decision.forwarding,
                 stage,
                 probe,
             };
-            match verdicts {
-                Some(verdicts) if waiting.is_empty() => {
-                    self.settle(settle, verdicts, &mut outcomes)
-                }
-                verdicts => waiting.push((settle, verdicts)),
+            match verdict {
+                Some(verdict) if waiting.is_empty() => self.settle(settle, verdict, &mut outcomes),
+                verdict => waiting.push((settle, verdict)),
             }
         }
-        debug_assert!(packets.next().is_none(), "runs must cover the whole batch");
-        exec.finish(|slot, verdicts| waiting[slot].1 = Some(verdicts));
-        for (settle, verdicts) in waiting {
-            let verdicts = verdicts.expect("finish fills every deferred run's slot");
-            self.settle(settle, verdicts, &mut outcomes);
+        exec.finish(|slot, verdict| waiting[slot].1 = Some(verdict));
+        for (settle, verdict) in waiting {
+            let verdict = verdict.expect("finish fills every deferred packet's slot");
+            self.settle(settle, verdict, &mut outcomes);
         }
-        self.trace.emit(
-            now,
-            TraceKind::BatchFlush {
-                packets: batch_len,
-                runs,
-            },
-        );
+        self.trace
+            .emit(now, TraceKind::BatchFlush { packets: batch_len });
         outcomes
-    }
-
-    /// Forwards the next `count` packets unprocessed: unsteered traffic, or
-    /// a steering rule whose chain is gone.
-    fn pass_through(packets: &mut std::vec::IntoIter<Packet>, count: usize) -> Vec<Verdict> {
-        packets.take(count).map(Verdict::Forward).collect()
     }
 
     /// Emits the trace events one megaflow install implies: the seal, and an
@@ -1407,64 +1338,45 @@ impl Spine<'_> {
         }
     }
 
-    /// Settles one run's verdicts into per-packet outcomes: one TX-counter
-    /// update per run for the forwarded packets instead of one per packet,
-    /// and the run's flight record when its flow is sampled.
+    /// Settles one packet's verdict into its outcome: the TX counters of
+    /// wherever it (or its replies) went, and its flight record when its
+    /// flow is sampled.
     #[inline]
-    fn settle(
-        &mut self,
-        run: RunSettle,
-        verdicts: Vec<Verdict>,
-        outcomes: &mut Vec<PacketOutcome>,
-    ) {
-        let mut forwarded = 0u64;
-        let mut forwarded_bytes = 0u64;
-        let mut dropped = 0u64;
-        let mut replied = 0u64;
-        for verdict in verdicts {
-            match verdict {
-                Verdict::Forward(p) => {
-                    forwarded += 1;
-                    forwarded_bytes += p.len() as u64;
-                    outcomes.push(PacketOutcome::Forwarded(p));
-                }
-                Verdict::Drop(reason) => {
-                    dropped += 1;
-                    outcomes.push(PacketOutcome::Dropped(reason));
-                }
-                Verdict::Reply(replies) => {
-                    replied += 1;
-                    for reply in &replies {
-                        self.switch.record_tx(self.in_port, reply.len());
-                    }
-                    outcomes.push(PacketOutcome::Replied(replies));
-                }
-            }
-        }
-        if forwarded > 0 {
-            match &run.forwarding {
-                Forwarding::Unicast(port) => {
-                    self.switch
-                        .record_tx_batch(*port, forwarded, forwarded_bytes)
-                }
-                Forwarding::Flood(ports) => {
-                    for port in ports.iter() {
-                        self.switch
-                            .record_tx_batch(*port, forwarded, forwarded_bytes);
+    fn settle(&mut self, settle: Settle, verdict: Verdict, outcomes: &mut Vec<PacketOutcome>) {
+        let label = match verdict {
+            Verdict::Forward(p) => {
+                match &settle.forwarding {
+                    Forwarding::Unicast(port) => self.switch.record_tx(*port, p.len()),
+                    Forwarding::Flood(ports) => {
+                        for port in ports.iter() {
+                            self.switch.record_tx(*port, p.len());
+                        }
                     }
                 }
+                outcomes.push(PacketOutcome::Forwarded(p));
+                "forwarded"
             }
-        }
-        if let Some((flow, tuple)) = run.probe {
+            Verdict::Drop(reason) => {
+                outcomes.push(PacketOutcome::Dropped(reason));
+                "dropped"
+            }
+            Verdict::Reply(replies) => {
+                for reply in &replies {
+                    self.switch.record_tx(self.in_port, reply.len());
+                }
+                outcomes.push(PacketOutcome::Replied(replies));
+                "replied"
+            }
+        };
+        if let Some((flow, tuple)) = settle.probe {
             self.flight.record(
                 self.now,
                 FlowRecord {
                     station: self.station,
                     flow,
                     tuple,
-                    stage: run.stage,
-                    verdict: run_verdict(run.count, dropped, replied),
-                    count: run.count,
+                    stage: settle.stage,
+                    verdict: label,
                 },
             );
         }
@@ -1994,7 +1906,7 @@ mod tests {
             // ...which the next new flow of the pattern rides,
             (syn(0, 40_001, 8080), "megaflow-bypass", "forwarded"),
             // while the first flow itself stays on the exact cache (two
-            // back-to-back packets: one run of two on the batch legs).
+            // back-to-back packets: still one record each on every leg).
             (syn(0, 40_000, 8080), "exact", "forwarded"),
             (syn(0, 40_000, 8080), "exact", "forwarded"),
             // A denied pattern seals a certified drop, then retires on it.
@@ -2016,8 +1928,8 @@ mod tests {
             .iter()
             .map(|p| per_packet.process_upstream_packet(p.clone(), now))
             .collect();
-        // Per-packet, every row is its own run: the flight records *are*
-        // the table's stage and verdict columns.
+        // One flight record per packet: the records *are* the table's
+        // stage and verdict columns.
         let staged: Vec<(&str, &str)> = per_packet
             .flight_mut()
             .take_events()
@@ -2069,11 +1981,7 @@ mod tests {
             assert_eq!(batched.drain_nf_notifications(now).len(), notifications);
         }
         let records = inline.flight_mut().take_events();
-        assert_eq!(
-            records.len(),
-            table.len() - 1,
-            "the repeat merged into a run"
-        );
+        assert_eq!(records.len(), table.len(), "one record per packet");
         assert_eq!(lanes.flight_mut().take_events(), records);
         let events = inline.trace_mut().take_events();
         assert!(events
@@ -2081,12 +1989,123 @@ mod tests {
             .any(|e| matches!(e.kind, TraceKind::MegaflowSeal { .. })));
         assert!(matches!(
             events.last().map(|e| &e.kind),
-            Some(TraceKind::BatchFlush {
-                packets: 10,
-                runs: 9
-            })
+            Some(TraceKind::BatchFlush { packets: 10 })
         ));
         assert_eq!(lanes.trace_mut().take_events(), events);
+    }
+
+    /// The case run grouping used to cover: a burst of one brand-new flow in
+    /// one batch. The first packet walks the certifying chain and seals its
+    /// wildcard entry at once; every clone behind it is an exact-cache hit,
+    /// and nothing differs from feeding the packets one call at a time.
+    #[test]
+    fn a_same_flow_burst_seals_after_its_first_packet() {
+        use gnf_nf::firewall::{FirewallConfig, RuleAction};
+        use gnf_nf::NfConfig;
+        use gnf_telemetry::TraceScope;
+
+        const BURST: usize = 6;
+        let make_agent = || {
+            let (mut agent, _) = agent();
+            agent.set_megaflow_enabled(true);
+            let scope = TraceScope::Station(1);
+            agent.set_tracing(
+                TraceSink::buffered(scope, 64),
+                FlightRecorder::armed(scope, 7, 1, 64),
+            );
+            agent.client_associated(ClientId::new(0), client_mac(), client_ip());
+            let pure_fw = NfSpec::new(
+                "fw",
+                NfConfig::Firewall(FirewallConfig {
+                    rules: Vec::new(),
+                    default_action: RuleAction::Accept,
+                    track_connections: false,
+                    conntrack_idle_timeout_secs: 60,
+                }),
+            );
+            agent.handle_manager_msg(deploy_msg(1, vec![pure_fw]), SimTime::from_secs(1));
+            agent
+        };
+        let burst = vec![
+            builder::tcp_syn(
+                client_mac(),
+                MacAddr::derived(0xA0, 1),
+                client_ip(),
+                Ipv4Addr::new(203, 0, 113, 10),
+                40_000,
+                8080,
+            );
+            BURST
+        ];
+        let now = SimTime::from_secs(2);
+
+        let mut batched = make_agent();
+        let outcomes = batched.process_upstream_batch(burst.clone().into(), now);
+        let stages: Vec<&str> = batched
+            .flight_mut()
+            .take_events()
+            .into_iter()
+            .map(|e| match e.kind {
+                TraceKind::Flow(r) => r.stage,
+                other => panic!("flight recorder holds only flow records, got {other:?}"),
+            })
+            .collect();
+        let mut expected_stages = vec!["exact"; BURST];
+        expected_stages[0] = "slow-path";
+        assert_eq!(stages, expected_stages);
+        let events: Vec<TraceKind> = batched
+            .trace_mut()
+            .take_events()
+            .into_iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            events,
+            [
+                TraceKind::MegaflowSeal {
+                    outcome: "forward",
+                    occupancy: 1
+                },
+                TraceKind::BatchFlush {
+                    packets: BURST as u64
+                },
+            ]
+        );
+        let flow = batched.flow_cache_telemetry().stats;
+        assert_eq!((flow.misses, flow.hits), (1, BURST as u64 - 1));
+        assert_eq!(batched.megaflow_telemetry().stats.installs, 1);
+
+        let mut per_packet = make_agent();
+        let expected: Vec<PacketOutcome> = burst
+            .into_iter()
+            .map(|p| per_packet.process_upstream_packet(p, now))
+            .collect();
+        assert_eq!(outcomes, expected);
+        assert!(outcomes
+            .iter()
+            .all(|o| matches!(o, PacketOutcome::Forwarded(_))));
+        let (a, b) = (
+            &batched.chain(ChainId::new(1)).expect("deployed").chain,
+            &per_packet.chain(ChainId::new(1)).expect("deployed").chain,
+        );
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.per_nf_stats(), b.per_nf_stats());
+        for (a, b) in batched
+            .switch()
+            .ports()
+            .iter()
+            .zip(per_packet.switch().ports())
+        {
+            assert_eq!(a.counters, b.counters, "port {} counters", a.name);
+        }
+        assert_eq!(
+            batched.flow_cache_telemetry(),
+            per_packet.flow_cache_telemetry()
+        );
+        assert_eq!(
+            batched.megaflow_telemetry(),
+            per_packet.megaflow_telemetry()
+        );
     }
 
     #[test]

@@ -7,21 +7,22 @@
 //! [`LaneExecutor`] dispatches NF-chain work to `N` lane threads. Every chain
 //! is owned by exactly one lane for the duration of a batch, chosen by a
 //! stable hash of its [`ChainId`], and each lane drains its queue in FIFO
-//! order; together these two facts mean every chain sees its runs, bypass
+//! order; together these two facts mean every chain sees its packets, bypass
 //! credits and drop credits in exactly the order the inline executor would
 //! have applied them, so NF state, statistics, verdicts and emitted events
 //! never diverge from the unsharded run — only the thread that executes the
 //! chain changes.
 //!
-//! Slow-path runs that carry a megaflow *seed* are the one synchronous case:
-//! the spine must install the sealed wildcard entry before classifying the
-//! next run (mid-batch sealing — an entry sealed from run N already serves
-//! run N + 1), so those runs carry a reply channel and the spine blocks
-//! until the owning lane reports the verdicts and the seal report. Seeds
-//! only occur on slow-path classifications, so a warm steady-state batch
-//! never blocks. Every other run is *deferred*: its verdicts come back over
-//! a shared results channel and the pipeline settles them in run order once
-//! the batch is classified.
+//! A lane message is one packet. Slow-path packets that carry a megaflow
+//! *seed* are the one synchronous case: the spine must install the sealed
+//! wildcard entry before classifying the next packet (mid-batch sealing — an
+//! entry sealed from packet N already serves packet N + 1), so those packets
+//! carry a reply channel and the spine blocks until the owning lane reports
+//! the verdict and the seal report. Seeds only occur on slow-path
+//! classifications, so a warm steady-state batch never blocks. Every other
+//! packet is *deferred*: its verdict comes back over a shared results
+//! channel and the pipeline settles them in packet order once the batch is
+//! classified.
 //!
 //! This is a streaming spine — work is routed while the batch is still being
 //! classified — not a fork-join; the emulator's fan-outs use
@@ -29,27 +30,27 @@
 
 use crate::agent::{BypassCredit, ChainExecutor, ChainRun, ChainRunner, DeployedChain, Executed};
 use gnf_nf::{Direction, Verdict};
-use gnf_packet::{Packet, PacketBatch};
+use gnf_packet::Packet;
 use gnf_types::ChainId;
 use std::collections::HashMap;
 use std::sync::mpsc;
 
 /// One unit of chain work routed to a lane. Messages for the same chain are
-/// always sent to the same lane, in spine (run) order.
+/// always sent to the same lane, in spine (packet) order.
 enum LaneMsg {
-    /// Process a single-flow run through its chain.
-    Run {
-        /// The pipeline's slot for the run (for result reassembly).
+    /// Take a packet through its chain.
+    Packet {
+        /// The pipeline's slot for the packet (for result reassembly).
         slot: usize,
         /// The owning chain (guaranteed to live on this lane).
         chain: ChainId,
         /// Traversal direction.
         direction: Direction,
-        /// The run's packets, in batch order.
-        packets: PacketBatch,
-        /// `Some` when the run carries a megaflow seed: the lane must reply
-        /// with the verdicts *and* the seal report so the spine can install
-        /// the wildcard entry before classifying the next run.
+        /// The packet.
+        packet: Packet,
+        /// `Some` when the packet carries a megaflow seed: the lane must
+        /// reply with the verdict *and* the seal report so the spine can
+        /// install the wildcard entry before classifying the next packet.
         seal: Option<mpsc::Sender<ChainRun>>,
     },
     /// Replay the statistics of a wildcard bypass hit.
@@ -76,7 +77,7 @@ fn lane_of_chain(chain: ChainId, lanes: usize) -> usize {
 pub(crate) struct LaneExecutor {
     lane_of: HashMap<ChainId, usize>,
     senders: Vec<mpsc::Sender<LaneMsg>>,
-    results: mpsc::Receiver<(usize, Vec<Verdict>)>,
+    results: mpsc::Receiver<(usize, Verdict)>,
     dispatched: usize,
 }
 
@@ -128,25 +129,24 @@ impl ChainExecutor for LaneExecutor {
         slot: usize,
         chain: ChainId,
         direction: Direction,
-        packets: &mut std::vec::IntoIter<Packet>,
-        count: usize,
+        packet: Packet,
         seal: bool,
     ) -> Executed {
         let Some(&lane) = self.lane_of.get(&chain) else {
-            return Executed::NoChain;
+            return Executed::NoChain(packet);
         };
         let (seal, reply) = seal.then(mpsc::channel).unzip();
         self.senders[lane]
-            .send(LaneMsg::Run {
+            .send(LaneMsg::Packet {
                 slot,
                 chain,
                 direction,
-                packets: packets.take(count).collect(),
+                packet,
                 seal,
             })
             .expect("lane outlives the spine");
         match reply {
-            Some(reply) => Executed::Done(reply.recv().expect("lane replies to seed runs")),
+            Some(reply) => Executed::Done(reply.recv().expect("lane replies to seed packets")),
             None => {
                 self.dispatched += 1;
                 Executed::Deferred
@@ -160,15 +160,15 @@ impl ChainExecutor for LaneExecutor {
         }
     }
 
-    fn finish(self, mut fill: impl FnMut(usize, Vec<Verdict>)) {
+    fn finish(self, mut fill: impl FnMut(usize, Verdict)) {
         // Close the queues: lanes drain their FIFOs and exit.
         drop(self.senders);
         for _ in 0..self.dispatched {
-            let (slot, verdicts) = self
+            let (slot, verdict) = self
                 .results
                 .recv()
-                .expect("every dispatched run yields verdicts");
-            fill(slot, verdicts);
+                .expect("every dispatched packet yields a verdict");
+            fill(slot, verdict);
         }
     }
 }
@@ -176,8 +176,8 @@ impl ChainExecutor for LaneExecutor {
 /// Body of one lane thread: drains the queue in FIFO order, applying each
 /// message to the owned chains, until the spine drops the sender.
 ///
-/// Deferred run verdicts go back through the shared `results` channel (the
-/// pipeline reassembles them by slot); seed runs reply synchronously on
+/// Deferred verdicts go back through the shared `results` channel (the
+/// pipeline reassembles them by slot); seed packets reply synchronously on
 /// their dedicated channel. Credits mutate only NF statistics, but routing
 /// them through the owning lane's queue keeps *every* chain mutation in
 /// spine order, so even an NF whose credit accounting interacted with its
@@ -185,32 +185,27 @@ impl ChainExecutor for LaneExecutor {
 fn lane_worker(
     mut chains: HashMap<ChainId, &mut DeployedChain>,
     queue: mpsc::Receiver<LaneMsg>,
-    results: mpsc::Sender<(usize, Vec<Verdict>)>,
+    results: mpsc::Sender<(usize, Verdict)>,
     runner: ChainRunner,
 ) {
     while let Ok(msg) = queue.recv() {
         match msg {
-            LaneMsg::Run {
+            LaneMsg::Packet {
                 slot,
                 chain,
                 direction,
-                packets,
+                packet,
                 seal,
             } => {
-                let deployed = chains.get_mut(&chain).expect("run routed to owning lane");
-                let count = packets.len();
-                let run = runner.run(
-                    deployed,
-                    packets.into_iter(),
-                    count,
-                    direction,
-                    seal.is_some(),
-                );
+                let deployed = chains
+                    .get_mut(&chain)
+                    .expect("packet routed to owning lane");
+                let run = runner.run(deployed, packet, direction, seal.is_some());
                 // The spine blocks on a seed reply and collects every
-                // deferred run, so neither receiver can have hung up.
+                // deferred verdict, so neither receiver can have hung up.
                 let _ = match seal {
                     Some(reply) => reply.send(run).ok(),
-                    None => results.send((slot, run.verdicts)).ok(),
+                    None => results.send((slot, run.verdict)).ok(),
                 };
             }
             LaneMsg::Credit(chain, credit) => {

@@ -18,35 +18,36 @@
 //! pipeline**: every entry point — [`Agent::process_upstream_batch`] /
 //! [`Agent::process_downstream_batch`], and the per-packet
 //! [`Agent::process_upstream_packet`] / [`Agent::process_downstream_packet`],
-//! which are batches of one — runs the same loop over the batch's
-//! run-length-grouped [`gnf_switch::DecisionRun`]s:
+//! which are batches of one — runs the same loop. A
+//! [`gnf_packet::PacketBatch`] is what the Agent is handed; between it and
+//! `NetworkFunction::process` the **packet** is the only unit of work:
 //!
 //! ```text
-//! begin batch → for each run: probe + stage → execute → seal → settle → BatchFlush
+//! begin batch → for each packet: classify → execute → seal → settle → BatchFlush
 //! ```
 //!
-//! * **Classify** — the [`gnf_switch::SoftwareSwitch`] decides each run from
-//!   its exact-match flow cache, else its megaflow (wildcard) layer, else the
-//!   slow path (steering + MAC lookup), which memoizes the decision and
-//!   hands back a wildcard *seed*.
-//! * **Execute** — a steered run traverses its client's [`gnf_nf::NfChain`]
-//!   one packet at a time (`NfChain::process` per packet: NFs have a single
-//!   execution path, and ≈ 99 % of runs hold one packet anyway),
-//!   unless a wildcard entry certified a **chain bypass** (forward or drop),
-//!   in which case the chain's NF statistics are replayed instead
+//! * **Classify** — the [`gnf_switch::SoftwareSwitch`] decides each packet
+//!   from its exact-match flow cache, else its megaflow (wildcard) layer,
+//!   else the slow path (steering + MAC lookup), which memoizes the decision
+//!   and hands back a wildcard *seed*. The batch pays the port check and
+//!   the RX count once (`SoftwareSwitch::begin_batch`).
+//! * **Execute** — a steered packet traverses its client's
+//!   [`gnf_nf::NfChain`] (`NfChain::process`: NFs have a single execution
+//!   path), unless a wildcard entry certified a **chain bypass** (forward or
+//!   drop), in which case the chain's NF statistics are replayed instead
 //!   (`NfChain::credit_bypass` / `credit_bypass_drop`). *Where* chains run is
 //!   the pipeline's one variation point, a statically dispatched executor
 //!   with two implementations: inline on the calling thread, or
 //!   chain-affinity lane threads (`station_shards > 1`, more than one chain
 //!   and more than one packet). Outcomes, counters and NF state are
 //!   byte-identical either way.
-//! * **Seal** — after a slow-path run, the seed is completed with the
+//! * **Seal** — after a slow-path packet, the seed is completed with the
 //!   chain's consulted-field report (`NfChain::wildcard_report`, gated by
-//!   [`seal_report`]) before the next run is classified, so an entry sealed
-//!   from run *N* already serves run *N + 1* of the same batch.
-//! * **Settle** — verdicts become [`PacketOutcome`]s in batch order, TX
-//!   counters are updated once per run, sampled flows get their flight
-//!   record.
+//!   [`seal_report`]) before the next packet is classified, so an entry
+//!   sealed from packet *N* already serves packet *N + 1* of the same batch.
+//! * **Settle** — the verdict becomes a [`PacketOutcome`] in batch order,
+//!   the TX counters of wherever the packet went are updated, a sampled
+//!   flow gets its flight record.
 //!
 //! Every layer's counters surface in the periodic
 //! [`gnf_telemetry::StationReport`] (`flow_cache`, `megaflow`, `batches`).

@@ -164,6 +164,9 @@ fn bench_dns_lb_and_http_filter(c: &mut Criterion) {
 }
 
 fn bench_switch(c: &mut Criterion) {
+    use gnf_bench::dataplane_fixture as fixture;
+    use gnf_nf::NfChain;
+
     let mut group = quick(c).benchmark_group("switch");
     group
         .warm_up_time(Duration::from_millis(300))
@@ -187,14 +190,18 @@ fn bench_switch(c: &mut Criterion) {
         80,
         b"data",
     );
-    let client_port = sw.client_port();
+    // An empty chain: the step is parse + classification alone.
+    let mut chain = NfChain::new("none");
+    let ctx = NfContext::at(SimTime::from_secs(1));
     group.throughput(Throughput::Elements(1));
     group.bench_function("receive_steered_256_clients", |b| {
         b.iter(|| {
-            black_box(
-                sw.receive(black_box(&pkt), client_port, SimTime::from_secs(1))
-                    .unwrap(),
-            )
+            black_box(fixture::pipeline_step(
+                &mut sw,
+                &mut chain,
+                black_box(&pkt),
+                &ctx,
+            ))
         })
     });
     group.finish();
@@ -295,13 +302,13 @@ fn bench_megaflow(c: &mut Criterion) {
         // a wildcard hit that bypasses the (pure, conntrack-off) chain.
         let (mut sw, mut chain) = fixture::station_megaflow(len);
         let frames = fixture::new_flow_frames(8192);
-        fixture::pipeline_step_megaflow(&mut sw, &mut chain, &frames[0], &ctx); // seal the entry
+        fixture::pipeline_step(&mut sw, &mut chain, &frames[0], &ctx); // seal the entry
         let mut next = 0usize;
         group.bench_with_input(BenchmarkId::new("wildcard", len), &len, |b, _| {
             b.iter(|| {
                 let frame = &frames[next];
                 next = (next + 1) % frames.len();
-                black_box(fixture::pipeline_step_megaflow(
+                black_box(fixture::pipeline_step(
                     &mut sw,
                     &mut chain,
                     black_box(frame),
@@ -359,7 +366,7 @@ fn bench_megaflow_drop(c: &mut Criterion) {
         // certified drop bypass that never touches the chain.
         let (mut sw, mut chain) = fixture::station_megaflow(len);
         let frames = fixture::blocked_flow_frames(8192);
-        fixture::pipeline_step_megaflow(&mut sw, &mut chain, &frames[0], &ctx); // seal the entry
+        fixture::pipeline_step(&mut sw, &mut chain, &frames[0], &ctx); // seal the entry
         assert_eq!(
             sw.megaflow_stats().drop_installs,
             1,
@@ -370,7 +377,7 @@ fn bench_megaflow_drop(c: &mut Criterion) {
             b.iter(|| {
                 let frame = &frames[next];
                 next = (next + 1) % frames.len();
-                black_box(fixture::pipeline_step_megaflow(
+                black_box(fixture::pipeline_step(
                     &mut sw,
                     &mut chain,
                     black_box(frame),

@@ -124,9 +124,7 @@ fn bench_workload(c: &mut Criterion) {
             b.iter(|| {
                 let frame = &frames[next];
                 next = (next + 1) % frames.len();
-                std::hint::black_box(fixture::pipeline_step_megaflow(
-                    &mut sw, &mut chain, frame, &ctx,
-                ))
+                std::hint::black_box(fixture::pipeline_step(&mut sw, &mut chain, frame, &ctx))
             })
         });
         let flow_cache = sw.flow_cache_stats();

@@ -220,12 +220,12 @@ fn main() {
         let exact_hit_rate = sw.flow_cache_stats().hit_rate();
 
         let (mut sw, mut chain) = fixture::station_megaflow(1);
-        fixture::pipeline_step_megaflow(&mut sw, &mut chain, &frames[0], &ctx); // seal the entry
+        fixture::pipeline_step(&mut sw, &mut chain, &frames[0], &ctx); // seal the entry
         let mut next = 0usize;
         let (wild_pps, wild_us) = measure(iterations, || {
             let frame = &frames[next];
             next = (next + 1) % frames.len();
-            fixture::pipeline_step_megaflow(&mut sw, &mut chain, frame, &ctx);
+            fixture::pipeline_step(&mut sw, &mut chain, frame, &ctx);
         });
         let megaflow = sw.megaflow_stats();
         println!(

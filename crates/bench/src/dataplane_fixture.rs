@@ -14,7 +14,7 @@ use gnf_nf::firewall::{
 };
 use gnf_nf::ids::{Ids, IdsConfig};
 use gnf_nf::rate_limiter::{RateLimiter, RateLimiterConfig};
-use gnf_nf::{Direction, NfChain, NfConfig, NfContext, NfSpec, Verdict};
+use gnf_nf::{Direction, NfChain, NfConfig, NfContext, NfSpec};
 use gnf_packet::{builder, Packet};
 use gnf_switch::{
     Classified, MegaflowState, SoftwareSwitch, SteeringRule, TrafficSelector,
@@ -198,29 +198,37 @@ pub fn hot_station_agent(clients: u32) -> Agent {
     agent
 }
 
-/// The hot station's upstream batch: `per_client` back-to-back 1000-byte
-/// TCP data frames per client (one established flow each), client runs
-/// concatenated — so the switch groups the batch into `clients` steered
-/// runs and the IDS signature scan dominates the per-packet cost.
+/// The hot station's upstream batch: `per_client` 1000-byte TCP data frames
+/// per client (one established flow each), the clients interleaved
+/// round-robin — the mixed-flow shape the emulator's batches have, where a
+/// packet's predecessor is almost never of its own flow — so consecutive
+/// packets belong to different chains and the IDS signature scan dominates
+/// the per-packet cost.
 pub fn hot_station_frames(clients: u32, per_client: usize) -> Vec<Packet> {
-    let mut frames = Vec::with_capacity(clients as usize * per_client);
-    for client in 0..clients {
-        let frame = builder::tcp_data(
-            MacAddr::derived(1, client),
-            MacAddr::derived(0xA0, 0),
-            hot_station_ip(client),
-            Ipv4Addr::new(203, 0, 113, 9),
-            40_000 + client as u16,
-            443,
-            &vec![0xAB; 1000],
-        );
-        frames.extend(std::iter::repeat_n(frame, per_client));
-    }
-    frames
+    let frames: Vec<Packet> = (0..clients)
+        .map(|client| {
+            builder::tcp_data(
+                MacAddr::derived(1, client),
+                MacAddr::derived(0xA0, 0),
+                hot_station_ip(client),
+                Ipv4Addr::new(203, 0, 113, 9),
+                40_000 + client as u16,
+                443,
+                &vec![0xAB; 1000],
+            )
+        })
+        .collect();
+    (0..per_client)
+        .flat_map(|_| frames.iter().cloned())
+        .collect()
 }
 
-/// One station-pipeline iteration, exactly as the Agent dispatches it:
-/// parse the arriving frame, consult the switch, run the chain when steered.
+/// One station-pipeline iteration, exactly as the Agent dispatches a batch
+/// of one: parse the arriving frame, classify it (exact → wildcard → slow
+/// path), then either replay a certified chain bypass (forward or drop), or
+/// run the chain when steered and seal the slow-path seed into a wildcard
+/// entry. A switch with the megaflow layer off only ever answers
+/// [`MegaflowState::None`], so the same step serves both kinds of fixture.
 /// Returns whether the packet was forwarded.
 pub fn pipeline_step(
     sw: &mut SoftwareSwitch,
@@ -230,35 +238,10 @@ pub fn pipeline_step(
 ) -> bool {
     let pkt = Packet::parse(frame.bytes().clone()).unwrap();
     let port = sw.client_port();
-    let decision = sw.receive(&pkt, port, SimTime::from_secs(1)).unwrap();
-    let verdict = match decision.steering {
-        Some((_, upstream)) => {
-            let direction = if upstream {
-                Direction::Ingress
-            } else {
-                Direction::Egress
-            };
-            chain.process(pkt, direction, ctx)
-        }
-        None => Verdict::Forward(pkt),
-    };
-    verdict.is_forward()
-}
-
-/// One megaflow-aware station-pipeline iteration, exactly as the Agent's
-/// classify path dispatches it: parse, classify (exact → wildcard → slow
-/// path), then either replay a certified chain bypass (forward or drop), or
-/// run the chain and seal the slow-path seed into a wildcard entry. Returns
-/// whether the packet was forwarded.
-pub fn pipeline_step_megaflow(
-    sw: &mut SoftwareSwitch,
-    chain: &mut NfChain,
-    frame: &Packet,
-    ctx: &NfContext,
-) -> bool {
-    let pkt = Packet::parse(frame.bytes().clone()).unwrap();
-    let port = sw.client_port();
-    let Classified { decision, megaflow } = sw.classify(&pkt, port, SimTime::from_secs(1)).unwrap();
+    let mut cursor = sw
+        .begin_batch(std::slice::from_ref(&pkt), port, SimTime::from_secs(1))
+        .unwrap();
+    let Classified { decision, megaflow } = sw.classify(&mut cursor, &pkt);
     match decision.steering {
         Some((_, upstream)) => {
             let direction = if upstream {
@@ -278,10 +261,7 @@ pub fn pipeline_step_megaflow(
                 megaflow => {
                     let verdict = chain.process(pkt, direction, ctx);
                     if let MegaflowState::Seed(seed) = megaflow {
-                        sw.install_megaflow(
-                            seed,
-                            seal_report(chain, direction, std::slice::from_ref(&verdict)),
-                        );
+                        sw.install_megaflow(seed, seal_report(chain, direction, &verdict));
                     }
                     verdict.is_forward()
                 }

@@ -1556,7 +1556,6 @@ impl Emulator {
                 tuple: tuple.to_string(),
                 stage,
                 verdict,
-                count: 1,
             },
         );
     }

@@ -1,10 +1,11 @@
 //! Packet batches: the unit of data-plane work.
 //!
 //! Production dataplanes (OVS batching, VPP vectors) amortize per-packet
-//! overhead by moving *vectors* of packets through the pipeline: one flow
-//! cache probe per run of same-flow packets, one counter update per batch,
-//! one virtual-function dispatch per NF per batch. [`PacketBatch`] is that
-//! vector for the GNF data plane. It deliberately stays a thin, ordered
+//! overhead by moving *vectors* of packets through the pipeline.
+//! [`PacketBatch`] is that vector for the GNF data plane: what a station is
+//! handed per flush, paying its per-call costs (port check, RX count, batch
+//! telemetry, lane set-up) once; inside, the switch and the NF chains take
+//! its packets one at a time. It deliberately stays a thin, ordered
 //! wrapper over `Vec<Packet>`: batching must be *observably equivalent* to
 //! per-packet processing (same verdicts, same NF state, same counters), so
 //! the batch carries no processing state of its own — order in the batch is

@@ -240,27 +240,6 @@ impl FlowCache {
         }
     }
 
-    /// Records `n` additional hits served without a lookup — used by the
-    /// batched receive path when a run of consecutive same-flow packets
-    /// reuses the first packet's decision. Keeps the hit counters identical
-    /// to per-packet processing at a fraction of the cost (no hash probe, no
-    /// LRU touch per packet: the run's first lookup already refreshed
-    /// recency).
-    pub fn note_repeat_hits(&mut self, n: u64, shard: usize) {
-        self.stats.hits += n;
-        self.shard_stats[shard].hits += n;
-    }
-
-    /// Records `n` additional misses that were not individually probed —
-    /// used by the batched receive path for runs whose decision came from
-    /// the megaflow (wildcard) layer: the per-packet path would probe (and
-    /// miss) the exact cache once per packet before each wildcard hit, so
-    /// the counters must reflect that.
-    pub fn note_repeat_misses(&mut self, n: u64, shard: usize) {
-        self.stats.misses += n;
-        self.shard_stats[shard].misses += n;
-    }
-
     /// Memoizes the decision for a flow, evicting the least-recently-used
     /// entry when the capacity bound is hit.
     pub fn insert(
@@ -486,7 +465,6 @@ mod tests {
             assert!(cache.lookup(&k, 0, 0, None).is_none());
             cache.insert(k, decision(1), 0, 0, None);
             assert!(cache.lookup(&k, 0, 0, None).is_some());
-            cache.note_repeat_hits(2, cache.shard_of(&k.tuple));
         }
         let stats = cache.stats();
         let shards = cache.shard_stats();

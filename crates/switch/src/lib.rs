@@ -35,6 +35,6 @@ pub use megaflow::{
 };
 pub use steering::{SteeringRule, SteeringTable, TrafficSelector};
 pub use switch::{
-    BatchCursor, Classified, DecisionRun, Forwarding, MegaflowInstall, MegaflowSeed, MegaflowState,
-    Port, PortCounters, PortId, PortKind, SoftwareSwitch, SwitchDecision, DEFAULT_MAC_AGING_SECS,
+    BatchCursor, Classified, Forwarding, MegaflowInstall, MegaflowSeed, MegaflowState, Port,
+    PortCounters, PortId, PortKind, SoftwareSwitch, SwitchDecision, DEFAULT_MAC_AGING_SECS,
 };

@@ -250,21 +250,6 @@ impl MegaflowCache {
         self.stats
     }
 
-    /// Records `n` additional hits served without a lookup — used by the
-    /// batched receive path when a run of consecutive same-flow packets
-    /// reuses the first packet's wildcard hit. `drop_served` marks repeats
-    /// of a certified-drop hit so the drop counters stay exact; `shard` is
-    /// the repeating flow's RSS shard (from [`shard_of`](Self::shard_of)).
-    pub fn note_repeat_hits(&mut self, n: u64, drop_served: bool, shard: usize) {
-        if self.enabled() {
-            self.stats.hits += n;
-            self.shard_stats[shard].hits += n;
-            if drop_served {
-                self.stats.drop_hits += n;
-            }
-        }
-    }
-
     /// Looks a packet up: probes every mask table with the tuple projected
     /// under that table's mask, returning the first entry that is still valid
     /// under the given generations and destination mapping. Invalid entries
@@ -678,7 +663,6 @@ mod tests {
         assert!(!cache.enabled());
         insert(&mut cache, &tuple(1, 100), FieldMask::DST_PORT, 1);
         assert!(lookup(&mut cache, &tuple(1, 100), 0, 0).is_none());
-        cache.note_repeat_hits(5, true, 0);
         assert_eq!(cache.stats(), MegaflowStats::default());
         assert_eq!(cache.len(), 0);
     }
@@ -731,17 +715,16 @@ mod tests {
         assert_eq!(cache.stats().installs, 1);
         assert_eq!(cache.stats().drop_installs, 1);
         // A brand-new flow of the dropped pattern hits and is counted as a
-        // drop hit; repeats credited by the batched path keep the split.
+        // drop hit.
         let hit = lookup(&mut cache, &tuple(51_000, 22), 0, 0).expect("drop hit");
         let Some(BypassOutcome::Drop { tokens: t, reason }) = hit.bypass else {
             panic!("expected a drop outcome");
         };
         assert_eq!(t, tokens);
         assert_eq!(reason, "firewall: policy drop");
-        cache.note_repeat_hits(3, true, 0);
-        assert_eq!(cache.stats().hits, 4);
-        assert_eq!(cache.stats().drop_hits, 4);
-        assert_eq!(cache.shard_stats()[0].hits, 4);
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().drop_hits, 1);
+        assert_eq!(cache.shard_stats()[0].hits, 1);
     }
 
     #[test]

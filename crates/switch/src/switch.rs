@@ -9,7 +9,7 @@
 //!
 //! ## Fast path / slow path
 //!
-//! [`SoftwareSwitch::receive`] is split OVS-style: frames that carry a
+//! [`SoftwareSwitch::classify`] is split OVS-style: frames that carry a
 //! transport five-tuple first consult the exact-match
 //! [`crate::flow_cache::FlowCache`]; a hit returns the memoized
 //! [`SwitchDecision`] after one hash lookup. On an exact miss the optional
@@ -23,11 +23,19 @@
 //! counters that lazily invalidate every affected entry in O(1); MAC-table
 //! changes (learn/move/age) are caught per flow, because each cached entry
 //! re-validates its destination's MAC→port mapping on lookup.
+//!
+//! ## One entry point
+//!
+//! The packet is the unit of classification and [`SoftwareSwitch::classify`]
+//! the only way to classify one. What a batch amortizes is its prologue,
+//! [`SoftwareSwitch::begin_batch`]: the ingress port is validated and its RX
+//! counters bumped once, and the returned [`BatchCursor`] skips re-learning
+//! a source MAC the batch has just learned. A lone frame is a batch of one.
 
 use crate::flow_cache::{FlowCache, FlowCacheStats, FlowKey, DEFAULT_FLOW_CACHE_CAPACITY};
 use crate::megaflow::{BypassOutcome, MegaflowCache, MegaflowStats};
 use crate::steering::{SteeringRule, SteeringTable};
-use gnf_packet::{FieldMask, FiveTuple, Packet, PacketBatch};
+use gnf_packet::{FieldMask, FiveTuple, Packet};
 use gnf_types::{GnfError, GnfResult, MacAddr, ShardCacheStats, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -203,47 +211,10 @@ pub struct Classified {
     pub megaflow: MegaflowState,
 }
 
-/// One run of consecutive same-decision packets within a batch.
-///
-/// [`SoftwareSwitch::receive_batch`] run-length groups its output: packets
-/// of the same flow arriving back to back share one decision (one cache
-/// probe, one clone) instead of paying per packet. Expanding the runs in
-/// order reproduces exactly the per-packet decision sequence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecisionRun {
-    /// The decision shared by every packet of the run.
-    pub decision: SwitchDecision,
-    /// How many consecutive packets of the batch the decision covers.
-    pub count: usize,
-    /// The wildcard-cache aspect shared by every packet of the run (a run is
-    /// one flow, so one megaflow entry covers all of it).
-    pub megaflow: MegaflowState,
-}
-
-/// Which cache level decided a run — repeats must credit the same counters
-/// the per-packet path would.
-#[derive(Clone, Copy, PartialEq)]
-enum RunSource {
-    /// Exact hit, or slow path (which installs an exact entry, so
-    /// per-packet repeats would exact-hit).
-    Exact,
-    /// Wildcard hit: per-packet repeats would exact-miss and then
-    /// wildcard-hit again (wildcard hits do not promote). `drop_served`
-    /// records whether the entry certified a drop, so repeats keep the
-    /// drop-hit split exact.
-    Megaflow {
-        /// The run was served by a certified-drop entry.
-        drop_served: bool,
-    },
-}
-
-/// The per-batch state of an incremental batched receive, created by
-/// [`SoftwareSwitch::begin_receive_batch`] and advanced one [`DecisionRun`]
-/// at a time by [`SoftwareSwitch::next_decision_run`].
-///
-/// [`SoftwareSwitch::receive_batch`] drives one internally; the Agent
-/// drives its own so megaflow entries sealed after a run are already
-/// visible to the next run of the same flush (mid-batch sealing).
+/// What the packets of one batch share — its ingress port and timestamp —
+/// plus what classifying them one at a time may skip. Created by
+/// [`SoftwareSwitch::begin_batch`], passed to [`SoftwareSwitch::classify`]
+/// with each packet of that batch in turn.
 #[derive(Debug)]
 pub struct BatchCursor {
     in_port: PortId,
@@ -541,85 +512,84 @@ impl SoftwareSwitch {
         before - self.mac_table.len()
     }
 
-    /// Processes a frame received on `in_port`: learns the source MAC, counts
-    /// traffic, consults the flow cache (or, on a miss, steering and the MAC
-    /// table) and returns where the frame goes.
+    /// Starts a batch of `packets` received on `in_port` at `now`: validates
+    /// the port and records the whole batch's RX counters in one add. On an
+    /// unknown port every packet is counted as dropped and the batch fails.
+    ///
+    /// The returned cursor classifies the batch's packets one at a time via
+    /// [`classify`], so whatever the caller does between two packets — run
+    /// the steered chain, seal a megaflow seed with [`install_megaflow`] —
+    /// is already in effect when the next one is classified (**mid-batch
+    /// sealing**: an entry sealed from packet *N* serves packet *N + 1* of
+    /// the same batch).
+    ///
+    /// [`classify`]: SoftwareSwitch::classify
+    /// [`install_megaflow`]: SoftwareSwitch::install_megaflow
+    pub fn begin_batch(
+        &mut self,
+        packets: &[Packet],
+        in_port: PortId,
+        now: SimTime,
+    ) -> GnfResult<BatchCursor> {
+        let total_bytes: u64 = packets.iter().map(|p| p.len() as u64).sum();
+        let Some(port) = self.ports.iter_mut().find(|p| p.id == in_port) else {
+            self.dropped_frames += packets.len() as u64;
+            return Err(GnfError::not_found("switch port", in_port.0));
+        };
+        port.counters.rx_packets += packets.len() as u64;
+        port.counters.rx_bytes += total_bytes;
+        Ok(BatchCursor {
+            in_port,
+            now,
+            last_learned: None,
+        })
+    }
+
+    /// Classifies one packet of the batch `cursor` was started with: learns
+    /// the source MAC, consults the exact-match cache, then the megaflow
+    /// layer, then the slow path (steering and the MAC table), and returns
+    /// where the frame goes plus the megaflow (wildcard) aspect — a
+    /// certified chain bypass on a wildcard hit, or a seed the caller can
+    /// complete into a wildcard entry after running the steered chain.
+    /// Ignoring that aspect is always safe: a discarded seed keeps the flow
+    /// on the exact/slow path, and a discarded bypass means the caller runs
+    /// the (pure, equivalent) chain normally.
     ///
     /// The caller (the station/Agent layer) is responsible for actually
     /// running the NF chain named by the decision and for transmitting the
     /// surviving frame out of the chosen port(s) via [`record_tx`].
     ///
     /// [`record_tx`]: SoftwareSwitch::record_tx
-    pub fn receive(
-        &mut self,
-        packet: &Packet,
-        in_port: PortId,
-        now: SimTime,
-    ) -> GnfResult<SwitchDecision> {
-        // Dropping the megaflow state is always safe: a discarded seed just
-        // keeps the flow on the exact/slow path, and a discarded bypass
-        // means the caller runs the (pure, equivalent) chain normally.
-        self.classify(packet, in_port, now).map(|c| c.decision)
-    }
-
-    /// [`receive`], additionally exposing the megaflow (wildcard) cache
-    /// aspect of the classification: a certified chain bypass on a wildcard
-    /// hit, or a seed the caller can complete into a wildcard entry after
-    /// running the steered chain. Callers that ignore wildcarding can use
-    /// [`receive`] unchanged.
-    ///
-    /// [`receive`]: SoftwareSwitch::receive
-    pub fn classify(
-        &mut self,
-        packet: &Packet,
-        in_port: PortId,
-        now: SimTime,
-    ) -> GnfResult<Classified> {
-        if self.port(in_port).is_err() {
-            self.dropped_frames += 1;
-            return Err(GnfError::not_found("switch port", in_port.0));
+    pub fn classify(&mut self, cursor: &mut BatchCursor, packet: &Packet) -> Classified {
+        let in_port = cursor.in_port;
+        // Learning does not touch the flow cache's generations: a
+        // learned/moved/aged MAC can only change decisions for flows
+        // destined *to* it, and every cached entry re-validates its
+        // destination's MAC mapping on lookup — so unrelated flows stay hot
+        // through client churn. Re-learning the same MAC within the batch
+        // would write the identical (port, now) mapping; skip the insert.
+        let src_mac = packet.src_mac();
+        if src_mac.is_unicast() && cursor.last_learned != Some(src_mac) {
+            self.mac_table.insert(src_mac, (in_port, cursor.now));
+            cursor.last_learned = Some(src_mac);
         }
-        // Count RX.
-        if let Some(port) = self.ports.iter_mut().find(|p| p.id == in_port) {
-            port.counters.rx_packets += 1;
-            port.counters.rx_bytes += packet.len() as u64;
-        }
-        // Learn the source MAC on the ingress port. Learning does not touch
-        // the flow cache's generations: a learned/moved/aged MAC can only
-        // change decisions for flows destined *to* it, and every cached
-        // entry re-validates its destination's MAC mapping on lookup — so
-        // unrelated flows stay hot through client churn.
-        if packet.src_mac().is_unicast() {
-            self.mac_table.insert(packet.src_mac(), (in_port, now));
-        }
-
-        Ok(match packet.five_tuple() {
-            Some(tuple) => {
-                let (decision, megaflow, _) = self.classify_flow(packet, in_port, tuple);
-                Classified { decision, megaflow }
-            }
+        match packet.five_tuple() {
+            Some(tuple) => self.classify_flow(packet, in_port, tuple),
             // Non-flow frames (ARP, unknown EtherTypes) are rare control
             // traffic; they always take the slow path.
             None => Classified {
                 decision: self.slow_path(packet, in_port),
                 megaflow: MegaflowState::None,
             },
-        })
+        }
     }
 
     /// The one classification of a transport-flow frame (its source MAC
     /// already learned): the exact-match cache, else the megaflow layer —
     /// one wildcard entry covers every new flow of the same masked pattern
     /// — else the slow path, which memoizes the decision and seeds or
-    /// installs the wildcard entry. Also names the cache level that
-    /// decided, so a run's repeats credit the counters per-packet repeats
-    /// would.
-    fn classify_flow(
-        &mut self,
-        packet: &Packet,
-        in_port: PortId,
-        tuple: FiveTuple,
-    ) -> (SwitchDecision, MegaflowState, RunSource) {
+    /// installs the wildcard entry.
+    fn classify_flow(&mut self, packet: &Packet, in_port: PortId, tuple: FiveTuple) -> Classified {
         let key = FlowKey {
             in_port,
             src_mac: packet.src_mac(),
@@ -634,7 +604,10 @@ impl SoftwareSwitch {
             steering_generation,
             dst_mapping,
         ) {
-            return (decision, MegaflowState::None, RunSource::Exact);
+            return Classified {
+                decision,
+                megaflow: MegaflowState::None,
+            };
         }
         if let Some(hit) = self.megaflow.lookup(
             in_port,
@@ -645,10 +618,10 @@ impl SoftwareSwitch {
             steering_generation,
             dst_mapping,
         ) {
-            let source = RunSource::Megaflow {
-                drop_served: hit.bypass.as_ref().is_some_and(BypassOutcome::is_drop),
+            return Classified {
+                decision: hit.decision,
+                megaflow: MegaflowState::from_bypass(hit.bypass),
             };
-            return (hit.decision, MegaflowState::from_bypass(hit.bypass), source);
         }
         let (decision, switch_mask) = self.slow_path_masked(packet, in_port);
         self.flow_cache.insert(
@@ -660,7 +633,7 @@ impl SoftwareSwitch {
         );
         let megaflow =
             self.seed_or_install_megaflow(&key, tuple, switch_mask, &decision, dst_mapping);
-        (decision, megaflow, RunSource::Exact)
+        Classified { decision, megaflow }
     }
 
     /// Completes a slow-path seed into a wildcard cache entry.
@@ -710,163 +683,6 @@ impl SoftwareSwitch {
             evicted: self.megaflow.stats().evictions - evictions_before,
             occupancy: self.megaflow.len() as u64,
         }
-    }
-
-    /// Processes a batch of frames received on `in_port`: the batched
-    /// counterpart of [`receive`], observably equivalent to calling it once
-    /// per packet (same decisions, same MAC learning, same counters) but
-    /// amortizing the per-packet overhead:
-    ///
-    /// * the ingress port is validated and its RX counters bumped **once per
-    ///   batch** instead of once per packet;
-    /// * the flow-cache generations are fetched once per lookup but runs of
-    ///   consecutive same-flow packets (the common shape of real traffic —
-    ///   and of the emulator's coalesced batches) pay **one cache probe and
-    ///   one decision clone per run**, with the skipped lookups recorded as
-    ///   hits so telemetry matches the per-packet path;
-    /// * repeated source-MAC learning within the batch is skipped when the
-    ///   mapping cannot have changed (same MAC, same port, same timestamp).
-    ///
-    /// Returns run-length grouped decisions in arrival order; the counts sum
-    /// to the batch length. A whole-batch error is returned only for an
-    /// unknown ingress port (every packet is counted as dropped, exactly as
-    /// the per-packet path would).
-    ///
-    /// Callers that act on each run (process the chain, seal megaflow
-    /// entries) before classifying the next should drive a
-    /// [`BatchCursor`] via [`begin_receive_batch`] /
-    /// [`next_decision_run`] instead — this method classifies the whole
-    /// batch up front, so an entry sealed from run *N* cannot serve run
-    /// *N + 1* of the same flush.
-    ///
-    /// [`receive`]: SoftwareSwitch::receive
-    /// [`begin_receive_batch`]: SoftwareSwitch::begin_receive_batch
-    /// [`next_decision_run`]: SoftwareSwitch::next_decision_run
-    pub fn receive_batch(
-        &mut self,
-        batch: &PacketBatch,
-        in_port: PortId,
-        now: SimTime,
-    ) -> GnfResult<Vec<DecisionRun>> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut cursor = self.begin_receive_batch(batch, in_port, now)?;
-        let mut runs: Vec<DecisionRun> = Vec::new();
-        let packets = batch.as_slice();
-        let mut pos = 0usize;
-        while let Some(run) = self.next_decision_run(&mut cursor, &packets[pos..]) {
-            pos += run.count;
-            runs.push(run);
-        }
-        Ok(runs)
-    }
-
-    /// Starts a batched receive: validates the ingress port and records the
-    /// whole batch's RX counters in one add (exactly what [`receive_batch`]
-    /// does up front), returning the cursor that classifies the batch one
-    /// [`DecisionRun`] at a time via [`next_decision_run`].
-    ///
-    /// Driving the cursor yourself is what enables **mid-batch sealing**: a
-    /// megaflow entry installed after run *N* (e.g. sealed from the chain's
-    /// wildcard report) is already visible when run *N + 1* is classified —
-    /// exactly as in per-packet processing, where every packet is fully
-    /// settled before the next is classified.
-    ///
-    /// On an unknown ingress port every packet is counted as dropped and the
-    /// whole batch fails, as in [`receive_batch`].
-    ///
-    /// [`receive_batch`]: SoftwareSwitch::receive_batch
-    /// [`next_decision_run`]: SoftwareSwitch::next_decision_run
-    pub fn begin_receive_batch(
-        &mut self,
-        batch: &PacketBatch,
-        in_port: PortId,
-        now: SimTime,
-    ) -> GnfResult<BatchCursor> {
-        if !batch.is_empty() {
-            if self.port(in_port).is_err() {
-                self.dropped_frames += batch.len() as u64;
-                return Err(GnfError::not_found("switch port", in_port.0));
-            }
-            let total_bytes = batch.total_bytes();
-            if let Some(port) = self.ports.iter_mut().find(|p| p.id == in_port) {
-                port.counters.rx_packets += batch.len() as u64;
-                port.counters.rx_bytes += total_bytes;
-            }
-        }
-        Ok(BatchCursor {
-            in_port,
-            now,
-            last_learned: None,
-        })
-    }
-
-    /// Classifies the next run of `remaining` — the not-yet-classified tail
-    /// of the batch `cursor` was started with — returning `None` once it is
-    /// empty. The caller must consume exactly `run.count` packets from its
-    /// batch per returned run, so the tail it passes next time starts at
-    /// the first unclassified packet.
-    ///
-    /// A run covers the longest prefix of consecutive packets sharing the
-    /// first packet's flow key: nothing the batch itself does (idempotent
-    /// MAC re-learning at one timestamp) can change the decision within a
-    /// run, so repeats are credited to whichever cache level served the
-    /// first packet, exactly as the per-packet path would score them.
-    pub fn next_decision_run(
-        &mut self,
-        cursor: &mut BatchCursor,
-        remaining: &[Packet],
-    ) -> Option<DecisionRun> {
-        let packet = remaining.first()?;
-        let in_port = cursor.in_port;
-        let src_mac = packet.src_mac();
-        // Re-learning the same MAC within the batch writes the identical
-        // (port, now) mapping; skip the redundant hash insert.
-        if src_mac.is_unicast() && cursor.last_learned != Some(src_mac) {
-            self.mac_table.insert(src_mac, (in_port, cursor.now));
-            cursor.last_learned = Some(src_mac);
-        }
-        let Some(tuple) = packet.five_tuple() else {
-            // Non-flow frames always take the slow path, never grouped.
-            return Some(DecisionRun {
-                decision: self.slow_path(packet, in_port),
-                count: 1,
-                megaflow: MegaflowState::None,
-            });
-        };
-        let (decision, megaflow, source) = self.classify_flow(packet, in_port, tuple);
-        // Extend over the consecutive same-flow packets. Their source MAC
-        // equals the run's (the key matched), so the learning skip above
-        // already covers them.
-        let dst_mac = packet.dst_mac();
-        let mut count = 1usize;
-        let mut repeat_shard = None;
-        for pkt in &remaining[1..] {
-            if pkt.five_tuple() != Some(tuple)
-                || pkt.src_mac() != src_mac
-                || pkt.dst_mac() != dst_mac
-            {
-                break;
-            }
-            count += 1;
-            // The run shares one flow, so its shard is computed once (and
-            // only when a repeat actually occurs — the common single-packet
-            // run never pays for the hash).
-            let shard = *repeat_shard.get_or_insert_with(|| self.flow_cache.shard_of(&tuple));
-            match source {
-                RunSource::Exact => self.flow_cache.note_repeat_hits(1, shard),
-                RunSource::Megaflow { drop_served } => {
-                    self.flow_cache.note_repeat_misses(1, shard);
-                    self.megaflow.note_repeat_hits(1, drop_served, shard);
-                }
-            }
-        }
-        Some(DecisionRun {
-            decision,
-            count,
-            megaflow,
-        })
     }
 
     /// The megaflow tail of a slow-path classification: unsteered decisions
@@ -962,17 +778,11 @@ impl SoftwareSwitch {
         )
     }
 
-    /// Records that a frame was transmitted out of `port`.
+    /// Records that a frame of `bytes` bytes was transmitted out of `port`.
     pub fn record_tx(&mut self, port: PortId, bytes: usize) {
-        self.record_tx_batch(port, 1, bytes as u64);
-    }
-
-    /// Records that `packets` frames totalling `bytes` were transmitted out
-    /// of `port` — one port-table walk per batch instead of one per frame.
-    pub fn record_tx_batch(&mut self, port: PortId, packets: u64, bytes: u64) {
         if let Some(port) = self.ports.iter_mut().find(|p| p.id == port) {
-            port.counters.tx_packets += packets;
-            port.counters.tx_bytes += bytes;
+            port.counters.tx_packets += 1;
+            port.counters.tx_bytes += bytes as u64;
         }
     }
 
@@ -1010,6 +820,51 @@ mod tests {
     use gnf_packet::builder;
     use gnf_types::{ChainId, ClientId};
     use std::net::Ipv4Addr;
+
+    /// A lone frame is a batch of one.
+    trait BatchOfOne {
+        fn classify_one(
+            &mut self,
+            packet: &Packet,
+            in_port: PortId,
+            now: SimTime,
+        ) -> GnfResult<Classified>;
+
+        fn receive(
+            &mut self,
+            packet: &Packet,
+            in_port: PortId,
+            now: SimTime,
+        ) -> GnfResult<SwitchDecision> {
+            self.classify_one(packet, in_port, now).map(|c| c.decision)
+        }
+    }
+
+    impl BatchOfOne for SoftwareSwitch {
+        fn classify_one(
+            &mut self,
+            packet: &Packet,
+            in_port: PortId,
+            now: SimTime,
+        ) -> GnfResult<Classified> {
+            let mut cursor = self.begin_batch(std::slice::from_ref(packet), in_port, now)?;
+            Ok(self.classify(&mut cursor, packet))
+        }
+    }
+
+    /// One batch through one prologue: the decisions in packet order.
+    fn classify_batch(
+        sw: &mut SoftwareSwitch,
+        packets: &[Packet],
+        in_port: PortId,
+        now: SimTime,
+    ) -> GnfResult<Vec<SwitchDecision>> {
+        let mut cursor = sw.begin_batch(packets, in_port, now)?;
+        Ok(packets
+            .iter()
+            .map(|p| sw.classify(&mut cursor, p).decision)
+            .collect())
+    }
 
     fn client_mac() -> MacAddr {
         MacAddr::derived(1, 3)
@@ -1169,6 +1024,7 @@ mod tests {
         assert_eq!(access.rx_packets, 1);
         assert_eq!(access.rx_bytes, pkt.len() as u64);
         assert_eq!(uplink.tx_packets, 1);
+        assert_eq!(uplink.tx_bytes, pkt.len() as u64);
         assert_eq!(sw.total_rx_bytes(), pkt.len() as u64);
     }
 
@@ -1349,7 +1205,7 @@ mod tests {
         sw.receive(&new_flow(40_000, 443), sw.client_port(), t)
             .unwrap();
         let c = sw
-            .classify(&new_flow(41_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(41_000, 443), sw.client_port(), t)
             .unwrap();
         assert_eq!(c.megaflow, MegaflowState::None);
         assert_eq!(sw.megaflow_stats(), gnf_types::MegaflowStats::default());
@@ -1371,7 +1227,7 @@ mod tests {
         // A brand-new flow of the same shape: exact miss, wildcard hit,
         // identical decision — and no exact entry is promoted.
         let c = sw
-            .classify(&new_flow(41_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(41_000, 443), sw.client_port(), t)
             .unwrap();
         assert_eq!(c.decision, first);
         assert_eq!(
@@ -1400,7 +1256,7 @@ mod tests {
         });
         let t = SimTime::from_secs(1);
         let c = sw
-            .classify(&new_flow(40_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(40_000, 443), sw.client_port(), t)
             .unwrap();
         assert!(c.decision.steering.is_some());
         let MegaflowState::Seed(seed) = c.megaflow else {
@@ -1434,7 +1290,7 @@ mod tests {
         // A new flow to the same destination port: wildcard hit with the
         // certified bypass attached.
         let c2 = sw
-            .classify(&new_flow(41_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(41_000, 443), sw.client_port(), t)
             .unwrap();
         assert_eq!(c2.decision, c.decision);
         let MegaflowState::Bypass(tokens) = c2.megaflow else {
@@ -1443,7 +1299,7 @@ mod tests {
         assert_eq!(tokens.as_ref(), &[7u64]);
         // A new flow to a different port falls off the masked pattern.
         let c3 = sw
-            .classify(&new_flow(41_001, 80), sw.client_port(), t)
+            .classify_one(&new_flow(41_001, 80), sw.client_port(), t)
             .unwrap();
         assert!(matches!(c3.megaflow, MegaflowState::Seed(_)));
     }
@@ -1460,7 +1316,7 @@ mod tests {
         });
         let t = SimTime::from_secs(1);
         let c = sw
-            .classify(&new_flow(40_000, 22), sw.client_port(), t)
+            .classify_one(&new_flow(40_000, 22), sw.client_port(), t)
             .unwrap();
         let MegaflowState::Seed(seed) = c.megaflow else {
             panic!("steered slow path must hand out a seed");
@@ -1482,7 +1338,7 @@ mod tests {
 
         // A brand-new flow of the dropped pattern: certified drop bypass.
         let c2 = sw
-            .classify(&new_flow(41_000, 22), sw.client_port(), t)
+            .classify_one(&new_flow(41_000, 22), sw.client_port(), t)
             .unwrap();
         let MegaflowState::DropBypass { tokens: t2, reason } = c2.megaflow else {
             panic!("expected a certified drop bypass, got {:?}", c2.megaflow);
@@ -1494,51 +1350,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_cursor_matches_receive_batch() {
-        // Driving begin_receive_batch/next_decision_run by hand must
-        // reproduce receive_batch exactly (decisions, runs, counters) when
-        // nothing is installed between runs.
-        let t = SimTime::from_secs(1);
-        let arp = builder::arp_request(
-            client_mac(),
-            Ipv4Addr::new(10, 0, 0, 3),
-            Ipv4Addr::new(10, 0, 0, 1),
-        );
-        let packets = vec![
-            new_flow(40_000, 443),
-            new_flow(40_000, 443),
-            new_flow(41_000, 443),
-            arp,
-            new_flow(40_000, 443),
-        ];
-        let batch = PacketBatch::from(packets);
-
-        let mut whole = SoftwareSwitch::new();
-        whole.set_megaflow_capacity(64);
-        let expected = whole.receive_batch(&batch, whole.client_port(), t).unwrap();
-
-        let mut incremental = SoftwareSwitch::new();
-        incremental.set_megaflow_capacity(64);
-        let port = incremental.client_port();
-        let mut cursor = incremental.begin_receive_batch(&batch, port, t).unwrap();
-        let slice = batch.as_slice();
-        let mut pos = 0usize;
-        let mut runs = Vec::new();
-        while let Some(run) = incremental.next_decision_run(&mut cursor, &slice[pos..]) {
-            pos += run.count;
-            runs.push(run);
-        }
-        assert_eq!(runs, expected);
-        assert_eq!(pos, batch.len(), "runs cover the whole batch");
-        assert_eq!(incremental.flow_cache_stats(), whole.flow_cache_stats());
-        assert_eq!(incremental.megaflow_stats(), whole.megaflow_stats());
-        assert_eq!(
-            incremental.port(port).unwrap().counters,
-            whole.port(whole.client_port()).unwrap().counters
-        );
-    }
-
-    #[test]
     fn steering_and_topology_changes_invalidate_wildcard_entries() {
         let mut sw = SoftwareSwitch::new();
         sw.set_megaflow_capacity(64);
@@ -1546,7 +1357,7 @@ mod tests {
         sw.receive(&new_flow(40_000, 443), sw.client_port(), t)
             .unwrap();
         assert!(sw
-            .classify(&new_flow(41_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(41_000, 443), sw.client_port(), t)
             .unwrap()
             .decision
             .steering
@@ -1561,7 +1372,7 @@ mod tests {
             chain: ChainId::new(7),
         });
         let c = sw
-            .classify(&new_flow(42_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(42_000, 443), sw.client_port(), t)
             .unwrap();
         assert!(
             c.decision.steering.is_some(),
@@ -1571,21 +1382,21 @@ mod tests {
 
         // A topology change (new port) invalidates the re-learned pattern too.
         let c = sw
-            .classify(&new_flow(43_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(43_000, 443), sw.client_port(), t)
             .unwrap();
         let MegaflowState::Seed(seed) = c.megaflow else {
             panic!("expected a seed");
         };
         sw.install_megaflow(seed, None);
         assert!(sw
-            .classify(&new_flow(44_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(44_000, 443), sw.client_port(), t)
             .unwrap()
             .decision
             .steering
             .is_some());
         sw.connect_container(9, "nf");
         let c = sw
-            .classify(&new_flow(45_000, 443), sw.client_port(), t)
+            .classify_one(&new_flow(45_000, 443), sw.client_port(), t)
             .unwrap();
         assert!(
             matches!(c.megaflow, MegaflowState::Seed(_)),
@@ -1612,8 +1423,8 @@ mod tests {
     #[test]
     fn megaflow_batch_counters_match_per_packet_for_unsteered_traffic() {
         let t = SimTime::from_secs(1);
-        // Three new flows of one pattern plus a run of repeats: the wildcard
-        // layer serves flows 2 and 3 and every repeat.
+        // Three new flows of one pattern plus back-to-back repeats: the
+        // wildcard layer serves flows 2 and 3 and every repeat.
         let packets = vec![
             new_flow(40_000, 443),
             new_flow(40_001, 443),
@@ -1631,17 +1442,8 @@ mod tests {
 
         let mut batched = SoftwareSwitch::new();
         batched.set_megaflow_capacity(64);
-        let runs = batched
-            .receive_batch(
-                &PacketBatch::from(packets.clone()),
-                batched.client_port(),
-                t,
-            )
-            .unwrap();
-        let expanded: Vec<SwitchDecision> = runs
-            .iter()
-            .flat_map(|r| std::iter::repeat_n(r.decision.clone(), r.count))
-            .collect();
+        let port = batched.client_port();
+        let expanded = classify_batch(&mut batched, &packets, port, t).unwrap();
         assert_eq!(expanded, expected);
         assert_eq!(batched.megaflow_stats(), per_packet.megaflow_stats());
         assert_eq!(batched.flow_cache_stats(), per_packet.flow_cache_stats());
@@ -1655,9 +1457,9 @@ mod tests {
     // -------------------------------------------------------- batch tests
 
     #[test]
-    fn receive_batch_matches_per_packet_decisions_and_counters() {
+    fn a_batch_matches_per_packet_decisions_and_counters() {
         let t = SimTime::from_secs(1);
-        // A batch mixing runs of the same flow, a second flow and an ARP.
+        // A batch mixing repeats of one flow, a second flow and an ARP.
         let arp = builder::arp_request(
             client_mac(),
             Ipv4Addr::new(10, 0, 0, 3),
@@ -1688,19 +1490,8 @@ mod tests {
             .collect();
 
         let mut batched = SoftwareSwitch::new();
-        let runs = batched
-            .receive_batch(
-                &PacketBatch::from(packets.clone()),
-                batched.client_port(),
-                t,
-            )
-            .unwrap();
-        assert_eq!(runs.len(), 4, "three runs of flows plus the ARP");
-        assert_eq!(runs.iter().map(|r| r.count).sum::<usize>(), packets.len());
-        let expanded: Vec<SwitchDecision> = runs
-            .iter()
-            .flat_map(|r| std::iter::repeat_n(r.decision.clone(), r.count))
-            .collect();
+        let port = batched.client_port();
+        let expanded = classify_batch(&mut batched, &packets, port, t).unwrap();
         assert_eq!(expanded, expected);
 
         // Counters and cache statistics are identical to per-packet receive.
@@ -1713,28 +1504,18 @@ mod tests {
     }
 
     #[test]
-    fn receive_batch_on_an_unknown_port_drops_the_whole_batch() {
+    fn a_batch_on_an_unknown_port_is_dropped_whole() {
         let mut sw = SoftwareSwitch::new();
-        let batch = PacketBatch::from(vec![upstream(), upstream()]);
+        let batch = [upstream(), upstream()];
         let err = sw
-            .receive_batch(&batch, PortId(99), SimTime::ZERO)
+            .begin_batch(&batch, PortId(99), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err.category(), "not_found");
         assert_eq!(sw.dropped_frames(), 2);
         // An empty batch on a valid port is a no-op.
-        assert!(sw
-            .receive_batch(&PacketBatch::new(), sw.client_port(), SimTime::ZERO)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn record_tx_batch_aggregates_counters() {
-        let mut sw = SoftwareSwitch::new();
-        sw.record_tx_batch(sw.uplink_port(), 5, 500);
-        let counters = sw.port(sw.uplink_port()).unwrap().counters;
-        assert_eq!(counters.tx_packets, 5);
-        assert_eq!(counters.tx_bytes, 500);
+        let port = sw.client_port();
+        sw.begin_batch(&[], port, SimTime::ZERO).unwrap();
+        assert_eq!(sw.port(port).unwrap().counters, PortCounters::default());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A deterministic hash of each flow's direction-symmetric shard hash and
 //! the recorder seed decides — identically on every station and in every
 //! worker configuration — whether a flow is *sampled*. Sampled flows leave
-//! one [`FlowRecord`] per decision run at every stage of their life:
+//! one [`FlowRecord`] per packet at every stage of their life:
 //! ingress cache-probe path (`exact`, `megaflow-bypass`, `megaflow-drop`,
 //! `slow-path`, `unsteered`), chain/NF verdict, and loss classes
 //! (`gap-drop`, `gap-bypass`, `station-down`, `hairpin`) recorded by the
@@ -131,7 +131,6 @@ mod tests {
                     tuple: String::new(),
                     stage: "exact",
                     verdict: "forwarded",
-                    count: 1,
                 },
             );
         }

@@ -72,8 +72,6 @@ pub struct FlowRecord {
     pub stage: &'static str,
     /// Outcome: `forwarded`, `dropped`, `replied` or `lost`.
     pub verdict: &'static str,
-    /// Packets of the flow covered by this record (one decision run).
-    pub count: u64,
 }
 
 /// A typed trace event. Spans carry the virtual time their window opened
@@ -147,8 +145,6 @@ pub enum TraceKind {
     BatchFlush {
         /// Packets in the batch.
         packets: u64,
-        /// Run-length-grouped decision runs the batch split into.
-        runs: u64,
     },
     /// A flow flight-recorder sample.
     Flow(FlowRecord),
@@ -223,14 +219,11 @@ impl TraceKind {
             TraceKind::MegaflowEvict { evicted, occupancy } => {
                 vec![("evicted", Num(*evicted)), ("occupancy", Num(*occupancy))]
             }
-            TraceKind::BatchFlush { packets, runs } => {
-                vec![("packets", Num(*packets)), ("runs", Num(*runs))]
-            }
+            TraceKind::BatchFlush { packets } => vec![("packets", Num(*packets))],
             TraceKind::Flow(r) => vec![
                 ("flow", Num(r.flow)),
                 ("tuple", Str(&r.tuple)),
                 ("verdict", Str(r.verdict)),
-                ("count", Num(r.count)),
             ],
         }
     }
@@ -518,13 +511,7 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let mut sink = TraceSink::default();
         assert!(!sink.enabled());
-        sink.emit(
-            SimTime::from_secs(1),
-            TraceKind::BatchFlush {
-                packets: 4,
-                runs: 1,
-            },
-        );
+        sink.emit(SimTime::from_secs(1), TraceKind::BatchFlush { packets: 4 });
         assert!(sink.take_events().is_empty());
         assert_eq!(sink.dropped(), 0);
     }
@@ -533,13 +520,7 @@ mod tests {
     fn buffered_sink_assigns_monotone_seq_and_bounds_the_ring() {
         let mut sink = TraceSink::buffered(TraceScope::Station(3), 2);
         for i in 0..4u64 {
-            sink.emit(
-                SimTime::from_secs(i),
-                TraceKind::BatchFlush {
-                    packets: i,
-                    runs: 1,
-                },
-            );
+            sink.emit(SimTime::from_secs(i), TraceKind::BatchFlush { packets: i });
         }
         assert_eq!(sink.dropped(), 2);
         let events = sink.take_events();
@@ -547,13 +528,7 @@ mod tests {
         assert_eq!(events[0].seq, 2, "oldest events rotated out");
         assert_eq!(events[1].seq, 3);
         // Sequence numbering continues across drains.
-        sink.emit(
-            SimTime::from_secs(9),
-            TraceKind::BatchFlush {
-                packets: 9,
-                runs: 1,
-            },
-        );
+        sink.emit(SimTime::from_secs(9), TraceKind::BatchFlush { packets: 9 });
         assert_eq!(sink.take_events()[0].seq, 4);
     }
 
@@ -562,13 +537,7 @@ mod tests {
         let mut a = TraceSink::buffered(TraceScope::Station(1), 16);
         let mut b = TraceSink::buffered(TraceScope::Manager, 16);
         let t = SimTime::from_secs(5);
-        a.emit(
-            t,
-            TraceKind::BatchFlush {
-                packets: 1,
-                runs: 1,
-            },
-        );
+        a.emit(t, TraceKind::BatchFlush { packets: 1 });
         b.emit(
             t,
             TraceKind::MigrationOutcome {
@@ -641,7 +610,6 @@ mod tests {
                 tuple: "10.0.0.1:1000 -> 10.0.0.2:80 tcp".to_string(),
                 stage: "exact",
                 verdict: "forwarded",
-                count: 3,
             }),
         );
         let mut log = TraceLog::new();
@@ -653,7 +621,7 @@ mod tests {
         assert_eq!(
             lines[1],
             "1000000,0,station-2,0,flight,exact,flow=43981;\
-             tuple=10.0.0.1:1000 -> 10.0.0.2:80 tcp;verdict=forwarded;count=3"
+             tuple=10.0.0.1:1000 -> 10.0.0.2:80 tcp;verdict=forwarded"
         );
     }
 }

@@ -1,29 +1,32 @@
-//! Property tests for the batched data plane: classifying a batch must be
-//! observably equivalent to classifying its packets one at a time — same
-//! decisions in the same order, same switch counters — and the emulator's
-//! sharded execution must produce an identical `RunReport` for any worker
-//! count. (NF chains have no batched path of their own: a batch crosses a
-//! chain one `process` call per packet.)
+//! Property tests for the batched data plane: the packet is the unit, and
+//! what a batch amortizes at the switch is its prologue (port validated and
+//! RX counted once, a just-learned source MAC not re-learned), so one batch
+//! must be observably equivalent to the same packets as batches of one —
+//! same classifications in the same order, same switch counters — and the
+//! emulator's sharded execution must produce an identical `RunReport` for
+//! any worker count. (NF chains have no batched path of their own: a batch
+//! crosses a chain one `process` call per packet.)
 
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
 use gnf_nf::testing::sample_specs;
-use gnf_packet::{builder, Packet, PacketBatch, TcpFlags};
-use gnf_switch::{SoftwareSwitch, SteeringRule, SwitchDecision, TrafficSelector};
+use gnf_packet::{builder, Packet, TcpFlags};
+use gnf_switch::{
+    Classified, SoftwareSwitch, SteeringRule, TrafficSelector, DEFAULT_MEGAFLOW_CAPACITY,
+};
 use gnf_types::{ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
-    // A small address pool so flows repeat and runs of same-flow packets
-    // (the batch fast path) actually form.
+    // A small address pool so flows repeat, back to back too.
     (0u8..4, 0u8..4).prop_map(|(a, b)| Ipv4Addr::new(10, 0, a, b))
 }
 
 /// Source and destination ports are drawn from one shared pool, so batches
 /// regularly contain both directions of "the same flow" (same canonical
-/// tuple, different exact tuple) — the shape that distinguishes a correct
-/// run grouping from one that wrongly merges the two directions.
+/// tuple, different exact tuple), which the exact-match cache must keep
+/// apart.
 const PORT_POOL: [u16; 6] = [22, 53, 80, 443, 40_001, 40_002];
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
@@ -89,18 +92,51 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         )
 }
 
+/// New-flow churn from one client: fresh source ports towards a small pool
+/// of destinations, so brand-new flows keep sharing a masked pattern (the
+/// wildcard layer's workload), plus the occasional non-IP frame.
+fn arb_new_flow_packet() -> impl Strategy<Value = Packet> {
+    (0u16..600, 0usize..PORT_POOL.len(), 0u8..4, 0usize..4).prop_map(
+        |(sport, dport_ix, octet, kind)| {
+            let client = MacAddr::derived(1, 0);
+            let ip = Ipv4Addr::new(172, 16, 0, 2);
+            let gw = MacAddr::derived(0xA0, 0);
+            let dst = Ipv4Addr::new(203, 0, octet, 10);
+            let (sport, dport) = (40_000 + sport, PORT_POOL[dport_ix]);
+            match kind {
+                0 | 1 => builder::tcp_syn(client, gw, ip, dst, sport, dport),
+                2 => builder::udp_packet(client, gw, ip, dst, sport, dport, b"payload"),
+                _ => builder::arp_request(client, ip, Ipv4Addr::new(172, 16, 0, 1)),
+            }
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Switch receive_batch == per-packet receive: expanded decision runs
-    /// reproduce the per-packet decisions, and every counter agrees.
+    /// One batch through one prologue == the same packets as batches of
+    /// one: every classification (decision and megaflow aspect), the port
+    /// counters, the MAC table, every exact-match and megaflow counter and
+    /// their per-shard split — with the wildcard layer on and off.
     #[test]
     fn switch_batch_equals_per_packet(
-        packets in proptest::collection::vec(arb_packet(), 1..60),
+        packets in proptest::collection::vec(
+            (any::<bool>(), arb_packet(), arb_new_flow_packet())
+                .prop_map(|(churn, mixed, new_flow)| if churn { new_flow } else { mixed }),
+            1..60,
+        ),
         steer_all in any::<bool>(),
+        megaflow in any::<bool>(),
+        shards in 1usize..5,
     ) {
         let now = SimTime::from_secs(1);
-        let install = |sw: &mut SoftwareSwitch| {
+        let build = || {
+            let mut sw = SoftwareSwitch::new();
+            sw.set_station_shards(shards);
+            if megaflow {
+                sw.set_megaflow_capacity(DEFAULT_MEGAFLOW_CAPACITY);
+            }
             if steer_all {
                 for ns in 0u8..3 {
                     for ix in 0u32..3 {
@@ -117,31 +153,38 @@ proptest! {
                     }
                 }
             }
+            sw
         };
-        let mut reference = SoftwareSwitch::new();
-        install(&mut reference);
+        let mut reference = build();
         let port = reference.client_port();
-        let expected: Vec<SwitchDecision> = packets
+        let expected: Vec<Classified> = packets
             .iter()
-            .map(|p| reference.receive(p, port, now).unwrap())
+            .map(|p| {
+                let mut cursor = reference
+                    .begin_batch(std::slice::from_ref(p), port, now)
+                    .unwrap();
+                reference.classify(&mut cursor, p)
+            })
             .collect();
 
-        let mut batched = SoftwareSwitch::new();
-        install(&mut batched);
-        let runs = batched
-            .receive_batch(&PacketBatch::from(packets), batched.client_port(), now)
-            .unwrap();
-        let expanded: Vec<SwitchDecision> = runs
+        let mut batched = build();
+        let mut cursor = batched.begin_batch(&packets, port, now).unwrap();
+        let classified: Vec<Classified> = packets
             .iter()
-            .flat_map(|r| std::iter::repeat_n(r.decision.clone(), r.count))
+            .map(|p| batched.classify(&mut cursor, p))
             .collect();
-        prop_assert_eq!(expanded, expected);
-        prop_assert_eq!(batched.flow_cache_stats(), reference.flow_cache_stats());
-        prop_assert_eq!(batched.flow_cache_len(), reference.flow_cache_len());
-        prop_assert_eq!(batched.mac_table_len(), reference.mac_table_len());
+        prop_assert_eq!(classified, expected);
         for (a, b) in batched.ports().iter().zip(reference.ports()) {
             prop_assert_eq!(a.counters, b.counters);
         }
+        prop_assert_eq!(batched.mac_table_len(), reference.mac_table_len());
+        prop_assert_eq!(batched.flow_cache_stats(), reference.flow_cache_stats());
+        prop_assert_eq!(batched.flow_cache_len(), reference.flow_cache_len());
+        prop_assert_eq!(batched.flow_cache_shard_stats(), reference.flow_cache_shard_stats());
+        prop_assert_eq!(batched.megaflow_stats(), reference.megaflow_stats());
+        prop_assert_eq!(batched.megaflow_len(), reference.megaflow_len());
+        prop_assert_eq!(batched.megaflow_mask_count(), reference.megaflow_mask_count());
+        prop_assert_eq!(batched.megaflow_shard_stats(), reference.megaflow_shard_stats());
     }
 
     /// The emulator's sharded execution is invisible in the results: the

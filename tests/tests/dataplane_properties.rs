@@ -165,11 +165,16 @@ proptest! {
             });
         }
         let now = SimTime::from_secs(1);
+        // A lone frame is a batch of one.
+        let receive = |sw: &mut SoftwareSwitch, packet: &Packet| {
+            let port = sw.client_port();
+            let mut cursor = sw.begin_batch(std::slice::from_ref(packet), port, now).unwrap();
+            sw.classify(&mut cursor, packet).decision
+        };
         for packet in &packets {
-            let port = cached.client_port();
-            let first = cached.receive(packet, port, now).unwrap();
-            let second = cached.receive(packet, port, now).unwrap();
-            let expected = reference.receive(packet, reference.client_port(), now).unwrap();
+            let first = receive(&mut cached, packet);
+            let second = receive(&mut cached, packet);
+            let expected = receive(&mut reference, packet);
             // The reference switch saw each packet once while the cached
             // switch saw it twice, so MAC learning state is identical after
             // packet one — and repeats must be byte-identical decisions.

@@ -17,7 +17,7 @@ use gnf_nf::firewall::{
 use gnf_nf::http_filter::HttpFilterConfig;
 use gnf_nf::{NfConfig, NfSpec};
 use gnf_packet::{builder, Packet, PacketBatch};
-use gnf_switch::{SoftwareSwitch, SteeringRule, SwitchDecision, TrafficSelector};
+use gnf_switch::TrafficSelector;
 use gnf_telemetry::{FlightRecorder, TraceScope, TraceSink};
 use gnf_types::{
     AgentId, ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId,
@@ -425,53 +425,6 @@ proptest! {
         prop_assert_eq!(batched.flow_cache_telemetry(), drops_on.flow_cache_telemetry());
     }
 
-    /// At the switch level (no chain sealing involved), the batched receive
-    /// path with megaflow enabled matches per-packet classification down to
-    /// every cache counter: unsteered wildcard entries install inline in
-    /// both paths, and run repeats credit the level that actually served
-    /// the run.
-    #[test]
-    fn switch_batch_equals_per_packet_with_megaflow(
-        packets in proptest::collection::vec(arb_packet(), 1..60),
-        steer in any::<bool>(),
-    ) {
-        let now = SimTime::from_secs(1);
-        let build = || {
-            let mut sw = SoftwareSwitch::new();
-            sw.set_megaflow_capacity(gnf_switch::DEFAULT_MEGAFLOW_CAPACITY);
-            if steer {
-                sw.steering_mut().install(SteeringRule {
-                    client: ClientId::new(0),
-                    client_mac: client_mac(),
-                    selector: TrafficSelector::http_only(),
-                    chain: ChainId::new(1),
-                });
-            }
-            sw
-        };
-        let mut reference = build();
-        let port = reference.client_port();
-        let expected: Vec<SwitchDecision> = packets
-            .iter()
-            .map(|p| reference.receive(p, port, now).unwrap())
-            .collect();
-
-        let mut batched = build();
-        let runs = batched
-            .receive_batch(&PacketBatch::from(packets), batched.client_port(), now)
-            .unwrap();
-        let expanded: Vec<SwitchDecision> = runs
-            .iter()
-            .flat_map(|r| std::iter::repeat_n(r.decision.clone(), r.count))
-            .collect();
-        prop_assert_eq!(expanded, expected);
-        prop_assert_eq!(batched.flow_cache_stats(), reference.flow_cache_stats());
-        prop_assert_eq!(batched.flow_cache_len(), reference.flow_cache_len());
-        prop_assert_eq!(batched.megaflow_stats(), reference.megaflow_stats());
-        prop_assert_eq!(batched.megaflow_len(), reference.megaflow_len());
-        prop_assert_eq!(batched.megaflow_mask_count(), reference.megaflow_mask_count());
-    }
-
     /// Emulator-level equivalence: with a bypassable (conntrack-off)
     /// firewall chain deployed fleet-wide, a megaflow-enabled run reports
     /// the same packet accounting and notifications as a disabled one, and
@@ -554,7 +507,7 @@ proptest! {
             prop_assert_eq!(sharded.megaflow_telemetry(), serial.megaflow_telemetry());
 
             // Observability is executor-invariant too: the same sampled
-            // `FlowRecord`s (stage, verdict, count) in the same order, and
+            // `FlowRecord`s (stage, verdict) in the same order, and
             // the same `BatchFlush` / `MegaflowSeal` / `MegaflowEvict`
             // events with the same per-scope sequence numbers.
             let records = serial.flight_mut().take_events();

@@ -18,7 +18,9 @@ the medians are further apart than the parent's own quartile distance.
     tools/bench_pair.py --parent HEAD --change INDEX --seeds 7,1016 --out BENCH_18.json
     # CI: re-judge a ledger from its recorded runs; fail if a RunReport digest
     # pair differs, the claim does not follow from the pairs (no-claim: a
-    # metric regressed), or more operations failed on the change side
+    # metric regressed), or more operations failed on the change side. Also
+    # prints (never fails on) the drift since the previous ledger beside it:
+    # that ledger's change medians against this one's parent medians
     tools/bench_pair.py --check BENCH_15.json
 
 A side is a git revision (exported with `git archive`) or the literal
@@ -38,6 +40,7 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST = re.compile(r"RunReport fnv ([0-9a-f]+)")
+LEDGER = re.compile(r"BENCH_(\d+)\.json$")
 
 
 def git(*args):
@@ -244,6 +247,57 @@ def failure_share_rose(sides):
     return change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]
 
 
+def pairs_by_workload(block, claim):
+    """Every pair one seed of a ledger records, by workload: all of a
+    no-claim ledger's, or a claim ledger's claimed pairs plus the one pair
+    it ran of each other workload."""
+    if "workloads" in block:
+        return block["workloads"]
+    by_workload = {name: [pair] for name, pair in block["others"].items()}
+    by_workload[claim["workload"] if claim else "?"] = block["pairs"]
+    return by_workload
+
+
+def drift(path, ledger, end_to_end):
+    """Prints, per seed, workload and end-to-end metric, the change median of
+    the previous ledger — the highest-numbered `BENCH_<m>.json` beside
+    `path` with m below its own number — against this ledger's parent
+    median. The two sides are the same code or nearly so (one PR's change is
+    the next one's parent), measured in different sessions, so what moves
+    between them is the host. Print only, never a failure: it is there so a
+    reader does not compare numbers across ledgers — they are comparable
+    only inside a pair."""
+    here = LEDGER.match(os.path.basename(path))
+    if not here:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    numbered = {int(m.group(1)): name for name in os.listdir(folder) if (m := LEDGER.match(name))}
+    earlier = [n for n in numbered if n < int(here.group(1))]
+    if not earlier:
+        return
+    name = numbered[max(earlier)]
+    with open(os.path.join(folder, name)) as f:
+        previous = json.load(f)
+    print(f"drift since {name} (its change {previous['change']['rev'][:7]}, this parent"
+          f" {ledger['parent']['rev'][:7]}): print only, numbers are comparable only inside a pair")
+    for seed, block in ledger["seeds"].items():
+        if seed not in previous["seeds"]:
+            continue
+        before = pairs_by_workload(previous["seeds"][seed], previous.get("claim"))
+        for workload, pairs in sorted(pairs_by_workload(block, ledger.get("claim")).items()):
+            for m in end_to_end:
+                was = [p["change"]["metrics"][m["name"]] for p in before.get(workload, [])]
+                now = [p["parent"]["metrics"][m["name"]] for p in pairs]
+                if not was:
+                    continue
+                was_median, now_median = statistics.median(was), statistics.median(now)
+                ratio = now_median / was_median
+                beyond = "" if abs(ratio - 1) <= m["bound"] else f", beyond the {m['bound']:.0%} bound"
+                print(f"seed {seed:>5} {workload:<16} {m['name']:<10} previous change"
+                      f" {was_median:.6g} ({len(was)} runs) -> this parent"
+                      f" {now_median:.6g} ({len(now)} runs) (x{ratio:.3f}){beyond}")
+
+
 def check(path):
     """Re-judges a ledger from the runs it records. Fails (returns 1) if a
     parent/change digest pair differs, if the ledger names a claim that the
@@ -253,7 +307,8 @@ def check(path):
     verdict that is not what `no_regression` computes), or if any recorded
     pair of runs failed a larger share of its operations on the change side.
     An `unresolved` verdict is printed, not failed: it says these runs cannot
-    tell, which is what the ledger is there to record."""
+    tell, which is what the ledger is there to record. Ends with the drift
+    since the previous ledger (see `drift`), which never fails."""
     with open(path) as f:
         ledger = json.load(f)
     claim = ledger.get("claim")
@@ -266,11 +321,8 @@ def check(path):
             bad += not same
             print(f"seed {seed:>5} {workload:<16} parent {sides['parent']} change {sides['change']}"
                   f" {'identical' if same else 'DIFFERENT'}")
-        if "workloads" in block:
-            runs = [(name, pair) for name, pairs in sorted(block["workloads"].items()) for pair in pairs]
-        else:
-            runs = [(claim["workload"] if claim else "?", pair) for pair in block["pairs"]]
-            runs += sorted(block["others"].items())
+        runs = [(name, pair) for name, pairs in sorted(pairs_by_workload(block, claim).items())
+                for pair in pairs]
         for workload, sides in runs:
             if failure_share_rose(sides):
                 bad += 1
@@ -301,6 +353,7 @@ def check(path):
     if not ledger["seeds"]:
         print(f"{path}: no seeds recorded")
         bad += 1
+    drift(path, ledger, end_to_end)
     return 1 if bad else 0
 
 
