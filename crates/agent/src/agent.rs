@@ -16,11 +16,10 @@ use gnf_telemetry::{
     StationReport, TraceKind, TraceSink,
 };
 use gnf_types::{
-    AgentId, ChainId, ClientId, GnfError, GnfResult, HostClass, MacAddr, ResourceUsage,
+    AgentId, ChainId, ClientId, GnfError, GnfResult, HostClass, MacAddr, PathMap, ResourceUsage,
     SimDuration, SimTime, StationId,
 };
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -122,8 +121,8 @@ pub struct Agent {
     runtime: ContainerRuntime,
     switch: SoftwareSwitch,
     repository: ImageRepository,
-    chains: HashMap<ChainId, DeployedChain>,
-    clients: HashMap<ClientId, (MacAddr, Ipv4Addr)>,
+    chains: PathMap<ChainId, DeployedChain>,
+    clients: PathMap<ClientId, (MacAddr, Ipv4Addr)>,
     reports_sent: u64,
     commands_handled: u64,
     batch_sizes: BatchTelemetry,
@@ -187,8 +186,8 @@ impl Agent {
                 runtime,
                 switch: SoftwareSwitch::new(),
                 repository,
-                chains: HashMap::new(),
-                clients: HashMap::new(),
+                chains: PathMap::default(),
+                clients: PathMap::default(),
                 reports_sent: 0,
                 commands_handled: 0,
                 batch_sizes: BatchTelemetry::default(),
@@ -1127,7 +1126,7 @@ pub(crate) trait ChainExecutor {
 
 /// Runs every chain on the calling thread, in packet order.
 struct InlineExecutor<'a> {
-    chains: &'a mut HashMap<ChainId, DeployedChain>,
+    chains: &'a mut PathMap<ChainId, DeployedChain>,
     runner: ChainRunner,
 }
 
@@ -1210,10 +1209,10 @@ impl Spine<'_> {
             // Flight probe: sampling is a seeded hash check; the tuple
             // string is only rendered for sampled flows.
             let probe: Option<(u64, String)> = if self.flight.enabled() {
-                packet
-                    .five_tuple()
-                    .filter(|t| self.flight.samples(t.shard_hash()))
-                    .map(|t| (t.shard_hash(), t.to_string()))
+                packet.five_tuple().and_then(|t| {
+                    let flow = t.shard_hash();
+                    self.flight.samples(flow).then(|| (flow, t.to_string()))
+                })
             } else {
                 None
             };
@@ -1538,8 +1537,9 @@ mod tests {
         ));
     }
 
-    /// The chain table is a `HashMap` whose iteration order differs from
-    /// one Agent (one `RandomState`) to the next; what reaches the Manager
+    /// The chain table is a `PathMap` whose iteration order differs from
+    /// one Agent to the next (each map is salted in debug builds, where
+    /// this test runs); what reaches the Manager
     /// must not. With two chains the unsorted drain is in id order by
     /// chance half the time, so 32 fresh Agents all agreeing by chance has
     /// probability 2^-32.

@@ -31,8 +31,7 @@
 use crate::agent::{BypassCredit, ChainExecutor, ChainRun, ChainRunner, DeployedChain, Executed};
 use gnf_nf::{Direction, Verdict};
 use gnf_packet::Packet;
-use gnf_types::ChainId;
-use std::collections::HashMap;
+use gnf_types::{ChainId, PathMap};
 use std::sync::mpsc;
 
 /// One unit of chain work routed to a lane. Messages for the same chain are
@@ -75,7 +74,7 @@ fn lane_of_chain(chain: ChainId, lanes: usize) -> usize {
 /// The spine's handle on the lane threads of one batch: a read-only routing
 /// map, one FIFO per lane and the shared channel deferred verdicts return on.
 pub(crate) struct LaneExecutor {
-    lane_of: HashMap<ChainId, usize>,
+    lane_of: PathMap<ChainId, usize>,
     senders: Vec<mpsc::Sender<LaneMsg>>,
     results: mpsc::Receiver<(usize, Verdict)>,
     dispatched: usize,
@@ -86,14 +85,15 @@ impl LaneExecutor {
     /// hash and hands `spine` the executor that fronts them. Returns
     /// `spine`'s result once every lane has drained its queue and exited.
     pub(crate) fn scoped<R>(
-        chains: &mut HashMap<ChainId, DeployedChain>,
+        chains: &mut PathMap<ChainId, DeployedChain>,
         lanes: usize,
         runner: ChainRunner,
         spine: impl FnOnce(LaneExecutor) -> R,
     ) -> R {
-        let mut lane_chains: Vec<HashMap<ChainId, &mut DeployedChain>> =
-            (0..lanes).map(|_| HashMap::new()).collect();
-        let mut lane_of: HashMap<ChainId, usize> = HashMap::with_capacity(chains.len());
+        let mut lane_chains: Vec<PathMap<ChainId, &mut DeployedChain>> =
+            (0..lanes).map(|_| PathMap::default()).collect();
+        let mut lane_of: PathMap<ChainId, usize> =
+            PathMap::with_capacity_and_hasher(chains.len(), Default::default());
         for (&chain, deployed) in chains.iter_mut() {
             let lane = lane_of_chain(chain, lanes);
             lane_of.insert(chain, lane);
@@ -183,7 +183,7 @@ impl ChainExecutor for LaneExecutor {
 /// spine order, so even an NF whose credit accounting interacted with its
 /// processing state could not observe a sharded/serial difference.
 fn lane_worker(
-    mut chains: HashMap<ChainId, &mut DeployedChain>,
+    mut chains: PathMap<ChainId, &mut DeployedChain>,
     queue: mpsc::Receiver<LaneMsg>,
     results: mpsc::Sender<(usize, Verdict)>,
     runner: ChainRunner,

@@ -27,11 +27,11 @@ use gnf_telemetry::{
     DEFAULT_TRACE_CAPACITY, VIRTUAL_SHARDS,
 };
 use gnf_types::{
-    AgentId, CellId, ChainId, ClientId, FlowCacheStats, MegaflowStats, SimDuration, SimTime,
-    StationId,
+    AgentId, CellId, ChainId, ClientId, FlowCacheStats, MegaflowStats, PathMap, SimDuration,
+    SimTime, StationId,
 };
 use gnf_workload::{TimedBatch, Workload};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Events driving the emulator.
 enum EmuEvent {
@@ -167,7 +167,7 @@ pub struct Emulator {
     manager: Manager,
     agents: BTreeMap<StationId, Agent>,
     queue: EventQueue<EmuEvent>,
-    chain_ready: HashMap<(StationId, ChainId), SimTime>,
+    chain_ready: PathMap<(StationId, ChainId), SimTime>,
     deploy_latency_ms: Histogram,
     packets: PacketStats,
     handovers: u64,
@@ -209,7 +209,7 @@ pub struct Emulator {
     /// reach the Manager as per-region summaries on the flush timer.
     regions: BTreeMap<u64, RegionAggregator>,
     /// `flush_packets`' per-flush gap states; kept only for its allocation.
-    gap_cache: HashMap<(ClientId, StationId), GapState>,
+    gap_cache: PathMap<(ClientId, StationId), GapState>,
 }
 
 /// Bound on retained fleet metrics samples.
@@ -423,7 +423,7 @@ impl Emulator {
             manager,
             agents,
             queue,
-            chain_ready: HashMap::new(),
+            chain_ready: PathMap::default(),
             deploy_latency_ms: Histogram::new(),
             packets: PacketStats::default(),
             handovers: 0,
@@ -442,7 +442,7 @@ impl Emulator {
             flight: FlightRecorder::default(),
             sampler: None,
             regions,
-            gap_cache: HashMap::new(),
+            gap_cache: PathMap::default(),
         }
     }
 

@@ -11,18 +11,19 @@ use crate::nf::{Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
 use gnf_packet::{builder, FiveTuple, HttpMethod, HttpResponse, Packet};
-use std::collections::{HashMap, VecDeque};
+use gnf_types::PathMap;
+use std::collections::VecDeque;
 
 /// The transparent HTTP cache NF.
 pub struct HttpCache {
     name: String,
     capacity: usize,
     /// Cached URL → serialized HTTP response bytes.
-    entries: HashMap<String, Vec<u8>>,
+    entries: PathMap<String, Vec<u8>>,
     /// LRU order: front = least recently used.
     lru: VecDeque<String>,
     /// Outstanding requests keyed by canonical flow: URL awaiting a response.
-    pending: HashMap<FiveTuple, String>,
+    pending: PathMap<FiveTuple, String>,
     hits: u64,
     misses: u64,
     stored: u64,
@@ -35,9 +36,9 @@ impl HttpCache {
         HttpCache {
             name: name.to_string(),
             capacity: capacity.max(1),
-            entries: HashMap::new(),
+            entries: PathMap::default(),
             lru: VecDeque::new(),
-            pending: HashMap::new(),
+            pending: PathMap::default(),
             hits: 0,
             misses: 0,
             stored: 0,

@@ -9,8 +9,8 @@ use crate::nf::{Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
 use gnf_packet::{builder, Packet};
+use gnf_types::PathMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Backend selection strategy.
@@ -33,7 +33,7 @@ pub struct DnsLoadBalancer {
     strategy: LbStrategy,
     ttl: u32,
     next_backend: usize,
-    assignments: HashMap<Ipv4Addr, u64>,
+    assignments: PathMap<Ipv4Addr, u64>,
     answered_queries: u64,
     forwarded_queries: u64,
     stats: NfStats,

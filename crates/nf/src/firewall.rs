@@ -15,10 +15,9 @@ use crate::nf::{Direction, FieldsConsulted, NetworkFunction, NfContext, NfStats,
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
 use gnf_packet::{builder, FieldMask, FiveTuple, IpProtocol, MaskedTuple, Packet, TcpFlags};
-use gnf_types::SimTime;
+use gnf_types::{PathMap, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -276,9 +275,9 @@ impl FirewallConfig {
 pub struct Firewall {
     name: String,
     config: FirewallConfig,
-    conntrack: HashMap<FiveTuple, SimTime>,
+    conntrack: PathMap<FiveTuple, SimTime>,
     /// Rule indices keyed by `(protocol number, exact destination port)`.
-    exact_index: HashMap<(u8, u16), Vec<usize>>,
+    exact_index: PathMap<(u8, u16), Vec<usize>>,
     /// Rule indices that cannot be pre-bucketed, in rule order.
     residual_rules: Vec<usize>,
     rule_hits: Vec<u64>,
@@ -293,7 +292,7 @@ impl Firewall {
     /// Creates a firewall from its configuration.
     pub fn new(name: &str, config: FirewallConfig) -> Self {
         let rule_count = config.rules.len();
-        let mut exact_index: HashMap<(u8, u16), Vec<usize>> = HashMap::new();
+        let mut exact_index: PathMap<(u8, u16), Vec<usize>> = PathMap::default();
         let mut residual_rules = Vec::new();
         for (ix, rule) in config.rules.iter().enumerate() {
             let protocol = match rule.protocol {
@@ -312,7 +311,7 @@ impl Firewall {
         Firewall {
             name: name.to_string(),
             config,
-            conntrack: HashMap::new(),
+            conntrack: PathMap::default(),
             exact_index,
             residual_rules,
             rule_hits: vec![0; rule_count],

@@ -15,7 +15,7 @@ use crate::nf::{Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
 use gnf_packet::{FiveTuple, IpProtocol, Packet};
-use std::collections::HashMap;
+use gnf_types::PathMap;
 use std::net::Ipv4Addr;
 
 /// The first ephemeral port the NAT allocates.
@@ -26,9 +26,9 @@ pub struct Nat {
     name: String,
     public_ip: Ipv4Addr,
     /// Original (client-side) tuple → allocated public port.
-    forward: HashMap<FiveTuple, u16>,
+    forward: PathMap<FiveTuple, u16>,
     /// Allocated public port → original tuple.
-    reverse: HashMap<u16, FiveTuple>,
+    reverse: PathMap<u16, FiveTuple>,
     next_port: u16,
     translated_packets: u64,
     stats: NfStats,
@@ -40,8 +40,8 @@ impl Nat {
         Nat {
             name: name.to_string(),
             public_ip,
-            forward: HashMap::new(),
-            reverse: HashMap::new(),
+            forward: PathMap::default(),
+            reverse: PathMap::default(),
             next_port: NAT_PORT_BASE,
             translated_packets: 0,
             stats: NfStats::default(),

@@ -10,9 +10,8 @@ use crate::nf::{Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict
 use crate::spec::NfKind;
 use crate::state::NfStateSnapshot;
 use gnf_packet::{FiveTuple, Packet};
-use gnf_types::SimTime;
+use gnf_types::{PathMap, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Bucket granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,7 +76,7 @@ fn client_bucket_key() -> FiveTuple {
 pub struct RateLimiter {
     name: String,
     config: RateLimiterConfig,
-    buckets: HashMap<FiveTuple, f64>,
+    buckets: PathMap<FiveTuple, f64>,
     last_refill: SimTime,
     dropped_bytes: u64,
     conforming_bytes: u64,
@@ -92,7 +91,7 @@ impl RateLimiter {
         RateLimiter {
             name: name.to_string(),
             config,
-            buckets: HashMap::new(),
+            buckets: PathMap::default(),
             last_refill: SimTime::ZERO,
             dropped_bytes: 0,
             conforming_bytes: 0,

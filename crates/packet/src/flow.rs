@@ -6,10 +6,11 @@
 use crate::ipv4::IpProtocol;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// The classic five-tuple identifying a transport flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: Ipv4Addr,
@@ -21,6 +22,22 @@ pub struct FiveTuple {
     pub src_port: u16,
     /// Destination port (0 for protocols without ports).
     pub dst_port: u16,
+}
+
+/// Two words for the hasher — the addresses, then protocol and ports (the
+/// fields that vary fastest in the low bits) — where the derived impl made
+/// about eight writes. Table hashing only: [`FiveTuple::shard_hash`] is a
+/// separate, pinned function.
+impl Hash for FiveTuple {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state
+            .write_u64(u64::from(u32::from(self.src_ip)) << 32 | u64::from(u32::from(self.dst_ip)));
+        state.write_u64(
+            u64::from(self.protocol.value()) << 32
+                | u64::from(self.src_port) << 16
+                | u64::from(self.dst_port),
+        );
+    }
 }
 
 impl FiveTuple {

@@ -4,7 +4,9 @@
 //! from an exact-match microflow cache: the first packet of a flow walks the
 //! full lookup pipeline (MAC table, steering rules, selectors) and the
 //! resulting decision is memoized so every later packet of the flow costs
-//! one hash lookup. This module is that cache for [`SoftwareSwitch`].
+//! one table probe — five [`gnf_types::PathHasher`] word steps over the
+//! [`FlowKey`], then the bucket compare. This module is that cache for
+//! [`SoftwareSwitch`].
 //!
 //! ## Correctness model
 //!
@@ -34,9 +36,9 @@
 use crate::switch::{PortId, SwitchDecision};
 use gnf_packet::FiveTuple;
 pub use gnf_types::FlowCacheStats;
-use gnf_types::{MacAddr, ShardCacheStats};
+use gnf_types::{MacAddr, PathMap, ShardCacheStats};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default maximum number of cached flows per switch.
 pub const DEFAULT_FLOW_CACHE_CAPACITY: usize = 4096;
@@ -45,8 +47,9 @@ pub const DEFAULT_FLOW_CACHE_CAPACITY: usize = 4096;
 ///
 /// The decision depends on where the frame entered (`in_port`), the Ethernet
 /// endpoints (MAC learning + steering match on MACs) and the transport
-/// five-tuple (steering selectors match on protocol/port).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// five-tuple (steering selectors match on protocol/port). `Ord` so
+/// defensive eviction can pick a deterministic victim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Ingress port of the frame.
     pub in_port: PortId,
@@ -86,7 +89,7 @@ struct CacheEntry {
 #[derive(Debug, Clone)]
 pub struct FlowCache {
     capacity: usize,
-    entries: HashMap<FlowKey, CacheEntry>,
+    entries: PathMap<FlowKey, CacheEntry>,
     /// `(key, use_stamp)` pairs in touch order; stale stamps are skipped.
     use_queue: VecDeque<(FlowKey, u64)>,
     use_seq: u64,
@@ -109,7 +112,7 @@ impl FlowCache {
         let capacity = capacity.max(1);
         FlowCache {
             capacity,
-            entries: HashMap::with_capacity(capacity.min(1024)),
+            entries: PathMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
             use_queue: VecDeque::new(),
             use_seq: 0,
             stats: FlowCacheStats::default(),
@@ -313,9 +316,9 @@ impl FlowCache {
             // a fresher queue record exists for it.
         }
         // Queue exhausted but map non-empty (cannot happen — every insert and
-        // touch pushes a record); fall back to dropping an arbitrary entry so
-        // the capacity bound still holds.
-        if let Some(key) = self.entries.keys().next().copied() {
+        // touch pushes a record); fall back to dropping the *smallest* key —
+        // not a hasher-dependent one — so the capacity bound still holds.
+        if let Some(key) = self.entries.keys().min().copied() {
             if let Some(evicted) = self.entries.remove(&key) {
                 self.shard_stats[evicted.shard].entries -= 1;
             }

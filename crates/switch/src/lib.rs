@@ -15,7 +15,7 @@
 //! * [`flow_cache`] — the OVS-style exact-match microflow cache that memoizes
 //!   the full [`switch::SwitchDecision`] per five-tuple, with LRU eviction
 //!   and generation-based invalidation; repeated packets of a flow cost one
-//!   hash lookup instead of the full steering/MAC pipeline.
+//!   table probe instead of the full steering/MAC pipeline.
 //! * [`megaflow`] — the wildcard second-level cache probed on exact-match
 //!   misses: one masked entry (built from the fields the slow path and the
 //!   steered NF chain actually consulted) covers every *new* flow of the

@@ -10,9 +10,8 @@
 //! migration possible.
 
 use gnf_packet::{FieldMask, IpProtocol, MaskedTuple, Packet};
-use gnf_types::{ChainId, ClientId, MacAddr};
+use gnf_types::{ChainId, ClientId, MacAddr, PathMap};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Narrows a steering rule to a subset of the client's traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -98,7 +97,7 @@ pub struct SteeringRule {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SteeringTable {
     /// Rules per client MAC, evaluated in insertion order (first match wins).
-    rules: HashMap<MacAddr, Vec<SteeringRule>>,
+    rules: PathMap<MacAddr, Vec<SteeringRule>>,
     /// Generation counter bumped on every change (used to verify atomicity of
     /// make-before-break updates in tests).
     generation: u64,

@@ -12,11 +12,14 @@
 //! [`SoftwareSwitch::classify`] is split OVS-style: frames that carry a
 //! transport five-tuple first consult the exact-match
 //! [`crate::flow_cache::FlowCache`]; a hit returns the memoized
-//! [`SwitchDecision`] after one hash lookup. On an exact miss the optional
-//! megaflow (wildcard) layer ([`crate::megaflow::MegaflowCache`]) is probed:
-//! one masked entry covers every new flow matching the same pattern of
-//! consulted header fields, and may additionally certify that the steered NF
-//! chain can be bypassed. Only when both caches miss does the frame walk the
+//! [`SwitchDecision`] after one table probe. On an exact miss the optional
+//! megaflow (wildcard) layer ([`crate::megaflow::MegaflowCache`]) is probed,
+//! once per live mask: one masked entry covers every new flow matching the
+//! same pattern of consulted header fields, and may additionally certify
+//! that the steered NF chain can be bypassed. Every table here is a
+//! [`gnf_types::PathMap`] and a flow key hashes in five word steps, so a
+//! packet's table cost is its probe count: MAC learn, MAC lookup, exact
+//! probe, mask probes. Only when both caches miss does the frame walk the
 //! full slow path — steering lookup, MAC table, flood set — which records
 //! the fields it consulted so the caller can complete a wildcard entry (see
 //! [`MegaflowState`]). Port and steering mutations advance generation
@@ -36,10 +39,9 @@ use crate::flow_cache::{FlowCache, FlowCacheStats, FlowKey, DEFAULT_FLOW_CACHE_C
 use crate::megaflow::{BypassOutcome, MegaflowCache, MegaflowStats};
 use crate::steering::{SteeringRule, SteeringTable};
 use gnf_packet::{FieldMask, FiveTuple, Packet};
-use gnf_types::{GnfError, GnfResult, MacAddr, ShardCacheStats, SimTime};
+use gnf_types::{GnfError, GnfResult, MacAddr, PathMap, ShardCacheStats, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Switch-local port identifier.
@@ -228,7 +230,7 @@ pub struct BatchCursor {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SoftwareSwitch {
     ports: Vec<Port>,
-    mac_table: HashMap<MacAddr, (PortId, SimTime)>,
+    mac_table: PathMap<MacAddr, (PortId, SimTime)>,
     steering: SteeringTable,
     mac_aging: u64,
     dropped_frames: u64,
@@ -240,8 +242,7 @@ pub struct SoftwareSwitch {
     /// (disabled — capacity 0 — unless the owner opts in).
     megaflow: MegaflowCache,
     /// Memoized flood port set per ingress port (rebuilt after port changes).
-    #[allow(clippy::type_complexity)]
-    flood_sets: HashMap<PortId, Arc<[PortId]>>,
+    flood_sets: PathMap<PortId, Arc<[PortId]>>,
     /// The shared empty flood set (hairpin suppression).
     empty_flood: Arc<[PortId]>,
 }
@@ -265,14 +266,14 @@ impl SoftwareSwitch {
     pub fn with_flow_cache_capacity(capacity: usize) -> Self {
         let mut sw = SoftwareSwitch {
             ports: Vec::new(),
-            mac_table: HashMap::new(),
+            mac_table: PathMap::default(),
             steering: SteeringTable::new(),
             mac_aging: DEFAULT_MAC_AGING_SECS,
             dropped_frames: 0,
             topology_generation: 0,
             flow_cache: FlowCache::with_capacity(capacity),
             megaflow: MegaflowCache::with_capacity(0),
-            flood_sets: HashMap::new(),
+            flood_sets: PathMap::default(),
             empty_flood: Arc::from(Vec::new()),
         };
         sw.add_port("wlan0", PortKind::ClientAccess);

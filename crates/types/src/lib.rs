@@ -17,6 +17,7 @@
 
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod net;
 pub mod resources;
@@ -24,6 +25,7 @@ pub mod time;
 
 pub use config::GnfConfig;
 pub use error::{GnfError, GnfResult};
+pub use hash::{PathBuildHasher, PathHasher, PathMap, PATH_HASH_START};
 pub use ids::{
     AgentId, CellId, ChainId, ClientId, ContainerId, FlowId, ImageId, MigrationId, NfInstanceId,
     NotificationId, StationId, VmId,

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Hit/miss/eviction counters of a data-plane flow cache. Produced by the
@@ -139,8 +140,18 @@ impl ShardCacheStats {
 }
 
 /// A 48-bit IEEE 802 MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MacAddr(pub [u8; 6]);
+
+/// One word for the hasher (the derived impl fed a length prefix and six
+/// bytes): the octets as a big-endian integer, the low octets — where
+/// [`MacAddr::derived`] puts its index — in the low bits.
+impl Hash for MacAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f] = self.0;
+        state.write_u64(u64::from_be_bytes([0, 0, a, b, c, d, e, f]));
+    }
+}
 
 impl MacAddr {
     /// The all-ones broadcast address `ff:ff:ff:ff:ff:ff`.

@@ -15,13 +15,16 @@
 //!   Simple Packet blocks are accepted with a zero timestamp. The writer
 //!   emits little-endian blocks with a nanosecond `if_tsresol`.
 //!
-//! Nothing here allocates beyond the frame being read: both readers are
-//! streaming, so multi-gigabyte traces replay in constant memory.
+//! Both readers are streaming, so multi-gigabyte traces replay in constant
+//! memory, and a record costs one allocation — the copy the caller keeps:
+//! record bodies are read into one buffer the reader reuses.
 //!
 //! [`TraceWorkload`]: crate::source::TraceWorkload
 
+use bytes::Bytes;
 use gnf_types::{GnfError, GnfResult, SimTime};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// The pcap link-layer type for Ethernet frames — the only linktype the GNF
@@ -215,6 +218,9 @@ pub struct TraceReader<R: Read> {
     source: R,
     kind: ReaderKind,
     records: u64,
+    /// The last record's body (a classic record's frame, a pcapng block's
+    /// whole body), reused from record to record.
+    body: Vec<u8>,
 }
 
 fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> GnfResult<bool> {
@@ -315,6 +321,7 @@ impl<R: Read> TraceReader<R> {
             source,
             kind,
             records: 0,
+            body: Vec::new(),
         })
     }
 
@@ -325,19 +332,39 @@ impl<R: Read> TraceReader<R> {
 
     /// Reads the next frame, or `None` at a clean end of stream.
     pub fn next_record(&mut self) -> GnfResult<Option<TraceRecord>> {
-        let record = match &mut self.kind {
+        Ok(self.read_body()?.map(|(at, frame)| TraceRecord {
+            at,
+            frame: frame.to_vec(),
+        }))
+    }
+
+    /// [`next_record`] for the replay path: the frame arrives as the
+    /// [`Bytes`] a packet is parsed from, its one allocation.
+    ///
+    /// [`next_record`]: TraceReader::next_record
+    pub fn next_frame(&mut self) -> GnfResult<Option<(SimTime, Bytes)>> {
+        Ok(self
+            .read_body()?
+            .map(|(at, frame)| (at, Bytes::copy_from_slice(frame))))
+    }
+
+    /// Reads the next record into the reused body buffer: its timestamp and
+    /// its frame, valid until the next read.
+    fn read_body(&mut self) -> GnfResult<Option<(SimTime, &[u8])>> {
+        let body = &mut self.body;
+        let found = match &mut self.kind {
             ReaderKind::Pcap { big_endian, nanos } => {
-                Self::next_pcap(&mut self.source, *big_endian, *nanos)?
+                Self::next_pcap(&mut self.source, *big_endian, *nanos, body)?
             }
             ReaderKind::PcapNg {
                 big_endian,
                 tsresol,
-            } => Self::next_pcapng(&mut self.source, big_endian, tsresol)?,
+            } => Self::next_pcapng(&mut self.source, big_endian, tsresol, body)?,
         };
-        if record.is_some() {
+        Ok(found.map(|(at, frame)| {
             self.records += 1;
-        }
-        Ok(record)
+            (at, &self.body[frame])
+        }))
     }
 
     /// Reads every remaining record into a vector (tests and small traces;
@@ -350,7 +377,12 @@ impl<R: Read> TraceReader<R> {
         Ok(out)
     }
 
-    fn next_pcap(source: &mut R, big_endian: bool, nanos: bool) -> GnfResult<Option<TraceRecord>> {
+    fn next_pcap(
+        source: &mut R,
+        big_endian: bool,
+        nanos: bool,
+        frame: &mut Vec<u8>,
+    ) -> GnfResult<Option<(SimTime, Range<usize>)>> {
         let mut header = [0u8; 16];
         if !read_exact_or_eof(source, &mut header)? {
             return Ok(None);
@@ -361,22 +393,23 @@ impl<R: Read> TraceReader<R> {
         if incl > TRACE_SNAPLEN {
             return Err(pcap_error(format!("record length {incl} above snaplen")));
         }
-        let mut frame = vec![0u8; incl as usize];
-        if !read_exact_or_eof(source, &mut frame)? && incl > 0 {
+        frame.resize(incl as usize, 0);
+        if !read_exact_or_eof(source, frame)? && incl > 0 {
             return Err(pcap_error("truncated record body"));
         }
         let frac_nanos = if nanos { frac } else { frac * 1_000 };
-        Ok(Some(TraceRecord {
-            at: SimTime::from_nanos(sec * 1_000_000_000 + frac_nanos),
-            frame,
-        }))
+        Ok(Some((
+            SimTime::from_nanos(sec * 1_000_000_000 + frac_nanos),
+            0..frame.len(),
+        )))
     }
 
     fn next_pcapng(
         source: &mut R,
         big_endian: &mut bool,
         tsresol: &mut Vec<TsResol>,
-    ) -> GnfResult<Option<TraceRecord>> {
+        body: &mut Vec<u8>,
+    ) -> GnfResult<Option<(SimTime, Range<usize>)>> {
         loop {
             let mut head = [0u8; 8];
             if !read_exact_or_eof(source, &mut head)? {
@@ -414,8 +447,8 @@ impl<R: Read> TraceReader<R> {
             if !(12..=1 << 26).contains(&total) || !total.is_multiple_of(4) {
                 return Err(pcap_error(format!("bad block length {total}")));
             }
-            let mut body = vec![0u8; total - 12];
-            if !read_exact_or_eof(source, &mut body)? && total > 12 {
+            body.resize(total - 12, 0);
+            if !read_exact_or_eof(source, body)? && total > 12 {
                 return Err(pcap_error("truncated block body"));
             }
             let mut trailer = [0u8; 4];
@@ -481,10 +514,7 @@ impl<R: Read> TraceReader<R> {
                         .copied()
                         .unwrap_or(TsResol::Decimal(6));
                     let nanos = resol.to_nanos((high << 32) | low);
-                    return Ok(Some(TraceRecord {
-                        at: SimTime::from_nanos(nanos),
-                        frame: body[20..20 + captured].to_vec(),
-                    }));
+                    return Ok(Some((SimTime::from_nanos(nanos), 20..20 + captured)));
                 }
                 PCAPNG_BLOCK_SPB => {
                     if body.len() < 4 {
@@ -492,10 +522,7 @@ impl<R: Read> TraceReader<R> {
                     }
                     let original = read_u32(*big_endian, &body[0..4]) as usize;
                     let captured = original.min(body.len() - 4);
-                    return Ok(Some(TraceRecord {
-                        at: SimTime::ZERO,
-                        frame: body[4..4 + captured].to_vec(),
-                    }));
+                    return Ok(Some((SimTime::ZERO, 4..4 + captured)));
                 }
                 // Name resolution, statistics, custom blocks: skip.
                 _ => continue,

@@ -8,9 +8,8 @@
 //! flat in RSS.
 
 use crate::pcap::{TraceReader, TraceWriter};
-use bytes::Bytes;
 use gnf_packet::Packet;
-use gnf_types::{ClientId, MacAddr, SimTime, StationId};
+use gnf_types::{ClientId, MacAddr, PathMap, SimTime, StationId};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 
@@ -69,11 +68,13 @@ pub const UNKNOWN_CLIENT: ClientId = ClientId::new(u64::MAX);
 pub struct TraceWorkload<R: Read> {
     label: String,
     reader: TraceReader<R>,
-    stations: HashMap<MacAddr, StationId>,
-    clients: HashMap<MacAddr, ClientId>,
+    stations: PathMap<MacAddr, StationId>,
+    clients: PathMap<MacAddr, ClientId>,
     default_station: StationId,
     /// One record of read-ahead (the batch-boundary probe).
     lookahead: Option<(SimTime, StationId, ClientId, Packet)>,
+    /// Length of the previous batch: the next one's starting capacity.
+    last_batch_len: usize,
     started: bool,
     malformed: u64,
     read_error: Option<gnf_types::GnfError>,
@@ -94,10 +95,11 @@ impl<R: Read> TraceWorkload<R> {
         Ok(TraceWorkload {
             label: label.into(),
             reader: TraceReader::new(source)?,
-            stations,
-            clients,
+            stations: stations.into_iter().collect(),
+            clients: clients.into_iter().collect(),
             default_station,
             lookahead: None,
+            last_batch_len: 0,
             started: false,
             malformed: 0,
             read_error: None,
@@ -119,8 +121,8 @@ impl<R: Read> TraceWorkload<R> {
     /// Pulls the next parseable record, skipping malformed frames.
     fn next_entry(&mut self) -> Option<(SimTime, StationId, ClientId, Packet)> {
         loop {
-            let record = match self.reader.next_record() {
-                Ok(Some(record)) => record,
+            let (at, frame) = match self.reader.next_frame() {
+                Ok(Some(frame)) => frame,
                 // Clean end of stream.
                 Ok(None) => return None,
                 // A read/parse error past which we cannot safely
@@ -131,7 +133,7 @@ impl<R: Read> TraceWorkload<R> {
                     return None;
                 }
             };
-            match Packet::parse(Bytes::copy_from_slice(&record.frame)) {
+            match Packet::parse(frame) {
                 Ok(packet) => {
                     let station = self
                         .stations
@@ -143,7 +145,7 @@ impl<R: Read> TraceWorkload<R> {
                         .get(&packet.src_mac())
                         .copied()
                         .unwrap_or(UNKNOWN_CLIENT);
-                    return Some((record.at, station, client, packet));
+                    return Some((at, station, client, packet));
                 }
                 Err(_) => {
                     self.malformed += 1;
@@ -165,7 +167,9 @@ impl<R: Read> Workload for TraceWorkload<R> {
             self.lookahead = self.next_entry();
         }
         let (at, station, client, packet) = self.lookahead.take()?;
-        let mut packets = vec![(client, packet)];
+        // Batch lengths repeat; 4 is `Vec`'s own first growth step.
+        let mut packets = Vec::with_capacity(self.last_batch_len.max(4));
+        packets.push((client, packet));
         loop {
             match self.next_entry() {
                 Some((next_at, next_station, next_client, next_packet))
@@ -179,6 +183,7 @@ impl<R: Read> Workload for TraceWorkload<R> {
                 }
             }
         }
+        self.last_batch_len = packets.len();
         Some(TimedBatch {
             at,
             station,

@@ -15,6 +15,12 @@
 //!   stage-at-a-time batch path it replaced took 9 allocations for one
 //!   packet).
 //!
+//! The same counter guards trace ingest (PR 21): a replayed frame allocates
+//! the buffer its packet is parsed from and nothing else — the reader's
+//! record body lands in a buffer it reuses — and `TraceReader::next_frame`,
+//! which the replay pulls, agrees with `next_record` on every record and
+//! every error, for pcap and pcapng alike.
+//!
 //! The counting allocator has the shape of `gnf_benchmark/src/alloc.rs`,
 //! except that it counts per thread: the test harness runs the tests of
 //! this file on parallel threads.
@@ -30,7 +36,8 @@ use gnf_nf::rate_limiter::RateLimiterConfig;
 use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfConfig, NfContext, NfSpec};
 use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_switch::TrafficSelector;
-use gnf_types::{AgentId, ChainId, ClientId, HostClass, MacAddr, SimTime, StationId};
+use gnf_types::{AgentId, ChainId, ClientId, GnfError, HostClass, MacAddr, SimTime, StationId};
+use gnf_workload::{TraceFormat, TraceReader, TraceWorkload, TraceWriter, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -266,5 +273,185 @@ fn a_batch_through_the_chain_allocates_what_its_packets_do_plus_the_verdict_vect
             "k = {k}: {allocations} allocations for a batch whose packets \
              take {scalar_allocations} one at a time"
         );
+    }
+}
+
+/// `frames` captured one per millisecond (so each replays as a batch of
+/// one) in the given format.
+fn capture(format: TraceFormat, frames: &[Packet]) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), format).unwrap();
+    for (i, frame) in frames.iter().enumerate() {
+        writer
+            .write_record(SimTime::from_millis(i as u64), frame.bytes().as_ref())
+            .unwrap();
+    }
+    writer.into_inner().unwrap()
+}
+
+fn replay(trace: &[u8]) -> TraceWorkload<&[u8]> {
+    TraceWorkload::new(
+        "replay",
+        trace,
+        StationId::new(0),
+        [(MacAddr::derived(0xA0, 0), StationId::new(0))].into(),
+        [(client_mac(), ClientId::new(0))].into(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn a_replayed_frame_allocates_its_buffer_and_nothing_else() {
+    const FRAMES: u16 = 32;
+    let frames: Vec<Packet> = (0..FRAMES)
+        .map(|i| http_get_from(41_001 + i, "example.com"))
+        .collect();
+    for format in [TraceFormat::Pcap, TraceFormat::PcapNg] {
+        let trace = capture(format, &frames);
+        let mut workload = replay(&trace);
+        // The first pull also reads the capture's preamble and sizes the
+        // reader's body buffer (the frames are of equal length).
+        assert_eq!(workload.next_batch().map(|batch| batch.len()), Some(1));
+        for pull in 2..=FRAMES {
+            let (batch, allocations) = counted(|| workload.next_batch());
+            assert_eq!(batch.map(|batch| batch.len()), Some(1));
+            // Every pull reads one frame ahead to find the batch boundary;
+            // the last finds the end of the stream instead.
+            let read_ahead = u64::from(pull < FRAMES);
+            assert_eq!(
+                allocations,
+                read_ahead + 1,
+                "{format:?}, pull {pull}: one buffer per frame read plus the batch vector"
+            );
+        }
+        assert!(workload.next_batch().is_none());
+        assert_eq!(workload.malformed_frames(), 0);
+        assert!(workload.read_error().is_none());
+    }
+}
+
+/// Drains a reader through `next`, returning the records read and the error
+/// that ended the stream, if any.
+fn drain<T>(mut next: impl FnMut() -> Result<Option<T>, GnfError>) -> (Vec<T>, Option<GnfError>) {
+    let mut records = Vec::new();
+    loop {
+        match next() {
+            Ok(Some(record)) => records.push(record),
+            Ok(None) => return (records, None),
+            Err(error) => return (records, Some(error)),
+        }
+    }
+}
+
+#[test]
+fn next_frame_and_next_record_agree_on_records_and_errors_in_both_formats() {
+    let frames: Vec<Packet> = (0..4u16)
+        .map(|i| {
+            http_get_from(
+                41_001 + i,
+                ["a.example", "longer.example"][usize::from(i % 2)],
+            )
+        })
+        .collect();
+    let pcap = capture(TraceFormat::Pcap, &frames);
+    let pcapng = capture(TraceFormat::PcapNg, &frames);
+
+    // A record header claiming a body above the snaplen.
+    let mut over_snaplen = capture(TraceFormat::Pcap, &frames[..1]);
+    over_snaplen.extend_from_slice(&[0u8; 8]);
+    over_snaplen.extend_from_slice(&70_000u32.to_le_bytes());
+    over_snaplen.extend_from_slice(&70_000u32.to_le_bytes());
+
+    let traces: [(&str, &[u8], usize, bool); 6] = [
+        ("pcap", &pcap, 4, false),
+        ("pcapng", &pcapng, 4, false),
+        (
+            "pcap cut inside the last body",
+            &pcap[..pcap.len() - 5],
+            3,
+            true,
+        ),
+        (
+            "pcap cut at the last body",
+            &pcap[..pcap.len() - frames[3].len()],
+            3,
+            true,
+        ),
+        (
+            "pcapng cut inside the last block",
+            &pcapng[..pcapng.len() - 9],
+            3,
+            true,
+        ),
+        ("pcap record above the snaplen", &over_snaplen, 1, true),
+    ];
+    for (name, trace, intact, fails) in traces {
+        let mut reader = TraceReader::new(trace).unwrap();
+        let (records, record_error) = drain(|| reader.next_record());
+        let mut reader = TraceReader::new(trace).unwrap();
+        let (read_frames, frame_error) = drain(|| reader.next_frame());
+
+        assert_eq!(records.len(), intact, "{name}");
+        assert_eq!(reader.records_read(), intact as u64, "{name}");
+        assert_eq!(record_error.is_some(), fails, "{name}");
+        assert_eq!(frame_error, record_error, "{name}: the same typed error");
+        assert_eq!(read_frames.len(), records.len(), "{name}");
+        for (i, (record, (at, frame))) in records.iter().zip(&read_frames).enumerate() {
+            assert_eq!((record.at, &record.frame[..]), (*at, &frame[..]), "{name}");
+            assert_eq!(*at, SimTime::from_millis(i as u64), "{name}");
+            assert_eq!(frame, frames[i].bytes(), "{name}");
+        }
+
+        // The replay delivers exactly the intact records and keeps the
+        // reader's error.
+        let mut workload = replay(trace);
+        let mut replayed = Vec::new();
+        while let Some(batch) = workload.next_batch() {
+            replayed.extend(
+                batch
+                    .packets
+                    .into_iter()
+                    .map(|(_, packet)| (batch.at, packet)),
+            );
+        }
+        assert_eq!(workload.read_error(), record_error.as_ref(), "{name}");
+        assert_eq!(workload.malformed_frames(), 0, "{name}");
+        assert_eq!(replayed.len(), intact, "{name}");
+        for ((at, packet), record) in replayed.iter().zip(&records) {
+            assert_eq!(
+                (*at, &packet.bytes()[..]),
+                (record.at, &record.frame[..]),
+                "{name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_malformed_frame_is_counted_and_skipped_not_fatal() {
+    let good = http_get("example.com");
+    for format in [TraceFormat::Pcap, TraceFormat::PcapNg] {
+        let mut writer = TraceWriter::new(Vec::new(), format).unwrap();
+        writer
+            .write_record(SimTime::from_millis(1), good.bytes().as_ref())
+            .unwrap();
+        // Too short for an Ethernet header.
+        writer
+            .write_record(SimTime::from_millis(2), &[0xde, 0xad, 0xbe, 0xef])
+            .unwrap();
+        writer
+            .write_record(SimTime::from_millis(3), good.bytes().as_ref())
+            .unwrap();
+        let trace = writer.into_inner().unwrap();
+        let mut workload = replay(&trace);
+        let mut delivered = 0;
+        while let Some(batch) = workload.next_batch() {
+            delivered += batch.len();
+        }
+        assert_eq!(
+            (delivered, workload.malformed_frames()),
+            (2, 1),
+            "{format:?}"
+        );
+        assert!(workload.read_error().is_none(), "{format:?}");
     }
 }
