@@ -972,6 +972,13 @@ impl Agent {
             .as_ref()
             .ok_or_else(|| GnfError::not_found("precopy baseline for chain", chain_id))?;
         let current = deployed.chain.export_state();
+        if baseline.len() != current.len() {
+            return Err(GnfError::invalid_state(format!(
+                "precopy baseline of {} NFs for the {} NFs of chain {chain_id}",
+                baseline.len(),
+                current.len()
+            )));
+        }
         let deltas: Vec<NfStateDelta> = baseline
             .iter()
             .zip(&current)
@@ -1007,7 +1014,7 @@ impl Agent {
             return Err(GnfError::already_exists("chain", chain_id));
         }
         let delta_bytes: usize = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
-        deployed.chain.apply_state_deltas(deltas);
+        deployed.chain.apply_state_deltas(&deltas)?;
         deployed.staged = false;
         let (client, client_mac, selector) =
             (deployed.client, deployed.client_mac, deployed.selector);
@@ -2277,14 +2284,8 @@ mod tests {
             SimTime::from_secs(4),
         );
         assert!(matches!(replies[0], AgentToManager::ChainDeployed { .. }));
-        assert!(
-            target
-                .chain(ChainId::new(1))
-                .unwrap()
-                .chain
-                .state_size_bytes()
-                > 0
-        );
+        let restored = target.chain(ChainId::new(1)).unwrap().chain.export_state();
+        assert!(restored.iter().any(|s| !s.is_empty()));
     }
 
     #[test]

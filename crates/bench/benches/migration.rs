@@ -7,6 +7,10 @@
 //!   sizes with ~1% churn. The guardrail is structural: the delta must
 //!   serialize to a small fraction of the full snapshot, which is why
 //!   switchover downtime stays flat as state grows.
+//!   Beside it, `apply_state_deltas` at 100 / 1 000 / 10 000 flows × ~1%
+//!   churn: the target's switchover step patches the firewall's own table,
+//!   so its throughput is counted in *changed* entries and must stay flat
+//!   as the table grows — the cost follows the churn, not the table.
 //! * `roam_burst` — a full 32-roam emulator storm with the migration worker
 //!   pool at 1 vs 4 workers: the pool may only buy host wall-clock, so the
 //!   setup asserts the two configurations produce byte-identical reports
@@ -16,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gnf_core::{Emulator, Mobility, Scenario};
 use gnf_edge::{RoamTrace, TrafficProfile};
 use gnf_nf::testing::sample_specs;
-use gnf_nf::{NfStateDelta, NfStateSnapshot};
+use gnf_nf::{instantiate_chain, NfStateDelta, NfStateSnapshot};
 use gnf_packet::{FiveTuple, IpProtocol};
 use gnf_switch::TrafficSelector;
 use gnf_types::{CellId, GnfConfig, HostClass, SimDuration, SimTime};
@@ -106,6 +110,39 @@ fn bench_state_transfer(c: &mut Criterion) {
                 black_box(serde_json::to_vec(&delta).unwrap().len())
             })
         });
+    }
+
+    // The target side of the same switchover, O(churn): each iteration
+    // patches the staged table forward to `current` and back to `base`.
+    for flows in [100usize, 1_000, 10_000] {
+        let base = conntrack(flows, 1_000);
+        let current = dirtied(&base);
+        let forward = [NfStateDelta::diff(&base, &current)];
+        let back = [NfStateDelta::diff(&current, &base)];
+        let mut staged = instantiate_chain("staged", &sample_specs()[..1]);
+        staged.replace_state(vec![base.clone()]);
+        staged.apply_state_deltas(&forward).unwrap();
+        assert_eq!(staged.export_state()[0], current, "apply_delta contract");
+        staged.apply_state_deltas(&back).unwrap();
+        assert_eq!(staged.export_state()[0], base, "and back");
+
+        let changed = |delta: &NfStateDelta| match delta {
+            NfStateDelta::Firewall { upserts, removals } => upserts.len() + removals.len(),
+            other => unreachable!("two conntrack tables diff to a firewall delta: {other:?}"),
+        };
+        group.throughput(Throughput::Elements(
+            (changed(&forward[0]) + changed(&back[0])) as u64,
+        ));
+        group.bench_with_input(
+            BenchmarkId::new("apply_state_deltas", flows),
+            &flows,
+            |b, _| {
+                b.iter(|| {
+                    staged.apply_state_deltas(black_box(&forward)).unwrap();
+                    staged.apply_state_deltas(black_box(&back)).unwrap();
+                })
+            },
+        );
     }
     group.finish();
 }

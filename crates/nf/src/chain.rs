@@ -10,6 +10,7 @@ use crate::nf::{
 use crate::spec::NfKind;
 use crate::state::{NfStateDelta, NfStateSnapshot};
 use gnf_packet::{FieldMask, Packet, PacketBatch};
+use gnf_types::{GnfError, GnfResult};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -285,26 +286,29 @@ impl NfChain {
     }
 
     /// Applies one pre-copy delta per NF (chain order) on top of the current
-    /// state: each NF's state is exported, patched with
-    /// [`NfStateDelta::apply`], and replaced. After this the chain's exported
-    /// state is identical to the source's at the moment the deltas were
-    /// diffed.
-    pub fn apply_state_deltas(&mut self, deltas: Vec<NfStateDelta>) {
-        for (nf, delta) in self.nfs.iter_mut().zip(deltas) {
-            if matches!(delta, NfStateDelta::Unchanged) {
-                continue;
-            }
-            let base = nf.export_state();
-            nf.replace_state(delta.apply(&base));
+    /// state, each through [`NetworkFunction::apply_delta`]: the NF's own
+    /// tables are patched in place, so the cost follows the size of the
+    /// deltas, not of the tables. After this the chain's exported state is
+    /// identical to the source's at the moment the deltas were diffed — each
+    /// NF exports `delta.apply(&its_state_before)`.
+    ///
+    /// `deltas` is either empty (nothing was diffed: the staged state is
+    /// already final) or one per NF. Anything else is refused before any NF
+    /// is touched — zipping would silently leave the tail of the chain on
+    /// the baseline.
+    pub fn apply_state_deltas(&mut self, deltas: &[NfStateDelta]) -> GnfResult<()> {
+        if !deltas.is_empty() && deltas.len() != self.nfs.len() {
+            return Err(GnfError::invalid_state(format!(
+                "{} state deltas for the {} NFs of chain {}",
+                deltas.len(),
+                self.nfs.len(),
+                self.name
+            )));
         }
-    }
-
-    /// Total serialized size of the chain's migratable state in bytes.
-    pub fn state_size_bytes(&self) -> usize {
-        self.export_state()
-            .iter()
-            .map(|s| s.approximate_size_bytes())
-            .sum()
+        for (nf, delta) in self.nfs.iter_mut().zip(deltas) {
+            nf.apply_delta(delta);
+        }
+        Ok(())
     }
 
     /// Drains pending events from every NF in the chain, each paired with
@@ -465,7 +469,7 @@ mod tests {
 
         let mut fresh = demo_chain();
         fresh.import_state(states);
-        assert!(fresh.state_size_bytes() > 0);
+        assert!(fresh.export_state()[0].approximate_size_bytes() > 0);
 
         // Importing a shorter state vector must not panic.
         let mut partial = demo_chain();

@@ -5,9 +5,9 @@
 //! service's backends, chosen by a configurable strategy. Queries for other
 //! names are forwarded untouched to the client's normal resolver.
 
-use crate::nf::{Direction, NetworkFunction, NfContext, NfStats, Verdict};
+use crate::nf::{apply_delta_via_export, Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
-use crate::state::NfStateSnapshot;
+use crate::state::{NfStateDelta, NfStateSnapshot};
 use gnf_packet::{builder, Packet};
 use gnf_types::PathMap;
 use serde::{Deserialize, Serialize};
@@ -219,6 +219,23 @@ impl NetworkFunction for DnsLoadBalancer {
             self.assignments.clear();
         }
         self.import_state(state);
+    }
+
+    fn apply_delta(&mut self, delta: &NfStateDelta) {
+        let NfStateDelta::DnsLoadBalancer {
+            next_backend,
+            upserts,
+        } = delta
+        else {
+            return apply_delta_via_export(self, delta);
+        };
+        self.next_backend = *next_backend;
+        // Only configured backends have a count to export.
+        for (backend, count) in upserts {
+            if self.backends.contains(backend) {
+                self.assignments.insert(*backend, *count);
+            }
+        }
     }
 }
 

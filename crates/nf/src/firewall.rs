@@ -11,9 +11,12 @@
 //! client roams, the table travels with it so established connections are not
 //! reset by the move.
 
-use crate::nf::{Direction, FieldsConsulted, NetworkFunction, NfContext, NfStats, Verdict};
+use crate::nf::{
+    apply_delta_via_export, Direction, FieldsConsulted, NetworkFunction, NfContext, NfStats,
+    Verdict,
+};
 use crate::spec::NfKind;
-use crate::state::NfStateSnapshot;
+use crate::state::{by_value_then_key, NfStateDelta, NfStateSnapshot};
 use gnf_packet::{builder, FieldMask, FiveTuple, IpProtocol, MaskedTuple, Packet, TcpFlags};
 use gnf_types::{PathMap, SimTime};
 use serde::{Deserialize, Serialize};
@@ -606,10 +609,10 @@ impl NetworkFunction for Firewall {
             .iter()
             .map(|(tuple, time)| (*tuple, time.as_nanos()))
             .collect();
-        // Sort by (time, tuple) so the export is fully deterministic even
-        // when many flows share a timestamp (e.g. one batch establishing
-        // several connections).
-        established.sort_by_key(|(tuple, t)| (*t, *tuple));
+        // By (time, tuple), so the export is fully deterministic even when
+        // many flows share a timestamp (e.g. one batch establishing several
+        // connections).
+        established.sort_unstable_by(by_value_then_key);
         NfStateSnapshot::Firewall { established }
     }
 
@@ -626,6 +629,18 @@ impl NetworkFunction for Firewall {
             self.conntrack.clear();
         }
         self.import_state(state);
+    }
+
+    fn apply_delta(&mut self, delta: &NfStateDelta) {
+        let NfStateDelta::Firewall { upserts, removals } = delta else {
+            return apply_delta_via_export(self, delta);
+        };
+        for tuple in removals {
+            self.conntrack.remove(tuple);
+        }
+        for (tuple, nanos) in upserts {
+            self.conntrack.insert(*tuple, SimTime::from_nanos(*nanos));
+        }
     }
 }
 

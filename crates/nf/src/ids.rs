@@ -7,9 +7,11 @@
 //! events that the Agent forwards to the Manager. Detection is monitor-only by
 //! default; it can optionally drop offending packets.
 
-use crate::nf::{Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict};
+use crate::nf::{
+    apply_delta_via_export, Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict,
+};
 use crate::spec::NfKind;
-use crate::state::NfStateSnapshot;
+use crate::state::{NfStateDelta, NfStateSnapshot};
 use gnf_packet::Packet;
 use gnf_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -213,6 +215,24 @@ impl NetworkFunction for Ids {
     // IDS import already replaces its window wholesale, so replace == import.
     fn replace_state(&mut self, state: NfStateSnapshot) {
         self.import_state(state);
+    }
+
+    fn apply_delta(&mut self, delta: &NfStateDelta) {
+        let NfStateDelta::Ids {
+            upserts,
+            removals,
+            window_start_nanos,
+        } = delta
+        else {
+            return apply_delta_via_export(self, delta);
+        };
+        for source in removals {
+            self.syn_counts.remove(source);
+        }
+        for (source, count) in upserts {
+            self.syn_counts.insert(*source, *count);
+        }
+        self.window_start = SimTime::from_nanos(*window_start_nanos);
     }
 
     fn drain_events(&mut self) -> Vec<NfEvent> {

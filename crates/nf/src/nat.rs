@@ -11,9 +11,9 @@
 //! payload, padding beyond the IP total length, and a UDP datagram sent
 //! without a checksum stays without one.
 
-use crate::nf::{Direction, NetworkFunction, NfContext, NfStats, Verdict};
+use crate::nf::{apply_delta_via_export, Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
-use crate::state::NfStateSnapshot;
+use crate::state::{by_value_then_key, NfStateDelta, NfStateSnapshot};
 use gnf_packet::{FiveTuple, IpProtocol, Packet};
 use gnf_types::PathMap;
 use std::net::Ipv4Addr;
@@ -166,7 +166,7 @@ impl NetworkFunction for Nat {
     fn export_state(&self) -> NfStateSnapshot {
         let mut mappings: Vec<(FiveTuple, u16)> =
             self.forward.iter().map(|(k, v)| (*k, *v)).collect();
-        mappings.sort_by_key(|(_, port)| *port);
+        mappings.sort_unstable_by(by_value_then_key);
         NfStateSnapshot::Nat {
             mappings,
             next_port: self.next_port,
@@ -193,6 +193,36 @@ impl NetworkFunction for Nat {
             self.reverse.clear();
         }
         self.import_state(state);
+    }
+
+    fn apply_delta(&mut self, delta: &NfStateDelta) {
+        let NfStateDelta::Nat {
+            upserts,
+            removals,
+            next_port,
+        } = delta
+        else {
+            return apply_delta_via_export(self, delta);
+        };
+        // `reverse` stays the inverse of `forward`: a port's reverse entry
+        // goes with the mapping that owned it, unless another tuple's upsert
+        // took the port over in the meantime.
+        for tuple in removals {
+            if let Some(port) = self.forward.remove(tuple) {
+                if self.reverse.get(&port) == Some(tuple) {
+                    self.reverse.remove(&port);
+                }
+            }
+        }
+        for (tuple, port) in upserts {
+            if let Some(old) = self.forward.insert(*tuple, *port) {
+                if old != *port && self.reverse.get(&old) == Some(tuple) {
+                    self.reverse.remove(&old);
+                }
+            }
+            self.reverse.insert(*port, *tuple);
+        }
+        self.next_port = *next_port;
     }
 }
 
@@ -479,5 +509,40 @@ mod tests {
             .into_forwarded()
             .unwrap();
         assert_eq!(fresh.tcp().unwrap().src_port, NAT_PORT_BASE + 1);
+    }
+
+    #[test]
+    fn a_delta_keeps_the_reverse_map_the_inverse_of_the_forward_map() {
+        // Egress translation reads `reverse`, which no export shows: after a
+        // delta that drops a mapping, adds one, moves one to another port and
+        // swaps the ports of two, it must be what `replace_state` would build.
+        let tuple = |sport: u16| upstream_tcp(sport, b"").five_tuple().unwrap();
+        let base = NfStateSnapshot::Nat {
+            mappings: (0..5)
+                .map(|i| (tuple(50_000 + i), NAT_PORT_BASE + i))
+                .collect(),
+            next_port: NAT_PORT_BASE + 5,
+        };
+        let current = NfStateSnapshot::Nat {
+            mappings: vec![
+                (tuple(50_003), NAT_PORT_BASE + 2), // swapped with 50_002
+                (tuple(50_002), NAT_PORT_BASE + 3),
+                (tuple(50_004), NAT_PORT_BASE + 4), // kept
+                (tuple(50_001), NAT_PORT_BASE + 7), // moved
+                (tuple(50_009), NAT_PORT_BASE + 8), // added; 50_000 is dropped
+            ],
+            next_port: NAT_PORT_BASE + 9,
+        };
+        let delta = NfStateDelta::diff(&base, &current);
+        assert!(matches!(delta, NfStateDelta::Nat { .. }));
+
+        let mut patched = Nat::new("nat", public_ip());
+        patched.replace_state(base);
+        patched.apply_delta(&delta);
+        let mut rebuilt = Nat::new("nat", public_ip());
+        rebuilt.replace_state(current.clone());
+        assert_eq!(patched.export_state(), current);
+        assert_eq!(patched.forward, rebuilt.forward);
+        assert_eq!(patched.reverse, rebuilt.reverse);
     }
 }

@@ -9,7 +9,7 @@
 //! switch hands packets to it tagged with the direction they entered from.
 
 use crate::spec::NfKind;
-use crate::state::NfStateSnapshot;
+use crate::state::{NfStateDelta, NfStateSnapshot};
 use gnf_packet::{FieldMask, Packet};
 use gnf_types::{ClientId, SimTime};
 use serde::{Deserialize, Serialize};
@@ -365,11 +365,47 @@ pub trait NetworkFunction: Send {
         self.import_state(state);
     }
 
+    /// Applies a pre-copy delta on top of the NF's current state — the
+    /// migration target's switchover step.
+    ///
+    /// Whatever the implementation, afterwards [`export_state`] must equal
+    /// `delta.apply(&before)`, where `before` is what [`export_state`]
+    /// returned just before the call ([`NfStateDelta::apply`] is the
+    /// specification): [`NfStateDelta::Unchanged`] changes nothing,
+    /// [`NfStateDelta::Full`] is [`replace_state`], a delta of another NF's
+    /// variant is ignored. The default does exactly that — export, `apply`,
+    /// [`replace_state`] — at the cost of the whole table; an NF whose delta
+    /// lists upserts and removals overrides it to remove and insert straight
+    /// into its own tables, so a switchover costs what the client dirtied.
+    ///
+    /// [`export_state`]: NetworkFunction::export_state
+    /// [`replace_state`]: NetworkFunction::replace_state
+    fn apply_delta(&mut self, delta: &NfStateDelta) {
+        apply_delta_via_export(self, delta);
+    }
+
     /// Drains any pending events to be relayed to the Manager.
     ///
     /// The default implementation returns no events.
     fn drain_events(&mut self) -> Vec<NfEvent> {
         Vec::new()
+    }
+}
+
+/// [`NetworkFunction::apply_delta`] by way of the snapshot: the default
+/// body, and what an overriding NF falls back to for every delta that is not
+/// its own variant.
+pub(crate) fn apply_delta_via_export<N: NetworkFunction + ?Sized>(
+    nf: &mut N,
+    delta: &NfStateDelta,
+) {
+    match delta {
+        NfStateDelta::Unchanged => {}
+        NfStateDelta::Full(full) => nf.replace_state(full.clone()),
+        churn => {
+            let before = nf.export_state();
+            nf.replace_state(churn.apply(&before));
+        }
     }
 }
 

@@ -6,9 +6,11 @@
 //! bucket levels are part of the migratable state, so a roaming client cannot
 //! escape its limit by hopping between cells.
 
-use crate::nf::{Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict};
+use crate::nf::{
+    apply_delta_via_export, Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict,
+};
 use crate::spec::NfKind;
-use crate::state::NfStateSnapshot;
+use crate::state::{by_key, NfStateDelta, NfStateSnapshot};
 use gnf_packet::{FiveTuple, Packet};
 use gnf_types::{PathMap, SimTime};
 use serde::{Deserialize, Serialize};
@@ -198,7 +200,7 @@ impl NetworkFunction for RateLimiter {
     fn export_state(&self) -> NfStateSnapshot {
         let mut buckets: Vec<(FiveTuple, f64)> =
             self.buckets.iter().map(|(k, v)| (*k, *v)).collect();
-        buckets.sort_by_key(|(tuple, _)| *tuple);
+        buckets.sort_unstable_by(by_key);
         NfStateSnapshot::RateLimiter {
             buckets,
             last_refill_nanos: self.last_refill.as_nanos(),
@@ -223,6 +225,24 @@ impl NetworkFunction for RateLimiter {
             self.buckets.clear();
         }
         self.import_state(state);
+    }
+
+    fn apply_delta(&mut self, delta: &NfStateDelta) {
+        let NfStateDelta::RateLimiter {
+            upserts,
+            removals,
+            last_refill_nanos,
+        } = delta
+        else {
+            return apply_delta_via_export(self, delta);
+        };
+        for key in removals {
+            self.buckets.remove(key);
+        }
+        for (key, level) in upserts {
+            self.buckets.insert(*key, *level);
+        }
+        self.last_refill = SimTime::from_nanos(*last_refill_nanos);
     }
 
     fn drain_events(&mut self) -> Vec<NfEvent> {

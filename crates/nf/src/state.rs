@@ -4,14 +4,24 @@
 //! imports it before steering is switched over.
 
 use gnf_packet::FiveTuple;
+use gnf_types::PathBuildHasher;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::Hash;
 use std::net::Ipv4Addr;
 
 /// Snapshot of one NF instance's dynamic state.
 ///
 /// Configuration is *not* part of the snapshot — the target Agent recreates
 /// the NF from its [`crate::spec::NfSpec`] and then layers this state on top.
+///
+/// **Canonical order.** Every NF exports each table in one documented
+/// order, strictly increasing because its keys are unique — so equal state
+/// exports equal bytes, and [`NfStateDelta::diff`] can find what changed
+/// between two exports in one merge walk. A snapshot that breaks its order
+/// (hand-built, hostile) is still a valid thing to import; `diff` answers it
+/// with [`NfStateDelta::Full`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NfStateSnapshot {
     /// The NF carries no dynamic state worth migrating.
@@ -19,19 +29,20 @@ pub enum NfStateSnapshot {
     /// Firewall connection-tracking table: established flows and the virtual
     /// time (nanoseconds) they were last seen.
     Firewall {
-        /// Established (allowed) flows.
+        /// Established (allowed) flows, by `(last seen, tuple)`.
         established: Vec<(FiveTuple, u64)>,
     },
     /// Rate limiter bucket levels per flow key.
     RateLimiter {
-        /// Remaining tokens per canonical flow.
+        /// Remaining tokens per canonical flow, by tuple.
         buckets: Vec<(FiveTuple, f64)>,
         /// Nanosecond timestamp of the last refill.
         last_refill_nanos: u64,
     },
     /// NAT translation table.
     Nat {
-        /// Forward mappings: original five-tuple → translated source port.
+        /// Forward mappings: original five-tuple → translated source port,
+        /// by `(port, tuple)` — by port, since a NAT hands each port out once.
         mappings: Vec<(FiveTuple, u16)>,
         /// Next ephemeral port to allocate.
         next_port: u16,
@@ -40,17 +51,21 @@ pub enum NfStateSnapshot {
     DnsLoadBalancer {
         /// Index of the next backend for round-robin.
         next_backend: usize,
-        /// Outstanding per-backend assignment counts.
+        /// Outstanding per-backend assignment counts: one entry per
+        /// configured backend, by address. The key sequence is configuration,
+        /// so two exports of one NF are compared position by position.
         assignments: Vec<(Ipv4Addr, u64)>,
     },
     /// Cached HTTP responses (URL → serialized response bytes).
     HttpCache {
-        /// Cached entries in LRU order (least recent first).
+        /// Cached entries in LRU order (least recent first). The order *is*
+        /// state, so a changed cache always ships in full.
         entries: Vec<(String, Vec<u8>)>,
     },
     /// IDS per-source counters.
     Ids {
-        /// SYN counts per source address in the current window.
+        /// SYN counts per source address in the current window (a `BTreeMap`:
+        /// by address).
         syn_counts: BTreeMap<Ipv4Addr, u64>,
         /// Window start, nanoseconds of virtual time.
         window_start_nanos: u64,
@@ -146,79 +161,55 @@ pub enum NfStateDelta {
 
 impl NfStateDelta {
     /// Computes the delta that turns `base` into `current`.
+    ///
+    /// One merge walk over the two exports in their canonical order (see
+    /// [`NfStateSnapshot`]): the cost is one pass over both tables plus a
+    /// sort of what changed, and nothing is built that is as large as a
+    /// table. Pairs only in `current` are the upserts, keys only in `base`
+    /// that no upsert replaces are the removals, both in key order.
+    ///
+    /// A side that is not strictly increasing in its canonical order — which
+    /// no NF exports, but a hand-built or hostile snapshot may be — or whose
+    /// changed entries repeat a key has no well-defined churn: the answer is
+    /// [`NfStateDelta::Full`], which is always correct. So is a pair of
+    /// different variants. (What one pass cannot see: a key listed twice in
+    /// a value-first order with one of its two entries unchanged. That is no
+    /// NF's table — importing it keeps one of the two — and its delta says
+    /// so: the changed entry's value.)
     pub fn diff(base: &NfStateSnapshot, current: &NfStateSnapshot) -> Self {
         if base == current {
             return NfStateDelta::Unchanged;
         }
-        match (base, current) {
+        let churned = match (base, current) {
             (
                 NfStateSnapshot::Firewall { established: b },
                 NfStateSnapshot::Firewall { established: c },
-            ) => {
-                let before: BTreeMap<FiveTuple, u64> = b.iter().copied().collect();
-                let after: BTreeMap<FiveTuple, u64> = c.iter().copied().collect();
-                let upserts = after
-                    .iter()
-                    .filter(|(k, v)| before.get(*k) != Some(v))
-                    .map(|(k, v)| (*k, *v))
-                    .collect();
-                let removals = before
-                    .keys()
-                    .filter(|k| !after.contains_key(*k))
-                    .copied()
-                    .collect();
-                NfStateDelta::Firewall { upserts, removals }
-            }
+            ) => churn(b, c, by_value_then_key)
+                .map(|Churn { upserts, removals }| NfStateDelta::Firewall { upserts, removals }),
             (
                 NfStateSnapshot::RateLimiter { buckets: b, .. },
                 NfStateSnapshot::RateLimiter {
                     buckets: c,
                     last_refill_nanos,
                 },
-            ) => {
-                let before: BTreeMap<FiveTuple, f64> = b.iter().copied().collect();
-                let after: BTreeMap<FiveTuple, f64> = c.iter().copied().collect();
-                let upserts = after
-                    .iter()
-                    .filter(|(k, v)| before.get(*k) != Some(v))
-                    .map(|(k, v)| (*k, *v))
-                    .collect();
-                let removals = before
-                    .keys()
-                    .filter(|k| !after.contains_key(*k))
-                    .copied()
-                    .collect();
-                NfStateDelta::RateLimiter {
-                    upserts,
-                    removals,
-                    last_refill_nanos: *last_refill_nanos,
-                }
-            }
+            ) => churn(b, c, by_key).map(|Churn { upserts, removals }| NfStateDelta::RateLimiter {
+                upserts,
+                removals,
+                last_refill_nanos: *last_refill_nanos,
+            }),
             (
                 NfStateSnapshot::Nat { mappings: b, .. },
                 NfStateSnapshot::Nat {
                     mappings: c,
                     next_port,
                 },
-            ) => {
-                let before: BTreeMap<FiveTuple, u16> = b.iter().copied().collect();
-                let after: BTreeMap<FiveTuple, u16> = c.iter().copied().collect();
-                let upserts = after
-                    .iter()
-                    .filter(|(k, v)| before.get(*k) != Some(v))
-                    .map(|(k, v)| (*k, *v))
-                    .collect();
-                let removals = before
-                    .keys()
-                    .filter(|k| !after.contains_key(*k))
-                    .copied()
-                    .collect();
+            ) => churn(b, c, by_value_then_key).map(|Churn { upserts, removals }| {
                 NfStateDelta::Nat {
                     upserts,
                     removals,
                     next_port: *next_port,
                 }
-            }
+            }),
             (
                 NfStateSnapshot::DnsLoadBalancer { assignments: b, .. },
                 NfStateSnapshot::DnsLoadBalancer {
@@ -228,20 +219,17 @@ impl NfStateDelta {
             ) => {
                 // The key sequence is the configured backend list on both
                 // sides; a differing sequence means the baseline is not
-                // comparable, so fall back to a full snapshot.
-                if b.len() != c.len() || b.iter().zip(c).any(|((kb, _), (kc, _))| kb != kc) {
-                    return NfStateDelta::Full(current.clone());
-                }
-                let upserts = b
-                    .iter()
-                    .zip(c)
-                    .filter(|((_, vb), (_, vc))| vb != vc)
-                    .map(|(_, (k, v))| (*k, *v))
-                    .collect();
-                NfStateDelta::DnsLoadBalancer {
+                // comparable.
+                let comparable = b.len() == c.len() && b.iter().zip(c).all(|(b, c)| b.0 == c.0);
+                comparable.then(|| NfStateDelta::DnsLoadBalancer {
                     next_backend: *next_backend,
-                    upserts,
-                }
+                    upserts: b
+                        .iter()
+                        .zip(c)
+                        .filter(|(b, c)| b.1 != c.1)
+                        .map(|(_, c)| *c)
+                        .collect(),
+                })
             }
             (
                 NfStateSnapshot::Ids { syn_counts: b, .. },
@@ -250,24 +238,37 @@ impl NfStateDelta {
                     window_start_nanos,
                 },
             ) => {
-                let upserts = c
-                    .iter()
-                    .filter(|(k, v)| b.get(*k) != Some(v))
-                    .map(|(k, v)| (*k, *v))
-                    .collect();
-                let removals = b.keys().filter(|k| !c.contains_key(*k)).copied().collect();
-                NfStateDelta::Ids {
-                    upserts,
-                    removals,
-                    window_start_nanos: *window_start_nanos,
-                }
+                // The one table exported as a map: the same walk over its
+                // entries, which a `BTreeMap` yields by key.
+                let pairs = |counts: &BTreeMap<Ipv4Addr, u64>| -> Vec<(Ipv4Addr, u64)> {
+                    counts
+                        .iter()
+                        .map(|(source, count)| (*source, *count))
+                        .collect()
+                };
+                churn(&pairs(b), &pairs(c), by_key).map(|Churn { upserts, removals }| {
+                    NfStateDelta::Ids {
+                        upserts,
+                        removals,
+                        window_start_nanos: *window_start_nanos,
+                    }
+                })
             }
-            _ => NfStateDelta::Full(current.clone()),
-        }
+            _ => None,
+        };
+        churned.unwrap_or_else(|| NfStateDelta::Full(current.clone()))
     }
 
     /// Applies this delta to `base`, reproducing the snapshot it was diffed
-    /// against — including each NF's canonical export ordering.
+    /// against — including each NF's canonical export ordering, given a
+    /// `base` in that order (as every export is). This is the snapshot-level
+    /// specification of [`crate::NetworkFunction::apply_delta`], which
+    /// patches an NF's own tables instead of a copy of them.
+    ///
+    /// A delta from the wire is taken as a list of edits, not trusted to be
+    /// a `diff` result: removals first, then upserts in turn, so a repeated
+    /// key's last upsert wins. A delta of another variant than `base` is
+    /// ignored.
     pub fn apply(&self, base: &NfStateSnapshot) -> NfStateSnapshot {
         match (self, base) {
             (NfStateDelta::Unchanged, _) => base.clone(),
@@ -275,18 +276,9 @@ impl NfStateDelta {
             (
                 NfStateDelta::Firewall { upserts, removals },
                 NfStateSnapshot::Firewall { established },
-            ) => {
-                let mut table: BTreeMap<FiveTuple, u64> = established.iter().copied().collect();
-                for key in removals {
-                    table.remove(key);
-                }
-                for (key, seen) in upserts {
-                    table.insert(*key, *seen);
-                }
-                let mut established: Vec<(FiveTuple, u64)> = table.into_iter().collect();
-                established.sort_by_key(|(tuple, t)| (*t, *tuple));
-                NfStateSnapshot::Firewall { established }
-            }
+            ) => NfStateSnapshot::Firewall {
+                established: patched(established, upserts, removals, by_value_then_key),
+            },
             (
                 NfStateDelta::RateLimiter {
                     upserts,
@@ -294,19 +286,10 @@ impl NfStateDelta {
                     last_refill_nanos,
                 },
                 NfStateSnapshot::RateLimiter { buckets, .. },
-            ) => {
-                let mut table: BTreeMap<FiveTuple, f64> = buckets.iter().copied().collect();
-                for key in removals {
-                    table.remove(key);
-                }
-                for (key, level) in upserts {
-                    table.insert(*key, *level);
-                }
-                NfStateSnapshot::RateLimiter {
-                    buckets: table.into_iter().collect(),
-                    last_refill_nanos: *last_refill_nanos,
-                }
-            }
+            ) => NfStateSnapshot::RateLimiter {
+                buckets: patched(buckets, upserts, removals, by_key),
+                last_refill_nanos: *last_refill_nanos,
+            },
             (
                 NfStateDelta::Nat {
                     upserts,
@@ -314,21 +297,10 @@ impl NfStateDelta {
                     next_port,
                 },
                 NfStateSnapshot::Nat { mappings, .. },
-            ) => {
-                let mut table: BTreeMap<FiveTuple, u16> = mappings.iter().copied().collect();
-                for key in removals {
-                    table.remove(key);
-                }
-                for (key, port) in upserts {
-                    table.insert(*key, *port);
-                }
-                let mut mappings: Vec<(FiveTuple, u16)> = table.into_iter().collect();
-                mappings.sort_by_key(|(_, port)| *port);
-                NfStateSnapshot::Nat {
-                    mappings,
-                    next_port: *next_port,
-                }
-            }
+            ) => NfStateSnapshot::Nat {
+                mappings: patched(mappings, upserts, removals, by_value_then_key),
+                next_port: *next_port,
+            },
             (
                 NfStateDelta::DnsLoadBalancer {
                     next_backend,
@@ -355,6 +327,7 @@ impl NfStateDelta {
                 },
                 NfStateSnapshot::Ids { syn_counts, .. },
             ) => {
+                // The snapshot's own table type: patched as the NF patches it.
                 let mut syn_counts = syn_counts.clone();
                 for key in removals {
                     syn_counts.remove(key);
@@ -394,6 +367,115 @@ impl NfStateDelta {
             NfStateDelta::Full(full) => full.approximate_size_bytes(),
         }
     }
+}
+
+/// The canonical order of a table exported by its second field first — the
+/// firewall's `(last seen, tuple)`, the NAT's `(port, tuple)`.
+pub(crate) fn by_value_then_key<K: Ord, V: Ord>(a: &(K, V), b: &(K, V)) -> Ordering {
+    (&a.1, &a.0).cmp(&(&b.1, &b.0))
+}
+
+/// The canonical order of a table exported by key — the rate limiter's
+/// buckets, the IDS's counters.
+pub(crate) fn by_key<K: Ord, V>(a: &(K, V), b: &(K, V)) -> Ordering {
+    a.0.cmp(&b.0)
+}
+
+/// What changed between two tables, both lists in key order.
+struct Churn<K, V> {
+    /// The pairs only `current` holds.
+    upserts: Vec<(K, V)>,
+    /// The keys only `base` holds.
+    removals: Vec<K>,
+}
+
+/// What changed between two tables given in the same canonical `order`, by
+/// one merge walk. `None` when a side is not strictly increasing under
+/// `order` or a key repeats among the changed entries.
+fn churn<K: Ord + Copy, V: PartialEq + Copy>(
+    base: &[(K, V)],
+    current: &[(K, V)],
+    order: impl Fn(&(K, V), &(K, V)) -> Ordering,
+) -> Option<Churn<K, V>> {
+    let ascending = |a: &(K, V), b: &(K, V)| order(a, b) == Ordering::Less;
+    if !base.is_sorted_by(ascending) || !current.is_sorted_by(ascending) {
+        return None;
+    }
+    let (mut only_base, mut upserts) = (Vec::new(), Vec::new());
+    let (mut b, mut c) = (0, 0);
+    while let (Some(old), Some(new)) = (base.get(b), current.get(c)) {
+        // Most entries of a serving chain are on both sides: equality first.
+        if old == new {
+            (b, c) = (b + 1, c + 1);
+            continue;
+        }
+        let place = order(old, new);
+        if place != Ordering::Greater {
+            only_base.push(*old);
+            b += 1;
+        }
+        // `Equal` without being equal: the order looks at the key alone and
+        // the value moved — the old entry goes and the new one comes.
+        if place != Ordering::Less {
+            upserts.push(*new);
+            c += 1;
+        }
+    }
+    only_base.extend_from_slice(&base[b..]);
+    upserts.extend_from_slice(&current[c..]);
+
+    upserts.sort_unstable_by_key(|(key, _)| *key);
+    let mut removals: Vec<K> = only_base.iter().map(|(key, _)| *key).collect();
+    removals.sort_unstable();
+    let distinct = upserts.is_sorted_by(|a, b| a.0 < b.0) && removals.is_sorted_by(|a, b| a < b);
+    // A base entry whose key an upsert carries was replaced, not removed.
+    removals.retain(|key| upserts.binary_search_by(|(k, _)| k.cmp(key)).is_err());
+    distinct.then_some(Churn { upserts, removals })
+}
+
+/// `base` (in canonical `order`) with `removals` taken out and `upserts` put
+/// in, in canonical order: the table an NF holds after the same edits.
+fn patched<K: Ord + Hash + Copy, V: Copy>(
+    base: &[(K, V)],
+    upserts: &[(K, V)],
+    removals: &[K],
+    order: impl Fn(&(K, V), &(K, V)) -> Ordering,
+) -> Vec<(K, V)> {
+    // The last upsert of a key wins, as inserting them in turn would.
+    let mut added = upserts.to_vec();
+    added.sort_by_key(|(key, _)| *key);
+    added.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    // Every key whose base entry goes: removed, or replaced by an upsert.
+    let gone: HashSet<K, PathBuildHasher> = removals
+        .iter()
+        .copied()
+        .chain(added.iter().map(|(key, _)| *key))
+        .collect();
+    added.sort_unstable_by(&order);
+
+    let mut out = Vec::with_capacity(base.len() + added.len());
+    let mut next = 0;
+    for entry in base {
+        if gone.contains(&entry.0) {
+            continue;
+        }
+        while let Some(before) = added
+            .get(next)
+            .filter(|a| order(a, entry) == Ordering::Less)
+        {
+            out.push(*before);
+            next += 1;
+        }
+        out.push(*entry);
+    }
+    out.extend_from_slice(&added[next..]);
+    out
 }
 
 #[cfg(test)]

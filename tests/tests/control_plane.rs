@@ -207,7 +207,7 @@ fn roaming_migrates_chains_and_preserves_nf_state_end_to_end() {
     let deployed = agent1
         .chain(chain)
         .expect("chain present on the new station");
-    assert!(deployed.chain.state_size_bytes() > 0);
+    assert!(deployed.chain.export_state().iter().any(|s| !s.is_empty()));
 
     // And the manager's view agrees.
     let attachment = bench.manager.attachment(chain).unwrap();

@@ -294,6 +294,89 @@ fn assert_typed(command: &ManagerToAgent, replies: &[AgentToManager]) -> Result<
     Ok(())
 }
 
+/// An activation carrying deltas for some of the chain's NFs but not all —
+/// neither none (nothing was diffed) nor one each — is refused whole: zipping
+/// it would patch the head of the chain, leave the tail on the baseline and
+/// still confirm the deploy.
+#[test]
+fn an_activation_with_a_delta_count_that_fits_no_chain_is_refused_untouched() {
+    let chain = ChainId::new(1);
+    let migration = MigrationId::new(1);
+    let mut source = agent(0).0;
+    source.client_associated(CLIENT, client_mac(), client_ip());
+    let deploy = |precopy_state: Option<Vec<NfStateSnapshot>>| match precopy_state {
+        None => ManagerToAgent::DeployChain {
+            chain,
+            client: CLIENT,
+            client_mac: client_mac(),
+            specs: specs(),
+            selector: TrafficSelector::all(),
+            restore_state: None,
+            migration: None,
+        },
+        Some(precopy_state) => ManagerToAgent::PrepareChain {
+            chain,
+            client: CLIENT,
+            client_mac: client_mac(),
+            specs: specs(),
+            selector: TrafficSelector::all(),
+            precopy_state,
+            migration,
+        },
+    };
+    source.handle_manager_msg(deploy(None), SimTime::from_secs(1));
+    for sport in 41_000..41_010 {
+        source.process_upstream_packet(syn(sport), SimTime::from_secs(2));
+    }
+    let export = |agent: &Agent| agent.chain(chain).expect("deployed").chain.export_state();
+    let baseline = export(&source);
+    for sport in 41_010..41_015 {
+        source.process_upstream_packet(syn(sport), SimTime::from_secs(3));
+    }
+    let current = export(&source);
+    let deltas: Vec<NfStateDelta> = baseline
+        .iter()
+        .zip(&current)
+        .map(|(base, cur)| NfStateDelta::diff(base, cur))
+        .collect();
+    assert_eq!(deltas.len(), 2);
+    assert!(matches!(deltas[0], NfStateDelta::Firewall { .. }));
+
+    let mut target = agent(1).0;
+    let prepared = target.handle_manager_msg(deploy(Some(baseline.clone())), SimTime::from_secs(4));
+    assert!(matches!(prepared[0], AgentToManager::ChainPrepared { .. }));
+    let activate = |deltas: Vec<NfStateDelta>| ManagerToAgent::ActivateChain {
+        chain,
+        client: CLIENT,
+        migration,
+        deltas,
+    };
+    let too_many = [deltas.clone(), deltas.clone()].concat();
+    for misfit in [deltas[..1].to_vec(), too_many] {
+        let replies = target.handle_manager_msg(activate(misfit), SimTime::from_secs(5));
+        let [AgentToManager::CommandFailed {
+            chain: failed,
+            error,
+            migration: failed_migration,
+        }] = &replies[..]
+        else {
+            panic!("expected one typed failure, got {replies:?}");
+        };
+        assert_eq!((*failed, *failed_migration), (Some(chain), Some(migration)));
+        assert_eq!(error.category(), "invalid_state");
+        // Not even the NFs the short list did cover were touched.
+        assert!(target.chain(chain).expect("still staged").staged);
+        assert_eq!(export(&target), baseline);
+        assert!(target.switch().steering().is_empty());
+    }
+
+    // The activation the migration engine does send still goes through.
+    let replies = target.handle_manager_msg(activate(deltas), SimTime::from_secs(6));
+    assert!(matches!(replies[0], AgentToManager::ChainDeployed { .. }));
+    assert!(!target.chain(chain).expect("serving").staged);
+    assert_eq!(export(&target), current);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

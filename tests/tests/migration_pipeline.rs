@@ -121,7 +121,9 @@ fn precopy_delta_restore_matches_monolithic_checkpoint_for_every_nf() {
     );
     let mut precopied = instantiate_chain("all-nfs", &specs);
     precopied.replace_state(baseline.clone());
-    precopied.apply_state_deltas(deltas);
+    precopied
+        .apply_state_deltas(&deltas)
+        .expect("one delta per NF");
     assert_eq!(
         precopied.export_state(),
         monolithic,

@@ -15,6 +15,12 @@
 //!   stage-at-a-time batch path it replaced took 9 allocations for one
 //!   packet).
 //!
+//! And the cost of a pre-copy switchover (PR 22): `NfStateDelta::diff` plus
+//! `NfChain::apply_state_deltas` make the same number of heap requests on a
+//! 500-entry and a 4 000-entry conntrack table when the same ten entries
+//! changed — nothing table-sized is built on either side — and a chain whose
+//! deltas are all `Unchanged` requests nothing.
+//!
 //! The same counter guards trace ingest (PR 21): a replayed frame allocates
 //! the buffer its packet is parsed from and nothing else — the reader's
 //! record body lands in a buffer it reuses — and `TraceReader::next_frame`,
@@ -33,7 +39,10 @@ use gnf_nf::http_filter::{HttpFilter, HttpFilterConfig};
 use gnf_nf::ids::IdsConfig;
 use gnf_nf::nat::Nat;
 use gnf_nf::rate_limiter::RateLimiterConfig;
-use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfConfig, NfContext, NfSpec};
+use gnf_nf::{
+    instantiate_chain, Direction, NetworkFunction, NfConfig, NfContext, NfSpec, NfStateDelta,
+    NfStateSnapshot,
+};
 use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_switch::TrafficSelector;
 use gnf_types::{AgentId, ChainId, ClientId, GnfError, HostClass, MacAddr, SimTime, StationId};
@@ -274,6 +283,59 @@ fn a_batch_through_the_chain_allocates_what_its_packets_do_plus_the_verdict_vect
              take {scalar_allocations} one at a time"
         );
     }
+}
+
+/// A conntrack export of `flows` established connections in the firewall's
+/// canonical order, and the same table ten entries later: five flows
+/// refreshed, two pruned, three new.
+fn conntrack_before_and_after(flows: u16) -> (NfStateSnapshot, NfStateSnapshot) {
+    let tuple = |i: u16| {
+        http_get_from(10_000 + i, "example.com")
+            .five_tuple()
+            .expect("a TCP frame")
+    };
+    let base: Vec<_> = (0..flows)
+        .map(|i| (tuple(i), 1_000 + u64::from(i)))
+        .collect();
+    let mut current = base.clone();
+    for (at, entry) in current
+        .iter_mut()
+        .step_by(usize::from(flows) / 5)
+        .enumerate()
+    {
+        entry.1 = 1_000_000 + at as u64;
+    }
+    current.remove(usize::from(flows) / 2);
+    current.remove(usize::from(flows) / 3);
+    current.extend((0..3).map(|i| (tuple(flows + i), 2_000_000 + u64::from(i))));
+    current.sort_by_key(|(tuple, seen)| (*seen, *tuple));
+    let snapshot = |established| NfStateSnapshot::Firewall { established };
+    (snapshot(base), snapshot(current))
+}
+
+#[test]
+fn a_switchover_allocates_for_what_changed_not_for_the_table() {
+    // Source side `diff`, target side `apply_state_deltas`, on a table of
+    // `flows` entries of which ten changed: the heap requests they make.
+    let switchover = |flows: u16| {
+        let (base, current) = conntrack_before_and_after(flows);
+        let mut target = instantiate_chain("target", &stateful_replay_specs());
+        target.replace_state(vec![base.clone()]);
+        let ((), allocations) = counted(|| {
+            let mut deltas = vec![NfStateDelta::Unchanged; 5];
+            deltas[0] = NfStateDelta::diff(&base, &current);
+            target.apply_state_deltas(&deltas).expect("one per NF");
+        });
+        assert_eq!(target.export_state()[0], current);
+        allocations
+    };
+    assert_eq!(switchover(500), switchover(4_000));
+
+    // And where nothing changed, nothing is requested at all.
+    let mut idle = instantiate_chain("idle", &stateful_replay_specs());
+    let unchanged = vec![NfStateDelta::Unchanged; 5];
+    let (applied, allocations) = counted(|| idle.apply_state_deltas(&unchanged));
+    assert_eq!((applied, allocations), (Ok(()), 0));
 }
 
 /// `frames` captured one per millisecond (so each replays as a batch of
