@@ -1,6 +1,5 @@
 //! The Agent state machine.
 
-use crate::lanes::LaneExecutor;
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::{ContainerRuntime, ImageRepository, NfvRuntime};
 use gnf_nf::{
@@ -21,7 +20,6 @@ use gnf_types::{
 };
 use std::borrow::Cow;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Static configuration of one Agent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,10 +124,6 @@ pub struct Agent {
     reports_sent: u64,
     commands_handled: u64,
     batch_sizes: BatchTelemetry,
-    /// Intra-station RSS shards: how many chain-execution lanes the batched
-    /// data plane uses (1 = the classic serial path). Outcomes, statistics
-    /// and reports are byte-identical for any value.
-    station_shards: usize,
     /// Soft-state generation: bumped on every crash so post-restart traffic
     /// can never be served from a pre-crash cache entry.
     generation: u64,
@@ -177,7 +171,6 @@ impl Agent {
             flow_cache: Default::default(),
             megaflow: Default::default(),
             batches: BatchTelemetry::default(),
-            shards: Vec::new(),
             chaos: ChaosTelemetry::default(),
         });
         (
@@ -191,7 +184,6 @@ impl Agent {
                 reports_sent: 0,
                 commands_handled: 0,
                 batch_sizes: BatchTelemetry::default(),
-                station_shards: 1,
                 generation: 0,
                 chaos: ChaosTelemetry::default(),
                 trace: TraceSink::default(),
@@ -235,22 +227,6 @@ impl Agent {
     /// Mutable access to the flight recorder, for the harness to drain.
     pub fn flight_mut(&mut self) -> &mut FlightRecorder {
         &mut self.flight
-    }
-
-    /// Sets the intra-station RSS shard count (clamped to at least 1): how
-    /// many chain-execution lanes batched processing uses, and how many
-    /// shard-stat partitions the switch's caches attribute to. Outcomes,
-    /// statistics and reports are byte-identical for any value — sharding
-    /// only changes which thread runs a chain.
-    pub fn set_station_shards(&mut self, shards: usize) {
-        self.station_shards = shards.max(1);
-        self.switch.set_station_shards(self.station_shards);
-        self.report_hints.traffic = true;
-    }
-
-    /// The intra-station RSS shard count.
-    pub fn station_shards(&self) -> usize {
-        self.station_shards
     }
 
     /// The Agent's station.
@@ -629,39 +605,10 @@ impl Agent {
             masks: self.switch.megaflow_mask_count(),
         };
         report.batches = self.batch_sizes.clone();
-        report.shards.clear();
-        report.shards.extend(
-            self.switch
-                .flow_cache_shard_stats()
-                .iter()
-                .zip(self.switch.megaflow_shard_stats())
-                .map(|(flow, megaflow)| gnf_telemetry::ShardTelemetry {
-                    flow: *flow,
-                    megaflow: *megaflow,
-                }),
-        );
         report.chaos = ChaosTelemetry {
             generation: self.generation,
             ..self.chaos
         };
-    }
-
-    /// Per-RSS-shard cache counters of this station's switch, in shard-index
-    /// order. Sums over the blocks equal the aggregates in
-    /// [`flow_cache_telemetry`] / [`megaflow_telemetry`].
-    ///
-    /// [`flow_cache_telemetry`]: Agent::flow_cache_telemetry
-    /// [`megaflow_telemetry`]: Agent::megaflow_telemetry
-    pub fn shard_telemetry(&self) -> Vec<gnf_telemetry::ShardTelemetry> {
-        self.switch
-            .flow_cache_shard_stats()
-            .iter()
-            .zip(self.switch.megaflow_shard_stats())
-            .map(|(flow, megaflow)| gnf_telemetry::ShardTelemetry {
-                flow: *flow,
-                megaflow: *megaflow,
-            })
-            .collect()
     }
 
     /// Data-plane fast-path counters of this station's switch.
@@ -681,11 +628,12 @@ impl Agent {
         }
     }
 
-    /// Exact-match cache occupancy attributed to `n` fixed virtual flow-hash
-    /// shards — independent of the configured station shards, so fleet
-    /// samplers stay byte-identical across the sharding matrix.
-    pub fn flow_cache_occupancy_by_virtual_shard(&self, n: usize) -> Vec<u64> {
-        self.switch.flow_cache_occupancy_by_virtual_shard(n)
+    /// Adds this station's exact-match cache occupancy, partitioned over
+    /// `occupancy.len()` fixed virtual flow-hash shards, into `occupancy`: a
+    /// fleet sampler sums every station into one caller-owned array.
+    pub fn add_flow_cache_occupancy_by_virtual_shard(&self, occupancy: &mut [u64]) {
+        self.switch
+            .add_flow_cache_occupancy_by_virtual_shard(occupancy);
     }
 
     /// Batch-size distribution of the data-plane work this station processed.
@@ -770,22 +718,8 @@ impl Agent {
             .expect("the pipeline yields one outcome per packet")
     }
 
-    /// How many chain-execution lanes a batch of `packets` spreads over
-    /// (1 = inline), picked from what the call can observe: never more lanes
-    /// than there are chains to own, and none for a single packet — a lane
-    /// thread that can only do strictly serial work is pure overhead.
-    fn lanes_for(&self, packets: usize) -> usize {
-        if packets > 1 {
-            self.station_shards.min(self.chains.len()).max(1)
-        } else {
-            1
-        }
-    }
-
     /// Runs a batch through the station's one data-plane pipeline
-    /// ([`Spine::run`]) behind the executor [`Agent::lanes_for`] selects.
-    /// Outcomes, every counter and all NF state are byte-identical either
-    /// way.
+    /// ([`Spine::run`]) on the calling thread.
     fn run_pipeline(
         &mut self,
         batch: PacketBatch,
@@ -797,22 +731,16 @@ impl Agent {
             return Vec::new();
         }
         self.batch_sizes.record(batch.len() as u64);
-        let runner = ChainRunner { now };
-        let lanes = self.lanes_for(batch.len());
-        let chains = &mut self.chains;
-        let mut spine = Spine {
+        Spine {
             switch: &mut self.switch,
+            chains: &mut self.chains,
             trace: &mut self.trace,
             flight: &mut self.flight,
             station: self.config.station.raw(),
             in_port,
             now,
-        };
-        if lanes > 1 {
-            LaneExecutor::scoped(chains, lanes, runner, |exec| spine.run(exec, batch))
-        } else {
-            spine.run(InlineExecutor { chains, runner }, batch)
         }
+        .run(batch)
     }
 
     /// Instantiates a chain: pulls images, creates a container per NF, wires
@@ -1028,154 +956,11 @@ impl Agent {
     }
 }
 
-/// What a chain made of one packet: its verdict and, for a packet that
-/// carried a megaflow seed, the report the seed seals with.
-pub(crate) struct ChainRun {
-    /// The chain's verdict on the packet.
-    pub verdict: Verdict,
-    /// The seal report (gated through [`seal_report`]); `None` for a packet
-    /// without a seed and for a seed that seals decision-only.
-    pub report: Option<(FieldMask, BypassOutcome)>,
-}
-
-/// The one chain dispatch, shared by both executors so the thread a chain
-/// runs on cannot change what it is asked to do.
-#[derive(Clone, Copy)]
-pub(crate) struct ChainRunner {
-    /// The batch's virtual timestamp.
-    pub now: SimTime,
-}
-
-impl ChainRunner {
-    /// Takes `packet` through `deployed`. With `seal` the packet carries a
-    /// megaflow seed and the chain's report rides along.
-    pub(crate) fn run(
-        self,
-        deployed: &mut DeployedChain,
-        packet: Packet,
-        direction: Direction,
-        seal: bool,
-    ) -> ChainRun {
-        let ctx = NfContext::for_client(self.now, deployed.client);
-        let verdict = deployed.chain.process(packet, direction, &ctx);
-        let report = if seal {
-            seal_report(&deployed.chain, direction, &verdict)
-        } else {
-            None
-        };
-        ChainRun { verdict, report }
-    }
-}
-
-/// The statistics replay one wildcard-bypass hit owes its chain: a packet
-/// of `bytes` bytes that traversed `direction` without running the chain,
-/// credited through the entry's per-NF `tokens`.
-pub(crate) struct BypassCredit {
-    /// Traversal direction.
-    pub direction: Direction,
-    /// Per-NF replay tokens from the wildcard entry, in traversal order.
-    pub tokens: Arc<[u64]>,
-    /// The packet's length.
-    pub bytes: u64,
-    /// The entry certified a drop (at the last tokened NF), not a forward.
-    pub dropped: bool,
-}
-
-impl BypassCredit {
-    /// Replays the packet into `chain`'s statistics.
-    pub(crate) fn apply(&self, chain: &mut NfChain) {
-        if self.dropped {
-            chain.credit_bypass_drop(self.direction, &self.tokens, 1, self.bytes);
-        } else {
-            chain.credit_bypass(self.direction, &self.tokens, 1, self.bytes);
-        }
-    }
-}
-
-/// What [`ChainExecutor::execute`] did with a packet.
-pub(crate) enum Executed {
-    /// The chain processed the packet; its verdict is ready.
-    Done(ChainRun),
-    /// The packet is queued behind its chain's earlier work; its verdict
-    /// arrives through [`ChainExecutor::finish`].
-    Deferred,
-    /// The steering rule names a chain that is not deployed (mid
-    /// reconfiguration); the packet comes back untouched.
-    NoChain(Packet),
-}
-
-/// The *execute* stage of the pipeline: whoever owns the deployed chains
-/// for the duration of one batch. Everything order-sensitive — classification,
-/// sealing, settling — stays in [`Spine::run`]; an executor only decides
-/// *where* a chain runs. Exactly two implementations exist:
-/// [`InlineExecutor`] (this thread, verdicts at once) and
-/// [`LaneExecutor`] (chain-affinity lane threads, see [`crate::lanes`]).
-pub(crate) trait ChainExecutor {
-    /// Takes `packet` through `chain`. `slot` names the packet should the
-    /// executor defer it; a `seal` packet is never deferred.
-    fn execute(
-        &mut self,
-        slot: usize,
-        chain: ChainId,
-        direction: Direction,
-        packet: Packet,
-        seal: bool,
-    ) -> Executed;
-
-    /// Replays a certified bypass's NF statistics into `chain`, in order
-    /// with the chain's other work (a no-op for an undeployed chain).
-    fn credit(&mut self, chain: ChainId, credit: BypassCredit);
-
-    /// Ends the batch, handing every deferred packet's verdict to `fill`
-    /// under the slot it was submitted with.
-    fn finish(self, fill: impl FnMut(usize, Verdict));
-}
-
-/// Runs every chain on the calling thread, in packet order.
-struct InlineExecutor<'a> {
-    chains: &'a mut PathMap<ChainId, DeployedChain>,
-    runner: ChainRunner,
-}
-
-impl ChainExecutor for InlineExecutor<'_> {
-    fn execute(
-        &mut self,
-        _slot: usize,
-        chain: ChainId,
-        direction: Direction,
-        packet: Packet,
-        seal: bool,
-    ) -> Executed {
-        match self.chains.get_mut(&chain) {
-            Some(deployed) => Executed::Done(self.runner.run(deployed, packet, direction, seal)),
-            None => Executed::NoChain(packet),
-        }
-    }
-
-    fn credit(&mut self, chain: ChainId, credit: BypassCredit) {
-        if let Some(deployed) = self.chains.get_mut(&chain) {
-            credit.apply(&mut deployed.chain);
-        }
-    }
-
-    fn finish(self, _fill: impl FnMut(usize, Verdict)) {}
-}
-
-/// What settling one packet needs once its verdict is known.
-struct Settle {
-    forwarding: Forwarding,
-    stage: &'static str,
-    /// The sampled flow's hash and rendered five-tuple, when the flight
-    /// recorder samples this packet's flow.
-    probe: Option<(u64, String)>,
-}
-
-/// The serial half of the data plane for one batch — everything of the
-/// Agent the batch touches except the deployed chains, which the
-/// [`ChainExecutor`] owns while it runs — plus the batch's ingress port and
-/// virtual timestamp.
+/// The data plane of one batch: everything of the Agent the batch touches,
+/// plus the batch's ingress port and virtual timestamp.
 struct Spine<'a> {
     switch: &'a mut SoftwareSwitch,
+    chains: &'a mut PathMap<ChainId, DeployedChain>,
     trace: &'a mut TraceSink,
     flight: &'a mut FlightRecorder,
     station: u64,
@@ -1188,15 +973,11 @@ impl Spine<'_> {
     /// packet classify → execute → seal → settle, then emit the
     /// `BatchFlush`.
     ///
-    /// A packet is sealed before the next is classified, so an entry sealed
-    /// from packet N already serves packet N + 1 of the same flush
-    /// (mid-batch sealing). A packet settles as soon as its verdict is
-    /// known unless an earlier one is still deferred; from the first
-    /// deferred packet on, packets wait in `waiting` and settle in packet
-    /// order after [`ChainExecutor::finish`]. Counter updates are sums, so
-    /// settling late commutes with classification, and outcome and
-    /// flight-record order is packet order either way.
-    fn run<E: ChainExecutor>(&mut self, mut exec: E, batch: PacketBatch) -> Vec<PacketOutcome> {
+    /// A packet is sealed and settled before the next is classified, so an
+    /// entry sealed from packet N already serves packet N + 1 of the same
+    /// flush (mid-batch sealing), and outcome and flight-record order is
+    /// packet order.
+    fn run(&mut self, batch: PacketBatch) -> Vec<PacketOutcome> {
         let (in_port, now) = (self.in_port, self.now);
         let batch_len = batch.len() as u64;
         let mut cursor = match self.switch.begin_batch(batch.as_slice(), in_port, now) {
@@ -1210,7 +991,6 @@ impl Spine<'_> {
             }
         };
         let mut outcomes = Vec::with_capacity(batch.len());
-        let mut waiting: Vec<(Settle, Option<Verdict>)> = Vec::new();
         for packet in batch {
             let Classified { decision, megaflow } = self.switch.classify(&mut cursor, &packet);
             // Flight probe: sampling is a seeded hash check; the tuple
@@ -1230,7 +1010,7 @@ impl Spine<'_> {
                 (_, MegaflowState::Seed(_)) => "slow-path",
                 (_, MegaflowState::None) => "exact",
             };
-            let verdict: Option<Verdict> = match decision.steering {
+            let verdict = match decision.steering {
                 Some((rule, upstream)) => {
                     let direction = if upstream {
                         Direction::Ingress
@@ -1238,79 +1018,50 @@ impl Spine<'_> {
                         Direction::Egress
                     };
                     let bytes = packet.len() as u64;
-                    match megaflow {
+                    match (megaflow, self.chains.get_mut(&rule.chain)) {
                         // A wildcard entry certified the chain bypass for
                         // this packet's flow: forward unchanged, replay NF
                         // statistics.
-                        MegaflowState::Bypass(tokens) => {
-                            let credit = BypassCredit {
-                                direction,
-                                tokens,
-                                bytes,
-                                dropped: false,
-                            };
-                            exec.credit(rule.chain, credit);
-                            Some(Verdict::Forward(packet))
+                        (MegaflowState::Bypass(tokens), deployed) => {
+                            if let Some(deployed) = deployed {
+                                deployed.chain.credit_bypass(direction, &tokens, 1, bytes);
+                            }
+                            Verdict::Forward(packet)
                         }
                         // A wildcard entry certified the chain *drops* this
                         // packet's flow: retire it before the chain runs,
                         // replaying statistics and the exact reason.
-                        MegaflowState::DropBypass { tokens, reason } => {
-                            let credit = BypassCredit {
-                                direction,
-                                tokens,
-                                bytes,
-                                dropped: true,
-                            };
-                            exec.credit(rule.chain, credit);
-                            Some(Verdict::Drop(reason))
-                        }
-                        megaflow => {
-                            let seed = match megaflow {
-                                MegaflowState::Seed(seed) => Some(seed),
-                                _ => None,
-                            };
-                            match exec.execute(
-                                waiting.len(),
-                                rule.chain,
-                                direction,
-                                packet,
-                                seed.is_some(),
-                            ) {
-                                Executed::Done(ChainRun { verdict, report }) => {
-                                    // Seal the slow-path seed into a
-                                    // wildcard entry: a certified forward or
-                                    // drop bypass when the chain vouches for
-                                    // this packet's processing, the switch
-                                    // decision alone otherwise.
-                                    if let Some(seed) = seed {
-                                        let install = self.switch.install_megaflow(seed, report);
-                                        self.trace_install(install);
-                                    }
-                                    Some(verdict)
-                                }
-                                Executed::Deferred => None,
-                                Executed::NoChain(packet) => Some(Verdict::Forward(packet)),
+                        (MegaflowState::DropBypass { tokens, reason }, deployed) => {
+                            if let Some(deployed) = deployed {
+                                deployed
+                                    .chain
+                                    .credit_bypass_drop(direction, &tokens, 1, bytes);
                             }
+                            Verdict::Drop(reason)
+                        }
+                        // The steering rule names a chain that is not
+                        // deployed (mid reconfiguration): the packet goes
+                        // on untouched and a seed is discarded.
+                        (_, None) => Verdict::Forward(packet),
+                        (megaflow, Some(deployed)) => {
+                            let ctx = NfContext::for_client(now, deployed.client);
+                            let verdict = deployed.chain.process(packet, direction, &ctx);
+                            // Seal the slow-path seed into a wildcard entry:
+                            // a certified forward or drop bypass when the
+                            // chain vouches for this packet's processing,
+                            // the switch decision alone otherwise.
+                            if let MegaflowState::Seed(seed) = megaflow {
+                                let report = seal_report(&deployed.chain, direction, &verdict);
+                                let install = self.switch.install_megaflow(seed, report);
+                                self.trace_install(install);
+                            }
+                            verdict
                         }
                     }
                 }
-                None => Some(Verdict::Forward(packet)),
+                None => Verdict::Forward(packet),
             };
-            let settle = Settle {
-                forwarding: decision.forwarding,
-                stage,
-                probe,
-            };
-            match verdict {
-                Some(verdict) if waiting.is_empty() => self.settle(settle, verdict, &mut outcomes),
-                verdict => waiting.push((settle, verdict)),
-            }
-        }
-        exec.finish(|slot, verdict| waiting[slot].1 = Some(verdict));
-        for (settle, verdict) in waiting {
-            let verdict = verdict.expect("finish fills every deferred packet's slot");
-            self.settle(settle, verdict, &mut outcomes);
+            self.settle(&decision.forwarding, stage, probe, verdict, &mut outcomes);
         }
         self.trace
             .emit(now, TraceKind::BatchFlush { packets: batch_len });
@@ -1346,12 +1097,19 @@ impl Spine<'_> {
 
     /// Settles one packet's verdict into its outcome: the TX counters of
     /// wherever it (or its replies) went, and its flight record when its
-    /// flow is sampled.
+    /// flow is sampled (`probe`: the flow hash and rendered five-tuple).
     #[inline]
-    fn settle(&mut self, settle: Settle, verdict: Verdict, outcomes: &mut Vec<PacketOutcome>) {
+    fn settle(
+        &mut self,
+        forwarding: &Forwarding,
+        stage: &'static str,
+        probe: Option<(u64, String)>,
+        verdict: Verdict,
+        outcomes: &mut Vec<PacketOutcome>,
+    ) {
         let label = match verdict {
             Verdict::Forward(p) => {
-                match &settle.forwarding {
+                match forwarding {
                     Forwarding::Unicast(port) => self.switch.record_tx(*port, p.len()),
                     Forwarding::Flood(ports) => {
                         for port in ports.iter() {
@@ -1374,14 +1132,14 @@ impl Spine<'_> {
                 "replied"
             }
         };
-        if let Some((flow, tuple)) = settle.probe {
+        if let Some((flow, tuple)) = probe {
             self.flight.record(
                 self.now,
                 FlowRecord {
                     station: self.station,
                     flow,
                     tuple,
-                    stage: settle.stage,
+                    stage,
                     verdict: label,
                 },
             );
@@ -1818,12 +1576,11 @@ mod tests {
     }
 
     /// One mixed batch that visits every pipeline stage, driven through the
-    /// three ways a caller can reach the pipeline: N per-packet calls, one
-    /// batch behind the inline executor and one batch behind the lanes
-    /// executor. All three must agree on outcomes, port counters and NF
-    /// stats/state; the two batch legs also on flight records and events.
+    /// two ways a caller can reach the pipeline: N per-packet calls and one
+    /// batch. Both must agree on outcomes, port counters, NF stats/state and
+    /// flight records; the batch emits one `BatchFlush` at its end.
     #[test]
-    fn every_stage_settles_identically_per_packet_inline_and_on_lanes() {
+    fn every_stage_settles_identically_per_packet_and_batched() {
         use gnf_nf::firewall::{
             FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
         };
@@ -1853,10 +1610,9 @@ mod tests {
             }),
         );
         let opaque = vec![sample_specs()[0].clone(), sample_specs()[1].clone()];
-        let make_agent = |shards: usize| {
+        let make_agent = || {
             let (mut agent, _) = agent();
             agent.set_megaflow_enabled(true);
-            agent.set_station_shards(shards);
             let scope = TraceScope::Station(1);
             agent.set_tracing(
                 TraceSink::buffered(scope, 256),
@@ -1930,18 +1686,17 @@ mod tests {
         let packets: Vec<Packet> = table.iter().map(|(p, _, _)| p.clone()).collect();
         let now = SimTime::from_secs(2);
 
-        let mut per_packet = make_agent(4);
+        let mut per_packet = make_agent();
         let expected: Vec<PacketOutcome> = packets
             .iter()
             .map(|p| per_packet.process_upstream_packet(p.clone(), now))
             .collect();
         // One flight record per packet: the records *are* the table's
         // stage and verdict columns.
-        let staged: Vec<(&str, &str)> = per_packet
-            .flight_mut()
-            .take_events()
-            .into_iter()
-            .map(|e| match e.kind {
+        let records = per_packet.flight_mut().take_events();
+        let staged: Vec<(&str, &str)> = records
+            .iter()
+            .map(|e| match &e.kind {
                 TraceKind::Flow(r) => (r.stage, r.verdict),
                 other => panic!("flight recorder holds only flow records, got {other:?}"),
             })
@@ -1952,45 +1707,37 @@ mod tests {
         let notifications = per_packet.drain_nf_notifications(now).len();
         assert_eq!(notifications, 1, "the blocked URL raised an alert");
 
-        let mut inline = make_agent(1);
-        assert_eq!(inline.lanes_for(packets.len()), 1);
-        let mut lanes = make_agent(4);
-        assert_eq!(lanes.lanes_for(packets.len()), 2, "two chains: two lanes");
-        assert_eq!(lanes.lanes_for(1), 1, "a single packet never fans out");
-        for batched in [&mut inline, &mut lanes] {
-            let outcomes = batched.process_upstream_batch(packets.clone().into(), now);
-            assert_eq!(outcomes, expected);
-            for id in [1, 2] {
-                let (a, b) = (
-                    &batched.chain(ChainId::new(id)).expect("deployed").chain,
-                    &per_packet.chain(ChainId::new(id)).expect("deployed").chain,
-                );
-                assert_eq!(a.stats(), b.stats());
-                assert_eq!(a.per_nf_stats(), b.per_nf_stats());
-                assert_eq!(a.export_state(), b.export_state());
-            }
-            for (a, b) in batched
-                .switch()
-                .ports()
-                .iter()
-                .zip(per_packet.switch().ports())
-            {
-                assert_eq!(a.counters, b.counters, "port {} counters", a.name);
-            }
-            assert_eq!(
-                batched.megaflow_telemetry(),
-                per_packet.megaflow_telemetry()
+        let mut batched = make_agent();
+        let outcomes = batched.process_upstream_batch(packets.clone().into(), now);
+        assert_eq!(outcomes, expected);
+        for id in [1, 2] {
+            let (a, b) = (
+                &batched.chain(ChainId::new(id)).expect("deployed").chain,
+                &per_packet.chain(ChainId::new(id)).expect("deployed").chain,
             );
-            assert_eq!(
-                batched.flow_cache_telemetry(),
-                per_packet.flow_cache_telemetry()
-            );
-            assert_eq!(batched.drain_nf_notifications(now).len(), notifications);
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.per_nf_stats(), b.per_nf_stats());
+            assert_eq!(a.export_state(), b.export_state());
         }
-        let records = inline.flight_mut().take_events();
-        assert_eq!(records.len(), table.len(), "one record per packet");
-        assert_eq!(lanes.flight_mut().take_events(), records);
-        let events = inline.trace_mut().take_events();
+        for (a, b) in batched
+            .switch()
+            .ports()
+            .iter()
+            .zip(per_packet.switch().ports())
+        {
+            assert_eq!(a.counters, b.counters, "port {} counters", a.name);
+        }
+        assert_eq!(
+            batched.megaflow_telemetry(),
+            per_packet.megaflow_telemetry()
+        );
+        assert_eq!(
+            batched.flow_cache_telemetry(),
+            per_packet.flow_cache_telemetry()
+        );
+        assert_eq!(batched.drain_nf_notifications(now).len(), notifications);
+        assert_eq!(batched.flight_mut().take_events(), records);
+        let events = batched.trace_mut().take_events();
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, TraceKind::MegaflowSeal { .. })));
@@ -1998,7 +1745,6 @@ mod tests {
             events.last().map(|e| &e.kind),
             Some(TraceKind::BatchFlush { packets: 10 })
         ));
-        assert_eq!(lanes.trace_mut().take_events(), events);
     }
 
     /// The case run grouping used to cover: a burst of one brand-new flow in
@@ -2494,8 +2240,7 @@ mod tests {
     }
 
     /// The scratch buffer must not leak state between intervals: a section
-    /// that shrinks (clients leaving, shards resetting) shrinks in the next
-    /// report too.
+    /// that shrinks (clients leaving) shrinks in the next report too.
     #[test]
     fn scratch_report_does_not_leak_previous_intervals() {
         let (mut agent, _) = agent();

@@ -35,12 +35,10 @@
 //!   [`gnf_nf::NfChain`] (`NfChain::process`: NFs have a single execution
 //!   path), unless a wildcard entry certified a **chain bypass** (forward or
 //!   drop), in which case the chain's NF statistics are replayed instead
-//!   (`NfChain::credit_bypass` / `credit_bypass_drop`). *Where* chains run is
-//!   the pipeline's one variation point, a statically dispatched executor
-//!   with two implementations: inline on the calling thread, or
-//!   chain-affinity lane threads (`station_shards > 1`, more than one chain
-//!   and more than one packet). Outcomes, counters and NF state are
-//!   byte-identical either way.
+//!   (`NfChain::credit_bypass` / `credit_bypass_drop`). Chains run on the
+//!   calling thread, one packet at a time, in packet order: a station's
+//!   data plane is single-threaded (parallelism is across stations, in the
+//!   emulator's fan-out).
 //! * **Seal** — after a slow-path packet, the seed is completed with the
 //!   chain's consulted-field report (`NfChain::wildcard_report`, gated by
 //!   [`seal_report`]) before the next packet is classified, so an entry
@@ -56,6 +54,5 @@
 #![warn(missing_docs)]
 
 pub mod agent;
-mod lanes;
 
 pub use agent::{seal_report, Agent, AgentConfig, DeployedChain, PacketOutcome};

@@ -470,7 +470,6 @@ mod tests {
                     flow_cache: None,
                     megaflow: None,
                     batches: None,
-                    shards: None,
                     chaos: None,
                 })),
                 None,
@@ -497,11 +496,14 @@ mod tests {
             flow_cache: None,
             megaflow: None,
             batches: None,
-            shards: None,
             chaos: None,
         };
         let msg = AgentToManager::ReportDelta(Box::new(frame));
         let json = serde_json::to_string(&msg).unwrap();
+        assert!(
+            !json.contains("null"),
+            "absent sections are omitted: {json}"
+        );
         let back: AgentToManager = serde_json::from_str(&json).unwrap();
         assert_eq!(msg, back);
     }

@@ -13,9 +13,9 @@ use std::hint::black_box;
 use std::time::Duration;
 
 fn sample_report(station: u64) -> AgentToManager {
-    // A station with live traffic history: populated cache counters, four
-    // RSS shard blocks and a batch distribution — what a full report
-    // re-ships every interval regardless of what changed.
+    // A station with live traffic history: populated cache counters and a
+    // batch distribution — what a full report re-ships every interval
+    // regardless of what changed.
     let flow_cache = gnf_telemetry::FlowCacheTelemetry {
         stats: gnf_types::FlowCacheStats {
             hits: 1_000_000 + station,
@@ -41,18 +41,6 @@ fn sample_report(station: u64) -> AgentToManager {
         max_batch: 210,
         size_buckets: [10, 20, 300, 4_000, 30_000, 40_000, 5_000, 600, 70],
     };
-    let shard = gnf_telemetry::ShardTelemetry {
-        flow: gnf_types::ShardCacheStats {
-            hits: 250_000,
-            misses: 10_000,
-            entries: 1_024,
-        },
-        megaflow: gnf_types::ShardCacheStats {
-            hits: 7_500,
-            misses: 2_500,
-            entries: 128,
-        },
-    };
     AgentToManager::Report(Box::new(StationReport {
         station: StationId::new(station),
         agent: AgentId::new(station),
@@ -72,7 +60,6 @@ fn sample_report(station: u64) -> AgentToManager {
         flow_cache,
         megaflow,
         batches,
-        shards: vec![shard; 4],
         chaos: Default::default(),
     }))
 }

@@ -389,56 +389,13 @@ fn bench_megaflow_drop(c: &mut Criterion) {
     group.finish();
 }
 
-// ------------------------------------------------------- batch_hot_station
-
-/// One hot station under intra-station RSS sharding: an Agent with 8
-/// clients, each steered through its own firewall+IDS chain, processing
-/// 256-packet upstream batches of established-flow traffic. The opaque IDS
-/// keeps the chains un-bypassable, so per-packet chain work dominates —
-/// `shards=4` fans that work out over four execution lanes while the switch
-/// spine stays serial. The ROADMAP's intra-station sharding lever; keep
-/// `shards/4` ≥1.5× over `shards/1` on multi-core hosts.
-fn bench_batch_hot_station(c: &mut Criterion) {
-    use gnf_bench::dataplane_fixture as fixture;
-    use gnf_packet::PacketBatch;
-
-    let mut group = quick(c).benchmark_group("batch_hot_station");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-
-    let clients = 8u32;
-    let frames = fixture::hot_station_frames(clients, 32);
-    let now = SimTime::from_secs(2);
-    for shards in [1usize, 4] {
-        let mut agent = fixture::hot_station_agent(clients);
-        agent.set_station_shards(shards);
-        // Warm the flow cache and the firewalls' conntrack tables so the
-        // measured iterations are the steady state.
-        let warm: PacketBatch = frames
-            .iter()
-            .map(|f| Packet::parse(f.bytes().clone()).unwrap())
-            .collect();
-        agent.process_upstream_batch(warm, now);
-        group.throughput(Throughput::Elements(frames.len() as u64));
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, _| {
-            b.iter(|| {
-                let batch: PacketBatch = frames
-                    .iter()
-                    .map(|f| Packet::parse(f.bytes().clone()).unwrap())
-                    .collect();
-                black_box(agent.process_upstream_batch(black_box(batch), now))
-            })
-        });
-    }
-    group.finish();
-}
-
 // ----------------------------------------------------------- trace_overhead
 
-/// The observability overhead contract on the hot batch path: the same
-/// hot-station agent batch as `batch_hot_station` (serial, shards=1) with
-/// the trace sink disabled vs armed. `disabled` must sit within noise of
+/// The observability overhead contract on the hot batch path: one
+/// 256-packet upstream batch of established-flow traffic from 8 clients
+/// interleaved (`dataplane_fixture::hot_station_*`, each client steered
+/// through its own firewall+IDS chain) with the trace sink disabled vs
+/// armed. `disabled` must sit within noise of
 /// the untraced agent (the sink is an enum branch, no allocation), and
 /// `enabled` — buffered spans plus the 1-in-16 flow flight recorder — must
 /// stay within 10% of `disabled`.
@@ -501,7 +458,6 @@ criterion_group!(
     bench_flow_cache,
     bench_megaflow,
     bench_megaflow_drop,
-    bench_batch_hot_station,
     bench_trace_overhead
 );
 criterion_main!(benches);

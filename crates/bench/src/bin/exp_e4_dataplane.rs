@@ -4,7 +4,7 @@
 //! traffic mix. Wall-clock measurement (this is real packet processing, not a
 //! cost model).
 
-use gnf_bench::{section, station_shards_arg, workers_arg};
+use gnf_bench::{section, workers_arg};
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
 use gnf_nf::firewall::{
@@ -262,10 +262,16 @@ fn main() {
                  this run still exercises the sharded path and verifies report determinism"
             );
         }
+        // Artifacts (when requested) describe the `--workers` run; read
+        // wall-clock comparisons without the flags.
+        let obs = gnf_bench::observability_args();
         let mut results: Vec<(usize, f64, u64, String)> = Vec::new();
-        for w in [1usize, workers] {
+        for (ix, w) in [1usize, workers].into_iter().enumerate() {
             let mut emulator = Emulator::new(sharded_scenario(seed));
             emulator.set_workers(w);
+            if ix == 1 {
+                obs.arm(&mut emulator);
+            }
             let start = Instant::now();
             let report = emulator.run();
             let elapsed = start.elapsed().as_secs_f64();
@@ -295,6 +301,9 @@ fn main() {
                 processed,
                 serde_json::to_string(&report).expect("reports serialize"),
             ));
+            if ix == 1 {
+                obs.write(&mut emulator);
+            }
         }
         if results.len() == 2 && results[0].0 != results[1].0 {
             let speedup = results[0].1 / results[1].1;
@@ -307,99 +316,6 @@ fn main() {
                 "RunReport must be identical for any worker count"
             );
             println!("RunReport identical across worker counts: yes");
-        }
-    }
-
-    section("intra-station RSS sharding: one hot station vs shard count");
-    {
-        let shards = station_shards_arg(4);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        println!(
-            "1 station x 32 CBR clients, 3-NF chains, 10 s virtual; comparing station-shards=1 \
-             vs station-shards={shards} ({cores} core(s) available)"
-        );
-        if cores < 2 {
-            println!(
-                "note: single-core host — wall-clock speedup cannot materialize here; \
-                 this run still exercises the sharded lanes and verifies report determinism"
-            );
-        }
-        let hot_scenario = || {
-            let config = GnfConfig {
-                agent_report_interval: SimDuration::from_secs(10),
-                seed,
-                ..GnfConfig::default()
-            };
-            let mut builder = Scenario::builder(1, HostClass::EdgeServer).with_config(config);
-            let clients = builder.add_clients(
-                32,
-                TrafficProfile::ConstantBitRate {
-                    packets_per_sec: 500.0,
-                    payload_bytes: 1000,
-                },
-            );
-            let mut sb = builder.with_duration(SimDuration::from_secs(10));
-            let specs = vec![
-                sample_specs()[0].clone(), // firewall
-                sample_specs()[3].clone(), // rate limiter
-                sample_specs()[6].clone(), // IDS (opaque: chains never bypass)
-            ];
-            for client in &clients {
-                sb = sb.attach_policy(
-                    *client,
-                    specs.clone(),
-                    TrafficSelector::all(),
-                    SimTime::from_secs(1),
-                );
-            }
-            sb.build()
-        };
-        // Artifacts (when requested) describe the sharded hot-station run;
-        // read wall-clock comparisons without the flags.
-        let obs = gnf_bench::observability_args();
-        let mut results: Vec<(usize, f64, String)> = Vec::new();
-        for (ix, s) in [1usize, shards].into_iter().enumerate() {
-            let mut emulator = Emulator::new(hot_scenario());
-            emulator.set_station_shards(s);
-            if ix == 1 {
-                obs.arm(&mut emulator);
-            }
-            let start = Instant::now();
-            let report = emulator.run();
-            let elapsed = start.elapsed().as_secs_f64();
-            let processed = report.packets.forwarded
-                + report.packets.dropped_by_nf
-                + report.packets.replied_by_nf;
-            println!(
-                "station-shards={s}: {:>8.1} ms wall, {:>8.0} kpps aggregate, {} packets ({} batches, mean size {:.1})",
-                elapsed * 1e3,
-                processed as f64 / elapsed / 1e3,
-                processed,
-                report.batches.batches,
-                report.batches.mean_batch_size(),
-            );
-            results.push((
-                s,
-                elapsed,
-                serde_json::to_string(&report).expect("reports serialize"),
-            ));
-            if ix == 1 {
-                obs.write(&mut emulator);
-            }
-        }
-        if results.len() == 2 && results[0].0 != results[1].0 {
-            println!(
-                "speedup station-shards={} over station-shards=1: {:.2}x",
-                results[1].0,
-                results[0].1 / results[1].1
-            );
-            assert_eq!(
-                results[0].2, results[1].2,
-                "RunReport must be identical for any station-shard count"
-            );
-            println!("RunReport identical across station-shard counts: yes");
         }
     }
 

@@ -16,9 +16,9 @@
 //!   the Manager sees `O(regions)` messages per interval instead of
 //!   `O(stations)`, and still raises hotspot and offline alerts.
 //! * **RunReport byte-identity** — a 4-station emulator scenario with a
-//!   mid-run station crash, replayed on the delta transport across a
-//!   workers {1,2,4} × station-shards {1,4} matrix: every cell must produce
-//!   a byte-identical `RunReport` to the full-transport baseline, with
+//!   mid-run station crash, replayed on the delta transport at workers
+//!   {1,2,4}: every cell must produce a byte-identical `RunReport` to the
+//!   full-transport baseline, with
 //!   nonzero delta traffic and at least one forced keyframe resync.
 //!
 //! `--stations N` caps the fleet curve (CI smoke runs `--stations 2000`);
@@ -45,10 +45,10 @@ use std::time::Instant;
 const FLEETS: [u64; 5] = [100, 1_000, 2_000, 5_000, 10_000];
 const CURVE_DURATION: SimDuration = SimDuration::from_secs(600);
 
-/// A realistic steady-state station report: populated cache counters, a
-/// batch distribution and four RSS shard blocks — what a full report
-/// re-ships every interval regardless of what changed, and what the delta
-/// transport avoids re-shipping.
+/// A realistic steady-state station report: populated cache counters and a
+/// batch distribution — what a full report re-ships every interval
+/// regardless of what changed, and what the delta transport avoids
+/// re-shipping.
 fn station_report(station: u64, cpu: f64, at: SimTime) -> StationReport {
     let flow_cache = gnf_telemetry::FlowCacheTelemetry {
         stats: gnf_types::FlowCacheStats {
@@ -75,18 +75,6 @@ fn station_report(station: u64, cpu: f64, at: SimTime) -> StationReport {
         max_batch: 210,
         size_buckets: [10, 20, 300, 4_000, 30_000, 40_000, 5_000, 600, 70],
     };
-    let shard = gnf_telemetry::ShardTelemetry {
-        flow: gnf_types::ShardCacheStats {
-            hits: 250_000,
-            misses: 10_000,
-            entries: 1_024,
-        },
-        megaflow: gnf_types::ShardCacheStats {
-            hits: 7_500,
-            misses: 2_500,
-            entries: 128,
-        },
-    };
     StationReport {
         station: StationId::new(station),
         agent: AgentId::new(station),
@@ -106,7 +94,6 @@ fn station_report(station: u64, cpu: f64, at: SimTime) -> StationReport {
         flow_cache,
         megaflow,
         batches,
-        shards: vec![shard; 4],
         chaos: Default::default(),
     }
 }
@@ -482,31 +469,28 @@ fn main() {
     assert_eq!(full_stats.deltas_applied, 0);
     let mut cells = 0;
     for workers in [1usize, 2, 4] {
-        for shards in [1usize, 4] {
-            let mut emulator = Emulator::new(matrix_scenario(seed, true));
-            emulator.set_workers(workers);
-            emulator.set_station_shards(shards);
-            emulator.set_fault_schedule(crash_fault());
-            let delta_bytes = serde_json::to_string(&emulator.run()).expect("report serializes");
-            assert_eq!(
-                full_report_bytes, delta_bytes,
-                "delta transport changed the RunReport at workers={workers}, shards={shards}"
-            );
-            let stats = emulator.manager().control_plane_stats();
-            assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
-            assert!(stats.deltas_applied > 0, "steady state rides delta frames");
-            assert!(stats.delta_keyframes > 0, "keyframes open each generation");
-            assert!(
-                stats.delta_forced_resyncs >= 1,
-                "the crashed station must force a keyframe resync"
-            );
-            println!(
-                "  workers={workers} shards={shards}: byte-identical \
-                 ({} deltas, {} keyframes, {} forced resyncs)",
-                stats.deltas_applied, stats.delta_keyframes, stats.delta_forced_resyncs
-            );
-            cells += 1;
-        }
+        let mut emulator = Emulator::new(matrix_scenario(seed, true));
+        emulator.set_workers(workers);
+        emulator.set_fault_schedule(crash_fault());
+        let delta_bytes = serde_json::to_string(&emulator.run()).expect("report serializes");
+        assert_eq!(
+            full_report_bytes, delta_bytes,
+            "delta transport changed the RunReport at workers={workers}"
+        );
+        let stats = emulator.manager().control_plane_stats();
+        assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
+        assert!(stats.deltas_applied > 0, "steady state rides delta frames");
+        assert!(stats.delta_keyframes > 0, "keyframes open each generation");
+        assert!(
+            stats.delta_forced_resyncs >= 1,
+            "the crashed station must force a keyframe resync"
+        );
+        println!(
+            "  workers={workers}: byte-identical \
+             ({} deltas, {} keyframes, {} forced resyncs)",
+            stats.deltas_applied, stats.delta_keyframes, stats.delta_forced_resyncs
+        );
+        cells += 1;
     }
     println!(
         "\nE5 PASS: {top}-station curve, >=5x wire reduction, {cells} byte-identical matrix cells"

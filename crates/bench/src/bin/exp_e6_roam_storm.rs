@@ -13,17 +13,16 @@
 //! switchover-downtime CDF per level, and asserts the flat-downtime
 //! contract: p99 switchover downtime at N concurrent roams stays within 2×
 //! of the single-roam p99. It then replays the storm across the full
-//! migration-workers {1,2,4} × workers {1,2} × station-shards {1,4} matrix,
-//! requiring a byte-identical `RunReport` from every cell — the migration
-//! pool is a host-CPU knob, never a result knob.
+//! migration-workers {1,2,4} × workers {1,2} matrix, requiring a
+//! byte-identical `RunReport` from every cell — the migration pool is a
+//! host-CPU knob, never a result knob.
 //!
 //! `--seed N` reproduces a storm exactly; `--roams N` sets the storm size;
-//! `--migration-workers N` / `--workers N` / `--station-shards N` pick the
-//! matrix cell for the headline run.
+//! `--migration-workers N` / `--workers N` pick the matrix cell for the
+//! headline run.
 
 use gnf_bench::{
-    cdf_row, migration_workers_arg, roams_arg, section, seed_arg, station_shards_arg, workers_arg,
-    ObservabilityArgs,
+    cdf_row, migration_workers_arg, roams_arg, section, seed_arg, workers_arg, ObservabilityArgs,
 };
 use gnf_core::{Emulator, Mobility, RunReport, Scenario};
 use gnf_edge::{RoamTrace, TrafficProfile};
@@ -78,12 +77,10 @@ fn run_cell(
     concurrency: usize,
     migration_workers: usize,
     workers: usize,
-    shards: usize,
     obs: &ObservabilityArgs,
 ) -> Cell {
     let mut emulator = Emulator::new(scenario(seed, clients, concurrency));
     emulator.set_workers(workers);
-    emulator.set_station_shards(shards);
     emulator.set_migration_workers(migration_workers);
     obs.arm(&mut emulator);
     let report = emulator.run();
@@ -115,7 +112,6 @@ fn main() {
     let roams = roams_arg(100);
     let migration_workers = migration_workers_arg(1);
     let workers = workers_arg(1);
-    let shards = station_shards_arg(1);
     println!(
         "E6b — roam storm: {roams} simultaneous handovers over {STATIONS} stations, \
          {DURATION} virtual time, pre-copy pipeline on"
@@ -137,7 +133,6 @@ fn main() {
             level,
             migration_workers,
             workers,
-            shards,
             &ObservabilityArgs::default(),
         );
         let samples = switchover_histogram(&cell.report);
@@ -161,7 +156,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Artifacts (when requested) describe the headline storm run.
     let obs = gnf_bench::observability_args();
-    let storm = run_cell(seed, roams, roams, migration_workers, workers, shards, &obs);
+    let storm = run_cell(seed, roams, roams, migration_workers, workers, &obs);
     let report = &storm.report;
 
     section("storm outcome");
@@ -240,24 +235,21 @@ fn main() {
     // ------------------------------------------------------------------
     // Determinism matrix.
     // ------------------------------------------------------------------
-    section("determinism matrix: migration-workers {1,2,4} x workers {1,2} x station-shards {1,4}");
+    section("determinism matrix: migration-workers {1,2,4} x workers {1,2}");
     let baseline = serde_json::to_string(report).expect("report serializes");
     let mut cells = 0;
     for mw in [1usize, 2, 4] {
         for w in [1usize, 2] {
-            for s in [1usize, 4] {
-                if mw == migration_workers && w == workers && s == shards {
-                    continue;
-                }
-                let other = run_cell(seed, roams, roams, mw, w, s, &ObservabilityArgs::default());
-                let bytes = serde_json::to_string(&other.report).expect("report serializes");
-                assert_eq!(
-                    baseline, bytes,
-                    "RunReport must be byte-identical at migration-workers={mw}, \
-                     workers={w}, shards={s}"
-                );
-                cells += 1;
+            if mw == migration_workers && w == workers {
+                continue;
             }
+            let other = run_cell(seed, roams, roams, mw, w, &ObservabilityArgs::default());
+            let bytes = serde_json::to_string(&other.report).expect("report serializes");
+            assert_eq!(
+                baseline, bytes,
+                "RunReport must be byte-identical at migration-workers={mw}, workers={w}"
+            );
+            cells += 1;
         }
     }
     println!("storm replayed byte-for-byte across {cells} additional matrix cells");

@@ -18,15 +18,13 @@
 //! The run prints the recovery-time distribution, the loss breakdown (the
 //! in-flight packets to a dead station are their own loss class) and the
 //! migration outcome table, then asserts every crashed station reconverged
-//! and replays the identical storm across a workers {1,2,4} × station-shards
-//! {1,4} matrix, requiring a byte-identical `RunReport` from each cell.
+//! and replays the identical storm at workers {1,2,4}, requiring a
+//! byte-identical `RunReport` from each cell.
 //!
-//! `--seed N` reproduces a storm exactly; `--workers N` / `--station-shards
-//! N` pick the matrix cell for the headline run.
+//! `--seed N` reproduces a storm exactly; `--workers N` picks the matrix
+//! cell for the headline run.
 
-use gnf_bench::{
-    ms_row_log, pct, section, seed_arg, station_shards_arg, workers_arg, ObservabilityArgs,
-};
+use gnf_bench::{ms_row_log, pct, section, seed_arg, workers_arg, ObservabilityArgs};
 use gnf_core::{
     ChaosSpec, Emulator, FaultKind, FaultSchedule, Mobility, PartitionMode, RunReport, Scenario,
 };
@@ -129,15 +127,9 @@ fn storm(seed: u64) -> FaultSchedule {
     schedule
 }
 
-fn run_cell(
-    seed: u64,
-    workers: usize,
-    shards: usize,
-    obs: &ObservabilityArgs,
-) -> (RunReport, usize) {
+fn run_cell(seed: u64, workers: usize, obs: &ObservabilityArgs) -> (RunReport, usize) {
     let mut emulator = Emulator::new(scenario(seed));
     emulator.set_workers(workers);
-    emulator.set_station_shards(shards);
     emulator.set_fault_schedule(storm(seed));
     obs.arm(&mut emulator);
     let report = emulator.run();
@@ -154,7 +146,6 @@ fn main() {
     println!("E9 — fault storm over a {STATIONS}-station fleet, {DURATION} virtual time");
     let seed = seed_arg();
     let workers = workers_arg(1);
-    let shards = station_shards_arg(1);
 
     let schedule = storm(seed);
     section("fault schedule");
@@ -164,7 +155,7 @@ fn main() {
 
     // Artifacts (when requested) describe the headline matrix cell.
     let obs = gnf_bench::observability_args();
-    let (report, active) = run_cell(seed, workers, shards, &obs);
+    let (report, active) = run_cell(seed, workers, &obs);
 
     section("chaos outcome");
     let chaos = &report.chaos;
@@ -281,23 +272,21 @@ fn main() {
         "every chain must be active once the storm clears"
     );
 
-    section("determinism matrix: workers {1,2,4} x station-shards {1,4}");
+    section("determinism matrix: workers {1,2,4}");
     let baseline = serde_json::to_string(&report).expect("report serializes");
     let mut cells = 0;
     for w in [1usize, 2, 4] {
-        for s in [1usize, 4] {
-            if w == workers && s == shards {
-                continue;
-            }
-            let (other, _) = run_cell(seed, w, s, &ObservabilityArgs::default());
-            let bytes = serde_json::to_string(&other).expect("report serializes");
-            assert_eq!(
-                baseline, bytes,
-                "RunReport must be byte-identical at workers={w}, shards={s}"
-            );
-            cells += 1;
-            println!("  workers={w} shards={s}: byte-identical");
+        if w == workers {
+            continue;
         }
+        let (other, _) = run_cell(seed, w, &ObservabilityArgs::default());
+        let bytes = serde_json::to_string(&other).expect("report serializes");
+        assert_eq!(
+            baseline, bytes,
+            "RunReport must be byte-identical at workers={w}"
+        );
+        cells += 1;
+        println!("  workers={w}: byte-identical");
     }
     println!(
         "storm replayed byte-for-byte across {} additional matrix cells",

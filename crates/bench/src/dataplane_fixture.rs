@@ -160,8 +160,8 @@ fn hot_station_ip(client: u32) -> Ipv4Addr {
 /// steered through its own 2-NF chain — the 100-rule conntrack-on firewall
 /// followed by the IDS. The IDS is deliberately opaque (it reads the whole
 /// payload), so the chains never seal a wildcard bypass and every packet of
-/// every established flow still pays the full chain walk — exactly the
-/// workload intra-station RSS sharding exists to parallelize.
+/// every established flow still pays the full chain walk: the per-packet
+/// work the `trace_overhead` criterion group traces.
 pub fn hot_station_agent(clients: u32) -> Agent {
     let (mut agent, _) = Agent::new(
         AgentConfig {

@@ -89,13 +89,6 @@ pub fn seed_arg() -> u64 {
     seed
 }
 
-/// Parses `--station-shards N` from the command line, falling back to
-/// `default` (clamped to at least 1). Drives the intra-station RSS sharding
-/// sweep in the experiment harnesses.
-pub fn station_shards_arg(default: usize) -> usize {
-    arg_value("--station-shards").unwrap_or(default).max(1)
-}
-
 /// Parses `--migration-workers N` from the command line, falling back to
 /// `default` (clamped to at least 1). Drives the emulator's migration worker
 /// pool in the mass-roaming harness.

@@ -4,8 +4,8 @@
 //! crash, backhaul links flap, and the Manager must re-deploy chains without
 //! the client noticing more than a blip. This module provides the seeded
 //! fault schedule the emulator replays — every draw comes from the run's
-//! `--seed`, so a chaos run is byte-for-byte reproducible across worker and
-//! shard counts, which is what lets the recovery-invariant tests compare
+//! `--seed`, so a chaos run is byte-for-byte reproducible across worker
+//! counts, which is what lets the recovery-invariant tests compare
 //! `RunReport`s across the execution matrix.
 //!
 //! A [`FaultSchedule`] is a time-sorted list of [`FaultEvent`]s, either
@@ -149,8 +149,8 @@ impl FaultSchedule {
 
     /// Generates a schedule from `spec`, drawing every time, target and
     /// magnitude from a `"chaos"`-derived stream of `seed`. The result is
-    /// independent of worker and shard counts by construction: nothing here
-    /// consults the execution configuration.
+    /// independent of worker counts by construction: nothing here consults
+    /// the execution configuration.
     pub fn generate(seed: u64, spec: &ChaosSpec, stations: &[StationId]) -> Self {
         let mut schedule = FaultSchedule::new();
         if stations.is_empty() {

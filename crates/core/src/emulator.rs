@@ -252,7 +252,6 @@ impl Emulator {
                 repository.clone(),
             );
             agent.set_megaflow_enabled(true);
-            agent.set_station_shards(config.station_shards);
             if config.delta_reports {
                 agent.set_delta_reporting(config.report_keyframe_interval);
             }
@@ -535,13 +534,7 @@ impl Emulator {
             for agent in self.agents.values() {
                 flow.merge(&agent.flow_cache_telemetry());
                 mega.merge(&agent.megaflow_telemetry());
-                for (ix, occ) in agent
-                    .flow_cache_occupancy_by_virtual_shard(VIRTUAL_SHARDS)
-                    .iter()
-                    .enumerate()
-                {
-                    shard_occupancy[ix] += occ;
-                }
+                agent.add_flow_cache_occupancy_by_virtual_shard(&mut shard_occupancy);
             }
             // Interval deltas (saturating: a crash wipes a station's counters
             // with the rest of its soft state, which can move fleet totals
@@ -669,18 +662,6 @@ impl Emulator {
     /// Observability only: deliberately not part of the [`RunReport`].
     pub fn migration_pool_telemetry(&self) -> MigrationPoolTelemetry {
         self.migration_pool
-    }
-
-    /// Sets every station's intra-station RSS shard count (clamped to at
-    /// least 1): how many chain-execution lanes each Agent's batched data
-    /// plane uses, and how many shard-stat partitions its switch caches
-    /// attribute to. Overrides the scenario's `GnfConfig::station_shards`.
-    /// The [`RunReport`] is byte-identical for any value — the sharded
-    /// equivalence property tests assert it.
-    pub fn set_station_shards(&mut self, shards: usize) {
-        for agent in self.agents.values_mut() {
-            agent.set_station_shards(shards);
-        }
     }
 
     /// Enables or disables the megaflow (wildcard) cache on every station's
@@ -2272,10 +2253,9 @@ mod tests {
         let plain_bytes = serde_json::to_string(&plain.run()).unwrap();
 
         // Armed headline run.
-        let run_cell = |workers: usize, shards: usize, migration_workers: usize| {
+        let run_cell = |workers: usize, migration_workers: usize| {
             let mut emulator = Emulator::new(observability_scenario());
             emulator.set_workers(workers);
-            emulator.set_station_shards(shards);
             emulator.set_migration_workers(migration_workers);
             emulator.set_fault_schedule(observability_fault_schedule());
             emulator.enable_tracing();
@@ -2290,7 +2270,7 @@ mod tests {
                 metrics,
             )
         };
-        let (report_bytes, trace_json, trace_csv, metrics_csv) = run_cell(1, 1, 1);
+        let (report_bytes, trace_json, trace_csv, metrics_csv) = run_cell(1, 1);
 
         // The observers are read-only: the report is byte-identical to the
         // untraced baseline.
@@ -2301,32 +2281,18 @@ mod tests {
         assert!(trace_json.contains("traceEvents"));
         assert!(metrics_csv.lines().count() > 1, "sampler produced rows");
 
-        // Every cell of the workers x station-shards x migration-workers
-        // matrix reproduces all three artifacts byte-for-byte.
+        // Every cell of the workers x migration-workers matrix reproduces
+        // all three artifacts byte-for-byte.
         for workers in [1usize, 2, 4] {
-            for shards in [1usize, 4] {
-                for migration_workers in [1usize, 2, 4] {
-                    if (workers, shards, migration_workers) == (1, 1, 1) {
-                        continue;
-                    }
-                    let (r, j, c, m) = run_cell(workers, shards, migration_workers);
-                    assert_eq!(
-                        report_bytes, r,
-                        "report @ {workers}/{shards}/{migration_workers}"
-                    );
-                    assert_eq!(
-                        trace_json, j,
-                        "trace JSON @ {workers}/{shards}/{migration_workers}"
-                    );
-                    assert_eq!(
-                        trace_csv, c,
-                        "trace CSV @ {workers}/{shards}/{migration_workers}"
-                    );
-                    assert_eq!(
-                        metrics_csv, m,
-                        "metrics @ {workers}/{shards}/{migration_workers}"
-                    );
+            for migration_workers in [1usize, 2, 4] {
+                if (workers, migration_workers) == (1, 1) {
+                    continue;
                 }
+                let (r, j, c, m) = run_cell(workers, migration_workers);
+                assert_eq!(report_bytes, r, "report @ {workers}/{migration_workers}");
+                assert_eq!(trace_json, j, "trace JSON @ {workers}/{migration_workers}");
+                assert_eq!(trace_csv, c, "trace CSV @ {workers}/{migration_workers}");
+                assert_eq!(metrics_csv, m, "metrics @ {workers}/{migration_workers}");
             }
         }
     }
@@ -2420,27 +2386,24 @@ mod tests {
 
         // Same scenario over the delta transport: one frame per report
         // interval either way, so the RunReport must not change at all —
-        // across the workers x station-shards matrix.
+        // at any worker count.
         for workers in [1usize, 2, 4] {
-            for shards in [1usize, 4] {
-                let mut delta = Emulator::new(delta_scenario());
-                delta.set_workers(workers);
-                delta.set_station_shards(shards);
-                delta.set_fault_schedule(observability_fault_schedule());
-                let delta_bytes = serde_json::to_string(&delta.run()).unwrap();
-                assert_eq!(
-                    full_bytes, delta_bytes,
-                    "delta transport changed the RunReport @ {workers}/{shards}"
-                );
-                let stats = delta.manager().control_plane_stats();
-                assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
-                assert!(stats.delta_keyframes > 0, "keyframes open each generation");
-                assert!(stats.deltas_applied > 0, "steady state rides delta frames");
-                assert!(
-                    stats.delta_forced_resyncs >= 1,
-                    "the crashed station must force a keyframe resync"
-                );
-            }
+            let mut delta = Emulator::new(delta_scenario());
+            delta.set_workers(workers);
+            delta.set_fault_schedule(observability_fault_schedule());
+            let delta_bytes = serde_json::to_string(&delta.run()).unwrap();
+            assert_eq!(
+                full_bytes, delta_bytes,
+                "delta transport changed the RunReport @ {workers}"
+            );
+            let stats = delta.manager().control_plane_stats();
+            assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
+            assert!(stats.delta_keyframes > 0, "keyframes open each generation");
+            assert!(stats.deltas_applied > 0, "steady state rides delta frames");
+            assert!(
+                stats.delta_forced_resyncs >= 1,
+                "the crashed station must force a keyframe resync"
+            );
         }
     }
 

@@ -75,7 +75,7 @@ impl MigrationSummary {
 /// pipeline, how much state moved ahead of switchover versus inside it, and
 /// the distribution of the switchover window — the headline number of the
 /// mass-roaming experiment (E6). Derived purely from the Manager's migration
-/// records, so it is byte-identical for any worker/shard/pool configuration.
+/// records, so it is byte-identical for any worker/pool configuration.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MigrationReport {
     /// Migration records observed (including retries and failures).

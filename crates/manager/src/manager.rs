@@ -1860,7 +1860,6 @@ mod tests {
                 flow_cache: Default::default(),
                 megaflow: Default::default(),
                 batches: Default::default(),
-                shards: Vec::new(),
                 chaos: Default::default(),
             })),
             SimTime::from_secs(4),
@@ -1889,7 +1888,6 @@ mod tests {
                 flow_cache: Default::default(),
                 megaflow: Default::default(),
                 batches: Default::default(),
-                shards: Vec::new(),
                 chaos: Default::default(),
             })),
             SimTime::from_secs(2),

@@ -36,7 +36,7 @@
 use crate::switch::{PortId, SwitchDecision};
 use gnf_packet::FiveTuple;
 pub use gnf_types::FlowCacheStats;
-use gnf_types::{MacAddr, PathMap, ShardCacheStats};
+use gnf_types::{MacAddr, PathMap};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -70,22 +70,9 @@ struct CacheEntry {
     /// (`None` = unknown unicast / multicast at the time).
     dst_mapping: Option<PortId>,
     last_use: u64,
-    /// The flow-hash shard the entry's tuple maps to (0 when unsharded).
-    shard: usize,
 }
 
 /// The exact-match flow cache.
-///
-/// ## Shard attribution
-///
-/// Under intra-station RSS sharding the cache keeps **one** storage arena
-/// and **one** LRU clock — eviction order, the memory bound and every
-/// aggregate counter are exactly what they would be unsharded, which is
-/// what makes the emulator's report shard-count-invariant. Sharding only
-/// *attributes*: each entry is tagged with its tuple's flow-hash shard, and
-/// per-shard hit/miss/occupancy counters are updated in lockstep with the
-/// aggregate [`FlowCacheStats`], so the shard blocks always sum to the
-/// aggregates.
 #[derive(Debug, Clone)]
 pub struct FlowCache {
     capacity: usize,
@@ -94,10 +81,6 @@ pub struct FlowCache {
     use_queue: VecDeque<(FlowKey, u64)>,
     use_seq: u64,
     stats: FlowCacheStats,
-    /// Number of flow-hash shards attribution runs over (1 = unsharded).
-    shard_count: usize,
-    /// Per-shard hit/miss/occupancy blocks, indexed by shard.
-    shard_stats: Vec<ShardCacheStats>,
 }
 
 impl Default for FlowCache {
@@ -116,69 +99,22 @@ impl FlowCache {
             use_queue: VecDeque::new(),
             use_seq: 0,
             stats: FlowCacheStats::default(),
-            shard_count: 1,
-            shard_stats: vec![ShardCacheStats::default()],
         }
     }
 
-    /// Sets the number of flow-hash shards attribution runs over (clamped
-    /// to at least 1). Storage and eviction are untouched — existing
-    /// entries are re-tagged under the new shard map — but the per-shard
-    /// activity counters restart from zero (call once at setup, before
-    /// traffic, to keep shard sums equal to the lifetime aggregates).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shard_count = shards.max(1);
-        self.shard_stats = vec![ShardCacheStats::default(); self.shard_count];
-        let count = self.shard_count;
-        for (key, entry) in self.entries.iter_mut() {
-            entry.shard = if count > 1 {
-                (key.tuple.shard_hash() % count as u64) as usize
-            } else {
-                0
-            };
+    /// Adds each live entry to `occupancy[shard_hash % occupancy.len()]`:
+    /// the cache's occupancy partitioned over a fixed number of *virtual*
+    /// shards by the direction-symmetric flow hash. The caller owns the
+    /// partition, so a fleet sampler sums every station into one array
+    /// without a buffer per station. An empty slice adds nothing.
+    pub fn add_occupancy_by_virtual_shard(&self, occupancy: &mut [u64]) {
+        let n = occupancy.len() as u64;
+        if n == 0 {
+            return;
         }
-        for entry in self.entries.values() {
-            self.shard_stats[entry.shard].entries += 1;
-        }
-    }
-
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// Per-shard hit/miss/occupancy blocks, in shard-index order. Their
-    /// field-wise sums equal [`stats`]'s hits/misses (since the last
-    /// [`set_shards`]) and [`len`].
-    ///
-    /// [`stats`]: FlowCache::stats
-    /// [`set_shards`]: FlowCache::set_shards
-    /// [`len`]: FlowCache::len
-    pub fn shard_stats(&self) -> &[ShardCacheStats] {
-        &self.shard_stats
-    }
-
-    /// The shard a flow's packets are attributed to.
-    pub fn shard_of(&self, tuple: &FiveTuple) -> usize {
-        if self.shard_count > 1 {
-            (tuple.shard_hash() % self.shard_count as u64) as usize
-        } else {
-            0
-        }
-    }
-
-    /// Live-entry occupancy partitioned over `n` *virtual* shards by the
-    /// direction-symmetric flow hash, independent of the configured shard
-    /// count. Observability uses this so metrics artifacts are byte-identical
-    /// whether the data plane runs 1 shard or 4: the configured shards change
-    /// which lane executes a chain, the virtual partition never changes.
-    pub fn occupancy_by_virtual_shard(&self, n: usize) -> Vec<u64> {
-        let n = n.max(1);
-        let mut occupancy = vec![0u64; n];
         for key in self.entries.keys() {
-            occupancy[(key.tuple.shard_hash() % n as u64) as usize] += 1;
+            occupancy[(key.tuple.shard_hash() % n) as usize] += 1;
         }
-        occupancy
     }
 
     /// The capacity bound.
@@ -211,7 +147,6 @@ impl FlowCache {
         steering_generation: u64,
         dst_mapping: Option<PortId>,
     ) -> Option<SwitchDecision> {
-        let shard = self.shard_of(&key.tuple);
         match self.entries.get_mut(key) {
             Some(entry)
                 if entry.topology_generation == topology_generation
@@ -223,21 +158,16 @@ impl FlowCache {
                 let decision = entry.decision.clone();
                 self.touch(*key);
                 self.stats.hits += 1;
-                self.shard_stats[shard].hits += 1;
                 Some(decision)
             }
             Some(_) => {
-                if let Some(stale) = self.entries.remove(key) {
-                    self.shard_stats[stale.shard].entries -= 1;
-                }
+                self.entries.remove(key);
                 self.stats.invalidations += 1;
                 self.stats.misses += 1;
-                self.shard_stats[shard].misses += 1;
                 None
             }
             None => {
                 self.stats.misses += 1;
-                self.shard_stats[shard].misses += 1;
                 None
             }
         }
@@ -254,8 +184,7 @@ impl FlowCache {
         dst_mapping: Option<PortId>,
     ) {
         self.use_seq += 1;
-        let shard = self.shard_of(&key.tuple);
-        if let Some(replaced) = self.entries.insert(
+        self.entries.insert(
             key,
             CacheEntry {
                 decision,
@@ -263,12 +192,8 @@ impl FlowCache {
                 steering_generation,
                 dst_mapping,
                 last_use: self.use_seq,
-                shard,
             },
-        ) {
-            self.shard_stats[replaced.shard].entries -= 1;
-        }
-        self.shard_stats[shard].entries += 1;
+        );
         self.touch(key);
         while self.entries.len() > self.capacity {
             self.evict_lru();
@@ -279,9 +204,6 @@ impl FlowCache {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.use_queue.clear();
-        for shard in &mut self.shard_stats {
-            shard.entries = 0;
-        }
     }
 
     fn touch(&mut self, key: FlowKey) {
@@ -306,9 +228,7 @@ impl FlowCache {
                 .get(&key)
                 .is_some_and(|entry| entry.last_use == stamp);
             if is_current {
-                if let Some(evicted) = self.entries.remove(&key) {
-                    self.shard_stats[evicted.shard].entries -= 1;
-                }
+                self.entries.remove(&key);
                 self.stats.evictions += 1;
                 return;
             }
@@ -319,9 +239,7 @@ impl FlowCache {
         // touch pushes a record); fall back to dropping the *smallest* key —
         // not a hasher-dependent one — so the capacity bound still holds.
         if let Some(key) = self.entries.keys().min().copied() {
-            if let Some(evicted) = self.entries.remove(&key) {
-                self.shard_stats[evicted.shard].entries -= 1;
-            }
+            self.entries.remove(&key);
             self.stats.evictions += 1;
         }
     }
@@ -456,60 +374,6 @@ mod tests {
         assert!(cache.lookup(&key(1), 0, 0, Some(PortId(3))).is_some());
         // And a moved mapping invalidates flow 1 too.
         assert!(cache.lookup(&key(1), 0, 0, Some(PortId(4))).is_none());
-    }
-
-    #[test]
-    fn shard_attribution_sums_to_the_aggregates() {
-        let mut cache = FlowCache::with_capacity(8);
-        cache.set_shards(4);
-        assert_eq!(cache.shard_count(), 4);
-        for n in 0..32 {
-            let k = key(n);
-            assert!(cache.lookup(&k, 0, 0, None).is_none());
-            cache.insert(k, decision(1), 0, 0, None);
-            assert!(cache.lookup(&k, 0, 0, None).is_some());
-        }
-        let stats = cache.stats();
-        let shards = cache.shard_stats();
-        assert_eq!(shards.len(), 4);
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), stats.misses);
-        assert_eq!(
-            shards.iter().map(|s| s.entries).sum::<u64>(),
-            cache.len() as u64
-        );
-        assert!(stats.evictions > 0, "churn beyond capacity evicts");
-        assert!(
-            shards.iter().filter(|s| s.hits > 0).count() > 1,
-            "distinct flows spread over more than one shard"
-        );
-    }
-
-    #[test]
-    fn set_shards_retags_existing_entries() {
-        let mut cache = FlowCache::with_capacity(16);
-        for n in 0..10 {
-            cache.insert(key(n), decision(1), 0, 0, None);
-        }
-        cache.set_shards(2);
-        let shards = cache.shard_stats();
-        assert_eq!(
-            shards.iter().map(|s| s.entries).sum::<u64>(),
-            cache.len() as u64,
-            "occupancy re-tagged under the new shard map"
-        );
-        // Each entry sits on the shard its tuple hashes to.
-        for n in 0..10 {
-            let k = key(n);
-            let shard = cache.shard_of(&k.tuple);
-            let before = cache.shard_stats()[shard].hits;
-            assert!(cache.lookup(&k, 0, 0, None).is_some());
-            assert_eq!(cache.shard_stats()[shard].hits, before + 1);
-        }
-        // Collapsing back to one shard folds everything onto shard 0.
-        cache.set_shards(1);
-        assert_eq!(cache.shard_stats().len(), 1);
-        assert_eq!(cache.shard_stats()[0].entries, cache.len() as u64);
     }
 
     #[test]

@@ -56,7 +56,7 @@
 use crate::switch::{PortId, SwitchDecision};
 use gnf_packet::{FieldMask, FiveTuple};
 pub use gnf_types::MegaflowStats;
-use gnf_types::{MacAddr, PathMap, ShardCacheStats};
+use gnf_types::{MacAddr, PathMap};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -67,7 +67,7 @@ pub const DEFAULT_MEGAFLOW_CAPACITY: usize = 1024;
 
 /// The exact-matched part of a wildcard entry's key, plus the five-tuple
 /// projected under the owning table's mask. `Ord` so defensive eviction can
-/// pick a deterministic victim (sharded runs must never diverge).
+/// pick a deterministic victim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct MegaflowKey {
     in_port: PortId,
@@ -117,8 +117,6 @@ struct MegaflowEntry {
     dst_mapping: Option<PortId>,
     /// Install stamp; FIFO records with a stale stamp are skipped.
     stamp: u64,
-    /// RSS shard the entry's masked tuple hashes to (0 when unsharded).
-    shard: usize,
 }
 
 /// One mask's hash table: all entries sharing a wildcard pattern.
@@ -148,11 +146,6 @@ pub struct MegaflowCache {
     fifo: VecDeque<(usize, MegaflowKey, u64)>,
     stamp_seq: u64,
     stats: MegaflowStats,
-    /// Number of RSS shards statistics are attributed to (1 = unsharded).
-    shard_count: usize,
-    /// Per-shard hit/miss/occupancy blocks, updated in lockstep with `stats`
-    /// and `len` so their sums always equal the aggregates.
-    shard_stats: Vec<ShardCacheStats>,
 }
 
 impl MegaflowCache {
@@ -165,52 +158,6 @@ impl MegaflowCache {
             fifo: VecDeque::new(),
             stamp_seq: 0,
             stats: MegaflowStats::default(),
-            shard_count: 1,
-            shard_stats: vec![ShardCacheStats::default()],
-        }
-    }
-
-    /// Re-partitions statistics attribution over `shards` RSS shards
-    /// (clamped to at least 1). Existing entries are re-tagged by their
-    /// masked tuple's shard hash and the per-shard counters restart from
-    /// zero; the aggregate counters and the cache contents are untouched, so
-    /// sharding never changes behavior — only how activity is attributed.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shard_count = shards.max(1);
-        self.shard_stats = vec![ShardCacheStats::default(); self.shard_count];
-        let count = self.shard_count;
-        for table in &mut self.tables {
-            for (key, entry) in table.entries.iter_mut() {
-                entry.shard = if count > 1 {
-                    (key.masked_tuple.shard_hash() % count as u64) as usize
-                } else {
-                    0
-                };
-            }
-        }
-        for table in &self.tables {
-            for entry in table.entries.values() {
-                self.shard_stats[entry.shard].entries += 1;
-            }
-        }
-    }
-
-    /// Number of RSS shards statistics are attributed to.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The per-shard counter blocks, indexed by shard.
-    pub fn shard_stats(&self) -> &[ShardCacheStats] {
-        &self.shard_stats
-    }
-
-    /// The RSS shard a lookup for `tuple` is attributed to.
-    pub fn shard_of(&self, tuple: &FiveTuple) -> usize {
-        if self.shard_count > 1 {
-            (tuple.shard_hash() % self.shard_count as u64) as usize
-        } else {
-            0
         }
     }
 
@@ -272,7 +219,6 @@ impl MegaflowCache {
         if !self.enabled() {
             return None;
         }
-        let shard = self.shard_of(tuple);
         let mut hit = None;
         for table in &mut self.tables {
             // Tables are created per mask and never removed; skip ones whose
@@ -300,10 +246,9 @@ impl MegaflowCache {
                     break;
                 }
                 Some(_) => {
-                    let stale = table.entries.remove(&key).expect("entry just probed");
+                    table.entries.remove(&key);
                     self.len -= 1;
                     self.stats.invalidations += 1;
-                    self.shard_stats[stale.shard].entries -= 1;
                 }
                 None => {}
             }
@@ -311,7 +256,6 @@ impl MegaflowCache {
         match hit {
             Some(hit) => {
                 self.stats.hits += 1;
-                self.shard_stats[shard].hits += 1;
                 if hit.bypass.as_ref().is_some_and(BypassOutcome::is_drop) {
                     self.stats.drop_hits += 1;
                 }
@@ -319,7 +263,6 @@ impl MegaflowCache {
             }
             None => {
                 self.stats.misses += 1;
-                self.shard_stats[shard].misses += 1;
                 None
             }
         }
@@ -363,7 +306,6 @@ impl MegaflowCache {
             dst_mac,
             masked_tuple: mask.project(tuple),
         };
-        let shard = self.shard_of(&key.masked_tuple);
         self.stamp_seq += 1;
         let replaced = self.tables[table_ix].entries.insert(
             key,
@@ -374,14 +316,11 @@ impl MegaflowCache {
                 steering_generation,
                 dst_mapping,
                 stamp: self.stamp_seq,
-                shard,
             },
         );
-        match replaced {
-            Some(old) => self.shard_stats[old.shard].entries -= 1,
-            None => self.len += 1,
+        if replaced.is_none() {
+            self.len += 1;
         }
-        self.shard_stats[shard].entries += 1;
         self.stats.installs += 1;
         self.fifo.push_back((table_ix, key, self.stamp_seq));
         while self.len > self.capacity {
@@ -405,9 +344,6 @@ impl MegaflowCache {
         self.tables.clear();
         self.fifo.clear();
         self.len = 0;
-        for shard in &mut self.shard_stats {
-            shard.entries = 0;
-        }
     }
 
     fn evict_oldest(&mut self) {
@@ -417,13 +353,9 @@ impl MegaflowCache {
                 .get(&key)
                 .is_some_and(|entry| entry.stamp == stamp);
             if is_current {
-                let evicted = self.tables[table_ix]
-                    .entries
-                    .remove(&key)
-                    .expect("entry just probed");
+                self.tables[table_ix].entries.remove(&key);
                 self.len -= 1;
                 self.stats.evictions += 1;
-                self.shard_stats[evicted.shard].entries -= 1;
                 return;
             }
             // Stale record: the entry was replaced (fresher record exists) or
@@ -434,13 +366,12 @@ impl MegaflowCache {
         // compaction retain); fall back to dropping from the first
         // non-empty table so the capacity bound still holds. The victim is
         // the *smallest* key, not an arbitrary hash-iteration one, so the
-        // path stays deterministic across sharded runs if it ever fires.
+        // path stays deterministic if it ever fires.
         for table in &mut self.tables {
             if let Some(key) = table.entries.keys().min().copied() {
-                let evicted = table.entries.remove(&key).expect("key just found");
+                table.entries.remove(&key);
                 self.len -= 1;
                 self.stats.evictions += 1;
-                self.shard_stats[evicted.shard].entries -= 1;
                 return;
             }
         }
@@ -728,7 +659,6 @@ mod tests {
         assert_eq!(reason, "firewall: policy drop");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().drop_hits, 1);
-        assert_eq!(cache.shard_stats()[0].hits, 1);
     }
 
     #[test]
@@ -775,53 +705,6 @@ mod tests {
             assert_eq!(cache.len(), live);
         }
         assert!(lookup(&mut cache, &tuple(9, 319), 0, 0).is_some());
-    }
-
-    #[test]
-    fn shard_attribution_sums_to_the_aggregates() {
-        let mut cache = MegaflowCache::with_capacity(8);
-        cache.set_shards(4);
-        assert_eq!(cache.shard_count(), 4);
-        // Churn enough distinct masked patterns through a small cache to
-        // exercise installs, hits, misses, replacements and FIFO evictions.
-        for round in 0..3u16 {
-            for n in 0..24u16 {
-                let t = tuple(40_000 + n, 100 + n % 12);
-                if lookup(&mut cache, &t, 0, 0).is_none() {
-                    insert(&mut cache, &t, FieldMask::DST_PORT, u32::from(round));
-                }
-            }
-        }
-        let stats = cache.stats();
-        let shards = cache.shard_stats();
-        assert_eq!(shards.len(), 4);
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), stats.misses);
-        assert_eq!(
-            shards.iter().map(|s| s.entries).sum::<u64>(),
-            cache.len() as u64,
-            "occupancy sums to the live entry count"
-        );
-        assert!(stats.evictions > 0, "the churn exercised eviction");
-        assert!(
-            shards.iter().filter(|s| s.hits + s.misses > 0).count() > 1,
-            "traffic spread over more than one shard"
-        );
-    }
-
-    #[test]
-    fn set_shards_retags_existing_entries() {
-        let mut cache = MegaflowCache::with_capacity(16);
-        for n in 0..10u16 {
-            insert(&mut cache, &tuple(1, 100 + n), FieldMask::DST_PORT, 1);
-        }
-        cache.set_shards(2);
-        let occupancy: u64 = cache.shard_stats().iter().map(|s| s.entries).sum();
-        assert_eq!(occupancy, cache.len() as u64);
-        // Collapsing back to one shard folds everything onto shard 0.
-        cache.set_shards(1);
-        assert_eq!(cache.shard_stats().len(), 1);
-        assert_eq!(cache.shard_stats()[0].entries, cache.len() as u64);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::flow_cache::{FlowCache, FlowCacheStats, FlowKey, DEFAULT_FLOW_CACHE_C
 use crate::megaflow::{BypassOutcome, MegaflowCache, MegaflowStats};
 use crate::steering::{SteeringRule, SteeringTable};
 use gnf_packet::{FieldMask, FiveTuple, Packet};
-use gnf_types::{GnfError, GnfResult, MacAddr, PathMap, ShardCacheStats, SimTime};
+use gnf_types::{GnfError, GnfResult, MacAddr, PathMap, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -412,11 +412,11 @@ impl SoftwareSwitch {
         self.flow_cache.len()
     }
 
-    /// Flow-cache occupancy partitioned over `n` virtual shards by flow
-    /// hash, independent of the configured execution shards (see
-    /// [`FlowCache::occupancy_by_virtual_shard`]).
-    pub fn flow_cache_occupancy_by_virtual_shard(&self, n: usize) -> Vec<u64> {
-        self.flow_cache.occupancy_by_virtual_shard(n)
+    /// Adds the flow cache's occupancy, partitioned over
+    /// `occupancy.len()` virtual shards by flow hash, into `occupancy` (see
+    /// [`FlowCache::add_occupancy_by_virtual_shard`]).
+    pub fn add_flow_cache_occupancy_by_virtual_shard(&self, occupancy: &mut [u64]) {
+        self.flow_cache.add_occupancy_by_virtual_shard(occupancy);
     }
 
     /// Bounds the megaflow (wildcard) cache to `capacity` entries; 0
@@ -446,30 +446,6 @@ impl SoftwareSwitch {
     /// Number of distinct wildcard masks currently holding entries.
     pub fn megaflow_mask_count(&self) -> usize {
         self.megaflow.mask_count()
-    }
-
-    /// Re-partitions both cache levels' statistics attribution over
-    /// `shards` RSS shards (clamped to at least 1). Entries and aggregate
-    /// counters are untouched — sharding only changes how activity is
-    /// attributed, never what the switch does.
-    pub fn set_station_shards(&mut self, shards: usize) {
-        self.flow_cache.set_shards(shards);
-        self.megaflow.set_shards(shards);
-    }
-
-    /// Number of RSS shards cache statistics are attributed to.
-    pub fn station_shards(&self) -> usize {
-        self.flow_cache.shard_count()
-    }
-
-    /// Per-shard exact-match cache counters, indexed by shard.
-    pub fn flow_cache_shard_stats(&self) -> &[ShardCacheStats] {
-        self.flow_cache.shard_stats()
-    }
-
-    /// Per-shard megaflow cache counters, indexed by shard.
-    pub fn megaflow_shard_stats(&self) -> &[ShardCacheStats] {
-        self.megaflow.shard_stats()
     }
 
     /// Drops every memoized flow — exact-match and wildcard alike (the slow

@@ -24,8 +24,7 @@
 //! full-report mode would have delivered at the same instant.
 
 use crate::report::{
-    BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, ShardTelemetry,
-    StationReport,
+    BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, StationReport,
 };
 use gnf_types::{AgentId, ClientId, HostClass, ResourceSpec, ResourceUsage, SimTime, StationId};
 use serde::{Deserialize, Serialize};
@@ -62,8 +61,7 @@ pub struct SectionHints {
     pub clients: bool,
     /// NF inventory (running instances, cached images) may have changed.
     pub nfs: bool,
-    /// Traffic counters (flow cache, megaflow, batches, shards) may have
-    /// changed.
+    /// Traffic counters (flow cache, megaflow, batches) may have changed.
     pub traffic: bool,
     /// Chaos counters (crashes, generation, churn, invalidations) may have
     /// changed.
@@ -101,8 +99,10 @@ impl Default for SectionHints {
 
 /// One frame of the delta stream: a keyframe when `seq == 0` (all sections
 /// present), otherwise a cumulative delta against the generation's keyframe
-/// (absent sections mean "unchanged since the keyframe").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// (absent sections mean "unchanged since the keyframe"). On the wire an
+/// absent section is omitted rather than written as `null` (decoding reads
+/// a missing key as `None`), so an idle station's frame is its header.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ReportDelta {
     /// Station this frame describes.
     pub station: StationId,
@@ -133,10 +133,44 @@ pub struct ReportDelta {
     pub megaflow: Option<MegaflowTelemetry>,
     /// Batch-size distribution.
     pub batches: Option<BatchTelemetry>,
-    /// Per-RSS-shard cache counters.
-    pub shards: Option<Vec<ShardTelemetry>>,
     /// Chaos counters.
     pub chaos: Option<ChaosTelemetry>,
+}
+
+impl Serialize for ReportDelta {
+    fn to_value(&self) -> serde::Value {
+        let header = [
+            ("station", self.station.to_value()),
+            ("agent", self.agent.to_value()),
+            ("produced_at", self.produced_at.to_value()),
+            ("generation", self.generation.to_value()),
+            ("seq", self.seq.to_value()),
+            ("forced", self.forced.to_value()),
+        ];
+        let sections = [
+            ("identity", self.identity.as_ref().map(Serialize::to_value)),
+            ("usage", self.usage.as_ref().map(Serialize::to_value)),
+            ("clients", self.clients.as_ref().map(Serialize::to_value)),
+            ("nfs", self.nfs.as_ref().map(Serialize::to_value)),
+            (
+                "flow_cache",
+                self.flow_cache.as_ref().map(Serialize::to_value),
+            ),
+            ("megaflow", self.megaflow.as_ref().map(Serialize::to_value)),
+            ("batches", self.batches.as_ref().map(Serialize::to_value)),
+            ("chaos", self.chaos.as_ref().map(Serialize::to_value)),
+        ];
+        let present = sections
+            .into_iter()
+            .filter_map(|(key, value)| Some((key, value?)));
+        serde::Value::Object(
+            header
+                .into_iter()
+                .chain(present)
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
 }
 
 impl ReportDelta {
@@ -162,7 +196,6 @@ impl ReportDelta {
             flow_cache: Some(report.flow_cache),
             megaflow: Some(report.megaflow),
             batches: Some(report.batches.clone()),
-            shards: Some(report.shards.clone()),
             chaos: Some(report.chaos),
         }
     }
@@ -190,8 +223,7 @@ impl ReportDelta {
             hints.traffic
                 || (current.flow_cache == base.flow_cache
                     && current.megaflow == base.megaflow
-                    && current.batches == base.batches
-                    && current.shards == base.shards)
+                    && current.batches == base.batches)
         );
         debug_assert!(hints.chaos || current.chaos == base.chaos);
         let identity = (current.host_class != base.host_class || current.capacity != base.capacity)
@@ -224,8 +256,6 @@ impl ReportDelta {
                 .then_some(current.megaflow),
             batches: (hints.traffic && current.batches != base.batches)
                 .then(|| current.batches.clone()),
-            shards: (hints.traffic && current.shards != base.shards)
-                .then(|| current.shards.clone()),
             chaos: (hints.chaos && current.chaos != base.chaos).then_some(current.chaos),
         }
     }
@@ -252,7 +282,6 @@ impl ReportDelta {
             flow_cache: self.flow_cache?,
             megaflow: self.megaflow?,
             batches: self.batches.clone()?,
-            shards: self.shards.clone()?,
             chaos: self.chaos?,
         })
     }
@@ -287,16 +316,13 @@ impl ReportDelta {
         if let Some(batches) = &self.batches {
             report.batches = batches.clone();
         }
-        if let Some(shards) = &self.shards {
-            report.shards = shards.clone();
-        }
         if let Some(chaos) = self.chaos {
             report.chaos = chaos;
         }
         report
     }
 
-    /// Number of sections this frame carries (9 for a keyframe).
+    /// Number of sections this frame carries (8 for a keyframe).
     pub fn sections_carried(&self) -> usize {
         usize::from(self.identity.is_some())
             + usize::from(self.usage.is_some())
@@ -305,7 +331,6 @@ impl ReportDelta {
             + usize::from(self.flow_cache.is_some())
             + usize::from(self.megaflow.is_some())
             + usize::from(self.batches.is_some())
-            + usize::from(self.shards.is_some())
             + usize::from(self.chaos.is_some())
     }
 }
@@ -520,7 +545,6 @@ mod tests {
             flow_cache: FlowCacheTelemetry::default(),
             megaflow: MegaflowTelemetry::default(),
             batches: BatchTelemetry::default(),
-            shards: Vec::new(),
             chaos: ChaosTelemetry::default(),
         }
     }
@@ -530,7 +554,7 @@ mod tests {
         let report = sample_report(7, SimTime::from_secs(2));
         let frame = ReportDelta::keyframe(&report, 1, false);
         assert!(frame.is_keyframe());
-        assert_eq!(frame.sections_carried(), 9);
+        assert_eq!(frame.sections_carried(), 8);
         assert_eq!(frame.to_report().unwrap(), report);
     }
 

@@ -56,7 +56,7 @@ pub use notification::{Notification, NotificationLog, NotificationSeverity, Noti
 pub use region::{RegionAggregator, RegionSummary};
 pub use report::{
     BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, MigrationPoolTelemetry,
-    ShardTelemetry, StationReport,
+    StationReport,
 };
 pub use trace::{
     FlowRecord, TraceEvent, TraceKind, TraceLog, TraceScope, TraceSink, DEFAULT_TRACE_CAPACITY,

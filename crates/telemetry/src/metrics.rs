@@ -4,8 +4,8 @@
 //!
 //! Everything here is driven by the emulator's virtual clock, never the host
 //! clock, so a metrics artifact is a pure function of the scenario and its
-//! seed: byte-identical across host worker counts, station shards and
-//! migration-pool sizes, exactly like the `RunReport`.
+//! seed: byte-identical across host worker counts and migration-pool
+//! sizes, exactly like the `RunReport`.
 //!
 //! * [`LogHistogram`] — a log₂-bucketed, constant-memory histogram with
 //!   percentile queries; the shared distribution type for switchover windows
@@ -20,9 +20,9 @@ use gnf_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Number of virtual RSS shards the sampler attributes flow-cache occupancy
-/// to. Fixed (independent of the configured `station_shards`) so the metrics
-/// artifact stays byte-identical across the sharding matrix.
+/// Number of virtual flow-hash shards the fleet sampler partitions
+/// flow-cache occupancy over (the metrics CSV's `vshard*` columns). The
+/// partition is fixed, so a column means the same flows in every run.
 pub const VIRTUAL_SHARDS: usize = 4;
 
 // ---------------------------------------------------------------------------
@@ -340,8 +340,8 @@ pub struct MetricsSample {
     pub in_flight_migrations: u64,
     /// Stations currently crashed/offline.
     pub dead_stations: u64,
-    /// Fleet flow-cache occupancy attributed to [`VIRTUAL_SHARDS`] fixed
-    /// flow-hash shards (independent of the configured `station_shards`).
+    /// Fleet flow-cache occupancy partitioned over [`VIRTUAL_SHARDS`] fixed
+    /// flow-hash shards.
     pub shard_occupancy: [u64; VIRTUAL_SHARDS],
 }
 

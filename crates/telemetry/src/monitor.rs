@@ -223,7 +223,6 @@ mod tests {
             flow_cache: Default::default(),
             megaflow: Default::default(),
             batches: Default::default(),
-            shards: Vec::new(),
             chaos: Default::default(),
         }
     }

@@ -228,7 +228,6 @@ mod tests {
             },
             megaflow: MegaflowTelemetry::default(),
             batches: BatchTelemetry::default(),
-            shards: Vec::new(),
             chaos: ChaosTelemetry::default(),
         }
     }

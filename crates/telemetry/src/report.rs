@@ -2,7 +2,7 @@
 
 use gnf_types::{
     AgentId, ClientId, FlowCacheStats, HostClass, MegaflowStats, ResourceSpec, ResourceUsage,
-    ShardCacheStats, SimTime, StationId,
+    SimTime, StationId,
 };
 use serde::{Deserialize, Serialize};
 
@@ -124,29 +124,6 @@ impl BatchTelemetry {
     }
 }
 
-/// Per-RSS-shard cache counters of one station: the exact-match and
-/// megaflow activity attributed to one flow-hash shard. Summing any field
-/// over a station's shard blocks reproduces the corresponding aggregate in
-/// [`FlowCacheTelemetry`] / [`MegaflowTelemetry`] exactly — the switch
-/// updates both in lockstep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardTelemetry {
-    /// Exact-match cache activity attributed to this shard.
-    pub flow: ShardCacheStats,
-    /// Megaflow (wildcard) cache activity attributed to this shard.
-    pub megaflow: ShardCacheStats,
-}
-
-impl ShardTelemetry {
-    /// Merges the same shard index of another station into this block
-    /// (aggregation is always in shard-index order).
-    pub fn merge(&mut self, other: &ShardTelemetry) {
-        let ShardTelemetry { flow, megaflow } = other;
-        self.flow.merge(flow);
-        self.megaflow.merge(megaflow);
-    }
-}
-
 /// Fault-injection and recovery counters of one station: how often the
 /// station crashed and rejoined, the soft-state generation it is currently
 /// serving from, and how much synthetic churn/invalidation pressure the
@@ -247,10 +224,6 @@ pub struct StationReport {
     pub megaflow: MegaflowTelemetry,
     /// Batched data-plane counters (batch sizes processed by the station).
     pub batches: BatchTelemetry,
-    /// Per-RSS-shard cache counters, indexed by shard (one block when the
-    /// station runs unsharded). Sums over this vector equal the aggregates
-    /// in `flow_cache` / `megaflow`.
-    pub shards: Vec<ShardTelemetry>,
     /// Fault-injection and recovery counters (all zeros outside chaos runs).
     pub chaos: ChaosTelemetry,
 }
@@ -293,7 +266,6 @@ mod tests {
             flow_cache: Default::default(),
             megaflow: Default::default(),
             batches: Default::default(),
-            shards: Vec::new(),
             chaos: Default::default(),
         }
     }

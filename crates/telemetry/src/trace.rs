@@ -18,7 +18,7 @@
 //! threads execute the work, so each scope's event list is reproducible;
 //! the final merge sorts by `(timestamp, scope, seq)`, which is a total
 //! order independent of thread interleaving. The exported artifacts are
-//! therefore byte-identical across worker/shard/pool configurations, same
+//! therefore byte-identical across worker and pool configurations, same
 //! as the `RunReport`.
 
 use gnf_types::SimTime;

@@ -42,11 +42,6 @@ pub struct GnfConfig {
     pub bypass_during_migration: bool,
     /// Seed for every pseudo-random draw in a scenario run.
     pub seed: u64,
-    /// Intra-station RSS shards: how many flow-hash execution lanes each
-    /// station's data plane uses per flush (1 = the classic serial path).
-    /// Outcomes, statistics and the final report are byte-identical for any
-    /// value — sharding only changes which thread runs a chain.
-    pub station_shards: usize,
     /// Hard deadline for the checkpoint/deploy half of a migration: a
     /// migration still awaiting state or deployment after this long is
     /// aborted, rolled back (the source chain keeps serving under
@@ -108,7 +103,6 @@ impl Default for GnfConfig {
             make_before_break: true,
             bypass_during_migration: false,
             seed: 0x6e46_5f67_6c61_7367, // "gnf_glasg"
-            station_shards: 1,
             migration_deadline: SimDuration::from_secs(20),
             migration_max_retries: 3,
             migration_backoff_base: SimDuration::from_millis(500),
@@ -149,12 +143,6 @@ impl GnfConfig {
         if self.missed_reports_for_offline == 0 {
             return Err(GnfError::InvalidConfig {
                 parameter: "missed_reports_for_offline".into(),
-                reason: "must be at least 1".into(),
-            });
-        }
-        if self.station_shards == 0 {
-            return Err(GnfError::InvalidConfig {
-                parameter: "station_shards".into(),
                 reason: "must be at least 1".into(),
             });
         }
@@ -200,13 +188,6 @@ impl GnfConfig {
     /// Returns a copy with a different seed; used to run replicated trials.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns a copy with a different intra-station shard count (clamped to
-    /// at least 1).
-    pub fn with_station_shards(mut self, shards: usize) -> Self {
-        self.station_shards = shards.max(1);
         self
     }
 
@@ -300,23 +281,6 @@ mod tests {
         let reseeded = base.clone().with_seed(42);
         assert_eq!(reseeded.seed, 42);
         assert_eq!(reseeded.control_link_latency, base.control_link_latency);
-    }
-
-    #[test]
-    fn zero_station_shards_is_rejected_and_the_builder_clamps() {
-        let cfg = GnfConfig {
-            station_shards: 0,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-        assert_eq!(
-            GnfConfig::default().with_station_shards(0).station_shards,
-            1
-        );
-        assert_eq!(
-            GnfConfig::default().with_station_shards(4).station_shards,
-            4
-        );
     }
 
     #[test]

@@ -30,6 +30,6 @@ pub use ids::{
     AgentId, CellId, ChainId, ClientId, ContainerId, FlowId, ImageId, MigrationId, NfInstanceId,
     NotificationId, StationId, VmId,
 };
-pub use net::{FlowCacheStats, MacAddr, MegaflowStats, ShardCacheStats};
+pub use net::{FlowCacheStats, MacAddr, MegaflowStats};
 pub use resources::{HostClass, ResourceSpec, ResourceUsage};
 pub use time::{SimDuration, SimTime};

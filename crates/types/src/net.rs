@@ -108,37 +108,6 @@ impl MegaflowStats {
     }
 }
 
-/// Per-shard counters of one cache level under intra-station RSS sharding:
-/// the hit/miss activity attributed to one flow-hash shard plus the number
-/// of entries currently tagged with it. Summing a cache's shard blocks
-/// reproduces its aggregate hit/miss counters and entry count exactly —
-/// the per-shard counters are updated in lockstep with the aggregates, never
-/// derived separately.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardCacheStats {
-    /// Lookups by packets of this shard served from the cache.
-    pub hits: u64,
-    /// Lookups by packets of this shard that missed.
-    pub misses: u64,
-    /// Entries currently tagged with this shard (occupancy).
-    pub entries: u64,
-}
-
-impl ShardCacheStats {
-    /// Adds another shard block into this one (used when aggregating the
-    /// same shard index across stations).
-    pub fn merge(&mut self, other: &ShardCacheStats) {
-        let ShardCacheStats {
-            hits,
-            misses,
-            entries,
-        } = other;
-        self.hits += hits;
-        self.misses += misses;
-        self.entries += entries;
-    }
-}
-
 /// A 48-bit IEEE 802 MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MacAddr(pub [u8; 6]);

@@ -269,7 +269,6 @@ mod tests {
                 flow_cache: Default::default(),
                 megaflow: Default::default(),
                 batches: Default::default(),
-                shards: Vec::new(),
                 chaos: Default::default(),
             })),
             SimTime::from_secs(2),

@@ -84,15 +84,14 @@ fn storm_schedule(seed: u64) -> FaultSchedule {
 #[test]
 fn fault_storm_reports_are_identical_across_the_execution_matrix() {
     let seed = 11;
-    let run = |workers: usize, shards: usize| {
+    let run = |workers: usize| {
         let mut emulator = Emulator::new(storm_scenario(seed));
         emulator.set_workers(workers);
-        emulator.set_station_shards(shards);
         emulator.set_fault_schedule(storm_schedule(seed));
         emulator.run()
     };
 
-    let baseline = run(1, 1);
+    let baseline = run(1);
     assert!(baseline.chaos.crashes >= 1, "{:?}", baseline.chaos);
     assert!(
         baseline.chaos.fully_recovered(),
@@ -104,18 +103,13 @@ fn fault_storm_reports_are_identical_across_the_execution_matrix() {
 
     let bytes = serde_json::to_string(&baseline).expect("report serializes");
     for workers in [2usize, 4] {
-        for shards in [1usize, 4] {
-            let other = run(workers, shards);
-            assert_eq!(
-                bytes,
-                serde_json::to_string(&other).expect("report serializes"),
-                "chaos RunReport must be byte-identical at workers={workers}, shards={shards}"
-            );
-        }
+        let other = run(workers);
+        assert_eq!(
+            bytes,
+            serde_json::to_string(&other).expect("report serializes"),
+            "chaos RunReport must be byte-identical at workers={workers}"
+        );
     }
-    // And shards alone, at one worker.
-    let sharded = run(1, 4);
-    assert_eq!(bytes, serde_json::to_string(&sharded).unwrap());
 }
 
 #[test]

@@ -48,7 +48,6 @@ fn base_report() -> StationReport {
         flow_cache: Default::default(),
         megaflow: Default::default(),
         batches: Default::default(),
-        shards: Vec::new(),
         chaos: Default::default(),
     }
 }

@@ -18,7 +18,6 @@ use gnf_nf::http_filter::HttpFilterConfig;
 use gnf_nf::{NfConfig, NfSpec};
 use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_switch::TrafficSelector;
-use gnf_telemetry::{FlightRecorder, TraceScope, TraceSink};
 use gnf_types::{
     AgentId, ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId,
 };
@@ -176,76 +175,6 @@ fn build_agent(megaflow: bool, specs: Vec<NfSpec>, selector: TrafficSelector) ->
         },
         SimTime::from_secs(1),
     );
-    agent
-}
-
-/// Attack-mix traffic spread over three clients (distinct MACs/IPs), so the
-/// RSS-sharded agent actually routes work to several execution lanes.
-fn arb_sharded_attack_packet() -> impl Strategy<Value = Packet> {
-    (
-        0u32..3,       // originating client
-        0u16..400,     // ephemeral source-port offset (fresh flow each)
-        0usize..4,     // destination port
-        any::<bool>(), // scan vs benign
-    )
-        .prop_map(|(client, sport, dport_ix, scan)| {
-            let server = MacAddr::derived(0xA0, 0);
-            let dst = Ipv4Addr::new(203, 0, 0, 10);
-            let sport = 40_000 + sport;
-            let dport = if scan {
-                [22u16, 23, 25, 445][dport_ix]
-            } else {
-                [8_080u16, 8_443, 9_000, 9_090][dport_ix]
-            };
-            builder::tcp_syn(
-                MacAddr::derived(1, client),
-                server,
-                Ipv4Addr::new(172, 16, 0, 2 + client as u8),
-                dst,
-                sport,
-                dport,
-            )
-        })
-}
-
-/// `clients` associated clients, each with its own deployed chain of
-/// `specs`, with the data-plane trace sink armed and the flight recorder
-/// sampling every flow.
-fn build_multi_client_agent(specs: Vec<NfSpec>, clients: u32) -> Agent {
-    let (mut agent, _) = Agent::new(
-        AgentConfig {
-            agent: AgentId::new(1),
-            station: StationId::new(1),
-            host_class: HostClass::EdgeServer,
-        },
-        ImageRepository::with_standard_images(),
-    );
-    agent.set_megaflow_enabled(true);
-    let scope = TraceScope::Station(1);
-    agent.set_tracing(
-        TraceSink::buffered(scope, 1 << 12),
-        FlightRecorder::armed(scope, 7, 1, 1 << 12),
-    );
-    for client in 0..clients {
-        let mac = MacAddr::derived(1, client);
-        agent.client_associated(
-            ClientId::new(client as u64),
-            mac,
-            Ipv4Addr::new(172, 16, 0, 2 + client as u8),
-        );
-        agent.handle_manager_msg(
-            ManagerToAgent::DeployChain {
-                chain: ChainId::new(client as u64 + 1),
-                client: ClientId::new(client as u64),
-                client_mac: mac,
-                specs: specs.clone(),
-                selector: TrafficSelector::all(),
-                restore_state: None,
-                migration: None,
-            },
-            SimTime::from_secs(1),
-        );
-    }
     agent
 }
 
@@ -460,95 +389,6 @@ proptest! {
             "dropped-flow churn must bypass: {:?}",
             report_on.megaflow
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The RSS-sharded station pipeline equals the serial one under
-    /// attack-shaped churn across random rule sets and shard counts:
-    /// identical packet outcomes, NF statistics and exported state, port
-    /// counters, notifications, cache telemetry, flight records and trace
-    /// events — and the per-shard telemetry blocks sum exactly to the
-    /// station-level aggregates.
-    #[test]
-    fn sharded_station_equals_serial_station(
-        fw in arb_firewall_config(),
-        packets in proptest::collection::vec(arb_sharded_attack_packet(), 1..80),
-        shards in 2usize..5,
-    ) {
-        let specs = vec![NfSpec::new("fw", NfConfig::Firewall(fw))];
-        let now = SimTime::from_secs(2);
-        let flush = |agent: &mut Agent, chunk: usize| -> Vec<PacketOutcome> {
-            packets
-                .chunks(chunk)
-                .flat_map(|c| agent.process_upstream_batch(PacketBatch::from(c.to_vec()), now))
-                .collect()
-        };
-
-        // Three chains in one flush is the lanes executor's home ground; the
-        // other shapes are its degenerate cases, which must stay inline: a
-        // one-chain station (nothing to spread over lanes, and two of the
-        // three clients unsteered), one-packet batches, and short batches
-        // over two chains.
-        for (clients, chunk) in [(3u32, packets.len()), (1, packets.len()), (3, 1), (2, 7)] {
-            let mut serial = build_multi_client_agent(specs.clone(), clients);
-            let expected = flush(&mut serial, chunk);
-            let expected_notifications = serial.drain_nf_notifications(now).len();
-
-            let mut sharded = build_multi_client_agent(specs.clone(), clients);
-            sharded.set_station_shards(shards);
-            let outcomes = flush(&mut sharded, chunk);
-            prop_assert_eq!(&outcomes, &expected);
-            assert_station_equivalent(&sharded, &serial)?;
-            prop_assert_eq!(sharded.drain_nf_notifications(now).len(), expected_notifications);
-            prop_assert_eq!(sharded.flow_cache_telemetry(), serial.flow_cache_telemetry());
-            prop_assert_eq!(sharded.megaflow_telemetry(), serial.megaflow_telemetry());
-
-            // Observability is executor-invariant too: the same sampled
-            // `FlowRecord`s (stage, verdict) in the same order, and
-            // the same `BatchFlush` / `MegaflowSeal` / `MegaflowEvict`
-            // events with the same per-scope sequence numbers.
-            let records = serial.flight_mut().take_events();
-            prop_assert!(!records.is_empty(), "every flow is sampled");
-            prop_assert_eq!(sharded.flight_mut().take_events(), records);
-            let events = serial.trace_mut().take_events();
-            prop_assert!(events.len() >= packets.len().div_ceil(chunk), "one flush per batch");
-            prop_assert_eq!(sharded.trace_mut().take_events(), events);
-
-            // Per-shard attribution is exhaustive: every counter lands in
-            // exactly one shard block, so the blocks sum back to the
-            // aggregates (drop hits are a subset of hits in both views).
-            let blocks = sharded.shard_telemetry();
-            prop_assert_eq!(blocks.len(), shards);
-            let flow = sharded.flow_cache_telemetry();
-            prop_assert_eq!(
-                blocks.iter().map(|b| b.flow.hits).sum::<u64>(),
-                flow.stats.hits
-            );
-            prop_assert_eq!(
-                blocks.iter().map(|b| b.flow.misses).sum::<u64>(),
-                flow.stats.misses
-            );
-            prop_assert_eq!(
-                blocks.iter().map(|b| b.flow.entries).sum::<u64>(),
-                flow.entries as u64
-            );
-            let mega = sharded.megaflow_telemetry();
-            prop_assert_eq!(
-                blocks.iter().map(|b| b.megaflow.hits).sum::<u64>(),
-                mega.stats.hits
-            );
-            prop_assert_eq!(
-                blocks.iter().map(|b| b.megaflow.misses).sum::<u64>(),
-                mega.stats.misses
-            );
-            prop_assert_eq!(
-                blocks.iter().map(|b| b.megaflow.entries).sum::<u64>(),
-                mega.entries as u64
-            );
-        }
     }
 }
 
