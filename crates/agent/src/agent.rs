@@ -83,12 +83,7 @@ pub enum PacketOutcome {
 ///   — which would mean an NF broke the purity contract) → `None`: the
 ///   entry seals decision-only and matching packets keep traversing the
 ///   chain.
-///
-/// Public so the bench fixture seals through the *same* gate the Agent
-/// uses — a fixture re-implementation could silently drift and leave the
-/// megaflow guardrails measuring a sealing behavior production no longer
-/// takes.
-pub fn seal_report(
+fn seal_report(
     chain: &NfChain,
     direction: Direction,
     verdict: &Verdict,

@@ -40,8 +40,8 @@
 //!   data plane is single-threaded (parallelism is across stations, in the
 //!   emulator's fan-out).
 //! * **Seal** — after a slow-path packet, the seed is completed with the
-//!   chain's consulted-field report (`NfChain::wildcard_report`, gated by
-//!   [`seal_report`]) before the next packet is classified, so an entry
+//!   chain's consulted-field report (`NfChain::wildcard_report`, gated on
+//!   the packet's verdict) before the next packet is classified, so an entry
 //!   sealed from packet *N* already serves packet *N + 1* of the same batch.
 //! * **Settle** — the verdict becomes a [`PacketOutcome`] in batch order,
 //!   the TX counters of wherever the packet went are updated, a sampled
@@ -55,4 +55,4 @@
 
 pub mod agent;
 
-pub use agent::{seal_report, Agent, AgentConfig, DeployedChain, PacketOutcome};
+pub use agent::{Agent, AgentConfig, DeployedChain, PacketOutcome};

@@ -5,63 +5,21 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gnf_api::codec;
 use gnf_api::messages::AgentToManager;
+use gnf_bench::{register_fleet, station_report};
 use gnf_core::{Emulator, Scenario};
 use gnf_manager::Manager;
 use gnf_telemetry::{DeltaEncoder, ReportReassembler, StationReport};
-use gnf_types::{AgentId, ClientId, GnfConfig, HostClass, ResourceUsage, SimTime, StationId};
+use gnf_types::{GnfConfig, SimTime, StationId};
 use std::hint::black_box;
 use std::time::Duration;
 
+/// A steady-state full report of `station` (the fixture exp_e5 measures).
 fn sample_report(station: u64) -> AgentToManager {
-    // A station with live traffic history: populated cache counters and a
-    // batch distribution — what a full report re-ships every interval
-    // regardless of what changed.
-    let flow_cache = gnf_telemetry::FlowCacheTelemetry {
-        stats: gnf_types::FlowCacheStats {
-            hits: 1_000_000 + station,
-            misses: 40_000,
-            evictions: 1_200,
-            ..Default::default()
-        },
-        entries: 4_096,
-    };
-    let megaflow = gnf_telemetry::MegaflowTelemetry {
-        stats: gnf_types::MegaflowStats {
-            hits: 30_000,
-            misses: 10_000,
-            installs: 600,
-            ..Default::default()
-        },
-        entries: 512,
-        masks: 3,
-    };
-    let batches = gnf_telemetry::BatchTelemetry {
-        batches: 80_000,
-        packets: 1_070_000,
-        max_batch: 210,
-        size_buckets: [10, 20, 300, 4_000, 30_000, 40_000, 5_000, 600, 70],
-    };
-    AgentToManager::Report(Box::new(StationReport {
-        station: StationId::new(station),
-        agent: AgentId::new(station),
-        produced_at: SimTime::from_secs(10),
-        host_class: HostClass::EdgeServer,
-        capacity: HostClass::EdgeServer.capacity(),
-        usage: ResourceUsage {
-            cpu_fraction: 0.35,
-            memory_mb: 900,
-            disk_mb: 4_000,
-            rx_bps: 10e6,
-            tx_bps: 2e6,
-        },
-        connected_clients: (0..20).map(ClientId::new).collect(),
-        running_nfs: 24,
-        cached_images: 7,
-        flow_cache,
-        megaflow,
-        batches,
-        chaos: Default::default(),
-    }))
+    AgentToManager::Report(Box::new(station_report(
+        station,
+        0.30,
+        SimTime::from_secs(10),
+    )))
 }
 
 fn bench_codec(c: &mut Criterion) {
@@ -98,18 +56,7 @@ fn bench_manager_ingest(c: &mut Criterion) {
             |b, &stations| {
                 // Register the stations once, outside the measured loop.
                 let mut manager = Manager::new(GnfConfig::default());
-                for s in 0..stations {
-                    manager.handle_agent_msg(
-                        StationId::new(s),
-                        AgentToManager::Register {
-                            agent: AgentId::new(s),
-                            station: StationId::new(s),
-                            host_class: HostClass::EdgeServer,
-                            capacity: HostClass::EdgeServer.capacity(),
-                        },
-                        SimTime::ZERO,
-                    );
-                }
+                register_fleet(&mut manager, stations);
                 let mut now = 1u64;
                 b.iter(|| {
                     now += 1;
@@ -129,19 +76,10 @@ fn bench_manager_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// The station report used on the delta path, with per-station identity and
-/// a mutable counter section for steady-state churn.
-fn station_report(station: u64) -> StationReport {
-    match sample_report(station) {
-        AgentToManager::Report(report) => *report,
-        _ => unreachable!(),
-    }
-}
-
 /// Full vs delta report transport at fleet scale: encode/decode/apply one
-/// steady-state reporting interval for 100 / 1k / 10k stations, printing the
-/// bytes-on-the-wire guardrail (steady-state delta frames must be at least
-/// 5x smaller than full reports).
+/// steady-state reporting interval for 100 / 1k / 10k stations. The
+/// bytes-on-the-wire guardrail (steady-state delta ≥ 5× smaller than full
+/// reports) is asserted by `exp_e5_manager_scale`.
 fn bench_control_plane(c: &mut Criterion) {
     let mut group = c.benchmark_group("control_plane");
     group
@@ -150,28 +88,6 @@ fn bench_control_plane(c: &mut Criterion) {
         .sample_size(10);
 
     for stations in [100u64, 1_000, 10_000] {
-        // Bytes guardrail, measured outside the timing loops: a steady-state
-        // interval on each path. An idle station's delta carries no sections
-        // at all; a lightly-active one re-ships only its flow-cache block.
-        let mut encoder = DeltaEncoder::new(u64::MAX);
-        let mut report = station_report(0);
-        let _ = encoder.encode(&report); // keyframe
-        report.produced_at = SimTime::from_secs(11);
-        let idle_msg = AgentToManager::ReportDelta(Box::new(encoder.encode(&report)));
-        report.flow_cache.stats.hits += 1;
-        report.produced_at = SimTime::from_secs(12);
-        let churn_msg = AgentToManager::ReportDelta(Box::new(encoder.encode(&report)));
-        let full_bytes = codec::encode_to_vec(&sample_report(0)).unwrap().len();
-        let idle_bytes = codec::encode_to_vec(&idle_msg).unwrap().len();
-        let churn_bytes = codec::encode_to_vec(&churn_msg).unwrap().len();
-        eprintln!(
-            "control_plane bytes/station @ {stations}: full={full_bytes}B \
-             idle-delta={idle_bytes}B ({:.1}x, guardrail >=5x) \
-             churn-delta={churn_bytes}B ({:.1}x)",
-            full_bytes as f64 / idle_bytes as f64,
-            full_bytes as f64 / churn_bytes as f64,
-        );
-
         group.throughput(Throughput::Elements(stations));
 
         // Full path: every station ships (encode + decode) a full report.
@@ -201,7 +117,9 @@ fn bench_control_plane(c: &mut Criterion) {
             |b, &stations| {
                 let mut encoders: Vec<DeltaEncoder> =
                     (0..stations).map(|_| DeltaEncoder::new(16)).collect();
-                let mut reports: Vec<StationReport> = (0..stations).map(station_report).collect();
+                let mut reports: Vec<StationReport> = (0..stations)
+                    .map(|s| station_report(s, 0.30, SimTime::from_secs(10)))
+                    .collect();
                 let mut reassembler = ReportReassembler::new();
                 let mut interval = 0u64;
                 b.iter(|| {

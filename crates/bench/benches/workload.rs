@@ -1,17 +1,14 @@
 //! Workload criterion group: generator throughput and the full station
-//! pipeline (parse → classify → chain) under each synthetic traffic mix,
-//! with the per-mix flow-cache/megaflow hit-rate breakdown printed next to
-//! the timing lines. This is the micro-scale companion of
-//! `exp_e8_workloads` (which sweeps the same mixes through the whole
-//! multi-station emulation).
+//! pipeline (parse → the Agent's classify → chain → settle) under each
+//! synthetic traffic mix, with the per-mix flow-cache/megaflow hit-rate
+//! breakdown printed next to the timing lines. This is the micro-scale
+//! companion of `exp_e8_workloads` (which sweeps the same mixes through the
+//! whole multi-station emulation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use gnf_agent::Agent;
 use gnf_bench::dataplane_fixture as fixture;
-use gnf_nf::firewall::Firewall;
-use gnf_nf::{NfChain, NfContext};
 use gnf_packet::Packet;
-use gnf_switch::{SoftwareSwitch, SteeringRule, TrafficSelector, DEFAULT_MEGAFLOW_CAPACITY};
-use gnf_types::{ChainId, SimTime};
 use gnf_workload::{ArrivalModel, FlowSizeModel, Population, SyntheticSpec, TrafficMix, Workload};
 use std::time::Duration;
 
@@ -49,26 +46,16 @@ fn population() -> Population {
     Population::synthetic(1, 4)
 }
 
-/// A single-station pipeline steering every population client through the
-/// 100-rule conntrack-off firewall (the bench chain the other guardrail
-/// groups walk), megaflow enabled.
-fn station() -> (SoftwareSwitch, NfChain) {
-    let mut sw = SoftwareSwitch::new();
-    sw.set_megaflow_capacity(DEFAULT_MEGAFLOW_CAPACITY);
-    let mut chain = NfChain::new("workload-chain");
-    chain.push(Box::new(Firewall::new(
-        "fw",
-        fixture::hundred_rule_config(false),
-    )));
-    for endpoint in population().endpoints() {
-        sw.steering_mut().install(SteeringRule {
-            client: endpoint.client,
-            client_mac: endpoint.mac,
-            selector: TrafficSelector::all(),
-            chain: ChainId::new(1),
-        });
-    }
-    (sw, chain)
+/// A single station steering every population client through its own
+/// 100-rule conntrack-off firewall (the bench chain e4's guardrails walk),
+/// megaflow enabled.
+fn station() -> Agent {
+    let population = population();
+    let clients = population
+        .endpoints()
+        .iter()
+        .map(|e| (e.client, e.mac, e.ip));
+    fixture::station_agent(clients, &fixture::bench_chain(1, false), true)
 }
 
 /// Drains `budget` packets from a fresh generator of the given spec.
@@ -86,8 +73,6 @@ fn bench_workload(c: &mut Criterion) {
     group
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
-    let ctx = NfContext::at(SimTime::from_secs(1));
-
     for (name, spec) in mixes() {
         // Steady-state generator throughput: one long-lived workload built
         // outside the timing loop (its Zipf CDF table, population and RNG
@@ -114,19 +99,20 @@ fn bench_workload(c: &mut Criterion) {
         });
 
         // Full station pipeline under the mix: cycle a generated slice of
-        // the workload through parse → classify (exact/wildcard/slow) →
-        // chain, exactly as the Agent dispatches it.
+        // the workload through parse → `Agent::process_upstream_packet`
+        // (classify exact/wildcard/slow → chain → seal → settle).
         let frames = generate(&spec, 8_192);
-        let (mut sw, mut chain) = station();
+        let mut agent = station();
         let mut next = 0usize;
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::new("pipeline", name), &(), |b, _| {
             b.iter(|| {
                 let frame = &frames[next];
                 next = (next + 1) % frames.len();
-                std::hint::black_box(fixture::pipeline_step(&mut sw, &mut chain, frame, &ctx))
+                std::hint::black_box(fixture::step(&mut agent, frame))
             })
         });
+        let sw = agent.switch();
         let flow_cache = sw.flow_cache_stats();
         let megaflow = sw.megaflow_stats();
         println!(

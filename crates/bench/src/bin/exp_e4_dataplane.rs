@@ -3,19 +3,26 @@
 //! through chains of increasing length, and per-NF behaviour on a realistic
 //! traffic mix. Wall-clock measurement (this is real packet processing, not a
 //! cost model).
+//!
+//! Its three cache sections time the production pipeline — a real `Agent`
+//! stepped through `process_upstream_packet` — and assert the cache
+//! guardrails: the exact-match flow cache ≥ 2×, the megaflow layer ≥ 1.5×
+//! and its drop entries ≥ 1.5× over the uncached path, on every chain of at
+//! least one NF. The harness panics when a floor is missed.
 
+use gnf_agent::Agent;
+use gnf_bench::dataplane_fixture as fixture;
 use gnf_bench::{section, workers_arg};
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
-use gnf_nf::firewall::{
-    Firewall, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
-};
+use gnf_nf::firewall::Firewall;
 use gnf_nf::testing::{sample_specs, sample_traffic};
 use gnf_nf::{instantiate_chain, Direction, NetworkFunction, NfContext};
-use gnf_packet::builder;
+use gnf_packet::Packet;
 use gnf_switch::TrafficSelector;
-use gnf_types::{GnfConfig, HostClass, MacAddr, SimDuration, SimTime};
+use gnf_types::{GnfConfig, HostClass, SimDuration, SimTime};
 use std::net::Ipv4Addr;
+use std::slice;
 use std::time::Instant;
 
 /// The multi-station scenario for the sharded-execution measurement: 8
@@ -54,27 +61,60 @@ fn sharded_scenario(seed: u64) -> Scenario {
     sb.build()
 }
 
-fn tcp_packet(payload: usize) -> gnf_packet::Packet {
-    builder::tcp_data(
-        MacAddr::derived(1, 1),
-        MacAddr::derived(0xA0, 0),
-        Ipv4Addr::new(10, 0, 0, 2),
-        Ipv4Addr::new(203, 0, 113, 9),
-        40_000,
-        443,
-        &vec![0xAB; payload],
+/// Times `iterations` calls of `f` five times over and keeps the fastest
+/// run, the one the host disturbed least: (packets/s, µs/packet).
+fn measure<F: FnMut()>(iterations: u64, mut f: F) -> (f64, f64) {
+    let elapsed = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iterations {
+                f();
+            }
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    (
+        iterations as f64 / elapsed,
+        elapsed * 1e6 / iterations as f64,
     )
 }
 
-fn measure<F: FnMut()>(iterations: u64, mut f: F) -> (f64, f64) {
-    let start = Instant::now();
-    for _ in 0..iterations {
-        f();
+/// [`measure`] of `frames`, cycled, stepped one at a time through `agent`.
+fn measure_frames(iterations: u64, agent: &mut Agent, frames: &[Packet]) -> (f64, f64) {
+    let mut next = 0usize;
+    measure(iterations, || {
+        fixture::step(agent, &frames[next]);
+        next = (next + 1) % frames.len();
+    })
+}
+
+/// Names the bench chain of `len` NFs a block of cache rows measures.
+fn chain_label(len: usize) {
+    if len == 0 {
+        println!("chain 0 (unsteered, not asserted):");
+        return;
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    let pps = iterations as f64 / elapsed;
-    let us_per_packet = elapsed * 1e6 / iterations as f64;
-    (pps, us_per_packet)
+    let names: Vec<&str> = fixture::bench_chain(len, false)
+        .iter()
+        .map(|spec| spec.kind().label())
+        .collect();
+    println!("chain {len} ({}):", names.join("+"));
+}
+
+/// Prints a block's speedup of the cached over the uncached path and
+/// asserts its guardrail `floor`. Chain-0 blocks are printed but not
+/// asserted: an unsteered packet has no chain for the cache to skip, so a
+/// hit saves only the steering and MAC lookups.
+fn speedup(group: &str, len: usize, floor: f64, uncached_us: f64, cached_us: f64) {
+    let ratio = uncached_us / cached_us;
+    println!("speedup:            {ratio:>10.2}x");
+    if len > 0 {
+        assert!(
+            ratio >= floor,
+            "{group} guardrail: {ratio:.2}x on chain {len} is below the {floor:.1}x floor"
+        );
+        println!("guardrail {group} >= {floor:.1}x: pass");
+    }
 }
 
 fn main() {
@@ -86,24 +126,8 @@ fn main() {
     section("firewall throughput vs rule count (64 B packets, worst case: no rule matches)");
     println!("{:>10} {:>16} {:>16}", "rules", "kpps", "us/packet");
     for rules in [0usize, 10, 100, 1_000, 5_000] {
-        let list: Vec<FirewallRule> = (0..rules)
-            .map(|i| FirewallRule {
-                protocol: ProtocolMatch::Tcp,
-                dst_port: PortMatch::Exact(10_000 + i as u16),
-                action: RuleAction::Drop,
-                ..FirewallRule::any(format!("r{i}"), RuleAction::Drop)
-            })
-            .collect();
-        let mut fw = Firewall::new(
-            "fw",
-            FirewallConfig {
-                rules: list,
-                default_action: RuleAction::Accept,
-                track_connections: false,
-                conntrack_idle_timeout_secs: 60,
-            },
-        );
-        let pkt = tcp_packet(10);
+        let mut fw = Firewall::new("fw", fixture::exact_port_config(rules, false));
+        let pkt = fixture::established_flow_frame(10);
         let iters = if rules >= 1_000 {
             iterations / 10
         } else {
@@ -117,16 +141,8 @@ fn main() {
 
     section("stateful fast path: same firewall with connection tracking enabled (5000 rules)");
     {
-        let list: Vec<FirewallRule> = (0..5_000)
-            .map(|i| FirewallRule {
-                protocol: ProtocolMatch::Tcp,
-                dst_port: PortMatch::Exact(10_000 + i as u16),
-                action: RuleAction::Drop,
-                ..FirewallRule::any(format!("r{i}"), RuleAction::Drop)
-            })
-            .collect();
-        let mut fw = Firewall::new("fw", FirewallConfig::with_rules(list));
-        let pkt = tcp_packet(10);
+        let mut fw = Firewall::new("fw", fixture::exact_port_config(5_000, true));
+        let pkt = fixture::established_flow_frame(10);
         // First packet walks the rules and establishes the flow.
         let _ = fw.process(pkt.clone(), Direction::Ingress, &ctx);
         let (pps, us) = measure(iterations, || {
@@ -148,7 +164,7 @@ fn main() {
     for len in [1usize, 2, 4, 7] {
         let mut chain = instantiate_chain("chain", &specs[..len]);
         let names: Vec<&str> = specs[..len].iter().map(|s| s.kind().label()).collect();
-        let pkt = tcp_packet(200);
+        let pkt = fixture::established_flow_frame(200);
         let (pps, us) = measure(iterations / 2, || {
             let _ = chain.process(pkt.clone(), Direction::Ingress, &ctx);
         });
@@ -162,30 +178,24 @@ fn main() {
     }
 
     section("switch flow cache: full station pipeline, cache-hit vs first-packet path");
-    {
-        use gnf_bench::dataplane_fixture as fixture;
-
-        // Chain of 1 (the 100-rule firewall): same fixture the `flow_cache`
-        // criterion group measures, so the two numbers cannot drift apart.
-        let (mut sw, mut chain) = fixture::station(1, true);
+    let new_flows = fixture::new_flow_frames(8192);
+    for len in [0usize, 1, 3] {
+        chain_label(len);
+        // Cached: every packet belongs to one established flow, so the
+        // switch decision is an exact-match hit and (for chains) the
+        // firewall's conntrack entry is warm.
+        let mut agent = fixture::station(len, true, false);
         let frame = fixture::established_flow_frame(10);
-        fixture::pipeline_step(&mut sw, &mut chain, &frame, &ctx); // warm caches
-        let (hit_pps, hit_us) = measure(iterations, || {
-            fixture::pipeline_step(&mut sw, &mut chain, &frame, &ctx);
-        });
-        let hit_rate = {
-            let stats = sw.flow_cache_stats();
-            stats.hits as f64 / (stats.hits + stats.misses) as f64
-        };
+        fixture::step(&mut agent, &frame); // warm the caches
+        let (hit_pps, hit_us) = measure_frames(iterations, &mut agent, slice::from_ref(&frame));
+        let hit_rate = agent.switch().flow_cache_stats().hit_rate();
 
-        let (mut sw, mut chain) = fixture::station(1, false);
-        let frames = fixture::new_flow_frames(8192);
-        let mut next = 0usize;
-        let (miss_pps, miss_us) = measure(iterations, || {
-            let frame = &frames[next];
-            next = (next + 1) % frames.len();
-            fixture::pipeline_step(&mut sw, &mut chain, frame, &ctx);
-        });
+        // Uncached: every packet is the first of a brand-new flow. 8192
+        // distinct flows cycle through a 4096-entry cache, so every lookup
+        // misses and evicts, and the firewall (conntrack off) evaluates its
+        // rule list per packet.
+        let mut agent = fixture::station(len, false, false);
+        let (miss_pps, miss_us) = measure_frames(iterations, &mut agent, &new_flows);
         println!(
             "cache-hit path:     {:>10.0} kpps  {:>8.3} us/packet  (hit rate {:.1}%)",
             hit_pps / 1e3,
@@ -193,41 +203,32 @@ fn main() {
             hit_rate * 100.0
         );
         println!(
-            "first-packet path:  {:>10.0} kpps  {:>8.3} us/packet  (new flow per packet, 100-rule walk)",
+            "first-packet path:  {:>10.0} kpps  {:>8.3} us/packet  (new flow per packet{})",
             miss_pps / 1e3,
-            miss_us
+            miss_us,
+            if len > 0 { ", 100-rule walk" } else { "" }
         );
-        println!("speedup:            {:>10.2}x", miss_us / hit_us);
+        speedup("flow_cache", len, 2.0, miss_us, hit_us);
     }
 
     section("megaflow wildcard cache: new-flow churn (exact-match hit rate ~ 0)");
-    {
-        use gnf_bench::dataplane_fixture as fixture;
-
+    for len in [0usize, 1] {
+        chain_label(len);
         // Every packet is the first of a brand-new flow (distinct source
         // ports), so the exact-match cache never hits — the workload the
-        // wildcard layer exists for. Chain of 1 = the 100-rule conntrack-off
-        // firewall, which reports pure masks and is bypassed on wildcard
-        // hits; same fixture as the `megaflow` criterion group.
-        let (mut sw, mut chain) = fixture::station(1, false);
-        let frames = fixture::new_flow_frames(8192);
-        let mut next = 0usize;
-        let (slow_pps, slow_us) = measure(iterations, || {
-            let frame = &frames[next];
-            next = (next + 1) % frames.len();
-            fixture::pipeline_step(&mut sw, &mut chain, frame, &ctx);
-        });
-        let exact_hit_rate = sw.flow_cache_stats().hit_rate();
+        // wildcard layer exists for. Baseline: megaflow off, the uncached
+        // slow path.
+        let mut agent = fixture::station(len, false, false);
+        let (slow_pps, slow_us) = measure_frames(iterations, &mut agent, &new_flows);
+        let exact_hit_rate = agent.switch().flow_cache_stats().hit_rate();
 
-        let (mut sw, mut chain) = fixture::station_megaflow(1);
-        fixture::pipeline_step(&mut sw, &mut chain, &frames[0], &ctx); // seal the entry
-        let mut next = 0usize;
-        let (wild_pps, wild_us) = measure(iterations, || {
-            let frame = &frames[next];
-            next = (next + 1) % frames.len();
-            fixture::pipeline_step(&mut sw, &mut chain, frame, &ctx);
-        });
-        let megaflow = sw.megaflow_stats();
+        // Wildcarded: the identical workload with megaflow on. The first
+        // packet seals the masked entry; every later new flow is a wildcard
+        // hit that bypasses the (pure, conntrack-off) firewall.
+        let mut agent = fixture::station(len, false, true);
+        fixture::step(&mut agent, &new_flows[0]); // seal the entry
+        let (wild_pps, wild_us) = measure_frames(iterations, &mut agent, &new_flows);
+        let sw = agent.switch();
         println!(
             "uncached slow path: {:>10.0} kpps  {:>8.3} us/packet  (exact-match hit rate {:.1}%)",
             slow_pps / 1e3,
@@ -238,13 +239,48 @@ fn main() {
             "wildcard (megaflow): {:>9.0} kpps  {:>8.3} us/packet  (megaflow hit rate {:.1}%, {} entr{}, {} mask{})",
             wild_pps / 1e3,
             wild_us,
-            megaflow.hit_rate() * 100.0,
+            sw.megaflow_stats().hit_rate() * 100.0,
             sw.megaflow_len(),
             if sw.megaflow_len() == 1 { "y" } else { "ies" },
             sw.megaflow_mask_count(),
             if sw.megaflow_mask_count() == 1 { "" } else { "s" },
         );
-        println!("speedup:            {:>10.2}x", slow_us / wild_us);
+        speedup("megaflow", len, 1.5, slow_us, wild_us);
+    }
+
+    section("megaflow drop entries: denied new-flow churn (last range rule denies)");
+    let blocked = fixture::blocked_flow_frames(8192);
+    for len in [1usize, 3] {
+        chain_label(len);
+        // Baseline: megaflow off, so every new flow walks 59 range rules to
+        // the deny.
+        let mut agent = fixture::station(len, false, false);
+        let (slow_pps, slow_us) = measure_frames(iterations, &mut agent, &blocked);
+
+        // Wildcarded: the first packet seals a certified drop; every later
+        // new flow of the pattern is retired at the switch, deny counters
+        // replayed. It seals on chain 3 too: the rate limiter and the
+        // (opaque) IDS behind the firewall never see the packet.
+        let mut agent = fixture::station(len, false, true);
+        fixture::step(&mut agent, &blocked[0]); // seal the entry
+        assert_eq!(
+            agent.switch().megaflow_stats().drop_installs,
+            1,
+            "the drop entry must have sealed"
+        );
+        let (wild_pps, wild_us) = measure_frames(iterations, &mut agent, &blocked);
+        println!(
+            "uncached slow path: {:>10.0} kpps  {:>8.3} us/packet  (new flow per packet, walk to the deny)",
+            slow_pps / 1e3,
+            slow_us
+        );
+        println!(
+            "wildcard drop:      {:>10.0} kpps  {:>8.3} us/packet  (drop entry sealed, {} drop bypasses)",
+            wild_pps / 1e3,
+            wild_us,
+            agent.switch().megaflow_stats().drop_hits
+        );
+        speedup("megaflow_drop", len, 1.5, slow_us, wild_us);
     }
 
     section("sharded multi-station emulation: aggregate throughput vs worker count");

@@ -26,7 +26,7 @@
 
 use gnf_api::codec;
 use gnf_api::messages::AgentToManager;
-use gnf_bench::{arg_value, section};
+use gnf_bench::{arg_value, register_fleet, section, station_report};
 use gnf_core::{Emulator, FaultKind, FaultSchedule, Mobility, Scenario};
 use gnf_edge::{RoamTrace, TrafficProfile};
 use gnf_manager::{ControlPlaneStats, Manager};
@@ -37,84 +37,14 @@ use gnf_telemetry::{
     DeltaEncoder, MetricsSeries, NotificationSeverity, RegionAggregator, StationReport, TraceLog,
     TraceScope, TraceSink, DEFAULT_TRACE_CAPACITY,
 };
-use gnf_types::{
-    AgentId, CellId, ClientId, GnfConfig, HostClass, ResourceUsage, SimDuration, SimTime, StationId,
-};
+use gnf_types::{CellId, GnfConfig, HostClass, SimDuration, SimTime, StationId};
 use std::time::Instant;
 
 const FLEETS: [u64; 5] = [100, 1_000, 2_000, 5_000, 10_000];
 const CURVE_DURATION: SimDuration = SimDuration::from_secs(600);
 
-/// A realistic steady-state station report: populated cache counters and a
-/// batch distribution — what a full report re-ships every interval
-/// regardless of what changed, and what the delta transport avoids
-/// re-shipping.
-fn station_report(station: u64, cpu: f64, at: SimTime) -> StationReport {
-    let flow_cache = gnf_telemetry::FlowCacheTelemetry {
-        stats: gnf_types::FlowCacheStats {
-            hits: 1_000_000 + station,
-            misses: 40_000,
-            evictions: 1_200,
-            ..Default::default()
-        },
-        entries: 4_096,
-    };
-    let megaflow = gnf_telemetry::MegaflowTelemetry {
-        stats: gnf_types::MegaflowStats {
-            hits: 30_000,
-            misses: 10_000,
-            installs: 600,
-            ..Default::default()
-        },
-        entries: 512,
-        masks: 3,
-    };
-    let batches = gnf_telemetry::BatchTelemetry {
-        batches: 80_000,
-        packets: 1_070_000,
-        max_batch: 210,
-        size_buckets: [10, 20, 300, 4_000, 30_000, 40_000, 5_000, 600, 70],
-    };
-    StationReport {
-        station: StationId::new(station),
-        agent: AgentId::new(station),
-        produced_at: at,
-        host_class: HostClass::EdgeServer,
-        capacity: HostClass::EdgeServer.capacity(),
-        usage: ResourceUsage {
-            cpu_fraction: cpu,
-            memory_mb: 800,
-            disk_mb: 2_000,
-            rx_bps: 5e6,
-            tx_bps: 1e6,
-        },
-        connected_clients: (0..10).map(|c| ClientId::new(station * 100 + c)).collect(),
-        running_nfs: 12,
-        cached_images: 4,
-        flow_cache,
-        megaflow,
-        batches,
-        chaos: Default::default(),
-    }
-}
-
 fn report(station: u64, cpu: f64, at: SimTime) -> AgentToManager {
     AgentToManager::Report(Box::new(station_report(station, cpu, at)))
-}
-
-fn register_fleet(manager: &mut Manager, stations: u64) {
-    for s in 0..stations {
-        manager.handle_agent_msg(
-            StationId::new(s),
-            AgentToManager::Register {
-                agent: AgentId::new(s),
-                station: StationId::new(s),
-                host_class: HostClass::EdgeServer,
-                capacity: HostClass::EdgeServer.capacity(),
-            },
-            SimTime::ZERO,
-        );
-    }
 }
 
 struct FleetOutcome {

@@ -52,6 +52,7 @@ fn main() {
     let mut replied = 0u32;
     let mut steering_generation_changes = 0u64;
     let mut last_generation = agent.switch().steering().generation();
+    let mut chain_stats_packets = 0u64;
 
     for seq in 0..total {
         let now = SimTime::ZERO + SimDuration::from_millis(u64::from(seq) * 10);
@@ -79,6 +80,12 @@ fn main() {
             );
         }
         if seq == detach_at {
+            chain_stats_packets = agent
+                .chain(ChainId::new(0))
+                .expect("the chain is attached until now")
+                .chain
+                .stats()
+                .packets_in;
             let replies = agent.handle_manager_msg(
                 ManagerToAgent::RemoveChain {
                     chain: ChainId::new(0),
@@ -124,7 +131,6 @@ fn main() {
     println!("dropped:              {dropped}");
     println!("replied:              {replied}");
     println!("steering rule updates: {steering_generation_changes} (each is a single atomic table change)");
-    let chain_stats_packets = detach_at - attach_at;
     println!(
         "packets that traversed the chain while attached: {chain_stats_packets} (expected {})",
         detach_at - attach_at
@@ -132,6 +138,11 @@ fn main() {
     assert_eq!(
         forwarded, total,
         "no packet of the flow may be lost by attach/detach"
+    );
+    assert_eq!(
+        chain_stats_packets,
+        u64::from(detach_at - attach_at),
+        "every packet sent while the chain was attached must traverse it"
     );
     println!("\nresult: attach/remove did not drop a single in-flight packet (make-before-break steering)");
 

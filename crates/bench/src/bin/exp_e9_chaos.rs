@@ -18,7 +18,7 @@
 //! The run prints the recovery-time distribution, the loss breakdown (the
 //! in-flight packets to a dead station are their own loss class) and the
 //! migration outcome table, then asserts every crashed station reconverged
-//! and replays the identical storm at workers {1,2,4}, requiring a
+//! and every packet is accounted, and replays the identical storm at workers {1,2,4}, requiring a
 //! byte-identical `RunReport` from each cell.
 //!
 //! `--seed N` reproduces a storm exactly; `--workers N` picks the matrix
@@ -265,6 +265,10 @@ fn main() {
     assert!(
         p.dropped_station_down > 0,
         "in-flight packets to the dead station must be accounted"
+    );
+    assert!(
+        p.is_conserved(),
+        "no packet may be lost or double-counted under the storm: {p:?}"
     );
     assert_eq!(
         active,

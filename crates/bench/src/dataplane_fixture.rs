@@ -1,27 +1,30 @@
-//! Shared station-pipeline fixture for the flow-cache measurements.
+//! Shared station fixtures for the data-plane measurements.
 //!
-//! Both the `dataplane` criterion bench (`flow_cache` group) and the
-//! `exp_e4_dataplane` experiment harness measure the same thing — the full
-//! per-packet station pipeline (parse → switch → chain) on the cache-hit
-//! path vs the first-packet path. Keeping the fixture here ensures the two
-//! numbers the ROADMAP tracks cannot drift apart.
+//! Every station here is a real [`Agent`], built the way the Manager builds
+//! one: clients associated, chains deployed with
+//! [`ManagerToAgent::DeployChain`], the megaflow layer switched on where
+//! asked. `exp_e4_dataplane`'s cache sections (the guardrails it asserts)
+//! and the criterion `workload` and `trace_overhead` groups step these
+//! stations through `Agent::process_upstream_*`, so what they time is the
+//! production pipeline, not a copy of it.
 
-use gnf_agent::{seal_report, Agent, AgentConfig};
-use gnf_api::messages::ManagerToAgent;
+use gnf_agent::{Agent, AgentConfig, PacketOutcome};
+use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
 use gnf_nf::firewall::{
-    CidrV4, Firewall, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
+    CidrV4, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
 };
-use gnf_nf::ids::{Ids, IdsConfig};
-use gnf_nf::rate_limiter::{RateLimiter, RateLimiterConfig};
-use gnf_nf::{Direction, NfChain, NfConfig, NfContext, NfSpec};
+use gnf_nf::ids::IdsConfig;
+use gnf_nf::rate_limiter::RateLimiterConfig;
+use gnf_nf::{NfConfig, NfSpec};
 use gnf_packet::{builder, Packet};
-use gnf_switch::{
-    Classified, MegaflowState, SoftwareSwitch, SteeringRule, TrafficSelector,
-    DEFAULT_MEGAFLOW_CAPACITY,
-};
+use gnf_switch::TrafficSelector;
 use gnf_types::{AgentId, ChainId, ClientId, HostClass, MacAddr, SimTime, StationId};
 use std::net::Ipv4Addr;
+
+/// The virtual time every fixture chain is deployed and every fixture
+/// packet arrives at.
+pub const NOW: SimTime = SimTime::from_secs(1);
 
 /// A 100-rule edge firewall of range and CIDR rules — the shapes the
 /// exact-port index cannot bucket, so the uncached path walks the list per
@@ -51,50 +54,115 @@ pub fn hundred_rule_config(track_connections: bool) -> FirewallConfig {
     }
 }
 
-/// Builds the station data-plane fixture: a switch steering the bench
-/// client's traffic through a chain of `len` NFs (0 = no steering), with the
-/// 100-rule firewall first when present.
-pub fn station(len: usize, track_connections: bool) -> (SoftwareSwitch, NfChain) {
-    let mut sw = SoftwareSwitch::new();
-    let mut chain = NfChain::new("bench-chain");
-    if len >= 1 {
-        chain.push(Box::new(Firewall::new(
-            "fw",
-            hundred_rule_config(track_connections),
-        )));
+/// A firewall of `rules` exact-port TCP deny rules (ports 10 000 and up),
+/// none of which matches the bench client's traffic to port 443 — the
+/// rule-count rows. The exact-port index keeps the walk O(1).
+pub fn exact_port_config(rules: usize, track_connections: bool) -> FirewallConfig {
+    FirewallConfig {
+        rules: (0..rules)
+            .map(|i| FirewallRule {
+                protocol: ProtocolMatch::Tcp,
+                dst_port: PortMatch::Exact(10_000 + i as u16),
+                action: RuleAction::Drop,
+                ..FirewallRule::any(format!("rule-{i}"), RuleAction::Drop)
+            })
+            .collect(),
+        default_action: RuleAction::Accept,
+        track_connections,
+        conntrack_idle_timeout_secs: 60,
     }
-    if len >= 2 {
-        chain.push(Box::new(RateLimiter::new(
-            "rl",
-            RateLimiterConfig {
-                rate_bytes_per_sec: 1e12,
-                burst_bytes: 1e12,
-                ..Default::default()
-            },
-        )));
-    }
-    if len >= 3 {
-        chain.push(Box::new(Ids::new("ids", IdsConfig::default())));
-    }
-    if len > 0 {
-        sw.steering_mut().install(SteeringRule {
-            client: ClientId::new(1),
-            client_mac: MacAddr::derived(1, 1),
-            selector: TrafficSelector::all(),
-            chain: ChainId::new(1),
-        });
-    }
-    (sw, chain)
 }
 
-/// The [`station`] fixture with the megaflow (wildcard) cache enabled —
-/// conntrack stays off so the firewall reports pure masks and the chain is
-/// bypassable, which is the megaflow win the `megaflow` criterion group and
-/// exp_e4's new-flow-churn section measure.
-pub fn station_megaflow(len: usize) -> (SoftwareSwitch, NfChain) {
-    let (mut sw, chain) = station(len, false);
-    sw.set_megaflow_capacity(DEFAULT_MEGAFLOW_CAPACITY);
-    (sw, chain)
+/// One station: an Agent with every `(client, mac, ip)` of `clients`
+/// associated and, when `specs` is non-empty, steered through a chain of its
+/// own (chain id = client id + 1) deployed from `specs`. `megaflow` switches
+/// the wildcard layer on, as the emulator does on every station.
+pub fn station_agent(
+    clients: impl IntoIterator<Item = (ClientId, MacAddr, Ipv4Addr)>,
+    specs: &[NfSpec],
+    megaflow: bool,
+) -> Agent {
+    let (mut agent, _) = Agent::new(
+        AgentConfig {
+            agent: AgentId::new(1),
+            station: StationId::new(1),
+            host_class: HostClass::EdgeServer,
+        },
+        ImageRepository::with_standard_images(),
+    );
+    agent.set_megaflow_enabled(megaflow);
+    for (client, mac, ip) in clients {
+        agent.client_associated(client, mac, ip);
+        if specs.is_empty() {
+            continue;
+        }
+        let replies = agent.handle_manager_msg(
+            ManagerToAgent::DeployChain {
+                chain: ChainId::new(client.raw() + 1),
+                client,
+                client_mac: mac,
+                specs: specs.to_vec(),
+                selector: TrafficSelector::all(),
+                restore_state: None,
+                migration: None,
+            },
+            NOW,
+        );
+        assert!(
+            matches!(replies[0], AgentToManager::ChainDeployed { .. }),
+            "the fixture chain must deploy, got {:?}",
+            replies[0]
+        );
+    }
+    agent
+}
+
+/// The first `len` NFs of the bench chain: the 100-rule firewall, a rate
+/// limiter that never limits (10¹² B/s), and the IDS.
+pub fn bench_chain(len: usize, track_connections: bool) -> Vec<NfSpec> {
+    let limiter = RateLimiterConfig {
+        rate_bytes_per_sec: 1e12,
+        burst_bytes: 1e12,
+        ..Default::default()
+    };
+    [
+        NfSpec::new(
+            "fw",
+            NfConfig::Firewall(hundred_rule_config(track_connections)),
+        ),
+        NfSpec::new("rl", NfConfig::RateLimiter(limiter)),
+        NfSpec::new("ids", NfConfig::Ids(IdsConfig::default())),
+    ]
+    .into_iter()
+    .take(len)
+    .collect()
+}
+
+/// The guardrail station: the bench client (the source of
+/// [`established_flow_frame`], [`new_flow_frames`] and
+/// [`blocked_flow_frames`]) steered through a [`bench_chain`] of `len` NFs;
+/// `len` 0 leaves it associated but unsteered.
+pub fn station(len: usize, track_connections: bool, megaflow: bool) -> Agent {
+    station_agent(
+        [(
+            ClientId::new(1),
+            MacAddr::derived(1, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+        )],
+        &bench_chain(len, track_connections),
+        megaflow,
+    )
+}
+
+/// One packet through the station's production pipeline: parse the
+/// arriving frame, then `Agent::process_upstream_packet` (a batch of one).
+/// Returns whether the packet was forwarded.
+pub fn step(agent: &mut Agent, frame: &Packet) -> bool {
+    let packet = Packet::parse(frame.bytes().clone()).unwrap();
+    matches!(
+        agent.process_upstream_packet(packet, NOW),
+        PacketOutcome::Forwarded(_)
+    )
 }
 
 /// One established flow of the bench client (the cache-hit workload).
@@ -114,28 +182,20 @@ pub fn established_flow_frame(payload: usize) -> Packet {
 /// first of a brand-new flow (the uncached workload; use more frames than
 /// the flow-cache capacity so every lookup misses).
 pub fn new_flow_frames(count: u32) -> Vec<Packet> {
-    (0..count)
-        .map(|i| {
-            builder::tcp_data(
-                MacAddr::derived(1, 1),
-                MacAddr::derived(0xA0, 0),
-                Ipv4Addr::new(10, 0, 0, 2),
-                Ipv4Addr::new(203, 0, 113, 9),
-                (40_000 + i % u32::from(u16::MAX - 40_000)) as u16,
-                443,
-                &[0xAB; 10],
-            )
-        })
-        .collect()
+    flow_frames(count, 443)
 }
 
 /// `count` frames with distinct source ports towards the destination port
 /// the **last** range rule of [`hundred_rule_config`] denies — dropped-flow
 /// churn. The chain-walking baseline pays the longest first-match walk (59
 /// range rules evaluated before the deny), while a wildcarded drop entry
-/// retires the packet at the switch; this is the `megaflow_drop` criterion
-/// group's workload.
+/// retires the packet at the switch.
 pub fn blocked_flow_frames(count: u32) -> Vec<Packet> {
+    flow_frames(count, 10_595)
+}
+
+/// `count` bench-client frames to `dst_port`, each from its own source port.
+fn flow_frames(count: u32, dst_port: u16) -> Vec<Packet> {
     (0..count)
         .map(|i| {
             builder::tcp_data(
@@ -144,7 +204,7 @@ pub fn blocked_flow_frames(count: u32) -> Vec<Packet> {
                 Ipv4Addr::new(10, 0, 0, 2),
                 Ipv4Addr::new(203, 0, 113, 9),
                 (40_000 + i % u32::from(u16::MAX - 40_000)) as u16,
-                10_595,
+                dst_port,
                 &[0xAB; 10],
             )
         })
@@ -156,46 +216,27 @@ fn hot_station_ip(client: u32) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 1 + (client / 250) as u8, 2 + (client % 250) as u8)
 }
 
-/// One *hot* station: an Agent with `clients` associated clients, each
-/// steered through its own 2-NF chain — the 100-rule conntrack-on firewall
-/// followed by the IDS. The IDS is deliberately opaque (it reads the whole
-/// payload), so the chains never seal a wildcard bypass and every packet of
-/// every established flow still pays the full chain walk: the per-packet
-/// work the `trace_overhead` criterion group traces.
+/// One *hot* station: `clients` clients, each steered through its own 2-NF
+/// chain — the 100-rule conntrack-on firewall followed by the IDS — with
+/// megaflow on. The IDS is deliberately opaque (it reads the whole payload),
+/// so the chains never seal a wildcard bypass and every packet of every
+/// established flow still pays the full chain walk: the per-packet work the
+/// `trace_overhead` criterion group traces.
 pub fn hot_station_agent(clients: u32) -> Agent {
-    let (mut agent, _) = Agent::new(
-        AgentConfig {
-            agent: AgentId::new(1),
-            station: StationId::new(1),
-            host_class: HostClass::EdgeServer,
-        },
-        ImageRepository::with_standard_images(),
-    );
-    agent.set_megaflow_enabled(true);
-    for client in 0..clients {
-        let mac = MacAddr::derived(1, client);
-        agent.client_associated(
-            ClientId::new(u64::from(client)),
-            mac,
-            hot_station_ip(client),
-        );
-        agent.handle_manager_msg(
-            ManagerToAgent::DeployChain {
-                chain: ChainId::new(u64::from(client) + 1),
-                client: ClientId::new(u64::from(client)),
-                client_mac: mac,
-                specs: vec![
-                    NfSpec::new("fw", NfConfig::Firewall(hundred_rule_config(true))),
-                    NfSpec::new("ids", NfConfig::Ids(IdsConfig::default())),
-                ],
-                selector: TrafficSelector::all(),
-                restore_state: None,
-                migration: None,
-            },
-            SimTime::from_secs(1),
-        );
-    }
-    agent
+    station_agent(
+        (0..clients).map(|client| {
+            (
+                ClientId::new(u64::from(client)),
+                MacAddr::derived(1, client),
+                hot_station_ip(client),
+            )
+        }),
+        &[
+            NfSpec::new("fw", NfConfig::Firewall(hundred_rule_config(true))),
+            NfSpec::new("ids", NfConfig::Ids(IdsConfig::default())),
+        ],
+        true,
+    )
 }
 
 /// The hot station's upstream batch: `per_client` 1000-byte TCP data frames
@@ -221,52 +262,4 @@ pub fn hot_station_frames(clients: u32, per_client: usize) -> Vec<Packet> {
     (0..per_client)
         .flat_map(|_| frames.iter().cloned())
         .collect()
-}
-
-/// One station-pipeline iteration, exactly as the Agent dispatches a batch
-/// of one: parse the arriving frame, classify it (exact → wildcard → slow
-/// path), then either replay a certified chain bypass (forward or drop), or
-/// run the chain when steered and seal the slow-path seed into a wildcard
-/// entry. A switch with the megaflow layer off only ever answers
-/// [`MegaflowState::None`], so the same step serves both kinds of fixture.
-/// Returns whether the packet was forwarded.
-pub fn pipeline_step(
-    sw: &mut SoftwareSwitch,
-    chain: &mut NfChain,
-    frame: &Packet,
-    ctx: &NfContext,
-) -> bool {
-    let pkt = Packet::parse(frame.bytes().clone()).unwrap();
-    let port = sw.client_port();
-    let mut cursor = sw
-        .begin_batch(std::slice::from_ref(&pkt), port, SimTime::from_secs(1))
-        .unwrap();
-    let Classified { decision, megaflow } = sw.classify(&mut cursor, &pkt);
-    match decision.steering {
-        Some((_, upstream)) => {
-            let direction = if upstream {
-                Direction::Ingress
-            } else {
-                Direction::Egress
-            };
-            match megaflow {
-                MegaflowState::Bypass(tokens) => {
-                    chain.credit_bypass(direction, &tokens, 1, pkt.len() as u64);
-                    true
-                }
-                MegaflowState::DropBypass { tokens, .. } => {
-                    chain.credit_bypass_drop(direction, &tokens, 1, pkt.len() as u64);
-                    false
-                }
-                megaflow => {
-                    let verdict = chain.process(pkt, direction, ctx);
-                    if let MegaflowState::Seed(seed) = megaflow {
-                        sw.install_megaflow(seed, seal_report(chain, direction, &verdict));
-                    }
-                    verdict.is_forward()
-                }
-            }
-        }
-        None => true,
-    }
 }

@@ -7,7 +7,7 @@
 //!   VM deployment, checkpoint/restore) and the control plane (codec,
 //!   Manager message handling). Run with `cargo bench --workspace`.
 //! * `src/bin/exp_*` — one harness per experiment in `EXPERIMENTS.md`
-//!   (E1–E7), each printing the table/series that reproduces the
+//!   (E1–E9), each printing the table/series that reproduces the
 //!   corresponding claim or figure of the paper. Run with, e.g.:
 //!
 //! ```text
@@ -18,9 +18,12 @@
 
 pub mod dataplane_fixture;
 
+use gnf_api::messages::AgentToManager;
 use gnf_core::Emulator;
+use gnf_manager::Manager;
 use gnf_sim::Histogram;
-use gnf_telemetry::{LogHistogram, MetricsSeries, TraceLog};
+use gnf_telemetry::{LogHistogram, MetricsSeries, StationReport, TraceLog};
+use gnf_types::{AgentId, ClientId, HostClass, ResourceUsage, SimTime, StationId};
 
 /// Formats a histogram (in ms) as `mean/median/p99/max` for experiment tables.
 pub fn ms_row(h: &Histogram) -> String {
@@ -199,5 +202,76 @@ pub fn pct(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64 * 100.0
+    }
+}
+
+/// A realistic steady-state station report: populated cache counters and a
+/// batch distribution — what a full report re-ships every interval
+/// regardless of what changed, and what the delta transport avoids
+/// re-shipping. Shared by `exp_e5_manager_scale` and the `control_plane`
+/// criterion bench.
+pub fn station_report(station: u64, cpu: f64, at: SimTime) -> StationReport {
+    let flow_cache = gnf_telemetry::FlowCacheTelemetry {
+        stats: gnf_types::FlowCacheStats {
+            hits: 1_000_000 + station,
+            misses: 40_000,
+            evictions: 1_200,
+            ..Default::default()
+        },
+        entries: 4_096,
+    };
+    let megaflow = gnf_telemetry::MegaflowTelemetry {
+        stats: gnf_types::MegaflowStats {
+            hits: 30_000,
+            misses: 10_000,
+            installs: 600,
+            ..Default::default()
+        },
+        entries: 512,
+        masks: 3,
+    };
+    let batches = gnf_telemetry::BatchTelemetry {
+        batches: 80_000,
+        packets: 1_070_000,
+        max_batch: 210,
+        size_buckets: [10, 20, 300, 4_000, 30_000, 40_000, 5_000, 600, 70],
+    };
+    StationReport {
+        station: StationId::new(station),
+        agent: AgentId::new(station),
+        produced_at: at,
+        host_class: HostClass::EdgeServer,
+        capacity: HostClass::EdgeServer.capacity(),
+        usage: ResourceUsage {
+            cpu_fraction: cpu,
+            memory_mb: 800,
+            disk_mb: 2_000,
+            rx_bps: 5e6,
+            tx_bps: 1e6,
+        },
+        connected_clients: (0..10).map(|c| ClientId::new(station * 100 + c)).collect(),
+        running_nfs: 12,
+        cached_images: 4,
+        flow_cache,
+        megaflow,
+        batches,
+        chaos: Default::default(),
+    }
+}
+
+/// Registers stations `0..stations` (edge servers) with `manager` at time
+/// zero.
+pub fn register_fleet(manager: &mut Manager, stations: u64) {
+    for s in 0..stations {
+        manager.handle_agent_msg(
+            StationId::new(s),
+            AgentToManager::Register {
+                agent: AgentId::new(s),
+                station: StationId::new(s),
+                host_class: HostClass::EdgeServer,
+                capacity: HostClass::EdgeServer.capacity(),
+            },
+            SimTime::ZERO,
+        );
     }
 }

@@ -1740,6 +1740,10 @@ mod tests {
         // client starts sending at t≈150ms, plus the migration window).
         assert!(report_drop.packets.dropped_in_gap > 0);
         assert!(report_bypass.packets.bypassed_in_gap > 0);
+        // A gap-bypassed packet is forwarded: both runs conserve packets
+        // under the one definition.
+        assert!(report_drop.packets.is_conserved());
+        assert!(report_bypass.packets.is_conserved());
     }
 
     #[test]

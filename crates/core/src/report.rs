@@ -140,7 +140,9 @@ pub struct PacketStats {
     /// configuration forbids bypassing the chain.
     pub dropped_in_gap: u64,
     /// Packets forwarded *without* NF processing during a migration gap
-    /// (allowed only when `bypass_during_migration` is set).
+    /// (allowed only when `bypass_during_migration` is set). A subset of
+    /// `forwarded`: each such packet is counted there too, so it does not
+    /// enter the conservation sum.
     pub bypassed_in_gap: u64,
     /// Packets lost because they were in flight to (or arrived at) a station
     /// that had crashed and not yet restarted.
@@ -160,6 +162,20 @@ impl PacketStats {
             return 0.0;
         }
         (self.dropped_in_gap + self.bypassed_in_gap) as f64 / self.generated as f64
+    }
+
+    /// Packet conservation: every generated packet landed in exactly one
+    /// terminal class — forwarded, dropped or replied by an NF, dropped in a
+    /// migration gap, or lost to a down station. A lost packet breaks the
+    /// equality low, a double-counted one high. `bypassed_in_gap` and
+    /// `hairpinned` are subsets of the terminal classes and stay out.
+    pub fn is_conserved(&self) -> bool {
+        self.generated
+            == self.forwarded
+                + self.dropped_by_nf
+                + self.replied_by_nf
+                + self.dropped_in_gap
+                + self.dropped_station_down
     }
 }
 
