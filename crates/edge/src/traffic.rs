@@ -8,11 +8,11 @@
 
 use crate::topology::{ClientDevice, StationSite};
 use gnf_packet::{builder, Packet};
-use gnf_sim::Rng;
+use gnf_sim::{Rng, Zipf};
 use gnf_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// The application mix a client generates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -70,30 +70,53 @@ const WEB_HOSTS: [&str; 8] = [
     "svc.edge.example",
 ];
 
+/// The path of page `ix` (`/page/1` ..= `/page/50`) a browsing client
+/// requests, formatted once per process.
+fn page_path(ix: u64) -> &'static str {
+    static PATHS: OnceLock<Vec<String>> = OnceLock::new();
+    let paths = PATHS.get_or_init(|| (1..=50).map(|ix| format!("/page/{ix}")).collect());
+    &paths[ix as usize - 1]
+}
+
 /// Generates a client's upstream workload.
 #[derive(Debug, Clone)]
 pub struct TrafficGenerator {
     profile: TrafficProfile,
     rng: Rng,
+    /// The popularity of `WEB_HOSTS` in this profile's events: Zipf with
+    /// exponent 1.1 for browsing, 1.0 for DNS chatter.
+    hosts: Zipf,
+    /// The payload every constant-bit-rate packet carries.
+    cbr_payload: Vec<u8>,
     next_src_port: u16,
     dns_id: u16,
     /// Persistent (keep-alive) HTTP connection per host rank: consecutive
     /// requests to the same host reuse the ephemeral port, like a real
     /// browser reusing a TCP connection — and like real traffic, repeated
     /// packets of these flows ride the switch's flow-cache fast path.
-    http_ports: HashMap<usize, u16>,
+    http_ports: [Option<u16>; WEB_HOSTS.len()],
 }
 
 impl TrafficGenerator {
     /// Creates a generator for a client with the given profile and seed
     /// stream.
     pub fn new(profile: TrafficProfile, rng: Rng) -> Self {
+        let (hosts, cbr_payload) = match profile {
+            TrafficProfile::WebBrowsing { .. } => (Zipf::new(WEB_HOSTS.len(), 1.1), Vec::new()),
+            TrafficProfile::DnsHeavy { .. } => (Zipf::new(WEB_HOSTS.len(), 1.0), Vec::new()),
+            TrafficProfile::ConstantBitRate { payload_bytes, .. } => {
+                (Zipf::new(0, 1.0), vec![0xAB; payload_bytes])
+            }
+            TrafficProfile::Idle => (Zipf::new(0, 1.0), Vec::new()),
+        };
         TrafficGenerator {
             profile,
             rng,
+            hosts,
+            cbr_payload,
             next_src_port: 40_000,
             dns_id: 1,
-            http_ports: HashMap::new(),
+            http_ports: [None; WEB_HOSTS.len()],
         }
     }
 
@@ -117,11 +140,10 @@ impl TrafficGenerator {
                     (delay, packet)
                 }
                 TrafficProfile::ConstantBitRate {
-                    packets_per_sec,
-                    payload_bytes,
+                    packets_per_sec, ..
                 } => {
                     let delay = SimDuration::from_secs_f64(1.0 / packets_per_sec.max(0.001));
-                    let packet = self.cbr_packet(client, site, payload_bytes);
+                    let packet = self.cbr_packet(client, site);
                     (delay, packet)
                 }
                 TrafficProfile::DnsHeavy { mean_interval } => {
@@ -150,7 +172,7 @@ impl TrafficGenerator {
     }
 
     fn next_web_packet(&mut self, client: &ClientDevice, site: &StationSite) -> Packet {
-        let rank = self.rng.zipf(WEB_HOSTS.len(), 1.1);
+        let rank = self.hosts.sample(&mut self.rng);
         let host = WEB_HOSTS[rank];
         // One third of web events are the DNS lookup, the rest the HTTP GET.
         if self.rng.chance(0.33) {
@@ -167,11 +189,11 @@ impl TrafficGenerator {
         } else {
             let server = self.server_ip_for(rank);
             let path_ix = self.rng.range_inclusive(1, 50);
-            let port = match self.http_ports.get(&rank) {
-                Some(port) => *port,
+            let port = match self.http_ports[rank] {
+                Some(port) => port,
                 None => {
                     let port = self.alloc_port();
-                    self.http_ports.insert(rank, port);
+                    self.http_ports[rank] = Some(port);
                     port
                 }
             };
@@ -182,12 +204,12 @@ impl TrafficGenerator {
                 server,
                 port,
                 host,
-                &format!("/page/{path_ix}"),
+                page_path(path_ix),
             )
         }
     }
 
-    fn cbr_packet(&mut self, client: &ClientDevice, site: &StationSite, payload: usize) -> Packet {
+    fn cbr_packet(&self, client: &ClientDevice, site: &StationSite) -> Packet {
         builder::udp_packet(
             client.mac,
             site.gateway_mac,
@@ -195,13 +217,13 @@ impl TrafficGenerator {
             Ipv4Addr::new(203, 0, 113, 200),
             5_004,
             5_004,
-            &vec![0xAB; payload],
+            &self.cbr_payload,
         )
     }
 
     fn dns_packet(&mut self, client: &ClientDevice, site: &StationSite) -> Packet {
         self.dns_id = self.dns_id.wrapping_add(1);
-        let rank = self.rng.zipf(WEB_HOSTS.len(), 1.0);
+        let rank = self.hosts.sample(&mut self.rng);
         builder::dns_query(
             client.mac,
             site.gateway_mac,

@@ -3,19 +3,37 @@
 //! Traffic generators, tests and benchmarks build frames through these
 //! functions so that checksums, lengths and layer offsets are always
 //! consistent. Each function returns a fully parsed [`Packet`].
+//!
+//! A frame is written once. Its length is known before the first byte: the
+//! Ethernet, IPv4 and transport headers go to their fixed offsets, the
+//! payload (a DNS question, an HTTP request) straight behind them, and both
+//! checksums are filled in place. The frame is written on the stack and
+//! copied into its own `Bytes` — its one heap request — unless it is longer
+//! than a full-size Ethernet frame. The layered encoders (`EthernetHeader`,
+//! `Ipv4Header`, `TcpHeader` and `UdpHeader::emit`, `DnsMessage::emit`,
+//! `HttpRequest::to_bytes`) stay for their other callers and are the oracle
+//! every builder is held to byte for byte (`tests/builder_oracle.rs`).
 
 use crate::arp::ArpPacket;
-use crate::dns::{DnsMessage, DNS_PORT};
-use crate::ethernet::{EtherType, EthernetHeader};
-use crate::http::{HttpRequest, HttpResponse, HTTP_PORT};
+use crate::checksum::{internet_checksum, transport_checksum};
+use crate::dns::{self, DnsMessage, DNS_PORT};
+use crate::ethernet::{EtherType, ETHERNET_HEADER_LEN};
+use crate::http::{self, HttpResponse, HTTP_PORT};
 use crate::icmp::IcmpMessage;
-use crate::ipv4::{IpProtocol, Ipv4Header};
+use crate::ipv4::{IpProtocol, IPV4_HEADER_LEN};
 use crate::packet::Packet;
-use crate::tcp::{TcpFlags, TcpHeader};
-use crate::udp::UdpHeader;
-use bytes::BytesMut;
+use crate::tcp::{TcpFlags, TCP_HEADER_LEN};
+use crate::udp::UDP_HEADER_LEN;
+use bytes::{Bytes, BytesMut};
 use gnf_types::MacAddr;
 use std::net::Ipv4Addr;
+
+/// Frames up to this length are written on the stack; a longer one is
+/// written into a heap buffer first, a second heap request.
+const STACK_FRAME: usize = 1_536;
+
+/// Where the transport segment starts in an Ethernet + IPv4 frame.
+const SEGMENT_AT: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
 
 /// Builds an Ethernet + IPv4 + TCP frame carrying `payload`.
 #[allow(clippy::too_many_arguments)]
@@ -29,12 +47,17 @@ pub fn tcp_packet(
     flags: TcpFlags,
     payload: &[u8],
 ) -> Packet {
-    let mut tcp = TcpHeader::new(src_port, dst_port, flags);
-    tcp.seq = 1;
-    let mut l4 = BytesMut::with_capacity(20 + payload.len());
-    tcp.emit(&mut l4, src_ip, dst_ip, payload);
-
-    build_ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProtocol::Tcp, &l4)
+    tcp_frame(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        flags,
+        payload.len(),
+        |out| out.copy_from_slice(payload),
+    )
 }
 
 /// Builds a TCP data segment with the `ACK|PSH` flags set (a typical in-flow
@@ -48,13 +71,15 @@ pub fn tcp_data(
     dst_port: u16,
     payload: &[u8],
 ) -> Packet {
-    let flags = TcpFlags {
-        ack: true,
-        psh: !payload.is_empty(),
-        ..TcpFlags::default()
-    };
     tcp_packet(
-        src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, flags, payload,
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        data_flags(payload.len()),
+        payload,
     )
 }
 
@@ -90,10 +115,16 @@ pub fn udp_packet(
     dst_port: u16,
     payload: &[u8],
 ) -> Packet {
-    let udp = UdpHeader::new(src_port, dst_port, payload.len());
-    let mut l4 = BytesMut::with_capacity(8 + payload.len());
-    udp.emit(&mut l4, src_ip, dst_ip, payload);
-    build_ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProtocol::Udp, &l4)
+    udp_frame(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        payload.len(),
+        |out| out.copy_from_slice(payload),
+    )
 }
 
 /// Builds an ICMP echo request frame.
@@ -108,23 +139,27 @@ pub fn icmp_echo_request(
     let msg = IcmpMessage::echo_request(identifier, sequence, vec![0x47; 32]);
     let mut l4 = BytesMut::with_capacity(msg.len());
     msg.emit(&mut l4);
-    build_ipv4_frame(src_mac, dst_mac, src_ip, dst_ip, IpProtocol::Icmp, &l4)
+    ipv4_frame(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        IpProtocol::Icmp,
+        l4.len(),
+        |segment| segment.copy_from_slice(&l4),
+    )
 }
 
 /// Builds a broadcast ARP who-has request.
 pub fn arp_request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Packet {
     let arp = ArpPacket::request(sender_mac, sender_ip, target_ip);
-    let mut payload = BytesMut::with_capacity(28);
-    arp.emit(&mut payload);
-    build_frame(sender_mac, MacAddr::BROADCAST, EtherType::Arp, &payload)
+    arp_frame(sender_mac, MacAddr::BROADCAST, &arp)
 }
 
 /// Builds a unicast ARP reply answering `request`.
 pub fn arp_reply(request: &ArpPacket, responder_mac: MacAddr) -> Packet {
     let arp = ArpPacket::reply_to(request, responder_mac);
-    let mut payload = BytesMut::with_capacity(28);
-    arp.emit(&mut payload);
-    build_frame(responder_mac, request.sender_mac, EtherType::Arp, &payload)
+    arp_frame(responder_mac, request.sender_mac, &arp)
 }
 
 /// Builds a DNS A-record query carried over UDP to port 53.
@@ -138,15 +173,15 @@ pub fn dns_query(
     id: u16,
     name: &str,
 ) -> Packet {
-    let msg = DnsMessage::query(id, name);
-    udp_packet(
+    udp_frame(
         src_mac,
         dst_mac,
         src_ip,
         dst_ip,
         src_port,
         DNS_PORT,
-        &msg.to_bytes(),
+        dns::query_len(name),
+        |out| dns::write_query(out, id, name),
     )
 }
 
@@ -185,15 +220,24 @@ pub fn http_get(
     host: &str,
     path: &str,
 ) -> Packet {
-    let req = HttpRequest::get(host, path);
-    tcp_data(
+    let pieces = http::get_request_pieces(host, path);
+    let len = pieces.iter().map(|piece| piece.len()).sum();
+    tcp_frame(
         src_mac,
         dst_mac,
         src_ip,
         dst_ip,
         src_port,
         HTTP_PORT,
-        &req.to_bytes(),
+        data_flags(len),
+        len,
+        |mut out| {
+            for piece in pieces {
+                let (head, rest) = out.split_at_mut(piece.len());
+                head.copy_from_slice(piece);
+                out = rest;
+            }
+        },
     )
 }
 
@@ -218,33 +262,149 @@ pub fn http_response(
     )
 }
 
-/// Builds a raw IPv4 frame around an already-encoded transport payload.
-fn build_ipv4_frame(
+/// The flags of a data segment: `ACK`, plus `PSH` when it carries data.
+fn data_flags(payload_len: usize) -> TcpFlags {
+    TcpFlags {
+        ack: true,
+        psh: payload_len > 0,
+        ..TcpFlags::default()
+    }
+}
+
+/// Builds an Ethernet + IPv4 + TCP frame (sequence number 1, no options)
+/// whose `payload_len`-byte payload `write_payload` fills.
+#[allow(clippy::too_many_arguments)]
+fn tcp_frame(
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    flags: TcpFlags,
+    payload_len: usize,
+    write_payload: impl FnOnce(&mut [u8]),
+) -> Packet {
+    ipv4_frame(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        IpProtocol::Tcp,
+        TCP_HEADER_LEN + payload_len,
+        |segment| {
+            let (header, payload) = segment.split_at_mut(TCP_HEADER_LEN);
+            header[0..2].copy_from_slice(&src_port.to_be_bytes());
+            header[2..4].copy_from_slice(&dst_port.to_be_bytes());
+            header[4..8].copy_from_slice(&1u32.to_be_bytes()); // sequence
+            header[8..12].fill(0); // acknowledgement
+            header[12] = ((TCP_HEADER_LEN / 4) as u8) << 4;
+            header[13] = flags.to_byte();
+            header[14..16].copy_from_slice(&u16::MAX.to_be_bytes()); // window
+            header[16..20].fill(0); // checksum (below), urgent pointer
+            write_payload(payload);
+            let checksum = transport_checksum(src_ip, dst_ip, IpProtocol::Tcp.value(), segment);
+            segment[16..18].copy_from_slice(&checksum.to_be_bytes());
+        },
+    )
+}
+
+/// Builds an Ethernet + IPv4 + UDP frame whose `payload_len`-byte payload
+/// `write_payload` fills.
+#[allow(clippy::too_many_arguments)]
+fn udp_frame(
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    payload_len: usize,
+    write_payload: impl FnOnce(&mut [u8]),
+) -> Packet {
+    let segment_len = UDP_HEADER_LEN + payload_len;
+    ipv4_frame(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        IpProtocol::Udp,
+        segment_len,
+        |segment| {
+            let (header, payload) = segment.split_at_mut(UDP_HEADER_LEN);
+            header[0..2].copy_from_slice(&src_port.to_be_bytes());
+            header[2..4].copy_from_slice(&dst_port.to_be_bytes());
+            header[4..6].copy_from_slice(&(segment_len as u16).to_be_bytes());
+            header[6..8].fill(0); // checksum, below
+            write_payload(payload);
+            let checksum = transport_checksum(src_ip, dst_ip, IpProtocol::Udp.value(), segment);
+            segment[6..8].copy_from_slice(&checksum.to_be_bytes());
+        },
+    )
+}
+
+/// Builds an Ethernet + IPv4 frame (no options, don't-fragment, TTL 64)
+/// around a `segment_len`-byte transport segment that `write_segment` fills,
+/// checksum included.
+fn ipv4_frame(
     src_mac: MacAddr,
     dst_mac: MacAddr,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     protocol: IpProtocol,
-    l4: &[u8],
+    segment_len: usize,
+    write_segment: impl FnOnce(&mut [u8]),
 ) -> Packet {
-    let ip = Ipv4Header::new(src_ip, dst_ip, protocol, l4.len());
-    let mut payload = BytesMut::with_capacity(20 + l4.len());
-    ip.emit(&mut payload, l4.len());
-    payload.extend_from_slice(l4);
-    build_frame(src_mac, dst_mac, EtherType::Ipv4, &payload)
+    one_write(SEGMENT_AT + segment_len, |frame| {
+        let (headers, segment) = frame.split_at_mut(SEGMENT_AT);
+        let (ethernet, ip) = headers.split_at_mut(ETHERNET_HEADER_LEN);
+        write_ethernet(ethernet, src_mac, dst_mac, EtherType::Ipv4);
+        ip[0] = 0x45; // version 4, five-word header
+        ip[1] = 0; // DSCP / ECN
+        ip[2..4].copy_from_slice(&((IPV4_HEADER_LEN + segment_len) as u16).to_be_bytes());
+        ip[4..6].fill(0); // identification
+        ip[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // don't fragment
+        ip[8] = 64; // TTL
+        ip[9] = protocol.value();
+        ip[10..12].fill(0); // checksum, below
+        ip[12..16].copy_from_slice(&src_ip.octets());
+        ip[16..20].copy_from_slice(&dst_ip.octets());
+        let checksum = internet_checksum(ip);
+        ip[10..12].copy_from_slice(&checksum.to_be_bytes());
+        write_segment(segment);
+    })
 }
 
-/// Builds an Ethernet frame around an already-encoded payload.
-fn build_frame(src_mac: MacAddr, dst_mac: MacAddr, ethertype: EtherType, payload: &[u8]) -> Packet {
-    let eth = EthernetHeader {
-        dst: dst_mac,
-        src: src_mac,
-        ethertype,
+/// Builds an Ethernet frame carrying `arp`.
+fn arp_frame(src_mac: MacAddr, dst_mac: MacAddr, arp: &ArpPacket) -> Packet {
+    let mut payload = BytesMut::with_capacity(28);
+    arp.emit(&mut payload);
+    one_write(ETHERNET_HEADER_LEN + payload.len(), |frame| {
+        let (ethernet, body) = frame.split_at_mut(ETHERNET_HEADER_LEN);
+        write_ethernet(ethernet, src_mac, dst_mac, EtherType::Arp);
+        body.copy_from_slice(&payload);
+    })
+}
+
+fn write_ethernet(out: &mut [u8], src_mac: MacAddr, dst_mac: MacAddr, ethertype: EtherType) {
+    out[0..6].copy_from_slice(&dst_mac.octets());
+    out[6..12].copy_from_slice(&src_mac.octets());
+    out[12..14].copy_from_slice(&ethertype.value().to_be_bytes());
+}
+
+/// Lets `write` fill a `len`-byte frame, copies it into the frame's `Bytes`
+/// and parses it.
+fn one_write(len: usize, write: impl FnOnce(&mut [u8])) -> Packet {
+    let bytes = if len <= STACK_FRAME {
+        let mut frame = [0u8; STACK_FRAME];
+        write(&mut frame[..len]);
+        Bytes::copy_from_slice(&frame[..len])
+    } else {
+        let mut frame = vec![0u8; len];
+        write(&mut frame);
+        Bytes::from(frame)
     };
-    let mut frame = BytesMut::with_capacity(14 + payload.len());
-    eth.emit(&mut frame);
-    frame.extend_from_slice(payload);
-    Packet::parse(frame.freeze()).expect("builder produced an unparseable frame")
+    Packet::parse(bytes).expect("builder produced an unparseable frame")
 }
 
 #[cfg(test)]

@@ -339,6 +339,48 @@ impl DnsMessage {
     }
 }
 
+/// The wire length of `DnsMessage::query(id, name)`.
+pub(crate) fn query_len(name: &str) -> usize {
+    let name_len: usize = wire_labels(name)
+        .map(|label| 1 + label.len())
+        .sum::<usize>()
+        + 1;
+    DNS_HEADER_LEN + name_len + 4
+}
+
+/// Writes `DnsMessage::query(id, name)` into `out`, which is exactly
+/// `query_len(name)` bytes: the one-write form of building the message
+/// and emitting it, under the same name rules as `emit_name`.
+pub(crate) fn write_query(out: &mut [u8], id: u16, name: &str) {
+    let (header, question) = out.split_at_mut(DNS_HEADER_LEN);
+    header[0..2].copy_from_slice(&id.to_be_bytes());
+    header[2..4].copy_from_slice(&0x0100u16.to_be_bytes()); // recursion desired
+    header[4..6].copy_from_slice(&1u16.to_be_bytes()); // QDCOUNT
+    header[6..12].fill(0); // ANCOUNT, NSCOUNT, ARCOUNT
+    let mut at = 0;
+    for label in wire_labels(name) {
+        question[at] = label.len() as u8;
+        let to = &mut question[at + 1..=at + label.len()];
+        to.copy_from_slice(label);
+        to.make_ascii_lowercase();
+        at += 1 + label.len();
+    }
+    question[at] = 0;
+    question[at + 1..at + 3].copy_from_slice(&DnsRecordType::A.value().to_be_bytes());
+    question[at + 3..at + 5].copy_from_slice(&1u16.to_be_bytes()); // class IN
+}
+
+/// The labels `emit_name` writes for `name`, before lower-casing: trailing
+/// dots stripped, none for the root, each cut at 63 bytes.
+fn wire_labels(name: &str) -> impl Iterator<Item = &[u8]> {
+    let name = name.trim_end_matches('.');
+    (!name.is_empty())
+        .then(|| name.split('.'))
+        .into_iter()
+        .flatten()
+        .map(|label| &label.as_bytes()[..label.len().min(63)])
+}
+
 /// Lower-cases a name and strips any trailing dot.
 fn normalize_name(name: &str) -> String {
     name.trim_end_matches('.').to_ascii_lowercase()

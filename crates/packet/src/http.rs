@@ -133,6 +133,18 @@ impl HttpRequest {
     }
 }
 
+/// `HttpRequest::get(host, path).to_bytes()` as the pieces a one-write frame
+/// builder copies in order.
+pub(crate) fn get_request_pieces<'a>(host: &'a str, path: &'a str) -> [&'a [u8]; 5] {
+    [
+        b"GET ",
+        path.as_bytes(),
+        b" HTTP/1.1\r\nhost: ",
+        host.as_bytes(),
+        b"\r\nuser-agent: gnf-client/0.1\r\naccept: */*\r\n\r\n",
+    ]
+}
+
 /// A parsed HTTP request that borrows the TCP payload it was parsed from:
 /// the zero-copy counterpart of [`HttpRequest`], for NFs that only inspect.
 /// Parsing validates the whole header block but copies and allocates nothing.

@@ -20,7 +20,8 @@
 //!   gives, without a long pre-generated run deepening the heap every other
 //!   event sifts through (see the module docs for the argument).
 //! * [`rng::Rng`] — a PCG-32 PRNG with named sub-streams and the handful of
-//!   distributions the edge/traffic models need.
+//!   distributions the edge/traffic models need; [`rng::Zipf`] is the
+//!   popularity distribution, its series computed once per table.
 //! * [`stats`] — counters, summaries, histograms (with quantiles/CDFs) and
 //!   time series used by experiments and telemetry.
 //! * [`fork_join()`] — the one deterministic fan-out: LPT-pack independent
@@ -39,5 +40,5 @@ pub mod stats;
 
 pub use fork_join::fork_join;
 pub use queue::{EventQueue, Scheduled};
-pub use rng::Rng;
+pub use rng::{Rng, Zipf};
 pub use stats::{rate_per_second, Counter, Histogram, Summary, TimeSeries};

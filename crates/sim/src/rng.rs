@@ -173,24 +173,6 @@ impl Rng {
         x_min / (1.0 - u * (1.0 - ratio)).powf(1.0 / alpha)
     }
 
-    /// A Zipf-distributed rank in `[0, n)` with exponent `s`, via inverse
-    /// transform on the truncated harmonic series. Used for content/domain
-    /// popularity in the traffic model.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        let harmonic: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut target = self.next_f64() * harmonic;
-        for k in 1..=n {
-            target -= 1.0 / (k as f64).powf(s);
-            if target <= 0.0 {
-                return k - 1;
-            }
-        }
-        n - 1
-    }
-
     /// An exponentially distributed duration with the given mean — the
     /// inter-arrival time of a Poisson process.
     pub fn exponential_duration(&mut self, mean: SimDuration) -> SimDuration {
@@ -205,9 +187,66 @@ impl Rng {
     }
 }
 
+/// A Zipf distribution over the ranks `[0, n)` with exponent `s`, sampled by
+/// inverse transform on the truncated harmonic series. Used for content and
+/// domain popularity in the traffic models.
+///
+/// The terms `1 / k^s` and their sum are computed once, so a draw is one
+/// [`Rng::next_f64`] and a walk over the table: the same float operations, in
+/// the same order, as recomputing the series on every draw.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Zipf {
+    /// `1 / k^s` for `k` in `1..=n`.
+    terms: Vec<f64>,
+    /// The sum of `terms`, in order.
+    harmonic: f64,
+}
+
+impl Zipf {
+    /// The distribution over `n` ranks with exponent `s`.
+    pub fn new(n: usize, s: f64) -> Self {
+        let terms: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let harmonic = terms.iter().sum();
+        Zipf { terms, harmonic }
+    }
+
+    /// Draws a rank. Consumes exactly one `next_f64`, or none when there is
+    /// at most one rank.
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let n = self.terms.len();
+        if n <= 1 {
+            return 0;
+        }
+        let mut target = rng.next_f64() * self.harmonic;
+        for (rank, term) in self.terms.iter().enumerate() {
+            target -= term;
+            if target <= 0.0 {
+                return rank;
+            }
+        }
+        n - 1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-draw series walk `Zipf` replaced, kept as its oracle.
+    fn zipf_by_series(rng: &mut Rng, n: usize, s: f64) -> usize {
+        if n <= 1 {
+            return 0;
+        }
+        let harmonic: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+        let mut target = rng.next_f64() * harmonic;
+        for k in 1..=n {
+            target -= 1.0 / (k as f64).powf(s);
+            if target <= 0.0 {
+                return k - 1;
+            }
+        }
+        n - 1
+    }
 
     #[test]
     fn same_seed_gives_same_sequence() {
@@ -313,14 +352,38 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let mut rng = Rng::new(19);
+        let zipf = Zipf::new(20, 1.0);
         let mut counts = [0usize; 20];
         for _ in 0..20_000 {
-            counts[rng.zipf(20, 1.0)] += 1;
+            counts[zipf.sample(&mut rng)] += 1;
         }
         assert!(counts[0] > counts[5]);
         assert!(counts[0] > counts[19] * 3);
-        assert_eq!(rng.zipf(1, 1.0), 0);
-        assert_eq!(rng.zipf(0, 1.0), 0);
+        assert_eq!(Zipf::new(1, 1.0).sample(&mut rng), 0);
+        assert_eq!(Zipf::new(0, 1.0).sample(&mut rng), 0);
+    }
+
+    #[test]
+    fn zipf_table_draws_exactly_what_the_series_walk_draws() {
+        for n in [0, 1, 2, 8, 20] {
+            for s in [0.8, 1.0, 1.1, 1.6] {
+                let zipf = Zipf::new(n, s);
+                // A sum in another order can differ in the last bit, which
+                // moves a draw only on a boundary: pin the table itself.
+                let sum: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+                assert_eq!(zipf.harmonic.to_bits(), sum.to_bits(), "n = {n}, s = {s}");
+                let mut tabled = Rng::new(n as u64 * 1_000 + (s * 10.0) as u64);
+                let mut series = tabled.clone();
+                for draw in 0..100_000 {
+                    assert_eq!(
+                        zipf.sample(&mut tabled),
+                        zipf_by_series(&mut series, n, s),
+                        "n = {n}, s = {s}, draw {draw}"
+                    );
+                    assert_eq!(tabled, series, "n = {n}, s = {s}, draw {draw}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@
 use crate::population::{ClientEndpoint, Population};
 use crate::source::{TimedBatch, Workload};
 use gnf_packet::{builder, Packet};
-use gnf_sim::Rng;
+use gnf_sim::{Rng, Zipf};
 use gnf_types::{ClientId, SimDuration, SimTime, StationId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// The destinations web-flavoured flows are spread over (Zipf popularity).
 const WEB_HOSTS: [&str; 8] = [
@@ -46,6 +47,14 @@ const ATTACK_TARGET: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 80);
 
 fn server_for(rank: usize) -> Ipv4Addr {
     Ipv4Addr::new(203, 0, 113, (rank as u8) + 10)
+}
+
+/// The path of object `ix` (`/obj/1` ..= `/obj/99`) an HTTP flow requests,
+/// formatted once per process.
+fn object_path(ix: u64) -> &'static str {
+    static PATHS: OnceLock<Vec<String>> = OnceLock::new();
+    let paths = PATHS.get_or_init(|| (1..=99).map(|ix| format!("/obj/{ix}")).collect());
+    &paths[ix as usize - 1]
 }
 
 // ------------------------------------------------------------------ models
@@ -436,6 +445,13 @@ pub struct SyntheticWorkload {
     spec: SyntheticSpec,
     population: Population,
     sizes: SizeSampler,
+    /// Host popularity of HTTP flows (Zipf, exponent 1.1).
+    http_hosts: Zipf,
+    /// Name popularity of DNS queries (Zipf, exponent 1.0).
+    dns_hosts: Zipf,
+    /// The payload CBR packets carry a prefix of: as long as the mix's
+    /// longest.
+    cbr_payload: Vec<u8>,
     rng: Rng,
     heap: BinaryHeap<Reverse<PendingFlow>>,
     ready: VecDeque<TimedBatch>,
@@ -462,8 +478,21 @@ impl SyntheticWorkload {
             }
             _ => SimTime::MAX,
         };
+        let cbr_len = spec
+            .mix
+            .entries
+            .iter()
+            .filter_map(|(_, kind)| match kind {
+                FlowKind::Cbr { payload_bytes } => Some(usize::from(*payload_bytes)),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
         SyntheticWorkload {
             sizes: SizeSampler::new(spec.flow_sizes),
+            http_hosts: Zipf::new(WEB_HOSTS.len(), 1.1),
+            dns_hosts: Zipf::new(WEB_HOSTS.len(), 1.0),
+            cbr_payload: vec![0xAB; cbr_len],
             budget: if population.is_empty() {
                 0
             } else {
@@ -568,7 +597,7 @@ impl SyntheticWorkload {
         self.budget -= u64::from(size);
         let body = match kind {
             FlowKind::Http => {
-                let host_ix = self.rng.zipf(WEB_HOSTS.len(), 1.1);
+                let host_ix = self.http_hosts.sample(&mut self.rng);
                 FlowBody::Http {
                     host_ix,
                     server: server_for(host_ix),
@@ -622,7 +651,12 @@ impl SyntheticWorkload {
     }
 
     /// Builds one packet of a flow and advances the flow's per-kind state.
-    fn emit_packet(rng: &mut Rng, flow: &mut FlowState) -> Packet {
+    fn emit_packet(
+        rng: &mut Rng,
+        dns_hosts: &Zipf,
+        cbr_payload: &[u8],
+        flow: &mut FlowState,
+    ) -> Packet {
         let e = flow.endpoint;
         match &mut flow.body {
             FlowBody::Http {
@@ -642,7 +676,7 @@ impl SyntheticWorkload {
                         *server,
                         *src_port,
                         WEB_HOSTS[*host_ix],
-                        &format!("/obj/{object}"),
+                        object_path(object),
                     )
                 };
                 *sent += 1;
@@ -650,7 +684,7 @@ impl SyntheticWorkload {
             }
             FlowBody::Dns { src_port, next_id } => {
                 *next_id = next_id.wrapping_add(1);
-                let host = WEB_HOSTS[rng.zipf(WEB_HOSTS.len(), 1.0)];
+                let host = WEB_HOSTS[dns_hosts.sample(rng)];
                 builder::dns_query(
                     e.mac,
                     e.gateway_mac,
@@ -671,7 +705,7 @@ impl SyntheticWorkload {
                 Ipv4Addr::new(203, 0, 113, 200),
                 *src_port,
                 5_004,
-                &vec![0xAB; usize::from(*payload_bytes)],
+                &cbr_payload[..usize::from(*payload_bytes)],
             ),
             FlowBody::PortScan { src_port, cursor } => {
                 let port = *cursor;
@@ -715,7 +749,12 @@ impl SyntheticWorkload {
         let mut groups: BTreeMap<StationId, Vec<(ClientId, Packet)>> = BTreeMap::new();
         while self.heap.peek().is_some_and(|Reverse(p)| p.due == due) {
             let Reverse(mut pending) = self.heap.pop().expect("peeked");
-            let packet = Self::emit_packet(&mut self.rng, &mut pending.flow);
+            let packet = Self::emit_packet(
+                &mut self.rng,
+                &self.dns_hosts,
+                &self.cbr_payload,
+                &mut pending.flow,
+            );
             groups
                 .entry(pending.flow.endpoint.station)
                 .or_default()

@@ -1,7 +1,10 @@
-//! The checked-in pcap fixture: a small heavy-tail web-mix capture produced
-//! by `exp_e8_workloads --seed 7 --capture`. Guards the on-disk format — a
-//! reader or writer regression shows up as a diff against real bytes that
-//! exist independently of both.
+//! The checked-in pcap fixture: a small heavy-tail web-mix capture, the
+//! `heavy-tail-zipf.pcap` that `cargo run --release -p gnf-bench --bin
+//! exp_e8_workloads -- --seed 7 --packets 256 --capture DIR` writes. Guards
+//! the on-disk format — a reader or writer regression shows up as a diff
+//! against real bytes that exist independently of both. CI runs that
+//! command and compares its capture with the fixture, which ties the
+//! fixture to the generator and the frame builders as well.
 
 use gnf_workload::{TraceReader, TraceWriter};
 

@@ -27,6 +27,12 @@
 //! which the replay pulls, agrees with `next_record` on every record and
 //! every error, for pcap and pcapng alike.
 //!
+//! And the cost of generating a packet: `tcp_syn`, `udp_packet`,
+//! `dns_query` and `http_get` write each frame once and make one heap
+//! request, its `Bytes` (the layered encoders took 4 / 4 / 11 / 18), and a
+//! minute of smartphone traffic from `TrafficGenerator::generate` costs that
+//! frame plus the amortised growth of the output vector.
+//!
 //! The counting allocator has the shape of `gnf_benchmark/src/alloc.rs`,
 //! except that it counts per thread: the test harness runs the tests of
 //! this file on parallel threads.
@@ -34,6 +40,7 @@
 use gnf_agent::{Agent, AgentConfig};
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
+use gnf_edge::{EdgeTopology, Position, TrafficGenerator, TrafficProfile};
 use gnf_nf::firewall::FirewallConfig;
 use gnf_nf::http_filter::{HttpFilter, HttpFilterConfig};
 use gnf_nf::ids::IdsConfig;
@@ -44,6 +51,7 @@ use gnf_nf::{
     NfStateSnapshot,
 };
 use gnf_packet::{builder, Packet, PacketBatch};
+use gnf_sim::Rng;
 use gnf_switch::TrafficSelector;
 use gnf_types::{AgentId, ChainId, ClientId, GnfError, HostClass, MacAddr, SimTime, StationId};
 use gnf_workload::{TraceFormat, TraceReader, TraceWorkload, TraceWriter, Workload};
@@ -157,6 +165,81 @@ fn ctx() -> NfContext {
 fn the_counter_counts() {
     let (boxed, allocations) = counted(|| std::hint::black_box(Box::new(7u64)));
     assert_eq!((*boxed, allocations), (7, 1));
+}
+
+#[test]
+fn a_built_frame_is_one_heap_request() {
+    let (client, gateway) = (client_mac(), MacAddr::derived(0xA0, 0));
+    let (src, dst) = (Ipv4Addr::new(172, 16, 0, 2), Ipv4Addr::new(203, 0, 113, 9));
+    let heap_requests = |build: &dyn Fn() -> Packet| counted(build).1;
+    let requests = [
+        (
+            "tcp_syn",
+            heap_requests(&|| builder::tcp_syn(client, gateway, src, dst, 41_001, 80)),
+        ),
+        (
+            "udp_packet",
+            heap_requests(&|| {
+                builder::udp_packet(client, gateway, src, dst, 5_004, 5_004, &[0xAB; 160])
+            }),
+        ),
+        (
+            "dns_query",
+            heap_requests(&|| {
+                builder::dns_query(client, gateway, src, dst, 41_002, 7, "WWW.Gla.ac.UK.")
+            }),
+        ),
+        (
+            "http_get",
+            heap_requests(&|| {
+                builder::http_get(
+                    client,
+                    gateway,
+                    src,
+                    dst,
+                    41_003,
+                    "www.gla.ac.uk",
+                    "/page/7",
+                )
+            }),
+        ),
+    ];
+    assert_eq!(
+        requests,
+        [
+            ("tcp_syn", 1),
+            ("udp_packet", 1),
+            ("dns_query", 1),
+            ("http_get", 1)
+        ]
+    );
+}
+
+/// Heap requests per packet of `TrafficGenerator::generate` over a 60-s
+/// smartphone run, as this test measures it: 89 for 82 packets, one frame
+/// each plus the output vector's doublings (the layered builders made
+/// 1 380).
+const SMARTPHONE_HEAP_REQUESTS_PER_PACKET: f64 = 89.0 / 82.0;
+
+#[test]
+fn a_generated_packet_costs_its_frame() {
+    let mut topology = EdgeTopology::grid(1, HostClass::HomeRouter, 100.0);
+    let id = topology.add_client(Position::new(1.0, 1.0), true);
+    let device = topology.client(id).expect("just added").clone();
+    let site = topology.sites()[0].clone();
+    let minute = |seed| {
+        let mut generator = TrafficGenerator::new(TrafficProfile::smartphone(), Rng::new(seed));
+        counted(|| generator.generate(&device, &site, SimTime::ZERO, SimTime::from_secs(60)))
+    };
+    // The first browsing minute of a process also formats its page paths.
+    minute(1);
+    let (packets, allocations) = minute(7);
+    let per_packet = allocations as f64 / packets.len() as f64;
+    println!("{allocations} heap requests for {} packets", packets.len());
+    assert!(
+        per_packet <= SMARTPHONE_HEAP_REQUESTS_PER_PACKET + 0.05,
+        "{per_packet:.3} heap requests per generated packet"
+    );
 }
 
 #[test]
