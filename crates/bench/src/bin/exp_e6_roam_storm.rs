@@ -15,7 +15,10 @@
 //! of the single-roam p99. It then replays the storm across the full
 //! migration-workers {1,2,4} × workers {1,2} matrix, requiring a
 //! byte-identical `RunReport` from every cell — the migration pool is a
-//! host-CPU knob, never a result knob.
+//! host-CPU knob, never a result knob. The matrix storm carries at least
+//! `MIGRATION_BREAK_EVEN` roams and a packet burst past
+//! `PACKET_BREAK_EVEN`, and every cell that threads a layer must show that
+//! layer's flushes fanned out (it prints the counts).
 //!
 //! Last, the Section-4 demo scaled up: three random-walk fleets (4, 9 and 16
 //! cells) roam for 10 virtual minutes; each asserts every migration
@@ -30,14 +33,16 @@ use gnf_bench::{
     cdf_row, migration_workers_arg, ms_row, roams_arg, section, seed_arg, workers_arg,
     ObservabilityArgs,
 };
+use gnf_core::emulator::{MIGRATION_BREAK_EVEN, PACKET_BREAK_EVEN};
 use gnf_core::{Emulator, Mobility, RunReport, Scenario};
 use gnf_edge::{RandomWalkMobility, RoamTrace, TrafficProfile};
 use gnf_nf::testing::sample_specs;
 use gnf_sim::Histogram;
 use gnf_switch::TrafficSelector;
-use gnf_telemetry::MigrationPoolTelemetry;
+use gnf_telemetry::{FanOutTelemetry, MigrationPoolTelemetry};
 use gnf_types::{CellId, GnfConfig, HostClass, SimDuration, SimTime};
 use gnf_ui::Dashboard;
+use gnf_workload::{ArrivalModel, Population, SyntheticSpec, TrafficMix};
 
 const STATIONS: usize = 6;
 const DURATION: SimDuration = SimDuration::from_secs(35);
@@ -76,7 +81,12 @@ fn scenario(seed: u64, clients: usize, concurrency: usize) -> Scenario {
 struct Cell {
     report: RunReport,
     pool: MigrationPoolTelemetry,
+    fan_outs: FanOutTelemetry,
 }
+
+/// Packets in the matrix storm's burst: enough that one packet flush
+/// reaches the break-even.
+const BURST_PACKETS: u64 = PACKET_BREAK_EVEN + 512;
 
 fn run_cell(
     seed: u64,
@@ -85,16 +95,34 @@ fn run_cell(
     migration_workers: usize,
     workers: usize,
     obs: &ObservabilityArgs,
+    burst: bool,
 ) -> Cell {
-    let mut emulator = Emulator::new(scenario(seed, clients, concurrency));
+    let scenario = scenario(seed, clients, concurrency);
+    let population = Population::from_topology(&scenario.topology);
+    let mut emulator = Emulator::new(scenario);
     emulator.set_workers(workers);
     emulator.set_migration_workers(migration_workers);
+    if burst {
+        // One-packet flows over every client within ~3 ms of t = 10.5 s,
+        // clear of every report timer and before the storm.
+        emulator.add_workload(Box::new(
+            SyntheticSpec::new("burst", seed)
+                .starting_at(SimTime::from_millis(10_500))
+                .with_arrivals(ArrivalModel::Periodic {
+                    flows_per_sec: 1_000_000.0,
+                })
+                .with_mix(TrafficMix::churn())
+                .with_packet_budget(BURST_PACKETS)
+                .build(population),
+        ));
+    }
     obs.arm(&mut emulator);
     let report = emulator.run();
     obs.write(&mut emulator);
     Cell {
         report,
         pool: emulator.migration_pool_telemetry(),
+        fan_outs: emulator.fan_out_telemetry(),
     }
 }
 
@@ -141,6 +169,7 @@ fn main() {
             migration_workers,
             workers,
             &ObservabilityArgs::default(),
+            false,
         );
         let samples = switchover_histogram(&cell.report);
         assert_eq!(
@@ -163,7 +192,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Artifacts (when requested) describe the headline storm run.
     let obs = gnf_bench::observability_args();
-    let storm = run_cell(seed, roams, roams, migration_workers, workers, &obs);
+    let storm = run_cell(seed, roams, roams, migration_workers, workers, &obs, false);
     let report = &storm.report;
 
     section("storm outcome");
@@ -237,17 +266,53 @@ fn main() {
     // Determinism matrix.
     // ------------------------------------------------------------------
     section("determinism matrix: migration-workers {1,2,4} x workers {1,2}");
-    let baseline = serde_json::to_string(report).expect("report serializes");
+    // The matrix storm is the headline storm, grown to the migration
+    // break-even if smaller, plus a packet burst past the packet break-even:
+    // a cell that threads a layer must show that layer fanned out, or its
+    // identity proves nothing about the threaded path.
+    let matrix_roams = roams.max(MIGRATION_BREAK_EVEN as usize);
+    println!(
+        "{matrix_roams} roams plus a {BURST_PACKETS}-packet burst; fan-outs per cell \
+         (packet flushes / migration flushes / helper threads):"
+    );
+    let matrix_cell = |mw: usize, w: usize| {
+        let cell = run_cell(
+            seed,
+            matrix_roams,
+            matrix_roams,
+            mw,
+            w,
+            &ObservabilityArgs::default(),
+            true,
+        );
+        let f = cell.fan_outs;
+        println!(
+            "  migration-workers {mw} x workers {w}: {} / {} / {}",
+            f.packet_flushes, f.migration_flushes, f.helper_threads
+        );
+        assert_eq!(
+            f.packet_flushes > 0,
+            w > 1,
+            "packet fan-out at {mw} x {w}: {f:?}"
+        );
+        assert_eq!(
+            f.migration_flushes > 0,
+            mw > 1,
+            "migration fan-out at {mw} x {w}: {f:?}"
+        );
+        assert!(f.helper_threads < mw.max(w), "threads at {mw} x {w}: {f:?}");
+        serde_json::to_string(&cell.report).expect("report serializes")
+    };
+    let baseline = matrix_cell(1, 1);
     let mut cells = 0;
     for mw in [1usize, 2, 4] {
         for w in [1usize, 2] {
-            if mw == migration_workers && w == workers {
+            if (mw, w) == (1, 1) {
                 continue;
             }
-            let other = run_cell(seed, roams, roams, mw, w, &ObservabilityArgs::default());
-            let bytes = serde_json::to_string(&other.report).expect("report serializes");
             assert_eq!(
-                baseline, bytes,
+                baseline,
+                matrix_cell(mw, w),
                 "RunReport must be byte-identical at migration-workers={mw}, workers={w}"
             );
             cells += 1;

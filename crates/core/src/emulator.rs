@@ -19,12 +19,12 @@ use gnf_container::ImageRepository;
 use gnf_edge::{MobilityModel, TrafficGenerator};
 use gnf_manager::{Manager, ManagerAction};
 use gnf_packet::{Packet, PacketBatch};
-use gnf_sim::{fork_join, EventQueue, Histogram, Rng};
+use gnf_sim::{EventQueue, Histogram, Rng, WorkerPool};
 use gnf_telemetry::{
-    FlightRecorder, FlowCacheTelemetry, FlowRecord, MegaflowTelemetry, MetricsSample,
-    MetricsSeries, MigrationPoolTelemetry, NotificationSeverity, RegionAggregator, TraceKind,
-    TraceLog, TraceScope, TraceSink, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_SAMPLE_RATE,
-    DEFAULT_TRACE_CAPACITY, VIRTUAL_SHARDS,
+    FanOutTelemetry, FlightRecorder, FlowCacheTelemetry, FlowRecord, MegaflowTelemetry,
+    MetricsSample, MetricsSeries, MigrationPoolTelemetry, NotificationSeverity, RegionAggregator,
+    TraceKind, TraceLog, TraceScope, TraceSink, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_FLIGHT_SAMPLE_RATE, DEFAULT_TRACE_CAPACITY, VIRTUAL_SHARDS,
 };
 use gnf_types::{
     AgentId, CellId, ChainId, ClientId, FlowCacheStats, MegaflowStats, PathMap, SimDuration,
@@ -125,12 +125,6 @@ struct PendingMigration {
     msg: ManagerToAgent,
 }
 
-/// One station's share of a flush paired with the Agent that will execute
-/// it — the unit of work [`fork_join`] packs over its workers. `G` is the
-/// station's parked migration commands (in park order) or its coalesced
-/// packet batches (in time order).
-type StationGroup<'a, G> = (StationId, &'a mut Agent, G);
-
 /// Per-client gap state, computed once per client per flush (control-plane
 /// state is frozen between flushes, so it cannot change mid-flush).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,9 +145,10 @@ enum GapState {
     Hairpin(StationId),
 }
 
-/// What one station's flush produced, merged back on the main thread.
+/// What one station's flush produced, merged back on the main thread with
+/// the Agent that produced it.
 struct StationOutcome {
-    station: StationId,
+    agent: Box<Agent>,
     forwarded: u64,
     dropped_by_nf: u64,
     replied_by_nf: u64,
@@ -165,7 +160,10 @@ struct StationOutcome {
 pub struct Emulator {
     scenario: Scenario,
     manager: Manager,
-    agents: BTreeMap<StationId, Agent>,
+    /// One slot per station, indexed by station id (ids are dense `0..n`,
+    /// `EdgeTopology::add_site`). A slot is empty only while a flush has
+    /// its Agent out with the station's work, inline or on a worker thread.
+    agents: Vec<Option<Box<Agent>>>,
     queue: EventQueue<EmuEvent>,
     chain_ready: PathMap<(StationId, ChainId), SimTime>,
     deploy_latency_ms: Histogram,
@@ -180,6 +178,11 @@ pub struct Emulator {
     migration_queue_size: usize,
     /// Host-side pool counters (kept out of the byte-compared `RunReport`).
     migration_pool: MigrationPoolTelemetry,
+    /// The helper threads both fan-outs share, spawned at the first flush
+    /// that reaches its break-even and joined when the emulator drops.
+    pool: WorkerPool,
+    /// Flushes that fanned out (host-side, like `migration_pool`).
+    fan_outs: FanOutTelemetry,
     /// Streaming traffic sources attached via [`Emulator::add_workload`].
     workloads: Vec<Box<dyn Workload>>,
     /// The one outstanding batch per source (pulled, not yet delivered).
@@ -215,6 +218,18 @@ pub struct Emulator {
 /// Bound on retained fleet metrics samples.
 const METRICS_SERIES_CAPACITY: usize = 1 << 14;
 
+/// Packets a flush must carry before its station work fans out over the
+/// worker threads ([`Emulator::set_workers`]). Below it, handing stations
+/// to a helper and back costs more than the helper saves, so the flush runs
+/// inline. Derived from timed flush pairs on `gnf_benchmark`'s `roam_storm`
+/// (ARCHITECTURE.md, "Worker model and determinism argument"); a test that
+/// must see the threaded path sizes its traffic from it.
+pub const PACKET_BREAK_EVEN: u64 = 2048;
+
+/// Commands a migration flush must carry before it fans out
+/// ([`Emulator::set_migration_workers`]); derived the same way.
+pub const MIGRATION_BREAK_EVEN: u64 = 4;
+
 /// The virtual-time fleet sampler behind `--metrics-out`: snapshots the
 /// fleet counters at every `k × metrics_interval` boundary the event clock
 /// crosses. Sampling only reads emulator state and writes the series — it
@@ -238,7 +253,7 @@ impl Emulator {
         let manager = Manager::new(config.clone());
         let repository = ImageRepository::with_standard_images();
         let mut queue: EventQueue<EmuEvent> = EventQueue::new();
-        let mut agents = BTreeMap::new();
+        let mut agents: Vec<Option<Box<Agent>>> = Vec::new();
 
         // Stations and their Agents. Emulated stations run the full
         // production data plane, megaflow (wildcard) caching included.
@@ -255,7 +270,11 @@ impl Emulator {
             if config.delta_reports {
                 agent.set_delta_reporting(config.report_keyframe_interval);
             }
-            agents.insert(site.station, agent);
+            let slot = site.station.raw() as usize;
+            if agents.len() <= slot {
+                agents.resize_with(slot + 1, || None);
+            }
+            agents[slot] = Some(Box::new(agent));
             queue.schedule_at(
                 SimTime::ZERO + site.control_latency,
                 EmuEvent::ToManager {
@@ -430,6 +449,8 @@ impl Emulator {
             migration_workers,
             migration_queue_size,
             migration_pool: MigrationPoolTelemetry::default(),
+            pool: WorkerPool::new(),
+            fan_outs: FanOutTelemetry::default(),
             workloads: Vec::new(),
             workload_next: Vec::new(),
             fault_schedule: FaultSchedule::new(),
@@ -464,8 +485,8 @@ impl Emulator {
             TraceScope::Manager,
             DEFAULT_TRACE_CAPACITY,
         ));
-        for (station, agent) in &mut self.agents {
-            let scope = TraceScope::Station(station.raw());
+        for agent in self.agents.iter_mut().flatten() {
+            let scope = TraceScope::Station(agent.station().raw());
             agent.set_tracing(
                 TraceSink::buffered(scope, DEFAULT_TRACE_CAPACITY),
                 FlightRecorder::armed(
@@ -501,7 +522,7 @@ impl Emulator {
         let dropped = self.flight.dropped();
         log.extend(self.flight.take_events(), dropped);
         log.absorb(self.manager.trace_mut());
-        for agent in self.agents.values_mut() {
+        for agent in self.agents.iter_mut().flatten() {
             log.absorb(agent.trace_mut());
             let dropped = agent.flight_mut().dropped();
             let events = agent.flight_mut().take_events();
@@ -531,7 +552,7 @@ impl Emulator {
             let mut flow = FlowCacheTelemetry::default();
             let mut mega = MegaflowTelemetry::default();
             let mut shard_occupancy = [0u64; VIRTUAL_SHARDS];
-            for agent in self.agents.values() {
+            for agent in self.agents.iter().flatten() {
                 flow.merge(&agent.flow_cache_telemetry());
                 mega.merge(&agent.megaflow_telemetry());
                 agent.add_flow_cache_occupancy_by_virtual_shard(&mut shard_occupancy);
@@ -628,6 +649,14 @@ impl Emulator {
     /// its switch and chains — so per-station batches are sharded across
     /// workers and merged deterministically: the [`RunReport`] is
     /// byte-identical for any worker count.
+    ///
+    /// A flush fans out only when it carries at least
+    /// [`PACKET_BREAK_EVEN`] packets (measured, not configurable); a smaller
+    /// one runs inline, because handing it to a worker costs more than the
+    /// worker saves. The
+    /// worker threads are spawned at the first flush that fans out — never
+    /// during set-up — and live until the emulator drops; both this fan-out
+    /// and the migration pool's share them.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -642,6 +671,11 @@ impl Emulator {
     /// Migration-lifecycle commands sharing one virtual timestamp are
     /// sharded per station across the pool and their replies merged in park
     /// order — the [`RunReport`] is byte-identical for any value.
+    ///
+    /// Like the packet flush, a migration flush fans out only at
+    /// [`MIGRATION_BREAK_EVEN`] commands, on the same threads (see
+    /// [`Emulator::set_workers`]): `max(workers, migration_workers) − 1` of
+    /// them at most, besides the emulator's own.
     pub fn set_migration_workers(&mut self, workers: usize) {
         self.migration_workers = workers.max(1);
     }
@@ -664,12 +698,24 @@ impl Emulator {
         self.migration_pool
     }
 
+    /// Host-side fan-out counters: packet and migration flushes that
+    /// reached their break-even and ran on the worker threads, and how many
+    /// threads were spawned. Observability only, like
+    /// [`Emulator::migration_pool_telemetry`]; an identity test that varies
+    /// the worker counts reads it to prove the threaded path ran.
+    pub fn fan_out_telemetry(&self) -> FanOutTelemetry {
+        FanOutTelemetry {
+            helper_threads: self.pool.helper_threads(),
+            ..self.fan_outs
+        }
+    }
+
     /// Enables or disables the megaflow (wildcard) cache on every station's
     /// switch (enabled by default). Packet outcomes, NF statistics and port
     /// counters are equivalent either way — the megaflow equivalence
     /// property tests assert it — only the cache-level telemetry changes.
     pub fn set_megaflow_enabled(&mut self, enabled: bool) {
-        for agent in self.agents.values_mut() {
+        for agent in self.agents.iter_mut().flatten() {
             agent.set_megaflow_enabled(enabled);
         }
     }
@@ -774,7 +820,7 @@ impl Emulator {
 
     /// The Agent on a station.
     pub fn agent(&self, station: StationId) -> Option<&Agent> {
-        self.agents.get(&station)
+        self.agents.get(station.raw() as usize)?.as_deref()
     }
 
     /// Current virtual time.
@@ -783,6 +829,25 @@ impl Emulator {
     }
 
     // ------------------------------------------------------------------
+
+    /// The slot of a station's Agent: `None` for an id the topology does
+    /// not have. Every mutable station lookup goes through here, and a
+    /// fan-out takes the Agent out of its slot and puts it back.
+    fn slot(&mut self, station: StationId) -> Option<&mut Option<Box<Agent>>> {
+        self.agents.get_mut(station.raw() as usize)
+    }
+
+    /// The Agent on a station, mutably.
+    fn agent_mut(&mut self, station: StationId) -> Option<&mut Agent> {
+        self.slot(station)?.as_deref_mut()
+    }
+
+    /// Returns an Agent a fan-out took out of its slot.
+    fn put_back(&mut self, agent: Box<Agent>) {
+        if let Some(slot) = self.slot(agent.station()) {
+            *slot = Some(agent);
+        }
+    }
 
     fn control_latency(&self, station: StationId) -> SimDuration {
         self.scenario
@@ -858,7 +923,7 @@ impl Emulator {
                     self.chaos_absorb(station, EmuEvent::ToAgent { station, msg });
                     return;
                 }
-                let Some(agent) = self.agents.get_mut(&station) else {
+                let Some(agent) = self.agent_mut(station) else {
                     return;
                 };
                 let replies = agent.handle_manager_msg(msg, now);
@@ -866,29 +931,31 @@ impl Emulator {
                 self.dispatch_agent_messages(station, replies, now, extra_delay);
             }
             EmuEvent::Attach { client, cell } => {
-                let old_cell = self
-                    .scenario
-                    .topology
-                    .client(client)
-                    .ok()
-                    .and_then(|c| c.attached_cell);
+                // A roam naming a client or a cell the topology does not
+                // have changes nothing: no handover, no disassociation.
+                let topology = &self.scenario.topology;
+                let (Ok(device), Ok(site)) =
+                    (topology.client(client), topology.site_for_cell(cell))
+                else {
+                    return;
+                };
+                let (old_cell, mac, ip, new_station) =
+                    (device.attached_cell, device.mac, device.ip, site.station);
                 if old_cell == Some(cell) && self.manager.client(client).is_some() {
                     return;
                 }
                 if old_cell.is_some() && old_cell != Some(cell) {
                     self.handovers += 1;
                 }
-                let device = {
-                    let _ = self.scenario.topology.attach_client(client, cell);
-                    self.scenario.topology.client(client).unwrap().clone()
-                };
+                // Cannot fail: both ids resolved above.
+                let _ = self.scenario.topology.attach_client(client, cell);
                 // Disassociate from the old station. A dead station already
                 // lost its client table with the crash; skip it.
                 if let Some(old) = old_cell.filter(|c| *c != cell) {
                     if let Ok(old_site) = self.scenario.topology.site_for_cell(old) {
                         let station = old_site.station;
                         if !self.dead.contains_key(&station) {
-                            if let Some(agent) = self.agents.get_mut(&station) {
+                            if let Some(agent) = self.agent_mut(station) {
                                 let msgs = agent.client_disassociated(client);
                                 self.dispatch_agent_messages(station, msgs, now, SimDuration::ZERO);
                             }
@@ -898,14 +965,11 @@ impl Emulator {
                 // Associate with the new one. A dead station cannot serve the
                 // association now; the restart path re-associates every client
                 // still parked on its cells.
-                if let Ok(site) = self.scenario.topology.site_for_cell(cell) {
-                    let station = site.station;
-                    if !self.dead.contains_key(&station) {
-                        if let Some(agent) = self.agents.get_mut(&station) {
-                            let msgs = agent.client_associated(client, device.mac, device.ip);
-                            let assoc = self.scenario.config.association_latency;
-                            self.dispatch_agent_messages(station, msgs, now, assoc);
-                        }
+                if !self.dead.contains_key(&new_station) {
+                    if let Some(agent) = self.agent_mut(new_station) {
+                        let msgs = agent.client_associated(client, mac, ip);
+                        let assoc = self.scenario.config.association_latency;
+                        self.dispatch_agent_messages(new_station, msgs, now, assoc);
                     }
                 }
             }
@@ -916,7 +980,7 @@ impl Emulator {
                 // A dead station cannot report; the timer keeps ticking so
                 // reporting resumes after the restart.
                 if !self.dead.contains_key(&station) {
-                    if let Some(agent) = self.agents.get_mut(&station) {
+                    if let Some(agent) = self.agent_mut(station) {
                         let report = agent.make_report(now);
                         let region_size = self.scenario.config.region_size;
                         if region_size > 0 {
@@ -1011,7 +1075,7 @@ impl Emulator {
 
     /// Executes one fault from the schedule.
     fn inject_fault(&mut self, kind: FaultKind, now: SimTime) {
-        if !self.agents.contains_key(&kind.station()) {
+        if self.agent(kind.station()).is_none() {
             return;
         }
         self.chaos.faults_injected += 1;
@@ -1029,8 +1093,9 @@ impl Emulator {
                         detail: down_for.as_millis_f64() as u64,
                     },
                 );
-                let agent = self.agents.get_mut(&station).expect("checked above");
-                agent.crash();
+                if let Some(agent) = self.agent_mut(station) {
+                    agent.crash();
+                }
                 // Everything the emulator believed about the station's data
                 // plane dies with it.
                 self.chain_ready.retain(|(s, _), _| *s != station);
@@ -1076,8 +1141,9 @@ impl Emulator {
                         detail: rules,
                     },
                 );
-                let agent = self.agents.get_mut(&station).expect("checked above");
-                agent.chaos_steering_churn(rules);
+                if let Some(agent) = self.agent_mut(station) {
+                    agent.chaos_steering_churn(rules);
+                }
             }
             FaultKind::CacheInvalidation { station, floods } => {
                 if self.dead.contains_key(&station) {
@@ -1092,8 +1158,9 @@ impl Emulator {
                         detail: floods,
                     },
                 );
-                let agent = self.agents.get_mut(&station).expect("checked above");
-                agent.chaos_invalidate_caches(floods);
+                if let Some(agent) = self.agent_mut(station) {
+                    agent.chaos_invalidate_caches(floods);
+                }
             }
         }
     }
@@ -1106,6 +1173,10 @@ impl Emulator {
         if self.dead.remove(&station).is_none() {
             return;
         }
+        // Only a station with an Agent can crash, so this always finds one.
+        let Some(register) = self.agent(station).map(Agent::rejoin) else {
+            return;
+        };
         self.chaos.restarts += 1;
         self.trace.emit(
             now,
@@ -1116,13 +1187,6 @@ impl Emulator {
             },
         );
         self.recovery_pending.insert(station, now);
-        let register = {
-            let agent = self
-                .agents
-                .get(&station)
-                .expect("restarting station exists");
-            agent.rejoin()
-        };
         self.dispatch_agent_messages(station, vec![register], now, SimDuration::ZERO);
         // Re-associate the clients whose cells this station serves (their
         // radios never moved; only the station-side soft state was lost).
@@ -1139,12 +1203,10 @@ impl Emulator {
             .collect();
         let assoc = self.scenario.config.association_latency;
         for (client, mac, ip) in parked {
-            let agent = self
-                .agents
-                .get_mut(&station)
-                .expect("restarting station exists");
-            let msgs = agent.client_associated(client, mac, ip);
-            self.dispatch_agent_messages(station, msgs, now, assoc);
+            if let Some(agent) = self.agent_mut(station) {
+                let msgs = agent.client_associated(client, mac, ip);
+                self.dispatch_agent_messages(station, msgs, now, assoc);
+            }
         }
     }
 
@@ -1155,17 +1217,14 @@ impl Emulator {
         if self.recovery_pending.is_empty() {
             return;
         }
-        let recovered: Vec<StationId> = self
+        let recovered: Vec<(StationId, SimTime)> = self
             .recovery_pending
-            .keys()
-            .copied()
-            .filter(|station| self.station_converged(*station))
+            .iter()
+            .filter(|(station, _)| self.station_converged(**station))
+            .map(|(station, since)| (*station, *since))
             .collect();
-        for station in recovered {
-            let since = self
-                .recovery_pending
-                .remove(&station)
-                .expect("station came from the pending map");
+        for (station, since) in recovered {
+            self.recovery_pending.remove(&station);
             self.chaos
                 .recovery_ms
                 .record(now.duration_since(since).as_millis_f64());
@@ -1179,17 +1238,17 @@ impl Emulator {
         }
     }
 
-    /// Where `client`'s traffic arriving at `station` (whose Agent is
-    /// `agent`) stands against policy, from the Manager's by-client indexes:
-    /// the client's own attachments and in-flight migrations, never the
-    /// fleet's. With several chains on the station the earliest `ready`
-    /// opens the gate.
-    fn gap_state(&self, agent: &Agent, client: ClientId, station: StationId) -> GapState {
+    /// Where `client`'s traffic arriving at `station` stands against
+    /// policy, from the Manager's by-client indexes: the client's own
+    /// attachments and in-flight migrations, never the fleet's. With several
+    /// chains on the station the earliest `ready` opens the gate.
+    fn gap_state(&self, client: ClientId, station: StationId) -> GapState {
+        let agent = self.agent(station);
         let mut wanted = false;
         let mut ready: Option<SimTime> = None;
         for attachment in self.manager.attachments_of(client) {
             wanted = true;
-            if agent.chain(attachment.chain).is_some() {
+            if agent.is_some_and(|agent| agent.chain(attachment.chain).is_some()) {
                 if let Some(at) = self.chain_ready.get(&(station, attachment.chain)) {
                     ready = Some(ready.map_or(*at, |r| r.min(*at)));
                 }
@@ -1218,13 +1277,12 @@ impl Emulator {
         if source == station || self.dead.contains_key(&source) {
             return None;
         }
-        let agent = self.agents.get(&source)?;
-        agent.chain(record.chain)?;
+        self.agent(source)?.chain(record.chain)?;
         Some(source)
     }
 
     fn station_converged(&self, station: StationId) -> bool {
-        let Some(agent) = self.agents.get(&station) else {
+        let Some(agent) = self.agent(station) else {
             return true;
         };
         for device in self.scenario.topology.clients().iter() {
@@ -1292,11 +1350,13 @@ impl Emulator {
     /// (exactly what the inline path would have done per event), then groups
     /// the survivors per station — commands to one station stay in park
     /// order, commands to different stations touch disjoint Agents — and
-    /// fans the station groups out over the migration pool ([`fork_join`]).
-    /// Replies land in park order and are dispatched at the parked
-    /// timestamp, so queue sequence numbers (and therefore every downstream
-    /// pop) are identical to inline execution: the `RunReport` is
-    /// byte-identical for any `migration_workers`.
+    /// hands each station's Agent with its commands to the worker pool,
+    /// which fans them out once the batch reaches [`MIGRATION_BREAK_EVEN`]
+    /// commands. Every reply comes back tagged with its command's park
+    /// index and is dispatched in that order at the parked timestamp, so
+    /// queue sequence numbers (and therefore every downstream pop) are
+    /// identical to inline execution: the `RunReport` is byte-identical for
+    /// any `migration_workers`.
     fn flush_migrations(&mut self, parked: &mut Vec<PendingMigration>) {
         if parked.is_empty() {
             return;
@@ -1308,7 +1368,8 @@ impl Emulator {
         );
         self.migration_pool.record_batch(parked.len() as u64);
 
-        let mut live: Vec<(StationId, ManagerToAgent)> = Vec::with_capacity(parked.len());
+        let mut groups: BTreeMap<StationId, Vec<(usize, ManagerToAgent)>> = BTreeMap::new();
+        let mut live = 0;
         for cmd in parked.drain(..) {
             if self.link_broken(cmd.station) {
                 self.chaos_absorb(
@@ -1318,41 +1379,43 @@ impl Emulator {
                         msg: cmd.msg,
                     },
                 );
-            } else if self.agents.contains_key(&cmd.station) {
-                live.push((cmd.station, cmd.msg));
+            } else if self.agent(cmd.station).is_some() {
+                groups.entry(cmd.station).or_default().push((live, cmd.msg));
+                live += 1;
             }
         }
-
-        // Group per station, preserving park order within each group. Every
-        // command travels with its own reply slot, so the replies sit in
-        // park order whichever worker ran what.
-        let mut replies: Vec<(StationId, Vec<AgentToManager>)> = live
-            .iter()
-            .map(|(station, _)| (*station, Vec::new()))
+        let work: Vec<_> = groups
+            .into_iter()
+            .filter_map(|(station, cmds)| Some((self.slot(station)?.take()?, cmds)))
             .collect();
-        let mut groups: BTreeMap<StationId, Vec<(ManagerToAgent, &mut Vec<AgentToManager>)>> =
-            BTreeMap::new();
-        for ((station, msg), (_, slot)) in live.into_iter().zip(&mut replies) {
-            groups.entry(station).or_default().push((msg, slot));
-        }
 
         // One station runs its commands serially; distinct stations touch
-        // disjoint Agents and fan out over the migration pool, weighted by
-        // command count.
-        fork_join(
-            Self::pair_with_agents(&mut self.agents, groups),
-            |(_, _, cmds)| cmds.len() as u64,
+        // disjoint Agents, weighted by command count.
+        let (done, fanned) = self.pool.map(
+            work,
             self.migration_workers,
-            |(_, agent, cmds)| {
-                for (msg, slot) in cmds {
-                    *slot = agent.handle_manager_msg(msg, now);
-                }
+            MIGRATION_BREAK_EVEN,
+            |(_, cmds)| cmds.len() as u64,
+            move |(mut agent, cmds)| {
+                let replies: Vec<(usize, Vec<AgentToManager>)> = cmds
+                    .into_iter()
+                    .map(|(ix, msg)| (ix, agent.handle_manager_msg(msg, now)))
+                    .collect();
+                (agent, replies)
             },
         );
+        self.fan_outs.migration_flushes += u64::from(fanned);
+        let mut replies: Vec<(usize, StationId, Vec<AgentToManager>)> = Vec::with_capacity(live);
+        for (agent, tagged) in done {
+            let station = agent.station();
+            self.put_back(agent);
+            replies.extend(tagged.into_iter().map(|(ix, reply)| (ix, station, reply)));
+        }
 
         // The reply scan and dispatch run in exactly the order (and at the
-        // time) the inline path would have used.
-        for (station, replies) in replies {
+        // time) the inline path would have used: park order.
+        replies.sort_unstable_by_key(|(ix, ..)| *ix);
+        for (_, station, replies) in replies {
             let extra_delay = self.scan_agent_replies(station, &replies, now);
             self.dispatch_agent_messages(station, replies, now, extra_delay);
         }
@@ -1364,9 +1427,11 @@ impl Emulator {
     /// attachment lookup happens once per client per flush, not once per
     /// packet — and through the Manager's by-client index, so its cost does
     /// not grow with the fleet), coalesces the survivors into per-station per-timestamp
-    /// batches, shards the station work across the configured workers and
-    /// merges the results back in station order — the merge is a function of
-    /// station ids only, so any worker count produces identical state.
+    /// batches, hands each station's Agent with its batches to the worker
+    /// pool (which fans them out once the flush reaches
+    /// [`PACKET_BREAK_EVEN`] packets) and merges the results back in station
+    /// order — the merge is a function of station ids only, so any worker
+    /// count produces identical state.
     fn flush_packets(&mut self, pending: &mut Vec<PendingBatch>) {
         if pending.is_empty() {
             return;
@@ -1395,10 +1460,10 @@ impl Emulator {
                 }
                 continue;
             }
-            let Some(agent) = self.agents.get(&group.station) else {
+            if self.agent(group.station).is_none() {
                 tally.dropped_in_gap += group.packets.len() as u64;
                 continue;
-            };
+            }
             let mut batch = PacketBatch::with_capacity(group.packets.len());
             let mut hairpins: BTreeMap<StationId, PacketBatch> = BTreeMap::new();
             for (client, packet) in group.packets {
@@ -1408,7 +1473,7 @@ impl Emulator {
                 // flush; each packet then pays one compare.
                 let state = gap_cache
                     .entry((client, group.station))
-                    .or_insert_with(|| self.gap_state(agent, client, group.station));
+                    .or_insert_with(|| self.gap_state(client, group.station));
                 let in_gap = match state {
                     GapState::NoPolicy | GapState::Hairpin(_) => false,
                     GapState::ReadyAt(at) => group.time < *at,
@@ -1472,14 +1537,22 @@ impl Emulator {
         // packet count so one hot station does not drag a bucket of cold
         // ones behind it. Outcomes come back in submission — station —
         // order, so any worker count produces identical state.
-        let outcomes: Vec<StationOutcome> = fork_join(
-            Self::pair_with_agents(&mut self.agents, jobs),
-            |(_, _, groups)| groups.iter().map(|(_, batch)| batch.len() as u64).sum(),
+        let work: Vec<_> = jobs
+            .into_iter()
+            .filter_map(|(station, batches)| Some((self.slot(station)?.take()?, batches)))
+            .collect();
+        let (outcomes, fanned) = self.pool.map(
+            work,
             self.workers,
+            PACKET_BREAK_EVEN,
+            |(_, batches)| batches.iter().map(|(_, batch)| batch.len() as u64).sum(),
             Self::run_station,
         );
+        self.fan_outs.packet_flushes += u64::from(fanned);
 
         for outcome in outcomes {
+            let station = outcome.agent.station();
+            self.put_back(outcome.agent);
             tally.forwarded += outcome.forwarded;
             tally.dropped_by_nf += outcome.dropped_by_nf;
             tally.replied_by_nf += outcome.replied_by_nf;
@@ -1488,12 +1561,7 @@ impl Emulator {
             // delivery to the current virtual time when a later control
             // event triggered this flush.)
             for (time, notifications) in outcome.notifications {
-                self.dispatch_agent_messages(
-                    outcome.station,
-                    notifications,
-                    time,
-                    SimDuration::ZERO,
-                );
+                self.dispatch_agent_messages(station, notifications, time, SimDuration::ZERO);
             }
         }
 
@@ -1541,38 +1609,17 @@ impl Emulator {
         );
     }
 
-    /// Pairs each station-keyed group of a flush with its Agent. Both sides
-    /// iterate in station order, so one linear walk pairs them all and the
-    /// returned work is in station order too.
-    fn pair_with_agents<G>(
-        agents: &mut BTreeMap<StationId, Agent>,
-        groups: BTreeMap<StationId, G>,
-    ) -> Vec<StationGroup<'_, G>> {
-        let mut agents = agents.iter_mut();
-        groups
-            .into_iter()
-            .map(|(station, group)| {
-                let (_, agent) = agents
-                    .find(|(id, _)| **id == station)
-                    .expect("groups only name existing stations");
-                (station, agent, group)
-            })
-            .collect()
-    }
-
     /// Processes one station's coalesced batches on whichever thread owns it.
-    fn run_station(
-        (station, agent, groups): StationGroup<'_, Vec<(SimTime, PacketBatch)>>,
-    ) -> StationOutcome {
+    fn run_station((agent, groups): (Box<Agent>, Vec<(SimTime, PacketBatch)>)) -> StationOutcome {
         let mut outcome = StationOutcome {
-            station,
+            agent,
             forwarded: 0,
             dropped_by_nf: 0,
             replied_by_nf: 0,
             notifications: Vec::new(),
         };
         for (time, batch) in groups {
-            for result in agent.process_upstream_batch(batch, time) {
+            for result in outcome.agent.process_upstream_batch(batch, time) {
                 match result {
                     PacketOutcome::Forwarded(_) => outcome.forwarded += 1,
                     PacketOutcome::Dropped(_) => outcome.dropped_by_nf += 1,
@@ -1582,7 +1629,7 @@ impl Emulator {
             // Drain after every batch, stamped with the batch's own virtual
             // time, so alerts carry the time of the traffic that raised them
             // (not the flush boundary).
-            let notifications = agent.drain_nf_notifications(time);
+            let notifications = outcome.agent.drain_nf_notifications(time);
             if !notifications.is_empty() {
                 outcome.notifications.push((time, notifications));
             }
@@ -1618,7 +1665,7 @@ impl Emulator {
         let mut megaflow = gnf_telemetry::MegaflowTelemetry::default();
         let mut batches = gnf_telemetry::BatchTelemetry::default();
         let mut chaos = self.chaos.clone();
-        for agent in self.agents.values() {
+        for agent in self.agents.iter().flatten() {
             flow_cache.merge(&agent.flow_cache_telemetry());
             megaflow.merge(&agent.megaflow_telemetry());
             batches.merge(agent.batch_telemetry());
@@ -1795,20 +1842,46 @@ mod tests {
         };
         let mut single = Emulator::new(build());
         single.set_workers(1);
+        add_packet_burst(&mut single);
         let report_1 = single.run();
         assert!(report_1.batches.batches > 0, "the data plane ran batched");
+        assert_eq!(single.fan_out_telemetry(), FanOutTelemetry::default());
 
         for workers in [2usize, 4, 8] {
             let mut sharded = Emulator::new(build());
             sharded.set_workers(workers);
             assert_eq!(sharded.workers(), workers);
+            add_packet_burst(&mut sharded);
             let report_n = sharded.run();
             assert_eq!(
                 serde_json::to_string(&report_1).unwrap(),
                 serde_json::to_string(&report_n).unwrap(),
                 "RunReport must be byte-identical for workers=1 vs workers={workers}"
             );
+            let fan_outs = sharded.fan_out_telemetry();
+            assert!(fan_outs.packet_flushes > 0, "{workers}: {fan_outs:?}");
+            assert!(fan_outs.helper_threads < workers, "{workers}: {fan_outs:?}");
         }
+    }
+
+    /// Attaches `PACKET_BREAK_EVEN` + 512 one-packet flows spread over every
+    /// client and emitted within ~3 ms of t = 3.5 s, clear of every report
+    /// timer: at least one packet flush reaches the break-even, so a run
+    /// with several workers takes the threaded path.
+    fn add_packet_burst(emulator: &mut Emulator) {
+        use gnf_workload::{ArrivalModel, Population, SyntheticSpec, TrafficMix};
+
+        let population = Population::from_topology(&emulator.scenario.topology);
+        emulator.add_workload(Box::new(
+            SyntheticSpec::new("burst", 1)
+                .starting_at(SimTime::from_millis(3_500))
+                .with_arrivals(ArrivalModel::Periodic {
+                    flows_per_sec: 1_000_000.0,
+                })
+                .with_mix(TrafficMix::churn())
+                .with_packet_budget(PACKET_BREAK_EVEN + 512)
+                .build(population),
+        ));
     }
 
     #[test]
@@ -1895,9 +1968,7 @@ mod tests {
             (emulator, clients)
         };
         let gap = |emulator: &Emulator, client: ClientId, station: u64| {
-            let station = StationId::new(station);
-            let agent = emulator.agent(station).expect("station exists");
-            emulator.gap_state(agent, client, station)
+            emulator.gap_state(client, StationId::new(station))
         };
 
         // Stop at the first instant both pre-copy migrations are in flight.
@@ -2006,6 +2077,8 @@ mod tests {
                 serde_json::to_string(&report_n).unwrap(),
                 "RunReport must be byte-identical at migration_workers={migration_workers}"
             );
+            let fan_outs = pooled.fan_out_telemetry();
+            assert!(fan_outs.migration_flushes > 0, "{fan_outs:?}");
         }
 
         // A tight queue cap only changes when batches flush, never results.
@@ -2254,17 +2327,33 @@ mod tests {
         // Baseline: the same run with observability off.
         let mut plain = Emulator::new(observability_scenario());
         plain.set_fault_schedule(observability_fault_schedule());
+        add_packet_burst(&mut plain);
         let plain_bytes = serde_json::to_string(&plain.run()).unwrap();
 
-        // Armed headline run.
+        // Armed headline run. Every cell also proves that each layer it
+        // threads took the threaded path, on at most max(workers,
+        // migration_workers) − 1 spawned threads.
         let run_cell = |workers: usize, migration_workers: usize| {
             let mut emulator = Emulator::new(observability_scenario());
             emulator.set_workers(workers);
             emulator.set_migration_workers(migration_workers);
             emulator.set_fault_schedule(observability_fault_schedule());
+            add_packet_burst(&mut emulator);
             emulator.enable_tracing();
             emulator.enable_metrics();
             let report = emulator.run();
+            let fan_outs = emulator.fan_out_telemetry();
+            let cell = format!("{workers}/{migration_workers}: {fan_outs:?}");
+            assert_eq!(fan_outs.packet_flushes > 0, workers > 1, "{cell}");
+            assert_eq!(
+                fan_outs.migration_flushes > 0,
+                migration_workers > 1,
+                "{cell}"
+            );
+            assert!(
+                fan_outs.helper_threads < workers.max(migration_workers),
+                "{cell}"
+            );
             let log = emulator.trace_log();
             let metrics = emulator.metrics_series().unwrap().to_csv();
             (
@@ -2355,6 +2444,49 @@ mod tests {
         assert!(emulator.metrics_series().is_none());
     }
 
+    /// Two stations, one client on cell 0, and a roam trace that names
+    /// `client` and `cell` at t = 5 s.
+    fn run_with_roam(client: ClientId, cell: CellId) -> (Emulator, RunReport, ClientId) {
+        use gnf_edge::RoamTrace;
+
+        let mut builder = Scenario::builder(2, HostClass::EdgeServer);
+        let clients = builder.add_clients(1, TrafficProfile::smartphone());
+        let scenario = builder
+            .with_duration(SimDuration::from_secs(10))
+            .with_mobility(Mobility::Trace(RoamTrace::new().roam(
+                SimTime::from_secs(5),
+                client,
+                cell,
+            )))
+            .build();
+        let mut emulator = Emulator::new(scenario);
+        let report = emulator.run();
+        (emulator, report, clients[0])
+    }
+
+    #[test]
+    fn a_roam_naming_an_unknown_client_changes_nothing() {
+        let (emulator, report, client) = run_with_roam(ClientId::new(99), CellId::new(1));
+        assert_eq!(report.handovers, 0);
+        let station = emulator.agent(StationId::new(0)).expect("station 0 exists");
+        assert_eq!(station.connected_clients(), vec![client]);
+    }
+
+    #[test]
+    fn a_roam_to_a_cell_without_a_site_changes_nothing() {
+        let (emulator, report, client) = run_with_roam(ClientId::new(0), CellId::new(42));
+        assert_eq!(client, ClientId::new(0));
+        assert_eq!(report.handovers, 0, "the radio never left cell 0");
+        let station = emulator.agent(StationId::new(0)).expect("station 0 exists");
+        assert_eq!(
+            station.connected_clients(),
+            vec![client],
+            "station 0 still serves the client the topology keeps on its cell"
+        );
+        let device = emulator.scenario.topology.client(client).expect("client 0");
+        assert_eq!(device.attached_cell, Some(CellId::new(0)));
+    }
+
     #[test]
     fn clients_without_policies_flow_unimpeded() {
         let mut builder = Scenario::builder(2, HostClass::HomeRouter);
@@ -2383,6 +2515,7 @@ mod tests {
         // Full-report baseline, crash fault included.
         let mut full = Emulator::new(observability_scenario());
         full.set_fault_schedule(observability_fault_schedule());
+        add_packet_burst(&mut full);
         let full_bytes = serde_json::to_string(&full.run()).unwrap();
         let full_stats = full.manager().control_plane_stats();
         assert!(full_stats.full_reports > 0);
@@ -2395,11 +2528,14 @@ mod tests {
             let mut delta = Emulator::new(delta_scenario());
             delta.set_workers(workers);
             delta.set_fault_schedule(observability_fault_schedule());
+            add_packet_burst(&mut delta);
             let delta_bytes = serde_json::to_string(&delta.run()).unwrap();
             assert_eq!(
                 full_bytes, delta_bytes,
                 "delta transport changed the RunReport @ {workers}"
             );
+            let fan_outs = delta.fan_out_telemetry();
+            assert_eq!(fan_outs.packet_flushes > 0, workers > 1, "{fan_outs:?}");
             let stats = delta.manager().control_plane_stats();
             assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
             assert!(stats.delta_keyframes > 0, "keyframes open each generation");

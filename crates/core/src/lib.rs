@@ -20,8 +20,9 @@
 //!   cache, megaflow wildcard cache, batch-size distribution).
 //!
 //! The emulator runs the *production* data plane: traffic is coalesced into
-//! per-station [`gnf_packet::PacketBatch`] events, stations are sharded
-//! across [`Emulator::set_workers`] threads with a deterministic merge (the
+//! per-station [`gnf_packet::PacketBatch`] events, a flush of at least
+//! [`emulator::PACKET_BREAK_EVEN`] packets is sharded across
+//! [`Emulator::set_workers`] threads with a deterministic merge (the
 //! [`RunReport`] is byte-identical for any worker count), and every station's
 //! switch runs with the megaflow (wildcard) cache enabled — toggleable via
 //! [`Emulator::set_megaflow_enabled`] for A/B comparisons.

@@ -24,8 +24,10 @@
 //!   popularity distribution, its series computed once per table.
 //! * [`stats`] — counters, summaries, histograms (with quantiles/CDFs) and
 //!   time series used by experiments and telemetry.
-//! * [`fork_join()`] — the one deterministic fan-out: LPT-pack independent
-//!   work items over scoped threads, results back in submission order.
+//! * [`WorkerPool`] — the one deterministic fan-out: LPT-pack independent,
+//!   owned work items over helper threads spawned once and reused, results
+//!   back in submission order; work below a caller-given break-even weight
+//!   runs inline.
 //!
 //! The world model itself (stations, clients, the Manager, ...) lives in
 //! `gnf-core`, which defines its own event enum and drives this queue.
@@ -38,7 +40,7 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 
-pub use fork_join::fork_join;
+pub use fork_join::WorkerPool;
 pub use queue::{EventQueue, Scheduled};
 pub use rng::{Rng, Zipf};
 pub use stats::{rate_per_second, Counter, Histogram, Summary, TimeSeries};

@@ -55,8 +55,8 @@ pub use monitor::{HotspotDetector, MonitoringStore, StationHealth, StationStatus
 pub use notification::{Notification, NotificationLog, NotificationSeverity, NotificationSource};
 pub use region::{RegionAggregator, RegionSummary};
 pub use report::{
-    BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, MigrationPoolTelemetry,
-    StationReport,
+    BatchTelemetry, ChaosTelemetry, FanOutTelemetry, FlowCacheTelemetry, MegaflowTelemetry,
+    MigrationPoolTelemetry, StationReport,
 };
 pub use trace::{
     FlowRecord, TraceEvent, TraceKind, TraceLog, TraceScope, TraceSink, DEFAULT_TRACE_CAPACITY,

@@ -7,6 +7,7 @@
 //! any worker count. (NF chains have no batched path of their own: a batch
 //! crosses a chain one `process` call per packet.)
 
+use gnf_core::emulator::PACKET_BREAK_EVEN;
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
 use gnf_nf::testing::sample_specs;
@@ -15,8 +16,38 @@ use gnf_switch::{
     Classified, SoftwareSwitch, SteeringRule, TrafficSelector, DEFAULT_MEGAFLOW_CAPACITY,
 };
 use gnf_types::{ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime};
+use gnf_workload::{ArrivalModel, Population, SyntheticSpec, TrafficMix};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+
+/// Runs `scenario` at `workers` with a burst of `PACKET_BREAK_EVEN` + 512
+/// one-packet flows over every client, emitted within ~3 ms of t = 3.5 s
+/// (clear of every report timer), so at least one flush reaches the
+/// break-even. Returns the serialized report; a run with several workers
+/// must have fanned a packet flush out, or it proved nothing.
+fn run_with_burst(scenario: Scenario, workers: usize) -> String {
+    let population = Population::from_topology(&scenario.topology);
+    let mut emulator = Emulator::new(scenario);
+    emulator.set_workers(workers);
+    emulator.add_workload(Box::new(
+        SyntheticSpec::new("burst", 1)
+            .starting_at(SimTime::from_millis(3_500))
+            .with_arrivals(ArrivalModel::Periodic {
+                flows_per_sec: 1_000_000.0,
+            })
+            .with_mix(TrafficMix::churn())
+            .with_packet_budget(PACKET_BREAK_EVEN + 512)
+            .build(population),
+    ));
+    let report = serde_json::to_string(&emulator.run()).unwrap();
+    let fan_outs = emulator.fan_out_telemetry();
+    assert_eq!(
+        fan_outs.packet_flushes > 0,
+        workers > 1,
+        "{workers}: {fan_outs:?}"
+    );
+    report
+}
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
     // A small address pool so flows repeat, back to back too.
@@ -185,7 +216,7 @@ proptest! {
 
     /// The emulator's sharded execution is invisible in the results: the
     /// RunReport serializes byte-identically for workers 1, 2 and 4, across
-    /// seeds and traffic profiles.
+    /// seeds and traffic profiles, with a flush that fans out.
     #[test]
     fn sharded_run_reports_are_identical(seed in 0u64..200, cbr in any::<bool>()) {
         let build = || {
@@ -210,18 +241,15 @@ proptest! {
         };
         let reports: Vec<String> = [1usize, 2, 4]
             .into_iter()
-            .map(|workers| {
-                let mut emulator = Emulator::new(build());
-                emulator.set_workers(workers);
-                serde_json::to_string(&emulator.run()).unwrap()
-            })
+            .map(|workers| run_with_burst(build(), workers))
             .collect();
         prop_assert_eq!(&reports[0], &reports[1]);
         prop_assert_eq!(&reports[0], &reports[2]);
     }
 
     /// Mixed chains are as invisible to the worker count as uniform ones:
-    /// the RunReport serializes byte-identically for workers 1, 2 and 4.
+    /// the RunReport serializes byte-identically for workers 1, 2 and 4,
+    /// with a flush that fans out.
     /// Half the clients ride a two-NF chain ending in the (opaque) IDS, so
     /// stations carry real chain work, and the other half a one-NF chain,
     /// so a station flushes through more than one chain per step.
@@ -252,15 +280,9 @@ proptest! {
             }
             sb.build()
         };
-        let baseline = {
-            let mut emulator = Emulator::new(build());
-            emulator.set_workers(1);
-            serde_json::to_string(&emulator.run()).unwrap()
-        };
+        let baseline = run_with_burst(build(), 1);
         for workers in [2usize, 4] {
-            let mut emulator = Emulator::new(build());
-            emulator.set_workers(workers);
-            let report = serde_json::to_string(&emulator.run()).unwrap();
+            let report = run_with_burst(build(), workers);
             prop_assert!(report == baseline, "workers={} diverged", workers);
         }
     }

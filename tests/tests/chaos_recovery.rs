@@ -6,6 +6,7 @@
 use gnf_agent::{Agent, AgentConfig};
 use gnf_api::messages::AgentToManager;
 use gnf_container::ImageRepository;
+use gnf_core::emulator::PACKET_BREAK_EVEN;
 use gnf_core::{ChaosSpec, Emulator, FaultKind, FaultSchedule, Mobility, PartitionMode, Scenario};
 use gnf_edge::{Position, RoamTrace, TrafficProfile};
 use gnf_manager::{Manager, ManagerAction};
@@ -14,6 +15,7 @@ use gnf_switch::TrafficSelector;
 use gnf_types::{
     AgentId, CellId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId,
 };
+use gnf_workload::{ArrivalModel, Population, SyntheticSpec, TrafficMix};
 use std::net::Ipv4Addr;
 
 /// A fleet scenario with a roamer whose mid-storm handover the partition
@@ -85,10 +87,32 @@ fn storm_schedule(seed: u64) -> FaultSchedule {
 fn fault_storm_reports_are_identical_across_the_execution_matrix() {
     let seed = 11;
     let run = |workers: usize| {
-        let mut emulator = Emulator::new(storm_scenario(seed));
+        let scenario = storm_scenario(seed);
+        let population = Population::from_topology(&scenario.topology);
+        let mut emulator = Emulator::new(scenario);
         emulator.set_workers(workers);
         emulator.set_fault_schedule(storm_schedule(seed));
-        emulator.run()
+        // A burst of one-packet flows within ~3 ms of t = 3.5 s, clear of
+        // every report timer: one flush reaches the break-even, so the
+        // threaded cells really fan out.
+        emulator.add_workload(Box::new(
+            SyntheticSpec::new("burst", 1)
+                .starting_at(SimTime::from_millis(3_500))
+                .with_arrivals(ArrivalModel::Periodic {
+                    flows_per_sec: 1_000_000.0,
+                })
+                .with_mix(TrafficMix::churn())
+                .with_packet_budget(PACKET_BREAK_EVEN + 512)
+                .build(population),
+        ));
+        let report = emulator.run();
+        let fan_outs = emulator.fan_out_telemetry();
+        assert_eq!(
+            fan_outs.packet_flushes > 0,
+            workers > 1,
+            "{workers}: {fan_outs:?}"
+        );
+        report
     };
 
     let baseline = run(1);

@@ -178,10 +178,20 @@ fn storm_scenario(seed: u64, clients: usize) -> Scenario {
     sb.with_mobility(Mobility::Trace(trace)).build()
 }
 
+/// Runs the storm; with several migration workers its simultaneous roams
+/// must have fanned a migration flush out, or the run proved nothing about
+/// the pool.
 fn run_storm(seed: u64, clients: usize, migration_workers: usize) -> RunReport {
     let mut emulator = Emulator::new(storm_scenario(seed, clients));
     emulator.set_migration_workers(migration_workers);
-    emulator.run()
+    let report = emulator.run();
+    let fan_outs = emulator.fan_out_telemetry();
+    assert_eq!(
+        fan_outs.migration_flushes > 0,
+        migration_workers > 1,
+        "{migration_workers}: {fan_outs:?}"
+    );
+    report
 }
 
 // ---------------------------------------------------------------------------
