@@ -636,49 +636,47 @@ impl Agent {
         &self.batch_sizes
     }
 
-    /// Processes a packet arriving from a client (upstream) at this station:
-    /// a batch of one through the data-plane pipeline.
-    pub fn process_upstream_packet(&mut self, packet: Packet, now: SimTime) -> PacketOutcome {
-        let port = self.switch.client_port();
-        self.run_packet(packet, port, now)
-    }
-
-    /// Processes a packet arriving from the uplink (downstream, towards a
-    /// client) at this station: a batch of one through the data-plane
-    /// pipeline.
-    pub fn process_downstream_packet(&mut self, packet: Packet, now: SimTime) -> PacketOutcome {
-        let port = self.switch.uplink_port();
-        self.run_packet(packet, port, now)
-    }
-
-    /// Processes a batch of packets arriving from clients (upstream) at this
-    /// station, returning one outcome per packet in batch order. Observably
-    /// equivalent to per-packet [`process_upstream_packet`] calls at the same
-    /// timestamp, but amortizes switch lookups, chain dispatch and counter
-    /// updates over the batch.
+    /// The station's one data-plane entry point: runs `batch`, received at
+    /// `now`, through the pipeline (see the [crate docs](crate)) on the
+    /// calling thread and hands each packet's [`PacketOutcome`] to `sink`.
     ///
-    /// [`process_upstream_packet`]: Agent::process_upstream_packet
-    pub fn process_upstream_batch(
+    /// * `direction` names the port the batch arrives on:
+    ///   [`Direction::Ingress`] is the client-access port (client → network),
+    ///   [`Direction::Egress`] the uplink (network → client). Which way a
+    ///   steered packet traverses its chain is the steering rule's call, not
+    ///   this argument's.
+    /// * `sink` is called exactly once per packet, in packet order; an empty
+    ///   batch calls it never.
+    ///
+    /// A lone packet is `PacketBatch::from(packet)`: per-packet calls and
+    /// one batch at the same timestamp are observably equivalent (outcomes,
+    /// counters, NF state, flight records).
+    pub fn process(
         &mut self,
+        direction: Direction,
         batch: PacketBatch,
         now: SimTime,
-    ) -> Vec<PacketOutcome> {
-        let port = self.switch.client_port();
-        self.run_pipeline(batch, port, now)
-    }
-
-    /// Processes a batch of packets arriving from the uplink (downstream,
-    /// towards clients); the batched counterpart of
-    /// [`process_downstream_packet`].
-    ///
-    /// [`process_downstream_packet`]: Agent::process_downstream_packet
-    pub fn process_downstream_batch(
-        &mut self,
-        batch: PacketBatch,
-        now: SimTime,
-    ) -> Vec<PacketOutcome> {
-        let port = self.switch.uplink_port();
-        self.run_pipeline(batch, port, now)
+        sink: &mut impl FnMut(PacketOutcome),
+    ) {
+        self.report_hints.traffic = true;
+        if batch.is_empty() {
+            return;
+        }
+        self.batch_sizes.record(batch.len() as u64);
+        let in_port = match direction {
+            Direction::Ingress => self.switch.client_port(),
+            Direction::Egress => self.switch.uplink_port(),
+        };
+        Spine {
+            switch: &mut self.switch,
+            chains: &mut self.chains,
+            trace: &mut self.trace,
+            flight: &mut self.flight,
+            station: self.config.station.raw(),
+            in_port,
+            now,
+        }
+        .run(batch, sink)
     }
 
     /// Drains pending NF events into `NfNotification` messages for the
@@ -704,38 +702,6 @@ impl Agent {
             _ => None,
         });
         out
-    }
-
-    /// A per-packet call is a batch of one through the same pipeline.
-    fn run_packet(&mut self, packet: Packet, in_port: PortId, now: SimTime) -> PacketOutcome {
-        self.run_pipeline(PacketBatch::from(packet), in_port, now)
-            .pop()
-            .expect("the pipeline yields one outcome per packet")
-    }
-
-    /// Runs a batch through the station's one data-plane pipeline
-    /// ([`Spine::run`]) on the calling thread.
-    fn run_pipeline(
-        &mut self,
-        batch: PacketBatch,
-        in_port: PortId,
-        now: SimTime,
-    ) -> Vec<PacketOutcome> {
-        self.report_hints.traffic = true;
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        self.batch_sizes.record(batch.len() as u64);
-        Spine {
-            switch: &mut self.switch,
-            chains: &mut self.chains,
-            trace: &mut self.trace,
-            flight: &mut self.flight,
-            station: self.config.station.raw(),
-            in_port,
-            now,
-        }
-        .run(batch)
     }
 
     /// Instantiates a chain: pulls images, creates a container per NF, wires
@@ -972,20 +938,19 @@ impl Spine<'_> {
     /// entry sealed from packet N already serves packet N + 1 of the same
     /// flush (mid-batch sealing), and outcome and flight-record order is
     /// packet order.
-    fn run(&mut self, batch: PacketBatch) -> Vec<PacketOutcome> {
+    fn run(&mut self, batch: PacketBatch, sink: &mut impl FnMut(PacketOutcome)) {
         let (in_port, now) = (self.in_port, self.now);
         let batch_len = batch.len() as u64;
         let mut cursor = match self.switch.begin_batch(batch.as_slice(), in_port, now) {
             Ok(cursor) => cursor,
             Err(e) => {
                 let reason: Cow<'static, str> = e.to_string().into();
-                return batch
-                    .into_iter()
-                    .map(|_| PacketOutcome::Dropped(reason.clone()))
-                    .collect();
+                for _ in batch {
+                    sink(PacketOutcome::Dropped(reason.clone()));
+                }
+                return;
             }
         };
-        let mut outcomes = Vec::with_capacity(batch.len());
         for packet in batch {
             let Classified { decision, megaflow } = self.switch.classify(&mut cursor, &packet);
             // Flight probe: sampling is a seeded hash check; the tuple
@@ -1056,11 +1021,10 @@ impl Spine<'_> {
                 }
                 None => Verdict::Forward(packet),
             };
-            self.settle(&decision.forwarding, stage, probe, verdict, &mut outcomes);
+            self.settle(&decision.forwarding, stage, probe, verdict, sink);
         }
         self.trace
             .emit(now, TraceKind::BatchFlush { packets: batch_len });
-        outcomes
     }
 
     /// Emits the trace events one megaflow install implies: the seal, and an
@@ -1090,9 +1054,10 @@ impl Spine<'_> {
         }
     }
 
-    /// Settles one packet's verdict into its outcome: the TX counters of
-    /// wherever it (or its replies) went, and its flight record when its
-    /// flow is sampled (`probe`: the flow hash and rendered five-tuple).
+    /// Settles one packet's verdict into its outcome, handed to `sink`: the
+    /// TX counters of wherever it (or its replies) went, and its flight
+    /// record when its flow is sampled (`probe`: the flow hash and rendered
+    /// five-tuple).
     #[inline]
     fn settle(
         &mut self,
@@ -1100,9 +1065,9 @@ impl Spine<'_> {
         stage: &'static str,
         probe: Option<(u64, String)>,
         verdict: Verdict,
-        outcomes: &mut Vec<PacketOutcome>,
+        sink: &mut impl FnMut(PacketOutcome),
     ) {
-        let label = match verdict {
+        let (outcome, label) = match verdict {
             Verdict::Forward(p) => {
                 match forwarding {
                     Forwarding::Unicast(port) => self.switch.record_tx(*port, p.len()),
@@ -1112,21 +1077,17 @@ impl Spine<'_> {
                         }
                     }
                 }
-                outcomes.push(PacketOutcome::Forwarded(p));
-                "forwarded"
+                (PacketOutcome::Forwarded(p), "forwarded")
             }
-            Verdict::Drop(reason) => {
-                outcomes.push(PacketOutcome::Dropped(reason));
-                "dropped"
-            }
+            Verdict::Drop(reason) => (PacketOutcome::Dropped(reason), "dropped"),
             Verdict::Reply(replies) => {
                 for reply in &replies {
                     self.switch.record_tx(self.in_port, reply.len());
                 }
-                outcomes.push(PacketOutcome::Replied(replies));
-                "replied"
+                (PacketOutcome::Replied(replies), "replied")
             }
         };
+        sink(outcome);
         if let Some((flow, tuple)) = probe {
             self.flight.record(
                 self.now,
@@ -1158,6 +1119,32 @@ mod tests {
             },
             ImageRepository::with_standard_images(),
         )
+    }
+
+    /// Runs `packets`, arriving in `direction`, as one batch and collects
+    /// what the sink receives.
+    fn collect_outcomes(
+        agent: &mut Agent,
+        direction: Direction,
+        packets: impl Into<PacketBatch>,
+        now: SimTime,
+    ) -> Vec<PacketOutcome> {
+        let mut outcomes = Vec::new();
+        agent.process(direction, packets.into(), now, &mut |o| outcomes.push(o));
+        outcomes
+    }
+
+    /// One client packet: a batch of one, arriving on the access port.
+    fn upstream(agent: &mut Agent, packet: Packet, now: SimTime) -> PacketOutcome {
+        match <[PacketOutcome; 1]>::try_from(collect_outcomes(
+            agent,
+            Direction::Ingress,
+            packet,
+            now,
+        )) {
+            Ok([outcome]) => outcome,
+            Err(outcomes) => panic!("one packet, {} outcomes", outcomes.len()),
+        }
     }
 
     fn client_mac() -> MacAddr {
@@ -1258,7 +1245,7 @@ mod tests {
             "/",
         );
         assert!(matches!(
-            agent.process_upstream_packet(ok, now),
+            upstream(&mut agent, ok, now),
             PacketOutcome::Forwarded(_)
         ));
         // SSH is dropped by the firewall.
@@ -1271,7 +1258,7 @@ mod tests {
             22,
         );
         assert!(matches!(
-            agent.process_upstream_packet(ssh, now),
+            upstream(&mut agent, ssh, now),
             PacketOutcome::Dropped(_)
         ));
         // A blocked URL gets a 403 reply.
@@ -1284,7 +1271,7 @@ mod tests {
             "ads.example",
             "/banner",
         );
-        match agent.process_upstream_packet(blocked, now) {
+        match upstream(&mut agent, blocked, now) {
             PacketOutcome::Replied(replies) => assert_eq!(replies.len(), 1),
             other => panic!("expected a reply, got {other:?}"),
         }
@@ -1344,7 +1331,7 @@ mod tests {
                     ));
                 }
             }
-            agent.process_upstream_batch(batch.into(), now);
+            collect_outcomes(&mut agent, Direction::Ingress, batch, now);
             let drained: Vec<(u64, bool)> = agent
                 .drain_nf_notifications(now)
                 .into_iter()
@@ -1418,11 +1405,11 @@ mod tests {
         let mut per_packet = make_agent();
         let expected: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| per_packet.process_upstream_packet(p.clone(), now))
+            .map(|p| upstream(&mut per_packet, p.clone(), now))
             .collect();
 
         let mut batched = make_agent();
-        let outcomes = batched.process_upstream_batch(packets.into(), now);
+        let outcomes = collect_outcomes(&mut batched, Direction::Ingress, packets, now);
         assert_eq!(outcomes, expected, "outcomes aligned with the batch");
 
         // Switch counters, flow-cache statistics and NF statistics agree.
@@ -1511,13 +1498,13 @@ mod tests {
         let mut off = make_agent(false);
         let expected: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| off.process_upstream_packet(p.clone(), now))
+            .map(|p| upstream(&mut off, p.clone(), now))
             .collect();
 
         let mut on = make_agent(true);
         let outcomes: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| on.process_upstream_packet(p.clone(), now))
+            .map(|p| upstream(&mut on, p.clone(), now))
             .collect();
 
         assert_eq!(outcomes, expected, "outcomes identical with megaflow on");
@@ -1556,7 +1543,7 @@ mod tests {
         // thanks to mid-batch sealing, the same cache telemetry — as the
         // per-packet megaflow path.
         let mut on_batched = make_agent(true);
-        let batched = on_batched.process_upstream_batch(packets.into(), now);
+        let batched = collect_outcomes(&mut on_batched, Direction::Ingress, packets, now);
         assert_eq!(batched, expected);
         for (a, b) in on_batched.chains().zip(on.chains()) {
             assert_eq!(a.chain.stats(), b.chain.stats());
@@ -1684,7 +1671,7 @@ mod tests {
         let mut per_packet = make_agent();
         let expected: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| per_packet.process_upstream_packet(p.clone(), now))
+            .map(|p| upstream(&mut per_packet, p.clone(), now))
             .collect();
         // One flight record per packet: the records *are* the table's
         // stage and verdict columns.
@@ -1703,7 +1690,7 @@ mod tests {
         assert_eq!(notifications, 1, "the blocked URL raised an alert");
 
         let mut batched = make_agent();
-        let outcomes = batched.process_upstream_batch(packets.clone().into(), now);
+        let outcomes = collect_outcomes(&mut batched, Direction::Ingress, packets.clone(), now);
         assert_eq!(outcomes, expected);
         for id in [1, 2] {
             let (a, b) = (
@@ -1788,7 +1775,7 @@ mod tests {
         let now = SimTime::from_secs(2);
 
         let mut batched = make_agent();
-        let outcomes = batched.process_upstream_batch(burst.clone().into(), now);
+        let outcomes = collect_outcomes(&mut batched, Direction::Ingress, burst.clone(), now);
         let stages: Vec<&str> = batched
             .flight_mut()
             .take_events()
@@ -1826,7 +1813,7 @@ mod tests {
         let mut per_packet = make_agent();
         let expected: Vec<PacketOutcome> = burst
             .into_iter()
-            .map(|p| per_packet.process_upstream_packet(p, now))
+            .map(|p| upstream(&mut per_packet, p, now))
             .collect();
         assert_eq!(outcomes, expected);
         assert!(outcomes
@@ -1859,9 +1846,14 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let (mut agent, _) = agent();
-        assert!(agent
-            .process_upstream_batch(PacketBatch::new(), SimTime::from_secs(1))
-            .is_empty());
+        for direction in [Direction::Ingress, Direction::Egress] {
+            agent.process(
+                direction,
+                PacketBatch::new(),
+                SimTime::from_secs(1),
+                &mut |outcome| panic!("an empty batch sinks nothing, got {outcome:?}"),
+            );
+        }
         assert_eq!(agent.batch_telemetry().batches, 0);
     }
 
@@ -1878,9 +1870,126 @@ mod tests {
             443,
         );
         assert!(matches!(
-            agent.process_upstream_packet(pkt, now),
+            upstream(&mut agent, pkt, now),
             PacketOutcome::Forwarded(_)
         ));
+    }
+
+    /// The Egress leg: a server's reply enters on the uplink, walks the
+    /// firewall → NAT chain in reverse and leaves on the access port with
+    /// the client's private endpoint restored.
+    #[test]
+    fn a_reply_on_the_uplink_is_translated_back_to_the_client() {
+        let (mut agent, _) = agent();
+        agent.client_associated(ClientId::new(0), client_mac(), client_ip());
+        let specs = vec![sample_specs()[0].clone(), sample_specs()[4].clone()];
+        agent.handle_manager_msg(deploy_msg(1, specs), SimTime::from_secs(1));
+        let public_ip = Ipv4Addr::new(198, 51, 100, 1);
+        let (server_mac, server_ip) = (MacAddr::derived(0xA0, 1), Ipv4Addr::new(203, 0, 113, 10));
+        let now = SimTime::from_secs(2);
+
+        let get = builder::http_get(
+            client_mac(),
+            server_mac,
+            client_ip(),
+            server_ip,
+            40_000,
+            "www.gla.ac.uk",
+            "/",
+        );
+        let PacketOutcome::Forwarded(sent) = upstream(&mut agent, get, now) else {
+            panic!("the GET is forwarded");
+        };
+        let sent = sent.five_tuple().expect("a TCP frame");
+        assert_eq!(sent.src_ip, public_ip, "masqueraded");
+
+        let (access, uplink) = (agent.switch().client_port(), agent.switch().uplink_port());
+        let counters = |agent: &Agent, port| agent.switch().port(port).expect("a port").counters;
+        let (access_before, uplink_before) = (counters(&agent, access), counters(&agent, uplink));
+        let reply = |public_port| {
+            builder::tcp_data(
+                server_mac,
+                client_mac(),
+                server_ip,
+                public_ip,
+                sent.dst_port,
+                public_port,
+                b"HTTP/1.1 200 OK\r\n\r\n",
+            )
+        };
+        let answer = reply(sent.src_port);
+        let answer_len = answer.len() as u64;
+        let outcomes = collect_outcomes(&mut agent, Direction::Egress, answer, now);
+        let [PacketOutcome::Forwarded(received)] = &outcomes[..] else {
+            panic!("the reply is forwarded, got {outcomes:?}");
+        };
+        let received = received.five_tuple().expect("a TCP frame");
+        assert_eq!(
+            (received.src_ip, received.src_port),
+            (server_ip, sent.dst_port)
+        );
+        assert_eq!((received.dst_ip, received.dst_port), (client_ip(), 40_000));
+        let (access_after, uplink_after) = (counters(&agent, access), counters(&agent, uplink));
+        assert_eq!(
+            (
+                uplink_after.rx_packets - uplink_before.rx_packets,
+                uplink_after.rx_bytes - uplink_before.rx_bytes
+            ),
+            (1, answer_len),
+            "received on the uplink"
+        );
+        assert_eq!(
+            access_after.tx_packets - access_before.tx_packets,
+            1,
+            "sent out of the access port"
+        );
+
+        // No translation was made for this public port.
+        let outcomes =
+            collect_outcomes(&mut agent, Direction::Egress, reply(sent.src_port + 1), now);
+        assert!(
+            matches!(outcomes[..], [PacketOutcome::Dropped(_)]),
+            "{outcomes:?}"
+        );
+    }
+
+    /// A removed veth's port id is never handed out again: the chain
+    /// deployed after a removal gets fresh ids, not a live chain's.
+    #[test]
+    fn switch_port_ids_stay_unique_across_chain_churn() {
+        use gnf_switch::PortKind;
+
+        let (mut agent, _) = agent();
+        let firewall = || vec![sample_specs()[0].clone()];
+        agent.handle_manager_msg(deploy_msg(1, firewall()), SimTime::from_secs(1));
+        agent.handle_manager_msg(deploy_msg(2, firewall()), SimTime::from_secs(1));
+        agent.handle_manager_msg(
+            ManagerToAgent::RemoveChain {
+                chain: ChainId::new(1),
+                client: ClientId::new(0),
+                migration: None,
+            },
+            SimTime::from_secs(2),
+        );
+        agent.handle_manager_msg(deploy_msg(3, firewall()), SimTime::from_secs(3));
+
+        let ports = agent.switch().ports();
+        let mut ids: Vec<PortId> = ports.iter().map(|p| p.id).collect();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), ports.len(), "unique ids: {ports:?}");
+        let container = agent.chain(ChainId::new(3)).expect("deployed").containers[0];
+        let veths: Vec<_> = ports
+            .iter()
+            .filter(|p| {
+                matches!(p.kind, PortKind::VethIngress { container: c }
+                    | PortKind::VethEgress { container: c } if c == container)
+            })
+            .collect();
+        assert_eq!(veths.len(), 2);
+        for veth in veths {
+            assert_eq!(agent.switch().port(veth.id).ok(), Some(veth));
+        }
     }
 
     #[test]
@@ -1937,8 +2046,8 @@ mod tests {
                 443,
             )
         };
-        agent.process_upstream_packet(flow(), now);
-        agent.process_upstream_packet(flow(), now);
+        upstream(&mut agent, flow(), now);
+        upstream(&mut agent, flow(), now);
         assert!(agent.switch().flow_cache_len() > 0);
         assert!(agent.switch().mac_table_len() > 0);
         assert_eq!(agent.generation(), 0);
@@ -1984,7 +2093,7 @@ mod tests {
             41_000,
             443,
         );
-        source.process_upstream_packet(flow, now);
+        upstream(&mut source, flow, now);
 
         let replies = source.handle_manager_msg(
             ManagerToAgent::CheckpointChain {
@@ -2048,7 +2157,7 @@ mod tests {
         source.client_associated(client, client_mac(), client_ip());
         source.handle_manager_msg(deploy_msg(1, sample_specs()), SimTime::from_secs(1));
         for sport in 41_000..41_020 {
-            source.process_upstream_packet(flow(sport), SimTime::from_secs(2));
+            upstream(&mut source, flow(sport), SimTime::from_secs(2));
         }
         let state = source.chain(chain).unwrap().chain.export_state();
         assert!(state.iter().any(|s| !s.is_empty()));
@@ -2131,8 +2240,8 @@ mod tests {
         // Both now serve the client identically.
         let now = SimTime::from_secs(5);
         assert_eq!(
-            staged.process_upstream_packet(flow(41_000), now),
-            serving.process_upstream_packet(flow(41_000), now)
+            upstream(&mut staged, flow(41_000), now),
+            upstream(&mut serving, flow(41_000), now)
         );
         assert_eq!(
             staged.chain(chain).unwrap().chain.export_state(),
@@ -2201,7 +2310,7 @@ mod tests {
                         53,
                         b"x",
                     );
-                    let _ = a.process_upstream_packet(pkt, now);
+                    let _ = upstream(a, pkt, now);
                 }
                 5 => a.crash(),
                 _ => {}

@@ -14,12 +14,12 @@
 //!
 //! ## The Agent in the data plane
 //!
-//! The Agent owns the station's data plane end to end, and it is **one
-//! pipeline**: every entry point — [`Agent::process_upstream_batch`] /
-//! [`Agent::process_downstream_batch`], and the per-packet
-//! [`Agent::process_upstream_packet`] / [`Agent::process_downstream_packet`],
-//! which are batches of one — runs the same loop. A
-//! [`gnf_packet::PacketBatch`] is what the Agent is handed; between it and
+//! The Agent owns the station's data plane end to end, and it has **one
+//! entry point**: [`Agent::process`] takes the direction the traffic
+//! arrives from (`Ingress` = the client-access port, `Egress` = the
+//! uplink), a [`gnf_packet::PacketBatch`], its virtual time and the
+//! caller's sink, a closure that receives one [`PacketOutcome`] per packet.
+//! A lone packet is a batch of one. Between the batch and
 //! `NetworkFunction::process` the **packet** is the only unit of work:
 //!
 //! ```text
@@ -43,9 +43,11 @@
 //!   chain's consulted-field report (`NfChain::wildcard_report`, gated on
 //!   the packet's verdict) before the next packet is classified, so an entry
 //!   sealed from packet *N* already serves packet *N + 1* of the same batch.
-//! * **Settle** — the verdict becomes a [`PacketOutcome`] in batch order,
-//!   the TX counters of wherever the packet went are updated, a sampled
-//!   flow gets its flight record.
+//! * **Settle** — the verdict becomes a [`PacketOutcome`] and hands the
+//!   outcome to the caller's sink, in packet order; the TX counters of
+//!   wherever the packet went are updated, a sampled flow gets its flight
+//!   record. Nothing is collected per batch: the emulator's sink only
+//!   tallies, a test's pushes.
 //!
 //! Every layer's counters surface in the periodic
 //! [`gnf_telemetry::StationReport`] (`flow_cache`, `megaflow`, `batches`).

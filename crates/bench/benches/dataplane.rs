@@ -209,7 +209,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             .iter()
             .map(|f| Packet::parse(f.bytes().clone()).unwrap())
             .collect();
-        agent.process_upstream_batch(warm, now);
+        agent.process(Direction::Ingress, warm, now, &mut |_| {});
         group.throughput(Throughput::Elements(frames.len() as u64));
         let label = if traced { "enabled" } else { "disabled" };
         group.bench_with_input(BenchmarkId::new("tracing", label), &traced, |b, _| {
@@ -218,7 +218,9 @@ fn bench_trace_overhead(c: &mut Criterion) {
                     .iter()
                     .map(|f| Packet::parse(f.bytes().clone()).unwrap())
                     .collect();
-                black_box(agent.process_upstream_batch(black_box(batch), now))
+                agent.process(Direction::Ingress, black_box(batch), now, &mut |outcome| {
+                    black_box(outcome);
+                })
             })
         });
     }

@@ -99,7 +99,7 @@ fn bench_workload(c: &mut Criterion) {
         });
 
         // Full station pipeline under the mix: cycle a generated slice of
-        // the workload through parse → `Agent::process_upstream_packet`
+        // the workload through parse → `Agent::process`
         // (classify exact/wildcard/slow → chain → seal → settle).
         let frames = generate(&spec, 8_192);
         let mut agent = station();

@@ -5,7 +5,7 @@
 //! cost model).
 //!
 //! Its three cache sections time the production pipeline — a real `Agent`
-//! stepped through `process_upstream_packet` — and assert the cache
+//! stepped through `Agent::process`, a batch of one — and assert the cache
 //! guardrails: the exact-match flow cache ≥ 2×, the megaflow layer ≥ 1.5×
 //! and its drop entries ≥ 1.5× over the uncached path, on every chain of at
 //! least one NF. The harness panics when a floor is missed.

@@ -8,7 +8,8 @@ use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_bench::section;
 use gnf_container::ImageRepository;
 use gnf_nf::testing::sample_specs;
-use gnf_packet::builder;
+use gnf_nf::Direction;
+use gnf_packet::{builder, PacketBatch};
 use gnf_switch::TrafficSelector;
 use gnf_telemetry::{
     FlightRecorder, MetricsSeries, TraceLog, TraceScope, TraceSink, DEFAULT_FLIGHT_CAPACITY,
@@ -118,11 +119,16 @@ fn main() {
             443,
             &[0u8; 200],
         );
-        match agent.process_upstream_packet(packet, now) {
-            PacketOutcome::Forwarded(_) => forwarded += 1,
-            PacketOutcome::Dropped(_) => dropped += 1,
-            PacketOutcome::Replied(_) => replied += 1,
-        }
+        agent.process(
+            Direction::Ingress,
+            PacketBatch::from(packet),
+            now,
+            &mut |outcome| match outcome {
+                PacketOutcome::Forwarded(_) => forwarded += 1,
+                PacketOutcome::Dropped(_) => dropped += 1,
+                PacketOutcome::Replied(_) => replied += 1,
+            },
+        );
     }
 
     section("packet accounting across attach / detach");

@@ -5,8 +5,8 @@
 //! [`ManagerToAgent::DeployChain`], the megaflow layer switched on where
 //! asked. `exp_e4_dataplane`'s cache sections (the guardrails it asserts)
 //! and the criterion `workload` and `trace_overhead` groups step these
-//! stations through `Agent::process_upstream_*`, so what they time is the
-//! production pipeline, not a copy of it.
+//! stations through `Agent::process`, so what they time is the production
+//! pipeline, not a copy of it.
 
 use gnf_agent::{Agent, AgentConfig, PacketOutcome};
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
@@ -16,8 +16,8 @@ use gnf_nf::firewall::{
 };
 use gnf_nf::ids::IdsConfig;
 use gnf_nf::rate_limiter::RateLimiterConfig;
-use gnf_nf::{NfConfig, NfSpec};
-use gnf_packet::{builder, Packet};
+use gnf_nf::{Direction, NfConfig, NfSpec};
+use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_switch::TrafficSelector;
 use gnf_types::{AgentId, ChainId, ClientId, HostClass, MacAddr, SimTime, StationId};
 use std::net::Ipv4Addr;
@@ -155,14 +155,18 @@ pub fn station(len: usize, track_connections: bool, megaflow: bool) -> Agent {
 }
 
 /// One packet through the station's production pipeline: parse the
-/// arriving frame, then `Agent::process_upstream_packet` (a batch of one).
-/// Returns whether the packet was forwarded.
+/// arriving frame, then `Agent::process` on the access port (a batch of
+/// one). Returns whether the packet was forwarded.
 pub fn step(agent: &mut Agent, frame: &Packet) -> bool {
     let packet = Packet::parse(frame.bytes().clone()).unwrap();
-    matches!(
-        agent.process_upstream_packet(packet, NOW),
-        PacketOutcome::Forwarded(_)
-    )
+    let mut forwarded = false;
+    agent.process(
+        Direction::Ingress,
+        PacketBatch::from(packet),
+        NOW,
+        &mut |outcome| forwarded = matches!(outcome, PacketOutcome::Forwarded(_)),
+    );
+    forwarded
 }
 
 /// One established flow of the bench client (the cache-hit workload).

@@ -18,6 +18,7 @@ use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
 use gnf_edge::{MobilityModel, TrafficGenerator};
 use gnf_manager::{Manager, ManagerAction};
+use gnf_nf::Direction;
 use gnf_packet::{Packet, PacketBatch};
 use gnf_sim::{EventQueue, Histogram, Rng, WorkerPool};
 use gnf_telemetry::{
@@ -1619,13 +1620,18 @@ impl Emulator {
             notifications: Vec::new(),
         };
         for (time, batch) in groups {
-            for result in outcome.agent.process_upstream_batch(batch, time) {
-                match result {
+            // Every generated packet is client → network: it arrives on the
+            // access port. The sink only tallies.
+            outcome.agent.process(
+                Direction::Ingress,
+                batch,
+                time,
+                &mut |result| match result {
                     PacketOutcome::Forwarded(_) => outcome.forwarded += 1,
                     PacketOutcome::Dropped(_) => outcome.dropped_by_nf += 1,
                     PacketOutcome::Replied(_) => outcome.replied_by_nf += 1,
-                }
-            }
+                },
+            );
             // Drain after every batch, stamped with the batch's own virtual
             // time, so alerts carry the time of the traffic that raised them
             // (not the flush boundary).

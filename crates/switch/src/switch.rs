@@ -230,6 +230,9 @@ pub struct BatchCursor {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SoftwareSwitch {
     ports: Vec<Port>,
+    /// The id the next added port gets. Ids are never reused, so a removed
+    /// veth's id cannot alias a live port.
+    next_port: u32,
     mac_table: PathMap<MacAddr, (PortId, SimTime)>,
     steering: SteeringTable,
     mac_aging: u64,
@@ -250,6 +253,11 @@ pub struct SoftwareSwitch {
 /// Default MAC-table aging time in seconds (the classic 300 s bridge default).
 pub const DEFAULT_MAC_AGING_SECS: u64 = 300;
 
+/// The client-access port: the first one [`SoftwareSwitch::new`] adds.
+const CLIENT_PORT: PortId = PortId(0);
+/// The uplink port: the second one [`SoftwareSwitch::new`] adds.
+const UPLINK_PORT: PortId = PortId(1);
+
 impl Default for SoftwareSwitch {
     fn default() -> Self {
         SoftwareSwitch::new()
@@ -266,6 +274,7 @@ impl SoftwareSwitch {
     pub fn with_flow_cache_capacity(capacity: usize) -> Self {
         let mut sw = SoftwareSwitch {
             ports: Vec::new(),
+            next_port: 0,
             mac_table: PathMap::default(),
             steering: SteeringTable::new(),
             mac_aging: DEFAULT_MAC_AGING_SECS,
@@ -276,14 +285,17 @@ impl SoftwareSwitch {
             flood_sets: PathMap::default(),
             empty_flood: Arc::from(Vec::new()),
         };
-        sw.add_port("wlan0", PortKind::ClientAccess);
-        sw.add_port("uplink0", PortKind::Uplink);
+        let client = sw.add_port("wlan0", PortKind::ClientAccess);
+        let uplink = sw.add_port("uplink0", PortKind::Uplink);
+        debug_assert_eq!((client, uplink), (CLIENT_PORT, UPLINK_PORT));
         sw
     }
 
-    /// Adds a port and returns its identifier.
+    /// Adds a port and returns its identifier, one no other port of this
+    /// switch has ever had.
     pub fn add_port(&mut self, name: &str, kind: PortKind) -> PortId {
-        let id = PortId(self.ports.len() as u32);
+        let id = PortId(self.next_port);
+        self.next_port += 1;
         self.ports.push(Port {
             id,
             name: name.to_string(),
@@ -332,20 +344,12 @@ impl SoftwareSwitch {
 
     /// The switch's client-access port.
     pub fn client_port(&self) -> PortId {
-        self.ports
-            .iter()
-            .find(|p| p.kind == PortKind::ClientAccess)
-            .map(|p| p.id)
-            .expect("a switch always has a client access port")
+        CLIENT_PORT
     }
 
     /// The switch's uplink port.
     pub fn uplink_port(&self) -> PortId {
-        self.ports
-            .iter()
-            .find(|p| p.kind == PortKind::Uplink)
-            .map(|p| p.id)
-            .expect("a switch always has an uplink port")
+        UPLINK_PORT
     }
 
     /// The steering table (mutable) for installing/removing redirection rules.

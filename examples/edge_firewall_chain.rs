@@ -14,8 +14,8 @@ use gnf_container::ImageRepository;
 use gnf_nf::firewall::{FirewallConfig, FirewallRule};
 use gnf_nf::http_filter::HttpFilterConfig;
 use gnf_nf::rate_limiter::RateLimiterConfig;
-use gnf_nf::{NfConfig, NfSpec};
-use gnf_packet::builder;
+use gnf_nf::{Direction, NfConfig, NfSpec};
+use gnf_packet::{builder, PacketBatch};
 use gnf_switch::TrafficSelector;
 use gnf_types::{AgentId, ChainId, ClientId, HostClass, MacAddr, SimTime, StationId};
 use std::net::Ipv4Addr;
@@ -126,19 +126,25 @@ fn main() {
         ),
     ];
 
+    // Each packet arrives from the client on the access port, alone.
     for (label, packet) in cases {
-        match agent.process_upstream_packet(packet, now) {
-            PacketOutcome::Forwarded(p) => {
-                println!("{label:>20}: forwarded  ({})", p.summary());
-            }
-            PacketOutcome::Dropped(reason) => println!("{label:>20}: dropped    ({reason})"),
-            PacketOutcome::Replied(replies) => {
-                println!(
-                    "{label:>20}: answered at the edge ({})",
-                    replies[0].summary()
-                );
-            }
-        }
+        agent.process(
+            Direction::Ingress,
+            PacketBatch::from(packet),
+            now,
+            &mut |outcome| match outcome {
+                PacketOutcome::Forwarded(p) => {
+                    println!("{label:>20}: forwarded  ({})", p.summary());
+                }
+                PacketOutcome::Dropped(reason) => println!("{label:>20}: dropped    ({reason})"),
+                PacketOutcome::Replied(replies) => {
+                    println!(
+                        "{label:>20}: answered at the edge ({})",
+                        replies[0].summary()
+                    );
+                }
+            },
+        );
     }
 
     println!("\nNF notifications relayed to the Manager:");

@@ -11,6 +11,8 @@ use gnf_core::{ChaosSpec, Emulator, FaultKind, FaultSchedule, Mobility, Partitio
 use gnf_edge::{Position, RoamTrace, TrafficProfile};
 use gnf_manager::{Manager, ManagerAction};
 use gnf_nf::testing::sample_specs;
+use gnf_nf::Direction;
+use gnf_packet::PacketBatch;
 use gnf_switch::TrafficSelector;
 use gnf_types::{
     AgentId, CellId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId,
@@ -190,8 +192,18 @@ fn no_stale_cache_entry_survives_a_restart_generation_bump() {
             443,
         )
     };
-    agent.process_upstream_packet(packet(), now);
-    agent.process_upstream_packet(packet(), now);
+    agent.process(
+        Direction::Ingress,
+        PacketBatch::from(packet()),
+        now,
+        &mut |_| {},
+    );
+    agent.process(
+        Direction::Ingress,
+        PacketBatch::from(packet()),
+        now,
+        &mut |_| {},
+    );
     let warm = agent.flow_cache_telemetry().stats;
     assert!(warm.hits >= 1, "repeat flow must ride the cache: {warm:?}");
 
@@ -216,7 +228,12 @@ fn no_stale_cache_entry_survives_a_restart_generation_bump() {
     // The same flow again: it MUST miss — a post-restart hit would mean a
     // pre-crash cache entry served traffic across the generation bump.
     let before = agent.flow_cache_telemetry().stats;
-    agent.process_upstream_packet(packet(), now);
+    agent.process(
+        Direction::Ingress,
+        PacketBatch::from(packet()),
+        now,
+        &mut |_| {},
+    );
     let after = agent.flow_cache_telemetry().stats;
     assert_eq!(
         after.hits, before.hits,

@@ -8,6 +8,8 @@ use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
 use gnf_manager::{Manager, ManagerAction};
 use gnf_nf::testing::sample_specs;
+use gnf_nf::Direction;
+use gnf_packet::PacketBatch;
 use gnf_switch::TrafficSelector;
 use gnf_types::{AgentId, ChainId, ClientId, GnfConfig, HostClass, MacAddr, SimTime, StationId};
 use std::collections::BTreeMap;
@@ -183,7 +185,12 @@ fn roaming_migrates_chains_and_preserves_nf_state_end_to_end() {
             41_000,
             443,
         );
-        agent0.process_upstream_packet(flow, bench.now);
+        agent0.process(
+            Direction::Ingress,
+            PacketBatch::from(flow),
+            bench.now,
+            &mut |_| {},
+        );
     }
 
     // The client roams: the whole checkpoint → deploy → remove pipeline runs
@@ -282,7 +289,12 @@ fn nf_alerts_reach_the_manager_notification_log() {
             "ads.example",
             "/banner",
         );
-        agent.process_upstream_packet(blocked, bench.now);
+        agent.process(
+            Direction::Ingress,
+            PacketBatch::from(blocked),
+            bench.now,
+            &mut |_| {},
+        );
         agent.drain_nf_notifications(bench.now)
     };
     assert_eq!(notifications.len(), 1);

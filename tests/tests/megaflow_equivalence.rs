@@ -15,7 +15,7 @@ use gnf_nf::firewall::{
     CidrV4, FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction,
 };
 use gnf_nf::http_filter::HttpFilterConfig;
-use gnf_nf::{NfConfig, NfSpec};
+use gnf_nf::{Direction, NfConfig, NfSpec};
 use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_switch::TrafficSelector;
 use gnf_types::{
@@ -23,6 +23,20 @@ use gnf_types::{
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+
+/// Runs `packets`, arriving on the access port, as one batch and collects
+/// their outcomes in packet order.
+fn upstream(
+    agent: &mut Agent,
+    packets: impl Into<PacketBatch>,
+    now: SimTime,
+) -> Vec<PacketOutcome> {
+    let mut outcomes = Vec::new();
+    agent.process(Direction::Ingress, packets.into(), now, &mut |o| {
+        outcomes.push(o)
+    });
+    outcomes
+}
 
 /// Ports the traffic and the rule generator draw from, so rules regularly
 /// match, miss, and partition the traffic.
@@ -288,7 +302,7 @@ proptest! {
         let mut off = build_agent(false, specs.clone(), selector);
         let expected: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| off.process_upstream_packet(p.clone(), now))
+            .flat_map(|p| upstream(&mut off, p.clone(), now))
             .collect();
         let expected_notifications = off.drain_nf_notifications(now).len();
 
@@ -296,7 +310,7 @@ proptest! {
         let mut on = build_agent(true, specs.clone(), selector);
         let outcomes: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| on.process_upstream_packet(p.clone(), now))
+            .flat_map(|p| upstream(&mut on, p.clone(), now))
             .collect();
         prop_assert_eq!(&outcomes, &expected);
         assert_station_equivalent(&on, &off)?;
@@ -304,7 +318,7 @@ proptest! {
 
         // Megaflow on, batched.
         let mut on_batched = build_agent(true, specs, selector);
-        let outcomes = on_batched.process_upstream_batch(PacketBatch::from(packets), now);
+        let outcomes = upstream(&mut on_batched, packets, now);
         prop_assert_eq!(&outcomes, &expected);
         assert_station_equivalent(&on_batched, &off)?;
         prop_assert_eq!(
@@ -332,14 +346,14 @@ proptest! {
         let mut off = build_agent(false, specs.clone(), selector);
         let expected: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| off.process_upstream_packet(p.clone(), now))
+            .flat_map(|p| upstream(&mut off, p.clone(), now))
             .collect();
 
         // Megaflow on with drop entries, per-packet.
         let mut drops_on = build_agent(true, specs.clone(), selector);
         let outcomes: Vec<PacketOutcome> = packets
             .iter()
-            .map(|p| drops_on.process_upstream_packet(p.clone(), now))
+            .flat_map(|p| upstream(&mut drops_on, p.clone(), now))
             .collect();
         prop_assert_eq!(&outcomes, &expected);
         assert_station_equivalent(&drops_on, &off)?;
@@ -347,7 +361,7 @@ proptest! {
         // Batched with drop entries: outcomes match, and mid-batch sealing
         // makes even the cache telemetry match the per-packet run.
         let mut batched = build_agent(true, specs, selector);
-        let outcomes = batched.process_upstream_batch(PacketBatch::from(packets), now);
+        let outcomes = upstream(&mut batched, packets, now);
         prop_assert_eq!(&outcomes, &expected);
         assert_station_equivalent(&batched, &off)?;
         prop_assert_eq!(batched.megaflow_telemetry(), drops_on.megaflow_telemetry());

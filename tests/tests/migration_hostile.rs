@@ -11,8 +11,8 @@ use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
 use gnf_manager::{Manager, ManagerAction, MigrationPhase};
 use gnf_nf::testing::sample_specs;
-use gnf_nf::{NfSpec, NfStateDelta, NfStateSnapshot};
-use gnf_packet::builder;
+use gnf_nf::{Direction, NfSpec, NfStateDelta, NfStateSnapshot};
+use gnf_packet::{builder, PacketBatch};
 use gnf_switch::TrafficSelector;
 use gnf_types::{
     AgentId, ChainId, ClientId, GnfConfig, HostClass, MacAddr, MigrationId, SimDuration, SimTime,
@@ -131,7 +131,12 @@ fn record_roam(config: GnfConfig) -> Roam {
     let (chain, commands) = attach(&mut r.manager, r.now);
     r.pump(Vec::new(), 0, commands);
     for sport in 41_000..41_010 {
-        r.agents[0].process_upstream_packet(syn(sport), r.now);
+        r.agents[0].process(
+            Direction::Ingress,
+            PacketBatch::from(syn(sport)),
+            r.now,
+            &mut |_| {},
+        );
     }
 
     // The client roams: station 0 loses it, station 1 gains it.
@@ -326,12 +331,22 @@ fn an_activation_with_a_delta_count_that_fits_no_chain_is_refused_untouched() {
     };
     source.handle_manager_msg(deploy(None), SimTime::from_secs(1));
     for sport in 41_000..41_010 {
-        source.process_upstream_packet(syn(sport), SimTime::from_secs(2));
+        source.process(
+            Direction::Ingress,
+            PacketBatch::from(syn(sport)),
+            SimTime::from_secs(2),
+            &mut |_| {},
+        );
     }
     let export = |agent: &Agent| agent.chain(chain).expect("deployed").chain.export_state();
     let baseline = export(&source);
     for sport in 41_010..41_015 {
-        source.process_upstream_packet(syn(sport), SimTime::from_secs(3));
+        source.process(
+            Direction::Ingress,
+            PacketBatch::from(syn(sport)),
+            SimTime::from_secs(3),
+            &mut |_| {},
+        );
     }
     let current = export(&source);
     let deltas: Vec<NfStateDelta> = baseline
@@ -403,7 +418,7 @@ proptest! {
         );
         prop_assert!(matches!(deployed[0], AgentToManager::ChainDeployed { .. }));
         for sport in 41_000..41_010 {
-            pair[0].process_upstream_packet(syn(sport), SimTime::from_secs(2));
+            pair[0].process(Direction::Ingress, PacketBatch::from(syn(sport)), SimTime::from_secs(2), &mut |_| {});
         }
         let baseline: Vec<NfStateSnapshot> = pair[0].chain(chain).expect("deployed").chain.export_state();
 

@@ -15,6 +15,15 @@
 //!   stage-at-a-time batch path it replaced took 9 allocations for one
 //!   packet).
 //!
+//! The Agent's one data-plane entry point adds nothing of its own: a batch
+//! of one or of five through `Agent::process` on a warm, steered
+//! HTTP-filter chain makes no heap request. The caller builds the batch and
+//! its sink receives each outcome; no outcome vector is built per batch.
+//! And a whole `Emulator::run` on one worker — a 200-station fleet of
+//! batches of one, a 16-client replay through pcap ingest and a NAT chain,
+//! one roam wave — stays within a stated ceiling of heap requests per
+//! generated packet.
+//!
 //! And the cost of a pre-copy switchover (PR 22): `NfStateDelta::diff` plus
 //! `NfChain::apply_state_deltas` make the same number of heap requests on a
 //! 500-entry and a 4 000-entry conntrack table when the same ten entries
@@ -37,26 +46,35 @@
 //! except that it counts per thread: the test harness runs the tests of
 //! this file on parallel threads.
 
-use gnf_agent::{Agent, AgentConfig};
+use gnf_agent::{Agent, AgentConfig, PacketOutcome};
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
-use gnf_edge::{EdgeTopology, Position, TrafficGenerator, TrafficProfile};
+use gnf_core::{Emulator, Mobility, Scenario};
+use gnf_edge::{EdgeTopology, Position, RoamTrace, TrafficGenerator, TrafficProfile};
 use gnf_nf::firewall::FirewallConfig;
 use gnf_nf::http_filter::{HttpFilter, HttpFilterConfig};
 use gnf_nf::ids::IdsConfig;
 use gnf_nf::nat::Nat;
 use gnf_nf::rate_limiter::RateLimiterConfig;
+use gnf_nf::testing::sample_specs;
 use gnf_nf::{
     instantiate_chain, Direction, NetworkFunction, NfConfig, NfContext, NfSpec, NfStateDelta,
     NfStateSnapshot,
 };
 use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_sim::Rng;
-use gnf_switch::TrafficSelector;
-use gnf_types::{AgentId, ChainId, ClientId, GnfError, HostClass, MacAddr, SimTime, StationId};
-use gnf_workload::{TraceFormat, TraceReader, TraceWorkload, TraceWriter, Workload};
+use gnf_switch::{TrafficSelector, DEFAULT_FLOW_CACHE_CAPACITY};
+use gnf_types::{
+    AgentId, CellId, ChainId, ClientId, GnfConfig, GnfError, HostClass, MacAddr, SimDuration,
+    SimTime, StationId,
+};
+use gnf_workload::{
+    ArrivalModel, Population, SyntheticSpec, TraceFormat, TraceReader, TraceWorkload, TraceWriter,
+    TrafficMix, Workload,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Cursor;
 use std::net::Ipv4Addr;
 
 thread_local! {
@@ -278,8 +296,9 @@ fn a_nat_translation_allocates_exactly_the_new_frame() {
     assert_eq!(allocations, 1);
 }
 
-#[test]
-fn draining_five_idle_nfs_allocates_nothing() {
+/// One Agent with the test client associated and steered through a chain
+/// deployed from `specs`.
+fn station(specs: Vec<NfSpec>) -> Agent {
     let (mut agent, _register) = Agent::new(
         AgentConfig {
             agent: AgentId::new(0),
@@ -289,30 +308,80 @@ fn draining_five_idle_nfs_allocates_nothing() {
         ImageRepository::with_standard_images(),
     );
     agent.client_associated(ClientId::new(0), client_mac(), Ipv4Addr::new(172, 16, 0, 2));
-    let now = SimTime::from_secs(1);
     let replies = agent.handle_manager_msg(
         ManagerToAgent::DeployChain {
             chain: ChainId::new(1),
             client: ClientId::new(0),
             client_mac: client_mac(),
-            specs: stateful_replay_specs(),
+            specs,
             selector: TrafficSelector::all(),
             restore_state: None,
             migration: None,
         },
-        now,
+        SimTime::from_secs(1),
     );
     assert!(matches!(replies[0], AgentToManager::ChainDeployed { .. }));
+    agent
+}
+
+#[test]
+fn the_agent_entry_point_allocates_nothing_on_a_warm_chain() {
+    let mut agent = station(vec![NfSpec::new(
+        "http-filter",
+        NfConfig::HttpFilter(HttpFilterConfig::block_hosts(&["ads.example"])),
+    )]);
+    let now = SimTime::from_secs(2);
+    let batch = |k: u16| -> PacketBatch {
+        (0..k)
+            .map(|i| http_get_from(41_001 + i, "example.com"))
+            .collect()
+    };
+    // Warm-up learns the client's MAC and fills the flow cache, whose LRU
+    // use queue takes a stamp per hit until it reaches its compaction bound
+    // (four stamps per entry of capacity); from there its buffer stays put.
+    // Five stamps per entry of capacity are past it.
+    for _ in 0..DEFAULT_FLOW_CACHE_CAPACITY {
+        agent.process(Direction::Ingress, batch(5), now, &mut |_| {});
+    }
+    for k in [1u16, 5] {
+        for _ in 0..16 {
+            let batch = batch(k);
+            let mut forwarded = 0;
+            let ((), allocations) = counted(|| {
+                agent.process(Direction::Ingress, batch, now, &mut |outcome| {
+                    forwarded += u16::from(matches!(outcome, PacketOutcome::Forwarded(_)));
+                })
+            });
+            assert_eq!(forwarded, k);
+            assert_eq!(allocations, 0, "a batch of {k}");
+        }
+    }
+}
+
+#[test]
+fn draining_five_idle_nfs_allocates_nothing() {
+    let mut agent = station(stateful_replay_specs());
     assert_eq!(agent.running_nfs(), 5);
+    let now = SimTime::from_secs(1);
 
     // Traffic that raises no event leaves all five NFs idle.
-    agent.process_upstream_packet(http_get("example.com"), now);
+    agent.process(
+        Direction::Ingress,
+        PacketBatch::from(http_get("example.com")),
+        now,
+        &mut |_| {},
+    );
     let (notifications, allocations) = counted(|| agent.drain_nf_notifications(now));
     assert!(notifications.is_empty());
     assert_eq!(allocations, 0);
 
     // A blocked URL raises one: the drain is live, and names its NF.
-    agent.process_upstream_packet(http_get("ads.example"), now);
+    agent.process(
+        Direction::Ingress,
+        PacketBatch::from(http_get("ads.example")),
+        now,
+        &mut |_| {},
+    );
     let notifications = agent.drain_nf_notifications(now);
     assert!(matches!(
         &notifications[..],
@@ -598,5 +667,151 @@ fn a_malformed_frame_is_counted_and_skipped_not_fatal() {
             "{format:?}"
         );
         assert!(workload.read_error().is_none(), "{format:?}");
+    }
+}
+
+/// `Emulator::run` on one worker, so no helper thread exists and this
+/// thread's count is the whole run's: heap requests per generated packet.
+fn run_allocations_per_packet(mut emulator: Emulator) -> f64 {
+    emulator.set_workers(1);
+    emulator.set_migration_workers(1);
+    let (report, allocations) = counted(|| emulator.run());
+    assert!(report.packets.is_conserved(), "{:?}", report.packets);
+    assert!(report.packets.generated > 0);
+    allocations as f64 / report.packets.generated as f64
+}
+
+/// `fleet_steady` at its `--quick` size: 200 stations with one smartphone
+/// client each behind the demo firewall for 20 s, delta reports on.
+/// Packets arrive in batches of one.
+fn fleet() -> Emulator {
+    let config = GnfConfig::default().with_seed(7).with_delta_reports(true);
+    let mut builder = Scenario::builder(200, HostClass::EdgeServer).with_config(config);
+    let clients = builder.add_clients(200, TrafficProfile::smartphone());
+    let mut builder = builder.with_duration(SimDuration::from_secs(20));
+    for client in clients {
+        builder = builder.attach_policy(
+            client,
+            vec![sample_specs()[0].clone()],
+            TrafficSelector::all(),
+            SimTime::from_secs(1),
+        );
+    }
+    Emulator::new(builder.build())
+}
+
+/// The replays' shape: 16 idle clients on 4 stations behind the
+/// `stateful_replay` chain (NAT included), fed a 4 000-packet web-mix
+/// capture through pcap ingest once every chain is up. Its flows arrive at
+/// the full-size replays' rate, so some batches hold several packets.
+fn replay_of_sixteen_clients() -> Emulator {
+    let mut builder =
+        Scenario::builder(4, HostClass::EdgeServer).with_config(GnfConfig::default().with_seed(7));
+    let clients = builder.add_clients(16, TrafficProfile::Idle);
+    let mut builder = builder.with_duration(SimDuration::from_secs(60));
+    for client in clients {
+        builder = builder.attach_policy(
+            client,
+            stateful_replay_specs(),
+            TrafficSelector::all(),
+            SimTime::from_secs(1),
+        );
+    }
+    let scenario = builder.build();
+    let population = Population::from_topology(&scenario.topology);
+    let (stations, clients) = (
+        population.stations_by_gateway(),
+        population.clients_by_mac(),
+    );
+    let mut source = SyntheticSpec::new("replay", 7)
+        .starting_at(SimTime::from_secs(10))
+        .with_packet_budget(4_000)
+        .with_mix(TrafficMix::web())
+        .with_arrivals(ArrivalModel::Poisson {
+            flows_per_sec: 500.0,
+        })
+        .build(population);
+    let mut writer = TraceWriter::pcap(Vec::new()).unwrap();
+    while let Some(batch) = source.next_batch() {
+        for (_, packet) in &batch.packets {
+            writer
+                .write_record(batch.at, packet.bytes().as_ref())
+                .unwrap();
+        }
+    }
+    let trace = Cursor::new(writer.into_inner().unwrap());
+    let mut emulator = Emulator::new(scenario);
+    emulator.add_workload(Box::new(
+        TraceWorkload::new("replay", trace, StationId::new(0), stations, clients).unwrap(),
+    ));
+    emulator
+}
+
+/// One `roam_storm` wave: 16 DNS-heavy clients on 16 stations, pre-copy
+/// on, every client moving one cell over at 12 s.
+fn one_roam_wave() -> Emulator {
+    let config = GnfConfig::default()
+        .with_seed(7)
+        .with_migration_precopy(true);
+    let mut builder = Scenario::builder(16, HostClass::EdgeServer).with_config(config);
+    let clients = builder.add_clients(
+        16,
+        TrafficProfile::DnsHeavy {
+            mean_interval: SimDuration::from_millis(25),
+        },
+    );
+    let mut trace = RoamTrace::new();
+    for (ix, client) in clients.iter().enumerate() {
+        trace = trace.roam(
+            SimTime::from_secs(12),
+            *client,
+            CellId::new((ix as u64 + 1) % 16),
+        );
+    }
+    let mut builder = builder
+        .with_duration(SimDuration::from_secs(26))
+        .with_mobility(Mobility::Trace(trace));
+    for client in clients {
+        builder = builder.attach_policy(
+            client,
+            vec![sample_specs()[0].clone()],
+            TrafficSelector::all(),
+            SimTime::from_secs(1),
+        );
+    }
+    Emulator::new(builder.build())
+}
+
+/// Heap requests per generated packet of one `Emulator::run`, as this test
+/// measures them (seed 7, debug build). Before the Agent handed each outcome
+/// to a caller's sink it built one outcome vector per batch; the same runs
+/// then read 33 865 / 5 017 = 6.750 (fleet), 21 073 / 4 000 = 5.268
+/// (replay, 3 485 batches) and 39 375 / 16 660 = 2.363 (roam wave): one
+/// request per batch more, ≈ 1 per packet where batches hold one packet.
+const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 29_051.0 / 5_017.0;
+const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 17_588.0 / 4_000.0;
+const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 23_310.0 / 16_660.0;
+
+#[test]
+fn a_run_allocates_per_packet_within_its_ceiling() {
+    for (name, emulator, measured) in [
+        ("fleet", fleet(), FLEET_HEAP_REQUESTS_PER_PACKET),
+        (
+            "replay",
+            replay_of_sixteen_clients(),
+            REPLAY_HEAP_REQUESTS_PER_PACKET,
+        ),
+        (
+            "roam wave",
+            one_roam_wave(),
+            ROAM_WAVE_HEAP_REQUESTS_PER_PACKET,
+        ),
+    ] {
+        let per_packet = run_allocations_per_packet(emulator);
+        println!("{name}: {per_packet:.3} heap requests per generated packet");
+        assert!(
+            per_packet <= measured + 0.05,
+            "{name}: {per_packet:.3} heap requests per generated packet, ceiling {measured:.3} + 0.05"
+        );
     }
 }
