@@ -11,10 +11,9 @@
 //!   churn: the target's switchover step patches the firewall's own table,
 //!   so its throughput is counted in *changed* entries and must stay flat
 //!   as the table grows — the cost follows the churn, not the table.
-//! * `roam_burst` — a full 32-roam emulator storm with the migration worker
-//!   pool at 1 vs 4 workers: the pool may only buy host wall-clock, so the
-//!   setup asserts the two configurations produce byte-identical reports
-//!   before either is timed.
+//! * `roam_burst` — a full 32-roam emulator storm at 1 vs 4 workers: the
+//!   worker pool may only buy host wall-clock, so the setup asserts the two
+//!   configurations produce byte-identical reports before either is timed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gnf_core::{Emulator, Mobility, Scenario};
@@ -174,19 +173,20 @@ fn burst_scenario(seed: u64) -> Scenario {
     sb.with_mobility(Mobility::Trace(trace)).build()
 }
 
-fn run_burst(migration_workers: usize) -> gnf_core::RunReport {
+fn run_burst(workers: usize) -> gnf_core::RunReport {
     let mut emulator = Emulator::new(burst_scenario(7));
-    emulator.set_migration_workers(migration_workers);
+    emulator.set_workers(workers);
     emulator.run()
 }
 
 fn bench_roam_burst(c: &mut Criterion) {
-    // The pool is a host-CPU knob only: prove it before timing anything.
+    // The worker count is a host-CPU knob only: prove it before timing
+    // anything.
     let serial = serde_json::to_string(&run_burst(1)).unwrap();
     let pooled = serde_json::to_string(&run_burst(4)).unwrap();
     assert_eq!(
         serial, pooled,
-        "the migration pool must not change the report"
+        "the worker count must not change the report"
     );
 
     let mut group = c.benchmark_group("roam_burst");
@@ -198,7 +198,7 @@ fn bench_roam_burst(c: &mut Criterion) {
 
     for workers in [1usize, 4] {
         group.bench_with_input(
-            BenchmarkId::new("migration_workers", workers),
+            BenchmarkId::new("workers", workers),
             &workers,
             |b, &workers| b.iter(|| black_box(run_burst(workers).migration.completed)),
         );

@@ -323,11 +323,11 @@ fn main() {
                 report.batches.mean_batch_size(),
                 report.batches.max_batch,
             );
-            let fanned = emulator.fan_out_telemetry().packet_flushes;
+            let fanned = emulator.fan_out_telemetry().flushes;
             assert_eq!(
                 fanned > 0,
                 w > 1,
-                "workers={w}: packet flushes fanned out {fanned}"
+                "workers={w}: flushes fanned out {fanned}"
             );
             println!(
                 "           flow cache {:.1}% / megaflow {:.1}% hit rate ({} wildcard hits, {} entries, {} masks), {fanned} flushes fanned out",

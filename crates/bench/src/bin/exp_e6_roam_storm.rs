@@ -12,13 +12,11 @@
 //! The run sweeps concurrency (1, 10, N simultaneous roams), prints the
 //! switchover-downtime CDF per level, and asserts the flat-downtime
 //! contract: p99 switchover downtime at N concurrent roams stays within 2×
-//! of the single-roam p99. It then replays the storm across the full
-//! migration-workers {1,2,4} × workers {1,2} matrix, requiring a
-//! byte-identical `RunReport` from every cell — the migration pool is a
-//! host-CPU knob, never a result knob. The matrix storm carries at least
-//! `MIGRATION_BREAK_EVEN` roams and a packet burst past
-//! `PACKET_BREAK_EVEN`, and every cell that threads a layer must show that
-//! layer's flushes fanned out (it prints the counts).
+//! of the single-roam p99. It then replays the storm at workers {1,2,4},
+//! requiring a byte-identical `RunReport` from every cell — the worker
+//! count is a host-CPU knob, never a result knob. The matrix storm carries
+//! a packet burst past `PACKET_BREAK_EVEN`, and every threaded cell must
+//! show that its flushes fanned out (it prints the counts).
 //!
 //! Last, the Section-4 demo scaled up: three random-walk fleets (4, 9 and 16
 //! cells) roam for 10 virtual minutes; each asserts every migration
@@ -26,14 +24,10 @@
 //! Observability artifacts describe the headline storm run.
 //!
 //! `--seed N` reproduces a storm exactly; `--roams N` sets the storm size;
-//! `--migration-workers N` / `--workers N` pick the matrix cell for the
-//! headline run.
+//! `--workers N` picks the matrix cell for the headline run.
 
-use gnf_bench::{
-    cdf_row, migration_workers_arg, ms_row, roams_arg, section, seed_arg, workers_arg,
-    ObservabilityArgs,
-};
-use gnf_core::emulator::{MIGRATION_BREAK_EVEN, PACKET_BREAK_EVEN};
+use gnf_bench::{cdf_row, ms_row, roams_arg, section, seed_arg, workers_arg, ObservabilityArgs};
+use gnf_core::emulator::PACKET_BREAK_EVEN;
 use gnf_core::{Emulator, Mobility, RunReport, Scenario};
 use gnf_edge::{RandomWalkMobility, RoamTrace, TrafficProfile};
 use gnf_nf::testing::sample_specs;
@@ -92,7 +86,6 @@ fn run_cell(
     seed: u64,
     clients: usize,
     concurrency: usize,
-    migration_workers: usize,
     workers: usize,
     obs: &ObservabilityArgs,
     burst: bool,
@@ -101,7 +94,6 @@ fn run_cell(
     let population = Population::from_topology(&scenario.topology);
     let mut emulator = Emulator::new(scenario);
     emulator.set_workers(workers);
-    emulator.set_migration_workers(migration_workers);
     if burst {
         // One-packet flows over every client within ~3 ms of t = 10.5 s,
         // clear of every report timer and before the storm.
@@ -145,7 +137,6 @@ fn switchover_histogram(report: &RunReport) -> Histogram {
 fn main() {
     let seed = seed_arg();
     let roams = roams_arg(100);
-    let migration_workers = migration_workers_arg(1);
     let workers = workers_arg(1);
     println!(
         "E6b — roam storm: {roams} simultaneous handovers over {STATIONS} stations, \
@@ -166,7 +157,6 @@ fn main() {
             seed,
             roams,
             level,
-            migration_workers,
             workers,
             &ObservabilityArgs::default(),
             false,
@@ -192,7 +182,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Artifacts (when requested) describe the headline storm run.
     let obs = gnf_bench::observability_args();
-    let storm = run_cell(seed, roams, roams, migration_workers, workers, &obs, false);
+    let storm = run_cell(seed, roams, roams, workers, &obs, false);
     let report = &storm.report;
 
     section("storm outcome");
@@ -215,8 +205,8 @@ fn main() {
     );
     println!(
         "migration pool (host-side, not in the report): {} commands in {} batches \
-         (max batch {}, {} cap flushes)",
-        storm.pool.commands, storm.pool.batches, storm.pool.max_batch, storm.pool.cap_flushes,
+         (max batch {})",
+        storm.pool.commands, storm.pool.batches, storm.pool.max_batch,
     );
 
     section("packet conservation across the switchover");
@@ -265,58 +255,31 @@ fn main() {
     // ------------------------------------------------------------------
     // Determinism matrix.
     // ------------------------------------------------------------------
-    section("determinism matrix: migration-workers {1,2,4} x workers {1,2}");
-    // The matrix storm is the headline storm, grown to the migration
-    // break-even if smaller, plus a packet burst past the packet break-even:
-    // a cell that threads a layer must show that layer fanned out, or its
+    section("determinism matrix: workers {1,2,4}");
+    // The matrix storm is the headline storm plus a packet burst past the
+    // break-even: a threaded cell must show that it fanned out, or its
     // identity proves nothing about the threaded path.
-    let matrix_roams = roams.max(MIGRATION_BREAK_EVEN as usize);
     println!(
-        "{matrix_roams} roams plus a {BURST_PACKETS}-packet burst; fan-outs per cell \
-         (packet flushes / migration flushes / helper threads):"
+        "{roams} roams plus a {BURST_PACKETS}-packet burst; fan-outs per cell \
+         (flushes / helper threads):"
     );
-    let matrix_cell = |mw: usize, w: usize| {
-        let cell = run_cell(
-            seed,
-            matrix_roams,
-            matrix_roams,
-            mw,
-            w,
-            &ObservabilityArgs::default(),
-            true,
-        );
+    let matrix_cell = |w: usize| {
+        let cell = run_cell(seed, roams, roams, w, &ObservabilityArgs::default(), true);
         let f = cell.fan_outs;
-        println!(
-            "  migration-workers {mw} x workers {w}: {} / {} / {}",
-            f.packet_flushes, f.migration_flushes, f.helper_threads
-        );
-        assert_eq!(
-            f.packet_flushes > 0,
-            w > 1,
-            "packet fan-out at {mw} x {w}: {f:?}"
-        );
-        assert_eq!(
-            f.migration_flushes > 0,
-            mw > 1,
-            "migration fan-out at {mw} x {w}: {f:?}"
-        );
-        assert!(f.helper_threads < mw.max(w), "threads at {mw} x {w}: {f:?}");
+        println!("  workers {w}: {} / {}", f.flushes, f.helper_threads);
+        assert_eq!(f.flushes > 0, w > 1, "fan-out at workers {w}: {f:?}");
+        assert!(f.helper_threads < w, "threads at workers {w}: {f:?}");
         serde_json::to_string(&cell.report).expect("report serializes")
     };
-    let baseline = matrix_cell(1, 1);
+    let baseline = matrix_cell(1);
     let mut cells = 0;
-    for mw in [1usize, 2, 4] {
-        for w in [1usize, 2] {
-            if (mw, w) == (1, 1) {
-                continue;
-            }
-            assert_eq!(
-                baseline,
-                matrix_cell(mw, w),
-                "RunReport must be byte-identical at migration-workers={mw}, workers={w}"
-            );
-            cells += 1;
-        }
+    for w in [2usize, 4] {
+        assert_eq!(
+            baseline,
+            matrix_cell(w),
+            "RunReport must be byte-identical at workers={w}"
+        );
+        cells += 1;
     }
     println!("storm replayed byte-for-byte across {cells} additional matrix cells");
     println!(

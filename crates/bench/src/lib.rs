@@ -92,13 +92,6 @@ pub fn seed_arg() -> u64 {
     seed
 }
 
-/// Parses `--migration-workers N` from the command line, falling back to
-/// `default` (clamped to at least 1). Drives the emulator's migration worker
-/// pool in the mass-roaming harness.
-pub fn migration_workers_arg(default: usize) -> usize {
-    arg_value("--migration-workers").unwrap_or(default).max(1)
-}
-
 /// Parses `--roams N` from the command line, falling back to `default`
 /// (clamped to at least 1): how many clients roam simultaneously in the
 /// mass-roaming storm.

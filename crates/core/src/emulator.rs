@@ -111,19 +111,43 @@ enum EmuEvent {
     },
 }
 
-/// A packet-batch event held back for sharded delivery at the next flush.
-struct PendingBatch {
+/// Station work held back for the next flush, in event order: packet
+/// batches, then (once a migration-lifecycle command joins) commands of one
+/// virtual timestamp.
+struct Pending {
     time: SimTime,
     station: StationId,
-    packets: Vec<(ClientId, Packet)>,
+    item: PendingItem,
 }
 
-/// A migration-lifecycle command held back for pooled execution at the next
-/// migration flush. All parked commands share one virtual timestamp.
-struct PendingMigration {
-    time: SimTime,
-    station: StationId,
-    msg: ManagerToAgent,
+enum PendingItem {
+    Packets(Vec<(ClientId, Packet)>),
+    Command(ManagerToAgent),
+}
+
+/// The time of the pending migration commands, if any: they are always the
+/// tail of the pending list, all of one virtual timestamp.
+fn command_time(pending: &[Pending]) -> Option<SimTime> {
+    match pending.last()? {
+        Pending {
+            time,
+            item: PendingItem::Command(_),
+            ..
+        } => Some(*time),
+        _ => None,
+    }
+}
+
+/// One station's share of a flush, run on whichever thread owns its Agent:
+/// its packet batches, then its commands — event order, since commands are
+/// always the tail of the pending list.
+#[derive(Default)]
+struct StationJob {
+    /// Packets that passed the gap filter, per batch time.
+    batches: Vec<(SimTime, PacketBatch)>,
+    /// Migration-lifecycle commands with their park index (their place
+    /// among the flush's live commands, which orders the reply dispatch).
+    commands: Vec<(usize, SimTime, ManagerToAgent)>,
 }
 
 /// Per-client gap state, computed once per client per flush (control-plane
@@ -155,6 +179,8 @@ struct StationOutcome {
     replied_by_nf: u64,
     /// NF notifications per batch timestamp, in batch (time) order.
     notifications: Vec<(SimTime, Vec<AgentToManager>)>,
+    /// Each command's replies, tagged with its park index.
+    replies: Vec<(usize, Vec<AgentToManager>)>,
 }
 
 /// The emulator.
@@ -170,17 +196,13 @@ pub struct Emulator {
     deploy_latency_ms: Histogram,
     packets: PacketStats,
     handovers: u64,
-    /// Data-plane worker threads for a flush (1 = process stations inline).
+    /// Worker threads for a flush (1 = process stations inline).
     workers: usize,
-    /// Migration-pool worker threads for a migration flush (1 = inline).
-    migration_workers: usize,
-    /// Parked-command cap: a same-timestamp migration batch this deep is
-    /// flushed early (bounds peak memory under a mass-roam storm).
-    migration_queue_size: usize,
-    /// Host-side pool counters (kept out of the byte-compared `RunReport`).
+    /// Host-side counts of the flushes that carried migration commands
+    /// (kept out of the byte-compared `RunReport`).
     migration_pool: MigrationPoolTelemetry,
-    /// The helper threads both fan-outs share, spawned at the first flush
-    /// that reaches its break-even and joined when the emulator drops.
+    /// The flush's helper threads, spawned at the first flush that reaches
+    /// the break-even and joined when the emulator drops.
     pool: WorkerPool,
     /// Flushes that fanned out (host-side, like `migration_pool`).
     fan_outs: FanOutTelemetry,
@@ -212,7 +234,7 @@ pub struct Emulator {
     /// `GnfConfig::region_size > 0`. Station reports are absorbed here and
     /// reach the Manager as per-region summaries on the flush timer.
     regions: BTreeMap<u64, RegionAggregator>,
-    /// `flush_packets`' per-flush gap states; kept only for its allocation.
+    /// `flush`'s per-flush gap states; kept only for its allocation.
     gap_cache: PathMap<(ClientId, StationId), GapState>,
 }
 
@@ -227,9 +249,10 @@ const METRICS_SERIES_CAPACITY: usize = 1 << 14;
 /// must see the threaded path sizes its traffic from it.
 pub const PACKET_BREAK_EVEN: u64 = 2048;
 
-/// Commands a migration flush must carry before it fans out
-/// ([`Emulator::set_migration_workers`]); derived the same way.
-pub const MIGRATION_BREAK_EVEN: u64 = 4;
+/// What one migration-lifecycle command weighs in a flush, in packets: a
+/// flush of commands alone fans out at 4 of them, the break-even measured
+/// the same way.
+pub const COMMAND_WEIGHT: u64 = PACKET_BREAK_EVEN / 4;
 
 /// The virtual-time fleet sampler behind `--metrics-out`: snapshots the
 /// fleet counters at every `k × metrics_interval` boundary the event clock
@@ -435,8 +458,6 @@ impl Emulator {
             Some((at, EmuEvent::PacketBatch { station, packets }))
         }));
 
-        let migration_workers = config.migration_workers.max(1);
-        let migration_queue_size = config.migration_queue_size.max(1);
         Emulator {
             scenario,
             manager,
@@ -447,8 +468,6 @@ impl Emulator {
             packets: PacketStats::default(),
             handovers: 0,
             workers: 1,
-            migration_workers,
-            migration_queue_size,
             migration_pool: MigrationPoolTelemetry::default(),
             pool: WorkerPool::new(),
             fan_outs: FanOutTelemetry::default(),
@@ -645,65 +664,49 @@ impl Emulator {
         }
     }
 
-    /// Sets how many worker threads the data plane may use per flush
-    /// (clamped to at least 1). Stations are independent — each Agent owns
-    /// its switch and chains — so per-station batches are sharded across
-    /// workers and merged deterministically: the [`RunReport`] is
-    /// byte-identical for any worker count.
+    /// Sets how many worker threads a station flush may use (clamped to at
+    /// least 1). Stations are independent — each Agent owns its switch and
+    /// chains — so a flush's per-station jobs (packet batches and
+    /// migration-lifecycle commands) are sharded across workers and merged
+    /// deterministically: the [`RunReport`] is byte-identical for any worker
+    /// count.
     ///
-    /// A flush fans out only when it carries at least
-    /// [`PACKET_BREAK_EVEN`] packets (measured, not configurable); a smaller
-    /// one runs inline, because handing it to a worker costs more than the
-    /// worker saves. The
-    /// worker threads are spawned at the first flush that fans out — never
-    /// during set-up — and live until the emulator drops; both this fan-out
-    /// and the migration pool's share them.
+    /// A flush fans out only when its packets plus [`COMMAND_WEIGHT`] per
+    /// command reach [`PACKET_BREAK_EVEN`] (measured, not configurable); a
+    /// smaller one runs inline, because handing it to a worker costs more
+    /// than the worker saves. The worker threads are spawned at the first
+    /// flush that fans out — never during set-up — and live until the
+    /// emulator drops: `workers − 1` of them at most, besides the
+    /// emulator's own.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
 
-    /// The configured data-plane worker count.
+    /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Sets how many worker threads the migration pool may use per flush
-    /// (clamped to at least 1), overriding `GnfConfig::migration_workers`.
-    /// Migration-lifecycle commands sharing one virtual timestamp are
-    /// sharded per station across the pool and their replies merged in park
-    /// order — the [`RunReport`] is byte-identical for any value.
-    ///
-    /// Like the packet flush, a migration flush fans out only at
-    /// [`MIGRATION_BREAK_EVEN`] commands, on the same threads (see
-    /// [`Emulator::set_workers`]): `max(workers, migration_workers) − 1` of
-    /// them at most, besides the emulator's own.
+    /// The one thread count's former migration-side name: forwards to
+    /// [`Emulator::set_workers`].
+    #[doc(hidden)]
     pub fn set_migration_workers(&mut self, workers: usize) {
-        self.migration_workers = workers.max(1);
+        self.set_workers(workers);
     }
 
-    /// The configured migration-pool worker count.
-    pub fn migration_workers(&self) -> usize {
-        self.migration_workers
-    }
-
-    /// Sets the parked-command cap of the migration pool (clamped to at
-    /// least 1), overriding `GnfConfig::migration_queue_size`. Only changes
-    /// when batches flush — never what they compute.
-    pub fn set_migration_queue_size(&mut self, size: usize) {
-        self.migration_queue_size = size.max(1);
-    }
-
-    /// Host-side migration-pool counters (batches, commands, cap flushes).
-    /// Observability only: deliberately not part of the [`RunReport`].
+    /// Host-side counts of the flushes that carried migration-lifecycle
+    /// commands (`batches`, `commands`, `max_batch`; `cap_flushes` is
+    /// always 0). Observability only: deliberately not part of the
+    /// [`RunReport`].
     pub fn migration_pool_telemetry(&self) -> MigrationPoolTelemetry {
         self.migration_pool
     }
 
-    /// Host-side fan-out counters: packet and migration flushes that
-    /// reached their break-even and ran on the worker threads, and how many
-    /// threads were spawned. Observability only, like
-    /// [`Emulator::migration_pool_telemetry`]; an identity test that varies
-    /// the worker counts reads it to prove the threaded path ran.
+    /// Host-side fan-out counters: the flushes that reached the break-even
+    /// and ran on the worker threads, and how many threads were spawned.
+    /// Observability only, like [`Emulator::migration_pool_telemetry`]; an
+    /// identity test that varies the worker count reads it to prove the
+    /// threaded path ran.
     pub fn fan_out_telemetry(&self) -> FanOutTelemetry {
         FanOutTelemetry {
             helper_threads: self.pool.helper_threads(),
@@ -723,28 +726,27 @@ impl Emulator {
 
     /// Runs the scenario to completion and returns the report.
     ///
-    /// Packet events are coalesced: contiguous runs of packet events (the
-    /// overwhelming majority of the queue under load) are collected until
-    /// the next control event, grouped per station and per timestamp, and
-    /// delivered through the Agents' batched data-plane entry points —
-    /// sharded across [`set_workers`] threads. Control events interleaved
-    /// between packets flush the pending batch first, so the relative order
-    /// of packet processing and control-plane mutation is exactly the
-    /// per-event order.
+    /// Station work is coalesced: contiguous runs of packet events (the
+    /// overwhelming majority of the queue under load) and the
+    /// migration-lifecycle commands that follow them are collected until the
+    /// next other event, then delivered in one flush — each station's items
+    /// in event order, sharded across [`set_workers`] threads. Three rules
+    /// keep the relative order of station work and control-plane mutation
+    /// exactly the per-event order:
+    ///
+    /// - any other event flushes the pending work before it is handled;
+    /// - a packet event after a pending command flushes first, because its
+    ///   gap filter reads the chain state the command changes;
+    /// - pending commands flush before the clock moves, so their replies are
+    ///   queued before any later event pops.
     ///
     /// [`set_workers`]: Emulator::set_workers
     pub fn run(&mut self) -> RunReport {
         let deadline = SimTime::ZERO + self.scenario.duration;
-        let mut pending: Vec<PendingBatch> = Vec::new();
-        let mut migrations: Vec<PendingMigration> = Vec::new();
+        let mut pending: Vec<Pending> = Vec::new();
         loop {
-            // A parked migration batch only ever holds commands of one
-            // virtual timestamp: the moment the queue's head moves past it
-            // (or runs dry), the batch flushes before anything else pops.
-            if let Some(first) = migrations.first() {
-                if self.queue.peek_time() != Some(first.time) {
-                    self.flush_migrations(&mut migrations);
-                }
+            if command_time(&pending).is_some_and(|at| self.queue.peek_time() != Some(at)) {
+                self.flush(&mut pending);
             }
             let Some(scheduled) = self.queue.pop_until(deadline) else {
                 break;
@@ -752,25 +754,27 @@ impl Emulator {
             // Fleet samples fall due the moment the clock first reaches a
             // boundary — before the boundary's own events process.
             self.sample_metrics(scheduled.time);
+            let time = scheduled.time;
             match scheduled.event {
                 EmuEvent::PacketBatch { station, packets } => {
-                    // Packets interleaved between same-time migration
-                    // commands break the contiguous run: flush the pool so
-                    // processing order matches the strict per-event order.
-                    self.flush_migrations(&mut migrations);
-                    pending.push(PendingBatch {
-                        time: scheduled.time,
+                    if command_time(&pending).is_some() {
+                        self.flush(&mut pending);
+                    }
+                    pending.push(Pending {
+                        time,
                         station,
-                        packets,
+                        item: PendingItem::Packets(packets),
                     });
                 }
                 EmuEvent::WorkloadBatch { source } => {
-                    self.flush_migrations(&mut migrations);
+                    if command_time(&pending).is_some() {
+                        self.flush(&mut pending);
+                    }
                     if let Some(batch) = self.workload_next[source].take() {
-                        pending.push(PendingBatch {
-                            time: scheduled.time,
+                        pending.push(Pending {
+                            time,
                             station: batch.station,
-                            packets: batch.packets,
+                            item: PendingItem::Packets(batch.packets),
                         });
                     }
                     // Only now pull the source's next batch: one outstanding
@@ -781,34 +785,23 @@ impl Emulator {
                     // A migration-lifecycle command: its station-side work
                     // (checkpoints, staged deploys, delta replays) dominates
                     // a mass-roam's control-plane cost and touches only
-                    // per-chain Agent state, so same-timestamp runs are
-                    // parked for pooled execution. Plain deploys and removals
-                    // stay inline — they interleave with association
-                    // bookkeeping. At most one of the packet
-                    // and migration batches is ever non-empty: parking one
-                    // kind flushes the other first, so the relative order of
-                    // data-plane and migration work is exactly event order.
-                    self.flush_packets(&mut pending);
-                    migrations.push(PendingMigration {
-                        time: scheduled.time,
+                    // per-chain Agent state, so it joins the station work of
+                    // the next flush. Plain deploys and removals stay inline
+                    // — they interleave with association bookkeeping.
+                    pending.push(Pending {
+                        time,
                         station,
-                        msg,
+                        item: PendingItem::Command(msg),
                     });
-                    if migrations.len() >= self.migration_queue_size {
-                        self.migration_pool.cap_flushes += 1;
-                        self.flush_migrations(&mut migrations);
-                    }
                 }
                 event => {
-                    self.flush_migrations(&mut migrations);
-                    self.flush_packets(&mut pending);
-                    self.handle(event, scheduled.time);
-                    self.check_recoveries(scheduled.time);
+                    self.flush(&mut pending);
+                    self.handle(event, time);
+                    self.check_recoveries(time);
                 }
             }
         }
-        self.flush_migrations(&mut migrations);
-        self.flush_packets(&mut pending);
+        self.flush(&mut pending);
         self.queue.advance_to(deadline);
         self.sample_metrics(deadline);
         self.build_report(deadline)
@@ -1316,8 +1309,8 @@ impl Emulator {
     /// time on the station (deployments, checkpoints, staged restores, delta
     /// replays) report their own latency; the reply is delayed by it and the
     /// emulator remembers when the chain actually becomes ready. Shared by
-    /// the inline control path and the migration pool's merge, so both
-    /// produce identical timing and `chain_ready` state.
+    /// the inline control path and the flush's merge, so both produce
+    /// identical timing and `chain_ready` state.
     fn scan_agent_replies(
         &mut self,
         station: StationId,
@@ -1345,212 +1338,87 @@ impl Emulator {
         extra_delay
     }
 
-    /// Executes a parked batch of same-timestamp migration commands.
+    /// Delivers every pending item of station work.
     ///
-    /// The main thread first applies the broken-link filter in park order
-    /// (exactly what the inline path would have done per event), then groups
-    /// the survivors per station — commands to one station stay in park
-    /// order, commands to different stations touch disjoint Agents — and
-    /// hands each station's Agent with its commands to the worker pool,
-    /// which fans them out once the batch reaches [`MIGRATION_BREAK_EVEN`]
-    /// commands. Every reply comes back tagged with its command's park
-    /// index and is dispatched in that order at the parked timestamp, so
-    /// queue sequence numbers (and therefore every downstream pop) are
-    /// identical to inline execution: the `RunReport` is byte-identical for
-    /// any `migration_workers`.
-    fn flush_migrations(&mut self, parked: &mut Vec<PendingMigration>) {
-        if parked.is_empty() {
-            return;
-        }
-        let now = parked[0].time;
-        debug_assert!(
-            parked.iter().all(|p| p.time == now),
-            "a migration batch spans exactly one virtual timestamp"
-        );
-        self.migration_pool.record_batch(parked.len() as u64);
-
-        let mut groups: BTreeMap<StationId, Vec<(usize, ManagerToAgent)>> = BTreeMap::new();
-        let mut live = 0;
-        for cmd in parked.drain(..) {
-            if self.link_broken(cmd.station) {
-                self.chaos_absorb(
-                    cmd.station,
-                    EmuEvent::ToAgent {
-                        station: cmd.station,
-                        msg: cmd.msg,
-                    },
-                );
-            } else if self.agent(cmd.station).is_some() {
-                groups.entry(cmd.station).or_default().push((live, cmd.msg));
-                live += 1;
-            }
-        }
-        let work: Vec<_> = groups
-            .into_iter()
-            .filter_map(|(station, cmds)| Some((self.slot(station)?.take()?, cmds)))
-            .collect();
-
-        // One station runs its commands serially; distinct stations touch
-        // disjoint Agents, weighted by command count.
-        let (done, fanned) = self.pool.map(
-            work,
-            self.migration_workers,
-            MIGRATION_BREAK_EVEN,
-            |(_, cmds)| cmds.len() as u64,
-            move |(mut agent, cmds)| {
-                let replies: Vec<(usize, Vec<AgentToManager>)> = cmds
-                    .into_iter()
-                    .map(|(ix, msg)| (ix, agent.handle_manager_msg(msg, now)))
-                    .collect();
-                (agent, replies)
-            },
-        );
-        self.fan_outs.migration_flushes += u64::from(fanned);
-        let mut replies: Vec<(usize, StationId, Vec<AgentToManager>)> = Vec::with_capacity(live);
-        for (agent, tagged) in done {
-            let station = agent.station();
-            self.put_back(agent);
-            replies.extend(tagged.into_iter().map(|(ix, reply)| (ix, station, reply)));
-        }
-
-        // The reply scan and dispatch run in exactly the order (and at the
-        // time) the inline path would have used: park order.
-        replies.sort_unstable_by_key(|(ix, ..)| *ix);
-        for (_, station, replies) in replies {
-            let extra_delay = self.scan_agent_replies(station, &replies, now);
-            self.dispatch_agent_messages(station, replies, now, extra_delay);
-        }
-        self.check_recoveries(now);
-    }
-
-    /// Delivers every pending packet event: gap-filters on the main thread
-    /// (control-plane state is frozen between flushes, so the per-client
-    /// attachment lookup happens once per client per flush, not once per
-    /// packet — and through the Manager's by-client index, so its cost does
-    /// not grow with the fleet), coalesces the survivors into per-station per-timestamp
-    /// batches, hands each station's Agent with its batches to the worker
-    /// pool (which fans them out once the flush reaches
-    /// [`PACKET_BREAK_EVEN`] packets) and merges the results back in station
-    /// order — the merge is a function of station ids only, so any worker
-    /// count produces identical state.
-    fn flush_packets(&mut self, pending: &mut Vec<PendingBatch>) {
+    /// The main thread first walks the items in event order. Packets are
+    /// gap-filtered (control-plane state is frozen between flushes, so the
+    /// per-client attachment lookup happens once per client per flush, not
+    /// once per packet — and through the Manager's by-client index, so its
+    /// cost does not grow with the fleet) and coalesced into per-station
+    /// per-timestamp batches; commands to a station whose control link is
+    /// broken are set aside. Each station's Agent then goes with its items —
+    /// in event order, so packets before commands — to the worker pool,
+    /// which fans the flush out once its packets plus [`COMMAND_WEIGHT`] per
+    /// command reach [`PACKET_BREAK_EVEN`].
+    ///
+    /// The merge dispatches in the order per-event execution would have
+    /// used, so queue sequence numbers (and therefore every downstream pop)
+    /// are identical for any worker count: NF notifications in station
+    /// order, then the broken-link absorptions and the command replies,
+    /// each in park order, then one recovery check.
+    fn flush(&mut self, pending: &mut Vec<Pending>) {
         if pending.is_empty() {
             return;
         }
         let mut tally = PacketStats::default();
         let mut gap_cache = std::mem::take(&mut self.gap_cache);
         gap_cache.clear();
-        let mut jobs: BTreeMap<StationId, Vec<(SimTime, PacketBatch)>> = BTreeMap::new();
-        for group in pending.drain(..) {
-            tally.generated += group.packets.len() as u64;
-            // Packets in flight to a crashed station are simply lost: its
-            // radio and switch are down, so nothing classifies or forwards.
-            if self.dead.contains_key(&group.station) {
-                tally.dropped_station_down += group.packets.len() as u64;
-                if self.flight.enabled() {
-                    for (_, packet) in &group.packets {
-                        Self::record_flight(
-                            &mut self.flight,
-                            group.time,
-                            group.station,
-                            packet,
-                            "station-down",
-                            "lost",
-                        );
+        let mut jobs: BTreeMap<StationId, StationJob> = BTreeMap::new();
+        let mut absorbed: Vec<(StationId, ManagerToAgent)> = Vec::new();
+        let (mut commands, mut live, mut command_at) = (0, 0, SimTime::ZERO);
+        for Pending {
+            time,
+            station,
+            item,
+        } in pending.drain(..)
+        {
+            match item {
+                PendingItem::Packets(packets) => self.admit_packets(
+                    time,
+                    station,
+                    packets,
+                    &mut tally,
+                    &mut gap_cache,
+                    &mut jobs,
+                ),
+                PendingItem::Command(msg) => {
+                    commands += 1;
+                    command_at = time;
+                    if self.link_broken(station) {
+                        absorbed.push((station, msg));
+                    } else if self.agent(station).is_some() {
+                        jobs.entry(station)
+                            .or_default()
+                            .commands
+                            .push((live, time, msg));
+                        live += 1;
                     }
                 }
-                continue;
-            }
-            if self.agent(group.station).is_none() {
-                tally.dropped_in_gap += group.packets.len() as u64;
-                continue;
-            }
-            let mut batch = PacketBatch::with_capacity(group.packets.len());
-            let mut hairpins: BTreeMap<StationId, PacketBatch> = BTreeMap::new();
-            for (client, packet) in group.packets {
-                // Does policy say this client's traffic must traverse a
-                // chain right now, and is that chain ready on this station?
-                // The index lookup runs once per (client, station) per
-                // flush; each packet then pays one compare.
-                let state = gap_cache
-                    .entry((client, group.station))
-                    .or_insert_with(|| self.gap_state(client, group.station));
-                let in_gap = match state {
-                    GapState::NoPolicy | GapState::Hairpin(_) => false,
-                    GapState::ReadyAt(at) => group.time < *at,
-                    GapState::NeverReady => true,
-                };
-                if in_gap {
-                    let (stage, verdict) = if self.scenario.config.bypass_during_migration {
-                        tally.bypassed_in_gap += 1;
-                        tally.forwarded += 1;
-                        ("gap-bypass", "forwarded")
-                    } else {
-                        tally.dropped_in_gap += 1;
-                        ("gap-drop", "lost")
-                    };
-                    if self.flight.enabled() {
-                        Self::record_flight(
-                            &mut self.flight,
-                            group.time,
-                            group.station,
-                            &packet,
-                            stage,
-                            verdict,
-                        );
-                    }
-                    continue;
-                }
-                if let GapState::Hairpin(source) = state {
-                    tally.hairpinned += 1;
-                    if self.flight.enabled() {
-                        Self::record_flight(
-                            &mut self.flight,
-                            group.time,
-                            group.station,
-                            &packet,
-                            "hairpin",
-                            "forwarded",
-                        );
-                    }
-                    hairpins
-                        .entry(*source)
-                        .or_insert_with(|| PacketBatch::with_capacity(4))
-                        .push(packet);
-                    continue;
-                }
-                batch.push(packet);
-            }
-            if !batch.is_empty() {
-                jobs.entry(group.station)
-                    .or_default()
-                    .push((group.time, batch));
-            }
-            // Hairpinned packets join the source station's work at the same
-            // timestamp (station order after the native batch: deterministic
-            // for any worker count).
-            for (source, detour) in hairpins {
-                jobs.entry(source).or_default().push((group.time, detour));
             }
         }
+        self.gap_cache = gap_cache;
 
-        // Fan the independent station work out over the workers, weighted by
-        // packet count so one hot station does not drag a bucket of cold
-        // ones behind it. Outcomes come back in submission — station —
-        // order, so any worker count produces identical state.
+        // Fan the independent station work out over the workers, weighted so
+        // one hot station does not drag a bucket of cold ones behind it.
+        // Outcomes come back in submission — station — order, so any worker
+        // count produces identical state.
         let work: Vec<_> = jobs
             .into_iter()
-            .filter_map(|(station, batches)| Some((self.slot(station)?.take()?, batches)))
+            .filter_map(|(station, job)| Some((self.slot(station)?.take()?, job)))
             .collect();
         let (outcomes, fanned) = self.pool.map(
             work,
             self.workers,
             PACKET_BREAK_EVEN,
-            |(_, batches)| batches.iter().map(|(_, batch)| batch.len() as u64).sum(),
+            |(_, job)| {
+                let packets: u64 = job.batches.iter().map(|(_, b)| b.len() as u64).sum();
+                packets + job.commands.len() as u64 * COMMAND_WEIGHT
+            },
             Self::run_station,
         );
-        self.fan_outs.packet_flushes += u64::from(fanned);
+        self.fan_outs.flushes += u64::from(fanned);
 
+        let mut replies: Vec<(usize, StationId, Vec<AgentToManager>)> = Vec::with_capacity(live);
         for outcome in outcomes {
             let station = outcome.agent.station();
             self.put_back(outcome.agent);
@@ -1564,9 +1432,8 @@ impl Emulator {
             for (time, notifications) in outcome.notifications {
                 self.dispatch_agent_messages(station, notifications, time, SimDuration::ZERO);
             }
+            replies.extend(outcome.replies.into_iter().map(|(ix, r)| (ix, station, r)));
         }
-
-        self.gap_cache = gap_cache;
 
         // One add per counter per flush instead of one per packet.
         self.packets.generated += tally.generated;
@@ -1577,6 +1444,116 @@ impl Emulator {
         self.packets.bypassed_in_gap += tally.bypassed_in_gap;
         self.packets.dropped_station_down += tally.dropped_station_down;
         self.packets.hairpinned += tally.hairpinned;
+
+        if commands == 0 {
+            return;
+        }
+        self.migration_pool.record_batch(commands);
+        for (station, msg) in absorbed {
+            self.chaos_absorb(station, EmuEvent::ToAgent { station, msg });
+        }
+        replies.sort_unstable_by_key(|(ix, ..)| *ix);
+        for (_, station, replies) in replies {
+            let extra_delay = self.scan_agent_replies(station, &replies, command_at);
+            self.dispatch_agent_messages(station, replies, command_at, extra_delay);
+        }
+        self.check_recoveries(command_at);
+    }
+
+    /// Gap-filters one pending packet batch into the flush's station jobs:
+    /// packets to a dead station are lost, packets in the gap are dropped
+    /// or bypassed, packets mid pre-copy detour to the source station, and
+    /// the rest join their own station's job.
+    fn admit_packets(
+        &mut self,
+        time: SimTime,
+        station: StationId,
+        packets: Vec<(ClientId, Packet)>,
+        tally: &mut PacketStats,
+        gap_cache: &mut PathMap<(ClientId, StationId), GapState>,
+        jobs: &mut BTreeMap<StationId, StationJob>,
+    ) {
+        tally.generated += packets.len() as u64;
+        // Packets in flight to a crashed station are simply lost: its radio
+        // and switch are down, so nothing classifies or forwards.
+        if self.dead.contains_key(&station) {
+            tally.dropped_station_down += packets.len() as u64;
+            if self.flight.enabled() {
+                for (_, packet) in &packets {
+                    Self::record_flight(
+                        &mut self.flight,
+                        time,
+                        station,
+                        packet,
+                        "station-down",
+                        "lost",
+                    );
+                }
+            }
+            return;
+        }
+        if self.agent(station).is_none() {
+            tally.dropped_in_gap += packets.len() as u64;
+            return;
+        }
+        let mut batch = PacketBatch::with_capacity(packets.len());
+        let mut hairpins: BTreeMap<StationId, PacketBatch> = BTreeMap::new();
+        for (client, packet) in packets {
+            // Does policy say this client's traffic must traverse a chain
+            // right now, and is that chain ready on this station? The index
+            // lookup runs once per (client, station) per flush; each packet
+            // then pays one compare.
+            let state = gap_cache
+                .entry((client, station))
+                .or_insert_with(|| self.gap_state(client, station));
+            let in_gap = match state {
+                GapState::NoPolicy | GapState::Hairpin(_) => false,
+                GapState::ReadyAt(at) => time < *at,
+                GapState::NeverReady => true,
+            };
+            if in_gap {
+                let (stage, verdict) = if self.scenario.config.bypass_during_migration {
+                    tally.bypassed_in_gap += 1;
+                    tally.forwarded += 1;
+                    ("gap-bypass", "forwarded")
+                } else {
+                    tally.dropped_in_gap += 1;
+                    ("gap-drop", "lost")
+                };
+                if self.flight.enabled() {
+                    Self::record_flight(&mut self.flight, time, station, &packet, stage, verdict);
+                }
+                continue;
+            }
+            if let GapState::Hairpin(source) = state {
+                tally.hairpinned += 1;
+                if self.flight.enabled() {
+                    Self::record_flight(
+                        &mut self.flight,
+                        time,
+                        station,
+                        &packet,
+                        "hairpin",
+                        "forwarded",
+                    );
+                }
+                hairpins
+                    .entry(*source)
+                    .or_insert_with(|| PacketBatch::with_capacity(4))
+                    .push(packet);
+                continue;
+            }
+            batch.push(packet);
+        }
+        if !batch.is_empty() {
+            jobs.entry(station).or_default().batches.push((time, batch));
+        }
+        // Hairpinned packets join the source station's work at the same
+        // timestamp (station order after the native batch: deterministic for
+        // any worker count).
+        for (source, detour) in hairpins {
+            jobs.entry(source).or_default().batches.push((time, detour));
+        }
     }
 
     /// Records one loss-class flight sample for a packet, if its flow is in
@@ -1610,16 +1587,17 @@ impl Emulator {
         );
     }
 
-    /// Processes one station's coalesced batches on whichever thread owns it.
-    fn run_station((agent, groups): (Box<Agent>, Vec<(SimTime, PacketBatch)>)) -> StationOutcome {
+    /// Runs one station's flush job on whichever thread owns its Agent.
+    fn run_station((agent, job): (Box<Agent>, StationJob)) -> StationOutcome {
         let mut outcome = StationOutcome {
             agent,
             forwarded: 0,
             dropped_by_nf: 0,
             replied_by_nf: 0,
             notifications: Vec::new(),
+            replies: Vec::new(),
         };
-        for (time, batch) in groups {
+        for (time, batch) in job.batches {
             // Every generated packet is client → network: it arrives on the
             // access port. The sink only tallies.
             outcome.agent.process(
@@ -1640,6 +1618,11 @@ impl Emulator {
                 outcome.notifications.push((time, notifications));
             }
         }
+        outcome.replies = job
+            .commands
+            .into_iter()
+            .map(|(ix, time, msg)| (ix, outcome.agent.handle_manager_msg(msg, time)))
+            .collect();
         outcome
     }
 
@@ -1865,7 +1848,7 @@ mod tests {
                 "RunReport must be byte-identical for workers=1 vs workers={workers}"
             );
             let fan_outs = sharded.fan_out_telemetry();
-            assert!(fan_outs.packet_flushes > 0, "{workers}: {fan_outs:?}");
+            assert!(fan_outs.flushes > 0, "{workers}: {fan_outs:?}");
             assert!(fan_outs.helper_threads < workers, "{workers}: {fan_outs:?}");
         }
     }
@@ -2025,23 +2008,57 @@ mod tests {
         assert_eq!(gap(&emulator, clients[3], 5), GapState::NeverReady);
     }
 
+    /// Six clients with stateful chains roam simultaneously: a mass-roam
+    /// burst whose migration lifecycles land in flushes at the same virtual
+    /// timestamps.
     #[test]
-    fn migration_worker_count_does_not_change_the_report() {
-        use gnf_edge::RoamTrace;
+    fn a_roam_burst_is_identical_at_any_worker_count() {
+        let mut baseline = Emulator::new(observability_scenario());
+        let report_1 = baseline.run();
+        assert_eq!(report_1.handovers, 6);
+        assert!(report_1.migrations.len() >= 6);
+        let pool = baseline.migration_pool_telemetry();
+        assert!(
+            pool.max_batch > 1,
+            "simultaneous roams must share one flush, got {pool:?}"
+        );
+        assert_eq!(pool.cap_flushes, 0);
 
-        // Six clients with stateful chains roam simultaneously: a mass-roam
-        // burst whose migration lifecycles all land on the pool at the same
-        // virtual timestamps.
+        for workers in [2usize, 4] {
+            let mut pooled = Emulator::new(observability_scenario());
+            pooled.set_workers(workers);
+            let report_n = pooled.run();
+            assert_eq!(
+                serde_json::to_string(&report_1).unwrap(),
+                serde_json::to_string(&report_n).unwrap(),
+                "RunReport must be byte-identical at workers={workers}"
+            );
+            let fan_outs = pooled.fan_out_telemetry();
+            assert!(fan_outs.flushes > 0, "{fan_outs:?}");
+        }
+    }
+
+    /// One flush carries a packet batch and four commands: the four
+    /// clients on station 0 roam at once, so their checkpoints reach station
+    /// 0 together, and a batch below [`PACKET_BREAK_EVEN`] for station 1
+    /// arrives at that instant, queued before them. Neither half reaches the
+    /// break-even alone (the commands are one station's job), so the flush
+    /// fans out only because it carries both.
+    #[test]
+    fn a_flush_of_packets_and_commands_fans_out_and_matches_one_worker() {
+        use gnf_edge::RoamTrace;
+        use gnf_workload::{Population, TimedBatch};
+
         let build = || {
             let config = GnfConfig {
                 migration_precopy: true,
                 ..Default::default()
             };
-            let mut builder = Scenario::builder(4, HostClass::EdgeServer);
-            let clients = builder.add_clients(6, TrafficProfile::smartphone());
+            let mut builder = Scenario::builder(2, HostClass::EdgeServer);
+            let clients = builder.add_clients(8, TrafficProfile::smartphone());
             let mut sb = builder
                 .with_config(config)
-                .with_duration(gnf_types::SimDuration::from_secs(40));
+                .with_duration(SimDuration::from_secs(30));
             for client in &clients {
                 sb = sb.attach_policy(
                     *client,
@@ -2051,53 +2068,74 @@ mod tests {
                 );
             }
             let mut trace = RoamTrace::new();
-            for (ix, client) in clients.iter().enumerate() {
-                trace = trace.roam(
-                    SimTime::from_secs(20),
-                    *client,
-                    gnf_types::CellId::new(((ix + 1) % 4) as u64),
-                );
+            for client in clients.iter().step_by(2) {
+                trace = trace.roam(SimTime::from_secs(15), *client, CellId::new(1));
             }
-            sb.with_mobility(crate::scenario::Mobility::Trace(trace))
-                .build()
+            sb.with_mobility(Mobility::Trace(trace)).build()
         };
+        // The checkpoints land one control hop after the Manager opens the
+        // migrations.
+        let mut probe = Emulator::new(build());
+        probe.run();
+        let record = probe.manager().migrations().next().unwrap();
+        let at = record.started_at + probe.control_latency(record.from);
 
-        let mut baseline = Emulator::new(build());
-        baseline.set_migration_workers(1);
-        let report_1 = baseline.run();
-        assert_eq!(report_1.handovers, 6);
-        assert!(report_1.migrations.len() >= 6);
-        let pool = baseline.migration_pool_telemetry();
-        assert!(
-            pool.max_batch > 1,
-            "simultaneous roams must coalesce into one pool batch, got {pool:?}"
-        );
+        let run = |workers: usize| {
+            let scenario = build();
+            let station = StationId::new(1);
+            let endpoint = Population::from_topology(&scenario.topology)
+                .endpoints()
+                .iter()
+                .find(|ep| ep.station == station)
+                .copied()
+                .unwrap();
+            let packets = (0..PACKET_BREAK_EVEN / 2)
+                .map(|ix| {
+                    let packet = gnf_packet::builder::udp_packet(
+                        endpoint.mac,
+                        endpoint.gateway_mac,
+                        endpoint.ip,
+                        std::net::Ipv4Addr::new(203, 0, 113, 10),
+                        40_000 + ix as u16,
+                        53,
+                        b"mixed",
+                    );
+                    (endpoint.client, packet)
+                })
+                .collect();
+            let mut emulator = Emulator::new(scenario);
+            emulator.set_workers(workers);
+            emulator.add_workload(Box::new(OneBatch(Some(TimedBatch {
+                at,
+                station,
+                packets,
+            }))));
+            let report = emulator.run();
+            (
+                serde_json::to_string(&report).unwrap(),
+                emulator.fan_out_telemetry(),
+                emulator.migration_pool_telemetry(),
+            )
+        };
+        let (report_1, fan_outs_1, pool) = run(1);
+        assert!(pool.max_batch >= 4, "{pool:?}");
+        assert_eq!(fan_outs_1.flushes, 0);
+        let (report_2, fan_outs_2, _) = run(2);
+        assert_eq!(report_1, report_2, "the mixed flush changed the report");
+        assert_eq!(fan_outs_2.flushes, 1, "{fan_outs_2:?}");
+    }
 
-        for migration_workers in [2usize, 4] {
-            let mut pooled = Emulator::new(build());
-            pooled.set_migration_workers(migration_workers);
-            assert_eq!(pooled.migration_workers(), migration_workers);
-            let report_n = pooled.run();
-            assert_eq!(
-                serde_json::to_string(&report_1).unwrap(),
-                serde_json::to_string(&report_n).unwrap(),
-                "RunReport must be byte-identical at migration_workers={migration_workers}"
-            );
-            let fan_outs = pooled.fan_out_telemetry();
-            assert!(fan_outs.migration_flushes > 0, "{fan_outs:?}");
+    /// A workload of one batch.
+    struct OneBatch(Option<gnf_workload::TimedBatch>);
+
+    impl Workload for OneBatch {
+        fn label(&self) -> &str {
+            "one-batch"
         }
 
-        // A tight queue cap only changes when batches flush, never results.
-        let mut capped = Emulator::new(build());
-        capped.set_migration_workers(4);
-        capped.set_migration_queue_size(2);
-        let report_capped = capped.run();
-        assert!(capped.migration_pool_telemetry().cap_flushes > 0);
-        assert_eq!(
-            serde_json::to_string(&report_1).unwrap(),
-            serde_json::to_string(&report_capped).unwrap(),
-            "queue cap must not leak into the RunReport"
-        );
+        fn next_batch(&mut self) -> Option<gnf_workload::TimedBatch> {
+            self.0.take()
+        }
     }
 
     #[test]
@@ -2336,30 +2374,19 @@ mod tests {
         add_packet_burst(&mut plain);
         let plain_bytes = serde_json::to_string(&plain.run()).unwrap();
 
-        // Armed headline run. Every cell also proves that each layer it
-        // threads took the threaded path, on at most max(workers,
-        // migration_workers) − 1 spawned threads.
-        let run_cell = |workers: usize, migration_workers: usize| {
+        // Armed headline run. Every threaded cell also proves that it took
+        // the threaded path, on at most workers − 1 spawned threads.
+        let run_cell = |workers: usize| {
             let mut emulator = Emulator::new(observability_scenario());
             emulator.set_workers(workers);
-            emulator.set_migration_workers(migration_workers);
             emulator.set_fault_schedule(observability_fault_schedule());
             add_packet_burst(&mut emulator);
             emulator.enable_tracing();
             emulator.enable_metrics();
             let report = emulator.run();
             let fan_outs = emulator.fan_out_telemetry();
-            let cell = format!("{workers}/{migration_workers}: {fan_outs:?}");
-            assert_eq!(fan_outs.packet_flushes > 0, workers > 1, "{cell}");
-            assert_eq!(
-                fan_outs.migration_flushes > 0,
-                migration_workers > 1,
-                "{cell}"
-            );
-            assert!(
-                fan_outs.helper_threads < workers.max(migration_workers),
-                "{cell}"
-            );
+            assert_eq!(fan_outs.flushes > 0, workers > 1, "{workers}: {fan_outs:?}");
+            assert!(fan_outs.helper_threads < workers, "{workers}: {fan_outs:?}");
             let log = emulator.trace_log();
             let metrics = emulator.metrics_series().unwrap().to_csv();
             (
@@ -2369,7 +2396,7 @@ mod tests {
                 metrics,
             )
         };
-        let (report_bytes, trace_json, trace_csv, metrics_csv) = run_cell(1, 1);
+        let (report_bytes, trace_json, trace_csv, metrics_csv) = run_cell(1);
 
         // The observers are read-only: the report is byte-identical to the
         // untraced baseline.
@@ -2380,19 +2407,13 @@ mod tests {
         assert!(trace_json.contains("traceEvents"));
         assert!(metrics_csv.lines().count() > 1, "sampler produced rows");
 
-        // Every cell of the workers x migration-workers matrix reproduces
-        // all three artifacts byte-for-byte.
-        for workers in [1usize, 2, 4] {
-            for migration_workers in [1usize, 2, 4] {
-                if (workers, migration_workers) == (1, 1) {
-                    continue;
-                }
-                let (r, j, c, m) = run_cell(workers, migration_workers);
-                assert_eq!(report_bytes, r, "report @ {workers}/{migration_workers}");
-                assert_eq!(trace_json, j, "trace JSON @ {workers}/{migration_workers}");
-                assert_eq!(trace_csv, c, "trace CSV @ {workers}/{migration_workers}");
-                assert_eq!(metrics_csv, m, "metrics @ {workers}/{migration_workers}");
-            }
+        // Every worker count reproduces all three artifacts byte-for-byte.
+        for workers in [2usize, 4] {
+            let (r, j, c, m) = run_cell(workers);
+            assert_eq!(report_bytes, r, "report @ {workers}");
+            assert_eq!(trace_json, j, "trace JSON @ {workers}");
+            assert_eq!(trace_csv, c, "trace CSV @ {workers}");
+            assert_eq!(metrics_csv, m, "metrics @ {workers}");
         }
     }
 
@@ -2541,7 +2562,7 @@ mod tests {
                 "delta transport changed the RunReport @ {workers}"
             );
             let fan_outs = delta.fan_out_telemetry();
-            assert_eq!(fan_outs.packet_flushes > 0, workers > 1, "{fan_outs:?}");
+            assert_eq!(fan_outs.flushes > 0, workers > 1, "{fan_outs:?}");
             let stats = delta.manager().control_plane_stats();
             assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
             assert!(stats.delta_keyframes > 0, "keyframes open each generation");

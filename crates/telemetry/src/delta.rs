@@ -387,25 +387,17 @@ impl DeltaEncoder {
         report: &StationReport,
         hints: SectionHints,
     ) -> ReportDelta {
-        let need_keyframe =
-            self.force_keyframe || self.keyframe.is_none() || self.seq >= self.interval;
-        if need_keyframe {
+        let due = self.force_keyframe || self.seq >= self.interval;
+        let (false, Some(keyframe)) = (due, &self.keyframe) else {
             self.generation += 1;
             self.seq = 0;
             let forced = self.force_keyframe;
             self.force_keyframe = false;
             self.keyframe = Some(Box::new(report.clone()));
-            ReportDelta::keyframe(report, self.generation, forced)
-        } else {
-            self.seq += 1;
-            ReportDelta::diff(
-                self.keyframe.as_ref().expect("keyframe present"),
-                report,
-                self.generation,
-                self.seq,
-                hints,
-            )
-        }
+            return ReportDelta::keyframe(report, self.generation, forced);
+        };
+        self.seq += 1;
+        ReportDelta::diff(keyframe, report, self.generation, self.seq, hints)
     }
 }
 

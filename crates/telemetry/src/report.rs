@@ -159,35 +159,36 @@ impl ChaosTelemetry {
     }
 }
 
-/// Host-side counters of the emulator's migration worker pool: how the
-/// migration-lifecycle control commands (checkpoints, pre-copies, staged
-/// deploys, delta replays, activations) were batched for parallel execution.
+/// Host-side counts of the emulator's station flushes that carried
+/// migration-lifecycle commands (checkpoints, pre-copies, staged deploys,
+/// delta replays, activations).
 ///
 /// These are **host-CPU observability only** and deliberately live outside
-/// the `RunReport`: `cap_flushes` depends on the configured queue depth and
-/// `batches`/`max_batch` on how roams align in virtual time, none of which
-/// may influence (or appear in) the byte-compared run results.
+/// the `RunReport`: `batches`/`max_batch` depend on how roams align in
+/// virtual time, which may not influence (or appear in) the byte-compared
+/// run results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MigrationPoolTelemetry {
-    /// Flushes of the parked same-timestamp migration command batch.
+    /// Flushes that carried at least one command.
     pub batches: u64,
-    /// Migration-lifecycle commands that went through the pool.
+    /// Migration-lifecycle commands those flushes carried.
     pub commands: u64,
-    /// Largest batch flushed at once.
+    /// Most commands one flush carried.
     pub max_batch: u64,
-    /// Flushes forced early by the `migration_queue_size` cap.
+    /// Always 0: a flush is never cut short by a queue cap. Kept for the
+    /// benchmark's `core.pool_cap_flushes` row.
     pub cap_flushes: u64,
 }
 
 impl MigrationPoolTelemetry {
-    /// Records one flushed batch of `size` commands.
+    /// Records one flush that carried `size` commands.
     pub fn record_batch(&mut self, size: u64) {
         self.batches += 1;
         self.commands += size;
         self.max_batch = self.max_batch.max(size);
     }
 
-    /// Mean commands per flushed batch (0 when nothing was pooled).
+    /// Mean commands per flush that carried any (0 when none did).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             return 0.0;
@@ -196,16 +197,14 @@ impl MigrationPoolTelemetry {
     }
 }
 
-/// Host-side counts of the emulator's fan-outs: the flushes whose station
-/// work reached its break-even and ran on the worker pool, and the helper
+/// Host-side counts of the emulator's fan-outs: the station flushes whose
+/// work reached the break-even and ran on the worker pool, and the helper
 /// threads that pool spawned. Like [`MigrationPoolTelemetry`], outside the
-/// `RunReport`: they depend on the worker counts, which the report may not.
+/// `RunReport`: they depend on the worker count, which the report may not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FanOutTelemetry {
-    /// Packet flushes that fanned out over the pool.
-    pub packet_flushes: u64,
-    /// Migration flushes that fanned out over the pool.
-    pub migration_flushes: u64,
+    /// Flushes that fanned out over the pool.
+    pub flushes: u64,
     /// Helper threads spawned so far (the emulator's own thread not counted).
     pub helper_threads: usize,
 }

@@ -55,14 +55,6 @@ pub struct GnfConfig {
     pub migration_backoff_base: SimDuration,
     /// Upper bound on the exponential migration retry backoff.
     pub migration_backoff_cap: SimDuration,
-    /// Size of the migration worker pool: how many in-flight migration
-    /// commands the emulator executes concurrently on host threads. Purely a
-    /// host-CPU knob — the `RunReport` is byte-identical for any value.
-    pub migration_workers: usize,
-    /// Bound on the migration command batch admitted to the worker pool
-    /// before a forced flush (Forest-style `job_queue_size`). Like
-    /// `migration_workers`, this never changes results, only scheduling.
-    pub migration_queue_size: usize,
     /// Whether make-before-break migrations use the pre-copy pipeline: ship
     /// the bulk of the NF state ahead of switchover while the source keeps
     /// serving, then replay only the dirty delta at cutover. When false the
@@ -107,8 +99,6 @@ impl Default for GnfConfig {
             migration_max_retries: 3,
             migration_backoff_base: SimDuration::from_millis(500),
             migration_backoff_cap: SimDuration::from_secs(8),
-            migration_workers: 1,
-            migration_queue_size: 32,
             migration_precopy: false,
             delta_reports: false,
             report_keyframe_interval: 16,
@@ -164,18 +154,6 @@ impl GnfConfig {
                 reason: "must be at least migration_backoff_base".into(),
             });
         }
-        if self.migration_workers == 0 {
-            return Err(GnfError::InvalidConfig {
-                parameter: "migration_workers".into(),
-                reason: "must be at least 1".into(),
-            });
-        }
-        if self.migration_queue_size == 0 {
-            return Err(GnfError::InvalidConfig {
-                parameter: "migration_queue_size".into(),
-                reason: "must be at least 1".into(),
-            });
-        }
         if self.metrics_interval.is_zero() {
             return Err(GnfError::InvalidConfig {
                 parameter: "metrics_interval".into(),
@@ -188,13 +166,6 @@ impl GnfConfig {
     /// Returns a copy with a different seed; used to run replicated trials.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns a copy with a different migration worker-pool size (clamped to
-    /// at least 1).
-    pub fn with_migration_workers(mut self, workers: usize) -> Self {
-        self.migration_workers = workers.max(1);
         self
     }
 
@@ -304,42 +275,13 @@ mod tests {
     }
 
     #[test]
-    fn migration_pool_knobs_are_validated_and_the_builders_clamp() {
-        let cfg = GnfConfig {
-            migration_workers: 0,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = GnfConfig {
-            migration_queue_size: 0,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-        assert_eq!(
-            GnfConfig::default()
-                .with_migration_workers(0)
-                .migration_workers,
-            1
-        );
-        assert_eq!(
-            GnfConfig::default()
-                .with_migration_workers(4)
-                .migration_workers,
-            4
-        );
-        assert!(
-            GnfConfig::default()
-                .with_migration_precopy(true)
-                .migration_precopy
-        );
-    }
-
-    #[test]
     fn control_plane_builders_set_their_knobs() {
         let cfg = GnfConfig::default()
+            .with_migration_precopy(true)
             .with_delta_reports(true)
             .with_report_keyframe_interval(4)
             .with_region_size(100);
+        assert!(cfg.migration_precopy);
         assert!(cfg.delta_reports);
         assert_eq!(cfg.report_keyframe_interval, 4);
         assert_eq!(cfg.region_size, 100);

@@ -237,8 +237,7 @@ fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> GnfResult<bool>
     Ok(true)
 }
 
-fn read_u32(big_endian: bool, b: &[u8]) -> u32 {
-    let b: [u8; 4] = b[..4].try_into().expect("4-byte slice");
+fn read_u32(big_endian: bool, b: [u8; 4]) -> u32 {
     if big_endian {
         u32::from_be_bytes(b)
     } else {
@@ -246,8 +245,7 @@ fn read_u32(big_endian: bool, b: &[u8]) -> u32 {
     }
 }
 
-fn read_u16(big_endian: bool, b: &[u8]) -> u16 {
-    let b: [u8; 2] = b[..2].try_into().expect("2-byte slice");
+fn read_u16(big_endian: bool, b: [u8; 2]) -> u16 {
     if big_endian {
         u16::from_be_bytes(b)
     } else {
@@ -266,11 +264,11 @@ impl<R: Read> TraceReader<R> {
         let magic_be = u32::from_be_bytes(magic);
         let kind = if magic_le == PCAPNG_BLOCK_SHB {
             // pcapng: the SHB carries the byte-order magic.
-            let mut rest = [0u8; 8];
-            if !read_exact_or_eof(&mut source, &mut rest)? {
+            let mut rest = [[0u8; 4]; 2];
+            if !read_exact_or_eof(&mut source, rest.as_flattened_mut())? {
                 return Err(pcap_error("truncated section header"));
             }
-            let bom = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+            let bom = u32::from_le_bytes(rest[1]);
             let big_endian = match bom {
                 PCAPNG_BOM => false,
                 b if b.swap_bytes() == PCAPNG_BOM => true,
@@ -281,7 +279,7 @@ impl<R: Read> TraceReader<R> {
                 }
             };
             // Skip the rest of the SHB (version + section length + options).
-            let total = read_u32(big_endian, &rest[..4]) as usize;
+            let total = read_u32(big_endian, rest[0]) as usize;
             if !(12..=1 << 26).contains(&total) {
                 return Err(pcap_error(format!("bad SHB length {total}")));
             }
@@ -305,11 +303,11 @@ impl<R: Read> TraceReader<R> {
                     )))
                 }
             };
-            let mut header = [0u8; 20];
-            if !read_exact_or_eof(&mut source, &mut header)? {
+            let mut header = [[0u8; 4]; 5];
+            if !read_exact_or_eof(&mut source, header.as_flattened_mut())? {
                 return Err(pcap_error("truncated pcap header"));
             }
-            let network = read_u32(big_endian, &header[16..20]);
+            let network = read_u32(big_endian, header[4]);
             if network != LINKTYPE_ETHERNET {
                 return Err(pcap_error(format!(
                     "unsupported linktype {network} (only Ethernet is supported)"
@@ -383,13 +381,13 @@ impl<R: Read> TraceReader<R> {
         nanos: bool,
         frame: &mut Vec<u8>,
     ) -> GnfResult<Option<(SimTime, Range<usize>)>> {
-        let mut header = [0u8; 16];
-        if !read_exact_or_eof(source, &mut header)? {
+        let mut header = [[0u8; 4]; 4];
+        if !read_exact_or_eof(source, header.as_flattened_mut())? {
             return Ok(None);
         }
-        let sec = u64::from(read_u32(big_endian, &header[0..4]));
-        let frac = u64::from(read_u32(big_endian, &header[4..8]));
-        let incl = read_u32(big_endian, &header[8..12]);
+        let sec = u64::from(read_u32(big_endian, header[0]));
+        let frac = u64::from(read_u32(big_endian, header[1]));
+        let incl = read_u32(big_endian, header[2]);
         if incl > TRACE_SNAPLEN {
             return Err(pcap_error(format!("record length {incl} above snaplen")));
         }
@@ -411,11 +409,11 @@ impl<R: Read> TraceReader<R> {
         body: &mut Vec<u8>,
     ) -> GnfResult<Option<(SimTime, Range<usize>)>> {
         loop {
-            let mut head = [0u8; 8];
-            if !read_exact_or_eof(source, &mut head)? {
+            let mut head = [[0u8; 4]; 2];
+            if !read_exact_or_eof(source, head.as_flattened_mut())? {
                 return Ok(None);
             }
-            let block_type = read_u32(*big_endian, &head[0..4]);
+            let block_type = read_u32(*big_endian, head[0]);
             // A new section may switch byte order: peek the BOM before
             // trusting the length field.
             if block_type == PCAPNG_BLOCK_SHB || block_type.swap_bytes() == PCAPNG_BLOCK_SHB {
@@ -433,7 +431,7 @@ impl<R: Read> TraceReader<R> {
                     }
                 };
                 tsresol.clear();
-                let total = read_u32(*big_endian, &head[4..8]) as usize;
+                let total = read_u32(*big_endian, head[1]) as usize;
                 if !(16..=1 << 26).contains(&total) {
                     return Err(pcap_error(format!("bad SHB length {total}")));
                 }
@@ -443,7 +441,7 @@ impl<R: Read> TraceReader<R> {
                 }
                 continue;
             }
-            let total = read_u32(*big_endian, &head[4..8]) as usize;
+            let total = read_u32(*big_endian, head[1]) as usize;
             if !(12..=1 << 26).contains(&total) || !total.is_multiple_of(4) {
                 return Err(pcap_error(format!("bad block length {total}")));
             }
@@ -455,7 +453,7 @@ impl<R: Read> TraceReader<R> {
             if !read_exact_or_eof(source, &mut trailer)? {
                 return Err(pcap_error("truncated block trailer"));
             }
-            if read_u32(*big_endian, &trailer) != total as u32 {
+            if read_u32(*big_endian, trailer) != total as u32 {
                 return Err(pcap_error("block trailer length mismatch"));
             }
             match block_type {
@@ -463,7 +461,7 @@ impl<R: Read> TraceReader<R> {
                     if body.len() < 8 {
                         return Err(pcap_error("short interface description"));
                     }
-                    let linktype = u32::from(read_u16(*big_endian, &body[0..2]));
+                    let linktype = u32::from(read_u16(*big_endian, body.as_chunks().0[0]));
                     if linktype != LINKTYPE_ETHERNET {
                         return Err(pcap_error(format!(
                             "unsupported linktype {linktype} (only Ethernet is supported)"
@@ -473,9 +471,9 @@ impl<R: Read> TraceReader<R> {
                     // otherwise.
                     let mut resol = TsResol::Decimal(6);
                     let mut opts = &body[8..];
-                    while opts.len() >= 4 {
-                        let code = read_u16(*big_endian, &opts[0..2]);
-                        let len = read_u16(*big_endian, &opts[2..4]) as usize;
+                    while let [code, len, ..] = *opts.as_chunks().0 {
+                        let code = read_u16(*big_endian, code);
+                        let len = read_u16(*big_endian, len) as usize;
                         let padded = len.div_ceil(4) * 4;
                         if code == PCAPNG_OPT_END {
                             break;
@@ -502,10 +500,11 @@ impl<R: Read> TraceReader<R> {
                     if body.len() < 20 {
                         return Err(pcap_error("short enhanced packet block"));
                     }
-                    let interface = read_u32(*big_endian, &body[0..4]) as usize;
-                    let high = u64::from(read_u32(*big_endian, &body[4..8]));
-                    let low = u64::from(read_u32(*big_endian, &body[8..12]));
-                    let captured = read_u32(*big_endian, &body[12..16]) as usize;
+                    let words = body.as_chunks().0;
+                    let interface = read_u32(*big_endian, words[0]) as usize;
+                    let high = u64::from(read_u32(*big_endian, words[1]));
+                    let low = u64::from(read_u32(*big_endian, words[2]));
+                    let captured = read_u32(*big_endian, words[3]) as usize;
                     if captured > body.len() - 20 || captured > TRACE_SNAPLEN as usize {
                         return Err(pcap_error("enhanced packet length out of range"));
                     }
@@ -520,7 +519,7 @@ impl<R: Read> TraceReader<R> {
                     if body.len() < 4 {
                         return Err(pcap_error("short simple packet block"));
                     }
-                    let original = read_u32(*big_endian, &body[0..4]) as usize;
+                    let original = read_u32(*big_endian, body.as_chunks().0[0]) as usize;
                     let captured = original.min(body.len() - 4);
                     return Ok(Some((SimTime::ZERO, 4..4 + captured)));
                 }
@@ -553,11 +552,14 @@ impl SharedBuffer {
 
     /// Takes the bytes accumulated so far, leaving the buffer empty.
     pub fn take(&self) -> Vec<u8> {
+        // Poisoned only if a writer panicked mid-append; the bytes are then
+        // unusable, and so is the capture.
         std::mem::take(&mut self.bytes.lock().expect("buffer lock poisoned"))
     }
 
     /// Number of bytes accumulated so far.
     pub fn len(&self) -> usize {
+        // As in `take`: only a panicked writer poisons the lock.
         self.bytes.lock().expect("buffer lock poisoned").len()
     }
 
@@ -569,6 +571,7 @@ impl SharedBuffer {
 
 impl Write for SharedBuffer {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // As in `take`: only a panicked writer poisons the lock.
         self.bytes
             .lock()
             .expect("buffer lock poisoned")

@@ -109,11 +109,7 @@ fn fault_storm_reports_are_identical_across_the_execution_matrix() {
         ));
         let report = emulator.run();
         let fan_outs = emulator.fan_out_telemetry();
-        assert_eq!(
-            fan_outs.packet_flushes > 0,
-            workers > 1,
-            "{workers}: {fan_outs:?}"
-        );
+        assert_eq!(fan_outs.flushes > 0, workers > 1, "{workers}: {fan_outs:?}");
         report
     };
 

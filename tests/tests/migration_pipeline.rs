@@ -178,19 +178,15 @@ fn storm_scenario(seed: u64, clients: usize) -> Scenario {
     sb.with_mobility(Mobility::Trace(trace)).build()
 }
 
-/// Runs the storm; with several migration workers its simultaneous roams
-/// must have fanned a migration flush out, or the run proved nothing about
+/// Runs the storm; with several workers its simultaneous roams must have
+/// fanned a flush of their commands out, or the run proved nothing about
 /// the pool.
-fn run_storm(seed: u64, clients: usize, migration_workers: usize) -> RunReport {
+fn run_storm(seed: u64, clients: usize, workers: usize) -> RunReport {
     let mut emulator = Emulator::new(storm_scenario(seed, clients));
-    emulator.set_migration_workers(migration_workers);
+    emulator.set_workers(workers);
     let report = emulator.run();
     let fan_outs = emulator.fan_out_telemetry();
-    assert_eq!(
-        fan_outs.migration_flushes > 0,
-        migration_workers > 1,
-        "{migration_workers}: {fan_outs:?}"
-    );
+    assert_eq!(fan_outs.flushes > 0, workers > 1, "{workers}: {fan_outs:?}");
     report
 }
 
@@ -336,7 +332,7 @@ fn disjoint_client_migrations_commute() {
 }
 
 // ---------------------------------------------------------------------------
-// (d) The migration worker pool never changes the report.
+// (d) The worker pool never changes the report.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -347,12 +343,12 @@ fn migration_worker_pool_is_invisible_in_a_hundred_roam_storm() {
     assert_eq!(baseline.migration.precopied, baseline.migration.total);
 
     let bytes = serde_json::to_string(&baseline).expect("report serializes");
-    for migration_workers in [2usize, 4] {
-        let other = run_storm(7, 100, migration_workers);
+    for workers in [2usize, 4] {
+        let other = run_storm(7, 100, workers);
         assert_eq!(
             bytes,
             serde_json::to_string(&other).expect("report serializes"),
-            "RunReport must be byte-identical at migration-workers={migration_workers}"
+            "RunReport must be byte-identical at workers={workers}"
         );
     }
 }

@@ -674,7 +674,6 @@ fn a_malformed_frame_is_counted_and_skipped_not_fatal() {
 /// thread's count is the whole run's: heap requests per generated packet.
 fn run_allocations_per_packet(mut emulator: Emulator) -> f64 {
     emulator.set_workers(1);
-    emulator.set_migration_workers(1);
     let (report, allocations) = counted(|| emulator.run());
     assert!(report.packets.is_conserved(), "{:?}", report.packets);
     assert!(report.packets.generated > 0);
