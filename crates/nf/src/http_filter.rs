@@ -27,8 +27,9 @@ pub enum UrlPattern {
 
 impl UrlPattern {
     /// True when the pattern matches the request's host and path. Hosts
-    /// compare ASCII-case-insensitively, paths exactly; the host and path
-    /// patterns compare in place, without allocating.
+    /// compare ASCII-case-insensitively, paths exactly (against the
+    /// lower-cased needle, for `UrlContains`); every pattern compares in
+    /// place, without allocating.
     pub fn matches(&self, host: &str, path: &str) -> bool {
         match self {
             UrlPattern::HostExact(h) => host.eq_ignore_ascii_case(h),
@@ -43,16 +44,22 @@ impl UrlPattern {
             }
             UrlPattern::UrlContains(needle) => {
                 // The URL is the lower-cased host followed by the path as
-                // sent; it must contain the lower-cased needle.
-                let mut url = host.to_ascii_lowercase();
-                url.push_str(path);
-                needle.is_empty()
-                    || url.as_bytes().windows(needle.len()).any(|window| {
-                        window
-                            .iter()
-                            .zip(needle.bytes())
-                            .all(|(byte, wanted)| *byte == wanted.to_ascii_lowercase())
-                    })
+                // sent; it must contain the lower-cased needle. Windows are
+                // read across the host/path seam rather than built.
+                let (host, path, needle) = (host.as_bytes(), path.as_bytes(), needle.as_bytes());
+                let url = |at: usize| match host.get(at) {
+                    Some(byte) => byte.to_ascii_lowercase(),
+                    None => path[at - host.len()],
+                };
+                let Some(last) = (host.len() + path.len()).checked_sub(needle.len()) else {
+                    return false;
+                };
+                (0..=last).any(|start| {
+                    needle
+                        .iter()
+                        .enumerate()
+                        .all(|(k, wanted)| url(start + k) == wanted.to_ascii_lowercase())
+                })
             }
             UrlPattern::PathPrefix(prefix) => path.starts_with(prefix.as_str()),
         }
@@ -217,6 +224,11 @@ mod tests {
         assert!(UrlPattern::HostSuffix("example.org".into()).matches("example.org", "/"));
         assert!(!UrlPattern::HostSuffix("example.org".into()).matches("badexample.org", "/"));
         assert!(UrlPattern::UrlContains("tracker".into()).matches("x.com", "/tracker.js"));
+        // Across the host/path seam: the host in any case, the path as sent.
+        let seam = UrlPattern::UrlContains("Example.ORG/ad".into());
+        assert!(seam.matches("WWW.example.org", "/ads"));
+        assert!(!seam.matches("WWW.example.org", "/Ads"));
+        assert!(!seam.matches("example.org", "/"));
         assert!(UrlPattern::PathPrefix("/admin".into()).matches("any.host", "/admin/panel"));
         assert!(!UrlPattern::PathPrefix("/admin".into()).matches("any.host", "/public"));
     }

@@ -31,8 +31,9 @@
 //! a batch crosses a chain as one `process` call per packet, in arrival
 //! order ([`NfChain::process_batch`] is that loop). NFs inspect packets
 //! through borrowed views ([`gnf_packet::Packet::http_request_view`], the
-//! payload and five-tuple accessors) and rewrite them in place
-//! ([`gnf_packet::Packet::with_rewritten_endpoints`]).
+//! payload and five-tuple accessors) and rewrite them copy-on-write
+//! ([`gnf_packet::Packet::into_rewritten_endpoints`]: in the frame itself
+//! when the packet is its only owner).
 //!
 //! There is deliberately no batched NF entry point: the only unit an NF
 //! could amortise over is a run of consecutive same-flow packets in one

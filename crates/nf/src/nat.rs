@@ -5,11 +5,12 @@
 //! on downstream traffic it reverses the translation. The translation table is
 //! part of the migratable state so established flows survive a roam.
 //!
-//! The rewrite is [`Packet::with_rewritten_endpoints`]: one copy of the
-//! frame, the addresses and ports patched in place, both checksums updated
-//! incrementally. Every other byte survives — IPv4 and TCP options, the
-//! payload, padding beyond the IP total length, and a UDP datagram sent
-//! without a checksum stays without one.
+//! The rewrite, in both directions, is [`Packet::into_rewritten_endpoints`]:
+//! the addresses and ports patched copy-on-write — in the frame itself when
+//! the packet is its only owner, as it is on the data path, in one copy
+//! otherwise — and both checksums updated incrementally. Every other byte
+//! survives — IPv4 and TCP options, the payload, padding beyond the IP total
+//! length, and a UDP datagram sent without a checksum stays without one.
 
 use crate::nf::{apply_delta_via_export, Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
@@ -88,6 +89,18 @@ impl Nat {
         self.reverse.insert(candidate, original);
         candidate
     }
+
+    /// Forwards `packet` rewritten to the `(address, port)` endpoints
+    /// `src` → `dst`, counting the translation.
+    fn translate(&mut self, packet: Packet, src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Verdict {
+        match packet.into_rewritten_endpoints(src.0, dst.0, src.1, dst.1) {
+            Ok(rewritten) => {
+                self.translated_packets += 1;
+                Verdict::Forward(rewritten)
+            }
+            Err(packet) => Verdict::Forward(packet),
+        }
+    }
 }
 
 impl NetworkFunction for Nat {
@@ -116,35 +129,21 @@ impl NetworkFunction for Nat {
         let verdict = match direction {
             Direction::Ingress => {
                 let public_port = self.allocate_port(tuple);
-                match packet.with_rewritten_endpoints(
-                    self.public_ip,
-                    tuple.dst_ip,
-                    public_port,
-                    tuple.dst_port,
-                ) {
-                    Some(rewritten) => {
-                        self.translated_packets += 1;
-                        Verdict::Forward(rewritten)
-                    }
-                    None => Verdict::Forward(packet),
-                }
+                self.translate(
+                    packet,
+                    (self.public_ip, public_port),
+                    (tuple.dst_ip, tuple.dst_port),
+                )
             }
             Direction::Egress => {
                 // Downstream: the packet is addressed to (public_ip, public_port).
                 if tuple.dst_ip == self.public_ip {
                     if let Some(original) = self.reverse.get(&tuple.dst_port).copied() {
-                        match packet.with_rewritten_endpoints(
-                            tuple.src_ip,
-                            original.src_ip,
-                            tuple.src_port,
-                            original.src_port,
-                        ) {
-                            Some(rewritten) => {
-                                self.translated_packets += 1;
-                                Verdict::Forward(rewritten)
-                            }
-                            None => Verdict::Forward(packet),
-                        }
+                        self.translate(
+                            packet,
+                            (tuple.src_ip, tuple.src_port),
+                            (original.src_ip, original.src_port),
+                        )
                     } else {
                         Verdict::Drop(
                             format!("no NAT translation for public port {}", tuple.dst_port).into(),

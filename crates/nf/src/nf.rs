@@ -292,8 +292,9 @@ pub trait NetworkFunction: Send {
     /// [`Packet::udp_payload`], [`Packet::http_request_view`] — cost no
     /// copy and no allocation. Copy out only what must outlive the packet
     /// (an event string, a cache key) and forward the packet that came in.
-    /// An NF that rewrites addresses goes through
-    /// [`Packet::with_rewritten_endpoints`] — one copy of the frame,
+    /// An NF that rewrites addresses moves the packet through
+    /// [`Packet::into_rewritten_endpoints`] — the frame patched in place when
+    /// the packet is its only owner (a shared frame is copied once),
     /// checksums updated incrementally — rather than re-emitting headers.
     /// The typed accessors (`ipv4()`, `tcp()`, ...) build the full layer
     /// view on first use: fine on a rare branch (building a reject reply),

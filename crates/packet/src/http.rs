@@ -159,42 +159,58 @@ pub struct HttpRequestView<'a> {
     /// The header lines after the request line; every non-empty one is
     /// known to contain a `:`.
     header_block: &'a str,
+    /// The first `Host` header's value, found while parsing.
+    host: Option<&'a str>,
     /// Opaque body bytes.
     pub body: &'a [u8],
 }
 
 impl<'a> HttpRequestView<'a> {
     /// Parses a request from the beginning of a TCP payload.
+    ///
+    /// An ASCII head — every request on the data path — is parsed in one
+    /// pass over its bytes (`HeadScan`), whitespace being the ASCII part of
+    /// Unicode `White_Space` that `str::split_whitespace` and `str::trim`
+    /// use. A head with any other character takes the `str` methods
+    /// themselves. Both accept, reject and report exactly alike.
     pub fn parse(data: &'a [u8]) -> GnfResult<Self> {
-        let (head, body) = split_head(data)?;
-        let (request_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
-        let mut parts = request_line.split_whitespace();
-        let method_token = parts
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing method"))?;
-        let method = HttpMethod::parse(method_token).ok_or_else(|| {
-            GnfError::malformed_packet("http", format!("unknown method {method_token:?}"))
-        })?;
-        let path = parts
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing request target"))?;
-        let version = parts
-            .next()
-            .ok_or_else(|| GnfError::malformed_packet("http", "missing version"))?;
-        if !version.starts_with("HTTP/") {
-            return Err(GnfError::malformed_packet(
-                "http",
-                format!("bad version {version:?}"),
-            ));
+        let (scan, head, body) = split_head(data)?;
+        if !scan.ascii {
+            return Self::parse_unicode(head, body);
         }
+        let (method, path, version) =
+            parse_request_line(ascii_words(&head[..scan.request_line_end]))?;
+        if let Some((start, end)) = scan.bad_line {
+            return Err(bad_header_line(&head[start..end]));
+        }
+        Ok(HttpRequestView {
+            method,
+            path,
+            version,
+            header_block: head.get(scan.request_line_end + 2..).unwrap_or(""),
+            host: scan.host.map(|(start, end)| &head[start..end]),
+            body,
+        })
+    }
+
+    /// [`HttpRequestView::parse`] of a head with a non-ASCII character:
+    /// lines, words and trimming by the `str` methods.
+    fn parse_unicode(head: &'a str, body: &'a [u8]) -> GnfResult<Self> {
+        let (request_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
+        let (method, path, version) = parse_request_line(request_line.split_whitespace())?;
+        let mut host = None;
         for line in header_lines(header_block) {
-            split_header(line)?;
+            let (name, value) = split_header(line)?;
+            if host.is_none() && name.eq_ignore_ascii_case("host") {
+                host = Some(value);
+            }
         }
         Ok(HttpRequestView {
             method,
             path,
             version,
             header_block,
+            host,
             body,
         })
     }
@@ -212,9 +228,10 @@ impl<'a> HttpRequestView<'a> {
             .map(|(_, v)| v)
     }
 
-    /// Returns the Host header, if present.
+    /// Returns the first Host header, if present: `header("host")`, read
+    /// off the parse.
     pub fn host(&self) -> Option<&'a str> {
-        self.header("host")
+        self.host
     }
 
     /// Returns `host + path`, the string the HTTP filter's URL rules match on.
@@ -290,7 +307,7 @@ impl HttpResponse {
 
     /// Parses a response from the beginning of a TCP payload.
     pub fn parse(data: &[u8]) -> GnfResult<Self> {
-        let (head, body) = split_head(data)?;
+        let (_, head, body) = split_head(data)?;
         let (status_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
         let mut parts = status_line.splitn(3, ' ');
         let version = parts
@@ -350,15 +367,160 @@ pub fn looks_like_http_request(data: &[u8]) -> bool {
     PREFIXES.iter().any(|p| data.starts_with(p))
 }
 
+/// What one pass over the lines of a request head records. Offsets are
+/// into the payload; a line ends at its `\r\n`, and the head ends at the
+/// first `\r\n` followed by another — where `"\r\n\r\n"` first occurs.
+struct HeadScan {
+    /// Where the head ends: the body starts four bytes later.
+    end: usize,
+    /// Where the request line ends (`end` when the head is one line).
+    request_line_end: usize,
+    /// The first header line without a `:`.
+    bad_line: Option<(usize, usize)>,
+    /// The first header named `host` (any case): its value, trimmed.
+    host: Option<(usize, usize)>,
+    /// True when every byte of the head is ASCII.
+    ascii: bool,
+}
+
+impl HeadScan {
+    /// Walks `data` line by line up to the blank line; `None` without one.
+    fn of(data: &[u8]) -> Option<HeadScan> {
+        let mut scan = HeadScan {
+            end: 0,
+            request_line_end: 0,
+            bad_line: None,
+            host: None,
+            ascii: true,
+        };
+        let mut start = 0;
+        loop {
+            let end = find_crlf(data, start)?;
+            let line = &data[start..end];
+            scan.ascii &= line.is_ascii();
+            if start == 0 {
+                scan.request_line_end = end;
+            } else {
+                match line.iter().position(|byte| *byte == b':') {
+                    None => {
+                        scan.bad_line.get_or_insert((start, end));
+                    }
+                    Some(colon) if scan.host.is_none() => {
+                        let (name_start, name_end) = trim(line, 0, colon);
+                        if line[name_start..name_end].eq_ignore_ascii_case(b"host") {
+                            let (value_start, value_end) = trim(line, colon + 1, line.len());
+                            scan.host = Some((start + value_start, start + value_end));
+                        }
+                    }
+                    Some(_) => {}
+                }
+            }
+            if data[end + 2..].starts_with(b"\r\n") {
+                scan.end = end;
+                return Some(scan);
+            }
+            start = end + 2;
+        }
+    }
+}
+
+/// The first `\r\n` at or after `from`.
+fn find_crlf(data: &[u8], mut from: usize) -> Option<usize> {
+    loop {
+        let cr = from + find_cr(&data[from..])?;
+        if data.get(cr + 1) == Some(&b'\n') {
+            return Some(cr);
+        }
+        from = cr + 1;
+    }
+}
+
+/// The first `\r` in `bytes`, tested eight bytes at a time: XOR with `\r`
+/// in every lane zeroes exactly the lanes holding one, and
+/// `(x - 0x01..) & !x & 0x80..` sets the top bit of the lowest zero lane
+/// (a borrow can only mark lanes above it).
+fn find_cr(bytes: &[u8]) -> Option<usize> {
+    const LANES: u64 = u64::from_le_bytes([0x01; 8]);
+    const TOPS: u64 = u64::from_le_bytes([0x80; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (ix, word) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*word) ^ (LANES * u64::from(b'\r'));
+        let zero_lanes = x.wrapping_sub(LANES) & !x & TOPS;
+        if zero_lanes != 0 {
+            return Some(ix * 8 + zero_lanes.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = words.len() * 8;
+    tail.iter()
+        .position(|byte| *byte == b'\r')
+        .map(|ix| at + ix)
+}
+
+/// The ASCII characters in Unicode `White_Space`, which is what
+/// `char::is_whitespace` tests.
+fn is_space(byte: u8) -> bool {
+    matches!(byte, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// `bytes[start..end]` without leading and trailing [`is_space`] bytes, as
+/// a range.
+fn trim(bytes: &[u8], mut start: usize, mut end: usize) -> (usize, usize) {
+    while start < end && is_space(bytes[start]) {
+        start += 1;
+    }
+    while end > start && is_space(bytes[end - 1]) {
+        end -= 1;
+    }
+    (start, end)
+}
+
+/// `str::split_whitespace` of an ASCII line.
+fn ascii_words(line: &str) -> impl Iterator<Item = &str> {
+    let bytes = line.as_bytes();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at + bytes[at..].iter().position(|byte| !is_space(*byte))?;
+        at = bytes[start..]
+            .iter()
+            .position(|byte| is_space(*byte))
+            .map_or(bytes.len(), |len| start + len);
+        Some(&line[start..at])
+    })
+}
+
+/// Method, target and version from the words of a request line.
+fn parse_request_line<'a>(
+    mut words: impl Iterator<Item = &'a str>,
+) -> GnfResult<(HttpMethod, &'a str, &'a str)> {
+    let method_token = words
+        .next()
+        .ok_or_else(|| GnfError::malformed_packet("http", "missing method"))?;
+    let method = HttpMethod::parse(method_token).ok_or_else(|| {
+        GnfError::malformed_packet("http", format!("unknown method {method_token:?}"))
+    })?;
+    let path = words
+        .next()
+        .ok_or_else(|| GnfError::malformed_packet("http", "missing request target"))?;
+    let version = words
+        .next()
+        .ok_or_else(|| GnfError::malformed_packet("http", "missing version"))?;
+    if !version.starts_with("HTTP/") {
+        return Err(GnfError::malformed_packet(
+            "http",
+            format!("bad version {version:?}"),
+        ));
+    }
+    Ok((method, path, version))
+}
+
 /// Splits the header block from the body at the first blank line.
-fn split_head(data: &[u8]) -> GnfResult<(&str, &[u8])> {
-    let separator = data
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
+fn split_head(data: &[u8]) -> GnfResult<(HeadScan, &str, &[u8])> {
+    let scan = HeadScan::of(data)
         .ok_or_else(|| GnfError::malformed_packet("http", "incomplete header block"))?;
-    let head = std::str::from_utf8(&data[..separator])
+    let head = std::str::from_utf8(&data[..scan.end])
         .map_err(|_| GnfError::malformed_packet("http", "non-UTF8 header block"))?;
-    Ok((head, &data[separator + 4..]))
+    let body = &data[scan.end + 4..];
+    Ok((scan, head, body))
 }
 
 /// The non-empty lines of a header block.
@@ -366,11 +528,13 @@ fn header_lines(block: &str) -> impl Iterator<Item = &str> {
     block.split("\r\n").filter(|line| !line.is_empty())
 }
 
+fn bad_header_line(line: &str) -> GnfError {
+    GnfError::malformed_packet("http", format!("bad header line {line:?}"))
+}
+
 /// Splits one `Name: value` line into its trimmed halves.
 fn split_header(line: &str) -> GnfResult<(&str, &str)> {
-    let (name, value) = line
-        .split_once(':')
-        .ok_or_else(|| GnfError::malformed_packet("http", format!("bad header line {line:?}")))?;
+    let (name, value) = line.split_once(':').ok_or_else(|| bad_header_line(line))?;
     Ok((name.trim(), value.trim()))
 }
 
@@ -467,6 +631,30 @@ mod tests {
         assert_eq!(owned, HttpRequest::parse(bytes).unwrap());
         assert_eq!(owned.headers[0], ("host".into(), "Example.COM".into()));
         assert_eq!(owned.url(), view.url());
+    }
+
+    #[test]
+    fn find_cr_agrees_with_a_byte_scan() {
+        // Every length around the eight-byte word, the `\r` in every lane,
+        // next to bytes whose XOR with `\r` is 0x80, 0x01 or 0xff.
+        for len in 0..40 {
+            for cr in 0..=len {
+                let mut bytes: Vec<u8> = (0..len)
+                    .map(|i| [b'a', 0x8d, 0x0c, 0x0e, 0xf2, 0x00][i % 6])
+                    .collect();
+                if cr < len {
+                    bytes[cr] = b'\r';
+                }
+                if cr + 3 < len {
+                    bytes[cr + 3] = b'\r';
+                }
+                assert_eq!(
+                    find_cr(&bytes),
+                    bytes.iter().position(|byte| *byte == b'\r'),
+                    "{bytes:?}"
+                );
+            }
+        }
     }
 
     #[test]

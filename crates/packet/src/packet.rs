@@ -539,37 +539,44 @@ impl Packet {
         self.http_request_view().map(|view| view.to_owned())
     }
 
-    /// A copy of this TCP or UDP packet with its IPv4 addresses and
-    /// transport ports replaced — what an address translator emits. Every
-    /// other byte of the frame (IPv4 options, TCP options, payload, bytes
-    /// beyond the IP total length) is preserved. `None` for anything but
-    /// TCP/UDP over IPv4.
+    /// This TCP or UDP packet with its IPv4 addresses and transport ports
+    /// replaced — what an address translator emits. Every other byte of the
+    /// frame (IPv4 options, TCP options, payload, bytes beyond the IP total
+    /// length) is preserved. Anything but TCP/UDP over IPv4 comes back
+    /// untouched as `Err`.
     ///
-    /// The frame is copied once into a fresh buffer, the twelve endpoint
-    /// bytes are patched at the fast-scan offsets, and the IPv4 header and
-    /// transport checksums are updated incrementally
+    /// The frame is patched copy-on-write ([`Bytes::patch`]): in place when
+    /// this packet is its only owner, in one fresh copy when a clone shares
+    /// it (the clone keeps the old bytes). The twelve endpoint bytes are
+    /// written at the fast-scan offsets, and the IPv4 header and transport
+    /// checksums are updated incrementally
     /// ([`checksum::incremental_update`]) instead of re-summing the
     /// payload. A UDP datagram sent without a checksum (0) stays without
     /// one; a checksum that updates to 0 is transmitted as `0xffff`, as
-    /// [`checksum::transport_checksum`] does. The result is re-validated
-    /// through [`Packet::parse`].
+    /// [`checksum::transport_checksum`] does. The patched bytes are
+    /// re-validated by the fast header scan, and a typed layer view built
+    /// before the rewrite is dropped, to be rebuilt from the new bytes on
+    /// demand. Should the scan reject them, the patched bytes are restored
+    /// and the packet comes back as `Err`.
     ///
     /// [`checksum::incremental_update`]: crate::checksum::incremental_update
     /// [`checksum::transport_checksum`]: crate::checksum::transport_checksum
-    pub fn with_rewritten_endpoints(
-        &self,
+    pub fn into_rewritten_endpoints(
+        mut self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         src_port: u16,
         dst_port: u16,
-    ) -> Option<Packet> {
-        let meta = self.flow_meta()?;
+    ) -> Result<Packet, Packet> {
+        let Some(meta) = self.flow_meta().copied() else {
+            return Err(self);
+        };
         let l4 = meta.l4_offset;
         // RFC 768: a UDP checksum of 0 means "none was computed".
         let (l4_checksum, optional) = match meta.tuple.protocol {
             IpProtocol::Tcp => (l4 + 16, false),
             IpProtocol::Udp => (l4 + 6, true),
-            _ => return None,
+            _ => return Err(self),
         };
         let addresses = ETHERNET_HEADER_LEN + 12;
         let ip_checksum = ETHERNET_HEADER_LEN + 10;
@@ -591,27 +598,55 @@ impl Packet {
             src_port,
             dst_port,
         ];
-        let bytes = Bytes::copy_patched(&self.bytes, |frame| {
-            let word = |frame: &[u8], at: usize| u16::from_be_bytes([frame[at], frame[at + 1]]);
+        let word = |frame: &[u8], at: usize| u16::from_be_bytes([frame[at], frame[at + 1]]);
+        let put = |frame: &mut [u8], at: usize, word: u16| {
+            frame[at..at + 2].copy_from_slice(&word.to_be_bytes());
+        };
+        // Keeps the words it overwrote, for the undo below.
+        let undo = self.bytes.patch(|frame| {
+            let before = [word(frame, ip_checksum), word(frame, l4_checksum)];
             let mut old = [0u16; 6];
             for ((at, old), new) in offsets.into_iter().zip(&mut old).zip(new) {
                 *old = word(frame, at);
-                frame[at..at + 2].copy_from_slice(&new.to_be_bytes());
+                put(frame, at, new);
             }
             // The IPv4 header checksum covers the addresses; the transport
             // checksum covers them too (pseudo-header) and the ports.
-            let updated = incremental_update(word(frame, ip_checksum), &old[..4], &new[..4]);
-            frame[ip_checksum..ip_checksum + 2].copy_from_slice(&updated.to_be_bytes());
-            let stored = word(frame, l4_checksum);
-            if !(optional && stored == 0) {
-                let updated = match incremental_update(stored, &old, &new) {
+            put(
+                frame,
+                ip_checksum,
+                incremental_update(before[0], &old[..4], &new[..4]),
+            );
+            if !(optional && before[1] == 0) {
+                let updated = match incremental_update(before[1], &old, &new) {
                     0 => 0xffff,
                     updated => updated,
                 };
-                frame[l4_checksum..l4_checksum + 2].copy_from_slice(&updated.to_be_bytes());
+                put(frame, l4_checksum, updated);
             }
+            (old, before)
         });
-        Packet::parse(bytes).ok()
+        match Self::scan_ipv4(&self.bytes, ETHERNET_HEADER_LEN) {
+            Ok(scan) => {
+                self.scan = scan;
+                self.network = OnceLock::new();
+                Ok(self)
+            }
+            Err(_) => {
+                // Unreachable while the incremental update is exact (the
+                // scan only re-checks the IPv4 header checksum), but an
+                // `Err` packet is the packet that came in.
+                let (old, before) = undo;
+                self.bytes.patch(|frame| {
+                    for (at, old) in offsets.into_iter().zip(old) {
+                        put(frame, at, old);
+                    }
+                    put(frame, ip_checksum, before[0]);
+                    put(frame, l4_checksum, before[1]);
+                });
+                Err(self)
+            }
+        }
     }
 
     /// True when this packet is an IPv4 packet addressed *from* the given MAC
@@ -955,9 +990,12 @@ mod tests {
             b"odd",
         );
         let public = Ipv4Addr::new(198, 51, 100, 1);
+        // `pkt` holds the frame too, so the rewrite works on a copy.
         let out = pkt
-            .with_rewritten_endpoints(public, Ipv4Addr::new(93, 184, 216, 34), 40_001, 80)
+            .clone()
+            .into_rewritten_endpoints(public, Ipv4Addr::new(93, 184, 216, 34), 40_001, 80)
             .unwrap();
+        assert_ne!(out.bytes().as_ptr(), pkt.bytes().as_ptr());
         assert_eq!(
             out.five_tuple().unwrap(),
             FiveTuple::new(
@@ -980,9 +1018,11 @@ mod tests {
             stored,
             crate::checksum::transport_checksum(public, out.ipv4().unwrap().dst, 6, &segment)
         );
-        // Rewriting back restores the original frame bit for bit.
+        // Rewriting back restores the original frame bit for bit, in place:
+        // `out` is its frame's only owner.
+        let frame = out.bytes().as_ptr();
         let back = out
-            .with_rewritten_endpoints(
+            .into_rewritten_endpoints(
                 Ipv4Addr::new(10, 0, 0, 2),
                 Ipv4Addr::new(93, 184, 216, 34),
                 40000,
@@ -990,8 +1030,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(back.bytes(), pkt.bytes());
+        assert_eq!(back.bytes().as_ptr(), frame);
 
-        // Only TCP and UDP carry endpoints to rewrite.
+        // Only TCP and UDP carry endpoints to rewrite; anything else comes
+        // back as it went in.
         let ping = builder::icmp_echo_request(
             client_mac(),
             gw_mac(),
@@ -1000,15 +1042,18 @@ mod tests {
             7,
             1,
         );
-        assert!(ping
-            .with_rewritten_endpoints(public, public, 1, 2)
-            .is_none());
         let arp = builder::arp_request(
             client_mac(),
             Ipv4Addr::new(10, 0, 0, 2),
             Ipv4Addr::new(10, 0, 0, 1),
         );
-        assert!(arp.with_rewritten_endpoints(public, public, 1, 2).is_none());
+        for packet in [ping, arp] {
+            let original = packet.bytes().to_vec();
+            let back = packet
+                .into_rewritten_endpoints(public, public, 1, 2)
+                .unwrap_err();
+            assert_eq!(back.bytes(), &original);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use gnf_packet::{
     DnsMessage, HttpMethod, HttpRequest, HttpRequestView, IpProtocol, Ipv4Header, Packet, TcpFlags,
     UdpHeader,
 };
-use gnf_types::MacAddr;
+use gnf_types::{GnfError, MacAddr};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -45,28 +45,47 @@ fn arb_corner_ipv4() -> impl Strategy<Value = Ipv4Addr> {
 }
 
 /// The HTTP request parser as it was before the borrowed view existed —
-/// split the head off, copy it, allocate every field. Kept as the
-/// specification [`HttpRequestView::parse`] is held to, byte for byte.
-fn reference_http_parse(data: &[u8]) -> Option<HttpRequest> {
-    let separator = data.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&data[..separator]).ok()?.to_string();
+/// split the head off, copy it, allocate every field, and reject with the
+/// messages the view was first written with. Kept as the specification
+/// [`HttpRequestView::parse`] is held to, byte for byte and error for error.
+fn reference_http_parse(data: &[u8]) -> Result<HttpRequest, GnfError> {
+    let malformed = |reason: String| GnfError::malformed_packet("http", reason);
+    let separator = data
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or_else(|| malformed("incomplete header block".into()))?;
+    let head = std::str::from_utf8(&data[..separator])
+        .map_err(|_| malformed("non-UTF8 header block".into()))?
+        .to_string();
     let mut lines = head.split("\r\n");
-    let mut parts = lines.next()?.split_whitespace();
-    let method = HttpMethod::parse(parts.next()?)?;
-    let path = parts.next()?.to_string();
-    let version = parts.next()?.to_string();
+    let mut parts = lines.next().unwrap_or("").split_whitespace();
+    let token = parts
+        .next()
+        .ok_or_else(|| malformed("missing method".into()))?;
+    let method =
+        HttpMethod::parse(token).ok_or_else(|| malformed(format!("unknown method {token:?}")))?;
+    let path = parts
+        .next()
+        .ok_or_else(|| malformed("missing request target".into()))?
+        .to_string();
+    let version = parts
+        .next()
+        .ok_or_else(|| malformed("missing version".into()))?
+        .to_string();
     if !version.starts_with("HTTP/") {
-        return None;
+        return Err(malformed(format!("bad version {version:?}")));
     }
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
             continue;
         }
-        let (name, value) = line.split_once(':')?;
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| malformed(format!("bad header line {line:?}")))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-    Some(HttpRequest {
+    Ok(HttpRequest {
         method,
         path,
         version,
@@ -78,7 +97,7 @@ fn reference_http_parse(data: &[u8]) -> Option<HttpRequest> {
 /// The address translator's rewrite as it was before the in-place patch:
 /// parse every header, emit every header again, recompute both checksums
 /// over the whole frame. Kept as the specification
-/// [`Packet::with_rewritten_endpoints`] is held to on the frames both
+/// [`Packet::into_rewritten_endpoints`] is held to on the frames both
 /// handle alike (no IPv4 options, no padding, a checksum present).
 fn reference_rebuild(
     packet: &Packet,
@@ -132,18 +151,42 @@ proptest! {
     #[test]
     fn http_view_agrees_with_the_owned_reference_parser(
         method in "(GET|HEAD|POST|PUT|DELETE|CONNECT|OPTIONS|BREW|get)",
+        // Request-line padding: every ASCII `White_Space` byte but the
+        // line-ending `\r` and `\n`, which the mutations bring in.
+        spaces in ("[ \t\x0B\x0C]{0,1}", "[ \t\x0B\x0C]{1,2}", "[ \t\x0B\x0C]{1,2}", "[ \t\x0B\x0C]{0,2}"),
         path in "/[a-zA-Z0-9/_.?=-]{0,24}",
         version in "(HTTP/1\\.1|HTTP/1\\.0|HTTP/|SPDY/3|http/1\\.1)",
+        // Half the names spell `host` in some case, so a head often has
+        // duplicate and differently-cased `Host` headers, some empty.
         headers in proptest::collection::vec(
-            ("[A-Za-z][A-Za-z-]{0,9}", "[ \t]{0,2}", "[a-zA-Z0-9.:/ -]{0,16}", "[ \t]{0,2}"),
+            (
+                "([A-Za-z][A-Za-z-]{0,9}|[Hh][Oo][Ss][Tt])",
+                "[ \t\x0B\x0C]{0,2}",
+                "[a-zA-Z0-9.:/ -]{0,16}",
+                "[ \t\x0B\x0C]{0,2}",
+            ),
             0..5,
         ),
+        // One case in three puts a multi-byte character (two of them
+        // Unicode `White_Space`) in the path or a header value: a valid
+        // UTF-8 head that is not ASCII.
+        unicode in 0u8..6,
+        wide in 0usize..4,
         body in proptest::collection::vec(any::<u8>(), 0..40),
         mutation in 0u8..9,
         position in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let mut bytes = format!("{method} {path} {version}\r\n").into_bytes();
+        let (lead, gap1, gap2, trail) = spaces;
+        let wide = ["\u{e9}", "\u{a0}", "\u{2003}", "/\u{fc}"][wide];
+        let mut path = path;
+        let mut headers = headers;
+        match (unicode, headers.first_mut()) {
+            (0, _) | (1, None) => path.push_str(wide),
+            (1, Some((_, _, value, _))) => value.push_str(wide),
+            _ => {}
+        }
+        let mut bytes = format!("{lead}{method}{gap1}{path}{gap2}{version}{trail}\r\n").into_bytes();
         for (name, pad, value, trail) in &headers {
             bytes.extend_from_slice(format!("{name}:{pad}{value}{trail}\r\n").as_bytes());
         }
@@ -180,9 +223,9 @@ proptest! {
 
         let reference = reference_http_parse(&bytes);
         let view = HttpRequestView::parse(&bytes);
-        prop_assert_eq!(view.is_ok(), reference.is_some());
-        prop_assert_eq!(HttpRequest::parse(&bytes).ok(), reference.clone());
-        if let (Ok(view), Some(owned)) = (view, reference) {
+        prop_assert_eq!(view.as_ref().err(), reference.as_ref().err());
+        prop_assert_eq!(HttpRequest::parse(&bytes), reference.clone());
+        if let (Ok(view), Ok(owned)) = (view, reference) {
             prop_assert_eq!(view.to_owned(), owned.clone());
             prop_assert_eq!(view.host(), owned.host());
             prop_assert_eq!(view.url(), owned.url());
@@ -237,13 +280,31 @@ proptest! {
             prop_assert_eq!(&original.bytes()[at..at + 2], &[0xff, 0xff]);
         }
 
-        let patched = original
-            .with_rewritten_endpoints(new_src_ip, new_dst_ip, new_src_port, new_dst_port)
-            .unwrap();
         let rebuilt =
             reference_rebuild(&original, new_src_ip, new_dst_ip, new_src_port, new_dst_port)
                 .unwrap();
-        prop_assert_eq!(patched.bytes(), rebuilt.bytes());
+        // The frame's only owner is patched in place; with a clone holding
+        // the frame, the rewrite patches a copy and the clone keeps its
+        // bytes. A typed view built before the rewrite is not served after.
+        let mut outputs = Vec::new();
+        for shared in [false, true] {
+            let input = Packet::from_vec(original.bytes().to_vec()).unwrap();
+            prop_assert_eq!(input.ipv4().unwrap().src, src_ip);
+            let frame = input.bytes().as_ptr();
+            let held = shared.then(|| input.clone());
+            let patched = input
+                .into_rewritten_endpoints(new_src_ip, new_dst_ip, new_src_port, new_dst_port)
+                .unwrap();
+            prop_assert_eq!(patched.bytes(), rebuilt.bytes());
+            prop_assert_eq!(patched.bytes().as_ptr() == frame, !shared);
+            if let Some(held) = held {
+                prop_assert_eq!(held.bytes(), original.bytes());
+            }
+            let ip = patched.ipv4().unwrap();
+            prop_assert_eq!((ip.src, ip.dst), (new_src_ip, new_dst_ip));
+            outputs.push(patched);
+        }
+        let patched = outputs.pop().unwrap();
         prop_assert!(checksums_verify(&patched));
         let tuple = patched.five_tuple().unwrap();
         prop_assert_eq!(
@@ -252,7 +313,8 @@ proptest! {
         );
 
         let restored = patched
-            .with_rewritten_endpoints(src_ip, dst_ip, src_port, dst_port)
+            .clone()
+            .into_rewritten_endpoints(src_ip, dst_ip, src_port, dst_port)
             .unwrap();
         prop_assert_eq!(restored.bytes(), original.bytes());
 
@@ -263,11 +325,31 @@ proptest! {
             bare[40..42].fill(0);
             let bare = Packet::from_vec(bare)
                 .unwrap()
-                .with_rewritten_endpoints(new_src_ip, new_dst_ip, new_src_port, new_dst_port)
+                .into_rewritten_endpoints(new_src_ip, new_dst_ip, new_src_port, new_dst_port)
                 .unwrap();
             prop_assert_eq!(&bare.bytes()[40..42], &[0, 0]);
             prop_assert_eq!(&bare.bytes()[..40], &patched.bytes()[..40]);
             prop_assert_eq!(&bare.bytes()[42..], &patched.bytes()[42..]);
+        }
+
+        // Neither ICMP nor ARP carries endpoints to rewrite: either comes
+        // back as it went in, owned alone or shared.
+        let others = [
+            builder::icmp_echo_request(a, b, src_ip, dst_ip, src_port, dst_port),
+            builder::arp_request(a, src_ip, dst_ip),
+        ];
+        for other in others {
+            for shared in [false, true] {
+                let input = Packet::from_vec(other.bytes().to_vec()).unwrap();
+                let held = shared.then(|| input.clone());
+                let back = input
+                    .into_rewritten_endpoints(new_src_ip, new_dst_ip, new_src_port, new_dst_port)
+                    .unwrap_err();
+                prop_assert_eq!(back.bytes(), other.bytes());
+                if let Some(held) = held {
+                    prop_assert_eq!(held.bytes(), other.bytes());
+                }
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Minimal stand-in for the `bytes` crate.
 //!
 //! [`Bytes`] is a cheaply clonable, immutable byte buffer (an `Arc<[u8]>`
-//! under the hood — cloning a parsed packet never copies the frame).
+//! under the hood — cloning a parsed packet never copies the frame), which
+//! [`Bytes::patch`] edits copy-on-write.
 //! [`BytesMut`] is a growable buffer with an efficient consumed-prefix
 //! cursor so `advance`/`split_to` are O(1) amortized, as the real crate
 //! promises. Only the API surface this workspace uses is provided.
@@ -11,7 +12,8 @@ use std::fmt;
 use std::ops::{Deref, Index};
 use std::sync::Arc;
 
-/// An immutable, reference-counted byte buffer.
+/// A reference-counted byte buffer whose shared bytes never change: only
+/// [`Bytes::patch`] writes, and only to bytes no other handle sees.
 #[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bytes {
     data: Arc<[u8]>,
@@ -32,13 +34,12 @@ impl Bytes {
         }
     }
 
-    /// Copies a slice into a new buffer and lets `patch` edit the copy
-    /// before it becomes immutable — one allocation and one copy, where
-    /// `BytesMut::from(data)` + `freeze` pays two of each.
-    pub fn copy_patched(data: &[u8], patch: impl FnOnce(&mut [u8])) -> Self {
-        let mut data: Arc<[u8]> = Arc::from(data);
-        patch(Arc::get_mut(&mut data).expect("a freshly copied buffer has one owner"));
-        Bytes { data }
+    /// Lets `patch` edit the buffer, copy-on-write: in place when this
+    /// handle is the buffer's only owner, otherwise in a private copy (one
+    /// allocation and one copy) that this handle then owns, leaving every
+    /// other handle's bytes as they were. Returns what `patch` returns.
+    pub fn patch<R>(&mut self, patch: impl FnOnce(&mut [u8]) -> R) -> R {
+        patch(Arc::make_mut(&mut self.data))
     }
 
     /// Length in bytes.
