@@ -144,9 +144,25 @@ impl ObservabilityArgs {
 
     /// Writes the requested artifacts from an armed emulator. Call after
     /// `run()`, on the same emulator [`ObservabilityArgs::arm`] touched.
+    ///
+    /// With `--trace-out PATH` it also writes the emulator's host stage table
+    /// to `PATH.stages.csv` (wall clock, so never inside the trace itself),
+    /// and panics unless the stages sum to within 10 % of `run()`.
     pub fn write(&self, emulator: &mut Emulator) {
-        if self.trace_out.is_some() {
+        if let Some(path) = &self.trace_out {
             self.write_log(&emulator.trace_log());
+            let stages = emulator
+                .host_stages()
+                .expect("tracing armed the stage table before the run");
+            assert!(
+                stages.closes(0.10),
+                "the host stages must sum to within 10 % of run():\n{}",
+                stages.to_csv()
+            );
+            let stages_path = format!("{path}.stages.csv");
+            std::fs::write(&stages_path, stages.to_csv()).expect("write stage table CSV");
+            // No figures here: host time would make stdout differ per run.
+            println!("stages: host wall-clock table -> {stages_path}");
         }
         if self.metrics_out.is_some() {
             self.write_series(

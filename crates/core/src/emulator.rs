@@ -13,6 +13,7 @@
 use crate::chaos::{ChaosReport, FaultKind, FaultSchedule, PartitionMode};
 use crate::report::{MigrationReport, MigrationSummary, PacketStats, RunReport};
 use crate::scenario::{Mobility, Scenario};
+use crate::stages::{HostStages, Stage, StageTable};
 use gnf_agent::{Agent, AgentConfig, PacketOutcome};
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
@@ -32,6 +33,7 @@ use gnf_types::{
     SimTime, StationId,
 };
 use gnf_workload::{TimedBatch, Workload};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 /// Events driving the emulator.
@@ -109,6 +111,26 @@ enum EmuEvent {
         /// The station whose link heals.
         station: StationId,
     },
+}
+
+impl EmuEvent {
+    /// The stage-table row `handle` of this event is timed under.
+    fn handle_stage(&self) -> Stage {
+        match self {
+            EmuEvent::ToManager { .. } => Stage::HandleToManager,
+            EmuEvent::ToAgent { .. } => Stage::HandleToAgent,
+            EmuEvent::Attach { .. } => Stage::HandleAttach,
+            // Never handled: `run()` coalesces them into flushes.
+            EmuEvent::PacketBatch { .. } | EmuEvent::WorkloadBatch { .. } => Stage::StationJobs,
+            EmuEvent::ReportTimer { .. } => Stage::HandleReportTimer,
+            EmuEvent::ManagerTick => Stage::HandleManagerTick,
+            EmuEvent::RegionFlush { .. } => Stage::HandleRegionFlush,
+            EmuEvent::OperatorAttach { .. } => Stage::HandleOperatorAttach,
+            EmuEvent::Fault { .. } => Stage::HandleFault,
+            EmuEvent::StationRestart { .. } => Stage::HandleStationRestart,
+            EmuEvent::PartitionHeal { .. } => Stage::HandlePartitionHeal,
+        }
+    }
 }
 
 /// Station work held back for the next flush, in event order: packet
@@ -224,6 +246,8 @@ pub struct Emulator {
     /// Run-scope event sink (fault instants, recovery/partition windows).
     /// Disabled unless [`Emulator::enable_tracing`] armed it.
     trace: TraceSink,
+    /// Host wall-clock time per stage of `run()`, armed with the trace.
+    stages: HostStages,
     /// Run-scope flight recorder for the loss classes only the emulator
     /// sees: gap drops/bypasses, crashed-station losses, hairpin detours.
     flight: FlightRecorder,
@@ -479,6 +503,7 @@ impl Emulator {
             recovery_pending: BTreeMap::new(),
             chaos: ChaosReport::default(),
             trace: TraceSink::default(),
+            stages: HostStages::default(),
             flight: FlightRecorder::default(),
             sampler: None,
             regions,
@@ -490,11 +515,13 @@ impl Emulator {
     /// buffered sinks, and every scope gets a flight recorder sampling one
     /// in [`DEFAULT_FLIGHT_SAMPLE_RATE`] flows keyed by the scenario seed —
     /// the same flows on every station and in every worker configuration.
+    /// It also arms the host stage table ([`Emulator::host_stages`]).
     /// Call before [`Emulator::run`]. Purely observational: the
     /// [`RunReport`] is byte-identical with tracing on or off.
     pub fn enable_tracing(&mut self) {
         let seed = self.scenario.config.seed;
         self.trace = TraceSink::buffered(TraceScope::Run, DEFAULT_TRACE_CAPACITY);
+        self.stages = HostStages::armed();
         self.flight = FlightRecorder::armed(
             TraceScope::Run,
             seed,
@@ -552,6 +579,14 @@ impl Emulator {
         log
     }
 
+    /// Host wall-clock time per stage of [`Emulator::run`], if
+    /// [`Emulator::enable_tracing`] armed it. Host time, not virtual time:
+    /// it differs between runs and hosts, so it is kept out of the
+    /// [`RunReport`] and the trace.
+    pub fn host_stages(&self) -> Option<&StageTable> {
+        self.stages.table()
+    }
+
     /// The metrics series the sampler filled, if [`Emulator::enable_metrics`]
     /// armed it.
     pub fn metrics_series(&self) -> Option<&MetricsSeries> {
@@ -566,6 +601,9 @@ impl Emulator {
         let Some(sampler) = self.sampler.as_mut() else {
             return;
         };
+        if sampler.next > upto {
+            return;
+        }
         while sampler.next <= upto {
             let at = sampler.next;
             sampler.next = at + sampler.series.interval();
@@ -625,6 +663,7 @@ impl Emulator {
             sampler.prev_flow = flow.stats;
             sampler.prev_mega = mega.stats;
         }
+        self.stages.lap(Stage::MetricsSample);
     }
 
     /// Arms a fault schedule: each fault fires as a control event at its
@@ -742,13 +781,16 @@ impl Emulator {
     ///
     /// [`set_workers`]: Emulator::set_workers
     pub fn run(&mut self) -> RunReport {
+        self.stages.begin_run();
         let deadline = SimTime::ZERO + self.scenario.duration;
         let mut pending: Vec<Pending> = Vec::new();
         loop {
             if command_time(&pending).is_some_and(|at| self.queue.peek_time() != Some(at)) {
                 self.flush(&mut pending);
             }
-            let Some(scheduled) = self.queue.pop_until(deadline) else {
+            let popped = self.queue.pop_until(deadline);
+            self.stages.lap(Stage::QueuePop);
+            let Some(scheduled) = popped else {
                 break;
             };
             // Fleet samples fall due the moment the clock first reaches a
@@ -780,6 +822,7 @@ impl Emulator {
                     // Only now pull the source's next batch: one outstanding
                     // batch per source, ever.
                     self.pump_workload(source);
+                    self.stages.lap(Stage::WorkloadPump);
                 }
                 EmuEvent::ToAgent { station, msg } if msg.migration().is_some() => {
                     // A migration-lifecycle command: its station-side work
@@ -796,15 +839,20 @@ impl Emulator {
                 }
                 event => {
                     self.flush(&mut pending);
+                    let stage = event.handle_stage();
                     self.handle(event, time);
                     self.check_recoveries(time);
+                    self.stages.lap(stage);
                 }
             }
         }
         self.flush(&mut pending);
         self.queue.advance_to(deadline);
         self.sample_metrics(deadline);
-        self.build_report(deadline)
+        let report = self.build_report(deadline);
+        self.stages.lap(Stage::Report);
+        self.stages.end_run();
+        report
     }
 
     /// The Manager (for dashboards and white-box assertions after a run).
@@ -1397,6 +1445,7 @@ impl Emulator {
             }
         }
         self.gap_cache = gap_cache;
+        self.stages.lap(Stage::GapFilter);
 
         // Fan the independent station work out over the workers, weighted so
         // one hot station does not drag a bucket of cold ones behind it.
@@ -1417,6 +1466,7 @@ impl Emulator {
             Self::run_station,
         );
         self.fan_outs.flushes += u64::from(fanned);
+        self.stages.lap(Stage::StationJobs);
 
         let mut replies: Vec<(usize, StationId, Vec<AgentToManager>)> = Vec::with_capacity(live);
         for outcome in outcomes {
@@ -1445,19 +1495,19 @@ impl Emulator {
         self.packets.dropped_station_down += tally.dropped_station_down;
         self.packets.hairpinned += tally.hairpinned;
 
-        if commands == 0 {
-            return;
+        if commands > 0 {
+            self.migration_pool.record_batch(commands);
+            for (station, msg) in absorbed {
+                self.chaos_absorb(station, EmuEvent::ToAgent { station, msg });
+            }
+            replies.sort_unstable_by_key(|(ix, ..)| *ix);
+            for (_, station, replies) in replies {
+                let extra_delay = self.scan_agent_replies(station, &replies, command_at);
+                self.dispatch_agent_messages(station, replies, command_at, extra_delay);
+            }
+            self.check_recoveries(command_at);
         }
-        self.migration_pool.record_batch(commands);
-        for (station, msg) in absorbed {
-            self.chaos_absorb(station, EmuEvent::ToAgent { station, msg });
-        }
-        replies.sort_unstable_by_key(|(ix, ..)| *ix);
-        for (_, station, replies) in replies {
-            let extra_delay = self.scan_agent_replies(station, &replies, command_at);
-            self.dispatch_agent_messages(station, replies, command_at, extra_delay);
-        }
-        self.check_recoveries(command_at);
+        self.stages.lap(Stage::Merge);
     }
 
     /// Gap-filters one pending packet batch into the flush's station jobs:
@@ -1503,12 +1553,18 @@ impl Emulator {
             // right now, and is that chain ready on this station? The index
             // lookup runs once per (client, station) per flush; each packet
             // then pays one compare.
-            let state = gap_cache
-                .entry((client, station))
-                .or_insert_with(|| self.gap_state(client, station));
+            let state = match gap_cache.entry((client, station)) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(slot) => {
+                    let started = self.stages.start();
+                    let state = self.gap_state(client, station);
+                    self.stages.stop(Stage::GapState, started);
+                    *slot.insert(state)
+                }
+            };
             let in_gap = match state {
                 GapState::NoPolicy | GapState::Hairpin(_) => false,
-                GapState::ReadyAt(at) => time < *at,
+                GapState::ReadyAt(at) => time < at,
                 GapState::NeverReady => true,
             };
             if in_gap {
@@ -1538,7 +1594,7 @@ impl Emulator {
                     );
                 }
                 hairpins
-                    .entry(*source)
+                    .entry(source)
                     .or_insert_with(|| PacketBatch::with_capacity(4))
                     .push(packet);
                 continue;
@@ -2597,5 +2653,60 @@ mod tests {
             assert!(summary.reports_ingested > 0, "stations fed the aggregator");
             assert!(summary.connected_clients > 0 || summary.running_nfs > 0);
         }
+    }
+
+    /// `fleet_steady`'s shape at a tenth of its size: 200 stations with one
+    /// smartphone client each behind the demo firewall, delta reports on.
+    fn fleet_scenario() -> Scenario {
+        let config = GnfConfig::default().with_seed(7).with_delta_reports(true);
+        let mut builder = Scenario::builder(200, HostClass::EdgeServer).with_config(config);
+        let clients = builder.add_clients(200, TrafficProfile::smartphone());
+        let mut sb = builder.with_duration(SimDuration::from_secs(20));
+        for client in clients {
+            sb = sb.attach_policy(
+                client,
+                vec![sample_specs()[0].clone()],
+                TrafficSelector::all(),
+                SimTime::from_secs(1),
+            );
+        }
+        sb.build()
+    }
+
+    /// The host stage table rides `enable_tracing`, stays out of the
+    /// report, counts what ran and tiles `run()`. Run it with
+    /// `--nocapture` (in release for representative figures) to print the
+    /// fleet's table.
+    #[test]
+    fn the_host_stage_table_tiles_a_fleet_run_and_stays_out_of_the_report() {
+        let mut plain = Emulator::new(fleet_scenario());
+        let report = plain.run();
+        assert!(plain.host_stages().is_none(), "off unless tracing is armed");
+
+        let mut traced = Emulator::new(fleet_scenario());
+        traced.enable_tracing();
+        let traced_report = traced.run();
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&traced_report).unwrap()
+        );
+        let table = traced.host_stages().expect("tracing armed the table");
+        println!("{}", table.to_csv());
+        // One lap per pop, the last (empty) one included.
+        assert_eq!(
+            table.row(Stage::QueuePop).count,
+            report.events_processed + 1
+        );
+        assert_eq!(table.row(Stage::Run).count, 1);
+        assert_eq!(table.row(Stage::Report).count, 1);
+        let flushes = table.row(Stage::GapFilter).count;
+        assert!(flushes > 0);
+        assert_eq!(table.row(Stage::StationJobs).count, flushes);
+        assert_eq!(table.row(Stage::Merge).count, flushes);
+        // Every station reports every interval from 2 s on.
+        assert!(table.row(Stage::HandleReportTimer).count >= 200 * 9);
+        assert!(table.row(Stage::GapState).count > 0);
+        assert!(table.row(Stage::GapState).ns <= table.row(Stage::GapFilter).ns);
+        assert!(table.closes(0.10), "{}", table.to_csv());
     }
 }

@@ -52,8 +52,10 @@ pub mod chaos;
 pub mod emulator;
 pub mod report;
 pub mod scenario;
+pub mod stages;
 
 pub use chaos::{ChaosReport, ChaosSpec, FaultEvent, FaultKind, FaultSchedule, PartitionMode};
 pub use emulator::Emulator;
 pub use report::{MigrationReport, MigrationSummary, PacketStats, RunReport};
 pub use scenario::{ClientWorkload, Mobility, PolicyAttachment, Scenario, ScenarioBuilder};
+pub use stages::{HostStages, Stage, StageRow, StageTable};
