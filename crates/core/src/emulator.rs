@@ -172,6 +172,24 @@ struct StationJob {
     commands: Vec<(usize, SimTime, ManagerToAgent)>,
 }
 
+impl StationJob {
+    fn is_empty(&self) -> bool {
+        self.batches.is_empty() && self.commands.is_empty()
+    }
+}
+
+/// One station's place in the emulator, at index `station` of
+/// `Emulator::slots` (station ids are positions, `EdgeTopology::add_site`).
+#[derive(Default)]
+struct StationSlot {
+    /// The station's Agent: `None` only while a flush has it out with the
+    /// station's job, inline or on a worker thread.
+    agent: Option<Box<Agent>>,
+    /// The job the current flush is filling for the station. Empty between
+    /// flushes; its buffers come back with the Agent and are reused.
+    job: StationJob,
+}
+
 /// Per-client gap state, computed once per client per flush (control-plane
 /// state is frozen between flushes, so it cannot change mid-flush).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,9 +211,10 @@ enum GapState {
 }
 
 /// What one station's flush produced, merged back on the main thread with
-/// the Agent that produced it.
+/// the Agent that produced it and its emptied job.
 struct StationOutcome {
     agent: Box<Agent>,
+    job: StationJob,
     forwarded: u64,
     dropped_by_nf: u64,
     replied_by_nf: u64,
@@ -209,10 +228,11 @@ struct StationOutcome {
 pub struct Emulator {
     scenario: Scenario,
     manager: Manager,
-    /// One slot per station, indexed by station id (ids are dense `0..n`,
-    /// `EdgeTopology::add_site`). A slot is empty only while a flush has
-    /// its Agent out with the station's work, inline or on a worker thread.
-    agents: Vec<Option<Box<Agent>>>,
+    /// One slot per station, indexed by station id.
+    slots: Vec<StationSlot>,
+    /// The stations whose slot holds a job for the current flush, each
+    /// once, in first-item order; the fan-out sorts it into station order.
+    touched: Vec<StationId>,
     queue: EventQueue<EmuEvent>,
     chain_ready: PathMap<(StationId, ChainId), SimTime>,
     deploy_latency_ms: Histogram,
@@ -301,7 +321,7 @@ impl Emulator {
         let manager = Manager::new(config.clone());
         let repository = ImageRepository::with_standard_images();
         let mut queue: EventQueue<EmuEvent> = EventQueue::new();
-        let mut agents: Vec<Option<Box<Agent>>> = Vec::new();
+        let mut slots: Vec<StationSlot> = Vec::new();
 
         // Stations and their Agents. Emulated stations run the full
         // production data plane, megaflow (wildcard) caching included.
@@ -318,11 +338,12 @@ impl Emulator {
             if config.delta_reports {
                 agent.set_delta_reporting(config.report_keyframe_interval);
             }
-            let slot = site.station.raw() as usize;
-            if agents.len() <= slot {
-                agents.resize_with(slot + 1, || None);
-            }
-            agents[slot] = Some(Box::new(agent));
+            // Sites come in id order and ids are positions, so the slot
+            // pushed here is the one at index `station`.
+            slots.push(StationSlot {
+                agent: Some(Box::new(agent)),
+                job: StationJob::default(),
+            });
             queue.schedule_at(
                 SimTime::ZERO + site.control_latency,
                 EmuEvent::ToManager {
@@ -331,8 +352,9 @@ impl Emulator {
                 },
             );
             // Stagger report timers slightly by station to avoid artificial
-            // synchronisation.
-            queue.schedule_at(
+            // synchronisation. The stagger puts most first firings out of
+            // order (they take the heap); every re-arm rides the timer lane.
+            queue.schedule_timer(
                 SimTime::ZERO
                     + config.agent_report_interval
                     + SimDuration::from_millis(site.station.raw() % 97),
@@ -485,7 +507,8 @@ impl Emulator {
         Emulator {
             scenario,
             manager,
-            agents,
+            slots,
+            touched: Vec::new(),
             queue,
             chain_ready: PathMap::default(),
             deploy_latency_ms: Histogram::new(),
@@ -532,7 +555,7 @@ impl Emulator {
             TraceScope::Manager,
             DEFAULT_TRACE_CAPACITY,
         ));
-        for agent in self.agents.iter_mut().flatten() {
+        for agent in self.agents_mut() {
             let scope = TraceScope::Station(agent.station().raw());
             agent.set_tracing(
                 TraceSink::buffered(scope, DEFAULT_TRACE_CAPACITY),
@@ -569,7 +592,7 @@ impl Emulator {
         let dropped = self.flight.dropped();
         log.extend(self.flight.take_events(), dropped);
         log.absorb(self.manager.trace_mut());
-        for agent in self.agents.iter_mut().flatten() {
+        for agent in self.slots.iter_mut().filter_map(|s| s.agent.as_deref_mut()) {
             log.absorb(agent.trace_mut());
             let dropped = agent.flight_mut().dropped();
             let events = agent.flight_mut().take_events();
@@ -610,7 +633,7 @@ impl Emulator {
             let mut flow = FlowCacheTelemetry::default();
             let mut mega = MegaflowTelemetry::default();
             let mut shard_occupancy = [0u64; VIRTUAL_SHARDS];
-            for agent in self.agents.iter().flatten() {
+            for agent in self.slots.iter().filter_map(|s| s.agent.as_deref()) {
                 flow.merge(&agent.flow_cache_telemetry());
                 mega.merge(&agent.megaflow_telemetry());
                 agent.add_flow_cache_occupancy_by_virtual_shard(&mut shard_occupancy);
@@ -758,7 +781,7 @@ impl Emulator {
     /// counters are equivalent either way — the megaflow equivalence
     /// property tests assert it — only the cache-level telemetry changes.
     pub fn set_megaflow_enabled(&mut self, enabled: bool) {
-        for agent in self.agents.iter_mut().flatten() {
+        for agent in self.agents_mut() {
             agent.set_megaflow_enabled(enabled);
         }
     }
@@ -862,7 +885,7 @@ impl Emulator {
 
     /// The Agent on a station.
     pub fn agent(&self, station: StationId) -> Option<&Agent> {
-        self.agents.get(station.raw() as usize)?.as_deref()
+        self.slots.get(station.raw() as usize)?.agent.as_deref()
     }
 
     /// Current virtual time.
@@ -872,23 +895,32 @@ impl Emulator {
 
     // ------------------------------------------------------------------
 
-    /// The slot of a station's Agent: `None` for an id the topology does
-    /// not have. Every mutable station lookup goes through here, and a
-    /// fan-out takes the Agent out of its slot and puts it back.
-    fn slot(&mut self, station: StationId) -> Option<&mut Option<Box<Agent>>> {
-        self.agents.get_mut(station.raw() as usize)
+    /// A station's slot: `None` for an id the topology does not have.
+    /// Every mutable station lookup goes through here, and a fan-out takes
+    /// the Agent and its job out of the slot and puts them back.
+    fn slot(&mut self, station: StationId) -> Option<&mut StationSlot> {
+        self.slots.get_mut(station.raw() as usize)
     }
 
     /// The Agent on a station, mutably.
     fn agent_mut(&mut self, station: StationId) -> Option<&mut Agent> {
-        self.slot(station)?.as_deref_mut()
+        self.slot(station)?.agent.as_deref_mut()
     }
 
-    /// Returns an Agent a fan-out took out of its slot.
-    fn put_back(&mut self, agent: Box<Agent>) {
-        if let Some(slot) = self.slot(agent.station()) {
-            *slot = Some(agent);
+    /// Every Agent, mutably, in station order.
+    fn agents_mut(&mut self) -> impl Iterator<Item = &mut Agent> {
+        self.slots.iter_mut().filter_map(|s| s.agent.as_deref_mut())
+    }
+
+    /// The job the current flush is filling for a station, recording the
+    /// station in `touched` when it is still empty — the caller pushes an
+    /// item right away. `None` for an id the topology does not have.
+    fn job(&mut self, station: StationId) -> Option<&mut StationJob> {
+        let slot = self.slots.get_mut(station.raw() as usize)?;
+        if slot.job.is_empty() {
+            self.touched.push(station);
         }
+        Some(&mut slot.job)
     }
 
     fn control_latency(&self, station: StationId) -> SimDuration {
@@ -1059,7 +1091,7 @@ impl Emulator {
                         }
                     }
                 }
-                self.queue.schedule_at(
+                self.queue.schedule_timer(
                     now + self.scenario.config.agent_report_interval,
                     EmuEvent::ReportTimer { station },
                 );
@@ -1411,7 +1443,6 @@ impl Emulator {
         let mut tally = PacketStats::default();
         let mut gap_cache = std::mem::take(&mut self.gap_cache);
         gap_cache.clear();
-        let mut jobs: BTreeMap<StationId, StationJob> = BTreeMap::new();
         let mut absorbed: Vec<(StationId, ManagerToAgent)> = Vec::new();
         let (mut commands, mut live, mut command_at) = (0, 0, SimTime::ZERO);
         for Pending {
@@ -1421,24 +1452,16 @@ impl Emulator {
         } in pending.drain(..)
         {
             match item {
-                PendingItem::Packets(packets) => self.admit_packets(
-                    time,
-                    station,
-                    packets,
-                    &mut tally,
-                    &mut gap_cache,
-                    &mut jobs,
-                ),
+                PendingItem::Packets(packets) => {
+                    self.admit_packets(time, station, packets, &mut tally, &mut gap_cache)
+                }
                 PendingItem::Command(msg) => {
                     commands += 1;
                     command_at = time;
                     if self.link_broken(station) {
                         absorbed.push((station, msg));
-                    } else if self.agent(station).is_some() {
-                        jobs.entry(station)
-                            .or_default()
-                            .commands
-                            .push((live, time, msg));
+                    } else if let Some(job) = self.job(station) {
+                        job.commands.push((live, time, msg));
                         live += 1;
                     }
                 }
@@ -1451,10 +1474,7 @@ impl Emulator {
         // one hot station does not drag a bucket of cold ones behind it.
         // Outcomes come back in submission — station — order, so any worker
         // count produces identical state.
-        let work: Vec<_> = jobs
-            .into_iter()
-            .filter_map(|(station, job)| Some((self.slot(station)?.take()?, job)))
-            .collect();
+        let work = self.take_jobs();
         let (outcomes, fanned) = self.pool.map(
             work,
             self.workers,
@@ -1471,7 +1491,10 @@ impl Emulator {
         let mut replies: Vec<(usize, StationId, Vec<AgentToManager>)> = Vec::with_capacity(live);
         for outcome in outcomes {
             let station = outcome.agent.station();
-            self.put_back(outcome.agent);
+            if let Some(slot) = self.slot(station) {
+                slot.agent = Some(outcome.agent);
+                slot.job = outcome.job;
+            }
             tally.forwarded += outcome.forwarded;
             tally.dropped_by_nf += outcome.dropped_by_nf;
             tally.replied_by_nf += outcome.replied_by_nf;
@@ -1510,10 +1533,27 @@ impl Emulator {
         self.stages.lap(Stage::Merge);
     }
 
-    /// Gap-filters one pending packet batch into the flush's station jobs:
-    /// packets to a dead station are lost, packets in the gap are dropped
-    /// or bypassed, packets mid pre-copy detour to the source station, and
-    /// the rest join their own station's job.
+    /// Takes every touched station's Agent and job out of its slot, in
+    /// station order (`touched`, sorted once), leaving `touched` empty.
+    fn take_jobs(&mut self) -> Vec<(Box<Agent>, StationJob)> {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        let work = touched
+            .drain(..)
+            .filter_map(|station| {
+                let slot = self.slot(station)?;
+                let job = std::mem::take(&mut slot.job);
+                Some((slot.agent.take()?, job))
+            })
+            .collect();
+        self.touched = touched;
+        work
+    }
+
+    /// Gap-filters one pending packet batch into the flush's station jobs
+    /// (in their slots): packets to a dead station are lost, packets in the
+    /// gap are dropped or bypassed, packets mid pre-copy detour to the
+    /// source station, and the rest join their own station's job.
     fn admit_packets(
         &mut self,
         time: SimTime,
@@ -1521,7 +1561,6 @@ impl Emulator {
         packets: Vec<(ClientId, Packet)>,
         tally: &mut PacketStats,
         gap_cache: &mut PathMap<(ClientId, StationId), GapState>,
-        jobs: &mut BTreeMap<StationId, StationJob>,
     ) {
         tally.generated += packets.len() as u64;
         // Packets in flight to a crashed station are simply lost: its radio
@@ -1602,13 +1641,17 @@ impl Emulator {
             batch.push(packet);
         }
         if !batch.is_empty() {
-            jobs.entry(station).or_default().batches.push((time, batch));
+            if let Some(job) = self.job(station) {
+                job.batches.push((time, batch));
+            }
         }
         // Hairpinned packets join the source station's work at the same
         // timestamp (station order after the native batch: deterministic for
         // any worker count).
         for (source, detour) in hairpins {
-            jobs.entry(source).or_default().batches.push((time, detour));
+            if let Some(job) = self.job(source) {
+                job.batches.push((time, detour));
+            }
         }
     }
 
@@ -1644,16 +1687,17 @@ impl Emulator {
     }
 
     /// Runs one station's flush job on whichever thread owns its Agent.
-    fn run_station((agent, job): (Box<Agent>, StationJob)) -> StationOutcome {
+    fn run_station((agent, mut job): (Box<Agent>, StationJob)) -> StationOutcome {
         let mut outcome = StationOutcome {
             agent,
+            job: StationJob::default(),
             forwarded: 0,
             dropped_by_nf: 0,
             replied_by_nf: 0,
             notifications: Vec::new(),
             replies: Vec::new(),
         };
-        for (time, batch) in job.batches {
+        for (time, batch) in job.batches.drain(..) {
             // Every generated packet is client → network: it arrives on the
             // access port. The sink only tallies.
             outcome.agent.process(
@@ -1676,9 +1720,11 @@ impl Emulator {
         }
         outcome.replies = job
             .commands
-            .into_iter()
+            .drain(..)
             .map(|(ix, time, msg)| (ix, outcome.agent.handle_manager_msg(msg, time)))
             .collect();
+        // The drained buffers go back to the slot for the next flush.
+        outcome.job = job;
         outcome
     }
 
@@ -1710,7 +1756,7 @@ impl Emulator {
         let mut megaflow = gnf_telemetry::MegaflowTelemetry::default();
         let mut batches = gnf_telemetry::BatchTelemetry::default();
         let mut chaos = self.chaos.clone();
-        for agent in self.agents.iter().flatten() {
+        for agent in self.slots.iter().filter_map(|s| s.agent.as_deref()) {
             flow_cache.merge(&agent.flow_cache_telemetry());
             megaflow.merge(&agent.megaflow_telemetry());
             batches.merge(agent.batch_telemetry());
@@ -2062,6 +2108,125 @@ mod tests {
         );
         assert!(emulator.dead.contains_key(&StationId::new(3)));
         assert_eq!(gap(&emulator, clients[3], 5), GapState::NeverReady);
+    }
+
+    /// One flush touches stations 5, 2 and 9 (in that pending order), and a
+    /// packet of a client mid pre-copy from station 2 hairpins onto 2 as
+    /// well. Station 2 is recorded once; the jobs come out of their slots in
+    /// station order, station 2's native batch before its detour; and after
+    /// a whole flush every slot's job is empty again.
+    #[test]
+    fn a_flush_takes_its_jobs_from_the_slots_in_station_order() {
+        use gnf_edge::RoamTrace;
+
+        let roam_at = SimTime::from_secs(20);
+        // Client 2 starts on station 2 and roams to station 4, pre-copy on.
+        let mid_migration = |duration: SimDuration| {
+            let config = GnfConfig {
+                migration_precopy: true,
+                ..Default::default()
+            };
+            let mut builder = Scenario::builder(10, HostClass::EdgeServer);
+            let clients = builder.add_clients(3, TrafficProfile::smartphone());
+            let scenario = builder
+                .with_config(config)
+                .with_duration(duration)
+                .attach_policy(
+                    clients[2],
+                    vec![sample_specs()[0].clone()],
+                    TrafficSelector::all(),
+                    SimTime::from_secs(1),
+                )
+                .with_mobility(Mobility::Trace(RoamTrace::new().roam(
+                    roam_at,
+                    clients[2],
+                    CellId::new(4),
+                )))
+                .build();
+            let mut emulator = Emulator::new(scenario);
+            emulator.run();
+            (emulator, clients[2])
+        };
+        let (mut emulator, roaming) = (1..40)
+            .map(|step| {
+                mid_migration(
+                    roam_at.duration_since(SimTime::ZERO) + SimDuration::from_millis(50 * step),
+                )
+            })
+            .find(|(emulator, roaming)| {
+                emulator.gap_state(*roaming, StationId::new(4))
+                    == GapState::Hairpin(StationId::new(2))
+            })
+            .expect("the roam is mid pre-copy at some 50 ms step");
+
+        let station = StationId::new;
+        let packet = |port: u16| {
+            gnf_packet::builder::udp_packet(
+                gnf_types::MacAddr::derived(0x01, 77),
+                gnf_types::MacAddr::derived(0xA0, 0),
+                std::net::Ipv4Addr::new(172, 16, 0, 77),
+                std::net::Ipv4Addr::new(203, 0, 113, 10),
+                port,
+                53,
+                b"slot",
+            )
+        };
+        // A client no policy names: its packets pass the gap filter.
+        let plain = ClientId::new(1_000);
+        let now = emulator.now();
+        let pending = || {
+            [(5, plain), (2, plain), (9, plain), (4, roaming)]
+                .into_iter()
+                .enumerate()
+                .map(|(ix, (at, client))| Pending {
+                    time: now,
+                    station: station(at),
+                    item: PendingItem::Packets(vec![(client, packet(40_000 + ix as u16))]),
+                })
+                .collect::<Vec<_>>()
+        };
+        // Admit the four items as a flush does, then take the jobs out.
+        let (mut tally, mut gap_cache) = (PacketStats::default(), PathMap::default());
+        for item in pending() {
+            let PendingItem::Packets(packets) = item.item else {
+                unreachable!()
+            };
+            emulator.admit_packets(item.time, item.station, packets, &mut tally, &mut gap_cache);
+        }
+        assert_eq!(emulator.touched, vec![station(5), station(2), station(9)]);
+        assert_eq!(tally.hairpinned, 1);
+        let work = emulator.take_jobs();
+        assert!(emulator.touched.is_empty());
+        let order: Vec<(StationId, Vec<usize>)> = work
+            .iter()
+            .map(|(agent, job)| {
+                let sizes = job.batches.iter().map(|(_, batch)| batch.len()).collect();
+                (agent.station(), sizes)
+            })
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (station(2), vec![1, 1]),
+                (station(5), vec![1]),
+                (station(9), vec![1]),
+            ]
+        );
+        // The detour is the roaming client's packet, after the native one.
+        let (_, job_2) = &work[0];
+        let detour = job_2.batches[1].1.iter().next().expect("one packet");
+        assert_eq!(detour.five_tuple().map(|t| t.src_port), Some(40_003));
+        for (agent, _) in work {
+            let slot = emulator.slot(agent.station()).expect("a station's slot");
+            slot.agent = Some(agent);
+        }
+
+        // A whole flush leaves every slot with its Agent and an empty job.
+        emulator.flush(&mut pending());
+        assert!(emulator.touched.is_empty());
+        for slot in &emulator.slots {
+            assert!(slot.agent.is_some() && slot.job.is_empty());
+        }
     }
 
     /// Six clients with stateful chains roam simultaneously: a mass-roam

@@ -72,7 +72,13 @@ pub struct ClientDevice {
 }
 
 /// The whole edge deployment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Ids are positions: [`EdgeTopology::add_site`] gives the `n`-th site
+/// station and cell id `n`, and [`EdgeTopology::add_client`] the `n`-th
+/// client id `n`. Every lookup by id is therefore one index and one id
+/// check, whatever the fleet's size; there is no other way in, so the
+/// fields stay private and the type is not deserializable.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EdgeTopology {
     sites: Vec<StationSite>,
     clients: Vec<ClientDevice>,
@@ -166,35 +172,33 @@ impl EdgeTopology {
         self.clients.len()
     }
 
-    /// A site by station id.
+    /// A site by station id: the site at position `station`.
     pub fn site(&self, station: StationId) -> GnfResult<&StationSite> {
-        self.sites
-            .iter()
-            .find(|s| s.station == station)
+        at(&self.sites, station.raw())
+            .filter(|s| s.station == station)
             .ok_or_else(|| GnfError::not_found("station", station))
     }
 
-    /// A site by cell id.
+    /// A site by cell id: the site at position `cell`.
     pub fn site_for_cell(&self, cell: CellId) -> GnfResult<&StationSite> {
-        self.sites
-            .iter()
-            .find(|s| s.cell == cell)
+        at(&self.sites, cell.raw())
+            .filter(|s| s.cell == cell)
             .ok_or_else(|| GnfError::not_found("cell", cell))
     }
 
-    /// A client by id.
+    /// A client by id: the client at position `client`.
     pub fn client(&self, client: ClientId) -> GnfResult<&ClientDevice> {
-        self.clients
-            .iter()
-            .find(|c| c.client == client)
+        at(&self.clients, client.raw())
+            .filter(|c| c.client == client)
             .ok_or_else(|| GnfError::not_found("client", client))
     }
 
-    /// A mutable client by id.
+    /// A mutable client by id: the client at position `client`.
     pub fn client_mut(&mut self, client: ClientId) -> GnfResult<&mut ClientDevice> {
-        self.clients
-            .iter_mut()
-            .find(|c| c.client == client)
+        usize::try_from(client.raw())
+            .ok()
+            .and_then(|ix| self.clients.get_mut(ix))
+            .filter(|c| c.client == client)
             .ok_or_else(|| GnfError::not_found("client", client))
     }
 
@@ -271,6 +275,11 @@ impl EdgeTopology {
             .map(|c| c.client)
             .collect()
     }
+}
+
+/// The element at position `id`, if the slice is that long.
+fn at<T>(items: &[T], id: u64) -> Option<&T> {
+    items.get(usize::try_from(id).ok()?)
 }
 
 #[cfg(test)]

@@ -12,20 +12,26 @@
 //!
 //! # Two lanes, one order
 //!
-//! Entries live in one of two containers: a binary heap, which accepts any
-//! time, and a FIFO *sorted lane* fed by [`EventQueue::schedule_sorted`],
-//! which holds a run whose times were already non-decreasing when it was
-//! scheduled (the emulator's pre-generated traffic). Both draw their
-//! sequence numbers from the one counter, so every entry has a unique
-//! `(time, seq)` key whichever container holds it, and the lane only ever
-//! appends an entry whose key exceeds its current tail's — anything else
-//! goes to the heap. The lane is therefore sorted by key front to back, its
-//! head is its minimum, the heap's head is the heap's minimum, and popping
-//! the smaller of the two heads pops the global minimum: the pop order is the
-//! total order by `(time, seq)`, exactly what a single heap fed the same
-//! calls through [`EventQueue::schedule_at`] produces. What the lane buys is
-//! cost: a sorted run of `n` entries is appended and popped in `O(1)` each and
-//! never deepens the heap that every other event sifts through.
+//! Entries live in one of three containers: a binary heap, which accepts
+//! any time, and two FIFO lanes. The *sorted lane*, fed by
+//! [`EventQueue::schedule_sorted`], holds a run whose times were already
+//! non-decreasing when it was scheduled (the emulator's pre-generated
+//! traffic). The *timer lane*, fed by [`EventQueue::schedule_timer`], holds
+//! periodic timers: each one is re-armed one period after it fires, and
+//! timers fire in time order, so their re-arms arrive in time order too
+//! (the emulator's per-station report timers).
+//!
+//! All three draw their sequence numbers from the one counter, so every
+//! entry has a unique `(time, seq)` key whichever container holds it, and a
+//! lane only ever appends an entry whose key exceeds its current tail's —
+//! anything else goes to the heap. Each lane is therefore sorted by key
+//! front to back and its head is its minimum, the heap's head is the heap's
+//! minimum, and popping the smallest of the three heads pops the global
+//! minimum: the pop order is the total order by `(time, seq)`, exactly what
+//! a single heap fed the same calls through [`EventQueue::schedule_at`]
+//! produces. What the lanes buy is cost: an in-order entry is appended and
+//! popped in `O(1)` and never deepens the heap that every other event sifts
+//! through.
 
 use gnf_types::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -75,11 +81,24 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
+/// The sorted lane's index in [`EventQueue::lanes`].
+const SORTED: usize = 0;
+/// The timer lane's index in [`EventQueue::lanes`].
+const TIMER: usize = 1;
+
+/// Where the next entry in `(time, seq)` order is.
+#[derive(Clone, Copy)]
+enum Head {
+    Heap,
+    Lane(usize),
+}
+
 /// A deterministic, time-ordered event queue with a virtual clock.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// The sorted lane: keys strictly increase front to back.
-    lane: VecDeque<Entry<E>>,
+    /// The sorted lane and the timer lane: in each, keys strictly increase
+    /// front to back.
+    lanes: [VecDeque<Entry<E>>; 2],
     now: SimTime,
     next_seq: u64,
     scheduled_total: u64,
@@ -97,7 +116,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
+            lanes: [VecDeque::new(), VecDeque::new()],
             now: SimTime::ZERO,
             next_seq: 0,
             scheduled_total: 0,
@@ -112,12 +131,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 
     /// Total number of events ever scheduled.
@@ -147,12 +166,28 @@ impl<E> EventQueue<E> {
     pub fn schedule_sorted(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
         for (time, event) in events {
             let entry = self.stamp(time, event);
-            // Sequence numbers only grow, so the key exceeds the tail's
-            // exactly when the time does not precede it.
-            match self.lane.back() {
-                Some(tail) if entry.time < tail.time => self.heap.push(entry),
-                _ => self.lane.push_back(entry),
-            }
+            self.append(SORTED, entry);
+        }
+    }
+
+    /// Schedules a periodic timer's firing — the same clamping, sequence
+    /// number and pop order as [`schedule_at`](EventQueue::schedule_at),
+    /// but an entry not earlier than the timer lane's tail is appended to
+    /// it instead of being sifted into the heap. A timer re-armed one
+    /// period after each firing is always in order from its second period
+    /// on; an out-of-order first arming just takes the heap.
+    pub fn schedule_timer(&mut self, time: SimTime, event: E) {
+        let entry = self.stamp(time, event);
+        self.append(TIMER, entry);
+    }
+
+    /// Appends `entry` to a lane if its key exceeds the tail's, else
+    /// pushes it to the heap. Sequence numbers only grow, so the key
+    /// exceeds the tail's exactly when the time does not precede it.
+    fn append(&mut self, lane: usize, entry: Entry<E>) {
+        match self.lanes[lane].back() {
+            Some(tail) if entry.time < tail.time => self.heap.push(entry),
+            _ => self.lanes[lane].push_back(entry),
         }
     }
 
@@ -178,28 +213,41 @@ impl<E> EventQueue<E> {
 
     /// The time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let next = if self.lane_is_next() {
-            self.lane.front()
-        } else {
-            self.heap.peek()
-        };
-        next.map(|e| e.time)
+        self.front(self.head()).map(|e| e.time)
     }
 
-    /// True when the next entry in `(time, seq)` order is the lane's head.
-    fn lane_is_next(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(lane), Some(heap)) => lane.key() < heap.key(),
-            (lane, _) => lane.is_some(),
+    /// The first entry of a container.
+    fn front(&self, head: Head) -> Option<&Entry<E>> {
+        match head {
+            Head::Heap => self.heap.peek(),
+            Head::Lane(lane) => self.lanes[lane].front(),
         }
+    }
+
+    /// The container holding the next entry in `(time, seq)` order (the
+    /// heap when everything is empty).
+    fn head(&self) -> Head {
+        let mut best = (Head::Heap, self.heap.peek().map(Entry::key));
+        for (lane, entries) in self.lanes.iter().enumerate() {
+            if let Some(key) = entries.front().map(Entry::key) {
+                if best.1.is_none_or(|min| key < min) {
+                    best = (Head::Lane(lane), Some(key));
+                }
+            }
+        }
+        best.0
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let entry = if self.lane_is_next() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
+        self.pop_from(self.head())
+    }
+
+    /// Pops the first entry of the container [`EventQueue::head`] chose.
+    fn pop_from(&mut self, head: Head) -> Option<Scheduled<E>> {
+        let entry = match head {
+            Head::Heap => self.heap.pop(),
+            Head::Lane(lane) => self.lanes[lane].pop_front(),
         }?;
         debug_assert!(entry.time >= self.now, "virtual time must not go backwards");
         self.now = entry.time;
@@ -212,8 +260,9 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event only if it fires at or before `limit`.
     pub fn pop_until(&mut self, limit: SimTime) -> Option<Scheduled<E>> {
-        match self.peek_time() {
-            Some(t) if t <= limit => self.pop(),
+        let head = self.head();
+        match self.front(head) {
+            Some(next) if next.time <= limit => self.pop_from(head),
             _ => None,
         }
     }
@@ -230,7 +279,7 @@ impl<E> EventQueue<E> {
     /// Drops every pending event (used when a scenario is aborted).
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.lane.clear();
+        self.lanes.iter_mut().for_each(VecDeque::clear);
     }
 }
 
@@ -325,7 +374,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_sorted(at_secs([(1, "a"), (1, "b"), (2, "c"), (5, "d")]));
         assert!(q.heap.is_empty());
-        assert_eq!(q.lane.len(), 4);
+        assert_eq!(q.lanes[SORTED].len(), 4);
         // A second run continuing at or after the tail extends the lane.
         q.schedule_sorted(at_secs([(5, "e"), (9, "f")]));
         assert!(q.heap.is_empty());
@@ -347,13 +396,51 @@ mod tests {
             (7, "tie"),
         ]));
         assert_eq!(q.heap.len(), 2);
-        assert_eq!(q.lane.len(), 2);
+        assert_eq!(q.lanes[SORTED].len(), 2);
         let popped: Vec<(SimTime, &str)> =
             std::iter::from_fn(|| q.pop().map(|s| (s.time, s.event))).collect();
         assert_eq!(
             popped,
             at_secs([(4, "past"), (6, "early"), (7, "tail"), (7, "tie")])
         );
+    }
+
+    #[test]
+    fn re_armed_timers_ride_the_timer_lane_and_pop_like_the_heap() {
+        let mut q = EventQueue::new();
+        // First arming staggered out of order: 2, 3 in the lane, the
+        // second 2 behind the 3 takes the heap.
+        q.schedule_timer(SimTime::from_secs(2), "a");
+        q.schedule_timer(SimTime::from_secs(3), "b");
+        q.schedule_timer(SimTime::from_secs(2), "c");
+        q.schedule_at(SimTime::from_secs(2), "heap");
+        q.schedule_sorted(at_secs([(2, "traffic")]));
+        assert_eq!((q.lanes[TIMER].len(), q.heap.len()), (2, 2));
+        let mut fired = Vec::new();
+        while let Some(s) = q.pop_until(SimTime::from_secs(6)) {
+            fired.push((s.time, s.event));
+            // Re-arm every timer one period (4 s) later: in order from here.
+            if s.event.len() == 1 {
+                let heap = q.heap.len();
+                q.schedule_timer(s.time + SimDuration::from_secs(4), s.event);
+                assert_eq!(q.heap.len(), heap, "a re-arm never takes the heap");
+            }
+        }
+        assert_eq!(
+            fired,
+            at_secs([
+                (2, "a"),
+                (2, "c"),
+                (2, "heap"),
+                (2, "traffic"),
+                (3, "b"),
+                (6, "a"),
+                (6, "c")
+            ])
+        );
+        // b at 7 s, a and c at 10 s: all waiting in the lane.
+        assert_eq!(q.lanes[TIMER].len(), 3);
+        assert!(q.heap.is_empty());
     }
 
     #[test]

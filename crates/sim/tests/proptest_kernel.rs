@@ -35,15 +35,16 @@ proptest! {
         prop_assert_eq!(order, expected);
     }
 
-    /// The two-lane queue is observationally a single heap: any interleaving
+    /// The laned queue is observationally a single heap: any interleaving
     /// of `schedule_at`, `schedule_sorted` (sorted, raw, constant-time and —
-    /// once pops have moved the clock — past-time runs) and `pop_until`
-    /// pops the sequence a reference queue pops when it is fed the same
-    /// events through `schedule_at` only.
+    /// once pops have moved the clock — past-time runs), `schedule_timer`
+    /// (re-arms one period after now, and arbitrary, out-of-order and
+    /// past times) and `pop_until` pops the sequence a reference queue pops
+    /// when it is fed the same events through `schedule_at` only.
     #[test]
     fn sorted_lane_pops_exactly_like_schedule_at_only(
         ops in proptest::collection::vec(
-            (0u8..5, 0u64..400, proptest::collection::vec(0u64..400, 0..12)),
+            (0u8..7, 0u64..400, proptest::collection::vec(0u64..400, 0..12)),
             1..40,
         )
     ) {
@@ -65,6 +66,19 @@ proptest! {
                     let (time, event) = tag(vec![t])[0];
                     lanes.schedule_at(time, event);
                     reference.schedule_at(time, event);
+                }
+                5 | 6 => {
+                    // Timers: re-arms a period after the clock (mostly in
+                    // order), or raw times (out of order, past included).
+                    let now = lanes.now();
+                    let times = run
+                        .into_iter()
+                        .map(|x| if kind == 5 { now.as_nanos() / 1_000_000 + x } else { x })
+                        .collect();
+                    for (time, event) in tag(times) {
+                        lanes.schedule_timer(time, event);
+                        reference.schedule_at(time, event);
+                    }
                 }
                 4 => {
                     // Pops move the clock, so later runs start in the past.

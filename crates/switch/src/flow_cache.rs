@@ -90,12 +90,15 @@ impl Default for FlowCache {
 }
 
 impl FlowCache {
-    /// Creates a cache bounded to `capacity` flows (minimum 1).
+    /// Creates a cache bounded to `capacity` flows (minimum 1). The bound
+    /// is not a reservation: the table allocates at its first insert and
+    /// grows with the flows it holds, so an idle station's switch costs no
+    /// table at all.
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlowCache {
             capacity,
-            entries: PathMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
+            entries: PathMap::default(),
             use_queue: VecDeque::new(),
             use_seq: 0,
             stats: FlowCacheStats::default(),

@@ -24,7 +24,9 @@
 //! And a whole `Emulator::run` on one worker — a 200-station fleet of
 //! batches of one, a 16-client replay through pcap ingest and a NAT chain,
 //! one roam wave — stays within a stated ceiling of heap requests per
-//! generated packet.
+//! generated packet. A fresh switch allocates no flow table until its
+//! first insert (the counter also sums the bytes requested), so an idle
+//! station costs no table.
 //!
 //! And the cost of a pre-copy switchover (PR 22): `NfStateDelta::diff` plus
 //! `NfChain::apply_state_deltas` make the same number of heap requests on a
@@ -65,7 +67,9 @@ use gnf_nf::{
 };
 use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_sim::Rng;
-use gnf_switch::{TrafficSelector, DEFAULT_FLOW_CACHE_CAPACITY};
+use gnf_switch::{
+    FlowCache, FlowKey, SoftwareSwitch, TrafficSelector, DEFAULT_FLOW_CACHE_CAPACITY,
+};
 use gnf_types::{
     AgentId, CellId, ChainId, ClientId, GnfConfig, GnfError, HostClass, MacAddr, SimDuration,
     SimTime, StationId,
@@ -84,13 +88,16 @@ thread_local! {
     // the allocator can neither allocate nor find them torn down.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn record() {
+/// Counts one heap request of `bytes` bytes.
+fn record(bytes: usize) {
     if COUNTING.get() {
         ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        BYTES.set(BYTES.get() + bytes as u64);
     }
 }
 
@@ -98,19 +105,19 @@ fn record() {
 // upholds the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         // SAFETY: the caller's `layout` obligations pass straight through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
+        record(new_size);
         // SAFETY: `ptr` came from this allocator, which only ever hands out
         // `System` blocks, and the caller vouches for `layout`/`new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -128,11 +135,18 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Runs `f` and returns its value with the heap requests (`alloc`,
 /// `alloc_zeroed`, `realloc`) this thread made meanwhile.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.get();
+    let ((value, requests), _) = counted_bytes(f);
+    (value, requests)
+}
+
+/// [`counted`] plus the bytes those requests asked for (a `realloc` counts
+/// its new size).
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> ((T, u64), u64) {
+    let (requests, bytes) = (ALLOCATIONS.get(), BYTES.get());
     COUNTING.set(true);
     let value = f();
     COUNTING.set(false);
-    (value, ALLOCATIONS.get() - before)
+    ((value, ALLOCATIONS.get() - requests), BYTES.get() - bytes)
 }
 
 fn client_mac() -> MacAddr {
@@ -185,6 +199,37 @@ fn ctx() -> NfContext {
 fn the_counter_counts() {
     let (boxed, allocations) = counted(|| std::hint::black_box(Box::new(7u64)));
     assert_eq!((*boxed, allocations), (7, 1));
+}
+
+/// A fresh switch holds no flow table: `FlowCache::with_capacity` is a
+/// bound, not a reservation. Pre-sizing 1 024 slots per switch cost a
+/// 2 000-station fleet of mostly idle stations 232 MB of peak RSS, against
+/// 81 MB with tables that grow on demand. The table appears at the first
+/// insert.
+#[test]
+fn a_fresh_switch_allocates_no_flow_table_until_its_first_insert() {
+    let (_, requests) = counted(|| FlowCache::with_capacity(DEFAULT_FLOW_CACHE_CAPACITY));
+    assert_eq!(requests, 0);
+    // Bounded to the default or to a single flow, a switch costs the same
+    // bytes: neither reserves a table.
+    let ((mut switch, _), fresh) = counted_bytes(SoftwareSwitch::new);
+    let (_, bounded_to_one) = counted_bytes(|| SoftwareSwitch::with_flow_cache_capacity(1));
+    assert_eq!(fresh, bounded_to_one);
+    assert_eq!(switch.flow_cache_len(), 0);
+
+    // The first packet misses, walks the slow path and is memoized: that
+    // insert allocates the table.
+    let packet = http_get("example.com");
+    let port = switch.client_port();
+    let mut cursor = switch
+        .begin_batch(std::slice::from_ref(&packet), port, SimTime::ZERO)
+        .unwrap();
+    let (_, first) = counted_bytes(|| switch.classify(&mut cursor, &packet));
+    assert_eq!(switch.flow_cache_len(), 1);
+    assert!(
+        first >= std::mem::size_of::<FlowKey>() as u64,
+        "the first insert allocates the table ({first} B)"
+    );
 }
 
 #[test]
@@ -802,10 +847,14 @@ fn one_roam_wave() -> Emulator {
 /// (replay, 3 485 batches) and 39 375 / 16 660 = 2.363 (roam wave): one
 /// request per batch more, ≈ 1 per packet where batches hold one packet.
 /// Before the NAT patched a frame it alone owns in place, the replay read
-/// 17 588 / 4 000 = 4.397: one frame copy per packet more.
-const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 29_051.0 / 5_017.0;
-const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_588.0 / 4_000.0;
-const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 23_310.0 / 16_660.0;
+/// 17 588 / 4 000 = 4.397: one frame copy per packet more. Before station
+/// jobs lived in the slot table (a `BTreeMap` of fresh job vectors per
+/// flush; the slots now hand their drained buffers back) and report timers
+/// rode their own queue lane, the three read 29 051 / 5 017 = 5.790,
+/// 13 588 / 4 000 = 3.397 and 23 310 / 16 660 = 1.399.
+const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 26_673.0 / 5_017.0;
+const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_500.0 / 4_000.0;
+const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 21_458.0 / 16_660.0;
 
 #[test]
 fn a_run_allocates_per_packet_within_its_ceiling() {
