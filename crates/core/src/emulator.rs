@@ -592,7 +592,7 @@ impl Emulator {
         let dropped = self.flight.dropped();
         log.extend(self.flight.take_events(), dropped);
         log.absorb(self.manager.trace_mut());
-        for agent in self.slots.iter_mut().filter_map(|s| s.agent.as_deref_mut()) {
+        for agent in self.agents_mut() {
             log.absorb(agent.trace_mut());
             let dropped = agent.flight_mut().dropped();
             let events = agent.flight_mut().take_events();
@@ -624,6 +624,7 @@ impl Emulator {
         let Some(sampler) = self.sampler.as_mut() else {
             return;
         };
+        // Nothing due: no lap, so the time stays with the next stage.
         if sampler.next > upto {
             return;
         }
@@ -895,9 +896,9 @@ impl Emulator {
 
     // ------------------------------------------------------------------
 
-    /// A station's slot: `None` for an id the topology does not have.
-    /// Every mutable station lookup goes through here, and a fan-out takes
-    /// the Agent and its job out of the slot and puts them back.
+    /// A station's slot: `None` for an id the topology does not have. A
+    /// fan-out takes the Agent and its job out of the slot and puts them
+    /// back.
     fn slot(&mut self, station: StationId) -> Option<&mut StationSlot> {
         self.slots.get_mut(station.raw() as usize)
     }

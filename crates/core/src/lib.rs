@@ -58,4 +58,4 @@ pub use chaos::{ChaosReport, ChaosSpec, FaultEvent, FaultKind, FaultSchedule, Pa
 pub use emulator::Emulator;
 pub use report::{MigrationReport, MigrationSummary, PacketStats, RunReport};
 pub use scenario::{ClientWorkload, Mobility, PolicyAttachment, Scenario, ScenarioBuilder};
-pub use stages::{HostStages, Stage, StageRow, StageTable};
+pub use stages::{Stage, StageRow, StageTable};

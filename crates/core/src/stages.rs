@@ -8,13 +8,13 @@
 //!
 //! ## Sink model
 //!
-//! The same shape as [`gnf_telemetry::TraceSink`]: [`HostStages`] is either
+//! The same shape as [`gnf_telemetry::TraceSink`]: `HostStages` is either
 //! off (the default), where every call is one branch and reads no clock, or
 //! armed. `Emulator::enable_tracing` arms it.
 //!
 //! ## Laps, and closing the table
 //!
-//! The top-level stages tile `run()` as *laps*: [`HostStages::lap`] charges
+//! The top-level stages tile `run()` as *laps*: `HostStages::lap` charges
 //! the time since the previous lap to the stage that just ended, with one
 //! clock read per boundary. The tiles are the queue pop, the metrics
 //! sampler, the workload pump, the three parts of a station flush, each
@@ -23,11 +23,11 @@
 //! section instead would leave one read (≈ 50 ns on a 2-vCPU VM) per
 //! boundary unattributed, which on a small run is most of a 10 % gap.
 //!
-//! [`Stage::Run`] is timed on its own, from [`HostStages::begin_run`] to
-//! [`HostStages::end_run`], and [`StageTable::closes`] checks the tiles
+//! [`Stage::Run`] is timed on its own, from `HostStages::begin_run` to
+//! `HostStages::end_run`, and [`StageTable::closes`] checks the tiles
 //! against it: a lap charged outside `run()` or a stage counted twice
 //! breaks it. A sub-row (the gap filter's `gap_state` walk) is timed by a
-//! [`HostStages::start`] / [`HostStages::stop`] pair inside its parent's
+//! `HostStages::start` / `HostStages::stop` pair inside its parent's
 //! lap and is not summed.
 
 use std::time::Instant;
@@ -137,7 +137,7 @@ impl Stage {
 
     /// True for the stages that tile `run()`: neither a sub-row nor the
     /// total.
-    pub fn is_top_level(self) -> bool {
+    fn is_top_level(self) -> bool {
         self.parent().is_none() && self != Stage::Run
     }
 }
@@ -163,8 +163,14 @@ impl StageTable {
         self.rows[stage as usize]
     }
 
+    fn add(&mut self, stage: Stage, from: Instant, to: Instant) {
+        let row = &mut self.rows[stage as usize];
+        row.count += 1;
+        row.ns += to.duration_since(from).as_nanos() as u64;
+    }
+
     /// Nanoseconds of the top-level stages, summed.
-    pub fn top_level_ns(&self) -> u64 {
+    fn top_level_ns(&self) -> u64 {
         Stage::ALL
             .iter()
             .filter(|stage| stage.is_top_level())
@@ -202,14 +208,6 @@ impl StageTable {
     }
 }
 
-impl StageTable {
-    fn add(&mut self, stage: Stage, from: Instant, to: Instant) {
-        let row = &mut self.rows[stage as usize];
-        row.count += 1;
-        row.ns += to.duration_since(from).as_nanos() as u64;
-    }
-}
-
 /// An armed sink: the table, the last lap's clock reading and the run's
 /// start.
 #[derive(Debug, Clone)]
@@ -222,11 +220,11 @@ struct Clock {
 /// The emulator's stage sink: off by default, armed by
 /// `Emulator::enable_tracing`.
 #[derive(Debug, Clone, Default)]
-pub struct HostStages(Option<Box<Clock>>);
+pub(crate) struct HostStages(Option<Box<Clock>>);
 
 impl HostStages {
     /// An armed, empty table.
-    pub fn armed() -> Self {
+    pub(crate) fn armed() -> Self {
         let now = Instant::now();
         HostStages(Some(Box::new(Clock {
             table: StageTable::default(),
@@ -236,17 +234,17 @@ impl HostStages {
     }
 
     /// Opens [`Stage::Run`] and the first lap.
-    pub fn begin_run(&mut self) {
+    pub(crate) fn begin_run(&mut self) {
         if let Some(clock) = self.0.as_mut() {
             clock.run_started = Instant::now();
             clock.mark = clock.run_started;
         }
     }
 
-    /// Charges the time since the previous lap (or [`HostStages::begin_run`])
+    /// Charges the time since the previous lap (or `HostStages::begin_run`)
     /// to `stage`, which just ended.
     #[inline]
-    pub fn lap(&mut self, stage: Stage) {
+    pub(crate) fn lap(&mut self, stage: Stage) {
         if let Some(clock) = self.0.as_mut() {
             let now = Instant::now();
             clock.table.add(stage, clock.mark, now);
@@ -255,7 +253,7 @@ impl HostStages {
     }
 
     /// Closes [`Stage::Run`].
-    pub fn end_run(&mut self) {
+    pub(crate) fn end_run(&mut self) {
         if let Some(clock) = self.0.as_mut() {
             clock
                 .table
@@ -266,20 +264,20 @@ impl HostStages {
     /// Starts a sub-row's section: the clock reading when armed, `None` (one
     /// branch, no clock read) when off. It does not move the lap mark.
     #[inline]
-    pub fn start(&self) -> Option<Instant> {
+    pub(crate) fn start(&self) -> Option<Instant> {
         self.0.as_ref().map(|_| Instant::now())
     }
 
-    /// Ends a section [`HostStages::start`] opened, adding it to `stage`.
+    /// Ends a section `HostStages::start` opened, adding it to `stage`.
     #[inline]
-    pub fn stop(&mut self, stage: Stage, started: Option<Instant>) {
+    pub(crate) fn stop(&mut self, stage: Stage, started: Option<Instant>) {
         if let (Some(clock), Some(started)) = (self.0.as_mut(), started) {
             clock.table.add(stage, started, Instant::now());
         }
     }
 
     /// The table, when armed.
-    pub fn table(&self) -> Option<&StageTable> {
+    pub(crate) fn table(&self) -> Option<&StageTable> {
         self.0.as_deref().map(|clock| &clock.table)
     }
 }
