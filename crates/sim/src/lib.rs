@@ -15,10 +15,12 @@
 //! * [`queue::EventQueue`] — a time-ordered event queue with a virtual clock
 //!   and deterministic tie-breaking. Two lanes, one order: arbitrary-time
 //!   events go to a binary heap, already-sorted runs
-//!   ([`EventQueue::schedule_sorted`]) to a FIFO lane, and `pop` takes the
-//!   smaller `(time, sequence)` of the two heads — the order a single heap
-//!   gives, without a long pre-generated run deepening the heap every other
-//!   event sifts through (see the module docs for the argument).
+//!   ([`EventQueue::schedule_sorted`]) to a FIFO sorted lane, re-armed
+//!   periodic timers ([`EventQueue::schedule_timer`]) to a FIFO timer lane,
+//!   and `pop` takes the smallest `(time, sequence)` of the three heads —
+//!   the order a single heap gives, without a long pre-generated run or a
+//!   fleet's timers deepening the heap every other event sifts through (see
+//!   the module docs for the argument).
 //! * [`rng::Rng`] — a PCG-32 PRNG with named sub-streams and the handful of
 //!   distributions the edge/traffic models need; [`rng::Zipf`] is the
 //!   popularity distribution, its series computed once per table.
