@@ -584,12 +584,9 @@ impl Agent {
             .extend(self.clients.keys().copied());
         report.connected_clients.sort();
         report.running_nfs = self.runtime.running_count();
-        report.cached_images = self
-            .repository
-            .images()
-            .iter()
-            .filter(|i| self.runtime.is_image_cached(i))
-            .count();
+        // The cache only ever receives images of this Agent's own
+        // catalogue, so its size is the number of catalogue images cached.
+        report.cached_images = self.runtime.cached_image_count();
         report.flow_cache = gnf_telemetry::FlowCacheTelemetry {
             stats: self.switch.flow_cache_stats(),
             entries: self.switch.flow_cache_len(),
@@ -747,10 +744,10 @@ impl Agent {
         let mut containers = Vec::with_capacity(specs.len());
         let mut chain = NfChain::new(&format!("chain-{}", chain_id.raw()));
         for spec in specs {
-            let image = self.repository.by_name(spec.image_name())?.clone();
+            let image = self.repository.by_name(spec.image_name())?;
             let deployed = self
                 .runtime
-                .deploy(&spec.name, &image, spec.container_footprint())?;
+                .deploy(&spec.name, image, spec.container_footprint())?;
             total_latency += deployed.total_duration;
             all_cached &= deployed.image_was_cached;
             self.switch.connect_container(deployed.handle, &spec.name);
@@ -2269,6 +2266,49 @@ mod tests {
         assert_eq!(report.connected_clients, vec![ClientId::new(0)]);
         assert!(report.usage.memory_mb > 0);
         assert_eq!(report.cached_images, 2);
+    }
+
+    /// A report's `cached_images` is the runtime's cache size. It equals
+    /// the walk over the catalogue it replaced after a deploy, a removal
+    /// (the images stay cached) and a crash (so does the cache).
+    #[test]
+    fn cached_images_equal_a_walk_over_the_catalogue() {
+        let (mut agent, _) = agent();
+        let walk = |agent: &Agent| {
+            agent
+                .repository
+                .images()
+                .iter()
+                .filter(|image| agent.runtime.is_image_cached(image))
+                .count()
+        };
+        let reported = |agent: &mut Agent, secs: u64| {
+            let AgentToManager::Report(report) = agent.make_report(SimTime::from_secs(secs)) else {
+                panic!("expected a report");
+            };
+            report.cached_images
+        };
+        assert_eq!((reported(&mut agent, 1), walk(&agent)), (0, 0));
+        agent.client_associated(ClientId::new(0), client_mac(), client_ip());
+        let specs = sample_specs();
+        agent.handle_manager_msg(
+            deploy_msg(1, vec![specs[0].clone(), specs[1].clone()]),
+            SimTime::from_secs(2),
+        );
+        assert_eq!((reported(&mut agent, 3), walk(&agent)), (2, 2));
+        agent.handle_manager_msg(
+            ManagerToAgent::RemoveChain {
+                chain: ChainId::new(1),
+                client: ClientId::new(0),
+                migration: None,
+            },
+            SimTime::from_secs(4),
+        );
+        assert_eq!((reported(&mut agent, 5), walk(&agent)), (2, 2));
+        agent.handle_manager_msg(deploy_msg(2, vec![specs[2].clone()]), SimTime::from_secs(6));
+        assert_eq!((reported(&mut agent, 7), walk(&agent)), (3, 3));
+        agent.crash();
+        assert_eq!((reported(&mut agent, 8), walk(&agent)), (3, 3));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use gnf_nf::NfKind;
 use gnf_types::{GnfError, GnfResult, ImageId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One layer of an image (modelled only by its size; contents are irrelevant
 /// to the experiments).
@@ -45,8 +46,20 @@ impl NfImage {
 }
 
 /// The central NF image repository ("hub") that Agents pull from.
+///
+/// Every Agent of a fleet holds the same catalogue, so a clone shares it:
+/// cloning bumps one reference count and allocates nothing, and every
+/// station's lookups read the same cache lines. [`ImageRepository::publish`]
+/// copies the catalogue first if another clone still shares it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(transparent)]
 pub struct ImageRepository {
+    catalogue: Arc<Catalogue>,
+}
+
+/// The images and their name index, shared by every clone of a repository.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct Catalogue {
     images: Vec<NfImage>,
     by_name: HashMap<String, usize>,
 }
@@ -70,12 +83,15 @@ impl ImageRepository {
 
     /// Publishes a new image under `name`. Fails if the name is taken.
     pub fn publish(&mut self, name: &str, layers: Vec<ImageLayer>) -> GnfResult<ImageId> {
-        if self.by_name.contains_key(name) {
+        if self.catalogue.by_name.contains_key(name) {
             return Err(GnfError::already_exists("image", name));
         }
-        let id = ImageId::new(self.images.len() as u64);
-        self.by_name.insert(name.to_string(), self.images.len());
-        self.images.push(NfImage {
+        let catalogue = Arc::make_mut(&mut self.catalogue);
+        let id = ImageId::new(catalogue.images.len() as u64);
+        catalogue
+            .by_name
+            .insert(name.to_string(), catalogue.images.len());
+        catalogue.images.push(NfImage {
             id,
             name: name.to_string(),
             layers,
@@ -85,15 +101,17 @@ impl ImageRepository {
 
     /// Looks an image up by name.
     pub fn by_name(&self, name: &str) -> GnfResult<&NfImage> {
-        self.by_name
+        self.catalogue
+            .by_name
             .get(name)
-            .map(|ix| &self.images[*ix])
+            .map(|ix| &self.catalogue.images[*ix])
             .ok_or_else(|| GnfError::not_found("image", name))
     }
 
     /// Looks an image up by id.
     pub fn by_id(&self, id: ImageId) -> GnfResult<&NfImage> {
-        self.images
+        self.catalogue
+            .images
             .get(id.raw() as usize)
             .ok_or_else(|| GnfError::not_found("image", id))
     }
@@ -105,17 +123,17 @@ impl ImageRepository {
 
     /// All published images.
     pub fn images(&self) -> &[NfImage] {
-        &self.images
+        &self.catalogue.images
     }
 
     /// Number of published images.
     pub fn len(&self) -> usize {
-        self.images.len()
+        self.catalogue.images.len()
     }
 
     /// True when the repository is empty.
     pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
+        self.catalogue.images.is_empty()
     }
 }
 
@@ -180,6 +198,18 @@ mod tests {
         repo.publish("glanf/custom", vec![]).unwrap();
         let err = repo.publish("glanf/custom", vec![]).unwrap_err();
         assert_eq!(err.category(), "already_exists");
+    }
+
+    #[test]
+    fn a_clone_shares_the_catalogue_until_one_side_publishes() {
+        let standard = ImageRepository::with_standard_images();
+        let mut extended = standard.clone();
+        assert!(Arc::ptr_eq(&standard.catalogue, &extended.catalogue));
+        let id = extended.publish("glanf/custom", vec![]).unwrap();
+        assert!(!Arc::ptr_eq(&standard.catalogue, &extended.catalogue));
+        assert_eq!(extended.by_id(id).unwrap().name, "glanf/custom");
+        assert_eq!(extended.len(), standard.len() + 1);
+        assert!(standard.by_name("glanf/custom").is_err());
     }
 
     #[test]

@@ -88,6 +88,9 @@ pub trait NfvRuntime {
     /// Number of running instances.
     fn running_count(&self) -> usize;
 
+    /// Number of images in the local cache.
+    fn cached_image_count(&self) -> usize;
+
     /// The cost model in effect.
     fn cost_model(&self) -> &CostModel;
 
@@ -156,7 +159,12 @@ pub trait NfvRuntime {
 /// Shared implementation of instance bookkeeping, resource accounting and an
 /// image cache, parameterised by a [`CostModel`]. Both [`ContainerRuntime`]
 /// and the VM baseline build on it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The totals a station report reads — reserved footprint, image-cache disk
+/// and running instances — are running counters, kept by the four methods
+/// that change them (`ensure_image`, `create`, the state transitions and
+/// `remove`), so a report reads them without walking the instances.
+#[derive(Debug, Clone)]
 pub struct RuntimePool {
     host: HostClass,
     capacity: ResourceSpec,
@@ -164,6 +172,12 @@ pub struct RuntimePool {
     instances: BTreeMap<u64, Instance>,
     image_cache: HashMap<ImageId, u64>, // image id → size MB
     next_handle: u64,
+    /// Sum of every instance's footprint.
+    reserved: ResourceSpec,
+    /// Sum of the cached images' sizes, in MB.
+    cache_disk_mb: u64,
+    /// Instances in [`InstanceState::Running`].
+    running: usize,
 }
 
 impl RuntimePool {
@@ -176,6 +190,9 @@ impl RuntimePool {
             instances: BTreeMap::new(),
             image_cache: HashMap::new(),
             next_handle: 0,
+            reserved: ResourceSpec::ZERO,
+            cache_disk_mb: 0,
+            running: 0,
         }
     }
 
@@ -183,16 +200,6 @@ impl RuntimePool {
     pub fn with_capacity(mut self, capacity: ResourceSpec) -> Self {
         self.capacity = capacity;
         self
-    }
-
-    fn instances_used(&self) -> ResourceSpec {
-        self.instances
-            .values()
-            .fold(ResourceSpec::ZERO, |acc, i| acc + i.footprint)
-    }
-
-    fn cache_disk_mb(&self) -> u64 {
-        self.image_cache.values().sum()
     }
 
     /// The host class this pool runs on.
@@ -207,8 +214,8 @@ impl RuntimePool {
 
     /// Resources reserved by instances plus cached image layers.
     pub fn used(&self) -> ResourceSpec {
-        let mut used = self.instances_used();
-        used.disk_mb += self.cache_disk_mb();
+        let mut used = self.reserved;
+        used.disk_mb += self.cache_disk_mb;
         used
     }
 
@@ -219,10 +226,12 @@ impl RuntimePool {
 
     /// Number of running instances.
     pub fn running_count(&self) -> usize {
-        self.instances
-            .values()
-            .filter(|i| i.state == InstanceState::Running)
-            .count()
+        self.running
+    }
+
+    /// Number of images in the local cache.
+    pub fn cached_image_count(&self) -> usize {
+        self.image_cache.len()
     }
 
     /// The cost model in effect.
@@ -251,6 +260,7 @@ impl RuntimePool {
             ));
         }
         self.image_cache.insert(image.id, image.size_mb());
+        self.cache_disk_mb += image.size_mb();
         Ok(PullOutcome {
             duration: self.cost.pull_time(image),
             was_cached: false,
@@ -284,6 +294,7 @@ impl RuntimePool {
                 label: label.to_string(),
             },
         );
+        self.reserved += footprint;
         Ok((handle, self.cost.create_time()))
     }
 
@@ -305,7 +316,14 @@ impl RuntimePool {
                 instance.state
             )));
         }
+        let from = instance.state;
         instance.state = to;
+        if from == InstanceState::Running {
+            self.running -= 1;
+        }
+        if to == InstanceState::Running {
+            self.running += 1;
+        }
         Ok(duration)
     }
 
@@ -359,8 +377,13 @@ impl RuntimePool {
 
     /// Removes an instance and releases its resources.
     pub fn remove(&mut self, handle: u64) -> GnfResult<SimDuration> {
-        if self.instances.remove(&handle).is_none() {
-            return Err(GnfError::not_found("instance", handle));
+        let instance = self
+            .instances
+            .remove(&handle)
+            .ok_or_else(|| GnfError::not_found("instance", handle))?;
+        self.reserved -= instance.footprint;
+        if instance.state == InstanceState::Running {
+            self.running -= 1;
         }
         Ok(self.cost.remove_time())
     }
@@ -439,6 +462,9 @@ macro_rules! delegate_runtime {
             fn running_count(&self) -> usize {
                 self.pool.running_count()
             }
+            fn cached_image_count(&self) -> usize {
+                self.pool.cached_image_count()
+            }
             fn cost_model(&self) -> &$crate::cost::CostModel {
                 self.pool.cost_model()
             }
@@ -500,7 +526,7 @@ macro_rules! delegate_runtime {
 
 /// The container runtime used by GNF Agents: Linux-container semantics with
 /// container-calibrated costs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContainerRuntime {
     pool: RuntimePool,
 }
@@ -529,6 +555,7 @@ mod tests {
     use super::*;
     use crate::image::ImageRepository;
     use gnf_nf::NfKind;
+    use proptest::prelude::*;
 
     fn repo() -> ImageRepository {
         ImageRepository::with_standard_images()
@@ -706,5 +733,68 @@ mod tests {
             }
         }
         assert!(count >= 100, "expected hundreds of containers, got {count}");
+    }
+
+    proptest! {
+        /// The running totals are checked, not assumed: whatever sequence
+        /// of pulls, creates and transitions ran — failed ones included —
+        /// `used()`, `available()`, `running_count()` and the cached-image
+        /// count equal a walk over the instances and the cache.
+        #[test]
+        fn running_totals_equal_a_walk_over_the_instances_and_the_cache(
+            ops in proptest::collection::vec((0u8..7, 0u64..7, 0u64..6), 0..80),
+        ) {
+            let repo = repo();
+            let images = repo.images();
+            // Small enough that pulls and creates also fail for lack of room.
+            let capacity = ResourceSpec::new(200, 120, 90);
+            let mut rt = ContainerRuntime::with_capacity(HostClass::HomeRouter, capacity);
+            for (op, image, handle) in ops {
+                let image = &images[image as usize % images.len()];
+                let footprint = NfKind::all()[handle as usize % NfKind::all().len()]
+                    .container_footprint();
+                let _ = match op {
+                    0 => rt.ensure_image(image).map(|outcome| outcome.duration),
+                    1 => rt.create("nf", image, footprint).map(|(_, took)| took),
+                    2 => rt.start(handle),
+                    3 => rt.stop(handle),
+                    4 => rt.pause(handle),
+                    5 => rt.resume(handle),
+                    _ => rt.remove(handle),
+                };
+                let instances = rt.instances();
+                let mut walked = instances
+                    .iter()
+                    .fold(ResourceSpec::ZERO, |acc, i| acc + i.footprint);
+                walked.disk_mb += rt.pool.image_cache.values().sum::<u64>();
+                let running = instances
+                    .iter()
+                    .filter(|i| i.state == InstanceState::Running)
+                    .count();
+                let cached = images.iter().filter(|i| rt.is_image_cached(i)).count();
+                prop_assert_eq!(rt.used(), walked);
+                prop_assert_eq!(rt.available(), capacity.saturating_sub(&walked));
+                prop_assert_eq!(rt.running_count(), running);
+                prop_assert_eq!(rt.cached_image_count(), cached);
+            }
+        }
+    }
+
+    #[test]
+    fn the_runtime_reports_the_pool_totals() {
+        let repo = repo();
+        let image = repo.for_kind(NfKind::Firewall).unwrap();
+        let mut rt = ContainerRuntime::new(HostClass::EdgeServer);
+        let deployed = rt.deploy("fw", image, firewall_footprint()).unwrap();
+        assert_eq!(rt.cached_image_count(), 1);
+        assert_eq!(rt.running_count(), 1);
+        assert_eq!(
+            rt.available(),
+            rt.capacity().saturating_sub(&rt.used()),
+            "the trait's default reads the counters"
+        );
+        rt.remove(deployed.handle).unwrap();
+        assert_eq!(rt.running_count(), 0);
+        assert_eq!(rt.used().disk_mb, image.size_mb(), "the image stays cached");
     }
 }

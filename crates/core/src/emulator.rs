@@ -188,6 +188,27 @@ struct StationSlot {
     /// The job the current flush is filling for the station. Empty between
     /// flushes; its buffers come back with the Agent and are reused.
     job: StationJob,
+    /// When each chain the station reported deployed became (or becomes)
+    /// ready: set by its `ChainDeployed` replies, dropped by `ChainRemoved`,
+    /// cleared by a crash. A station runs a handful of chains, so a list.
+    ready: Vec<(ChainId, SimTime)>,
+}
+
+impl StationSlot {
+    /// When `chain` became ready here, if it did.
+    fn ready_at(&self, chain: ChainId) -> Option<SimTime> {
+        self.ready
+            .iter()
+            .find_map(|&(ready, at)| (ready == chain).then_some(at))
+    }
+
+    /// Records (or moves) `chain`'s ready time.
+    fn set_ready(&mut self, chain: ChainId, at: SimTime) {
+        match self.ready.iter_mut().find(|(ready, _)| *ready == chain) {
+            Some(entry) => entry.1 = at,
+            None => self.ready.push((chain, at)),
+        }
+    }
 }
 
 /// Per-client gap state, computed once per client per flush (control-plane
@@ -234,7 +255,6 @@ pub struct Emulator {
     /// once, in first-item order; the fan-out sorts it into station order.
     touched: Vec<StationId>,
     queue: EventQueue<EmuEvent>,
-    chain_ready: PathMap<(StationId, ChainId), SimTime>,
     deploy_latency_ms: Histogram,
     packets: PacketStats,
     handovers: u64,
@@ -342,7 +362,7 @@ impl Emulator {
             // pushed here is the one at index `station`.
             slots.push(StationSlot {
                 agent: Some(Box::new(agent)),
-                job: StationJob::default(),
+                ..StationSlot::default()
             });
             queue.schedule_at(
                 SimTime::ZERO + site.control_latency,
@@ -510,7 +530,6 @@ impl Emulator {
             slots,
             touched: Vec::new(),
             queue,
-            chain_ready: PathMap::default(),
             deploy_latency_ms: Histogram::new(),
             packets: PacketStats::default(),
             handovers: 0,
@@ -1168,12 +1187,14 @@ impl Emulator {
                         detail: down_for.as_millis_f64() as u64,
                     },
                 );
-                if let Some(agent) = self.agent_mut(station) {
-                    agent.crash();
+                if let Some(slot) = self.slot(station) {
+                    if let Some(agent) = slot.agent.as_deref_mut() {
+                        agent.crash();
+                    }
+                    // Everything the emulator believed about the station's
+                    // data plane dies with it.
+                    slot.ready.clear();
                 }
-                // Everything the emulator believed about the station's data
-                // plane dies with it.
-                self.chain_ready.retain(|(s, _), _| *s != station);
                 self.dead.insert(station, now);
                 // A recovery interrupted by a second crash starts over.
                 self.recovery_pending.remove(&station);
@@ -1314,22 +1335,28 @@ impl Emulator {
     }
 
     /// Where `client`'s traffic arriving at `station` stands against
-    /// policy, from the Manager's by-client indexes: the client's own
-    /// attachments and in-flight migrations, never the fleet's. With several
-    /// chains on the station the earliest `ready` opens the gate.
+    /// policy, from the Manager's by-client index (the ids of the client's
+    /// own chains, never the fleet's) and the station's slot (its ready
+    /// times and its Agent). With several chains on the station the
+    /// earliest `ready` opens the gate.
     fn gap_state(&self, client: ClientId, station: StationId) -> GapState {
-        let agent = self.agent(station);
-        let mut wanted = false;
+        let chains = self.manager.chains_of(client);
         let mut ready: Option<SimTime> = None;
-        for attachment in self.manager.attachments_of(client) {
-            wanted = true;
-            if agent.is_some_and(|agent| agent.chain(attachment.chain).is_some()) {
-                if let Some(at) = self.chain_ready.get(&(station, attachment.chain)) {
-                    ready = Some(ready.map_or(*at, |r| r.min(*at)));
+        if let Some(slot) = self.slots.get(station.raw() as usize) {
+            for &chain in chains {
+                let Some(at) = slot.ready_at(chain) else {
+                    continue;
+                };
+                if slot
+                    .agent
+                    .as_deref()
+                    .is_some_and(|a| a.chain(chain).is_some())
+                {
+                    ready = Some(ready.map_or(at, |r| r.min(at)));
                 }
             }
         }
-        match (wanted, ready) {
+        match (!chains.is_empty(), ready) {
             (false, _) => GapState::NoPolicy,
             (true, Some(at)) => GapState::ReadyAt(at),
             (true, None) => match self.precopy_hairpin(client, station) {
@@ -1391,7 +1418,7 @@ impl Emulator {
     /// replays) report their own latency; the reply is delayed by it and the
     /// emulator remembers when the chain actually becomes ready. Shared by
     /// the inline control path and the flush's merge, so both produce
-    /// identical timing and `chain_ready` state.
+    /// identical timing and ready times.
     fn scan_agent_replies(
         &mut self,
         station: StationId,
@@ -1407,11 +1434,15 @@ impl Emulator {
                 // station still counts as in-gap until activation (the
                 // ChainDeployed reply to ActivateChain) flips it.
                 AgentToManager::ChainDeployed { chain, latency, .. } => {
-                    self.chain_ready.insert((station, *chain), now + *latency);
+                    if let Some(slot) = self.slot(station) {
+                        slot.set_ready(*chain, now + *latency);
+                    }
                     self.deploy_latency_ms.record(latency.as_millis_f64());
                 }
                 AgentToManager::ChainRemoved { chain, .. } => {
-                    self.chain_ready.remove(&(station, *chain));
+                    if let Some(slot) = self.slot(station) {
+                        slot.ready.retain(|(ready, _)| ready != chain);
+                    }
                 }
                 _ => {}
             }
@@ -2012,7 +2043,8 @@ mod tests {
     }
 
     /// The four gap outcomes, each read through the Manager's by-client
-    /// indexes, in a fleet where every other client is in another state.
+    /// index and the station slot's ready times, in a fleet where every
+    /// other client is in another state.
     #[test]
     fn gap_state_is_read_per_client_from_the_manager_indexes() {
         use crate::chaos::{FaultKind, FaultSchedule};
@@ -2075,10 +2107,16 @@ mod tests {
         assert_eq!(gap(&emulator, clients[0], 0), GapState::NoPolicy);
 
         // Two chains on one station: the earlier `ready` opens the gate.
-        let ready: Vec<SimTime> = emulator
+        let chains = emulator.manager().chains_of(clients[1]);
+        let attached: Vec<ChainId> = emulator
             .manager()
             .attachments_of(clients[1])
-            .map(|a| emulator.chain_ready[&(StationId::new(1), a.chain)])
+            .map(|a| a.chain)
+            .collect();
+        assert_eq!(chains, &attached[..], "the index lists the attachments");
+        let ready: Vec<SimTime> = chains
+            .iter()
+            .map(|chain| emulator.slots[1].ready_at(*chain).expect("deployed"))
             .collect();
         assert_eq!(ready.len(), 2);
         assert!(ready[0] < ready[1], "the chains came up at different times");
@@ -2108,7 +2146,68 @@ mod tests {
             1
         );
         assert!(emulator.dead.contains_key(&StationId::new(3)));
+        assert!(emulator.slots[3].ready.is_empty(), "the crash cleared it");
         assert_eq!(gap(&emulator, clients[3], 5), GapState::NeverReady);
+    }
+
+    /// A crash clears the station's ready times — its clients fall into the
+    /// gap — and the redeploy after the restart sets them again, later.
+    #[test]
+    fn a_crash_clears_the_ready_times_and_a_redeploy_restores_them() {
+        use crate::chaos::{FaultKind, FaultSchedule};
+
+        let crash_at = SimTime::from_secs(5);
+        let run_until = |at: SimTime| {
+            let mut builder = Scenario::builder(2, HostClass::EdgeServer);
+            let clients = builder.add_clients(2, TrafficProfile::smartphone());
+            let scenario = builder
+                .with_duration(at.duration_since(SimTime::ZERO))
+                .attach_policy(
+                    clients[0],
+                    vec![sample_specs()[0].clone()],
+                    TrafficSelector::all(),
+                    SimTime::from_secs(1),
+                )
+                .build();
+            let mut emulator = Emulator::new(scenario);
+            let mut faults = FaultSchedule::new();
+            faults.push(
+                crash_at,
+                FaultKind::StationCrash {
+                    station: StationId::new(0),
+                    down_for: SimDuration::from_secs(2),
+                },
+            );
+            emulator.set_fault_schedule(faults);
+            emulator.run();
+            (emulator, clients[0])
+        };
+        let ready_of = |emulator: &Emulator, client: ClientId| {
+            let chain = emulator.manager().chains_of(client)[0];
+            emulator.slots[0].ready_at(chain)
+        };
+
+        let (before, client) = run_until(crash_at - SimDuration::from_millis(1));
+        let first = ready_of(&before, client).expect("deployed before the crash");
+        assert_eq!(
+            before.gap_state(client, StationId::new(0)),
+            GapState::ReadyAt(first)
+        );
+
+        let (down, client) = run_until(crash_at + SimDuration::from_millis(1));
+        assert!(down.slots[0].ready.is_empty());
+        assert_eq!(
+            down.gap_state(client, StationId::new(0)),
+            GapState::NeverReady
+        );
+
+        let (back, client) = run_until(SimTime::from_secs(20));
+        let again = ready_of(&back, client).expect("redeployed after the restart");
+        assert!(again > crash_at + SimDuration::from_secs(2), "{again:?}");
+        assert_eq!(
+            back.gap_state(client, StationId::new(0)),
+            GapState::ReadyAt(again)
+        );
     }
 
     /// One flush touches stations 5, 2 and 9 (in that pending order), and a

@@ -4,8 +4,9 @@
 //! of each chain — together with the secondary indexes that make
 //! reconciliation cheap at fleet scale:
 //!
-//! * `by_client` — which chains follow each client, so a roam touches only
-//!   that client's chains instead of scanning the fleet;
+//! * `by_client` — which chains follow each client, in chain order, so a
+//!   roam touches only that client's chains instead of scanning the fleet
+//!   (only ever point-accessed, so a hashed map of sorted lists);
 //! * `by_station` — which chains the Manager believes are *observed* on each
 //!   station, so a crash/rejoin resets only that station's chains;
 //! * `window_events` — the future activation-window boundaries, ordered by
@@ -20,14 +21,14 @@
 //! `O(attachments)`.
 
 use crate::manager::AttachmentRecord;
-use gnf_types::{ChainId, ClientId, SimTime, StationId};
+use gnf_types::{ChainId, ClientId, PathMap, SimTime, StationId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The attachment table plus the reconciliation indexes.
 #[derive(Debug, Default)]
 pub(crate) struct DesiredState {
     attachments: BTreeMap<ChainId, AttachmentRecord>,
-    by_client: BTreeMap<ClientId, BTreeSet<ChainId>>,
+    by_client: PathMap<ClientId, Vec<ChainId>>,
     by_station: BTreeMap<StationId, BTreeSet<ChainId>>,
     window_events: BTreeSet<(SimTime, ChainId)>,
     dirty: BTreeSet<ChainId>,
@@ -55,10 +56,10 @@ impl DesiredState {
         if let Some(old) = self.attachments.remove(&chain) {
             self.unindex(&old);
         }
-        self.by_client
-            .entry(attachment.client)
-            .or_default()
-            .insert(chain);
+        let chains = self.by_client.entry(attachment.client).or_default();
+        if let Err(at) = chains.binary_search(&chain) {
+            chains.insert(at, chain);
+        }
         if let Some(station) = attachment.station {
             self.by_station.entry(station).or_default().insert(chain);
         }
@@ -78,9 +79,11 @@ impl DesiredState {
     }
 
     fn unindex(&mut self, old: &AttachmentRecord) {
-        if let Some(set) = self.by_client.get_mut(&old.client) {
-            set.remove(&old.chain);
-            if set.is_empty() {
+        if let Some(chains) = self.by_client.get_mut(&old.client) {
+            if let Ok(at) = chains.binary_search(&old.chain) {
+                chains.remove(at);
+            }
+            if chains.is_empty() {
                 self.by_client.remove(&old.client);
             }
         }
@@ -127,25 +130,21 @@ impl DesiredState {
         Some(result)
     }
 
-    /// The attachments following `client`, in chain order, straight off the
-    /// `by_client` index: `O(log fleet + own chains)`, no allocation.
+    /// The chains following `client`, in chain order, straight off the
+    /// `by_client` index: one hashed probe, no allocation.
+    pub(crate) fn chains_of(&self, client: ClientId) -> &[ChainId] {
+        self.by_client.get(&client).map_or(&[], Vec::as_slice)
+    }
+
+    /// The attachments following `client`, in chain order, through
+    /// [`DesiredState::chains_of`].
     pub(crate) fn attachments_of(
         &self,
         client: ClientId,
     ) -> impl Iterator<Item = &AttachmentRecord> {
-        self.by_client
-            .get(&client)
-            .into_iter()
-            .flatten()
+        self.chains_of(client)
+            .iter()
             .filter_map(|chain| self.attachments.get(chain))
-    }
-
-    /// Chains attached to `client`, in chain order.
-    pub(crate) fn chains_of_client(&self, client: ClientId) -> Vec<ChainId> {
-        self.by_client
-            .get(&client)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Chains the Manager believes are placed on `station`, in chain order.
@@ -207,7 +206,7 @@ mod tests {
         state.insert(attachment(3, 11, None));
 
         assert_eq!(
-            state.chains_of_client(ClientId::new(10)),
+            state.chains_of(ClientId::new(10)),
             vec![ChainId::new(1), ChainId::new(2)]
         );
         assert_eq!(
@@ -224,10 +223,7 @@ mod tests {
         );
 
         state.remove(ChainId::new(1));
-        assert_eq!(
-            state.chains_of_client(ClientId::new(10)),
-            vec![ChainId::new(2)]
-        );
+        assert_eq!(state.chains_of(ClientId::new(10)), vec![ChainId::new(2)]);
         assert_eq!(
             state.chains_on_station(StationId::new(6)),
             vec![ChainId::new(2)]
@@ -305,7 +301,7 @@ mod tests {
                         .map(|a| a.chain)
                         .collect();
                     prop_assert_eq!(&indexed, &filtered);
-                    prop_assert_eq!(state.chains_of_client(client), filtered);
+                    prop_assert_eq!(state.chains_of(client), &filtered[..]);
                 }
                 for station in (1..4).map(StationId::new) {
                     let filtered: Vec<ChainId> = state

@@ -838,6 +838,12 @@ impl Manager {
         self.desired.attachments_of(client)
     }
 
+    /// The ids of the chains following one client, in chain order: the
+    /// by-client index itself, without visiting the attachment records.
+    pub fn chains_of(&self, client: ClientId) -> &[ChainId] {
+        self.desired.chains_of(client)
+    }
+
     /// One attachment.
     pub fn attachment(&self, chain: ChainId) -> Option<&AttachmentRecord> {
         self.desired.get(chain)
@@ -988,7 +994,7 @@ impl Manager {
 
         // Every chain attached to this client must now run on `station` —
         // found through the by-client index, not a fleet scan.
-        for chain in self.desired.chains_of_client(client) {
+        for chain in self.desired.chains_of(client).to_vec() {
             // A chain collected above may have been detached by an earlier
             // iteration's actions; skip rather than panic.
             let Some(attachment) = self.desired.get(chain).cloned() else {
@@ -1900,6 +1906,84 @@ mod tests {
             .filter(|n| n.category == "station-offline")
             .collect();
         assert_eq!(offline.len(), 1, "one notification per transition");
+    }
+
+    fn idle_report(station: u64, at: SimTime) -> Box<gnf_telemetry::StationReport> {
+        Box::new(gnf_telemetry::StationReport {
+            station: StationId::new(station),
+            agent: gnf_types::AgentId::new(station),
+            produced_at: at,
+            host_class: HostClass::HomeRouter,
+            capacity: HostClass::HomeRouter.capacity(),
+            usage: gnf_types::ResourceUsage::IDLE,
+            connected_clients: vec![],
+            running_nfs: 0,
+            cached_images: 0,
+            flow_cache: Default::default(),
+            megaflow: Default::default(),
+            batches: Default::default(),
+            chaos: Default::default(),
+        })
+    }
+
+    /// The monitoring store is a hashed table; the offline notifications
+    /// still come out one per station, in station order, whatever order the
+    /// stations registered and reported in.
+    #[test]
+    fn offline_notifications_follow_station_order_not_registration_order() {
+        let mut m = manager();
+        let stations = [7, 3, 11, 0, 5, 14, 9, 1, 12, 6];
+        for station in stations {
+            register(&mut m, station, SimTime::ZERO);
+            m.handle_agent_msg(
+                StationId::new(station),
+                AgentToManager::Report(idle_report(station, SimTime::from_secs(2))),
+                SimTime::from_secs(2),
+            );
+        }
+        m.tick(SimTime::from_secs(60));
+        let offline: Vec<StationId> = m
+            .notifications()
+            .entries()
+            .filter(|n| n.category == "station-offline")
+            .map(|n| match n.source {
+                NotificationSource::Station { station } => station,
+                ref other => panic!("offline raised by {other:?}"),
+            })
+            .collect();
+        let mut sorted = stations.map(StationId::new).to_vec();
+        sorted.sort();
+        assert_eq!(offline, sorted);
+    }
+
+    /// A station id is a key, not a position: a full report and a delta
+    /// keyframe naming `StationId(u64::MAX)` each add one entry to their
+    /// table and size nothing after it.
+    #[test]
+    fn reports_from_the_last_station_id_add_one_entry_each() {
+        let mut m = manager();
+        let last = u64::MAX;
+        m.handle_agent_msg(
+            StationId::new(last),
+            AgentToManager::Report(idle_report(last, SimTime::from_secs(1))),
+            SimTime::from_secs(1),
+        );
+        assert_eq!(m.monitoring().len(), 1);
+        let keyframe = gnf_telemetry::ReportDelta::keyframe(
+            &idle_report(last, SimTime::from_secs(2)),
+            1,
+            false,
+        );
+        m.handle_agent_msg(
+            StationId::new(last),
+            AgentToManager::ReportDelta(Box::new(keyframe)),
+            SimTime::from_secs(2),
+        );
+        assert_eq!(m.reassembler.stations(), 1);
+        assert_eq!(m.control_plane_stats().delta_keyframes, 1);
+        assert_eq!(m.monitoring().len(), 1);
+        let health = m.monitoring().station(StationId::new(last)).unwrap();
+        assert_eq!(health.reports_received, 2);
     }
 
     #[test]

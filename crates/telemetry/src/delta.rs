@@ -26,9 +26,10 @@
 use crate::report::{
     BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, StationReport,
 };
-use gnf_types::{AgentId, ClientId, HostClass, ResourceSpec, ResourceUsage, SimTime, StationId};
+use gnf_types::{
+    AgentId, ClientId, HostClass, PathMap, ResourceSpec, ResourceUsage, SimTime, StationId,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Rarely-changing station identity carried by keyframes (and by deltas in
 /// the unlikely event a station's hardware class changes).
@@ -445,7 +446,7 @@ struct StreamState {
 /// from a delta stream, holding one keyframe per station.
 #[derive(Debug, Clone, Default)]
 pub struct ReportReassembler {
-    streams: BTreeMap<StationId, StreamState>,
+    streams: PathMap<StationId, StreamState>,
     stats: ReassemblerStats,
 }
 

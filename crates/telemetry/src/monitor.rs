@@ -5,9 +5,8 @@
 
 use crate::metrics::RingSeries;
 use crate::report::StationReport;
-use gnf_types::{SimDuration, SimTime, StationId};
+use gnf_types::{PathMap, SimDuration, SimTime, StationId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Liveness status of a station as seen by the Manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,10 +54,11 @@ impl StationHealth {
     }
 }
 
-/// The monitoring store fed by Agent reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The monitoring store fed by Agent reports. One health record per
+/// station, found in O(1) by every report the Manager ingests.
+#[derive(Debug, Clone)]
 pub struct MonitoringStore {
-    stations: BTreeMap<StationId, StationHealth>,
+    stations: PathMap<StationId, StationHealth>,
     report_interval: SimDuration,
     missed_for_offline: u32,
 }
@@ -69,7 +69,7 @@ impl MonitoringStore {
     /// consecutive missed intervals.
     pub fn new(report_interval: SimDuration, missed_for_offline: u32) -> Self {
         MonitoringStore {
-            stations: BTreeMap::new(),
+            stations: PathMap::default(),
             report_interval,
             missed_for_offline: missed_for_offline.max(1),
         }
@@ -98,8 +98,8 @@ impl MonitoringStore {
     }
 
     /// Re-evaluates liveness at `now`, returning the stations whose status
-    /// *changed* to offline in this pass (so the Manager can raise one
-    /// notification per transition).
+    /// *changed* to offline in this pass, in station order (so the Manager
+    /// can raise one notification per transition, in a fixed order).
     pub fn refresh_liveness(&mut self, now: SimTime) -> Vec<StationId> {
         let mut newly_offline = Vec::new();
         for health in self.stations.values_mut() {
@@ -121,6 +121,7 @@ impl MonitoringStore {
             }
             health.status = new_status;
         }
+        newly_offline.sort_unstable();
         newly_offline
     }
 
@@ -129,7 +130,7 @@ impl MonitoringStore {
         self.stations.get(&station)
     }
 
-    /// All health records.
+    /// All health records, in no particular order.
     pub fn stations(&self) -> impl Iterator<Item = &StationHealth> {
         self.stations.values()
     }
@@ -185,7 +186,8 @@ impl HotspotDetector {
     }
 
     /// Returns the stations whose latest report exceeds the threshold,
-    /// together with their dominant utilisation, most loaded first.
+    /// together with their dominant utilisation, most loaded first and in
+    /// station order among equals.
     pub fn hotspots(&self, store: &MonitoringStore) -> Vec<(StationId, f64)> {
         let mut result: Vec<(StationId, f64)> = store
             .stations()
@@ -193,7 +195,13 @@ impl HotspotDetector {
             .map(|r| (r.station, r.dominant_utilisation()))
             .filter(|(_, util)| *util >= self.threshold)
             .collect();
-        result.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        // Every utilisation here passed the `>=` filter, so none is NaN and
+        // the order is total.
+        result.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
         result
     }
 }
@@ -303,6 +311,39 @@ mod tests {
         assert!(store.refresh_liveness(SimTime::from_secs(100)).is_empty());
         assert_eq!(store.len(), 1);
         assert_eq!(store.online_count(), 0);
+    }
+
+    #[test]
+    fn newly_offline_stations_come_out_in_station_order() {
+        let mut store = store();
+        let order = [12u64, 4, 30, 0, 17, 8, 25, 2];
+        for station in order {
+            store.register_station(StationId::new(station));
+        }
+        for station in order.iter().rev() {
+            let t = SimTime::from_secs(2);
+            store.ingest(report(*station, 0.1, t), t);
+        }
+        let mut expected: Vec<StationId> = order.map(StationId::new).to_vec();
+        expected.sort();
+        assert_eq!(store.refresh_liveness(SimTime::from_secs(60)), expected);
+        assert!(store.refresh_liveness(SimTime::from_secs(90)).is_empty());
+    }
+
+    #[test]
+    fn equally_loaded_hotspots_come_out_in_station_order() {
+        let mut store = store();
+        let t = SimTime::from_secs(10);
+        for station in [9, 3, 6, 1] {
+            store.ingest(report(station, 0.9, t), t);
+        }
+        store.ingest(report(4, 0.95, t), t);
+        let flagged: Vec<u64> = HotspotDetector::new(0.8)
+            .hotspots(&store)
+            .into_iter()
+            .map(|(station, _)| station.raw())
+            .collect();
+        assert_eq!(flagged, vec![4, 1, 3, 6, 9]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use gnf_types::{GnfResult, HostClass, ImageId, ResourceSpec};
 use serde::{Deserialize, Serialize};
 
 /// The VM-based NFV runtime baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmRuntime {
     pool: RuntimePool,
 }

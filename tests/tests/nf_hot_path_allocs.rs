@@ -851,10 +851,14 @@ fn one_roam_wave() -> Emulator {
 /// jobs lived in the slot table (a `BTreeMap` of fresh job vectors per
 /// flush; the slots now hand their drained buffers back) and report timers
 /// rode their own queue lane, the three read 29 051 / 5 017 = 5.790,
-/// 13 588 / 4 000 = 3.397 and 23 310 / 16 660 = 1.399.
-const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 26_673.0 / 5_017.0;
-const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_500.0 / 4_000.0;
-const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 21_458.0 / 16_660.0;
+/// 13 588 / 4 000 = 3.397 and 23 310 / 16 660 = 1.399. Before an Agent
+/// deployed an NF from the catalogue's own image instead of a clone of it
+/// (a name, a layer list and its digests: 4 requests per NF), they read
+/// 26 673 / 5 017 = 5.317, 13 500 / 4 000 = 3.375 and
+/// 21 458 / 16 660 = 1.288.
+const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 25_988.0 / 5_017.0;
+const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_182.0 / 4_000.0;
+const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 21_343.0 / 16_660.0;
 
 #[test]
 fn a_run_allocates_per_packet_within_its_ceiling() {
