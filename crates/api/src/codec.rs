@@ -82,6 +82,55 @@ mod tests {
     }
 
     #[test]
+    fn a_prepare_chain_carrying_a_conntrack_table_round_trips() {
+        use gnf_nf::testing::{sample_specs, sample_traffic};
+        use gnf_nf::{instantiate_chain, Direction, NfContext, NfStateSnapshot};
+        use gnf_switch::TrafficSelector;
+        use gnf_types::{ChainId, ClientId, MacAddr, MigrationId, SimTime};
+
+        let mut source = instantiate_chain("source", &sample_specs());
+        for (ix, packet) in sample_traffic(std::net::Ipv4Addr::new(10, 0, 0, 2))
+            .into_iter()
+            .enumerate()
+        {
+            let ctx = NfContext::at(SimTime::from_millis(ix as u64));
+            let _ = source.process(packet, Direction::Ingress, &ctx);
+        }
+        let state = source.export_state();
+        assert!(
+            matches!(&state[0], NfStateSnapshot::Firewall { established } if established.len() > 1),
+            "{state:?}"
+        );
+        let prepare = |precopy_state| ManagerToAgent::PrepareChain {
+            chain: ChainId::new(3),
+            client: ClientId::new(4),
+            client_mac: MacAddr::derived(3, 4),
+            specs: sample_specs(),
+            selector: TrafficSelector::all(),
+            precopy_state,
+            migration: MigrationId::new(9),
+        };
+        let message = prepare(state);
+        let mut buf = BytesMut::new();
+        encode(&message, &mut buf).unwrap();
+        let bytes = buf.to_vec();
+        let decoded: ManagerToAgent = decode(&mut buf).unwrap().unwrap();
+        assert_eq!(decoded, message);
+
+        // The target's table, built from the decoded one, encodes to the
+        // same bytes as the source's.
+        let ManagerToAgent::PrepareChain { precopy_state, .. } = decoded else {
+            unreachable!("decoded from a PrepareChain");
+        };
+        let mut target = instantiate_chain("target", &sample_specs());
+        target.import_state(precopy_state);
+        assert_eq!(
+            encode_to_vec(&prepare(target.export_state())).unwrap(),
+            bytes
+        );
+    }
+
+    #[test]
     fn partial_frames_wait_for_more_bytes() {
         let bytes = encode_to_vec(&AgentToManager::Pong).unwrap();
         let mut buf = BytesMut::new();

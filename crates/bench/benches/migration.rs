@@ -27,19 +27,21 @@ use std::hint::black_box;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
+/// The tuple of established connection `ix`.
+fn flow(ix: usize) -> FiveTuple {
+    FiveTuple::new(
+        Ipv4Addr::new(10, (ix >> 16) as u8, (ix >> 8) as u8, ix as u8),
+        Ipv4Addr::new(198, 51, 100, 7),
+        IpProtocol::Tcp,
+        40_000 + (ix % 20_000) as u16,
+        443,
+    )
+}
+
 /// A firewall conntrack snapshot with `flows` established connections.
 fn conntrack(flows: usize, seen_base: u64) -> NfStateSnapshot {
     let established = (0..flows)
-        .map(|ix| {
-            let tuple = FiveTuple::new(
-                Ipv4Addr::new(10, (ix >> 16) as u8, (ix >> 8) as u8, ix as u8),
-                Ipv4Addr::new(198, 51, 100, 7),
-                IpProtocol::Tcp,
-                40_000 + (ix % 20_000) as u16,
-                443,
-            );
-            (tuple, seen_base + ix as u64)
-        })
+        .map(|ix| (flow(ix), SimTime::from_nanos(seen_base + ix as u64)))
         .collect();
     NfStateSnapshot::Firewall { established }
 }
@@ -51,14 +53,13 @@ fn dirtied(base: &NfStateSnapshot) -> NfStateSnapshot {
     let NfStateSnapshot::Firewall { established } = base else {
         unreachable!("conntrack() builds firewall snapshots");
     };
-    let mut current = established.clone();
-    for (ix, entry) in current.iter_mut().enumerate() {
-        if ix % 100 == 0 {
-            entry.1 += 1_000_000;
-        }
-    }
-    let fresh = current.len().max(100) / 100;
-    for ix in 0..fresh {
+    let refreshed = (0..established.len()).step_by(100).map(|ix| {
+        let seen = established
+            .get(&flow(ix))
+            .expect("conntrack() holds every flow");
+        (flow(ix), *seen + SimDuration::from_millis(1))
+    });
+    let fresh = (0..established.len().max(100) / 100).map(|ix| {
         let tuple = FiveTuple::new(
             Ipv4Addr::new(172, 16, (ix >> 8) as u8, ix as u8),
             Ipv4Addr::new(198, 51, 100, 9),
@@ -66,13 +67,15 @@ fn dirtied(base: &NfStateSnapshot) -> NfStateSnapshot {
             50_000 + ix as u16,
             53,
         );
-        current.push((tuple, 9_000_000_000 + ix as u64));
-    }
-    // The firewall's canonical export order: (last seen, tuple).
-    current.sort_by_key(|(tuple, t)| (*t, *tuple));
-    NfStateSnapshot::Firewall {
-        established: current,
-    }
+        (tuple, SimTime::from_nanos(9_000_000_000 + ix as u64))
+    });
+    let established = established
+        .iter()
+        .map(|(tuple, seen)| (*tuple, *seen))
+        .chain(refreshed)
+        .chain(fresh)
+        .collect();
+    NfStateSnapshot::Firewall { established }
 }
 
 fn bench_state_transfer(c: &mut Criterion) {

@@ -1479,6 +1479,7 @@ impl Manager {
 mod tests {
     use super::*;
     use gnf_nf::testing::sample_specs;
+    use gnf_nf::StateTable;
     use gnf_telemetry::Notification;
     use gnf_types::HostClass;
 
@@ -1663,7 +1664,7 @@ mod tests {
                 client: ClientId::new(0),
                 migration,
                 state: vec![NfStateSnapshot::Firewall {
-                    established: vec![],
+                    established: StateTable::default(),
                 }],
                 checkpoint_latency: SimDuration::from_millis(30),
             },
@@ -2384,7 +2385,7 @@ mod tests {
 
         // Source ships the baseline → the Manager stages it on the target.
         let baseline = vec![NfStateSnapshot::Firewall {
-            established: vec![],
+            established: StateTable::default(),
         }];
         let actions = m.handle_agent_msg(
             StationId::new(0),
@@ -2504,7 +2505,7 @@ mod tests {
                 client: ClientId::new(0),
                 migration,
                 state: vec![NfStateSnapshot::Firewall {
-                    established: vec![],
+                    established: StateTable::default(),
                 }],
                 checkpoint_latency: SimDuration::from_millis(30),
             },
@@ -2561,7 +2562,7 @@ mod tests {
                 client,
                 migration,
                 state: vec![NfStateSnapshot::Firewall {
-                    established: vec![],
+                    established: StateTable::default(),
                 }],
                 checkpoint_latency: SimDuration::from_millis(30),
             },

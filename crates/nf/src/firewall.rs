@@ -16,7 +16,7 @@ use crate::nf::{
     Verdict,
 };
 use crate::spec::NfKind;
-use crate::state::{by_value_then_key, NfStateDelta, NfStateSnapshot};
+use crate::state::{NfStateDelta, NfStateSnapshot, StateTable};
 use gnf_packet::{builder, FieldMask, FiveTuple, IpProtocol, MaskedTuple, Packet, TcpFlags};
 use gnf_types::{PathMap, SimTime};
 use serde::{Deserialize, Serialize};
@@ -604,23 +604,14 @@ impl NetworkFunction for Firewall {
     }
 
     fn export_state(&self) -> NfStateSnapshot {
-        let mut established: Vec<(FiveTuple, u64)> = self
-            .conntrack
-            .iter()
-            .map(|(tuple, time)| (*tuple, time.as_nanos()))
-            .collect();
-        // By (time, tuple), so the export is fully deterministic even when
-        // many flows share a timestamp (e.g. one batch establishing several
-        // connections).
-        established.sort_unstable_by(by_value_then_key);
-        NfStateSnapshot::Firewall { established }
+        NfStateSnapshot::Firewall {
+            established: StateTable(self.conntrack.clone()),
+        }
     }
 
     fn import_state(&mut self, state: NfStateSnapshot) {
         if let NfStateSnapshot::Firewall { established } = state {
-            for (tuple, nanos) in established {
-                self.conntrack.insert(tuple, SimTime::from_nanos(nanos));
-            }
+            established.merge_into(&mut self.conntrack);
         }
     }
 

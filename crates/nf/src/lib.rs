@@ -81,4 +81,4 @@ pub use nf::{
     Verdict,
 };
 pub use spec::{instantiate_chain, NfConfig, NfKind, NfSpec};
-pub use state::{NfStateDelta, NfStateSnapshot};
+pub use state::{NfStateDelta, NfStateSnapshot, StateTable};

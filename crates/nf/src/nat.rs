@@ -14,7 +14,7 @@
 
 use crate::nf::{apply_delta_via_export, Direction, NetworkFunction, NfContext, NfStats, Verdict};
 use crate::spec::NfKind;
-use crate::state::{by_value_then_key, NfStateDelta, NfStateSnapshot};
+use crate::state::{NfStateDelta, NfStateSnapshot, StateTable};
 use gnf_packet::{FiveTuple, IpProtocol, Packet};
 use gnf_types::PathMap;
 use std::net::Ipv4Addr;
@@ -163,11 +163,8 @@ impl NetworkFunction for Nat {
     }
 
     fn export_state(&self) -> NfStateSnapshot {
-        let mut mappings: Vec<(FiveTuple, u16)> =
-            self.forward.iter().map(|(k, v)| (*k, *v)).collect();
-        mappings.sort_unstable_by(by_value_then_key);
         NfStateSnapshot::Nat {
-            mappings,
+            mappings: StateTable(self.forward.clone()),
             next_port: self.next_port,
         }
     }
@@ -178,9 +175,14 @@ impl NetworkFunction for Nat {
             next_port,
         } = state
         {
-            for (tuple, port) in mappings {
-                self.forward.insert(tuple, port);
-                self.reverse.insert(port, tuple);
+            mappings.merge_into(&mut self.forward);
+            // `reverse` is rebuilt as the inverse of `forward`. A port that
+            // corrupt input hands to several tuples belongs to the largest,
+            // whatever order the table holds them in.
+            self.reverse.clear();
+            for (tuple, port) in &self.forward {
+                let owner = self.reverse.entry(*port).or_insert(*tuple);
+                *owner = (*owner).max(*tuple);
             }
             self.next_port = next_port;
         }
@@ -523,13 +525,15 @@ mod tests {
             next_port: NAT_PORT_BASE + 5,
         };
         let current = NfStateSnapshot::Nat {
-            mappings: vec![
+            mappings: [
                 (tuple(50_003), NAT_PORT_BASE + 2), // swapped with 50_002
                 (tuple(50_002), NAT_PORT_BASE + 3),
                 (tuple(50_004), NAT_PORT_BASE + 4), // kept
                 (tuple(50_001), NAT_PORT_BASE + 7), // moved
                 (tuple(50_009), NAT_PORT_BASE + 8), // added; 50_000 is dropped
-            ],
+            ]
+            .into_iter()
+            .collect(),
             next_port: NAT_PORT_BASE + 9,
         };
         let delta = NfStateDelta::diff(&base, &current);

@@ -10,7 +10,7 @@ use crate::nf::{
     apply_delta_via_export, Direction, NetworkFunction, NfContext, NfEvent, NfStats, Verdict,
 };
 use crate::spec::NfKind;
-use crate::state::{by_key, NfStateDelta, NfStateSnapshot};
+use crate::state::{NfStateDelta, NfStateSnapshot, StateTable};
 use gnf_packet::{FiveTuple, Packet};
 use gnf_types::{PathMap, SimTime};
 use serde::{Deserialize, Serialize};
@@ -198,11 +198,8 @@ impl NetworkFunction for RateLimiter {
     }
 
     fn export_state(&self) -> NfStateSnapshot {
-        let mut buckets: Vec<(FiveTuple, f64)> =
-            self.buckets.iter().map(|(k, v)| (*k, *v)).collect();
-        buckets.sort_unstable_by(by_key);
         NfStateSnapshot::RateLimiter {
-            buckets,
+            buckets: StateTable(self.buckets.clone()),
             last_refill_nanos: self.last_refill.as_nanos(),
         }
     }
@@ -213,9 +210,7 @@ impl NetworkFunction for RateLimiter {
             last_refill_nanos,
         } = state
         {
-            for (key, level) in buckets {
-                self.buckets.insert(key, level);
-            }
+            buckets.merge_into(&mut self.buckets);
             self.last_refill = SimTime::from_nanos(last_refill_nanos);
         }
     }

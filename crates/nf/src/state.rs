@@ -4,46 +4,108 @@
 //! imports it before steering is switched over.
 
 use gnf_packet::FiveTuple;
-use gnf_types::PathBuildHasher;
+use gnf_types::{PathMap, SimTime};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::net::Ipv4Addr;
+use std::ops::Deref;
+
+/// A keyed NF table as a snapshot carries it: a copy of the NF's own
+/// [`PathMap`]. Exporting is one clone of the map (one allocation, no
+/// rehash, no sort), and importing into an NF whose table is empty moves the
+/// map in.
+///
+/// Equality is map equality. The one canonical order is applied only where
+/// bytes are produced: `Serialize` writes the `[key, value]` entries sorted
+/// by key, so equal tables serialize to equal bytes whatever their insertion
+/// history or the map's hasher salt. `Deserialize` inserts the entries in
+/// turn, so of a repeated key the last entry wins. Reads go to the map.
+#[derive(Debug, Clone)]
+pub struct StateTable<K, V>(pub(crate) PathMap<K, V>);
+
+impl<K, V> Deref for StateTable<K, V> {
+    type Target = PathMap<K, V>;
+
+    fn deref(&self) -> &PathMap<K, V> {
+        &self.0
+    }
+}
+
+impl<K: Eq + Hash, V> StateTable<K, V> {
+    /// Moves the entries into an NF's own `table`: the whole map when
+    /// `table` is empty, else one insert each (the snapshot's value wins).
+    pub(crate) fn merge_into(self, table: &mut PathMap<K, V>) {
+        if table.is_empty() {
+            *table = self.0;
+        } else {
+            table.extend(self.0);
+        }
+    }
+}
+
+impl<K, V> Default for StateTable<K, V> {
+    fn default() -> Self {
+        StateTable(PathMap::default())
+    }
+}
+
+impl<K: Eq + Hash, V: PartialEq> PartialEq for StateTable<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl<K: Eq + Hash, V> FromIterator<(K, V)> for StateTable<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
+        StateTable(entries.into_iter().collect())
+    }
+}
+
+impl<K: Serialize + Ord, V: Serialize> Serialize for StateTable<K, V> {
+    fn to_value(&self) -> serde::Value {
+        let mut entries: Vec<(&K, &V)> = self.0.iter().collect();
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        entries.to_value()
+    }
+}
+
+impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for StateTable<K, V> {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        PathMap::from_value(value).map(StateTable)
+    }
+}
 
 /// Snapshot of one NF instance's dynamic state.
 ///
 /// Configuration is *not* part of the snapshot — the target Agent recreates
 /// the NF from its [`crate::spec::NfSpec`] and then layers this state on top.
 ///
-/// **Canonical order.** Every NF exports each table in one documented
-/// order, strictly increasing because its keys are unique — so equal state
-/// exports equal bytes, and [`NfStateDelta::diff`] can find what changed
-/// between two exports in one merge walk. A snapshot that breaks its order
-/// (hand-built, hostile) is still a valid thing to import; `diff` answers it
-/// with [`NfStateDelta::Full`].
+/// **A keyed table serializes by key.** The firewall, NAT and rate limiter
+/// ship their tables as [`StateTable`]s and the IDS its `BTreeMap`, so equal
+/// state serializes to equal bytes, and [`NfStateDelta::diff`] finds what
+/// changed by probing one table with the keys of the other.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NfStateSnapshot {
     /// The NF carries no dynamic state worth migrating.
     Stateless,
     /// Firewall connection-tracking table: established flows and the virtual
-    /// time (nanoseconds) they were last seen.
+    /// time they were last seen.
     Firewall {
-        /// Established (allowed) flows, by `(last seen, tuple)`.
-        established: Vec<(FiveTuple, u64)>,
+        /// Established (allowed) flows → last seen.
+        established: StateTable<FiveTuple, SimTime>,
     },
     /// Rate limiter bucket levels per flow key.
     RateLimiter {
-        /// Remaining tokens per canonical flow, by tuple.
-        buckets: Vec<(FiveTuple, f64)>,
+        /// Remaining tokens per canonical flow.
+        buckets: StateTable<FiveTuple, f64>,
         /// Nanosecond timestamp of the last refill.
         last_refill_nanos: u64,
     },
     /// NAT translation table.
     Nat {
-        /// Forward mappings: original five-tuple → translated source port,
-        /// by `(port, tuple)` — by port, since a NAT hands each port out once.
-        mappings: Vec<(FiveTuple, u16)>,
+        /// Forward mappings: original five-tuple → translated source port.
+        mappings: StateTable<FiveTuple, u16>,
         /// Next ephemeral port to allocate.
         next_port: u16,
     },
@@ -103,9 +165,8 @@ impl NfStateSnapshot {
 /// churn, not with table size.
 ///
 /// The contract is `delta.apply(&base) == current` whenever
-/// `delta == NfStateDelta::diff(&base, &current)`; `apply` reproduces each
-/// NF's canonical export ordering so the result compares byte-for-byte with a
-/// fresh monolithic checkpoint.
+/// `delta == NfStateDelta::diff(&base, &current)`, so baseline plus delta
+/// serializes byte-for-byte like a fresh monolithic checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NfStateDelta {
     /// The state did not change since the baseline.
@@ -162,132 +223,148 @@ pub enum NfStateDelta {
 impl NfStateDelta {
     /// Computes the delta that turns `base` into `current`.
     ///
-    /// One merge walk over the two exports in their canonical order (see
-    /// [`NfStateSnapshot`]): the cost is one pass over both tables plus a
-    /// sort of what changed, and nothing is built that is as large as a
-    /// table. Pairs only in `current` are the upserts, keys only in `base`
-    /// that no upsert replaces are the removals, both in key order.
+    /// For a keyed table, one pass over `current` probes `base`: an entry
+    /// `base` lacks or holds under another value is an upsert. Keys of `base`
+    /// that `current` lacks are the removals; that second pass runs only when
+    /// fewer of `current`'s keys were found in `base` than `base` holds. Both
+    /// lists come out in key order, and nothing is built that is as large as
+    /// a table. When neither the table nor the scalar state beside it moved,
+    /// the answer is [`NfStateDelta::Unchanged`].
     ///
-    /// A side that is not strictly increasing in its canonical order — which
-    /// no NF exports, but a hand-built or hostile snapshot may be — or whose
-    /// changed entries repeat a key has no well-defined churn: the answer is
-    /// [`NfStateDelta::Full`], which is always correct. So is a pair of
-    /// different variants. (What one pass cannot see: a key listed twice in
-    /// a value-first order with one of its two entries unchanged. That is no
-    /// NF's table — importing it keeps one of the two — and its delta says
-    /// so: the changed entry's value.)
+    /// A pair of different variants, or two DNS backend lists that differ,
+    /// has no well-defined churn: the answer is [`NfStateDelta::Full`], which
+    /// is always correct. So is any change to the HTTP cache, whose order is
+    /// state.
     pub fn diff(base: &NfStateSnapshot, current: &NfStateSnapshot) -> Self {
-        if base == current {
-            return NfStateDelta::Unchanged;
-        }
-        let churned = match (base, current) {
+        use NfStateSnapshot as S;
+        match (base, current) {
+            (S::Firewall { established: b }, S::Firewall { established: c }) => churn(b, c, false)
+                .map_or(NfStateDelta::Unchanged, |Churn { upserts, removals }| {
+                    NfStateDelta::Firewall {
+                        upserts: upserts
+                            .into_iter()
+                            .map(|(tuple, seen)| (tuple, seen.as_nanos()))
+                            .collect(),
+                        removals,
+                    }
+                }),
             (
-                NfStateSnapshot::Firewall { established: b },
-                NfStateSnapshot::Firewall { established: c },
-            ) => churn(b, c, by_value_then_key)
-                .map(|Churn { upserts, removals }| NfStateDelta::Firewall { upserts, removals }),
-            (
-                NfStateSnapshot::RateLimiter { buckets: b, .. },
-                NfStateSnapshot::RateLimiter {
+                S::RateLimiter {
+                    buckets: b,
+                    last_refill_nanos: was,
+                },
+                S::RateLimiter {
                     buckets: c,
                     last_refill_nanos,
                 },
-            ) => churn(b, c, by_key).map(|Churn { upserts, removals }| NfStateDelta::RateLimiter {
-                upserts,
-                removals,
-                last_refill_nanos: *last_refill_nanos,
-            }),
+            ) => churn(b, c, was != last_refill_nanos).map_or(
+                NfStateDelta::Unchanged,
+                |Churn { upserts, removals }| NfStateDelta::RateLimiter {
+                    upserts,
+                    removals,
+                    last_refill_nanos: *last_refill_nanos,
+                },
+            ),
             (
-                NfStateSnapshot::Nat { mappings: b, .. },
-                NfStateSnapshot::Nat {
+                S::Nat {
+                    mappings: b,
+                    next_port: was,
+                },
+                S::Nat {
                     mappings: c,
                     next_port,
                 },
-            ) => churn(b, c, by_value_then_key).map(|Churn { upserts, removals }| {
-                NfStateDelta::Nat {
+            ) => churn(b, c, was != next_port).map_or(
+                NfStateDelta::Unchanged,
+                |Churn { upserts, removals }| NfStateDelta::Nat {
                     upserts,
                     removals,
                     next_port: *next_port,
-                }
-            }),
-            (
-                NfStateSnapshot::DnsLoadBalancer { assignments: b, .. },
-                NfStateSnapshot::DnsLoadBalancer {
-                    next_backend,
-                    assignments: c,
                 },
-            ) => {
-                // The key sequence is the configured backend list on both
-                // sides; a differing sequence means the baseline is not
-                // comparable.
-                let comparable = b.len() == c.len() && b.iter().zip(c).all(|(b, c)| b.0 == c.0);
-                comparable.then(|| NfStateDelta::DnsLoadBalancer {
-                    next_backend: *next_backend,
-                    upserts: b
-                        .iter()
-                        .zip(c)
-                        .filter(|(b, c)| b.1 != c.1)
-                        .map(|(_, c)| *c)
-                        .collect(),
-                })
-            }
+            ),
             (
-                NfStateSnapshot::Ids { syn_counts: b, .. },
-                NfStateSnapshot::Ids {
+                S::Ids {
+                    syn_counts: b,
+                    window_start_nanos: was,
+                },
+                S::Ids {
                     syn_counts: c,
                     window_start_nanos,
                 },
-            ) => {
-                // The one table exported as a map: the same walk over its
-                // entries, which a `BTreeMap` yields by key.
-                let pairs = |counts: &BTreeMap<Ipv4Addr, u64>| -> Vec<(Ipv4Addr, u64)> {
-                    counts
-                        .iter()
-                        .map(|(source, count)| (*source, *count))
-                        .collect()
-                };
-                churn(&pairs(b), &pairs(c), by_key).map(|Churn { upserts, removals }| {
-                    NfStateDelta::Ids {
+            ) => churn(b, c, was != window_start_nanos).map_or(
+                NfStateDelta::Unchanged,
+                |Churn { upserts, removals }| NfStateDelta::Ids {
+                    upserts,
+                    removals,
+                    window_start_nanos: *window_start_nanos,
+                },
+            ),
+            (
+                S::DnsLoadBalancer {
+                    next_backend: was,
+                    assignments: b,
+                },
+                S::DnsLoadBalancer {
+                    next_backend,
+                    assignments: c,
+                },
+            ) if b.len() == c.len() && b.iter().zip(c).all(|(b, c)| b.0 == c.0) => {
+                // The key sequence is the configured backend list on both
+                // sides, so the counts compare position by position.
+                let upserts: Vec<(Ipv4Addr, u64)> = b
+                    .iter()
+                    .zip(c)
+                    .filter(|(b, c)| b.1 != c.1)
+                    .map(|(_, c)| *c)
+                    .collect();
+                if upserts.is_empty() && was == next_backend {
+                    NfStateDelta::Unchanged
+                } else {
+                    NfStateDelta::DnsLoadBalancer {
+                        next_backend: *next_backend,
                         upserts,
-                        removals,
-                        window_start_nanos: *window_start_nanos,
                     }
-                })
+                }
             }
-            _ => None,
-        };
-        churned.unwrap_or_else(|| NfStateDelta::Full(current.clone()))
+            _ if base == current => NfStateDelta::Unchanged,
+            _ => NfStateDelta::Full(current.clone()),
+        }
     }
 
     /// Applies this delta to `base`, reproducing the snapshot it was diffed
-    /// against — including each NF's canonical export ordering, given a
-    /// `base` in that order (as every export is). This is the snapshot-level
-    /// specification of [`crate::NetworkFunction::apply_delta`], which
-    /// patches an NF's own tables instead of a copy of them.
+    /// against. This is the snapshot-level specification of
+    /// [`crate::NetworkFunction::apply_delta`], which patches an NF's own
+    /// tables instead of a copy of them.
     ///
     /// A delta from the wire is taken as a list of edits, not trusted to be
-    /// a `diff` result: removals first, then upserts in turn, so a repeated
-    /// key's last upsert wins. A delta of another variant than `base` is
-    /// ignored.
+    /// a `diff` result: a copy of `base` with the removals taken out first,
+    /// then the upserts put in in turn, so a repeated key's last upsert wins.
+    /// A delta of another variant than `base` is ignored.
     pub fn apply(&self, base: &NfStateSnapshot) -> NfStateSnapshot {
+        use NfStateSnapshot as S;
         match (self, base) {
             (NfStateDelta::Unchanged, _) => base.clone(),
             (NfStateDelta::Full(full), _) => full.clone(),
-            (
-                NfStateDelta::Firewall { upserts, removals },
-                NfStateSnapshot::Firewall { established },
-            ) => NfStateSnapshot::Firewall {
-                established: patched(established, upserts, removals, by_value_then_key),
-            },
+            (NfStateDelta::Firewall { upserts, removals }, S::Firewall { established }) => {
+                S::Firewall {
+                    established: edited(
+                        established,
+                        removals,
+                        upserts
+                            .iter()
+                            .map(|(tuple, nanos)| (*tuple, SimTime::from_nanos(*nanos))),
+                    ),
+                }
+            }
             (
                 NfStateDelta::RateLimiter {
                     upserts,
                     removals,
                     last_refill_nanos,
                 },
-                NfStateSnapshot::RateLimiter { buckets, .. },
-            ) => NfStateSnapshot::RateLimiter {
-                buckets: patched(buckets, upserts, removals, by_key),
+                S::RateLimiter { buckets, .. },
+            ) => S::RateLimiter {
+                buckets: edited(buckets, removals, upserts.iter().copied()),
                 last_refill_nanos: *last_refill_nanos,
             },
             (
@@ -296,9 +373,9 @@ impl NfStateDelta {
                     removals,
                     next_port,
                 },
-                NfStateSnapshot::Nat { mappings, .. },
-            ) => NfStateSnapshot::Nat {
-                mappings: patched(mappings, upserts, removals, by_value_then_key),
+                S::Nat { mappings, .. },
+            ) => S::Nat {
+                mappings: edited(mappings, removals, upserts.iter().copied()),
                 next_port: *next_port,
             },
             (
@@ -306,7 +383,7 @@ impl NfStateDelta {
                     next_backend,
                     upserts,
                 },
-                NfStateSnapshot::DnsLoadBalancer { assignments, .. },
+                S::DnsLoadBalancer { assignments, .. },
             ) => {
                 let mut assignments = assignments.clone();
                 for (backend, count) in upserts {
@@ -314,7 +391,7 @@ impl NfStateDelta {
                         slot.1 = *count;
                     }
                 }
-                NfStateSnapshot::DnsLoadBalancer {
+                S::DnsLoadBalancer {
                     next_backend: *next_backend,
                     assignments,
                 }
@@ -325,21 +402,11 @@ impl NfStateDelta {
                     removals,
                     window_start_nanos,
                 },
-                NfStateSnapshot::Ids { syn_counts, .. },
-            ) => {
-                // The snapshot's own table type: patched as the NF patches it.
-                let mut syn_counts = syn_counts.clone();
-                for key in removals {
-                    syn_counts.remove(key);
-                }
-                for (key, count) in upserts {
-                    syn_counts.insert(*key, *count);
-                }
-                NfStateSnapshot::Ids {
-                    syn_counts,
-                    window_start_nanos: *window_start_nanos,
-                }
-            }
+                S::Ids { syn_counts, .. },
+            ) => S::Ids {
+                syn_counts: edited(syn_counts, removals, upserts.iter().copied()),
+                window_start_nanos: *window_start_nanos,
+            },
             // Variant mismatch: the delta cannot be interpreted against this
             // baseline; keep the baseline rather than invent state.
             _ => base.clone(),
@@ -369,119 +436,133 @@ impl NfStateDelta {
     }
 }
 
-/// The canonical order of a table exported by its second field first — the
-/// firewall's `(last seen, tuple)`, the NAT's `(port, tuple)`.
-pub(crate) fn by_value_then_key<K: Ord, V: Ord>(a: &(K, V), b: &(K, V)) -> Ordering {
-    (&a.1, &a.0).cmp(&(&b.1, &b.0))
+/// A keyed table as `diff` and `apply` see it: every [`StateTable`] and the
+/// IDS's `BTreeMap`.
+trait Table<K, V>: Clone {
+    fn len(&self) -> usize;
+    fn get(&self, key: &K) -> Option<&V>;
+    /// The entries, in no particular order.
+    fn entries<'a>(&'a self) -> impl Iterator<Item = (&'a K, &'a V)>
+    where
+        K: 'a,
+        V: 'a;
+    fn insert(&mut self, key: K, value: V);
+    fn remove(&mut self, key: &K);
 }
 
-/// The canonical order of a table exported by key — the rate limiter's
-/// buckets, the IDS's counters.
-pub(crate) fn by_key<K: Ord, V>(a: &(K, V), b: &(K, V)) -> Ordering {
-    a.0.cmp(&b.0)
+impl<K: Eq + Hash + Clone, V: Clone> Table<K, V> for StateTable<K, V> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn get(&self, key: &K) -> Option<&V> {
+        self.0.get(key)
+    }
+    fn entries<'a>(&'a self) -> impl Iterator<Item = (&'a K, &'a V)>
+    where
+        K: 'a,
+        V: 'a,
+    {
+        self.0.iter()
+    }
+    fn insert(&mut self, key: K, value: V) {
+        self.0.insert(key, value);
+    }
+    fn remove(&mut self, key: &K) {
+        self.0.remove(key);
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> Table<K, V> for BTreeMap<K, V> {
+    fn len(&self) -> usize {
+        BTreeMap::len(self)
+    }
+    fn get(&self, key: &K) -> Option<&V> {
+        BTreeMap::get(self, key)
+    }
+    fn entries<'a>(&'a self) -> impl Iterator<Item = (&'a K, &'a V)>
+    where
+        K: 'a,
+        V: 'a,
+    {
+        self.iter()
+    }
+    fn insert(&mut self, key: K, value: V) {
+        BTreeMap::insert(self, key, value);
+    }
+    fn remove(&mut self, key: &K) {
+        BTreeMap::remove(self, key);
+    }
 }
 
 /// What changed between two tables, both lists in key order.
 struct Churn<K, V> {
-    /// The pairs only `current` holds.
+    /// The entries `base` lacks or holds under another value.
     upserts: Vec<(K, V)>,
     /// The keys only `base` holds.
     removals: Vec<K>,
 }
 
-/// What changed between two tables given in the same canonical `order`, by
-/// one merge walk. `None` when a side is not strictly increasing under
-/// `order` or a key repeats among the changed entries.
+/// What changed between `base` and `current`, by probes: `None` when no
+/// entry changed and the scalar state beside the table did not move
+/// (`moved`).
 fn churn<K: Ord + Copy, V: PartialEq + Copy>(
-    base: &[(K, V)],
-    current: &[(K, V)],
-    order: impl Fn(&(K, V), &(K, V)) -> Ordering,
+    base: &impl Table<K, V>,
+    current: &impl Table<K, V>,
+    moved: bool,
 ) -> Option<Churn<K, V>> {
-    let ascending = |a: &(K, V), b: &(K, V)| order(a, b) == Ordering::Less;
-    if !base.is_sorted_by(ascending) || !current.is_sorted_by(ascending) {
+    let (mut upserts, mut new) = (Vec::new(), 0);
+    for (key, value) in current.entries() {
+        match base.get(key) {
+            Some(old) if old == value => {}
+            old => {
+                new += usize::from(old.is_none());
+                upserts.push((*key, *value));
+            }
+        }
+    }
+    // The pass above met every key of `base` that `current` still holds:
+    // when that is all of them, nothing was removed.
+    let mut removals: Vec<K> = if current.len() - new == base.len() {
+        Vec::new()
+    } else {
+        base.entries()
+            .map(|(key, _)| *key)
+            .filter(|key| current.get(key).is_none())
+            .collect()
+    };
+    if upserts.is_empty() && removals.is_empty() && !moved {
         return None;
     }
-    let (mut only_base, mut upserts) = (Vec::new(), Vec::new());
-    let (mut b, mut c) = (0, 0);
-    while let (Some(old), Some(new)) = (base.get(b), current.get(c)) {
-        // Most entries of a serving chain are on both sides: equality first.
-        if old == new {
-            (b, c) = (b + 1, c + 1);
-            continue;
-        }
-        let place = order(old, new);
-        if place != Ordering::Greater {
-            only_base.push(*old);
-            b += 1;
-        }
-        // `Equal` without being equal: the order looks at the key alone and
-        // the value moved — the old entry goes and the new one comes.
-        if place != Ordering::Less {
-            upserts.push(*new);
-            c += 1;
-        }
-    }
-    only_base.extend_from_slice(&base[b..]);
-    upserts.extend_from_slice(&current[c..]);
-
     upserts.sort_unstable_by_key(|(key, _)| *key);
-    let mut removals: Vec<K> = only_base.iter().map(|(key, _)| *key).collect();
     removals.sort_unstable();
-    let distinct = upserts.is_sorted_by(|a, b| a.0 < b.0) && removals.is_sorted_by(|a, b| a < b);
-    // A base entry whose key an upsert carries was replaced, not removed.
-    removals.retain(|key| upserts.binary_search_by(|(k, _)| k.cmp(key)).is_err());
-    distinct.then_some(Churn { upserts, removals })
+    Some(Churn { upserts, removals })
 }
 
-/// `base` (in canonical `order`) with `removals` taken out and `upserts` put
-/// in, in canonical order: the table an NF holds after the same edits.
-fn patched<K: Ord + Hash + Copy, V: Copy>(
-    base: &[(K, V)],
-    upserts: &[(K, V)],
+/// A copy of `base` with `removals` taken out, then `upserts` put in in
+/// turn: the table an NF holds after the same edits.
+fn edited<K, V, T: Table<K, V>>(
+    base: &T,
     removals: &[K],
-    order: impl Fn(&(K, V), &(K, V)) -> Ordering,
-) -> Vec<(K, V)> {
-    // The last upsert of a key wins, as inserting them in turn would.
-    let mut added = upserts.to_vec();
-    added.sort_by_key(|(key, _)| *key);
-    added.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same {
-            *kept = *later;
-        }
-        same
-    });
-    // Every key whose base entry goes: removed, or replaced by an upsert.
-    let gone: HashSet<K, PathBuildHasher> = removals
-        .iter()
-        .copied()
-        .chain(added.iter().map(|(key, _)| *key))
-        .collect();
-    added.sort_unstable_by(&order);
-
-    let mut out = Vec::with_capacity(base.len() + added.len());
-    let mut next = 0;
-    for entry in base {
-        if gone.contains(&entry.0) {
-            continue;
-        }
-        while let Some(before) = added
-            .get(next)
-            .filter(|a| order(a, entry) == Ordering::Less)
-        {
-            out.push(*before);
-            next += 1;
-        }
-        out.push(*entry);
+    upserts: impl Iterator<Item = (K, V)>,
+) -> T {
+    let mut table = base.clone();
+    for key in removals {
+        table.remove(key);
     }
-    out.extend_from_slice(&added[next..]);
-    out
+    for (key, value) in upserts {
+        table.insert(key, value);
+    }
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gnf_packet::IpProtocol;
+
+    fn at(nanos: u64) -> SimTime {
+        SimTime::from_nanos(nanos)
+    }
 
     fn tuple(i: u8) -> FiveTuple {
         FiveTuple::new(
@@ -502,10 +583,10 @@ mod tests {
     #[test]
     fn sizes_scale_with_content() {
         let small = NfStateSnapshot::Firewall {
-            established: vec![(tuple(1), 0)],
+            established: [(tuple(1), at(0))].into_iter().collect(),
         };
         let large = NfStateSnapshot::Firewall {
-            established: (0..100).map(|i| (tuple(i), 0)).collect(),
+            established: (0..100).map(|i| (tuple(i), at(0))).collect(),
         };
         assert!(large.approximate_size_bytes() > small.approximate_size_bytes() * 50);
         assert!(!small.is_empty());
@@ -521,14 +602,16 @@ mod tests {
         let snapshots = vec![
             NfStateSnapshot::Stateless,
             NfStateSnapshot::Firewall {
-                established: vec![(tuple(1), 42)],
+                established: [(tuple(1), at(42)), (tuple(2), at(7))]
+                    .into_iter()
+                    .collect(),
             },
             NfStateSnapshot::RateLimiter {
-                buckets: vec![(tuple(2), 3.5)],
+                buckets: [(tuple(2), 3.5)].into_iter().collect(),
                 last_refill_nanos: 99,
             },
             NfStateSnapshot::Nat {
-                mappings: vec![(tuple(3), 40_001)],
+                mappings: [(tuple(3), 40_001)].into_iter().collect(),
                 next_port: 40_002,
             },
             NfStateSnapshot::DnsLoadBalancer {
@@ -553,9 +636,9 @@ mod tests {
     #[test]
     fn diff_of_identical_snapshots_is_unchanged() {
         let snap = NfStateSnapshot::Firewall {
-            established: vec![(tuple(1), 42)],
+            established: [(tuple(1), at(42))].into_iter().collect(),
         };
-        let delta = NfStateDelta::diff(&snap, &snap);
+        let delta = NfStateDelta::diff(&snap, &snap.clone());
         assert_eq!(delta, NfStateDelta::Unchanged);
         assert_eq!(delta.approximate_size_bytes(), 0);
         assert_eq!(delta.apply(&snap), snap);
@@ -563,40 +646,47 @@ mod tests {
 
     #[test]
     fn delta_round_trips_map_style_churn() {
-        // Firewall: one entry refreshed, one pruned, one added. The canonical
-        // export order is by (last-seen, tuple).
+        // Firewall: one entry refreshed, one pruned, one added.
         let base = NfStateSnapshot::Firewall {
-            established: vec![(tuple(1), 10), (tuple(2), 20)],
+            established: [(tuple(1), at(10)), (tuple(2), at(20))]
+                .into_iter()
+                .collect(),
         };
         let current = NfStateSnapshot::Firewall {
-            established: vec![(tuple(3), 15), (tuple(1), 30)],
+            established: [(tuple(3), at(15)), (tuple(1), at(30))]
+                .into_iter()
+                .collect(),
         };
         let delta = NfStateDelta::diff(&base, &current);
         assert_eq!(delta.apply(&base), current);
         match &delta {
             NfStateDelta::Firewall { upserts, removals } => {
-                assert_eq!(upserts.len(), 2);
+                assert_eq!(upserts, &vec![(tuple(1), 30), (tuple(3), 15)]);
                 assert_eq!(removals, &vec![tuple(2)]);
             }
             other => panic!("expected a firewall delta, got {other:?}"),
         }
 
         let base = NfStateSnapshot::Nat {
-            mappings: vec![(tuple(1), 40_000), (tuple(2), 40_001)],
+            mappings: [(tuple(1), 40_000), (tuple(2), 40_001)]
+                .into_iter()
+                .collect(),
             next_port: 40_002,
         };
         let current = NfStateSnapshot::Nat {
-            mappings: vec![(tuple(2), 40_001), (tuple(4), 40_002)],
+            mappings: [(tuple(2), 40_001), (tuple(4), 40_002)]
+                .into_iter()
+                .collect(),
             next_port: 40_003,
         };
         assert_eq!(NfStateDelta::diff(&base, &current).apply(&base), current);
 
         let base = NfStateSnapshot::RateLimiter {
-            buckets: vec![(tuple(1), 100.0)],
+            buckets: [(tuple(1), 100.0)].into_iter().collect(),
             last_refill_nanos: 5,
         };
         let current = NfStateSnapshot::RateLimiter {
-            buckets: vec![(tuple(1), 40.0), (tuple(2), 90.0)],
+            buckets: [(tuple(1), 40.0), (tuple(2), 90.0)].into_iter().collect(),
             last_refill_nanos: 9,
         };
         assert_eq!(NfStateDelta::diff(&base, &current).apply(&base), current);
@@ -650,7 +740,7 @@ mod tests {
         let mismatched = NfStateDelta::diff(
             &NfStateSnapshot::Stateless,
             &NfStateSnapshot::Firewall {
-                established: vec![(tuple(1), 1)],
+                established: [(tuple(1), at(1))].into_iter().collect(),
             },
         );
         assert!(matches!(mismatched, NfStateDelta::Full(_)));
@@ -659,10 +749,10 @@ mod tests {
     #[test]
     fn deltas_serialize_roundtrip() {
         let base = NfStateSnapshot::Firewall {
-            established: vec![(tuple(1), 10)],
+            established: [(tuple(1), at(10))].into_iter().collect(),
         };
         let current = NfStateSnapshot::Firewall {
-            established: vec![(tuple(2), 12)],
+            established: [(tuple(2), at(12))].into_iter().collect(),
         };
         let delta = NfStateDelta::diff(&base, &current);
         let json = serde_json::to_string(&delta).unwrap();
