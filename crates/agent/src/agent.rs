@@ -2321,15 +2321,15 @@ mod tests {
 
     /// Two identically-driven agents — one sending full reports, one delta
     /// frames — must describe the identical station state at every interval
-    /// once the delta stream is reassembled.
+    /// once the delta stream reaches a receiver's station view.
     #[test]
     fn delta_reports_reconstruct_byte_identically() {
-        use gnf_telemetry::ReportReassembler;
+        use gnf_telemetry::MonitoringStore;
         let (mut full, _) = agent();
         let (mut delta, _) = agent();
         delta.set_delta_reporting(2);
         assert!(delta.delta_reporting());
-        let mut reassembler = ReportReassembler::new();
+        let mut store = MonitoringStore::new(SimDuration::from_secs(2), 3);
 
         let drive = |a: &mut Agent, step: u64| {
             let now = SimTime::from_secs(step * 2);
@@ -2372,15 +2372,16 @@ mod tests {
                 assert!(frame.is_keyframe());
                 assert!(frame.forced);
             }
-            let rebuilt = reassembler.apply(&frame).expect("in-order frame");
+            store.ingest_delta(&frame, now).expect("in-order frame");
+            let rebuilt = store.station(frame.station).unwrap().last_report.as_ref();
             assert_eq!(
-                serde_json::to_string(&rebuilt).unwrap(),
+                serde_json::to_string(rebuilt.unwrap()).unwrap(),
                 serde_json::to_string(&*expected).unwrap(),
                 "step {step}"
             );
         }
-        assert!(reassembler.stats().deltas_applied > 0);
-        assert_eq!(reassembler.stats().forced_resyncs, 1);
+        assert!(store.stats().deltas_applied > 0);
+        assert_eq!(store.stats().forced_resyncs, 1);
     }
 
     /// The scratch buffer must not leak state between intervals: a section

@@ -143,8 +143,9 @@ pub enum AgentToManager {
     Report(Box<StationReport>),
     /// Delta-encoded periodic report: a keyframe or a cumulative delta
     /// against the current keyframe (see `gnf_telemetry::delta`). Replaces
-    /// `Report` when delta reporting is enabled; the receiver reconstructs
-    /// the identical full report through a `ReportReassembler`.
+    /// `Report` when delta reporting is enabled; the receiver holds the
+    /// identical full report in the station's view
+    /// (`MonitoringStore::ingest_delta`).
     ReportDelta(Box<ReportDelta>),
     /// A chain finished deploying.
     ChainDeployed {

@@ -8,8 +8,8 @@ use gnf_api::messages::AgentToManager;
 use gnf_bench::{register_fleet, station_report};
 use gnf_core::{Emulator, Scenario};
 use gnf_manager::Manager;
-use gnf_telemetry::{DeltaEncoder, ReportReassembler, StationReport};
-use gnf_types::{GnfConfig, SimTime, StationId};
+use gnf_telemetry::{DeltaEncoder, MonitoringStore, StationReport};
+use gnf_types::{GnfConfig, SimDuration, SimTime, StationId};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -108,9 +108,9 @@ fn bench_control_plane(c: &mut Criterion) {
         );
 
         // Delta path: every station diffs against its keyframe, ships the
-        // frame, and the receiver reassembles the full report. Encoder and
-        // reassembler state advance across iterations, so the stream is a
-        // realistic keyframe-then-deltas cadence.
+        // frame, and the receiver's store overwrites the station's report in
+        // place. Encoder and store state advance across iterations, so the
+        // stream is a realistic keyframe-then-deltas cadence.
         group.bench_with_input(
             BenchmarkId::new("delta_wire", stations),
             &stations,
@@ -120,7 +120,7 @@ fn bench_control_plane(c: &mut Criterion) {
                 let mut reports: Vec<StationReport> = (0..stations)
                     .map(|s| station_report(s, 0.30, SimTime::from_secs(10)))
                     .collect();
-                let mut reassembler = ReportReassembler::new();
+                let mut store = MonitoringStore::new(SimDuration::from_secs(2), 3);
                 let mut interval = 0u64;
                 b.iter(|| {
                     interval += 1;
@@ -133,7 +133,8 @@ fn bench_control_plane(c: &mut Criterion) {
                         let mut buf = bytes::BytesMut::from(&encoded[..]);
                         let decoded: AgentToManager = codec::decode(&mut buf).unwrap().unwrap();
                         if let AgentToManager::ReportDelta(frame) = decoded {
-                            black_box(reassembler.apply(&frame).unwrap());
+                            store.ingest_delta(&frame, frame.produced_at).unwrap();
+                            black_box(store.station(frame.station));
                         }
                     }
                 })

@@ -1076,38 +1076,29 @@ impl Emulator {
                 if !self.dead.contains_key(&station) {
                     if let Some(agent) = self.agent_mut(station) {
                         let report = agent.make_report(now);
-                        let region_size = self.scenario.config.region_size;
-                        if region_size > 0 {
-                            // Region tier: the report is absorbed by the
-                            // station's (co-located) region aggregator and
-                            // reaches the Manager as part of the region's
-                            // next summary instead of travelling itself.
-                            let region = station.raw() / region_size as u64;
-                            match (self.regions.get_mut(&region), report) {
-                                (Some(aggregator), AgentToManager::Report(full)) => {
-                                    aggregator.ingest_report(*full, now);
-                                }
-                                (Some(aggregator), AgentToManager::ReportDelta(delta)) => {
-                                    // Rejections heal at the next keyframe,
-                                    // exactly as on the direct path.
-                                    let _ = aggregator.ingest_delta(&delta, now);
-                                }
-                                (_, report) => {
-                                    self.dispatch_agent_messages(
-                                        station,
-                                        vec![report],
-                                        now,
-                                        SimDuration::ZERO,
-                                    );
-                                }
+                        // Region tier: the report is absorbed by the
+                        // station's (co-located) region aggregator and
+                        // reaches the Manager as part of the region's next
+                        // summary instead of travelling itself. Without
+                        // regions there is no aggregator, and it travels.
+                        let region_size = self.scenario.config.region_size.max(1) as u64;
+                        match (self.regions.get_mut(&(station.raw() / region_size)), report) {
+                            (Some(aggregator), AgentToManager::Report(full)) => {
+                                aggregator.ingest_report(*full, now);
                             }
-                        } else {
-                            self.dispatch_agent_messages(
-                                station,
-                                vec![report],
-                                now,
-                                SimDuration::ZERO,
-                            );
+                            (Some(aggregator), AgentToManager::ReportDelta(delta)) => {
+                                // Rejections heal at the next keyframe,
+                                // exactly as on the direct path.
+                                let _ = aggregator.ingest_delta(&delta, now);
+                            }
+                            (_, report) => {
+                                self.dispatch_agent_messages(
+                                    station,
+                                    vec![report],
+                                    now,
+                                    SimDuration::ZERO,
+                                );
+                            }
                         }
                     }
                 }

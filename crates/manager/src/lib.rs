@@ -21,6 +21,5 @@ pub mod migration;
 
 pub use manager::{
     AttachmentRecord, ClientRecord, ControlPlaneStats, Manager, ManagerAction, ManagerStats,
-    StationRecord,
 };
 pub use migration::{MigrationPhase, MigrationRecord};

@@ -6,13 +6,13 @@ use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_nf::{NfEventSeverity, NfSpec, NfStateDelta, NfStateSnapshot};
 use gnf_switch::TrafficSelector;
 use gnf_telemetry::{
-    HotspotDetector, MonitoringStore, NotificationLog, NotificationSeverity, NotificationSource,
-    RegionSummary, ReportReassembler, TraceKind, TraceSink,
+    MonitoringStore, NotificationLog, NotificationSeverity, NotificationSource, RegionSummary,
+    Registration, StationHealth, TraceKind, TraceSink,
 };
 use gnf_types::ids::IdAllocator;
 use gnf_types::{
-    ChainId, ClientId, GnfConfig, GnfError, GnfResult, HostClass, MacAddr, MigrationId,
-    NfInstanceId, ResourceSpec, SimDuration, SimTime, StationId,
+    ChainId, ClientId, GnfConfig, GnfError, GnfResult, MacAddr, MigrationId, NfInstanceId,
+    SimDuration, SimTime, StationId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,19 +36,6 @@ impl ManagerAction {
     fn send(station: StationId, message: ManagerToAgent) -> Self {
         ManagerAction::Send { station, message }
     }
-}
-
-/// A station known to the Manager.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StationRecord {
-    /// The station.
-    pub station: StationId,
-    /// Its hardware class.
-    pub host_class: HostClass,
-    /// Its capacity.
-    pub capacity: ResourceSpec,
-    /// When it registered.
-    pub registered_at: SimTime,
 }
 
 /// A client known to the Manager.
@@ -128,9 +115,10 @@ pub struct ControlPlaneStats {
     pub delta_forced_resyncs: u64,
     /// Delta frames applied on top of a held keyframe.
     pub deltas_applied: u64,
-    /// Delta frames rejected (stale generation, stale sequence, unknown
-    /// station) — each rejection heals at the sender's next keyframe.
-    pub deltas_rejected: u64,
+    /// Reports and delta frames dropped: delta frames that are stale,
+    /// reordered or malformed (each heals at the sender's next keyframe),
+    /// and any report naming a station other than its sender.
+    pub reports_rejected: u64,
     /// Region summaries ingested from the aggregation tier.
     pub region_summaries: u64,
 }
@@ -161,7 +149,6 @@ enum MigrationReply {
 /// The GNF Manager.
 pub struct Manager {
     config: GnfConfig,
-    stations: BTreeMap<StationId, StationRecord>,
     clients: BTreeMap<ClientId, ClientRecord>,
     /// Desired placement of every chain, plus the reconciliation indexes
     /// (by-client, by-station, window boundaries, dirty set).
@@ -178,10 +165,9 @@ pub struct Manager {
     /// migration table. Entries are validated lazily against the live
     /// record (finished or superseded migrations just drop theirs).
     deadline_index: BTreeSet<(SimTime, MigrationId)>,
+    /// The one per-station table: registration, liveness, delta stream and
+    /// latest report of every station.
     monitoring: MonitoringStore,
-    /// Reconstructs full reports from delta frames (fleet-scale transport).
-    reassembler: ReportReassembler,
-    hotspot_detector: HotspotDetector,
     notifications: NotificationLog,
     chain_ids: IdAllocator,
     migration_ids: IdAllocator,
@@ -191,12 +177,11 @@ pub struct Manager {
     pending_retries: BTreeMap<(SimTime, u64), RetryPlan>,
     retry_seq: u64,
     stats: ManagerStats,
-    full_reports: u64,
+    /// Reports dropped because they named a station other than their sender.
+    misaddressed_reports: u64,
     region_summaries_ingested: u64,
     /// Latest summary per region, from the aggregation tier.
     region_summaries: BTreeMap<u64, RegionSummary>,
-    /// Stations last reported offline per region, to notify only on edges.
-    region_offline: BTreeMap<u64, BTreeSet<StationId>>,
     /// Migration-lifecycle event sink: one span per phase a migration
     /// passes through, one instant per terminal outcome. Disabled by
     /// default (a single branch per phase transition).
@@ -210,22 +195,17 @@ pub struct Manager {
 impl Manager {
     /// Creates a Manager with the given configuration.
     pub fn new(config: GnfConfig) -> Self {
-        let monitoring = MonitoringStore::new(
-            config.agent_report_interval,
-            config.missed_reports_for_offline,
-        );
-        let hotspot_detector = HotspotDetector::new(config.hotspot_threshold);
         Manager {
+            monitoring: MonitoringStore::new(
+                config.agent_report_interval,
+                config.missed_reports_for_offline,
+            ),
             config,
-            stations: BTreeMap::new(),
             clients: BTreeMap::new(),
             desired: DesiredState::new(),
             migrations: BTreeMap::new(),
             in_flight: BTreeSet::new(),
             deadline_index: BTreeSet::new(),
-            monitoring,
-            reassembler: ReportReassembler::new(),
-            hotspot_detector,
             notifications: NotificationLog::default(),
             chain_ids: IdAllocator::new(),
             migration_ids: IdAllocator::new(),
@@ -233,10 +213,9 @@ impl Manager {
             pending_retries: BTreeMap::new(),
             retry_seq: 0,
             stats: ManagerStats::default(),
-            full_reports: 0,
+            misaddressed_reports: 0,
             region_summaries_ingested: 0,
             region_summaries: BTreeMap::new(),
-            region_offline: BTreeMap::new(),
             trace: TraceSink::default(),
             phase_entered: BTreeMap::new(),
         }
@@ -428,17 +407,12 @@ impl Manager {
                 capacity,
                 ..
             } => {
-                let rejoined = self.stations.contains_key(&station);
-                self.stations.insert(
-                    station,
-                    StationRecord {
-                        station,
-                        host_class,
-                        capacity,
-                        registered_at: now,
-                    },
-                );
-                self.monitoring.register_station(station);
+                let registration = Registration {
+                    host_class,
+                    capacity,
+                    registered_at: now,
+                };
+                let rejoined = self.monitoring.register(station, registration);
                 if rejoined {
                     // A re-registration is a reboot: every piece of soft
                     // state the station carried is gone, so forget what the
@@ -489,19 +463,21 @@ impl Manager {
                 }
                 Vec::new()
             }
-            AgentToManager::Report(report) => {
-                self.full_reports += 1;
+            AgentToManager::Report(report) if report.station == from => {
                 self.monitoring.ingest(*report, now);
                 Vec::new()
             }
-            AgentToManager::ReportDelta(delta) => {
+            AgentToManager::ReportDelta(delta) if delta.station == from => {
                 // Rejections (stale generation/sequence, unknown station)
-                // are counted by the reassembler and heal at the sender's
-                // next keyframe — the protocol is one-way on purpose, so
-                // message counts match full-report mode exactly.
-                if let Ok(report) = self.reassembler.apply(&delta) {
-                    self.monitoring.ingest(report, now);
-                }
+                // are counted by the store and heal at the sender's next
+                // keyframe — the protocol is one-way on purpose, so message
+                // counts match full-report mode exactly.
+                let _ = self.monitoring.ingest_delta(&delta, now);
+                Vec::new()
+            }
+            AgentToManager::Report(_) | AgentToManager::ReportDelta(_) => {
+                // A station reports only for itself.
+                self.misaddressed_reports += 1;
                 Vec::new()
             }
             AgentToManager::ChainDeployed {
@@ -568,33 +544,14 @@ impl Manager {
 
         // Station liveness.
         for station in self.monitoring.refresh_liveness(now) {
-            self.notifications.raise(
-                now,
-                NotificationSeverity::Critical,
-                NotificationSource::Station { station },
-                "station-offline",
-                format!("station {station} stopped reporting"),
-                None,
-            );
+            self.raise_offline(station, format!("station {station} stopped reporting"), now);
         }
 
         // Hotspot detection.
         if now.duration_since(self.last_hotspot_scan) >= self.config.hotspot_scan_interval {
             self.last_hotspot_scan = now;
-            for (station, utilisation) in self.hotspot_detector.hotspots(&self.monitoring) {
-                self.stats.hotspot_alerts += 1;
-                self.notifications.raise(
-                    now,
-                    NotificationSeverity::Warning,
-                    NotificationSource::Manager,
-                    "hotspot",
-                    format!(
-                        "station {station} at {:.0}% of capacity — consider upgrading",
-                        utilisation * 100.0
-                    ),
-                    None,
-                );
-            }
+            let hotspots = self.monitoring.hotspots(self.config.hotspot_threshold);
+            self.raise_hotspots(&hotspots, now);
         }
 
         // Reconcile scheduled activation windows: pop the window boundaries
@@ -770,28 +727,38 @@ impl Manager {
     /// region's previous one.
     pub fn ingest_region_summary(&mut self, summary: RegionSummary, now: SimTime) {
         self.region_summaries_ingested += 1;
+        // Alert on edges only: a station the region's previous summary
+        // already listed offline raised its alert then.
+        let previous = self.region_summaries.remove(&summary.region);
         for &station in &summary.offline {
-            let already = self
-                .region_offline
-                .get(&summary.region)
-                .is_some_and(|prev| prev.contains(&station));
-            if !already {
-                self.notifications.raise(
-                    now,
-                    NotificationSeverity::Critical,
-                    NotificationSource::Station { station },
-                    "station-offline",
-                    format!(
-                        "station {station} stopped reporting (region {})",
-                        summary.region
-                    ),
-                    None,
-                );
+            if previous
+                .as_ref()
+                .is_none_or(|prev| !prev.offline.contains(&station))
+            {
+                let region = summary.region;
+                let message = format!("station {station} stopped reporting (region {region})");
+                self.raise_offline(station, message, now);
             }
         }
-        self.region_offline
-            .insert(summary.region, summary.offline.iter().copied().collect());
-        for &(station, utilisation) in &summary.hotspots {
+        self.raise_hotspots(&summary.hotspots, now);
+        self.region_summaries.insert(summary.region, summary);
+    }
+
+    /// One critical alert for a station that stopped reporting.
+    fn raise_offline(&mut self, station: StationId, message: String, now: SimTime) {
+        self.notifications.raise(
+            now,
+            NotificationSeverity::Critical,
+            NotificationSource::Station { station },
+            "station-offline",
+            message,
+            None,
+        );
+    }
+
+    /// One warning per station over the hotspot threshold.
+    fn raise_hotspots(&mut self, hotspots: &[(StationId, f64)], now: SimTime) {
+        for &(station, utilisation) in hotspots {
             self.stats.hotspot_alerts += 1;
             self.notifications.raise(
                 now,
@@ -805,16 +772,17 @@ impl Manager {
                 None,
             );
         }
-        self.region_summaries.insert(summary.region, summary);
     }
 
     // ------------------------------------------------------------------
     // Views (consumed by the UI and by experiments)
     // ------------------------------------------------------------------
 
-    /// Registered stations.
-    pub fn stations(&self) -> impl Iterator<Item = &StationRecord> {
-        self.stations.values()
+    /// Registered stations, in station order, each with its registration.
+    pub fn stations(&self) -> impl Iterator<Item = (&StationHealth, Registration)> {
+        self.monitoring
+            .stations()
+            .filter_map(|view| Some((view, view.registration?)))
     }
 
     /// Known clients.
@@ -890,13 +858,13 @@ impl Manager {
     /// region summaries). Deliberately separate from [`ManagerStats`], so the
     /// `RunReport` stays byte-identical across transport modes.
     pub fn control_plane_stats(&self) -> ControlPlaneStats {
-        let r = self.reassembler.stats();
+        let r = self.monitoring.stats();
         ControlPlaneStats {
-            full_reports: self.full_reports,
+            full_reports: r.full_reports,
             delta_keyframes: r.keyframes,
             delta_forced_resyncs: r.forced_resyncs,
             deltas_applied: r.deltas_applied,
-            deltas_rejected: r.deltas_rejected,
+            reports_rejected: r.deltas_rejected + self.misaddressed_reports,
             region_summaries: self.region_summaries_ingested,
         }
     }
@@ -1980,11 +1948,46 @@ mod tests {
             AgentToManager::ReportDelta(Box::new(keyframe)),
             SimTime::from_secs(2),
         );
-        assert_eq!(m.reassembler.stations(), 1);
         assert_eq!(m.control_plane_stats().delta_keyframes, 1);
         assert_eq!(m.monitoring().len(), 1);
         let health = m.monitoring().station(StationId::new(last)).unwrap();
         assert_eq!(health.reports_received, 2);
+    }
+
+    /// A station reports only for itself: a full report or a delta frame
+    /// from station 1 that names station 2 is dropped and counted, and
+    /// neither station's view changes.
+    #[test]
+    fn a_report_naming_another_station_is_dropped_and_counted() {
+        let mut m = manager();
+        register(&mut m, 1, SimTime::ZERO);
+        register(&mut m, 2, SimTime::ZERO);
+        let at = SimTime::from_secs(2);
+        m.handle_agent_msg(
+            StationId::new(2),
+            AgentToManager::Report(idle_report(2, at)),
+            at,
+        );
+        let views = |m: &Manager| {
+            [1, 2].map(|s| format!("{:?}", m.monitoring().station(StationId::new(s))))
+        };
+        let before = views(&m);
+        let at = SimTime::from_secs(4);
+        m.handle_agent_msg(
+            StationId::new(1),
+            AgentToManager::Report(idle_report(2, at)),
+            at,
+        );
+        let keyframe = gnf_telemetry::ReportDelta::keyframe(&idle_report(2, at), 1, false);
+        m.handle_agent_msg(
+            StationId::new(1),
+            AgentToManager::ReportDelta(Box::new(keyframe)),
+            at,
+        );
+        assert_eq!(views(&m), before);
+        let stats = m.control_plane_stats();
+        assert_eq!(stats.reports_rejected, 2);
+        assert_eq!((stats.full_reports, stats.delta_keyframes), (1, 0));
     }
 
     #[test]

@@ -18,17 +18,16 @@
 //!   manager→agent traffic (the resync protocol is strictly one-way, so
 //!   delta mode adds zero control-plane messages).
 //!
-//! The receiver side is [`ReportReassembler`]: it holds the latest keyframe
-//! per station, rejects stale generations and reordered sequence numbers,
-//! and reconstructs full `StationReport`s that are byte-identical to what a
-//! full-report mode would have delivered at the same instant.
+//! The receiver side is [`crate::MonitoringStore::ingest_delta`]: each
+//! station's view holds the latest keyframe, rejects stale generations and
+//! reordered sequence numbers, and overwrites its last report in place, so
+//! it is byte-identical to what a full-report mode would have delivered at
+//! the same instant.
 
 use crate::report::{
     BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, StationReport,
 };
-use gnf_types::{
-    AgentId, ClientId, HostClass, PathMap, ResourceSpec, ResourceUsage, SimTime, StationId,
-};
+use gnf_types::{AgentId, ClientId, HostClass, ResourceSpec, ResourceUsage, SimTime, StationId};
 use serde::{Deserialize, Serialize};
 
 /// Rarely-changing station identity carried by keyframes (and by deltas in
@@ -175,6 +174,9 @@ impl Serialize for ReportDelta {
 }
 
 impl ReportDelta {
+    /// Sections a keyframe carries: all of them.
+    pub(crate) const SECTIONS: usize = 8;
+
     /// Builds a keyframe: a frame carrying every section of `report`.
     pub fn keyframe(report: &StationReport, generation: u64, forced: bool) -> Self {
         ReportDelta {
@@ -266,61 +268,51 @@ impl ReportDelta {
         self.seq == 0
     }
 
-    /// Reconstructs a full report from this frame alone. `None` unless every
-    /// section is present (i.e. the frame is a well-formed keyframe).
-    pub fn to_report(&self) -> Option<StationReport> {
-        let identity = self.identity?;
-        Some(StationReport {
-            station: self.station,
-            agent: self.agent,
-            produced_at: self.produced_at,
-            host_class: identity.host_class,
-            capacity: identity.capacity,
-            usage: self.usage?,
-            connected_clients: self.clients.clone()?,
-            running_nfs: self.nfs?.running_nfs,
-            cached_images: self.nfs?.cached_images,
-            flow_cache: self.flow_cache?,
-            megaflow: self.megaflow?,
-            batches: self.batches.clone()?,
-            chaos: self.chaos?,
-        })
-    }
-
-    /// Reconstructs the station's full state at this frame's instant by
-    /// overlaying the carried sections on the generation's keyframe.
-    pub fn apply_to(&self, base: &StationReport) -> StationReport {
-        let mut report = base.clone();
-        report.station = self.station;
-        report.agent = self.agent;
-        report.produced_at = self.produced_at;
-        if let Some(identity) = self.identity {
-            report.host_class = identity.host_class;
-            report.capacity = identity.capacity;
-        }
-        if let Some(usage) = self.usage {
-            report.usage = usage;
-        }
-        if let Some(clients) = &self.clients {
-            report.connected_clients = clients.clone();
-        }
-        if let Some(nfs) = self.nfs {
-            report.running_nfs = nfs.running_nfs;
-            report.cached_images = nfs.cached_images;
-        }
-        if let Some(flow_cache) = self.flow_cache {
-            report.flow_cache = flow_cache;
-        }
-        if let Some(megaflow) = self.megaflow {
-            report.megaflow = megaflow;
-        }
-        if let Some(batches) = &self.batches {
-            report.batches = batches.clone();
-        }
-        if let Some(chaos) = self.chaos {
-            report.chaos = chaos;
-        }
-        report
+    /// Writes the station's full state at this frame's instant into `into`,
+    /// section by section: from this frame where it carries the section,
+    /// else from `base`, the generation's keyframe. The old report's client
+    /// buffer is reused (`clone_from`), so a warm overlay makes no heap
+    /// request. Returns false, leaving `into` as it was, when a section is in
+    /// neither (a keyframe missing sections, with no base).
+    pub(crate) fn overlay(
+        &self,
+        base: Option<&StationReport>,
+        into: &mut Option<StationReport>,
+    ) -> bool {
+        let identity = self.identity.or(base.map(|b| IdentitySection {
+            host_class: b.host_class,
+            capacity: b.capacity,
+        }));
+        let nfs = self.nfs.or(base.map(|b| NfSection {
+            running_nfs: b.running_nfs,
+            cached_images: b.cached_images,
+        }));
+        let rebuilt = || {
+            Some(StationReport {
+                station: self.station,
+                agent: self.agent,
+                produced_at: self.produced_at,
+                host_class: identity?.host_class,
+                capacity: identity?.capacity,
+                usage: self.usage.or(base.map(|b| b.usage))?,
+                connected_clients: Vec::new(),
+                running_nfs: nfs?.running_nfs,
+                cached_images: nfs?.cached_images,
+                flow_cache: self.flow_cache.or(base.map(|b| b.flow_cache))?,
+                megaflow: self.megaflow.or(base.map(|b| b.megaflow))?,
+                batches: self.batches.as_ref().or(base.map(|b| &b.batches))?.clone(),
+                chaos: self.chaos.or(base.map(|b| b.chaos))?,
+            })
+        };
+        let clients = self.clients.as_ref().or(base.map(|b| &b.connected_clients));
+        let (Some(mut report), Some(clients)) = (rebuilt(), clients) else {
+            return false;
+        };
+        let old = into.take().map(|old| old.connected_clients);
+        report.connected_clients = old.unwrap_or_default();
+        report.connected_clients.clone_from(clients);
+        *into = Some(report);
+        true
     }
 
     /// Number of sections this frame carries (8 for a keyframe).
@@ -402,7 +394,7 @@ impl DeltaEncoder {
     }
 }
 
-/// Why the reassembler refused a frame.
+/// Why a receiver refused a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaReject {
     /// A non-keyframe frame arrived for a station with no held keyframe
@@ -422,9 +414,12 @@ pub enum DeltaReject {
     MissingSections,
 }
 
-/// Receiver-side counters of the delta protocol.
+/// Receiver-side report counters: full reports, and the delta protocol's
+/// frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReassemblerStats {
+    /// Full reports ingested.
+    pub full_reports: u64,
     /// Keyframes accepted (generations opened).
     pub keyframes: u64,
     /// Keyframes accepted with `forced == true` (crash/rejoin resyncs).
@@ -435,88 +430,26 @@ pub struct ReassemblerStats {
     pub deltas_rejected: u64,
 }
 
-#[derive(Debug, Clone)]
-struct StreamState {
-    generation: u64,
-    last_seq: u64,
-    keyframe: StationReport,
-}
-
-/// Receiver side of the delta protocol: reconstructs full station reports
-/// from a delta stream, holding one keyframe per station.
-#[derive(Debug, Clone, Default)]
-pub struct ReportReassembler {
-    streams: PathMap<StationId, StreamState>,
-    stats: ReassemblerStats,
-}
-
-impl ReportReassembler {
-    /// Creates an empty reassembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Receiver-side protocol counters.
-    pub fn stats(&self) -> ReassemblerStats {
-        self.stats
-    }
-
-    /// Number of stations with a held keyframe.
-    pub fn stations(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Applies one frame, returning the reconstructed full report — exactly
-    /// what a full-report mode would have delivered at this instant — or the
-    /// reason the frame was refused.
-    pub fn apply(&mut self, delta: &ReportDelta) -> Result<StationReport, DeltaReject> {
-        if delta.is_keyframe() {
-            let Some(report) = delta.to_report() else {
-                self.stats.deltas_rejected += 1;
-                return Err(DeltaReject::MissingSections);
-            };
-            if let Some(stream) = self.streams.get(&delta.station) {
-                if delta.generation <= stream.generation {
-                    self.stats.deltas_rejected += 1;
-                    return Err(DeltaReject::StaleKeyframe);
-                }
-            }
-            self.stats.keyframes += 1;
-            if delta.forced {
-                self.stats.forced_resyncs += 1;
-            }
-            self.streams.insert(
-                delta.station,
-                StreamState {
-                    generation: delta.generation,
-                    last_seq: 0,
-                    keyframe: report.clone(),
-                },
-            );
-            Ok(report)
-        } else {
-            let Some(stream) = self.streams.get_mut(&delta.station) else {
-                self.stats.deltas_rejected += 1;
-                return Err(DeltaReject::UnknownStation);
-            };
-            if delta.generation != stream.generation {
-                self.stats.deltas_rejected += 1;
-                return Err(DeltaReject::GenerationMismatch);
-            }
-            if delta.seq <= stream.last_seq {
-                self.stats.deltas_rejected += 1;
-                return Err(DeltaReject::StaleSeq);
-            }
-            stream.last_seq = delta.seq;
-            self.stats.deltas_applied += 1;
-            Ok(delta.apply_to(&stream.keyframe))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MonitoringStore;
+    use gnf_types::SimDuration;
+
+    fn store() -> MonitoringStore {
+        MonitoringStore::new(SimDuration::from_secs(2), 3)
+    }
+
+    /// Ingests `frame` and returns the station's reconstructed report.
+    fn ingest(store: &mut MonitoringStore, frame: &ReportDelta) -> StationReport {
+        store
+            .ingest_delta(frame, frame.produced_at)
+            .expect("an in-order frame applies");
+        store
+            .station(frame.station)
+            .and_then(|view| view.last_report.clone())
+            .expect("an applied frame leaves a report")
+    }
 
     fn sample_report(station: u64, produced_at: SimTime) -> StationReport {
         StationReport {
@@ -547,17 +480,26 @@ mod tests {
         let report = sample_report(7, SimTime::from_secs(2));
         let frame = ReportDelta::keyframe(&report, 1, false);
         assert!(frame.is_keyframe());
-        assert_eq!(frame.sections_carried(), 8);
-        assert_eq!(frame.to_report().unwrap(), report);
+        assert_eq!(frame.sections_carried(), ReportDelta::SECTIONS);
+        let mut rebuilt = None;
+        assert!(frame.overlay(None, &mut rebuilt));
+        assert_eq!(rebuilt.as_ref(), Some(&report));
+        let mut headless = frame.clone();
+        headless.usage = None;
+        assert!(
+            !headless.overlay(None, &mut rebuilt),
+            "a section is missing"
+        );
+        assert_eq!(rebuilt, Some(report), "a refused overlay writes nothing");
     }
 
     #[test]
     fn cumulative_deltas_reconstruct_each_instant() {
         let mut encoder = DeltaEncoder::new(8);
-        let mut reassembler = ReportReassembler::new();
+        let mut store = store();
         let base = sample_report(1, SimTime::from_secs(2));
         let frame = encoder.encode(&base);
-        assert_eq!(reassembler.apply(&frame).unwrap(), base);
+        assert_eq!(ingest(&mut store, &frame), base);
 
         let mut second = sample_report(1, SimTime::from_secs(4));
         second.flow_cache.entries = 40;
@@ -566,7 +508,7 @@ mod tests {
         assert!(!frame.is_keyframe());
         // produced_at changed, usage unchanged, so: nfs + flow_cache only.
         assert_eq!(frame.sections_carried(), 2);
-        assert_eq!(reassembler.apply(&frame).unwrap(), second);
+        assert_eq!(ingest(&mut store, &frame), second);
 
         // Third report reverts running_nfs to the keyframe value: the
         // cumulative delta simply stops carrying the section.
@@ -574,7 +516,7 @@ mod tests {
         third.flow_cache.entries = 80;
         let frame = encoder.encode(&third);
         assert_eq!(frame.sections_carried(), 1);
-        assert_eq!(reassembler.apply(&frame).unwrap(), third);
+        assert_eq!(ingest(&mut store, &frame), third);
     }
 
     #[test]
@@ -610,54 +552,67 @@ mod tests {
     #[test]
     fn forced_resync_opens_new_generation() {
         let mut encoder = DeltaEncoder::new(100);
-        let mut reassembler = ReportReassembler::new();
+        let mut store = store();
         let report = sample_report(1, SimTime::from_secs(2));
-        let _ = reassembler.apply(&encoder.encode(&report)).unwrap();
+        ingest(&mut store, &encoder.encode(&report));
         encoder.force_resync();
         let frame = encoder.encode(&report);
         assert!(frame.is_keyframe());
         assert!(frame.forced);
         assert_eq!(frame.generation, 2);
-        let _ = reassembler.apply(&frame).unwrap();
-        assert_eq!(reassembler.stats().forced_resyncs, 1);
-        assert_eq!(reassembler.stats().keyframes, 2);
+        ingest(&mut store, &frame);
+        assert_eq!(store.stats().forced_resyncs, 1);
+        assert_eq!(store.stats().keyframes, 2);
     }
 
     #[test]
     fn stale_and_reordered_frames_are_rejected() {
         let mut encoder = DeltaEncoder::new(100);
-        let mut reassembler = ReportReassembler::new();
+        let mut store = store();
         let report = sample_report(1, SimTime::from_secs(2));
         let keyframe = encoder.encode(&report);
+        let at = SimTime::from_secs(2);
         let mut changed = report.clone();
         changed.running_nfs = 9;
         let d1 = encoder.encode(&changed);
         let d2 = encoder.encode(&changed);
 
         // Delta before its keyframe: unknown station.
-        assert_eq!(reassembler.apply(&d1), Err(DeltaReject::UnknownStation));
-        let _ = reassembler.apply(&keyframe).unwrap();
-        let _ = reassembler.apply(&d2).unwrap();
+        assert_eq!(
+            store.ingest_delta(&d1, at),
+            Err(DeltaReject::UnknownStation)
+        );
+        assert!(store.is_empty(), "a refused frame opens no view");
+        ingest(&mut store, &keyframe);
+        ingest(&mut store, &d2);
         // Reordered: d1 (seq 1) after d2 (seq 2).
-        assert_eq!(reassembler.apply(&d1), Err(DeltaReject::StaleSeq));
+        assert_eq!(store.ingest_delta(&d1, at), Err(DeltaReject::StaleSeq));
         // Replaying the keyframe is stale too.
         assert_eq!(
-            reassembler.apply(&keyframe),
+            store.ingest_delta(&keyframe, at),
             Err(DeltaReject::StaleKeyframe)
+        );
+        // A newer keyframe missing a section is malformed.
+        let mut malformed = keyframe.clone();
+        malformed.generation = 9;
+        malformed.chaos = None;
+        assert_eq!(
+            store.ingest_delta(&malformed, at),
+            Err(DeltaReject::MissingSections)
         );
 
         // A frame from a superseded generation is rejected after resync.
         encoder.force_resync();
         let kf2 = encoder.encode(&report);
-        let _ = reassembler.apply(&kf2).unwrap();
+        ingest(&mut store, &kf2);
         let stale = encoder.encode(&changed);
         assert_eq!(stale.generation, 2);
         let mut old_gen = stale.clone();
         old_gen.generation = 1;
         assert_eq!(
-            reassembler.apply(&old_gen),
+            store.ingest_delta(&old_gen, at),
             Err(DeltaReject::GenerationMismatch)
         );
-        assert_eq!(reassembler.stats().deltas_rejected, 4);
+        assert_eq!(store.stats().deltas_rejected, 5);
     }
 }

@@ -1,6 +1,5 @@
-//! Time-series metrics over **virtual time**: the bounded histogram, ring
-//! series and fleet-sample types behind the emulator's `--metrics-out`
-//! artifact.
+//! Time-series metrics over **virtual time**: the bounded histogram and
+//! fleet-sample types behind the emulator's `--metrics-out` artifact.
 //!
 //! Everything here is driven by the emulator's virtual clock, never the host
 //! clock, so a metrics artifact is a pure function of the scenario and its
@@ -11,8 +10,6 @@
 //!   percentile queries; the shared distribution type for switchover windows
 //!   and crash-recovery times (replacing the sample-hoarding histograms those
 //!   reports used to carry).
-//! * [`RingSeries`] — a bounded `(time, value)` ring with a drop counter;
-//!   what keeps per-station utilisation history from growing without bound.
 //! * [`MetricsSeries`] — the ring of fleet-wide [`MetricsSample`] snapshots
 //!   taken every `metrics_interval`, exportable as CSV.
 
@@ -211,93 +208,6 @@ impl LogHistogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RingSeries
-// ---------------------------------------------------------------------------
-
-/// A bounded `(time, value)` series: a ring buffer that drops its oldest
-/// point (and counts the drop) once `capacity` is reached, so long
-/// emulations cannot grow manager-side history without bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RingSeries {
-    points: VecDeque<(SimTime, f64)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Default for RingSeries {
-    fn default() -> Self {
-        RingSeries::new(1024)
-    }
-}
-
-impl RingSeries {
-    /// Creates an empty series bounded to `capacity` points (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSeries {
-            points: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Appends a point, rotating out (and counting) the oldest one when the
-    /// ring is full.
-    pub fn push(&mut self, time: SimTime, value: f64) {
-        if self.points.len() == self.capacity {
-            self.points.pop_front();
-            self.dropped += 1;
-        }
-        self.points.push_back((time, value));
-    }
-
-    /// The retained points, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.points.iter().copied()
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when nothing has been recorded (or everything rotated out).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The ring bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Points rotated out by the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The most recent value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.points.back().map(|(_, v)| *v)
-    }
-
-    /// Average of the retained values, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Maximum retained value, 0 when empty.
-    pub fn max(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|(_, v)| *v)
-            .fold(0.0f64, |a, b| a.max(b))
     }
 }
 
@@ -524,22 +434,6 @@ mod tests {
         let json = serde_json::to_string(&h).unwrap();
         let back: LogHistogram = serde_json::from_str(&json).unwrap();
         assert_eq!(back, h);
-    }
-
-    #[test]
-    fn ring_series_rotates_and_counts_drops() {
-        let mut s = RingSeries::new(3);
-        for i in 0..5u64 {
-            s.push(SimTime::from_secs(i), i as f64);
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.capacity(), 3);
-        assert_eq!(s.dropped(), 2);
-        let points: Vec<_> = s.iter().collect();
-        assert_eq!(points[0], (SimTime::from_secs(2), 2.0));
-        assert_eq!(s.last(), Some(4.0));
-        assert_eq!(s.max(), 4.0);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
     }
 
     fn sample(at_ms: u64) -> MetricsSample {

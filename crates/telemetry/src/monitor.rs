@@ -1,11 +1,13 @@
-//! The Manager-side monitoring store: per-station health derived from the
-//! stream of Agent reports, offline detection based on missed reports, and
-//! resource-hotspot detection ("the part of the infrastructure that should be
-//! upgraded").
+//! The receiver-side station view: one [`StationHealth`] per station —
+//! what it registered with, its liveness, the delta stream its reports ride
+//! and its latest report — in one [`MonitoringStore`], with the rules read
+//! from it: offline detection based on missed reports, and resource-hotspot
+//! detection ("the part of the infrastructure that should be upgraded").
+//! The Manager keeps one store; every region aggregator keeps another.
 
-use crate::metrics::RingSeries;
+use crate::delta::{DeltaReject, ReassemblerStats, ReportDelta};
 use crate::report::StationReport;
-use gnf_types::{PathMap, SimDuration, SimTime, StationId};
+use gnf_types::{HostClass, PathMap, ResourceSpec, SimDuration, SimTime, StationId};
 use serde::{Deserialize, Serialize};
 
 /// Liveness status of a station as seen by the Manager.
@@ -19,120 +21,246 @@ pub enum StationStatus {
     Offline,
 }
 
-/// Per-station health record maintained by the monitoring store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// What a station announced when it registered.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Registration {
+    /// Its hardware class.
+    pub host_class: HostClass,
+    /// Its capacity.
+    pub capacity: ResourceSpec,
+    /// When it (last) registered.
+    pub registered_at: SimTime,
+}
+
+/// One station as a receiver sees it.
+#[derive(Debug, Clone)]
 pub struct StationHealth {
     /// The station concerned.
     pub station: StationId,
-    /// The most recent report, if any has ever arrived.
-    pub last_report: Option<StationReport>,
-    /// When the most recent report arrived.
+    /// Its registration; `None` until a `Register` arrives (a report can
+    /// come first).
+    pub registration: Option<Registration>,
+    /// When the most recent accepted report arrived.
     pub last_seen: Option<SimTime>,
     /// Liveness status.
     pub status: StationStatus,
-    /// History of the dominant-utilisation fraction over time, bounded to
-    /// [`UTILISATION_HISTORY_CAPACITY`] points (oldest rotated out and
-    /// counted) so long emulations cannot grow Manager memory without bound.
-    pub utilisation_history: RingSeries,
-    /// Total reports received.
+    /// Total reports accepted.
     pub reports_received: u64,
+    /// The most recent report: a full report as it arrived, or the delta
+    /// stream's reconstruction, overwritten in place by every frame.
+    pub last_report: Option<StationReport>,
+    /// The delta stream's keyframe, once one has arrived.
+    keyframe: Option<StationReport>,
+    /// Generation of the held keyframe.
+    generation: u64,
+    /// Sequence number of the last frame applied in that generation.
+    last_seq: u64,
 }
-
-/// Retained utilisation-history points per station.
-pub const UTILISATION_HISTORY_CAPACITY: usize = 1024;
 
 impl StationHealth {
     fn new(station: StationId) -> Self {
         StationHealth {
             station,
-            last_report: None,
+            registration: None,
             last_seen: None,
             status: StationStatus::Offline,
-            utilisation_history: RingSeries::new(UTILISATION_HISTORY_CAPACITY),
             reports_received: 0,
+            last_report: None,
+            keyframe: None,
+            generation: 0,
+            last_seq: 0,
         }
+    }
+
+    fn seen(&mut self, at: SimTime) {
+        self.reports_received += 1;
+        self.last_seen = Some(at);
+        self.status = StationStatus::Online;
     }
 }
 
-/// The monitoring store fed by Agent reports. One health record per
-/// station, found in O(1) by every report the Manager ingests.
+/// The one liveness rule: silent for less than one report interval is
+/// online, for `offline_after` or more offline, degraded in between.
+fn status(silent: SimDuration, interval: SimDuration, offline_after: SimDuration) -> StationStatus {
+    match (silent < interval, silent < offline_after) {
+        (true, _) => StationStatus::Online,
+        (false, true) => StationStatus::Degraded,
+        (false, false) => StationStatus::Offline,
+    }
+}
+
+/// The per-station table of one receiver, found in O(1) by every report it
+/// ingests.
 #[derive(Debug, Clone)]
 pub struct MonitoringStore {
     stations: PathMap<StationId, StationHealth>,
     report_interval: SimDuration,
-    missed_for_offline: u32,
+    offline_after: SimDuration,
+    stats: ReassemblerStats,
 }
 
 impl MonitoringStore {
     /// Creates a store expecting one report per `report_interval` from every
     /// station, declaring a station offline after `missed_for_offline`
-    /// consecutive missed intervals.
+    /// (at least 1) silent intervals.
     pub fn new(report_interval: SimDuration, missed_for_offline: u32) -> Self {
+        let interval = report_interval.as_nanos().max(1);
         MonitoringStore {
             stations: PathMap::default(),
-            report_interval,
-            missed_for_offline: missed_for_offline.max(1),
+            report_interval: SimDuration::from_nanos(interval),
+            offline_after: SimDuration::from_nanos(
+                interval.saturating_mul(u64::from(missed_for_offline.max(1))),
+            ),
+            stats: ReassemblerStats::default(),
         }
     }
 
-    /// Registers a station so its (lack of) reports is tracked.
-    pub fn register_station(&mut self, station: StationId) {
+    fn view(&mut self, station: StationId) -> &mut StationHealth {
         self.stations
             .entry(station)
-            .or_insert_with(|| StationHealth::new(station));
+            .or_insert_with(|| StationHealth::new(station))
     }
 
-    /// Ingests a report from an Agent.
-    pub fn ingest(&mut self, report: StationReport, received_at: SimTime) {
-        let health = self
+    /// Tracks a station so its (lack of) reports is seen.
+    pub fn register_station(&mut self, station: StationId) {
+        self.view(station);
+    }
+
+    /// Records a station's registration, returning true when it had
+    /// registered before (a rejoin).
+    pub fn register(&mut self, station: StationId, registration: Registration) -> bool {
+        let view = self.view(station);
+        view.registration.replace(registration).is_some()
+    }
+
+    /// Ingests a full report. The delta stream's state is left alone.
+    pub fn ingest(&mut self, report: StationReport, at: SimTime) {
+        self.stats.full_reports += 1;
+        let view = self.view(report.station);
+        view.seen(at);
+        view.last_report = Some(report);
+    }
+
+    /// Ingests one delta frame, overwriting the station's last report in
+    /// place (a warm view makes no heap request). A refused frame — stale,
+    /// reordered or malformed — is counted and changes nothing in the view.
+    pub fn ingest_delta(&mut self, frame: &ReportDelta, at: SimTime) -> Result<(), DeltaReject> {
+        let held = self
             .stations
-            .entry(report.station)
-            .or_insert_with(|| StationHealth::new(report.station));
-        health.reports_received += 1;
-        health.last_seen = Some(received_at);
-        health.status = StationStatus::Online;
-        health
-            .utilisation_history
-            .push(received_at, report.dominant_utilisation());
-        health.last_report = Some(report);
+            .get(&frame.station)
+            .filter(|view| view.keyframe.is_some())
+            .map(|view| (view.generation, view.last_seq));
+        let verdict = match (frame.is_keyframe(), held) {
+            (true, _) if frame.sections_carried() < ReportDelta::SECTIONS => {
+                Err(DeltaReject::MissingSections)
+            }
+            (true, Some((generation, _))) if frame.generation <= generation => {
+                Err(DeltaReject::StaleKeyframe)
+            }
+            (false, None) => Err(DeltaReject::UnknownStation),
+            (false, Some((generation, _))) if frame.generation != generation => {
+                Err(DeltaReject::GenerationMismatch)
+            }
+            (false, Some((_, last_seq))) if frame.seq <= last_seq => Err(DeltaReject::StaleSeq),
+            _ => Ok(()),
+        };
+        verdict.inspect_err(|_| self.stats.deltas_rejected += 1)?;
+        if frame.is_keyframe() {
+            self.stats.keyframes += 1;
+            self.stats.forced_resyncs += u64::from(frame.forced);
+        } else {
+            self.stats.deltas_applied += 1;
+        }
+        let view = self.view(frame.station);
+        if frame.is_keyframe() {
+            let complete = frame.overlay(None, &mut view.keyframe);
+            debug_assert!(complete, "a keyframe carries every section");
+            view.generation = frame.generation;
+        }
+        view.last_seq = frame.seq;
+        frame.overlay(view.keyframe.as_ref(), &mut view.last_report);
+        view.seen(at);
+        Ok(())
+    }
+
+    /// Report counters: full reports, and the delta protocol's keyframes,
+    /// applied deltas and rejects.
+    pub fn stats(&self) -> ReassemblerStats {
+        self.stats
     }
 
     /// Re-evaluates liveness at `now`, returning the stations whose status
     /// *changed* to offline in this pass, in station order (so the Manager
     /// can raise one notification per transition, in a fixed order).
     pub fn refresh_liveness(&mut self, now: SimTime) -> Vec<StationId> {
+        let (interval, offline_after) = (self.report_interval, self.offline_after);
         let mut newly_offline = Vec::new();
-        for health in self.stations.values_mut() {
-            let Some(last_seen) = health.last_seen else {
-                // Never reported: stays Offline.
+        for view in self.stations.values_mut() {
+            // Never reported: stays Offline.
+            let Some(last_seen) = view.last_seen else {
                 continue;
             };
-            let silent_for = now.duration_since(last_seen);
-            let missed = (silent_for.as_nanos() / self.report_interval.as_nanos().max(1)) as u32;
-            let new_status = if missed == 0 {
-                StationStatus::Online
-            } else if missed < self.missed_for_offline {
-                StationStatus::Degraded
-            } else {
-                StationStatus::Offline
-            };
-            if new_status == StationStatus::Offline && health.status != StationStatus::Offline {
-                newly_offline.push(health.station);
+            let new_status = status(now.duration_since(last_seen), interval, offline_after);
+            if new_status == StationStatus::Offline && view.status != StationStatus::Offline {
+                newly_offline.push(view.station);
             }
-            health.status = new_status;
+            view.status = new_status;
         }
         newly_offline.sort_unstable();
         newly_offline
     }
 
-    /// The health record of one station.
+    /// The stations that have reported but are offline at `now` by the
+    /// same rule as [`MonitoringStore::refresh_liveness`], in station order.
+    pub fn offline_at(&self, now: SimTime) -> Vec<StationId> {
+        let offline = |seen| {
+            status(
+                now.duration_since(seen),
+                self.report_interval,
+                self.offline_after,
+            ) == StationStatus::Offline
+        };
+        let mut stations: Vec<StationId> = self
+            .stations
+            .values()
+            .filter(|view| view.last_seen.is_some_and(offline))
+            .map(|view| view.station)
+            .collect();
+        stations.sort_unstable();
+        stations
+    }
+
+    /// The stations whose latest report is at or above `threshold`, with
+    /// their dominant utilisation, most loaded first and in station order
+    /// among equals.
+    pub fn hotspots(&self, threshold: f64) -> Vec<(StationId, f64)> {
+        let mut hotspots: Vec<(StationId, f64)> = self
+            .stations
+            .values()
+            .filter_map(|view| Some((view.station, view.last_report.as_ref()?)))
+            .filter(|(_, report)| report.is_hotspot(threshold))
+            .map(|(station, report)| (station, report.dominant_utilisation()))
+            .collect();
+        // Every utilisation here passed the `>=` filter, so none is NaN and
+        // the order is total.
+        hotspots.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        hotspots
+    }
+
+    /// The view of one station.
     pub fn station(&self, station: StationId) -> Option<&StationHealth> {
         self.stations.get(&station)
     }
 
-    /// All health records, in no particular order.
+    /// Every view, in station order.
     pub fn stations(&self) -> impl Iterator<Item = &StationHealth> {
-        self.stations.values()
+        let mut views: Vec<&StationHealth> = self.stations.values().collect();
+        views.sort_unstable_by_key(|view| view.station);
+        views.into_iter()
     }
 
     /// Number of tracked stations.
@@ -153,15 +281,6 @@ impl MonitoringStore {
             .count()
     }
 
-    /// Sum of connected clients over the latest reports.
-    pub fn connected_clients(&self) -> usize {
-        self.stations
-            .values()
-            .filter_map(|h| h.last_report.as_ref())
-            .map(|r| r.connected_clients.len())
-            .sum()
-    }
-
     /// Sum of running NFs over the latest reports.
     pub fn running_nfs(&self) -> usize {
         self.stations
@@ -169,40 +288,6 @@ impl MonitoringStore {
             .filter_map(|h| h.last_report.as_ref())
             .map(|r| r.running_nfs)
             .sum()
-    }
-}
-
-/// Detects resource hotspots over the monitoring store.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HotspotDetector {
-    /// Dominant-utilisation fraction at or above which a station is flagged.
-    pub threshold: f64,
-}
-
-impl HotspotDetector {
-    /// Creates a detector with the given threshold.
-    pub fn new(threshold: f64) -> Self {
-        HotspotDetector { threshold }
-    }
-
-    /// Returns the stations whose latest report exceeds the threshold,
-    /// together with their dominant utilisation, most loaded first and in
-    /// station order among equals.
-    pub fn hotspots(&self, store: &MonitoringStore) -> Vec<(StationId, f64)> {
-        let mut result: Vec<(StationId, f64)> = store
-            .stations()
-            .filter_map(|h| h.last_report.as_ref())
-            .map(|r| (r.station, r.dominant_utilisation()))
-            .filter(|(_, util)| *util >= self.threshold)
-            .collect();
-        // Every utilisation here passed the `>=` filter, so none is NaN and
-        // the order is total.
-        result.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        result
     }
 }
 
@@ -247,32 +332,12 @@ mod tests {
         let health = store.station(StationId::new(1)).unwrap();
         assert_eq!(health.status, StationStatus::Online);
         assert_eq!(health.reports_received, 2);
-        assert_eq!(health.utilisation_history.len(), 2);
         assert_eq!(store.online_count(), 1);
-        assert_eq!(store.connected_clients(), 1);
+        assert_eq!(
+            health.last_report.as_ref().unwrap().connected_clients.len(),
+            1
+        );
         assert_eq!(store.running_nfs(), 2);
-    }
-
-    #[test]
-    fn utilisation_history_is_bounded_with_drop_accounting() {
-        let mut store = store();
-        let n = UTILISATION_HISTORY_CAPACITY as u64 + 5;
-        for i in 0..n {
-            let t = SimTime::from_secs(2 * (i + 1));
-            store.ingest(report(1, 0.5, t), t);
-        }
-        let health = store.station(StationId::new(1)).unwrap();
-        assert_eq!(health.reports_received, n, "totals keep counting");
-        assert_eq!(
-            health.utilisation_history.len(),
-            UTILISATION_HISTORY_CAPACITY,
-            "history is bounded"
-        );
-        assert_eq!(
-            health.utilisation_history.dropped(),
-            5,
-            "rotated-out points are accounted"
-        );
     }
 
     #[test]
@@ -338,8 +403,8 @@ mod tests {
             store.ingest(report(station, 0.9, t), t);
         }
         store.ingest(report(4, 0.95, t), t);
-        let flagged: Vec<u64> = HotspotDetector::new(0.8)
-            .hotspots(&store)
+        let flagged: Vec<u64> = store
+            .hotspots(0.8)
             .into_iter()
             .map(|(station, _)| station.raw())
             .collect();
@@ -353,11 +418,31 @@ mod tests {
         store.ingest(report(1, 0.95, t), t);
         store.ingest(report(2, 0.40, t), t);
         store.ingest(report(3, 0.88, t), t);
-        let detector = HotspotDetector::new(0.85);
-        let hotspots = detector.hotspots(&store);
+        let hotspots = store.hotspots(0.85);
         assert_eq!(hotspots.len(), 2);
         assert_eq!(hotspots[0].0, StationId::new(1), "most loaded first");
         assert_eq!(hotspots[1].0, StationId::new(3));
-        assert!(HotspotDetector::new(0.99).hotspots(&store).is_empty());
+        assert!(store.hotspots(0.99).is_empty());
+    }
+
+    #[test]
+    fn a_report_before_registration_is_not_a_rejoin() {
+        let mut store = store();
+        let station = StationId::new(5);
+        let t = SimTime::from_secs(2);
+        store.ingest(report(5, 0.1, t), t);
+        let registration = |at| Registration {
+            host_class: HostClass::EdgeServer,
+            capacity: HostClass::EdgeServer.capacity(),
+            registered_at: at,
+        };
+        assert!(!store.register(station, registration(t)));
+        assert!(store.register(station, registration(SimTime::from_secs(9))));
+        let view = store.station(station).unwrap();
+        assert_eq!(
+            view.registration.unwrap().registered_at,
+            SimTime::from_secs(9)
+        );
+        assert_eq!(view.reports_received, 1);
     }
 }

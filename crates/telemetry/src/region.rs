@@ -2,26 +2,26 @@
 //!
 //! At fleet scale one manager event loop should not ingest every station's
 //! report directly. A [`RegionAggregator`] sits between a region's agents and
-//! the Manager: it accepts full or delta-encoded station reports (it embeds a
-//! [`ReportReassembler`], so the wire format
-//! is transparent), tracks per-station freshness, and periodically emits one
-//! [`RegionSummary`] — merged data-plane counters, resource totals, hotspot
-//! candidates and offline stations — so the Manager observes thousands of
-//! stations through a handful of region feeds.
+//! the Manager: it keeps the region's stations in the Manager's own table
+//! type, [`MonitoringStore`] (so the wire format — full or delta — is
+//! transparent, and liveness and hotspots follow the Manager's rules), and
+//! periodically emits one [`RegionSummary`] — merged data-plane counters,
+//! resource totals, hotspot candidates and offline stations — so the Manager
+//! observes thousands of stations through a handful of region feeds.
 
-use crate::delta::{DeltaReject, ReportReassembler};
+use crate::delta::DeltaReject;
+use crate::monitor::MonitoringStore;
 use crate::report::{
     BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, StationReport,
 };
 use crate::ReportDelta;
 use gnf_types::{ResourceSpec, SimDuration, SimTime, StationId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One region's rolled-up view of its stations, produced by a
 /// [`RegionAggregator`] and ingested by the Manager in place of the
 /// individual station reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RegionSummary {
     /// Region identifier.
     pub region: u64,
@@ -57,29 +57,19 @@ pub struct RegionSummary {
     pub offline: Vec<StationId>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct StationSlot {
-    last_report: Option<StationReport>,
-    last_seen: Option<SimTime>,
-    reports: u64,
-}
-
 /// Rolls a region's station reports up into [`RegionSummary`] snapshots.
 ///
-/// The aggregator accepts both wire formats — full [`StationReport`]s and
-/// [`ReportDelta`] streams — and applies the same freshness rules as the
-/// Manager's own monitoring store (a station is offline after
+/// The aggregator keeps the region's stations in a [`MonitoringStore`] —
+/// the Manager's own table type — so it accepts both wire formats (full
+/// [`StationReport`]s and [`ReportDelta`] streams) and applies the
+/// Manager's liveness and hotspot rules (a station is offline after
 /// `missed_for_offline` silent report intervals; stations that never
 /// reported are counted but not alarmed).
 #[derive(Debug, Clone)]
 pub struct RegionAggregator {
     region: u64,
     hotspot_threshold: f64,
-    report_interval: SimDuration,
-    missed_for_offline: u32,
-    reassembler: ReportReassembler,
-    slots: BTreeMap<StationId, StationSlot>,
-    reports_ingested: u64,
+    store: MonitoringStore,
 }
 
 impl RegionAggregator {
@@ -94,50 +84,30 @@ impl RegionAggregator {
         RegionAggregator {
             region,
             hotspot_threshold,
-            report_interval,
-            missed_for_offline,
-            reassembler: ReportReassembler::new(),
-            slots: BTreeMap::new(),
-            reports_ingested: 0,
+            store: MonitoringStore::new(report_interval, missed_for_offline),
         }
-    }
-
-    /// Region identifier.
-    pub fn region(&self) -> u64 {
-        self.region
     }
 
     /// Assigns a station to this region (idempotent).
     pub fn register_station(&mut self, station: StationId) {
-        self.slots.entry(station).or_default();
-    }
-
-    /// Stations assigned to this region.
-    pub fn stations(&self) -> usize {
-        self.slots.len()
+        self.store.register_station(station);
     }
 
     /// Ingests a full station report.
     pub fn ingest_report(&mut self, report: StationReport, at: SimTime) {
-        let slot = self.slots.entry(report.station).or_default();
-        slot.last_seen = Some(at);
-        slot.reports += 1;
-        slot.last_report = Some(report);
-        self.reports_ingested += 1;
+        self.store.ingest(report, at);
     }
 
-    /// Ingests a delta frame, reconstructing the full report through the
-    /// embedded reassembler. Stale or reordered frames are dropped (and
-    /// counted); the error is returned for callers that track rejects.
+    /// Ingests a delta frame into the station's view. Stale or reordered
+    /// frames are dropped (and counted); the error is returned for callers
+    /// that track rejects.
     pub fn ingest_delta(&mut self, delta: &ReportDelta, at: SimTime) -> Result<(), DeltaReject> {
-        let report = self.reassembler.apply(delta)?;
-        self.ingest_report(report, at);
-        Ok(())
+        self.store.ingest_delta(delta, at)
     }
 
-    /// Receiver-side delta protocol counters.
-    pub fn reassembler_stats(&self) -> crate::delta::ReassemblerStats {
-        self.reassembler.stats()
+    /// The region's station views.
+    pub fn store(&self) -> &MonitoringStore {
+        &self.store
     }
 
     /// Produces the region's rollup as of `now`.
@@ -145,28 +115,16 @@ impl RegionAggregator {
         let mut summary = RegionSummary {
             region: self.region,
             produced_at: now,
-            stations: self.slots.len(),
-            reporting: 0,
-            reports_ingested: self.reports_ingested,
-            capacity: ResourceSpec::ZERO,
-            mean_cpu_fraction: 0.0,
-            connected_clients: 0,
-            running_nfs: 0,
-            flow_cache: FlowCacheTelemetry::default(),
-            megaflow: MegaflowTelemetry::default(),
-            batches: BatchTelemetry::default(),
-            chaos: ChaosTelemetry::default(),
-            hotspots: Vec::new(),
-            offline: Vec::new(),
+            stations: self.store.len(),
+            hotspots: self.store.hotspots(self.hotspot_threshold),
+            offline: self.store.offline_at(now),
+            ..RegionSummary::default()
         };
-        let offline_after = SimDuration::from_nanos(
-            self.report_interval.as_nanos() * u64::from(self.missed_for_offline),
-        );
+        // In station order, so the float sum is the same in every run.
         let mut cpu_sum = 0.0;
-        for (&station, slot) in &self.slots {
-            let Some(report) = &slot.last_report else {
-                // Never reported: counted in `stations` but not alarmed,
-                // mirroring the monitoring store's liveness rule.
+        for view in self.store.stations() {
+            summary.reports_ingested += view.reports_received;
+            let Some(report) = &view.last_report else {
                 continue;
             };
             summary.reporting += 1;
@@ -178,23 +136,10 @@ impl RegionAggregator {
             summary.megaflow.merge(&report.megaflow);
             summary.batches.merge(&report.batches);
             summary.chaos.merge(&report.chaos);
-            if report.is_hotspot(self.hotspot_threshold) {
-                summary
-                    .hotspots
-                    .push((station, report.dominant_utilisation()));
-            }
-            if let Some(last_seen) = slot.last_seen {
-                if now.duration_since(last_seen) >= offline_after {
-                    summary.offline.push(station);
-                }
-            }
         }
         if summary.reporting > 0 {
             summary.mean_cpu_fraction = cpu_sum / summary.reporting as f64;
         }
-        summary
-            .hotspots
-            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         summary
     }
 }
@@ -287,7 +232,7 @@ mod tests {
         assert_eq!(summary.reporting, 1);
         assert_eq!(summary.running_nfs, 7);
         assert_eq!(summary.hotspots.len(), 1);
-        assert_eq!(agg.reassembler_stats().keyframes, 1);
-        assert_eq!(agg.reassembler_stats().deltas_applied, 1);
+        assert_eq!(agg.store().stats().keyframes, 1);
+        assert_eq!(agg.store().stats().deltas_applied, 1);
     }
 }

@@ -87,42 +87,25 @@ pub struct Dashboard {
 impl Dashboard {
     /// Builds a dashboard snapshot from the Manager's current state.
     pub fn capture(manager: &Manager, now: SimTime) -> Self {
-        let monitoring = manager.monitoring();
         let mut stations = Vec::new();
-        for record in manager.stations() {
-            let health = monitoring.station(record.station);
-            let (status, cpu, memory_mb, clients, running_nfs, rx, tx) = match health {
-                Some(h) => {
-                    let status = match h.status {
-                        StationStatus::Online => "online",
-                        StationStatus::Degraded => "degraded",
-                        StationStatus::Offline => "offline",
-                    };
-                    match &h.last_report {
-                        Some(r) => (
-                            status,
-                            r.usage.cpu_fraction,
-                            r.usage.memory_mb,
-                            r.connected_clients.len(),
-                            r.running_nfs,
-                            r.usage.rx_bps,
-                            r.usage.tx_bps,
-                        ),
-                        None => (status, 0.0, 0, 0, 0, 0.0, 0.0),
-                    }
-                }
-                None => ("offline", 0.0, 0, 0, 0, 0.0, 0.0),
+        for (view, registration) in manager.stations() {
+            let status = match view.status {
+                StationStatus::Online => "online",
+                StationStatus::Degraded => "degraded",
+                StationStatus::Offline => "offline",
             };
+            let report = view.last_report.as_ref();
+            let usage = report.map(|r| r.usage).unwrap_or_default();
             stations.push(StationRow {
-                station: record.station.to_string(),
-                host_class: record.host_class.to_string(),
+                station: view.station.to_string(),
+                host_class: registration.host_class.to_string(),
                 status: status.to_string(),
-                cpu,
-                memory_mb,
-                clients,
-                running_nfs,
-                rx_bps: rx,
-                tx_bps: tx,
+                cpu: usage.cpu_fraction,
+                memory_mb: usage.memory_mb,
+                clients: report.map_or(0, |r| r.connected_clients.len()),
+                running_nfs: report.map_or(0, |r| r.running_nfs),
+                rx_bps: usage.rx_bps,
+                tx_bps: usage.tx_bps,
             });
         }
 
@@ -145,10 +128,10 @@ impl Dashboard {
         Dashboard {
             taken_at_secs: now.as_secs_f64(),
             total_stations: manager.stations().count(),
-            online_stations: monitoring.online_count(),
+            online_stations: manager.monitoring().online_count(),
             connected_clients: manager.clients().filter(|c| c.station.is_some()).count(),
             enabled_chains: manager.attachments().filter(|a| a.active).count(),
-            running_nfs: monitoring.running_nfs(),
+            running_nfs: manager.monitoring().running_nfs(),
             migrations_completed: manager.stats().migrations_completed,
             migrations_in_flight: manager.migrations_in_flight(),
             critical_notifications: manager

@@ -1,11 +1,17 @@
 //! Property-based tests over the delta-report protocol: for any sequence of
-//! counter churn, agent crashes (forced resyncs) and stale-frame replays, the
-//! receiver's reconstruction must stay byte-for-byte identical to the full
-//! report the sender would have produced — and stale/reordered frames must be
-//! rejected without corrupting the held state.
+//! counter churn, agent crashes (forced resyncs) and stale-frame replays,
+//! both receivers — the Manager's `MonitoringStore` and a region's
+//! `RegionAggregator` — must hold a report byte-for-byte identical to the
+//! full report the sender would have produced, and stale/reordered frames
+//! must be rejected without touching the station's view.
 
-use gnf_telemetry::{DeltaEncoder, ReportDelta, ReportReassembler, StationReport};
-use gnf_types::{AgentId, ClientId, HostClass, ResourceSpec, ResourceUsage, SimTime, StationId};
+use gnf_telemetry::{
+    DeltaEncoder, MonitoringStore, RegionAggregator, ReportDelta, StationHealth, StationReport,
+    StationStatus,
+};
+use gnf_types::{
+    AgentId, ClientId, HostClass, ResourceSpec, ResourceUsage, SimDuration, SimTime, StationId,
+};
 use proptest::prelude::*;
 
 /// One step of the generated timeline: a mutation applied to the station's
@@ -21,7 +27,7 @@ struct Step {
     /// and the encoder must force a keyframe resync.
     crash: bool,
     /// After delivering this step's frame, replay an earlier frame out of
-    /// order: the reassembler must reject it and keep its reconstruction.
+    /// order: the receivers must reject it and keep their views.
     replay_stale: bool,
 }
 
@@ -35,9 +41,13 @@ fn arb_step() -> impl Strategy<Value = Step> {
 }
 
 fn base_report() -> StationReport {
+    report_of(7)
+}
+
+fn report_of(station: u64) -> StationReport {
     StationReport {
-        station: StationId::new(7),
-        agent: AgentId::new(7),
+        station: StationId::new(station),
+        agent: AgentId::new(station),
         produced_at: SimTime::ZERO,
         host_class: HostClass::EdgeServer,
         capacity: HostClass::EdgeServer.capacity(),
@@ -113,19 +123,44 @@ fn apply_crash(report: &mut StationReport) {
     report.chaos.generation += 1;
 }
 
+const INTERVAL: SimDuration = SimDuration::from_secs(2);
+const MISSED_FOR_OFFLINE: u32 = 3;
+const HOTSPOT_THRESHOLD: f64 = 0.85;
+
+fn store() -> MonitoringStore {
+    MonitoringStore::new(INTERVAL, MISSED_FOR_OFFLINE)
+}
+
+fn region() -> RegionAggregator {
+    RegionAggregator::new(0, HOTSPOT_THRESHOLD, INTERVAL, MISSED_FOR_OFFLINE)
+}
+
+/// The station's view in `store`, which must exist.
+fn view(store: &MonitoringStore, station: StationId) -> &StationHealth {
+    store.station(station).expect("the station has a view")
+}
+
+/// The serialized last report of a view.
+fn last_bytes(view: &StationHealth) -> String {
+    serde_json::to_string(view.last_report.as_ref().expect("a report arrived")).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// apply(delta_stream) == full report, byte for byte, at every instant —
-    /// under random churn, mid-stream crashes and stale-frame replays.
+    /// The view's report == full report, byte for byte, at every instant, in
+    /// the Manager's store and in a region's — under random churn,
+    /// mid-stream crashes and stale-frame replays.
     #[test]
     fn delta_stream_reconstructs_full_reports_byte_for_byte(
         steps in proptest::collection::vec(arb_step(), 1..40),
         keyframe_interval in 0u64..6,
     ) {
         let mut live = base_report();
+        let station = live.station;
         let mut encoder = DeltaEncoder::new(keyframe_interval);
-        let mut reassembler = ReportReassembler::new();
+        let mut store = store();
+        let mut region = region();
         let mut history: Vec<ReportDelta> = Vec::new();
         let mut crashes = 0u64;
 
@@ -137,45 +172,101 @@ proptest! {
             }
             apply_churn(&mut live, step.op, step.value);
             live.produced_at = SimTime::from_millis(250 * (ix as u64 + 1));
+            let live_bytes = serde_json::to_string(&live).unwrap();
 
             let frame = encoder.encode(&live);
             if step.crash {
                 prop_assert!(frame.is_keyframe(), "a crash must force a keyframe");
                 prop_assert!(frame.forced);
             }
-            let rebuilt = reassembler
-                .apply(&frame)
-                .expect("an in-order frame always applies");
-            prop_assert_eq!(
-                serde_json::to_string(&rebuilt).unwrap(),
-                serde_json::to_string(&live).unwrap()
-            );
+            let at = live.produced_at;
+            store.ingest_delta(&frame, at).expect("an in-order frame always applies");
+            region.ingest_delta(&frame, at).expect("an in-order frame always applies");
+            prop_assert_eq!(&last_bytes(view(&store, station)), &live_bytes);
+            prop_assert_eq!(&last_bytes(view(region.store(), station)), &live_bytes);
             history.push(frame);
 
             if step.replay_stale && history.len() > 1 {
-                // Replay an earlier frame (reordered delivery / duplicate):
-                // the reassembler must reject it...
+                // Replay an earlier frame (reordered delivery / duplicate),
+                // a little later: both receivers must reject it and leave
+                // the view as it was — last report, stream state, last
+                // sighting and count alike.
                 let stale = history[(step.value as usize) % (history.len() - 1)].clone();
+                let later = at + SimDuration::from_millis(1);
+                let views = |store: &MonitoringStore, region: &RegionAggregator| {
+                    [store, region.store()].map(|receiver| format!("{:?}", view(receiver, station)))
+                };
+                let before = views(&store, &region);
                 prop_assert!(
-                    reassembler.apply(&stale).is_err(),
+                    store.ingest_delta(&stale, later).is_err(),
                     "a stale or duplicate frame must be rejected"
                 );
-                // ...and the held reconstruction must be unharmed: the next
-                // no-change frame still matches the live report exactly.
+                prop_assert!(region.ingest_delta(&stale, later).is_err());
+                prop_assert_eq!(view(&store, station).last_seen, Some(at));
+                prop_assert_eq!(views(&store, &region), before);
+                // ...and the next no-change frame still matches the live
+                // report exactly.
                 let check = encoder.encode(&live);
-                let rebuilt = reassembler.apply(&check).expect("in-order frame");
-                prop_assert_eq!(
-                    serde_json::to_string(&rebuilt).unwrap(),
-                    serde_json::to_string(&live).unwrap()
-                );
+                store.ingest_delta(&check, later).expect("in-order frame");
+                region.ingest_delta(&check, later).expect("in-order frame");
+                prop_assert_eq!(&last_bytes(view(&store, station)), &live_bytes);
+                prop_assert_eq!(&last_bytes(view(region.store(), station)), &live_bytes);
                 history.push(check);
             }
         }
 
-        let stats = reassembler.stats();
+        let stats = store.stats();
         // Every crash forces a keyframe; a crash before the very first frame
         // merges with the stream-opening keyframe, so >= max, not a sum.
         prop_assert!(stats.keyframes >= crashes.max(1));
         prop_assert_eq!(stats.forced_resyncs, crashes);
+        prop_assert_eq!(region.store().stats(), stats);
+    }
+
+    /// A region summary's hotspots and offline stations are what the
+    /// Manager's own store derives from the same frames at the same
+    /// instants: hotspots by `hotspots`, offline stations by
+    /// `refresh_liveness`.
+    #[test]
+    fn region_summaries_flag_what_the_direct_store_flags(
+        silences in proptest::collection::vec(0u8..8, 2..9),
+        loads in proptest::collection::vec(0u16..1000, 2..9),
+        keyframe_interval in 0u64..4,
+    ) {
+        let stations = silences.len().min(loads.len()) as u64;
+        let mut lives: Vec<StationReport> = (0..stations).map(report_of).collect();
+        let mut encoders: Vec<DeltaEncoder> =
+            (0..stations).map(|_| DeltaEncoder::new(keyframe_interval)).collect();
+        let mut direct = store();
+        let mut region = region();
+        for station in (0..stations).map(StationId::new) {
+            direct.register_station(station);
+            region.register_station(station);
+        }
+        for interval in 1..=12u64 {
+            let now = SimTime::ZERO + INTERVAL * interval;
+            for (s, live) in lives.iter_mut().enumerate() {
+                // Station `s` falls silent after `silences[s]` intervals
+                // (0 never reports; 7 reports throughout).
+                if silences[s] != 7 && interval > u64::from(silences[s]) {
+                    continue;
+                }
+                live.produced_at = now;
+                live.usage.cpu_fraction =
+                    f64::from((loads[s] + 97 * interval as u16) % 1000) / 1000.0;
+                let frame = encoders[s].encode(live);
+                direct.ingest_delta(&frame, now).expect("in-order frame");
+                region.ingest_delta(&frame, now).expect("in-order frame");
+            }
+            let summary = region.summary(now);
+            direct.refresh_liveness(now);
+            let offline: Vec<StationId> = direct
+                .stations()
+                .filter(|view| view.last_seen.is_some() && view.status == StationStatus::Offline)
+                .map(|view| view.station)
+                .collect();
+            prop_assert_eq!(&summary.offline, &offline);
+            prop_assert_eq!(&summary.hotspots, &direct.hotspots(HOTSPOT_THRESHOLD));
+        }
     }
 }

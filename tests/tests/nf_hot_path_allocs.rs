@@ -48,6 +48,11 @@
 //! minute of smartphone traffic from `TrafficGenerator::generate` costs that
 //! frame plus the amortised growth of the output vector.
 //!
+//! And the Manager's report ingest: once a station's view is warm, a
+//! steady-state delta frame through `Manager::handle_agent_msg` makes no
+//! heap request — the view's report is overwritten in place, not rebuilt
+//! from a clone of the keyframe.
+//!
 //! The counting allocator has the shape of `gnf_benchmark/src/alloc.rs`,
 //! except that it counts per thread: the test harness runs the tests of
 //! this file on parallel threads.
@@ -57,6 +62,7 @@ use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
 use gnf_core::{Emulator, Mobility, Scenario};
 use gnf_edge::{EdgeTopology, Position, RoamTrace, TrafficGenerator, TrafficProfile};
+use gnf_manager::Manager;
 use gnf_nf::firewall::{Firewall, FirewallConfig};
 use gnf_nf::http_filter::{HttpFilter, HttpFilterConfig, UrlPattern};
 use gnf_nf::ids::IdsConfig;
@@ -72,9 +78,10 @@ use gnf_sim::Rng;
 use gnf_switch::{
     FlowCache, FlowKey, SoftwareSwitch, TrafficSelector, DEFAULT_FLOW_CACHE_CAPACITY,
 };
+use gnf_telemetry::{BatchTelemetry, DeltaEncoder, FlowCacheTelemetry, StationReport};
 use gnf_types::{
-    AgentId, CellId, ChainId, ClientId, GnfConfig, GnfError, HostClass, MacAddr, SimDuration,
-    SimTime, StationId,
+    AgentId, CellId, ChainId, ClientId, GnfConfig, GnfError, HostClass, MacAddr, ResourceUsage,
+    SimDuration, SimTime, StationId,
 };
 use gnf_workload::{
     ArrivalModel, Population, SyntheticSpec, TraceFormat, TraceReader, TraceWorkload, TraceWriter,
@@ -500,6 +507,79 @@ fn a_batch_through_the_chain_allocates_what_its_packets_do_plus_the_verdict_vect
 
 /// A conntrack table of `flows` established connections, and the same
 /// table ten entries later: five flows refreshed, two pruned, three new.
+/// A steady-state report of station 1 at `interval`: two clients, one of
+/// them swapped every other interval, and every counter moving.
+fn station_report(interval: u64) -> StationReport {
+    let n = interval;
+    StationReport {
+        station: StationId::new(1),
+        agent: AgentId::new(1),
+        produced_at: SimTime::from_secs(2 * n),
+        host_class: HostClass::EdgeServer,
+        capacity: HostClass::EdgeServer.capacity(),
+        usage: ResourceUsage {
+            cpu_fraction: 0.2 + 0.01 * n as f64,
+            memory_mb: 800 + n,
+            disk_mb: 2_000,
+            rx_bps: 5e6,
+            tx_bps: 1e6,
+        },
+        connected_clients: vec![ClientId::new(10), ClientId::new(11 + n % 2)],
+        running_nfs: 2,
+        cached_images: 1,
+        flow_cache: FlowCacheTelemetry {
+            entries: 100 + n as usize,
+            ..Default::default()
+        },
+        megaflow: Default::default(),
+        batches: BatchTelemetry {
+            batches: n,
+            packets: 3 * n,
+            ..Default::default()
+        },
+        chaos: Default::default(),
+    }
+}
+
+#[test]
+fn a_warm_delta_ingest_allocates_nothing() {
+    let station = StationId::new(1);
+    let mut manager = Manager::new(GnfConfig::default());
+    manager.handle_agent_msg(
+        station,
+        AgentToManager::Register {
+            agent: AgentId::new(1),
+            station,
+            host_class: HostClass::EdgeServer,
+            capacity: HostClass::EdgeServer.capacity(),
+        },
+        SimTime::ZERO,
+    );
+    let mut encoder = DeltaEncoder::new(16);
+    let frames: Vec<AgentToManager> = (0..16)
+        .map(|n| AgentToManager::ReportDelta(Box::new(encoder.encode(&station_report(n)))))
+        .collect();
+    let mut frames = frames.into_iter();
+    let keyframe = frames.next().unwrap();
+    manager.handle_agent_msg(station, keyframe, SimTime::ZERO);
+    let requests: Vec<u64> = frames
+        .enumerate()
+        .map(|(n, frame)| {
+            let AgentToManager::ReportDelta(delta) = &frame else {
+                unreachable!()
+            };
+            assert!(!delta.is_keyframe() && delta.sections_carried() > 0);
+            let at = SimTime::from_secs(2 * (n as u64 + 1));
+            counted(|| manager.handle_agent_msg(station, frame, at)).1
+        })
+        .collect();
+    assert_eq!(requests, [0; 15], "heap requests per steady-state frame");
+    let stats = manager.control_plane_stats();
+    assert_eq!((stats.delta_keyframes, stats.deltas_applied), (1, 15));
+    let view = manager.monitoring().station(station).unwrap();
+    assert_eq!(view.last_report.as_ref(), Some(&station_report(15)));
+}
+
 fn conntrack_before_and_after(flows: u16) -> (NfStateSnapshot, NfStateSnapshot) {
     let tuple = |i: u16| {
         http_get_from(10_000 + i, "example.com")

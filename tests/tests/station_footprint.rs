@@ -142,11 +142,13 @@ fn cloning_the_image_catalogue_makes_no_heap_request() {
 /// Live heap blocks per station after a whole 200-station run, as this test
 /// measures them (seed 7, debug build): everything the emulator holds — its
 /// scenario, Manager, queue and every Agent — over the station count. It
-/// read 13 039 / 200 = 65.2 blocks (17.9 KB) per station. Before every Agent
-/// shared one image catalogue (37 blocks, 1 544 B a copy) and the Manager
-/// kept its per-station tables in hashed maps, the same run read
-/// 20 298 / 200 = 101.5 blocks (19.9 KB).
-const LIVE_BLOCKS_PER_STATION: f64 = 13_039.0 / 200.0;
+/// read 12 805 / 200 = 64.0 blocks (17.5 KB) per station. Before the Manager
+/// kept one view per station (no registration map, no utilisation ring, a
+/// delta report overwritten in place), it read 13 039 / 200 = 65.2 blocks
+/// (17.9 KB); before every Agent shared one image catalogue (37 blocks,
+/// 1 544 B a copy) and the Manager kept its per-station tables in hashed
+/// maps, 20 298 / 200 = 101.5 blocks (19.9 KB).
+const LIVE_BLOCKS_PER_STATION: f64 = 12_805.0 / 200.0;
 
 #[test]
 fn a_fleet_station_holds_few_heap_blocks_after_a_run() {
