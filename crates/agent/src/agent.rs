@@ -54,6 +54,10 @@ pub struct DeployedChain {
     /// the baseline state is imported, but no steering rule exists, so the
     /// chain never sees traffic until activated.
     pub staged: bool,
+    /// When the chain serves (or starts serving) traffic: the command's time
+    /// plus its latency, set by a serving deploy and by activation. `None`
+    /// while the chain is staged.
+    pub ready_at: Option<SimTime>,
     /// Baseline snapshot retained by the *source* after a pre-copy checkpoint,
     /// used to compute the dirty delta at switchover.
     pub precopy_baseline: Option<Vec<NfStateSnapshot>>,
@@ -426,6 +430,7 @@ impl Agent {
                     selector,
                     restore_state,
                     false,
+                    now,
                 )
                 .map(|(latency, images_cached)| AgentToManager::ChainDeployed {
                     chain,
@@ -482,6 +487,7 @@ impl Agent {
                     selector,
                     Some(precopy_state),
                     true,
+                    now,
                 )
                 .map(|(latency, images_cached)| AgentToManager::ChainPrepared {
                     chain,
@@ -514,15 +520,16 @@ impl Agent {
                 deltas,
             } => (
                 Some(chain),
-                self.activate_chain(chain, deltas)
-                    .map(|latency| AgentToManager::ChainDeployed {
+                self.activate_chain(chain, deltas, now).map(|latency| {
+                    AgentToManager::ChainDeployed {
                         chain,
                         client,
                         latency,
                         // Activation never pulls images: the staged deploy did.
                         images_cached: true,
                         migration: Some(migration),
-                    }),
+                    }
+                }),
             ),
         };
         // Every command answers with its own reply, or with a failure naming
@@ -709,7 +716,8 @@ impl Agent {
     /// it over. Re-staging an already-staged chain is idempotent (the
     /// baseline is replaced wholesale), so a retried `PrepareChain` after a
     /// lost reply converges; anything else over an existing chain is
-    /// `already_exists`. Returns (latency, all-images-cached).
+    /// `already_exists`. A serving deploy at `now` is ready at `now` plus the
+    /// latency. Returns (latency, all-images-cached).
     #[allow(clippy::too_many_arguments)]
     fn deploy_chain(
         &mut self,
@@ -720,6 +728,7 @@ impl Agent {
         selector: TrafficSelector,
         state: Option<Vec<NfStateSnapshot>>,
         staged: bool,
+        now: SimTime,
     ) -> GnfResult<(SimDuration, bool)> {
         self.report_hints.nfs = true;
         self.report_hints.traffic = true;
@@ -777,6 +786,7 @@ impl Agent {
                 selector,
                 deploy_latency: total_latency,
                 staged,
+                ready_at: (!staged).then_some(now + total_latency),
                 precopy_baseline: None,
             },
         );
@@ -882,10 +892,12 @@ impl Agent {
     /// pre-copied baseline and installs the steering rule. Only after this
     /// does the chain see traffic; the service-affecting window is therefore
     /// the delta replay, whose cost scales with churn rather than table size.
+    /// The chain is ready at `now` plus that replay.
     fn activate_chain(
         &mut self,
         chain_id: ChainId,
         deltas: Vec<NfStateDelta>,
+        now: SimTime,
     ) -> GnfResult<SimDuration> {
         self.report_hints.nfs = true;
         self.report_hints.traffic = true;
@@ -901,7 +913,9 @@ impl Agent {
         }
         let delta_bytes: usize = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
         deployed.chain.apply_state_deltas(&deltas)?;
+        let latency = self.runtime.cost_model().restore_time(delta_bytes);
         deployed.staged = false;
+        deployed.ready_at = Some(now + latency);
         let (client, client_mac, selector) =
             (deployed.client, deployed.client_mac, deployed.selector);
         self.switch.steering_mut().install(SteeringRule {
@@ -910,7 +924,7 @@ impl Agent {
             selector,
             chain: chain_id,
         });
-        Ok(self.runtime.cost_model().restore_time(delta_bytes))
+        Ok(latency)
     }
 }
 
@@ -2182,6 +2196,8 @@ mod tests {
         else {
             panic!("expected a deploy confirmation, got {:?}", replies[0]);
         };
+        let ready_at = serving.chain(chain).unwrap().ready_at;
+        assert_eq!(ready_at, Some(SimTime::from_secs(3) + serving_latency));
 
         // Pre-copy target: the same instantiation staged, then activated
         // with nothing dirty.
@@ -2212,6 +2228,11 @@ mod tests {
             (serving_latency, serving_cached)
         );
         assert!(staged.chain(chain).unwrap().staged);
+        assert_eq!(
+            staged.chain(chain).unwrap().ready_at,
+            None,
+            "staged: not ready"
+        );
         assert!(staged.switch().steering().is_empty(), "staged: no steering");
         let replies = staged.handle_manager_msg(
             ManagerToAgent::ActivateChain {
@@ -2222,7 +2243,11 @@ mod tests {
             },
             SimTime::from_secs(4),
         );
-        assert!(matches!(replies[0], AgentToManager::ChainDeployed { .. }));
+        let AgentToManager::ChainDeployed { latency, .. } = replies[0] else {
+            panic!("expected an activation confirmation, got {:?}", replies[0]);
+        };
+        let ready_at = staged.chain(chain).unwrap().ready_at;
+        assert_eq!(ready_at, Some(SimTime::from_secs(4) + latency));
 
         for agent in [&serving, &staged] {
             let deployed = agent.chain(chain).unwrap();

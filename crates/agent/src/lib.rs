@@ -37,8 +37,7 @@
 //!   drop), in which case the chain's NF statistics are replayed instead
 //!   (`NfChain::credit_bypass` / `credit_bypass_drop`). Chains run on the
 //!   calling thread, one packet at a time, in packet order: a station's
-//!   data plane is single-threaded (parallelism is across stations, in the
-//!   emulator's fan-out).
+//!   data plane is single-threaded, like the emulator that drives it.
 //! * **Seal** — after a slow-path packet, the seed is completed with the
 //!   chain's consulted-field report (`NfChain::wildcard_report`, gated on
 //!   the packet's verdict) before the next packet is classified, so an entry

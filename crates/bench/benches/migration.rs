@@ -11,9 +11,7 @@
 //!   churn: the target's switchover step patches the firewall's own table,
 //!   so its throughput is counted in *changed* entries and must stay flat
 //!   as the table grows — the cost follows the churn, not the table.
-//! * `roam_burst` — a full 32-roam emulator storm at 1 vs 4 workers: the
-//!   worker pool may only buy host wall-clock, so the setup asserts the two
-//!   configurations produce byte-identical reports before either is timed.
+//! * `roam_burst` — a full 32-roam emulator storm, end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gnf_core::{Emulator, Mobility, Scenario};
@@ -176,22 +174,7 @@ fn burst_scenario(seed: u64) -> Scenario {
     sb.with_mobility(Mobility::Trace(trace)).build()
 }
 
-fn run_burst(workers: usize) -> gnf_core::RunReport {
-    let mut emulator = Emulator::new(burst_scenario(7));
-    emulator.set_workers(workers);
-    emulator.run()
-}
-
 fn bench_roam_burst(c: &mut Criterion) {
-    // The worker count is a host-CPU knob only: prove it before timing
-    // anything.
-    let serial = serde_json::to_string(&run_burst(1)).unwrap();
-    let pooled = serde_json::to_string(&run_burst(4)).unwrap();
-    assert_eq!(
-        serial, pooled,
-        "the worker count must not change the report"
-    );
-
     let mut group = c.benchmark_group("roam_burst");
     group
         .warm_up_time(Duration::from_millis(500))
@@ -199,13 +182,9 @@ fn bench_roam_burst(c: &mut Criterion) {
         .sample_size(10);
     group.throughput(Throughput::Elements(32));
 
-    for workers in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| b.iter(|| black_box(run_burst(workers).migration.completed)),
-        );
-    }
+    group.bench_function("storm", |b| {
+        b.iter(|| black_box(Emulator::new(burst_scenario(7)).run().migration.completed))
+    });
     group.finish();
 }
 

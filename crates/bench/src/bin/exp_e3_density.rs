@@ -2,7 +2,7 @@
 //! hundreds of NFs": maximum NF instances per host, containers vs VMs, across
 //! host classes, plus the memory cost per instance.
 
-use gnf_bench::{section, workers_arg};
+use gnf_bench::section;
 use gnf_container::{ContainerRuntime, ImageRepository, NfvRuntime};
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
@@ -95,7 +95,6 @@ fn main() {
 
     section("density under live traffic: 8 emulated stations, per-client firewall chains");
     {
-        let workers = workers_arg(1);
         let mut builder = Scenario::builder(8, HostClass::EdgeServer)
             .with_config(gnf_types::GnfConfig::default().with_seed(seed));
         let clients = builder.add_clients(
@@ -115,7 +114,6 @@ fn main() {
             );
         }
         let mut emulator = Emulator::new(sb.build());
-        emulator.set_workers(workers);
         // Artifacts (when requested) describe this live-traffic run.
         let obs = gnf_bench::observability_args();
         obs.arm(&mut emulator);
@@ -125,7 +123,7 @@ fn main() {
         let processed =
             report.packets.forwarded + report.packets.dropped_by_nf + report.packets.replied_by_nf;
         println!(
-            "workers={workers}: {} packets in {:.1} ms wall ({:.0} kpps aggregate), \
+            "{} packets in {:.1} ms wall ({:.0} kpps aggregate), \
              batches: {} (mean size {:.1}, max {}), flow-cache hit rate {:.1}%",
             processed,
             elapsed * 1e3,

@@ -12,7 +12,7 @@
 
 use gnf_agent::Agent;
 use gnf_bench::dataplane_fixture as fixture;
-use gnf_bench::{section, workers_arg};
+use gnf_bench::section;
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
 use gnf_nf::firewall::Firewall;
@@ -25,11 +25,11 @@ use std::net::Ipv4Addr;
 use std::slice;
 use std::time::Instant;
 
-/// The multi-station scenario for the sharded-execution measurement: 8
+/// The multi-station scenario for the aggregate-throughput measurement: 8
 /// stations, 4 CBR clients each, every client steered through a 3-NF chain
 /// (firewall + rate limiter + IDS). The IDS signature scan over the 1000-byte
-/// payloads gives each station real per-packet work to parallelize.
-fn sharded_scenario(seed: u64) -> Scenario {
+/// payloads gives each station real per-packet work.
+fn station_scenario(seed: u64) -> Scenario {
     let config = GnfConfig {
         // Fewer control events → longer uninterrupted packet runs to batch.
         agent_report_interval: SimDuration::from_secs(10),
@@ -283,82 +283,35 @@ fn main() {
         speedup("megaflow_drop", len, 1.5, slow_us, wild_us);
     }
 
-    section("sharded multi-station emulation: aggregate throughput vs worker count");
+    section("multi-station emulation: aggregate throughput");
     {
-        let workers = workers_arg(2);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        println!(
-            "8 stations x 4 CBR clients, 3-NF chains, 10 s virtual; comparing workers=1 vs workers={workers} ({cores} core(s) available)"
-        );
-        if cores < 2 {
-            println!(
-                "note: single-core host — wall-clock speedup cannot materialize here; \
-                 this run still exercises the sharded path and verifies report determinism"
-            );
-        }
-        // Artifacts (when requested) describe the `--workers` run; read
-        // wall-clock comparisons without the flags.
+        println!("8 stations x 4 CBR clients, 3-NF chains, 10 s virtual, one thread");
         let obs = gnf_bench::observability_args();
-        let mut results: Vec<(usize, f64, u64, String)> = Vec::new();
-        for (ix, w) in [1usize, workers].into_iter().enumerate() {
-            let mut emulator = Emulator::new(sharded_scenario(seed));
-            emulator.set_workers(w);
-            if ix == 1 {
-                obs.arm(&mut emulator);
-            }
-            let start = Instant::now();
-            let report = emulator.run();
-            let elapsed = start.elapsed().as_secs_f64();
-            let processed = report.packets.forwarded
-                + report.packets.dropped_by_nf
-                + report.packets.replied_by_nf;
-            println!(
-                "workers={w}: {:>8.1} ms wall, {:>8.0} kpps aggregate, {} packets ({} batches, mean size {:.1}, max {})",
-                elapsed * 1e3,
-                processed as f64 / elapsed / 1e3,
-                processed,
-                report.batches.batches,
-                report.batches.mean_batch_size(),
-                report.batches.max_batch,
-            );
-            let fanned = emulator.fan_out_telemetry().flushes;
-            assert_eq!(
-                fanned > 0,
-                w > 1,
-                "workers={w}: flushes fanned out {fanned}"
-            );
-            println!(
-                "           flow cache {:.1}% / megaflow {:.1}% hit rate ({} wildcard hits, {} entries, {} masks), {fanned} flushes fanned out",
-                report.flow_cache.hit_rate() * 100.0,
-                report.megaflow.hit_rate() * 100.0,
-                report.megaflow.stats.hits,
-                report.megaflow.entries,
-                report.megaflow.masks,
-            );
-            results.push((
-                w,
-                elapsed,
-                processed,
-                serde_json::to_string(&report).expect("reports serialize"),
-            ));
-            if ix == 1 {
-                obs.write(&mut emulator);
-            }
-        }
-        if results.len() == 2 && results[0].0 != results[1].0 {
-            let speedup = results[0].1 / results[1].1;
-            println!(
-                "speedup workers={} over workers=1: {:.2}x",
-                results[1].0, speedup
-            );
-            assert_eq!(
-                results[0].3, results[1].3,
-                "RunReport must be identical for any worker count"
-            );
-            println!("RunReport identical across worker counts: yes");
-        }
+        let mut emulator = Emulator::new(station_scenario(seed));
+        obs.arm(&mut emulator);
+        let start = Instant::now();
+        let report = emulator.run();
+        let elapsed = start.elapsed().as_secs_f64();
+        let processed =
+            report.packets.forwarded + report.packets.dropped_by_nf + report.packets.replied_by_nf;
+        println!(
+            "{:>8.1} ms wall, {:>8.0} kpps aggregate, {} packets ({} batches, mean size {:.1}, max {})",
+            elapsed * 1e3,
+            processed as f64 / elapsed / 1e3,
+            processed,
+            report.batches.batches,
+            report.batches.mean_batch_size(),
+            report.batches.max_batch,
+        );
+        println!(
+            "flow cache {:.1}% / megaflow {:.1}% hit rate ({} wildcard hits, {} entries, {} masks)",
+            report.flow_cache.hit_rate() * 100.0,
+            report.megaflow.hit_rate() * 100.0,
+            report.megaflow.stats.hits,
+            report.megaflow.entries,
+            report.megaflow.masks,
+        );
+        obs.write(&mut emulator);
     }
 
     section("per-NF behaviour on the demo's mixed client traffic");

@@ -16,10 +16,9 @@
 //!   the Manager sees `O(regions)` messages per interval instead of
 //!   `O(stations)`, and still raises hotspot and offline alerts.
 //! * **RunReport byte-identity** — a 4-station emulator scenario with a
-//!   mid-run station crash, replayed on the delta transport at workers
-//!   {1,2,4}: every cell must produce a byte-identical `RunReport` to the
-//!   full-transport baseline, with
-//!   nonzero delta traffic and at least one forced keyframe resync.
+//!   mid-run station crash, replayed on the delta transport: it must
+//!   produce a byte-identical `RunReport` to the full-transport baseline,
+//!   with nonzero delta traffic and at least one forced keyframe resync.
 //!
 //! `--stations N` caps the fleet curve (CI smoke runs `--stations 2000`);
 //! `--seed N` reproduces a run exactly.
@@ -397,34 +396,27 @@ fn main() {
     let full_stats = full.manager().control_plane_stats();
     assert!(full_stats.full_reports > 0);
     assert_eq!(full_stats.deltas_applied, 0);
-    let mut cells = 0;
-    for workers in [1usize, 2, 4] {
-        let mut emulator = Emulator::new(matrix_scenario(seed, true));
-        emulator.set_workers(workers);
-        emulator.set_fault_schedule(crash_fault());
-        let delta_bytes = serde_json::to_string(&emulator.run()).expect("report serializes");
-        assert_eq!(
-            full_report_bytes, delta_bytes,
-            "delta transport changed the RunReport at workers={workers}"
-        );
-        let stats = emulator.manager().control_plane_stats();
-        assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
-        assert!(stats.deltas_applied > 0, "steady state rides delta frames");
-        assert!(stats.delta_keyframes > 0, "keyframes open each generation");
-        assert!(
-            stats.delta_forced_resyncs >= 1,
-            "the crashed station must force a keyframe resync"
-        );
-        println!(
-            "  workers={workers}: byte-identical \
-             ({} deltas, {} keyframes, {} forced resyncs)",
-            stats.deltas_applied, stats.delta_keyframes, stats.delta_forced_resyncs
-        );
-        cells += 1;
-    }
-    println!(
-        "\nE5 PASS: {top}-station curve, >=5x wire reduction, {cells} byte-identical matrix cells"
+    let mut emulator = Emulator::new(matrix_scenario(seed, true));
+    emulator.set_fault_schedule(crash_fault());
+    let delta_bytes = serde_json::to_string(&emulator.run()).expect("report serializes");
+    assert_eq!(
+        full_report_bytes, delta_bytes,
+        "delta transport changed the RunReport"
     );
+    let stats = emulator.manager().control_plane_stats();
+    assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
+    assert!(stats.deltas_applied > 0, "steady state rides delta frames");
+    assert!(stats.delta_keyframes > 0, "keyframes open each generation");
+    assert!(
+        stats.delta_forced_resyncs >= 1,
+        "the crashed station must force a keyframe resync"
+    );
+    println!(
+        "  delta transport: byte-identical \
+         ({} deltas, {} keyframes, {} forced resyncs)",
+        stats.deltas_applied, stats.delta_keyframes, stats.delta_forced_resyncs
+    );
+    println!("\nE5 PASS: {top}-station curve, >=5x wire reduction, byte-identical transports");
 
     // This harness drives the Manager directly (no emulator) for the fleet
     // curve, so the trace artifact carries the Manager-scope events of the

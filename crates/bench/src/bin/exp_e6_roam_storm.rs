@@ -12,31 +12,24 @@
 //! The run sweeps concurrency (1, 10, N simultaneous roams), prints the
 //! switchover-downtime CDF per level, and asserts the flat-downtime
 //! contract: p99 switchover downtime at N concurrent roams stays within 2×
-//! of the single-roam p99. It then replays the storm at workers {1,2,4},
-//! requiring a byte-identical `RunReport` from every cell — the worker
-//! count is a host-CPU knob, never a result knob. The matrix storm carries
-//! a packet burst past `PACKET_BREAK_EVEN`, and every threaded cell must
-//! show that its flushes fanned out (it prints the counts).
+//! of the single-roam p99.
 //!
 //! Last, the Section-4 demo scaled up: three random-walk fleets (4, 9 and 16
 //! cells) roam for 10 virtual minutes; each asserts every migration
 //! completes, every packet is accounted and every chain ends active.
 //! Observability artifacts describe the headline storm run.
 //!
-//! `--seed N` reproduces a storm exactly; `--roams N` sets the storm size;
-//! `--workers N` picks the matrix cell for the headline run.
+//! `--seed N` reproduces a storm exactly; `--roams N` sets the storm size.
 
-use gnf_bench::{cdf_row, ms_row, roams_arg, section, seed_arg, workers_arg, ObservabilityArgs};
-use gnf_core::emulator::PACKET_BREAK_EVEN;
+use gnf_bench::{cdf_row, ms_row, roams_arg, section, seed_arg, ObservabilityArgs};
 use gnf_core::{Emulator, Mobility, RunReport, Scenario};
 use gnf_edge::{RandomWalkMobility, RoamTrace, TrafficProfile};
 use gnf_nf::testing::sample_specs;
 use gnf_sim::Histogram;
 use gnf_switch::TrafficSelector;
-use gnf_telemetry::{FanOutTelemetry, MigrationPoolTelemetry};
+use gnf_telemetry::MigrationPoolTelemetry;
 use gnf_types::{CellId, GnfConfig, HostClass, SimDuration, SimTime};
 use gnf_ui::Dashboard;
-use gnf_workload::{ArrivalModel, Population, SyntheticSpec, TrafficMix};
 
 const STATIONS: usize = 6;
 const DURATION: SimDuration = SimDuration::from_secs(35);
@@ -75,46 +68,16 @@ fn scenario(seed: u64, clients: usize, concurrency: usize) -> Scenario {
 struct Cell {
     report: RunReport,
     pool: MigrationPoolTelemetry,
-    fan_outs: FanOutTelemetry,
 }
 
-/// Packets in the matrix storm's burst: enough that one packet flush
-/// reaches the break-even.
-const BURST_PACKETS: u64 = PACKET_BREAK_EVEN + 512;
-
-fn run_cell(
-    seed: u64,
-    clients: usize,
-    concurrency: usize,
-    workers: usize,
-    obs: &ObservabilityArgs,
-    burst: bool,
-) -> Cell {
-    let scenario = scenario(seed, clients, concurrency);
-    let population = Population::from_topology(&scenario.topology);
-    let mut emulator = Emulator::new(scenario);
-    emulator.set_workers(workers);
-    if burst {
-        // One-packet flows over every client within ~3 ms of t = 10.5 s,
-        // clear of every report timer and before the storm.
-        emulator.add_workload(Box::new(
-            SyntheticSpec::new("burst", seed)
-                .starting_at(SimTime::from_millis(10_500))
-                .with_arrivals(ArrivalModel::Periodic {
-                    flows_per_sec: 1_000_000.0,
-                })
-                .with_mix(TrafficMix::churn())
-                .with_packet_budget(BURST_PACKETS)
-                .build(population),
-        ));
-    }
+fn run_cell(seed: u64, clients: usize, concurrency: usize, obs: &ObservabilityArgs) -> Cell {
+    let mut emulator = Emulator::new(scenario(seed, clients, concurrency));
     obs.arm(&mut emulator);
     let report = emulator.run();
     obs.write(&mut emulator);
     Cell {
         report,
         pool: emulator.migration_pool_telemetry(),
-        fan_outs: emulator.fan_out_telemetry(),
     }
 }
 
@@ -137,7 +100,6 @@ fn switchover_histogram(report: &RunReport) -> Histogram {
 fn main() {
     let seed = seed_arg();
     let roams = roams_arg(100);
-    let workers = workers_arg(1);
     println!(
         "E6b — roam storm: {roams} simultaneous handovers over {STATIONS} stations, \
          {DURATION} virtual time, pre-copy pipeline on"
@@ -153,14 +115,7 @@ fn main() {
     let mut p99_single = 0.0f64;
     let mut p99_storm = 0.0f64;
     for &level in &levels {
-        let cell = run_cell(
-            seed,
-            roams,
-            level,
-            workers,
-            &ObservabilityArgs::default(),
-            false,
-        );
+        let cell = run_cell(seed, roams, level, &ObservabilityArgs::default());
         let samples = switchover_histogram(&cell.report);
         assert_eq!(
             samples.count() as usize,
@@ -182,7 +137,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Artifacts (when requested) describe the headline storm run.
     let obs = gnf_bench::observability_args();
-    let storm = run_cell(seed, roams, roams, workers, &obs, false);
+    let storm = run_cell(seed, roams, roams, &obs);
     let report = &storm.report;
 
     section("storm outcome");
@@ -252,39 +207,9 @@ fn main() {
          ({p99_storm:.1} ms) must stay within 2x of the single-roam p99 ({p99_single:.1} ms)"
     );
 
-    // ------------------------------------------------------------------
-    // Determinism matrix.
-    // ------------------------------------------------------------------
-    section("determinism matrix: workers {1,2,4}");
-    // The matrix storm is the headline storm plus a packet burst past the
-    // break-even: a threaded cell must show that it fanned out, or its
-    // identity proves nothing about the threaded path.
-    println!(
-        "{roams} roams plus a {BURST_PACKETS}-packet burst; fan-outs per cell \
-         (flushes / helper threads):"
-    );
-    let matrix_cell = |w: usize| {
-        let cell = run_cell(seed, roams, roams, w, &ObservabilityArgs::default(), true);
-        let f = cell.fan_outs;
-        println!("  workers {w}: {} / {}", f.flushes, f.helper_threads);
-        assert_eq!(f.flushes > 0, w > 1, "fan-out at workers {w}: {f:?}");
-        assert!(f.helper_threads < w, "threads at workers {w}: {f:?}");
-        serde_json::to_string(&cell.report).expect("report serializes")
-    };
-    let baseline = matrix_cell(1);
-    let mut cells = 0;
-    for w in [2usize, 4] {
-        assert_eq!(
-            baseline,
-            matrix_cell(w),
-            "RunReport must be byte-identical at workers={w}"
-        );
-        cells += 1;
-    }
-    println!("storm replayed byte-for-byte across {cells} additional matrix cells");
     println!(
         "\nE6b PASS: {} roams, switchover p99 {:.1} ms (single-roam p99 {:.1} ms), \
-         {} deltas replayed, deterministic across the pool matrix",
+         {} deltas replayed",
         roams, p99_storm, p99_single, report.migration.deltas_replayed,
     );
 

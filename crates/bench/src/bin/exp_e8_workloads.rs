@@ -17,11 +17,10 @@
 //! Each run prints its packet accounting and the per-workload flow-cache /
 //! megaflow hit-rate breakdown. `--seed N` reproduces a run exactly,
 //! `--packets N` scales it (CI smoke uses 20 000; the default is 1 000 000
-//! for the heavy-tail and attack headliners), `--workers N` shards stations,
-//! and `--capture DIR` writes each workload to `DIR/<name>.pcap` for replay.
+//! for the heavy-tail and attack headliners), and `--capture DIR` writes each workload to `DIR/<name>.pcap` for replay.
 
 use gnf_bench::dataplane_fixture::hundred_rule_config;
-use gnf_bench::{arg_value, packets_arg, pct, section, seed_arg, workers_arg, ObservabilityArgs};
+use gnf_bench::{arg_value, packets_arg, pct, section, seed_arg, ObservabilityArgs};
 use gnf_core::{Emulator, RunReport, Scenario};
 use gnf_edge::TrafficProfile;
 use gnf_nf::firewall::{FirewallConfig, FirewallRule, PortMatch, ProtocolMatch, RuleAction};
@@ -130,7 +129,6 @@ fn run_workload(
     chain: &[NfSpec],
     duration: SimDuration,
     seed: u64,
-    workers: usize,
     capture_dir: Option<&str>,
     obs: &ObservabilityArgs,
 ) -> Row {
@@ -139,7 +137,6 @@ fn run_workload(
     let population = Population::from_topology(&scenario.topology);
     let budget = spec.max_packets;
     let mut emulator = Emulator::new(scenario);
-    emulator.set_workers(workers);
 
     let shared = Arc::new(Mutex::new(GeneratorStats::default()));
     let probe = Probe {
@@ -237,15 +234,15 @@ fn main() {
     println!("E8 — trace-driven and synthetic workloads through the full emulation");
     let seed = seed_arg();
     let headline = packets_arg(1_000_000);
-    let workers = workers_arg(1);
     let capture_dir = arg_value::<String>("--capture");
     let capture = capture_dir.as_deref();
     // Artifacts (when requested) describe the heavy-tail headline workload.
     let obs = gnf_bench::observability_args();
     let off = ObservabilityArgs::default();
     println!(
-        "{STATIONS} stations x {} clients, {headline} packets per headline workload, workers={workers}"
-    , CLIENTS);
+        "{STATIONS} stations x {} clients, {headline} packets per headline workload",
+        CLIENTS
+    );
 
     // Rates spread each workload's flow arrivals over the same virtual
     // window whatever the budget; the divisors are the mixes' mean flow
@@ -272,7 +269,6 @@ fn main() {
         &[pure_firewall()],
         SimDuration::from_secs(60),
         seed,
-        workers,
         capture,
         &obs,
     ));
@@ -293,7 +289,6 @@ fn main() {
         &[pure_firewall()],
         SimDuration::from_secs(60),
         seed,
-        workers,
         capture,
         &off,
     ));
@@ -316,7 +311,6 @@ fn main() {
         &[blocking_firewall(), sample_specs()[6].clone()],
         SimDuration::from_secs(45),
         seed,
-        workers,
         capture,
         &off,
     ));
@@ -335,7 +329,6 @@ fn main() {
         &[pure_firewall()],
         SimDuration::from_secs(30),
         seed,
-        workers,
         capture,
         &off,
     ));

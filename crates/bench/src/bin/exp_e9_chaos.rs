@@ -18,13 +18,11 @@
 //! The run prints the recovery-time distribution, the loss breakdown (the
 //! in-flight packets to a dead station are their own loss class) and the
 //! migration outcome table, then asserts every crashed station reconverged
-//! and every packet is accounted, and replays the identical storm at workers {1,2,4}, requiring a
-//! byte-identical `RunReport` from each cell.
+//! and every packet is accounted.
 //!
-//! `--seed N` reproduces a storm exactly; `--workers N` picks the matrix
-//! cell for the headline run.
+//! `--seed N` reproduces a storm exactly.
 
-use gnf_bench::{ms_row_log, pct, section, seed_arg, workers_arg, ObservabilityArgs};
+use gnf_bench::{ms_row_log, pct, section, seed_arg, ObservabilityArgs};
 use gnf_core::{
     ChaosSpec, Emulator, FaultKind, FaultSchedule, Mobility, PartitionMode, RunReport, Scenario,
 };
@@ -127,9 +125,8 @@ fn storm(seed: u64) -> FaultSchedule {
     schedule
 }
 
-fn run_cell(seed: u64, workers: usize, obs: &ObservabilityArgs) -> (RunReport, usize) {
+fn run_storm(seed: u64, obs: &ObservabilityArgs) -> (RunReport, usize) {
     let mut emulator = Emulator::new(scenario(seed));
-    emulator.set_workers(workers);
     emulator.set_fault_schedule(storm(seed));
     obs.arm(&mut emulator);
     let report = emulator.run();
@@ -145,7 +142,6 @@ fn run_cell(seed: u64, workers: usize, obs: &ObservabilityArgs) -> (RunReport, u
 fn main() {
     println!("E9 — fault storm over a {STATIONS}-station fleet, {DURATION} virtual time");
     let seed = seed_arg();
-    let workers = workers_arg(1);
 
     let schedule = storm(seed);
     section("fault schedule");
@@ -153,9 +149,9 @@ fn main() {
         println!("  {:>12}  {:?}", format!("{}", event.at), event.kind);
     }
 
-    // Artifacts (when requested) describe the headline matrix cell.
+    // Artifacts (when requested) describe this run.
     let obs = gnf_bench::observability_args();
-    let (report, active) = run_cell(seed, workers, &obs);
+    let (report, active) = run_storm(seed, &obs);
 
     section("chaos outcome");
     let chaos = &report.chaos;
@@ -276,28 +272,8 @@ fn main() {
         "every chain must be active once the storm clears"
     );
 
-    section("determinism matrix: workers {1,2,4}");
-    let baseline = serde_json::to_string(&report).expect("report serializes");
-    let mut cells = 0;
-    for w in [1usize, 2, 4] {
-        if w == workers {
-            continue;
-        }
-        let (other, _) = run_cell(seed, w, &ObservabilityArgs::default());
-        let bytes = serde_json::to_string(&other).expect("report serializes");
-        assert_eq!(
-            baseline, bytes,
-            "RunReport must be byte-identical at workers={w}"
-        );
-        cells += 1;
-        println!("  workers={w}: byte-identical");
-    }
     println!(
-        "storm replayed byte-for-byte across {} additional matrix cells",
-        cells
-    );
-    println!(
-        "\nE9 PASS: {} faults, full reconvergence, deterministic replay",
+        "\nE9 PASS: {} faults, full reconvergence",
         chaos.faults_injected
     );
 }

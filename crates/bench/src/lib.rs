@@ -75,13 +75,6 @@ pub fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Parses `--workers N` from the command line, falling back to `default`
-/// (clamped to at least 1). Shared by the experiment harnesses that drive
-/// the emulator's sharded data plane.
-pub fn workers_arg(default: usize) -> usize {
-    arg_value("--workers").unwrap_or(default).max(1)
-}
-
 /// Parses `--seed N` from the command line and prints the seed the run uses
 /// (so every experiment output is reproducible from its own header). Every
 /// `exp_e*` harness calls this; the default is the framework-wide

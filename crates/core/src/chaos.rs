@@ -4,9 +4,8 @@
 //! crash, backhaul links flap, and the Manager must re-deploy chains without
 //! the client noticing more than a blip. This module provides the seeded
 //! fault schedule the emulator replays — every draw comes from the run's
-//! `--seed`, so a chaos run is byte-for-byte reproducible across worker
-//! counts, which is what lets the recovery-invariant tests compare
-//! `RunReport`s across the execution matrix.
+//! `--seed`, so a chaos run is byte-for-byte reproducible, which is what
+//! lets the recovery-invariant tests compare the `RunReport`s of two runs.
 //!
 //! A [`FaultSchedule`] is a time-sorted list of [`FaultEvent`]s, either
 //! scripted via [`FaultSchedule::push`] or generated from a [`ChaosSpec`]
@@ -148,9 +147,8 @@ impl FaultSchedule {
     }
 
     /// Generates a schedule from `spec`, drawing every time, target and
-    /// magnitude from a `"chaos"`-derived stream of `seed`. The result is
-    /// independent of worker counts by construction: nothing here consults
-    /// the execution configuration.
+    /// magnitude from a `"chaos"`-derived stream of `seed`. Nothing here
+    /// consults the execution configuration.
     pub fn generate(seed: u64, spec: &ChaosSpec, stations: &[StationId]) -> Self {
         let mut schedule = FaultSchedule::new();
         if stations.is_empty() {

@@ -47,10 +47,11 @@ pub enum Stage {
     GapFilter,
     /// Sub-row of [`Stage::GapFilter`]: the `gap_state` walks it paid for.
     GapState,
-    /// A flush's station jobs on the worker pool (inline below the
-    /// break-even).
+    /// A flush's station jobs, each followed by its NF notifications'
+    /// dispatch.
     StationJobs,
-    /// A flush's merge: counters, notifications, absorptions and replies.
+    /// A flush's merge: counters, absorptions, replies and the recovery
+    /// check.
     Merge,
     /// `handle` of a control message to the Manager.
     HandleToManager,

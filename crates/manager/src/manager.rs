@@ -115,9 +115,10 @@ pub struct ControlPlaneStats {
     pub delta_forced_resyncs: u64,
     /// Delta frames applied on top of a held keyframe.
     pub deltas_applied: u64,
-    /// Reports and delta frames dropped: delta frames that are stale,
-    /// reordered or malformed (each heals at the sender's next keyframe),
-    /// and any report naming a station other than its sender.
+    /// Reports, delta frames and registrations dropped: delta frames that
+    /// are stale, reordered or malformed (each heals at the sender's next
+    /// keyframe), and any report or `Register` naming a station other than
+    /// its sender.
     pub reports_rejected: u64,
     /// Region summaries ingested from the aggregation tier.
     pub region_summaries: u64,
@@ -177,8 +178,9 @@ pub struct Manager {
     pending_retries: BTreeMap<(SimTime, u64), RetryPlan>,
     retry_seq: u64,
     stats: ManagerStats,
-    /// Reports dropped because they named a station other than their sender.
-    misaddressed_reports: u64,
+    /// Reports and registrations dropped because they named a station other
+    /// than their sender.
+    misaddressed: u64,
     region_summaries_ingested: u64,
     /// Latest summary per region, from the aggregation tier.
     region_summaries: BTreeMap<u64, RegionSummary>,
@@ -213,7 +215,7 @@ impl Manager {
             pending_retries: BTreeMap::new(),
             retry_seq: 0,
             stats: ManagerStats::default(),
-            misaddressed_reports: 0,
+            misaddressed: 0,
             region_summaries_ingested: 0,
             region_summaries: BTreeMap::new(),
             trace: TraceSink::default(),
@@ -401,6 +403,12 @@ impl Manager {
     ) -> Vec<ManagerAction> {
         self.stats.messages_received += 1;
         let actions = match msg {
+            AgentToManager::Register { station, .. } if station != from => {
+                // A station registers only itself: re-registering another
+                // would wipe that station's attachments as a rejoin.
+                self.misaddressed += 1;
+                Vec::new()
+            }
             AgentToManager::Register {
                 station,
                 host_class,
@@ -477,7 +485,7 @@ impl Manager {
             }
             AgentToManager::Report(_) | AgentToManager::ReportDelta(_) => {
                 // A station reports only for itself.
-                self.misaddressed_reports += 1;
+                self.misaddressed += 1;
                 Vec::new()
             }
             AgentToManager::ChainDeployed {
@@ -864,7 +872,7 @@ impl Manager {
             delta_keyframes: r.keyframes,
             delta_forced_resyncs: r.forced_resyncs,
             deltas_applied: r.deltas_applied,
-            reports_rejected: r.deltas_rejected + self.misaddressed_reports,
+            reports_rejected: r.deltas_rejected + self.misaddressed,
             region_summaries: self.region_summaries_ingested,
         }
     }
@@ -1988,6 +1996,52 @@ mod tests {
         let stats = m.control_plane_stats();
         assert_eq!(stats.reports_rejected, 2);
         assert_eq!((stats.full_reports, stats.delta_keyframes), (1, 0));
+    }
+
+    /// A station registers only itself: a `Register` from station 1 that
+    /// names station 2 is dropped and counted, so station 2's attachment
+    /// survives and no rejoin is recorded.
+    #[test]
+    fn a_register_naming_another_station_is_dropped_and_counted() {
+        let mut m = manager();
+        register(&mut m, 1, SimTime::ZERO);
+        register(&mut m, 2, SimTime::ZERO);
+        connect_client(&mut m, 2, 0, SimTime::from_secs(1));
+        let (chain, _) = m
+            .attach_chain(
+                ClientId::new(0),
+                firewall_spec(),
+                TrafficSelector::all(),
+                SimTime::from_secs(2),
+            )
+            .unwrap();
+        m.handle_agent_msg(
+            StationId::new(2),
+            AgentToManager::ChainDeployed {
+                chain,
+                client: ClientId::new(0),
+                latency: SimDuration::from_millis(100),
+                images_cached: true,
+                migration: None,
+            },
+            SimTime::from_secs(3),
+        );
+        let actions = m.handle_agent_msg(
+            StationId::new(1),
+            AgentToManager::Register {
+                agent: gnf_types::AgentId::new(1),
+                station: StationId::new(2),
+                host_class: HostClass::HomeRouter,
+                capacity: HostClass::HomeRouter.capacity(),
+            },
+            SimTime::from_secs(20),
+        );
+        assert!(actions.is_empty(), "{actions:?}");
+        let attachment = m.attachment(chain).unwrap();
+        assert_eq!(attachment.station, Some(StationId::new(2)));
+        assert!(attachment.active);
+        assert_eq!(m.stats().station_rejoins, 0);
+        assert_eq!(m.control_plane_stats().reports_rejected, 1);
     }
 
     #[test]

@@ -649,12 +649,6 @@ impl Packet {
         }
     }
 
-    /// True when this packet is an IPv4 packet addressed *from* the given MAC
-    /// (used by the switch's per-client steering).
-    pub fn is_from_mac(&self, mac: MacAddr) -> bool {
-        self.ethernet.src == mac
-    }
-
     /// A one-line human-readable summary used in logs and the UI event feed.
     pub fn summary(&self) -> String {
         match self.network() {

@@ -26,10 +26,6 @@
 //!   popularity distribution, its series computed once per table.
 //! * [`stats`] — counters, summaries, histograms (with quantiles/CDFs) and
 //!   time series used by experiments and telemetry.
-//! * [`WorkerPool`] — the one deterministic fan-out: LPT-pack independent,
-//!   owned work items over helper threads spawned once and reused, results
-//!   back in submission order; work below a caller-given break-even weight
-//!   runs inline.
 //!
 //! The world model itself (stations, clients, the Manager, ...) lives in
 //! `gnf-core`, which defines its own event enum and drives this queue.
@@ -37,12 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fork_join;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 
-pub use fork_join::WorkerPool;
 pub use queue::{EventQueue, Scheduled};
 pub use rng::{Rng, Zipf};
 pub use stats::{rate_per_second, Counter, Histogram, Summary, TimeSeries};

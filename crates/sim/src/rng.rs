@@ -102,11 +102,6 @@ impl Rng {
         low + self.next_below(high - low + 1)
     }
 
-    /// A uniform float in `[low, high)`.
-    pub fn range_f64(&mut self, low: f64, high: f64) -> f64 {
-        low + (high - low) * self.next_f64()
-    }
-
     /// A Bernoulli draw with probability `p` of returning true.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p

@@ -3,7 +3,7 @@
 //!
 //! A deterministic hash of each flow's direction-symmetric shard hash and
 //! the recorder seed decides — identically on every station and in every
-//! worker configuration — whether a flow is *sampled*. Sampled flows leave
+//! run — whether a flow is *sampled*. Sampled flows leave
 //! one [`FlowRecord`] per packet at every stage of their life:
 //! ingress cache-probe path (`exact`, `megaflow-bypass`, `megaflow-drop`,
 //! `slow-path`, `unsteered`), chain/NF verdict, and loss classes

@@ -56,8 +56,8 @@ pub use monitor::{MonitoringStore, Registration, StationHealth, StationStatus};
 pub use notification::{Notification, NotificationLog, NotificationSeverity, NotificationSource};
 pub use region::{RegionAggregator, RegionSummary};
 pub use report::{
-    BatchTelemetry, ChaosTelemetry, FanOutTelemetry, FlowCacheTelemetry, MegaflowTelemetry,
-    MigrationPoolTelemetry, StationReport,
+    BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, MigrationPoolTelemetry,
+    StationReport,
 };
 pub use trace::{
     FlowRecord, TraceEvent, TraceKind, TraceLog, TraceScope, TraceSink, DEFAULT_TRACE_CAPACITY,

@@ -3,8 +3,7 @@
 //!
 //! Everything here is driven by the emulator's virtual clock, never the host
 //! clock, so a metrics artifact is a pure function of the scenario and its
-//! seed: byte-identical across host worker counts, exactly like the
-//! `RunReport`.
+//! seed: byte-identical from run to run, exactly like the `RunReport`.
 //!
 //! * [`LogHistogram`] — a log₂-bucketed, constant-memory histogram with
 //!   percentile queries; the shared distribution type for switchover windows

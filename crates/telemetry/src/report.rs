@@ -197,18 +197,6 @@ impl MigrationPoolTelemetry {
     }
 }
 
-/// Host-side counts of the emulator's fan-outs: the station flushes whose
-/// work reached the break-even and ran on the worker pool, and the helper
-/// threads that pool spawned. Like [`MigrationPoolTelemetry`], outside the
-/// `RunReport`: they depend on the worker count, which the report may not.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FanOutTelemetry {
-    /// Flushes that fanned out over the pool.
-    pub flushes: u64,
-    /// Helper threads spawned so far (the emulator's own thread not counted).
-    pub helper_threads: usize,
-}
-
 /// A snapshot of one station's state, produced by its Agent every reporting
 /// interval ("reporting periodically the state of the device").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

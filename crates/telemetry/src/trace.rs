@@ -14,12 +14,11 @@
 //!
 //! Events carry virtual timestamps and per-scope sequence numbers assigned
 //! in emission order. Each scope (the run loop, the Manager, one station) is
-//! driven deterministically by the event queue regardless of how many host
-//! threads execute the work, so each scope's event list is reproducible;
-//! the final merge sorts by `(timestamp, scope, seq)`, which is a total
-//! order independent of thread interleaving. The exported artifacts are
-//! therefore byte-identical across worker and pool configurations, same
-//! as the `RunReport`.
+//! driven deterministically by the event queue, so each scope's event list
+//! is reproducible; the final merge sorts by `(timestamp, scope, seq)`,
+//! which is a total order independent of the order in which scopes ran.
+//! The exported artifacts are therefore byte-identical from run to run,
+//! same as the `RunReport`.
 
 use gnf_types::SimTime;
 use std::collections::VecDeque;

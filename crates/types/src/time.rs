@@ -64,12 +64,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional milliseconds, saturating at zero for
-    /// negative inputs.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
     /// Whole nanoseconds in this duration.
     pub const fn as_nanos(&self) -> u64 {
         self.nanos

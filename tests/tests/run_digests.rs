@@ -12,12 +12,10 @@
 //! and replies shows only where their delivery times tie, because the
 //! queue orders by time before sequence number. These scenarios have no
 //! such tie, so a flush that swaps the two leaves every digest in place.
-//! Every scenario runs at workers 1 and 2 against the same digest.
 //!
 //! The digests were recorded before packet batches and migration commands
 //! shared one station flush, and did not move when they did.
 
-use gnf_core::emulator::PACKET_BREAK_EVEN;
 use gnf_core::{Emulator, FaultKind, FaultSchedule, Mobility, PartitionMode, RunReport, Scenario};
 use gnf_edge::{RoamTrace, TrafficProfile};
 use gnf_nf::testing::sample_specs;
@@ -64,9 +62,8 @@ fn roam_wave(roam_at: SimTime, duration: SimDuration) -> Scenario {
     sb.with_mobility(Mobility::Trace(trace)).build()
 }
 
-/// `PACKET_BREAK_EVEN` + 512 one-packet flows over every client within
-/// ~3 ms of t = 3.5 s, clear of every report timer: one flush fans out at
-/// two workers.
+/// 2 560 one-packet flows over every client within ~3 ms of t = 3.5 s,
+/// clear of every report timer: a few flushes of thousands of packets.
 fn add_packet_burst(emulator: &mut Emulator, scenario: &Scenario) {
     emulator.add_workload(Box::new(
         SyntheticSpec::new("burst", 1)
@@ -75,7 +72,7 @@ fn add_packet_burst(emulator: &mut Emulator, scenario: &Scenario) {
                 flows_per_sec: 1_000_000.0,
             })
             .with_mix(TrafficMix::churn())
-            .with_packet_budget(PACKET_BREAK_EVEN + 512)
+            .with_packet_budget(2_560)
             .build(Population::from_topology(&scenario.topology)),
     ));
 }
@@ -84,10 +81,9 @@ fn add_packet_burst(emulator: &mut Emulator, scenario: &Scenario) {
 /// station 0 crashed at t = 10 s for 5 s, with the packet burst, traced and
 /// sampled. Digests of the report, the Chrome-trace JSON and the metrics
 /// CSV.
-fn observability_run(workers: usize) -> (u64, u64, u64) {
+fn observability_run() -> (u64, u64, u64) {
     let scenario = roam_wave(SimTime::from_secs(25), SimDuration::from_secs(40));
     let mut emulator = Emulator::new(scenario.clone());
-    emulator.set_workers(workers);
     let mut faults = FaultSchedule::new();
     faults.push(
         SimTime::from_secs(10),
@@ -114,46 +110,37 @@ fn observability_run(workers: usize) -> (u64, u64, u64) {
 
 #[test]
 fn the_traced_crash_and_roam_run_is_pinned() {
-    for workers in [1usize, 2] {
-        assert_eq!(
-            observability_run(workers),
-            (
-                0xff14_eb78_5f98_5fe4,
-                0x6545_2484_58ad_a60c,
-                0x26f7_bf72_6e3a_b7f1
-            ),
-            "report / trace JSON / metrics CSV @ workers {workers}"
-        );
-    }
+    assert_eq!(
+        observability_run(),
+        (
+            0xff14_eb78_5f98_5fe4,
+            0x6545_2484_58ad_a60c,
+            0x26f7_bf72_6e3a_b7f1
+        ),
+        "report / trace JSON / metrics CSV"
+    );
 }
 
 #[test]
 fn a_roam_wave_through_a_delaying_partition_is_pinned() {
     let roam_at = SimTime::from_secs(20);
-    for workers in [1usize, 2] {
-        let mut emulator = Emulator::new(roam_wave(roam_at, SimDuration::from_secs(40)));
-        emulator.set_workers(workers);
-        // Station 2 is the target of two roams: its link holds every message
-        // for 3 s from just before the wave's first commands reach it.
-        let mut faults = FaultSchedule::new();
-        faults.push(
-            roam_at + SimDuration::from_millis(100),
-            FaultKind::LinkPartition {
-                station: StationId::new(2),
-                duration: SimDuration::from_secs(3),
-                mode: PartitionMode::Delay,
-            },
-        );
-        emulator.set_fault_schedule(faults);
-        let report = emulator.run();
-        assert!(report.all_migrations_completed());
-        assert!(report.chaos.messages_delayed > 0, "{:?}", report.chaos);
-        assert_eq!(
-            report_digest(&report),
-            0xd5bc_edd2_6306_c879,
-            "@ workers {workers}"
-        );
-    }
+    let mut emulator = Emulator::new(roam_wave(roam_at, SimDuration::from_secs(40)));
+    // Station 2 is the target of two roams: its link holds every message
+    // for 3 s from just before the wave's first commands reach it.
+    let mut faults = FaultSchedule::new();
+    faults.push(
+        roam_at + SimDuration::from_millis(100),
+        FaultKind::LinkPartition {
+            station: StationId::new(2),
+            duration: SimDuration::from_secs(3),
+            mode: PartitionMode::Delay,
+        },
+    );
+    emulator.set_fault_schedule(faults);
+    let report = emulator.run();
+    assert!(report.all_migrations_completed());
+    assert!(report.chaos.messages_delayed > 0, "{:?}", report.chaos);
+    assert_eq!(report_digest(&report), 0xd5bc_edd2_6306_c879);
 }
 
 /// A workload that delivers a fixed list of batches.
@@ -216,23 +203,16 @@ fn a_roam_wave_sharing_timestamps_with_packets_is_pinned() {
         .control_latency;
     let at = record.started_at + latency;
 
-    for workers in [1usize, 2] {
-        let mut emulator = Emulator::new(scenario.clone());
-        emulator.set_workers(workers);
-        // Station 0's batch pops before the commands (it was queued first)
-        // and joins their flush; station 1's is pumped only when station
-        // 0's delivers, so it pops after them at the same timestamp.
-        emulator.add_workload(Box::new(Batches(VecDeque::from([
-            batch_at(&scenario, StationId::new(0), at),
-            batch_at(&scenario, StationId::new(1), at),
-        ]))));
-        let report = emulator.run();
-        assert!(report.all_migrations_completed());
-        assert!(report.packets.is_conserved(), "{:?}", report.packets);
-        assert_eq!(
-            report_digest(&report),
-            0xd1c3_da9f_2e5e_2a20,
-            "@ workers {workers}"
-        );
-    }
+    let mut emulator = Emulator::new(scenario.clone());
+    // Station 0's batch pops before the commands (it was queued first) and
+    // joins their flush; station 1's is pumped only when station 0's
+    // delivers, so it pops after them at the same timestamp.
+    emulator.add_workload(Box::new(Batches(VecDeque::from([
+        batch_at(&scenario, StationId::new(0), at),
+        batch_at(&scenario, StationId::new(1), at),
+    ]))));
+    let report = emulator.run();
+    assert!(report.all_migrations_completed());
+    assert!(report.packets.is_conserved(), "{:?}", report.packets);
+    assert_eq!(report_digest(&report), 0xd1c3_da9f_2e5e_2a20);
 }

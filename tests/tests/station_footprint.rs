@@ -13,8 +13,8 @@
 //! The counting allocator has the shape of the one in `nf_hot_path_allocs.rs`
 //! but also subtracts deallocations, so it reads what is still held, not
 //! what was ever requested. It counts per thread (the test harness runs
-//! tests on parallel threads) and the emulator runs on one worker, so every
-//! block it holds was allocated on the measuring thread.
+//! tests on parallel threads) and the emulator runs on its caller's thread,
+//! so every block it holds was allocated on the measuring thread.
 
 use gnf_container::ImageRepository;
 use gnf_core::{Emulator, Scenario};
@@ -142,19 +142,21 @@ fn cloning_the_image_catalogue_makes_no_heap_request() {
 /// Live heap blocks per station after a whole 200-station run, as this test
 /// measures them (seed 7, debug build): everything the emulator holds — its
 /// scenario, Manager, queue and every Agent — over the station count. It
-/// read 12 805 / 200 = 64.0 blocks (17.5 KB) per station. Before the Manager
+/// reads 12 605 / 200 = 63.0 blocks (17.5 KB) per station. Before a chain's
+/// ready time lived on the chain (each station with a chain kept a list of
+/// them in its emulator slot), it read 12 805 / 200 = 64.0 blocks
+/// (17.5 KB). Before the Manager
 /// kept one view per station (no registration map, no utilisation ring, a
 /// delta report overwritten in place), it read 13 039 / 200 = 65.2 blocks
 /// (17.9 KB); before every Agent shared one image catalogue (37 blocks,
 /// 1 544 B a copy) and the Manager kept its per-station tables in hashed
 /// maps, 20 298 / 200 = 101.5 blocks (19.9 KB).
-const LIVE_BLOCKS_PER_STATION: f64 = 12_805.0 / 200.0;
+const LIVE_BLOCKS_PER_STATION: f64 = 12_605.0 / 200.0;
 
 #[test]
 fn a_fleet_station_holds_few_heap_blocks_after_a_run() {
     let (emulator, counted) = counted(|| {
         let mut emulator = fleet();
-        emulator.set_workers(1);
         let report = emulator.run();
         assert!(report.packets.generated > 0);
         emulator

