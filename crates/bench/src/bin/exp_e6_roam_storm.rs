@@ -27,7 +27,6 @@ use gnf_edge::{RandomWalkMobility, RoamTrace, TrafficProfile};
 use gnf_nf::testing::sample_specs;
 use gnf_sim::Histogram;
 use gnf_switch::TrafficSelector;
-use gnf_telemetry::MigrationPoolTelemetry;
 use gnf_types::{CellId, GnfConfig, HostClass, SimDuration, SimTime};
 use gnf_ui::Dashboard;
 
@@ -65,20 +64,12 @@ fn scenario(seed: u64, clients: usize, concurrency: usize) -> Scenario {
     sb.with_mobility(Mobility::Trace(trace)).build()
 }
 
-struct Cell {
-    report: RunReport,
-    pool: MigrationPoolTelemetry,
-}
-
-fn run_cell(seed: u64, clients: usize, concurrency: usize, obs: &ObservabilityArgs) -> Cell {
+fn run_cell(seed: u64, clients: usize, concurrency: usize, obs: &ObservabilityArgs) -> RunReport {
     let mut emulator = Emulator::new(scenario(seed, clients, concurrency));
     obs.arm(&mut emulator);
     let report = emulator.run();
     obs.write(&mut emulator);
-    Cell {
-        report,
-        pool: emulator.migration_pool_telemetry(),
-    }
+    report
 }
 
 /// Exact switchover-downtime histogram (ms) of the completed migrations.
@@ -115,8 +106,8 @@ fn main() {
     let mut p99_single = 0.0f64;
     let mut p99_storm = 0.0f64;
     for &level in &levels {
-        let cell = run_cell(seed, roams, level, &ObservabilityArgs::default());
-        let samples = switchover_histogram(&cell.report);
+        let report = run_cell(seed, roams, level, &ObservabilityArgs::default());
+        let samples = switchover_histogram(&report);
         assert_eq!(
             samples.count() as usize,
             level,
@@ -137,8 +128,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Artifacts (when requested) describe the headline storm run.
     let obs = gnf_bench::observability_args();
-    let storm = run_cell(seed, roams, roams, &obs);
-    let report = &storm.report;
+    let report = &run_cell(seed, roams, roams, &obs);
 
     section("storm outcome");
     println!(
@@ -157,11 +147,6 @@ fn main() {
         "full downtime p99: {:>7.1} ms | switchover p99: {:>7.1} ms",
         report.downtime_ms.p99(),
         report.migration.switchover_ms.p99(),
-    );
-    println!(
-        "migration pool (host-side, not in the report): {} commands in {} batches \
-         (max batch {})",
-        storm.pool.commands, storm.pool.batches, storm.pool.max_batch,
     );
 
     section("packet conservation across the switchover");

@@ -114,14 +114,16 @@ enum EmuEvent {
 }
 
 impl EmuEvent {
-    /// The stage-table row `handle` of this event is timed under.
+    /// The stage-table row `handle` of this event is timed under. A
+    /// workload event's admission laps `GapFilter` itself; its row is the
+    /// pump that follows.
     fn handle_stage(&self) -> Stage {
         match self {
             EmuEvent::ToManager { .. } => Stage::HandleToManager,
             EmuEvent::ToAgent { .. } => Stage::HandleToAgent,
             EmuEvent::Attach { .. } => Stage::HandleAttach,
-            // Never handled: `run()` coalesces them into flushes.
-            EmuEvent::PacketBatch { .. } | EmuEvent::WorkloadBatch { .. } => Stage::StationJobs,
+            EmuEvent::PacketBatch { .. } => Stage::GapFilter,
+            EmuEvent::WorkloadBatch { .. } => Stage::WorkloadPump,
             EmuEvent::ReportTimer { .. } => Stage::HandleReportTimer,
             EmuEvent::ManagerTick => Stage::HandleManagerTick,
             EmuEvent::RegionFlush { .. } => Stage::HandleRegionFlush,
@@ -133,62 +135,20 @@ impl EmuEvent {
     }
 }
 
-/// Station work held back for the next flush, in event order: packet
-/// batches, then (once a migration-lifecycle command joins) commands of one
-/// virtual timestamp.
-struct Pending {
-    time: SimTime,
-    station: StationId,
-    item: PendingItem,
-}
-
-enum PendingItem {
-    Packets(Vec<(ClientId, Packet)>),
-    Command(ManagerToAgent),
-}
-
-/// The time of the pending migration commands, if any: they are always the
-/// tail of the pending list, all of one virtual timestamp.
-fn command_time(pending: &[Pending]) -> Option<SimTime> {
-    match pending.last()? {
-        Pending {
-            time,
-            item: PendingItem::Command(_),
-            ..
-        } => Some(*time),
-        _ => None,
-    }
-}
-
-/// One station's share of a flush: its packet batches, then its commands —
-/// event order, since commands are always the tail of the pending list.
-#[derive(Default)]
-struct StationJob {
-    /// Packets that passed the gap filter, per batch time.
-    batches: Vec<(SimTime, PacketBatch)>,
-    /// Migration-lifecycle commands with their park index (their place
-    /// among the flush's live commands, which orders the reply dispatch).
-    commands: Vec<(usize, SimTime, ManagerToAgent)>,
-}
-
-impl StationJob {
-    fn is_empty(&self) -> bool {
-        self.batches.is_empty() && self.commands.is_empty()
-    }
-}
-
 /// One station's place in the emulator, at index `station` of
 /// `Emulator::slots` (station ids are positions, `EdgeTopology::add_site`).
 struct StationSlot {
     /// The station's Agent.
     agent: Box<Agent>,
-    /// The job the current flush is filling for the station. Empty between
-    /// flushes; its buffers are reused.
-    job: StationJob,
+    /// Packets admitted for the station since the last flush, per batch
+    /// time, in admission order. Empty between flushes; the buffer is
+    /// reused.
+    batches: Vec<(SimTime, PacketBatch)>,
 }
 
-/// Per-client gap state, computed once per client per flush (control-plane
-/// state is frozen between flushes, so it cannot change mid-flush).
+/// Per-client gap state, computed once per (client, station) between two
+/// flushes: only a control event changes the state it reads, and every
+/// control event flushes first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GapState {
     /// No policy attached: traffic flows unprotected, never in a gap.
@@ -207,33 +167,22 @@ enum GapState {
     Hairpin(StationId),
 }
 
-/// What one station's flush job produced.
-struct StationOutcome {
-    forwarded: u64,
-    dropped_by_nf: u64,
-    replied_by_nf: u64,
-    /// NF notifications per batch timestamp, in batch (time) order.
-    notifications: Vec<(SimTime, Vec<AgentToManager>)>,
-    /// Each command's replies, tagged with its park index.
-    replies: Vec<(usize, Vec<AgentToManager>)>,
-}
-
 /// The emulator.
 pub struct Emulator {
     scenario: Scenario,
     manager: Manager,
     /// One slot per station, indexed by station id.
     slots: Vec<StationSlot>,
-    /// The stations whose slot holds a job for the current flush, each
-    /// once, in first-item order; the flush sorts it into station order.
+    /// The stations whose slot holds admitted packets, each once, in
+    /// admission order; the flush sorts it into station order.
     touched: Vec<StationId>,
     queue: EventQueue<EmuEvent>,
     deploy_latency_ms: Histogram,
     packets: PacketStats,
+    /// The admitted packets' counts since the last flush, which folds them
+    /// into `packets` (so a metrics sample reads flushed counts only).
+    tally: PacketStats,
     handovers: u64,
-    /// Host-side counts of the flushes that carried migration commands
-    /// (kept out of the byte-compared `RunReport`).
-    migration_pool: MigrationPoolTelemetry,
     /// Streaming traffic sources attached via [`Emulator::add_workload`].
     workloads: Vec<Box<dyn Workload>>,
     /// The one outstanding batch per source (pulled, not yet delivered).
@@ -264,7 +213,8 @@ pub struct Emulator {
     /// `GnfConfig::region_size > 0`. Station reports are absorbed here and
     /// reach the Manager as per-region summaries on the flush timer.
     regions: BTreeMap<u64, RegionAggregator>,
-    /// `flush`'s per-flush gap states; kept only for its allocation.
+    /// The gap states admission read since the last flush, which clears
+    /// them.
     gap_cache: PathMap<(ClientId, StationId), GapState>,
 }
 
@@ -315,7 +265,7 @@ impl Emulator {
             // pushed here is the one at index `station`.
             slots.push(StationSlot {
                 agent: Box::new(agent),
-                job: StationJob::default(),
+                batches: Vec::new(),
             });
             queue.schedule_at(
                 SimTime::ZERO + site.control_latency,
@@ -485,8 +435,8 @@ impl Emulator {
             queue,
             deploy_latency_ms: Histogram::new(),
             packets: PacketStats::default(),
+            tally: PacketStats::default(),
             handovers: 0,
-            migration_pool: MigrationPoolTelemetry::default(),
             workloads: Vec::new(),
             workload_next: Vec::new(),
             fault_schedule: FaultSchedule::new(),
@@ -661,7 +611,7 @@ impl Emulator {
     }
 
     /// Arms a fault schedule: each fault fires as a control event at its
-    /// scheduled virtual time (flushing pending packet batches first, so the
+    /// scheduled virtual time (flushing the admitted packets first, so the
     /// mutation point is deterministic). Call once, before [`Emulator::run`].
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         for (index, event) in schedule.events().iter().enumerate() {
@@ -707,12 +657,11 @@ impl Emulator {
     #[doc(hidden)]
     pub fn set_migration_workers(&mut self, _workers: usize) {}
 
-    /// Host-side counts of the flushes that carried migration-lifecycle
-    /// commands (`batches`, `commands`, `max_batch`; `cap_flushes` is
-    /// always 0). Observability only: deliberately not part of the
-    /// [`RunReport`].
+    /// All zeros: no flush carries commands. Survives only for
+    /// `gnf_benchmark/src/{e2e,layers}.rs`.
+    #[doc(hidden)]
     pub fn migration_pool_telemetry(&self) -> MigrationPoolTelemetry {
-        self.migration_pool
+        MigrationPoolTelemetry::default()
     }
 
     /// Enables or disables the megaflow (wildcard) cache on every station's
@@ -727,27 +676,15 @@ impl Emulator {
 
     /// Runs the scenario to completion and returns the report.
     ///
-    /// Station work is coalesced: contiguous runs of packet events (the
-    /// overwhelming majority of the queue under load) and the
-    /// migration-lifecycle commands that follow them are collected until the
-    /// next other event, then delivered in one flush — each station's items
-    /// in event order, station by station. Three rules
-    /// keep the relative order of station work and control-plane mutation
-    /// exactly the per-event order:
-    ///
-    /// - any other event flushes the pending work before it is handled;
-    /// - a packet event after a pending command flushes first, because its
-    ///   gap filter reads the chain state the command changes;
-    /// - pending commands flush before the clock moves, so their replies are
-    ///   queued before any later event pops.
+    /// A packet event is gap-filtered into its station's slot when it pops;
+    /// the admitted packets wait there until a flush runs the touched
+    /// stations in station order. One rule keeps station work and
+    /// control-plane mutation in per-event order: an event that is not a
+    /// packet event flushes the admitted packets before it is handled.
     pub fn run(&mut self) -> RunReport {
         self.stages.begin_run();
         let deadline = SimTime::ZERO + self.scenario.duration;
-        let mut pending: Vec<Pending> = Vec::new();
         loop {
-            if command_time(&pending).is_some_and(|at| self.queue.peek_time() != Some(at)) {
-                self.flush(&mut pending);
-            }
             let popped = self.queue.pop_until(deadline);
             self.stages.lap(Stage::QueuePop);
             let Some(scheduled) = popped else {
@@ -755,58 +692,25 @@ impl Emulator {
             };
             // Fleet samples fall due the moment the clock first reaches a
             // boundary — before the boundary's own events process.
-            self.sample_metrics(scheduled.time);
-            let time = scheduled.time;
-            match scheduled.event {
-                EmuEvent::PacketBatch { station, packets } => {
-                    if command_time(&pending).is_some() {
-                        self.flush(&mut pending);
-                    }
-                    pending.push(Pending {
-                        time,
-                        station,
-                        item: PendingItem::Packets(packets),
-                    });
-                }
-                EmuEvent::WorkloadBatch { source } => {
-                    if command_time(&pending).is_some() {
-                        self.flush(&mut pending);
-                    }
-                    if let Some(batch) = self.workload_next[source].take() {
-                        pending.push(Pending {
-                            time,
-                            station: batch.station,
-                            item: PendingItem::Packets(batch.packets),
-                        });
-                    }
-                    // Only now pull the source's next batch: one outstanding
-                    // batch per source, ever.
-                    self.pump_workload(source);
-                    self.stages.lap(Stage::WorkloadPump);
-                }
-                EmuEvent::ToAgent { station, msg } if msg.migration().is_some() => {
-                    // A migration-lifecycle command: its station-side work
-                    // (checkpoints, staged deploys, delta replays) dominates
-                    // a mass-roam's control-plane cost and touches only
-                    // per-chain Agent state, so it joins the station work of
-                    // the next flush. Plain deploys and removals stay inline
-                    // — they interleave with association bookkeeping.
-                    pending.push(Pending {
-                        time,
-                        station,
-                        item: PendingItem::Command(msg),
-                    });
-                }
-                event => {
-                    self.flush(&mut pending);
-                    let stage = event.handle_stage();
-                    self.handle(event, time);
-                    self.check_recoveries(time);
-                    self.stages.lap(stage);
-                }
+            let (time, event) = (scheduled.time, scheduled.event);
+            self.sample_metrics(time);
+            let stage = event.handle_stage();
+            // A packet cannot change convergence, so only a control event
+            // checks for recoveries.
+            let control = !matches!(
+                event,
+                EmuEvent::PacketBatch { .. } | EmuEvent::WorkloadBatch { .. }
+            );
+            if control {
+                self.flush();
             }
+            self.handle(event, time);
+            if control {
+                self.check_recoveries(time);
+            }
+            self.stages.lap(stage);
         }
-        self.flush(&mut pending);
+        self.flush();
         self.queue.advance_to(deadline);
         self.sample_metrics(deadline);
         let report = self.build_report(deadline);
@@ -854,15 +758,17 @@ impl Emulator {
         self.slots.iter_mut().map(|slot| &mut *slot.agent)
     }
 
-    /// The job the current flush is filling for a station, recording the
-    /// station in `touched` when it is still empty — the caller pushes an
-    /// item right away. `None` for an id the topology does not have.
-    fn job(&mut self, station: StationId) -> Option<&mut StationJob> {
-        let slot = self.slots.get_mut(station.raw() as usize)?;
-        if slot.job.is_empty() {
+    /// Holds an admitted batch in its station's slot for the next flush,
+    /// recording the station in `touched` when its slot was empty. A batch
+    /// for an id the topology does not have is dropped.
+    fn hold_batch(&mut self, station: StationId, time: SimTime, batch: PacketBatch) {
+        let Some(slot) = self.slots.get_mut(station.raw() as usize) else {
+            return;
+        };
+        if slot.batches.is_empty() {
             self.touched.push(station);
         }
-        Some(&mut slot.job)
+        slot.batches.push((time, batch));
     }
 
     fn control_latency(&self, station: StationId) -> SimDuration {
@@ -989,8 +895,17 @@ impl Emulator {
                     }
                 }
             }
-            EmuEvent::PacketBatch { .. } | EmuEvent::WorkloadBatch { .. } => {
-                unreachable!("packet batches are coalesced and flushed by run()")
+            EmuEvent::PacketBatch { station, packets } => {
+                self.admit_packets(now, station, packets);
+            }
+            EmuEvent::WorkloadBatch { source } => {
+                if let Some(batch) = self.workload_next[source].take() {
+                    self.admit_packets(now, batch.station, batch.packets);
+                }
+                self.stages.lap(Stage::GapFilter);
+                // Only now pull the source's next batch: one outstanding
+                // batch per source, ever.
+                self.pump_workload(source);
             }
             EmuEvent::ReportTimer { station } => {
                 // A dead station cannot report; the timer keeps ticking so
@@ -1316,8 +1231,6 @@ impl Emulator {
     /// Scans an Agent's replies to one control command: commands that take
     /// time on the station (deployments, checkpoints, staged restores, delta
     /// replays) report their own latency, and the reply is delayed by it.
-    /// Shared by the inline control path and the flush's merge, so both
-    /// produce identical timing.
     fn scan_agent_replies(&mut self, replies: &[AgentToManager]) -> SimDuration {
         let mut extra_delay = SimDuration::ZERO;
         for reply in replies {
@@ -1329,82 +1242,52 @@ impl Emulator {
         extra_delay
     }
 
-    /// Delivers every pending item of station work.
-    ///
-    /// The flush first walks the items in event order. Packets are
-    /// gap-filtered (control-plane state is frozen between flushes, so the
-    /// per-client attachment lookup happens once per client per flush, not
-    /// once per packet — and through the Manager's by-client index, so its
-    /// cost does not grow with the fleet) and coalesced into per-station
-    /// per-timestamp batches; commands to a station whose control link is
-    /// broken are set aside. Each touched station then runs its items in
-    /// place, in station order — in event order within the station, so
-    /// packets before commands.
-    ///
-    /// Dispatch keeps one fixed order, so queue sequence numbers (and
-    /// therefore every downstream pop) are the same on every run: NF
-    /// notifications in station order (a station's job reads and writes
-    /// only its own Agent, so each station's go out right after its job),
-    /// then the broken-link absorptions and the command replies, each in
-    /// park order, then one recovery check.
-    fn flush(&mut self, pending: &mut Vec<Pending>) {
-        if pending.is_empty() {
+    /// Runs the packets admitted since the last flush: the touched
+    /// stations in station order, each station's batches in admission
+    /// order. A station's batches read and write only its own Agent, and
+    /// each batch's NF notifications go out right after it, stamped with
+    /// the batch's time (the queue clamps delivery to the current virtual
+    /// time when a later control event triggered this flush), so the
+    /// dispatch order is fixed. The flush then folds the tally into the
+    /// run's counters and forgets the gap states.
+    fn flush(&mut self) {
+        // Nothing admitted since the last flush (every admitted packet
+        // counts as generated): nothing to run, fold or forget.
+        if self.tally.generated == 0 {
             return;
         }
-        let mut tally = PacketStats::default();
-        let mut gap_cache = std::mem::take(&mut self.gap_cache);
-        gap_cache.clear();
-        let mut absorbed: Vec<(StationId, ManagerToAgent)> = Vec::new();
-        let (mut commands, mut live, mut command_at) = (0, 0, SimTime::ZERO);
-        for Pending {
-            time,
-            station,
-            item,
-        } in pending.drain(..)
-        {
-            match item {
-                PendingItem::Packets(packets) => {
-                    self.admit_packets(time, station, packets, &mut tally, &mut gap_cache)
-                }
-                PendingItem::Command(msg) => {
-                    commands += 1;
-                    command_at = time;
-                    if self.link_broken(station) {
-                        absorbed.push((station, msg));
-                    } else if let Some(job) = self.job(station) {
-                        job.commands.push((live, time, msg));
-                        live += 1;
-                    }
-                }
-            }
-        }
-        self.gap_cache = gap_cache;
-        self.stages.lap(Stage::GapFilter);
-
-        let mut replies: Vec<(usize, StationId, Vec<AgentToManager>)> = Vec::with_capacity(live);
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable();
-        for station in touched.drain(..) {
-            let Some(slot) = self.slot(station) else {
+        self.touched.sort_unstable();
+        for &station in &self.touched {
+            let latency = self.control_latency(station);
+            let Some(slot) = self.slots.get_mut(station.raw() as usize) else {
                 continue;
             };
-            let outcome = Self::run_station(&mut slot.agent, &mut slot.job);
-            tally.forwarded += outcome.forwarded;
-            tally.dropped_by_nf += outcome.dropped_by_nf;
-            tally.replied_by_nf += outcome.replied_by_nf;
-            // NF events (blocked URLs, floods) flow to the Manager, stamped
-            // with the time of the batch that raised them. (The queue clamps
-            // delivery to the current virtual time when a later control
-            // event triggered this flush.)
-            for (time, notifications) in outcome.notifications {
-                self.dispatch_agent_messages(station, notifications, time, SimDuration::ZERO);
+            for (time, batch) in slot.batches.drain(..) {
+                // Every generated packet is client → network: it arrives on
+                // the access port. The sink only tallies.
+                let tally = &mut self.tally;
+                slot.agent.process(
+                    Direction::Ingress,
+                    batch,
+                    time,
+                    &mut |result| match result {
+                        PacketOutcome::Forwarded(_) => tally.forwarded += 1,
+                        PacketOutcome::Dropped(_) => tally.dropped_by_nf += 1,
+                        PacketOutcome::Replied(_) => tally.replied_by_nf += 1,
+                    },
+                );
+                // NF events (blocked URLs, floods) flow to the Manager as
+                // `dispatch_agent_messages` sends them, stamped with the
+                // time of the batch that raised them.
+                for msg in slot.agent.drain_nf_notifications(time) {
+                    self.queue
+                        .schedule_at(time + latency, EmuEvent::ToManager { station, msg });
+                }
             }
-            replies.extend(outcome.replies.into_iter().map(|(ix, r)| (ix, station, r)));
         }
-        self.touched = touched;
-        self.stages.lap(Stage::StationJobs);
+        self.touched.clear();
 
-        // One add per counter per flush instead of one per packet.
+        let tally = std::mem::take(&mut self.tally);
         self.packets.generated += tally.generated;
         self.packets.forwarded += tally.forwarded;
         self.packets.dropped_by_nf += tally.dropped_by_nf;
@@ -1413,39 +1296,27 @@ impl Emulator {
         self.packets.bypassed_in_gap += tally.bypassed_in_gap;
         self.packets.dropped_station_down += tally.dropped_station_down;
         self.packets.hairpinned += tally.hairpinned;
-
-        if commands > 0 {
-            self.migration_pool.record_batch(commands);
-            for (station, msg) in absorbed {
-                self.chaos_absorb(station, EmuEvent::ToAgent { station, msg });
-            }
-            replies.sort_unstable_by_key(|(ix, ..)| *ix);
-            for (_, station, replies) in replies {
-                let extra_delay = self.scan_agent_replies(&replies);
-                self.dispatch_agent_messages(station, replies, command_at, extra_delay);
-            }
-            self.check_recoveries(command_at);
-        }
-        self.stages.lap(Stage::Merge);
+        self.gap_cache.clear();
+        self.stages.lap(Stage::StationJobs);
+        debug_assert!(self.packets.is_conserved(), "{:?}", self.packets);
     }
 
-    /// Gap-filters one pending packet batch into the flush's station jobs
-    /// (in their slots): packets to a dead station are lost, packets in the
-    /// gap are dropped or bypassed, packets mid pre-copy detour to the
-    /// source station, and the rest join their own station's job.
+    /// Gap-filters one packet event's batch into the station slots as it
+    /// pops: packets to a dead station are lost, packets in the gap are
+    /// dropped or bypassed, packets mid pre-copy detour to the source
+    /// station, and the rest wait in their own station's slot for the next
+    /// flush.
     fn admit_packets(
         &mut self,
         time: SimTime,
         station: StationId,
         packets: Vec<(ClientId, Packet)>,
-        tally: &mut PacketStats,
-        gap_cache: &mut PathMap<(ClientId, StationId), GapState>,
     ) {
-        tally.generated += packets.len() as u64;
+        self.tally.generated += packets.len() as u64;
         // Packets in flight to a crashed station are simply lost: its radio
         // and switch are down, so nothing classifies or forwards.
         if self.dead.contains_key(&station) {
-            tally.dropped_station_down += packets.len() as u64;
+            self.tally.dropped_station_down += packets.len() as u64;
             if self.flight.enabled() {
                 for (_, packet) in &packets {
                     Self::record_flight(
@@ -1461,16 +1332,18 @@ impl Emulator {
             return;
         }
         if self.agent(station).is_none() {
-            tally.dropped_in_gap += packets.len() as u64;
+            self.tally.dropped_in_gap += packets.len() as u64;
             return;
         }
         let mut batch = PacketBatch::with_capacity(packets.len());
         let mut hairpins: BTreeMap<StationId, PacketBatch> = BTreeMap::new();
+        // Out of `self` for the walk, which reads `self` in `gap_state`.
+        let mut gap_cache = std::mem::take(&mut self.gap_cache);
         for (client, packet) in packets {
             // Does policy say this client's traffic must traverse a chain
             // right now, and is that chain ready on this station? The index
-            // lookup runs once per (client, station) per flush; each packet
-            // then pays one compare.
+            // lookup runs once per (client, station) between two flushes;
+            // each packet then pays one compare.
             let state = match gap_cache.entry((client, station)) {
                 Entry::Occupied(known) => *known.get(),
                 Entry::Vacant(slot) => {
@@ -1487,11 +1360,11 @@ impl Emulator {
             };
             if in_gap {
                 let (stage, verdict) = if self.scenario.config.bypass_during_migration {
-                    tally.bypassed_in_gap += 1;
-                    tally.forwarded += 1;
+                    self.tally.bypassed_in_gap += 1;
+                    self.tally.forwarded += 1;
                     ("gap-bypass", "forwarded")
                 } else {
-                    tally.dropped_in_gap += 1;
+                    self.tally.dropped_in_gap += 1;
                     ("gap-drop", "lost")
                 };
                 if self.flight.enabled() {
@@ -1500,7 +1373,7 @@ impl Emulator {
                 continue;
             }
             if let GapState::Hairpin(source) = state {
-                tally.hairpinned += 1;
+                self.tally.hairpinned += 1;
                 if self.flight.enabled() {
                     Self::record_flight(
                         &mut self.flight,
@@ -1519,17 +1392,14 @@ impl Emulator {
             }
             batch.push(packet);
         }
+        self.gap_cache = gap_cache;
         if !batch.is_empty() {
-            if let Some(job) = self.job(station) {
-                job.batches.push((time, batch));
-            }
+            self.hold_batch(station, time, batch);
         }
         // Hairpinned packets join the source station's work at the same
         // timestamp, after the native batch.
         for (source, detour) in hairpins {
-            if let Some(job) = self.job(source) {
-                job.batches.push((time, detour));
-            }
+            self.hold_batch(source, time, detour);
         }
     }
 
@@ -1562,45 +1432,6 @@ impl Emulator {
                 verdict,
             },
         );
-    }
-
-    /// Runs one station's flush job on its Agent, leaving the job's buffers
-    /// empty for the next flush.
-    fn run_station(agent: &mut Agent, job: &mut StationJob) -> StationOutcome {
-        let mut outcome = StationOutcome {
-            forwarded: 0,
-            dropped_by_nf: 0,
-            replied_by_nf: 0,
-            notifications: Vec::new(),
-            replies: Vec::new(),
-        };
-        for (time, batch) in job.batches.drain(..) {
-            // Every generated packet is client → network: it arrives on the
-            // access port. The sink only tallies.
-            agent.process(
-                Direction::Ingress,
-                batch,
-                time,
-                &mut |result| match result {
-                    PacketOutcome::Forwarded(_) => outcome.forwarded += 1,
-                    PacketOutcome::Dropped(_) => outcome.dropped_by_nf += 1,
-                    PacketOutcome::Replied(_) => outcome.replied_by_nf += 1,
-                },
-            );
-            // Drain after every batch, stamped with the batch's own virtual
-            // time, so alerts carry the time of the traffic that raised them
-            // (not the flush boundary).
-            let notifications = agent.drain_nf_notifications(time);
-            if !notifications.is_empty() {
-                outcome.notifications.push((time, notifications));
-            }
-        }
-        outcome.replies = job
-            .commands
-            .drain(..)
-            .map(|(ix, time, msg)| (ix, agent.handle_manager_msg(msg, time)))
-            .collect();
-        outcome
     }
 
     fn build_report(&self, ended_at: SimTime) -> RunReport {
@@ -1835,13 +1666,6 @@ mod tests {
             switchover < downtime,
             "switchover {switchover:?} must undercut full downtime {downtime:?}"
         );
-        // Every lifecycle command of the migration rode a station flush.
-        let pool = emulator.migration_pool_telemetry();
-        assert!(pool.batches > 0);
-        assert!(
-            pool.commands >= 5,
-            "precopy + prepare + delta + activate + remove, got {pool:?}"
-        );
     }
 
     /// The four gap outcomes, each read through the Manager's by-client
@@ -2020,11 +1844,11 @@ mod tests {
         );
     }
 
-    /// One flush touches stations 5, 2 and 9 (in that pending order), and a
-    /// packet of a client mid pre-copy from station 2 hairpins onto 2 as
-    /// well. Station 2 is recorded once; each job waits in its station's
-    /// slot, station 2's native batch before its detour; and a whole flush
-    /// runs every job in place, leaving every slot's job empty again.
+    /// Packet events for stations 5, 2 and 9 are admitted as they pop, and
+    /// a packet of a client mid pre-copy from station 2 hairpins onto 2 as
+    /// well. Station 2 is recorded once; each batch waits in its station's
+    /// slot, station 2's native batch before its detour; and the flush runs
+    /// every slot in station order, leaving every slot empty again.
     #[test]
     fn a_flush_takes_its_jobs_from_the_slots_in_station_order() {
         use gnf_edge::RoamTrace;
@@ -2084,57 +1908,47 @@ mod tests {
         // A client no policy names: its packets pass the gap filter.
         let plain = ClientId::new(1_000);
         let now = emulator.now();
-        let pending = || {
-            [(5, plain), (2, plain), (9, plain), (4, roaming)]
-                .into_iter()
-                .enumerate()
-                .map(|(ix, (at, client))| Pending {
-                    time: now,
-                    station: station(at),
-                    item: PendingItem::Packets(vec![(client, packet(40_000 + ix as u16))]),
-                })
-                .collect::<Vec<_>>()
-        };
-        // Admit the four items as a flush does, then read the jobs.
-        let (mut tally, mut gap_cache) = (PacketStats::default(), PathMap::default());
-        for item in pending() {
-            let PendingItem::Packets(packets) = item.item else {
-                unreachable!()
-            };
-            emulator.admit_packets(item.time, item.station, packets, &mut tally, &mut gap_cache);
+        let before = emulator.packets;
+        for (ix, (at, client)) in [(5, plain), (2, plain), (9, plain), (4, roaming)]
+            .into_iter()
+            .enumerate()
+        {
+            emulator.admit_packets(now, station(at), vec![(client, packet(40_000 + ix as u16))]);
         }
         assert_eq!(emulator.touched, vec![station(5), station(2), station(9)]);
-        assert_eq!(tally.hairpinned, 1);
-        let jobs: Vec<(usize, Vec<usize>)> = emulator
+        assert_eq!(emulator.tally.generated, 4);
+        assert_eq!(emulator.tally.hairpinned, 1);
+        assert_eq!(emulator.packets, before, "admission folds nothing");
+        let held: Vec<(usize, Vec<usize>)> = emulator
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, slot)| !slot.job.is_empty())
-            .map(|(ix, slot)| {
-                let sizes = slot.job.batches.iter().map(|(_, b)| b.len()).collect();
-                (ix, sizes)
-            })
+            .filter(|(_, slot)| !slot.batches.is_empty())
+            .map(|(ix, slot)| (ix, slot.batches.iter().map(|(_, b)| b.len()).collect()))
             .collect();
-        assert_eq!(jobs, vec![(2, vec![1, 1]), (5, vec![1]), (9, vec![1])]);
+        assert_eq!(held, vec![(2, vec![1, 1]), (5, vec![1]), (9, vec![1])]);
         // The detour is the roaming client's packet, after the native one.
-        let detour = emulator.slots[2].job.batches[1].1.iter().next();
+        let detour = emulator.slots[2].batches[1].1.iter().next();
         assert_eq!(
             detour.and_then(|p| p.five_tuple()).map(|t| t.src_port),
             Some(40_003)
         );
-        for slot in &mut emulator.slots {
-            slot.job = StationJob::default();
-        }
-        emulator.touched.clear();
 
-        // A whole flush runs the four packets through the Agents and leaves
-        // every job empty.
-        let ran = |p: &PacketStats| p.forwarded + p.dropped_by_nf + p.replied_by_nf;
-        let before = ran(&emulator.packets);
-        emulator.flush(&mut pending());
+        // The flush sorts the touched stations, runs the four packets
+        // through the Agents, folds the tally and empties every slot.
+        emulator.flush();
         assert!(emulator.touched.is_empty());
-        assert!(emulator.slots.iter().all(|slot| slot.job.is_empty()));
-        assert_eq!(ran(&emulator.packets) - before, 4, "{:?}", emulator.packets);
+        assert!(emulator.slots.iter().all(|slot| slot.batches.is_empty()));
+        assert!(emulator.gap_cache.is_empty());
+        assert_eq!(emulator.tally, PacketStats::default());
+        let ran = |p: &PacketStats| p.forwarded + p.dropped_by_nf + p.replied_by_nf;
+        assert_eq!(
+            ran(&emulator.packets) - ran(&before),
+            4,
+            "{:?}",
+            emulator.packets
+        );
+        assert_eq!(emulator.packets.hairpinned - before.hairpinned, 1);
     }
 
     #[test]
@@ -2453,9 +2267,6 @@ mod tests {
         let mut emulator = Emulator::new(observability_scenario());
         let report = emulator.run();
         assert!(report.packets.forwarded > 0);
-        // The six simultaneous roams share station flushes.
-        let pool = emulator.migration_pool_telemetry();
-        assert!(pool.max_batch > 1, "{pool:?}");
         let log = emulator.trace_log();
         assert_eq!(log.len(), 0, "disabled sinks must record nothing");
         assert_eq!(log.dropped(), 0);
@@ -2628,10 +2439,22 @@ mod tests {
         );
         assert_eq!(table.row(Stage::Run).count, 1);
         assert_eq!(table.row(Stage::Report).count, 1);
-        let flushes = table.row(Stage::GapFilter).count;
-        assert!(flushes > 0);
-        assert_eq!(table.row(Stage::StationJobs).count, flushes);
-        assert_eq!(table.row(Stage::Merge).count, flushes);
+        // Every event is timed once: a packet event's admission under the
+        // gap filter, a control event under its handle row.
+        let handled: u64 = Stage::ALL
+            .iter()
+            .filter(|stage| stage.name().starts_with("handle."))
+            .map(|stage| table.row(*stage).count)
+            .sum();
+        let packet_events = table.row(Stage::GapFilter).count;
+        assert!(packet_events > 0);
+        assert_eq!(packet_events + handled, report.events_processed);
+        // One flush at most per control event, plus the final one.
+        let flushes = table.row(Stage::StationJobs).count;
+        assert!(
+            flushes > 0 && flushes <= handled + 1,
+            "{flushes} vs {handled}"
+        );
         // Every station reports every interval from 2 s on.
         assert!(table.row(Stage::HandleReportTimer).count >= 200 * 9);
         assert!(table.row(Stage::GapState).count > 0);

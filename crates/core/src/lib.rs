@@ -20,10 +20,11 @@
 //!   cache, megaflow wildcard cache, batch-size distribution).
 //!
 //! The emulator runs the *production* data plane: traffic is coalesced into
-//! per-station [`gnf_packet::PacketBatch`] events, a flush runs each
-//! station's work in place, one station after another on the emulator's
-//! thread, and dispatches in a fixed order (the [`RunReport`] is a function
-//! of the scenario and its seed), and every station's
+//! per-station [`gnf_packet::PacketBatch`] events, gap-filtered into their
+//! stations as they pop; before any other event is handled, a flush runs
+//! the admitted packets in place, one station after another on the
+//! emulator's thread, and dispatches in a fixed order (the [`RunReport`] is
+//! a function of the scenario and its seed), and every station's
 //! switch runs with the megaflow (wildcard) cache enabled — toggleable via
 //! [`Emulator::set_megaflow_enabled`] for A/B comparisons.
 //!

@@ -17,11 +17,12 @@
 //! The top-level stages tile `run()` as *laps*: `HostStages::lap` charges
 //! the time since the previous lap to the stage that just ended, with one
 //! clock read per boundary. The tiles are the queue pop, the metrics
-//! sampler, the workload pump, the three parts of a station flush, each
-//! handled event by kind and the final report. The loop's own dispatch
-//! between two stages is charged to the later one. A pair of reads per
-//! section instead would leave one read (≈ 50 ns on a 2-vCPU VM) per
-//! boundary unattributed, which on a small run is most of a 10 % gap.
+//! sampler, the workload pump, a packet event's admission, the station
+//! flush, each handled control event by kind and the final report. The
+//! loop's own dispatch between two stages is charged to the later one. A
+//! pair of reads per section instead would leave one read (≈ 50 ns on a
+//! 2-vCPU VM) per boundary unattributed, which on a small run is most of a
+//! 10 % gap.
 //!
 //! [`Stage::Run`] is timed on its own, from `HostStages::begin_run` to
 //! `HostStages::end_run`, and [`StageTable::closes`] checks the tiles
@@ -35,27 +36,24 @@ use std::time::Instant;
 /// One row of the stage table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// `EventQueue::pop_until`, once per loop iteration, with the loop's
-    /// dispatch since the previous lap (a packet event's park included).
+    /// `EventQueue::pop_until`, once per loop iteration.
     QueuePop,
     /// The virtual-time metrics sampler (armed by `enable_metrics`).
     MetricsSample,
     /// Pulling a streaming workload source's next batch.
     WorkloadPump,
-    /// A flush's walk over its pending items: the gap filter
-    /// (`admit_packets`) and the parking of migration commands.
+    /// A packet event's admission as it pops: the gap filter
+    /// (`admit_packets`) into the station slots.
     GapFilter,
     /// Sub-row of [`Stage::GapFilter`]: the `gap_state` walks it paid for.
     GapState,
-    /// A flush's station jobs, each followed by its NF notifications'
-    /// dispatch.
+    /// A flush: the touched stations' batches, each followed by its NF
+    /// notifications' dispatch, then the fold of the packet counters.
     StationJobs,
-    /// A flush's merge: counters, absorptions, replies and the recovery
-    /// check.
-    Merge,
     /// `handle` of a control message to the Manager.
     HandleToManager,
-    /// `handle` of a control message to an Agent (not a migration command).
+    /// `handle` of a control message to an Agent, migration commands
+    /// included.
     HandleToAgent,
     /// `handle` of a client association.
     HandleAttach,
@@ -81,14 +79,13 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in table order.
-    pub const ALL: [Stage; 19] = [
+    pub const ALL: [Stage; 18] = [
         Stage::QueuePop,
         Stage::MetricsSample,
         Stage::WorkloadPump,
         Stage::GapFilter,
         Stage::GapState,
         Stage::StationJobs,
-        Stage::Merge,
         Stage::HandleToManager,
         Stage::HandleToAgent,
         Stage::HandleAttach,
@@ -112,7 +109,6 @@ impl Stage {
             Stage::GapFilter => "flush.gap_filter",
             Stage::GapState => "flush.gap_filter.gap_state",
             Stage::StationJobs => "flush.station_jobs",
-            Stage::Merge => "flush.merge",
             Stage::HandleToManager => "handle.to_manager",
             Stage::HandleToAgent => "handle.to_agent",
             Stage::HandleAttach => "handle.attach",
@@ -334,11 +330,11 @@ mod tests {
         let mut table = StageTable::default();
         table.rows[Stage::Run as usize].ns = 1_000;
         table.rows[Stage::QueuePop as usize].ns = 500;
-        table.rows[Stage::Merge as usize].ns = 420;
+        table.rows[Stage::StationJobs as usize].ns = 420;
         table.rows[Stage::GapState as usize].ns = 400;
         assert!(table.closes(0.10));
         assert!(!table.closes(0.05));
-        table.rows[Stage::Merge as usize].ns = 700;
+        table.rows[Stage::StationJobs as usize].ns = 700;
         assert!(!table.closes(0.10), "over the total does not close either");
     }
 }

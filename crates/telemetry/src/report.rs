@@ -159,42 +159,18 @@ impl ChaosTelemetry {
     }
 }
 
-/// Host-side counts of the emulator's station flushes that carried
-/// migration-lifecycle commands (checkpoints, pre-copies, staged deploys,
-/// delta replays, activations).
-///
-/// These are **host-CPU observability only** and deliberately live outside
-/// the `RunReport`: `batches`/`max_batch` depend on how roams align in
-/// virtual time, which may not influence (or appear in) the byte-compared
-/// run results.
+/// Host-side counts of station flushes that carried migration-lifecycle
+/// commands. No flush carries one (each command is handled as it arrives),
+/// so every count reads 0; the type survives for the benchmark package's
+/// `core.pool_*` rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MigrationPoolTelemetry {
     /// Flushes that carried at least one command.
     pub batches: u64,
-    /// Migration-lifecycle commands those flushes carried.
-    pub commands: u64,
     /// Most commands one flush carried.
     pub max_batch: u64,
-    /// Always 0: a flush is never cut short by a queue cap. Kept for the
-    /// benchmark's `core.pool_cap_flushes` row.
+    /// Flushes cut short by a queue cap.
     pub cap_flushes: u64,
-}
-
-impl MigrationPoolTelemetry {
-    /// Records one flush that carried `size` commands.
-    pub fn record_batch(&mut self, size: u64) {
-        self.batches += 1;
-        self.commands += size;
-        self.max_batch = self.max_batch.max(size);
-    }
-
-    /// Mean commands per flush that carried any (0 when none did).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.commands as f64 / self.batches as f64
-    }
 }
 
 /// A snapshot of one station's state, produced by its Agent every reporting
@@ -351,23 +327,6 @@ mod tests {
 
         let json = serde_json::to_string(&t).unwrap();
         let back: BatchTelemetry = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn migration_pool_telemetry_tracks_batches() {
-        let mut t = MigrationPoolTelemetry::default();
-        assert_eq!(t.mean_batch_size(), 0.0);
-        t.record_batch(1);
-        t.record_batch(7);
-        t.cap_flushes += 1;
-        assert_eq!(t.batches, 2);
-        assert_eq!(t.commands, 8);
-        assert_eq!(t.max_batch, 7);
-        assert_eq!(t.cap_flushes, 1);
-        assert!((t.mean_batch_size() - 4.0).abs() < 1e-12);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: MigrationPoolTelemetry = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
     }
 }

@@ -2,8 +2,8 @@
 //! baseline + dirty-delta restore path must be indistinguishable from a
 //! monolithic checkpoint for every NF kind, no packet may be lost or
 //! double-counted across a switchover, concurrent migrations of disjoint
-//! clients must commute, and a storm whose migration commands share station
-//! flushes must replay its `RunReport` byte for byte.
+//! clients must commute, and a hundred-roam storm must replay its
+//! `RunReport` byte for byte.
 
 use gnf_core::{Emulator, Mobility, RunReport, Scenario};
 use gnf_edge::{RoamTrace, TrafficProfile};
@@ -324,13 +324,12 @@ fn disjoint_client_migrations_commute() {
 }
 
 // ---------------------------------------------------------------------------
-// (d) A hundred-roam storm, whose commands share station flushes, replays
-// byte for byte (a second run in the same debug process salts every map
-// anew).
+// (d) A hundred-roam storm replays byte for byte (a second run in the same
+// debug process salts every map anew).
 // ---------------------------------------------------------------------------
 
 #[test]
-fn migration_worker_pool_is_invisible_in_a_hundred_roam_storm() {
+fn a_hundred_roam_storm_replays_byte_for_byte() {
     let baseline = run_storm(7, 100);
     assert_eq!(baseline.handovers, 100);
     assert!(baseline.all_migrations_completed());

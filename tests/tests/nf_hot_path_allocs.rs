@@ -970,10 +970,14 @@ fn one_roam_wave() -> Emulator {
 /// a flush ran its station jobs in place (it collected a work list and an
 /// outcome list per flush with jobs) and a chain's ready time lived on the
 /// chain, the three read 25 988 / 5 017 = 5.180, 13 182 / 4 000 = 3.296
-/// and 21 256 / 16 660 = 1.276.
-const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 23_034.0 / 5_017.0;
-const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_135.0 / 4_000.0;
-const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 20_690.0 / 16_660.0;
+/// and 21 256 / 16 660 = 1.276. Before a packet event was gap-filtered as
+/// it popped and a migration command handled as it arrived (a pending list
+/// per run, a reply list per flush with commands), they read
+/// 23 034 / 5 017 = 4.591, 13 135 / 4 000 = 3.284 and
+/// 20 690 / 16 660 = 1.242.
+const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 23_026.0 / 5_017.0;
+const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 13_124.0 / 4_000.0;
+const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 20_526.0 / 16_660.0;
 
 #[test]
 fn a_run_allocates_per_packet_within_its_ceiling() {

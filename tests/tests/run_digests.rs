@@ -6,15 +6,15 @@
 //!
 //! Each digest is FNV-1a over `serde_json::to_string(&RunReport)` (the
 //! benchmark's own digest), and for the traced run also over the Chrome-trace
-//! JSON and the metrics CSV. They pin what a station flush runs and in
-//! which order: a station that ran its commands before its packets moves
-//! the third digest. The order in which one flush dispatches absorptions
-//! and replies shows only where their delivery times tie, because the
-//! queue orders by time before sequence number. These scenarios have no
-//! such tie, so a flush that swaps the two leaves every digest in place.
+//! JSON and the metrics CSV. They pin the order of station work and control
+//! events: a packet batch runs before any later event is handled, and a
+//! migration command is handled when it pops, its replies dispatched at its
+//! own time in event order. A station that ran a command before the packets
+//! that popped ahead of it moves the third digest.
 //!
-//! The digests were recorded before packet batches and migration commands
-//! shared one station flush, and did not move when they did.
+//! The digests were recorded while migration commands still waited for the
+//! station flush beside the packet batches, and did not move when each
+//! command came to be handled as it arrives.
 
 use gnf_core::{Emulator, FaultKind, FaultSchedule, Mobility, PartitionMode, RunReport, Scenario};
 use gnf_edge::{RoamTrace, TrafficProfile};
@@ -205,8 +205,9 @@ fn a_roam_wave_sharing_timestamps_with_packets_is_pinned() {
 
     let mut emulator = Emulator::new(scenario.clone());
     // Station 0's batch pops before the commands (it was queued first) and
-    // joins their flush; station 1's is pumped only when station 0's
-    // delivers, so it pops after them at the same timestamp.
+    // runs in the flush the first of them triggers; station 1's is pumped
+    // only when station 0's delivers, so it pops after them at the same
+    // timestamp and is admitted against the state they left.
     emulator.add_workload(Box::new(Batches(VecDeque::from([
         batch_at(&scenario, StationId::new(0), at),
         batch_at(&scenario, StationId::new(1), at),
