@@ -19,28 +19,43 @@
 //!   mid-run station crash, replayed on the delta transport: it must
 //!   produce a byte-identical `RunReport` to the full-transport baseline,
 //!   with nonzero delta traffic and at least one forced keyframe resync.
+//! * **station data-plane slope** — `Agent::process` on one-packet batches,
+//!   round-robin over N warmed one-client stations (N = 200, 2 000 and
+//!   20 000, as far as `--stations` allows): ns/packet per N and the
+//!   largest-N / 200 ratio, the cost of a station whose state went cold
+//!   between its packets, free of the event loop. Only deterministic facts
+//!   are asserted: every station's outcomes equal one reference station's.
 //!
-//! `--stations N` caps the fleet curve (CI smoke runs `--stations 2000`);
-//! `--seed N` reproduces a run exactly.
+//! `--stations N` caps the fleet curve and the slope (CI smoke runs
+//! `--stations 2000`); `--seed N` reproduces a run exactly.
 
+use gnf_agent::{Agent, PacketOutcome};
 use gnf_api::codec;
 use gnf_api::messages::AgentToManager;
+use gnf_bench::dataplane_fixture::{station_agent, NOW};
 use gnf_bench::{arg_value, register_fleet, section, station_report};
 use gnf_core::{Emulator, FaultKind, FaultSchedule, Mobility, Scenario};
 use gnf_edge::{RoamTrace, TrafficProfile};
 use gnf_manager::{ControlPlaneStats, Manager};
 use gnf_nf::testing::sample_specs;
+use gnf_nf::Direction;
+use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_sim::Histogram;
 use gnf_switch::TrafficSelector;
 use gnf_telemetry::{
     DeltaEncoder, MetricsSeries, NotificationSeverity, RegionAggregator, StationReport, TraceLog,
     TraceScope, TraceSink, DEFAULT_TRACE_CAPACITY,
 };
-use gnf_types::{CellId, GnfConfig, HostClass, SimDuration, SimTime, StationId};
+use gnf_types::{CellId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId};
+use std::net::Ipv4Addr;
 use std::time::Instant;
 
 const FLEETS: [u64; 5] = [100, 1_000, 2_000, 5_000, 10_000];
 const CURVE_DURATION: SimDuration = SimDuration::from_secs(600);
+/// Station counts of the data-plane slope; the first is the ratio's base.
+const SLOPE_FLEETS: [u64; 3] = [200, 2_000, 20_000];
+/// Packets timed per repetition of one slope row, whatever its N.
+const SLOPE_PACKETS: u64 = 300_000;
 
 fn report(station: u64, cpu: f64, at: SimTime) -> AgentToManager {
     AgentToManager::Report(Box::new(station_report(station, cpu, at)))
@@ -164,6 +179,128 @@ fn matrix_scenario(seed: u64, delta: bool) -> Scenario {
     sb.with_mobility(Mobility::Trace(trace)).build()
 }
 
+/// One smartphone's upstream frames, cycled by every slope station: DNS
+/// lookups, HTTP requests, TLS data and an SSH attempt the demo firewall
+/// denies — the flows a `fleet_steady` client sends through its chain.
+fn slope_frames() -> Vec<Packet> {
+    let (mac, gateway) = (MacAddr::derived(1, 1), MacAddr::derived(0xA0, 0));
+    let (ip, resolver, web) = (
+        Ipv4Addr::new(10, 0, 0, 2),
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(203, 0, 113, 9),
+    );
+    vec![
+        builder::dns_query(mac, gateway, ip, resolver, 50_000, 1, "www.gla.ac.uk"),
+        builder::http_get(mac, gateway, ip, web, 40_000, "www.gla.ac.uk", "/"),
+        builder::tcp_data(mac, gateway, ip, web, 40_001, 443, &[0xAB; 200]),
+        builder::dns_query(mac, gateway, ip, resolver, 50_001, 2, "news.example"),
+        builder::http_get(mac, gateway, ip, web, 40_002, "news.example", "/a"),
+        builder::tcp_syn(mac, gateway, ip, web, 40_003, 22),
+        builder::tcp_data(mac, gateway, ip, web, 40_001, 443, &[0xCD; 600]),
+        builder::http_get(mac, gateway, ip, web, 40_000, "www.gla.ac.uk", "/b"),
+    ]
+}
+
+/// What a slope station did with its packets, kept cheap enough to record
+/// inside the timed loop: outcomes per kind and the bytes forwarded.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    forwarded: u64,
+    forwarded_bytes: u64,
+    dropped: u64,
+    replied: u64,
+}
+
+impl Tally {
+    fn record(&mut self, outcome: &PacketOutcome) {
+        match outcome {
+            PacketOutcome::Forwarded(packet) => {
+                self.forwarded += 1;
+                self.forwarded_bytes += packet.len() as u64;
+            }
+            PacketOutcome::Dropped(_) => self.dropped += 1,
+            PacketOutcome::Replied(_) => self.replied += 1,
+        }
+    }
+}
+
+/// One packet, a batch of one, through a station's `Agent::process`.
+fn slope_step(agent: &mut Agent, frame: &Packet, sink: &mut impl FnMut(PacketOutcome)) {
+    agent.process(
+        Direction::Ingress,
+        PacketBatch::from(frame.clone()),
+        NOW,
+        sink,
+    );
+}
+
+/// A `fleet_steady` station: one client behind the demo firewall, megaflow
+/// on, warmed by one pass over `frames`.
+fn slope_station(frames: &[Packet]) -> Agent {
+    let mut agent = station_agent(
+        [(
+            ClientId::new(1),
+            MacAddr::derived(1, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+        )],
+        &[sample_specs()[0].clone()],
+        true,
+    );
+    for frame in frames {
+        slope_step(&mut agent, frame, &mut |_| {});
+    }
+    agent
+}
+
+/// Times one-packet batches round-robin over `stations` warmed stations —
+/// each round hands every station the round's frame — and returns the best
+/// ns/packet of three repetitions. Then checks the deterministic facts: each
+/// station's tally equals the reference station's, which processed the same
+/// sequence alone, and one more pass gives outcomes equal to the
+/// reference's, packet by packet.
+fn station_slope(stations: u64, frames: &[Packet]) -> f64 {
+    let mut fleet: Vec<(Agent, Tally)> = (0..stations)
+        .map(|_| (slope_station(frames), Tally::default()))
+        .collect();
+    let rounds = (SLOPE_PACKETS / stations).max(frames.len() as u64) as usize;
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        for round in 0..rounds {
+            let frame = &frames[round % frames.len()];
+            for (agent, tally) in fleet.iter_mut() {
+                slope_step(agent, frame, &mut |outcome| tally.record(&outcome));
+            }
+        }
+        let ns = start.elapsed().as_secs_f64() * 1e9 / (rounds as u64 * stations) as f64;
+        best = best.min(ns);
+    }
+    let mut reference = (slope_station(frames), Tally::default());
+    for _ in 0..3 {
+        for round in 0..rounds {
+            let (agent, tally) = &mut reference;
+            slope_step(agent, &frames[round % frames.len()], &mut |outcome| {
+                tally.record(&outcome)
+            });
+        }
+    }
+    let mut expected = Vec::new();
+    for frame in frames {
+        slope_step(&mut reference.0, frame, &mut |outcome| {
+            expected.push(outcome)
+        });
+    }
+    for (ix, (agent, tally)) in fleet.iter_mut().enumerate() {
+        assert_eq!(*tally, reference.1, "station {ix}'s outcomes drifted");
+        let mut outcomes = Vec::with_capacity(frames.len());
+        for frame in frames {
+            slope_step(agent, frame, &mut |outcome| outcomes.push(outcome));
+        }
+        assert_eq!(outcomes, expected, "station {ix}'s last pass drifted");
+    }
+    best
+}
+
 fn crash_fault() -> FaultSchedule {
     let mut schedule = FaultSchedule::new();
     schedule.push(
@@ -239,6 +376,25 @@ fn main() {
         "per-station cost and tick percentiles stay flat as the fleet grows: \
          the reconciliation loop is O(dirty), not O(fleet)"
     );
+
+    section("station data-plane slope (one-packet batches, round-robin over warmed stations)");
+    let frames = slope_frames();
+    let slope: Vec<(u64, f64)> = SLOPE_FLEETS
+        .iter()
+        .copied()
+        .filter(|&stations| stations <= cap.max(SLOPE_FLEETS[0]))
+        .map(|stations| (stations, station_slope(stations, &frames)))
+        .collect();
+    println!("{:>10} {:>10}", "stations", "ns/pkt");
+    for (stations, ns) in &slope {
+        println!("{stations:>10} {ns:>10.1}");
+    }
+    if let [(base_n, base), .., (top_n, top)] = slope[..] {
+        println!(
+            "slope ratio {top_n}/{base_n}: {:.2}x  (wall clock; compare within one host)",
+            top / base
+        );
+    }
 
     section("control-plane bytes/station (one steady-state reporting interval)");
     let mut encoder = DeltaEncoder::new(u64::MAX);
