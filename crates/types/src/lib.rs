@@ -19,6 +19,7 @@ pub mod config;
 pub mod error;
 pub mod hash;
 pub mod ids;
+pub mod inline;
 pub mod net;
 pub mod resources;
 pub mod time;
@@ -30,6 +31,7 @@ pub use ids::{
     AgentId, CellId, ChainId, ClientId, ContainerId, FlowId, ImageId, MigrationId, NfInstanceId,
     NotificationId, StationId, VmId,
 };
+pub use inline::{InlineMap, INLINE_ENTRIES};
 pub use net::{FlowCacheStats, MacAddr, MegaflowStats};
 pub use resources::{HostClass, ResourceSpec, ResourceUsage};
 pub use time::{SimDuration, SimTime};
