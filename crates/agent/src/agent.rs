@@ -15,7 +15,7 @@ use gnf_telemetry::{
     StationReport, TraceKind, TraceSink,
 };
 use gnf_types::{
-    AgentId, ChainId, ClientId, GnfError, GnfResult, HostClass, MacAddr, PathMap, ResourceUsage,
+    AgentId, ChainId, ClientId, GnfError, GnfResult, HostClass, InlineMap, MacAddr, ResourceUsage,
     SimDuration, SimTime, StationId,
 };
 use std::borrow::Cow;
@@ -33,17 +33,25 @@ pub struct AgentConfig {
 }
 
 /// A chain deployed on this station.
+///
+/// `repr(C)` keeps the declared order: what a packet (the chain, its
+/// client) and the emulator's gap check (`ready_at`) read comes first.
+#[repr(C)]
 pub struct DeployedChain {
-    /// The chain identifier assigned by the Manager.
-    pub chain_id: ChainId,
+    /// The executable chain.
+    pub chain: NfChain,
     /// The client whose traffic the chain serves.
     pub client: ClientId,
+    /// When the chain serves (or starts serving) traffic: the command's time
+    /// plus its latency, set by a serving deploy and by activation. `None`
+    /// while the chain is staged.
+    pub ready_at: Option<SimTime>,
+    /// The chain identifier assigned by the Manager.
+    pub chain_id: ChainId,
     /// The client's MAC address (used to key the steering rule).
     pub client_mac: MacAddr,
     /// The NF specs the chain was built from.
     pub specs: Vec<NfSpec>,
-    /// The executable chain.
-    pub chain: NfChain,
     /// Container handles backing each NF, in chain order.
     pub containers: Vec<u64>,
     /// The traffic subset diverted through the chain.
@@ -54,10 +62,6 @@ pub struct DeployedChain {
     /// the baseline state is imported, but no steering rule exists, so the
     /// chain never sees traffic until activated.
     pub staged: bool,
-    /// When the chain serves (or starts serving) traffic: the command's time
-    /// plus its latency, set by a serving deploy and by activation. `None`
-    /// while the chain is staged.
-    pub ready_at: Option<SimTime>,
     /// Baseline snapshot retained by the *source* after a pre-copy checkpoint,
     /// used to compute the dirty delta at switchover.
     pub precopy_baseline: Option<Vec<NfStateSnapshot>>,
@@ -113,37 +117,53 @@ fn seal_report(
 }
 
 /// The GNF Agent.
+///
+/// Laid out by temperature (`repr(C)` keeps the declared order): the fields
+/// `Agent::process` reads per batch come first, inline — the switch and the
+/// chain table keep a one-client station's entries in the Agent's own
+/// memory — and everything the packet path never reads sits behind one cold
+/// [`Box`], so a cold station's batch does not fetch it.
+#[repr(C)]
 pub struct Agent {
-    config: AgentConfig,
-    runtime: ContainerRuntime,
-    switch: SoftwareSwitch,
-    repository: ImageRepository,
-    chains: PathMap<ChainId, DeployedChain>,
-    clients: PathMap<ClientId, (MacAddr, Ipv4Addr)>,
-    reports_sent: u64,
-    commands_handled: u64,
-    batch_sizes: BatchTelemetry,
-    /// Soft-state generation: bumped on every crash so post-restart traffic
-    /// can never be served from a pre-crash cache entry.
-    generation: u64,
-    /// Fault-injection counters reported through the periodic station report.
-    chaos: ChaosTelemetry,
-    /// Data-plane event sink (batch flushes, megaflow seals/evictions).
-    /// Disabled by default: one branch on the hot path, nothing recorded.
-    trace: TraceSink,
-    /// Seeded flow-sampled flight recorder. Disabled by default.
-    flight: FlightRecorder,
-    /// Scratch report buffer, filled in place every interval so periodic
-    /// reporting reuses one allocation (and its vectors' capacity) instead
-    /// of constructing a fresh boxed report per interval.
-    scratch: Box<StationReport>,
-    /// Delta-report encoder (None = classic full reports).
-    delta: Option<DeltaEncoder>,
     /// Dirty bits piggybacked on the mutation paths: which report sections
     /// may differ from the delta stream's current keyframe. Conservative
     /// hints only — the encoder still compares hinted sections, and clears
     /// the bits when a keyframe resynchronises the stream.
     report_hints: SectionHints,
+    batch_sizes: BatchTelemetry,
+    /// Data-plane event sink (batch flushes, megaflow seals/evictions).
+    /// Disabled by default: one branch on the hot path, nothing recorded.
+    trace: TraceSink,
+    /// Seeded flow-sampled flight recorder. Disabled by default.
+    flight: FlightRecorder,
+    /// Chains whose NFs raised an event since the last drain, in raise
+    /// order, repeats included: all a drain visits.
+    raised: Vec<ChainId>,
+    switch: SoftwareSwitch,
+    chains: InlineMap<ChainId, DeployedChain>,
+    config: AgentConfig,
+    cold: Box<AgentCold>,
+}
+
+/// What the Agent's packet path never reads: the container runtime and
+/// image catalogue, the associated clients, the report state and the
+/// control-path counters.
+struct AgentCold {
+    runtime: ContainerRuntime,
+    repository: ImageRepository,
+    clients: InlineMap<ClientId, (MacAddr, Ipv4Addr)>,
+    commands_handled: u64,
+    /// Soft-state generation: bumped on every crash so post-restart traffic
+    /// can never be served from a pre-crash cache entry.
+    generation: u64,
+    /// Fault-injection counters reported through the periodic station report.
+    chaos: ChaosTelemetry,
+    /// Scratch report buffer, filled in place every interval so periodic
+    /// reporting reuses one allocation (and its vectors' capacity) instead
+    /// of constructing a fresh report per interval.
+    scratch: StationReport,
+    /// Delta-report encoder (None = classic full reports).
+    delta: Option<DeltaEncoder>,
 }
 
 impl Agent {
@@ -157,7 +177,7 @@ impl Agent {
             host_class: config.host_class,
             capacity: runtime.capacity(),
         };
-        let scratch = Box::new(StationReport {
+        let scratch = StationReport {
             station: config.station,
             agent: config.agent,
             produced_at: SimTime::ZERO,
@@ -171,25 +191,27 @@ impl Agent {
             megaflow: Default::default(),
             batches: BatchTelemetry::default(),
             chaos: ChaosTelemetry::default(),
-        });
+        };
         (
             Agent {
-                config,
-                runtime,
-                switch: SoftwareSwitch::new(),
-                repository,
-                chains: PathMap::default(),
-                clients: PathMap::default(),
-                reports_sent: 0,
-                commands_handled: 0,
+                report_hints: SectionHints::all(),
                 batch_sizes: BatchTelemetry::default(),
-                generation: 0,
-                chaos: ChaosTelemetry::default(),
                 trace: TraceSink::default(),
                 flight: FlightRecorder::default(),
-                scratch,
-                delta: None,
-                report_hints: SectionHints::all(),
+                raised: Vec::new(),
+                switch: SoftwareSwitch::new(),
+                chains: InlineMap::new(),
+                config,
+                cold: Box::new(AgentCold {
+                    runtime,
+                    repository,
+                    clients: InlineMap::new(),
+                    commands_handled: 0,
+                    generation: 0,
+                    chaos: ChaosTelemetry::default(),
+                    scratch,
+                    delta: None,
+                }),
             },
             register,
         )
@@ -200,13 +222,8 @@ impl Agent {
     /// and a forced keyframe after every crash or rejoin. The reconstructed
     /// reports are byte-identical to full-report mode.
     pub fn set_delta_reporting(&mut self, keyframe_interval: u64) {
-        self.delta = Some(DeltaEncoder::new(keyframe_interval));
+        self.cold.delta = Some(DeltaEncoder::new(keyframe_interval));
         self.report_hints = SectionHints::all();
-    }
-
-    /// True when periodic reports use the delta wire format.
-    pub fn delta_reporting(&self) -> bool {
-        self.delta.is_some()
     }
 
     /// Arms (or disarms) the data-plane observability sinks: `trace`
@@ -250,12 +267,12 @@ impl Agent {
 
     /// Number of running NF containers.
     pub fn running_nfs(&self) -> usize {
-        self.runtime.running_count()
+        self.cold.runtime.running_count()
     }
 
     /// Clients currently associated with this station.
     pub fn connected_clients(&self) -> Vec<ClientId> {
-        let mut v: Vec<ClientId> = self.clients.keys().copied().collect();
+        let mut v: Vec<ClientId> = self.cold.clients.keys().copied().collect();
         v.sort();
         v
     }
@@ -288,25 +305,25 @@ impl Agent {
 
     /// Read access to the container runtime.
     pub fn runtime(&self) -> &ContainerRuntime {
-        &self.runtime
+        &self.cold.runtime
     }
 
     /// Total commands handled from the Manager.
     pub fn commands_handled(&self) -> u64 {
-        self.commands_handled
+        self.cold.commands_handled
     }
 
     /// The station's current soft-state generation (bumped per crash).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.cold.generation
     }
 
     /// This station's fault-injection counters, with the current soft-state
     /// generation stamped in.
     pub fn chaos_telemetry(&self) -> ChaosTelemetry {
         ChaosTelemetry {
-            generation: self.generation,
-            ..self.chaos
+            generation: self.cold.generation,
+            ..self.cold.chaos
         }
     }
 
@@ -323,16 +340,16 @@ impl Agent {
         for chain in chain_ids {
             let _ = self.remove_chain(chain);
         }
-        self.clients.clear();
+        self.cold.clients.clear();
         self.switch.flush_flow_cache();
         self.switch.clear_mac_table();
         self.switch.invalidate_caches();
-        self.generation += 1;
-        self.chaos.crashes += 1;
+        self.cold.generation += 1;
+        self.cold.chaos.crashes += 1;
         // The manager's held keyframe describes pre-crash state: the next
         // report must open a new generation (chaos-safe forced resync).
         self.report_hints = SectionHints::all();
-        if let Some(encoder) = &mut self.delta {
+        if let Some(encoder) = &mut self.cold.delta {
             encoder.force_resync();
         }
     }
@@ -346,7 +363,7 @@ impl Agent {
             agent: self.config.agent,
             station: self.config.station,
             host_class: self.config.host_class,
-            capacity: self.runtime.capacity(),
+            capacity: self.cold.runtime.capacity(),
         }
     }
 
@@ -366,7 +383,7 @@ impl Agent {
             });
             self.switch.steering_mut().remove_chain(mac, chain);
         }
-        self.chaos.steering_churn_rules += rules;
+        self.cold.chaos.steering_churn_rules += rules;
         self.report_hints.chaos = true;
         self.report_hints.traffic = true;
     }
@@ -378,7 +395,7 @@ impl Agent {
         for _ in 0..floods {
             self.switch.invalidate_caches();
         }
-        self.chaos.cache_invalidations += floods;
+        self.cold.chaos.cache_invalidations += floods;
         self.report_hints.chaos = true;
         self.report_hints.traffic = true;
     }
@@ -390,14 +407,14 @@ impl Agent {
         mac: MacAddr,
         ip: Ipv4Addr,
     ) -> Vec<AgentToManager> {
-        self.clients.insert(client, (mac, ip));
+        self.cold.clients.insert(client, (mac, ip));
         self.report_hints.clients = true;
         vec![AgentToManager::ClientConnected { client, mac, ip }]
     }
 
     /// Handles a client leaving this station's cell.
     pub fn client_disassociated(&mut self, client: ClientId) -> Vec<AgentToManager> {
-        if self.clients.remove(&client).is_none() {
+        if self.cold.clients.remove(&client).is_none() {
             return Vec::new();
         }
         self.report_hints.clients = true;
@@ -407,7 +424,7 @@ impl Agent {
     /// Handles a command from the Manager, returning the messages to send
     /// back.
     pub fn handle_manager_msg(&mut self, msg: ManagerToAgent, now: SimTime) -> Vec<AgentToManager> {
-        self.commands_handled += 1;
+        self.cold.commands_handled += 1;
         let migration = msg.migration();
         let (chain, result) = match msg {
             ManagerToAgent::RegisterAck { .. } => return self.drain_nf_notifications(now),
@@ -549,12 +566,11 @@ impl Agent {
     /// reporting is enabled. Either way the station state is assembled into
     /// the persistent scratch buffer, not a fresh allocation per interval.
     pub fn make_report(&mut self, now: SimTime) -> AgentToManager {
-        self.reports_sent += 1;
         self.fill_scratch_report(now);
-        match &mut self.delta {
-            None => AgentToManager::Report(self.scratch.clone()),
+        match &mut self.cold.delta {
+            None => AgentToManager::Report(Box::new(self.cold.scratch.clone())),
             Some(encoder) => {
-                let frame = encoder.encode_with_hints(&self.scratch, self.report_hints);
+                let frame = encoder.encode_with_hints(&self.cold.scratch, self.report_hints);
                 if frame.is_keyframe() {
                     // The keyframe snapshot now equals the current state:
                     // every section is clean until the next mutation.
@@ -568,10 +584,11 @@ impl Agent {
     /// Refreshes the scratch report in place with the station's current
     /// state, reusing the buffer's vector capacity across intervals.
     fn fill_scratch_report(&mut self, now: SimTime) {
-        let capacity = self.runtime.capacity();
-        let used = self.runtime.used();
+        let capacity = self.cold.runtime.capacity();
+        let used = self.cold.runtime.used();
         let counters = self.switch.aggregate_counters(|_| true);
-        let report = &mut *self.scratch;
+        let cold = &mut *self.cold;
+        let report = &mut cold.scratch;
         report.station = self.config.station;
         report.agent = self.config.agent;
         report.produced_at = now;
@@ -588,12 +605,12 @@ impl Agent {
         report.connected_clients.clear();
         report
             .connected_clients
-            .extend(self.clients.keys().copied());
+            .extend(cold.clients.keys().copied());
         report.connected_clients.sort();
-        report.running_nfs = self.runtime.running_count();
+        report.running_nfs = cold.runtime.running_count();
         // The cache only ever receives images of this Agent's own
         // catalogue, so its size is the number of catalogue images cached.
-        report.cached_images = self.runtime.cached_image_count();
+        report.cached_images = cold.runtime.cached_image_count();
         report.flow_cache = gnf_telemetry::FlowCacheTelemetry {
             stats: self.switch.flow_cache_stats(),
             entries: self.switch.flow_cache_len(),
@@ -605,8 +622,8 @@ impl Agent {
         };
         report.batches = self.batch_sizes.clone();
         report.chaos = ChaosTelemetry {
-            generation: self.generation,
-            ..self.chaos
+            generation: cold.generation,
+            ..cold.chaos
         };
     }
 
@@ -674,6 +691,7 @@ impl Agent {
         Spine {
             switch: &mut self.switch,
             chains: &mut self.chains,
+            raised: &mut self.raised,
             trace: &mut self.trace,
             flight: &mut self.flight,
             station: self.config.station.raw(),
@@ -686,25 +704,30 @@ impl Agent {
     /// Drains pending NF events into `NfNotification` messages for the
     /// Manager, in `ChainId` order (each chain's events in NF order), so the
     /// Manager's notification log does not depend on the chain table's
-    /// per-process hash order.
+    /// order. Only the chains whose NFs raised an event since the last drain
+    /// are visited: a drain after an uneventful batch is O(1) and allocates
+    /// nothing.
     pub fn drain_nf_notifications(&mut self, _now: SimTime) -> Vec<AgentToManager> {
         let mut out = Vec::new();
-        for deployed in self.chains.values_mut() {
+        if self.raised.is_empty() {
+            return out;
+        }
+        self.raised.sort_unstable();
+        self.raised.dedup();
+        for chain in self.raised.drain(..) {
+            // A chain removed since it raised took its events with it.
+            let Some(deployed) = self.chains.get_mut(&chain) else {
+                continue;
+            };
             for (nf_name, event) in deployed.chain.drain_events() {
                 out.push(AgentToManager::NfNotification {
-                    chain: deployed.chain_id,
+                    chain,
                     client: deployed.client,
                     nf_name,
                     event,
                 });
             }
         }
-        // Stable, and sorting what was collected (not the chain ids up
-        // front) keeps the idle drain allocation-free.
-        out.sort_by_key(|message| match message {
-            AgentToManager::NfNotification { chain, .. } => Some(*chain),
-            _ => None,
-        });
         out
     }
 
@@ -737,7 +760,7 @@ impl Agent {
         // `deploy()`, so the restore is charged through the cost model.
         let restore_latency = state.as_ref().map_or(SimDuration::ZERO, |state| {
             let bytes = state.iter().map(|s| s.approximate_size_bytes()).sum();
-            self.runtime.cost_model().restore_time(bytes)
+            self.cold.runtime.cost_model().restore_time(bytes)
         });
         if let Some(existing) = self.chains.get_mut(&chain_id) {
             return match state {
@@ -753,8 +776,9 @@ impl Agent {
         let mut containers = Vec::with_capacity(specs.len());
         let mut chain = NfChain::new(&format!("chain-{}", chain_id.raw()));
         for spec in specs {
-            let image = self.repository.by_name(spec.image_name())?;
-            let deployed = self
+            let cold = &mut *self.cold;
+            let image = cold.repository.by_name(spec.image_name())?;
+            let deployed = cold
                 .runtime
                 .deploy(&spec.name, image, spec.container_footprint())?;
             total_latency += deployed.total_duration;
@@ -810,8 +834,8 @@ impl Agent {
         for handle in deployed.containers {
             self.switch.disconnect_container(handle);
             // Stop might fail if never started; ignore state errors, always remove.
-            let _ = self.runtime.stop(handle);
-            let _ = self.runtime.remove(handle);
+            let _ = self.cold.runtime.stop(handle);
+            let _ = self.cold.runtime.remove(handle);
         }
         Ok(())
     }
@@ -847,7 +871,7 @@ impl Agent {
         let state = deployed.chain.export_state();
         let state_bytes: usize = state.iter().map(|s| s.approximate_size_bytes()).sum();
         let latency =
-            Self::checkpoint_latency(&mut self.runtime, &deployed.containers, state_bytes)?;
+            Self::checkpoint_latency(&mut self.cold.runtime, &deployed.containers, state_bytes)?;
         if retain {
             deployed.precopy_baseline = Some(state.clone());
         }
@@ -884,7 +908,7 @@ impl Agent {
         // bytes, not the full table — that is the whole point of pre-copy.
         let delta_bytes: usize = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
         let latency =
-            Self::checkpoint_latency(&mut self.runtime, &deployed.containers, delta_bytes)?;
+            Self::checkpoint_latency(&mut self.cold.runtime, &deployed.containers, delta_bytes)?;
         Ok((deltas, latency))
     }
 
@@ -913,7 +937,7 @@ impl Agent {
         }
         let delta_bytes: usize = deltas.iter().map(|d| d.approximate_size_bytes()).sum();
         deployed.chain.apply_state_deltas(&deltas)?;
-        let latency = self.runtime.cost_model().restore_time(delta_bytes);
+        let latency = self.cold.runtime.cost_model().restore_time(delta_bytes);
         deployed.staged = false;
         deployed.ready_at = Some(now + latency);
         let (client, client_mac, selector) =
@@ -932,7 +956,8 @@ impl Agent {
 /// plus the batch's ingress port and virtual timestamp.
 struct Spine<'a> {
     switch: &'a mut SoftwareSwitch,
-    chains: &'a mut PathMap<ChainId, DeployedChain>,
+    chains: &'a mut InlineMap<ChainId, DeployedChain>,
+    raised: &'a mut Vec<ChainId>,
     trace: &'a mut TraceSink,
     flight: &'a mut FlightRecorder,
     station: u64,
@@ -1017,6 +1042,9 @@ impl Spine<'_> {
                         (megaflow, Some(deployed)) => {
                             let ctx = NfContext::for_client(now, deployed.client);
                             let verdict = deployed.chain.process(packet, direction, &ctx);
+                            if ctx.raised_event() && self.raised.last() != Some(&rule.chain) {
+                                self.raised.push(rule.chain);
+                            }
                             // Seal the slow-path seed into a wildcard entry:
                             // a certified forward or drop bypass when the
                             // chain vouches for this packet's processing,
@@ -1295,12 +1323,106 @@ mod tests {
         ));
     }
 
-    /// The chain table is a `PathMap` whose iteration order differs from
-    /// one Agent to the next (each map is salted in debug builds, where
-    /// this test runs); what reaches the Manager
-    /// must not. With two chains the unsorted drain is in id order by
-    /// chance half the time, so 32 fresh Agents all agreeing by chance has
-    /// probability 2^-32.
+    /// The drain before it kept the list of chains that raised: every
+    /// chain, every NF, sorted by chain. The O(1) drain's oracle.
+    fn drain_by_walk(agent: &mut Agent) -> Vec<AgentToManager> {
+        let mut out = Vec::new();
+        for deployed in agent.chains.values_mut() {
+            for (nf_name, event) in deployed.chain.drain_events() {
+                out.push(AgentToManager::NfNotification {
+                    chain: deployed.chain_id,
+                    client: deployed.client,
+                    nf_name,
+                    event,
+                });
+            }
+        }
+        out.sort_by_key(|message| match message {
+            AgentToManager::NfNotification { chain, .. } => Some(*chain),
+            _ => None,
+        });
+        out
+    }
+
+    proptest::proptest! {
+        /// On generated patterns of NF events — blocked requests, rate-limit
+        /// trips, SYN floods and signature hits on three clients' chains,
+        /// interleaved with drains, chain removals and redeploys — the drain
+        /// that visits only the chains that raised returns what a walk over
+        /// every chain and NF returns, in the same order, and leaves nothing
+        /// to visit.
+        #[test]
+        fn the_raised_chain_drain_equals_a_walk_over_every_chain(
+            ops in proptest::collection::vec((0u8..9, 0u8..3), 1..80)
+        ) {
+            use gnf_nf::ids::IdsConfig;
+            use gnf_nf::rate_limiter::RateLimiterConfig;
+            use gnf_nf::NfConfig;
+            let specs = vec![
+                sample_specs()[1].clone(),
+                NfSpec::new("rl", NfConfig::RateLimiter(RateLimiterConfig::per_client(2_000.0, 3_000.0))),
+                NfSpec::new("ids", NfConfig::Ids(IdsConfig { syn_flood_threshold: 3, ..IdsConfig::default() })),
+            ];
+            let server = MacAddr::derived(0xA0, 1);
+            let dst = Ipv4Addr::new(203, 0, 113, 11);
+            let client = |ix: u8| {
+                let mac = MacAddr::derived(1, u32::from(ix));
+                (ClientId::new(u64::from(ix)), ChainId::new(7 - u64::from(ix)), mac, Ipv4Addr::new(172, 16, 0, 2 + ix))
+            };
+            let (mut fast, _) = agent();
+            let (mut walk, _) = agent();
+            let deploy = |agent: &mut Agent, ix: u8, now: SimTime| {
+                let (id, chain, mac, _) = client(ix);
+                let _ = agent.deploy_chain(chain, id, mac, &specs, TrafficSelector::all(), None, false, now);
+            };
+            for agent in [&mut fast, &mut walk] {
+                for ix in 0..3 {
+                    let (id, _, mac, ip) = client(ix);
+                    agent.client_associated(id, mac, ip);
+                    deploy(agent, ix, SimTime::from_secs(1));
+                }
+            }
+            for (step, (op, ix)) in ops.into_iter().enumerate() {
+                let now = SimTime::from_secs(2) + SimDuration::from_millis(100 * step as u64);
+                let (_, chain, mac, ip) = client(ix);
+                let port = 40_000 + step as u16;
+                let packet = match op {
+                    0 => Some(builder::http_get(mac, server, ip, dst, port, "ads.example", "/x")),
+                    1 => Some(builder::http_get(mac, server, ip, dst, port, "ok.example", "/")),
+                    2 => Some(builder::tcp_data(mac, server, ip, dst, port, 443, &[0xAB; 1_400])),
+                    3 => Some(builder::tcp_syn(mac, server, ip, dst, port, 80)),
+                    4 => Some(builder::tcp_data(mac, server, ip, dst, port, 443, b"..MALWARE-TEST-SIGNATURE..")),
+                    _ => None,
+                };
+                match (op, packet) {
+                    (_, Some(packet)) => {
+                        let fast_outcome = upstream(&mut fast, packet.clone(), now);
+                        proptest::prop_assert_eq!(fast_outcome, upstream(&mut walk, packet, now));
+                    }
+                    (5 | 6, None) => {
+                        proptest::prop_assert_eq!(fast.drain_nf_notifications(now), drain_by_walk(&mut walk));
+                        proptest::prop_assert!(fast.raised.is_empty());
+                    }
+                    (7, None) => {
+                        let _ = fast.remove_chain(chain);
+                        let _ = walk.remove_chain(chain);
+                    }
+                    _ => {
+                        deploy(&mut fast, ix, now);
+                        deploy(&mut walk, ix, now);
+                    }
+                }
+            }
+            let now = SimTime::from_secs(60);
+            proptest::prop_assert_eq!(fast.drain_nf_notifications(now), drain_by_walk(&mut walk));
+        }
+    }
+
+    /// The chains raise in batch order (chain 9 before chain 4) and the
+    /// chain table iterates in an order that differs from one Agent to the
+    /// next (each inline map starts at its own slot in debug builds, where
+    /// this test runs); what reaches the Manager follows neither, on every
+    /// one of 32 fresh Agents.
     #[test]
     fn notifications_drain_in_chain_id_order_on_every_agent() {
         let server = MacAddr::derived(0xA0, 1);
@@ -2301,10 +2423,11 @@ mod tests {
         let (mut agent, _) = agent();
         let walk = |agent: &Agent| {
             agent
+                .cold
                 .repository
                 .images()
                 .iter()
-                .filter(|image| agent.runtime.is_image_cached(image))
+                .filter(|image| agent.cold.runtime.is_image_cached(image))
                 .count()
         };
         let reported = |agent: &mut Agent, secs: u64| {
@@ -2353,7 +2476,6 @@ mod tests {
         let (mut full, _) = agent();
         let (mut delta, _) = agent();
         delta.set_delta_reporting(2);
-        assert!(delta.delta_reporting());
         let mut store = MonitoringStore::new(SimDuration::from_secs(2), 3);
 
         let drive = |a: &mut Agent, step: u64| {

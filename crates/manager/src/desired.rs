@@ -4,9 +4,10 @@
 //! of each chain — together with the secondary indexes that make
 //! reconciliation cheap at fleet scale:
 //!
-//! * `by_client` — which chains follow each client, in chain order, so a
-//!   roam touches only that client's chains instead of scanning the fleet
-//!   (only ever point-accessed, so a hashed map of sorted lists);
+//! * `by_client` — which chains follow each client, so a roam touches only
+//!   that client's chains instead of scanning the fleet (only ever
+//!   point-accessed, so a hashed map of small sets, held inline in the
+//!   client's bucket: a packet's gap check reads it);
 //! * `by_station` — which chains the Manager believes are *observed* on each
 //!   station, so a crash/rejoin resets only that station's chains;
 //! * `window_events` — the future activation-window boundaries, ordered by
@@ -21,14 +22,14 @@
 //! `O(attachments)`.
 
 use crate::manager::AttachmentRecord;
-use gnf_types::{ChainId, ClientId, PathMap, SimTime, StationId};
+use gnf_types::{ChainId, ClientId, InlineMap, PathMap, SimTime, StationId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The attachment table plus the reconciliation indexes.
 #[derive(Debug, Default)]
 pub(crate) struct DesiredState {
     attachments: BTreeMap<ChainId, AttachmentRecord>,
-    by_client: PathMap<ClientId, Vec<ChainId>>,
+    by_client: PathMap<ClientId, InlineMap<ChainId, ()>>,
     by_station: BTreeMap<StationId, BTreeSet<ChainId>>,
     window_events: BTreeSet<(SimTime, ChainId)>,
     dirty: BTreeSet<ChainId>,
@@ -56,10 +57,10 @@ impl DesiredState {
         if let Some(old) = self.attachments.remove(&chain) {
             self.unindex(&old);
         }
-        let chains = self.by_client.entry(attachment.client).or_default();
-        if let Err(at) = chains.binary_search(&chain) {
-            chains.insert(at, chain);
-        }
+        self.by_client
+            .entry(attachment.client)
+            .or_default()
+            .insert(chain, ());
         if let Some(station) = attachment.station {
             self.by_station.entry(station).or_default().insert(chain);
         }
@@ -80,9 +81,7 @@ impl DesiredState {
 
     fn unindex(&mut self, old: &AttachmentRecord) {
         if let Some(chains) = self.by_client.get_mut(&old.client) {
-            if let Ok(at) = chains.binary_search(&old.chain) {
-                chains.remove(at);
-            }
+            chains.remove(&old.chain);
             if chains.is_empty() {
                 self.by_client.remove(&old.client);
             }
@@ -130,21 +129,23 @@ impl DesiredState {
         Some(result)
     }
 
-    /// The chains following `client`, in chain order, straight off the
-    /// `by_client` index: one hashed probe, no allocation.
-    pub(crate) fn chains_of(&self, client: ClientId) -> &[ChainId] {
-        self.by_client.get(&client).map_or(&[], Vec::as_slice)
+    /// The chains following `client`, in unspecified order, straight off
+    /// the `by_client` index: one hashed probe, no allocation.
+    pub(crate) fn chains_of(&self, client: ClientId) -> impl Iterator<Item = ChainId> + '_ {
+        self.by_client
+            .get(&client)
+            .into_iter()
+            .flat_map(|chains| chains.keys().copied())
     }
 
-    /// The attachments following `client`, in chain order, through
+    /// The attachments following `client`, in unspecified order, through
     /// [`DesiredState::chains_of`].
     pub(crate) fn attachments_of(
         &self,
         client: ClientId,
     ) -> impl Iterator<Item = &AttachmentRecord> {
         self.chains_of(client)
-            .iter()
-            .filter_map(|chain| self.attachments.get(chain))
+            .filter_map(|chain| self.attachments.get(&chain))
     }
 
     /// Chains the Manager believes are placed on `station`, in chain order.
@@ -205,10 +206,9 @@ mod tests {
         state.insert(attachment(2, 10, Some(6)));
         state.insert(attachment(3, 11, None));
 
-        assert_eq!(
-            state.chains_of(ClientId::new(10)),
-            vec![ChainId::new(1), ChainId::new(2)]
-        );
+        let mut chains: Vec<ChainId> = state.chains_of(ClientId::new(10)).collect();
+        chains.sort();
+        assert_eq!(chains, vec![ChainId::new(1), ChainId::new(2)]);
         assert_eq!(
             state.chains_on_station(StationId::new(5)),
             vec![ChainId::new(1)]
@@ -223,7 +223,7 @@ mod tests {
         );
 
         state.remove(ChainId::new(1));
-        assert_eq!(state.chains_of(ClientId::new(10)), vec![ChainId::new(2)]);
+        assert!(state.chains_of(ClientId::new(10)).eq([ChainId::new(2)]));
         assert_eq!(
             state.chains_on_station(StationId::new(6)),
             vec![ChainId::new(2)]
@@ -272,7 +272,7 @@ mod tests {
         /// Index consistency is checked, not assumed: whatever sequence of
         /// inserts (fresh, replacing, client-changing), removes and station
         /// updates ran, both secondary indexes answer exactly what a filter
-        /// over the records answers, in chain order.
+        /// over the records answers (the by-client one in its own order).
         #[test]
         fn indexed_views_equal_a_filter_over_the_records(
             ops in proptest::collection::vec((0u8..3, 0u64..8, 0u64..5, 0u64..4), 0..60),
@@ -293,15 +293,18 @@ mod tests {
                     }
                 }
                 for client in (0..5).map(ClientId::new) {
-                    let indexed: Vec<ChainId> =
+                    let mut indexed: Vec<ChainId> =
                         state.attachments_of(client).map(|a| a.chain).collect();
+                    indexed.sort();
                     let filtered: Vec<ChainId> = state
                         .iter()
                         .filter(|a| a.client == client)
                         .map(|a| a.chain)
                         .collect();
                     prop_assert_eq!(&indexed, &filtered);
-                    prop_assert_eq!(state.chains_of(client), &filtered[..]);
+                    let mut chains: Vec<ChainId> = state.chains_of(client).collect();
+                    chains.sort();
+                    prop_assert_eq!(chains, filtered);
                 }
                 for station in (1..4).map(StationId::new) {
                     let filtered: Vec<ChainId> = state

@@ -808,15 +808,15 @@ impl Manager {
         self.desired.iter()
     }
 
-    /// The attachments following one client, in chain order — an index
-    /// lookup, not a filter over [`Manager::attachments`].
+    /// The attachments following one client, in unspecified order — an
+    /// index lookup, not a filter over [`Manager::attachments`].
     pub fn attachments_of(&self, client: ClientId) -> impl Iterator<Item = &AttachmentRecord> {
         self.desired.attachments_of(client)
     }
 
-    /// The ids of the chains following one client, in chain order: the
-    /// by-client index itself, without visiting the attachment records.
-    pub fn chains_of(&self, client: ClientId) -> &[ChainId] {
+    /// The ids of the chains following one client, in unspecified order:
+    /// the by-client index itself, without visiting the attachment records.
+    pub fn chains_of(&self, client: ClientId) -> impl Iterator<Item = ChainId> + '_ {
         self.desired.chains_of(client)
     }
 
@@ -969,8 +969,11 @@ impl Manager {
         let mut actions = Vec::new();
 
         // Every chain attached to this client must now run on `station` —
-        // found through the by-client index, not a fleet scan.
-        for chain in self.desired.chains_of(client).to_vec() {
+        // found through the by-client index, not a fleet scan, and handled
+        // in chain order, so the commands' order is not the index's.
+        let mut chains: Vec<ChainId> = self.desired.chains_of(client).collect();
+        chains.sort_unstable();
+        for chain in chains {
             // A chain collected above may have been detached by an earlier
             // iteration's actions; skip rather than panic.
             let Some(attachment) = self.desired.get(chain).cloned() else {

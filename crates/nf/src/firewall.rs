@@ -18,7 +18,7 @@ use crate::nf::{
 use crate::spec::NfKind;
 use crate::state::{NfStateDelta, NfStateSnapshot, StateTable};
 use gnf_packet::{builder, FieldMask, FiveTuple, IpProtocol, MaskedTuple, Packet, TcpFlags};
-use gnf_types::{PathMap, SimTime};
+use gnf_types::{InlineMap, PathMap, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
@@ -279,8 +279,11 @@ pub struct Firewall {
     name: String,
     config: FirewallConfig,
     conntrack: PathMap<FiveTuple, SimTime>,
-    /// Rule indices keyed by `(protocol number, exact destination port)`.
-    exact_index: PathMap<(u8, u16), Vec<usize>>,
+    /// The span of `exact_rules` holding each `(protocol number, exact
+    /// destination port)` bucket. A demo firewall's few buckets stay inline.
+    exact_index: InlineMap<(u8, u16), (usize, usize)>,
+    /// Indexed rule indices, bucket by bucket, each bucket in rule order.
+    exact_rules: Vec<usize>,
     /// Rule indices that cannot be pre-bucketed, in rule order.
     residual_rules: Vec<usize>,
     rule_hits: Vec<u64>,
@@ -295,7 +298,7 @@ impl Firewall {
     /// Creates a firewall from its configuration.
     pub fn new(name: &str, config: FirewallConfig) -> Self {
         let rule_count = config.rules.len();
-        let mut exact_index: PathMap<(u8, u16), Vec<usize>> = PathMap::default();
+        let mut exact = Vec::new();
         let mut residual_rules = Vec::new();
         for (ix, rule) in config.rules.iter().enumerate() {
             let protocol = match rule.protocol {
@@ -305,17 +308,28 @@ impl Firewall {
                 ProtocolMatch::Any => None,
             };
             match (protocol, rule.dst_port) {
-                (Some(proto), PortMatch::Exact(port)) => {
-                    exact_index.entry((proto, port)).or_default().push(ix);
-                }
+                (Some(proto), PortMatch::Exact(port)) => exact.push(((proto, port), ix)),
                 _ => residual_rules.push(ix),
             }
         }
+        // Stable: a bucket keeps its rules in rule order.
+        exact.sort_by_key(|(key, _)| *key);
+        let mut exact_index = InlineMap::new();
+        for (at, (key, _)) in exact.iter().enumerate() {
+            match exact_index.get_mut(key) {
+                Some((_, end)) => *end = at + 1,
+                None => {
+                    exact_index.insert(*key, (at, at + 1));
+                }
+            }
+        }
+        let exact_rules = exact.into_iter().map(|(_, ix)| ix).collect();
         Firewall {
             name: name.to_string(),
             config,
             conntrack: PathMap::default(),
             exact_index,
+            exact_rules,
             residual_rules,
             rule_hits: vec![0; rule_count],
             default_hits: 0,
@@ -382,8 +396,7 @@ impl Firewall {
         let bucket: &[usize] = self
             .exact_index
             .get(&(tuple.protocol.value(), tuple.dst_port))
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
+            .map_or(&[], |&(start, end)| &self.exact_rules[start..end]);
         let mut bucket_ix = 0;
         let mut residual_ix = 0;
         loop {

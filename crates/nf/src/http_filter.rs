@@ -136,7 +136,7 @@ impl NetworkFunction for HttpFilter {
         NfKind::HttpFilter
     }
 
-    fn process(&mut self, packet: Packet, direction: Direction, _ctx: &NfContext) -> Verdict {
+    fn process(&mut self, packet: Packet, direction: Direction, ctx: &NfContext) -> Verdict {
         self.stats.record_in(packet.len());
 
         // Only client→network traffic carries requests worth inspecting.
@@ -157,10 +157,10 @@ impl NetworkFunction for HttpFilter {
         let verdict = match blocked_url {
             Some(url) => {
                 self.blocked_requests += 1;
-                self.events.push(NfEvent::warning(
-                    "blocked-url",
-                    format!("blocked HTTP request to {url}"),
-                ));
+                ctx.raise(
+                    &mut self.events,
+                    NfEvent::warning("blocked-url", format!("blocked HTTP request to {url}")),
+                );
                 if self.config.respond_with_403 {
                     let tuple = packet
                         .five_tuple()

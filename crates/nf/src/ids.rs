@@ -105,7 +105,7 @@ impl Ids {
     /// signature matching. Works entirely off the fast header scan
     /// (`tcp_flags`/`five_tuple`/raw payload), so the pass-through path
     /// never materializes the packet's typed layer view.
-    fn inspect(&mut self, packet: Packet) -> Verdict {
+    fn inspect(&mut self, packet: Packet, ctx: &NfContext) -> Verdict {
         // SYN-flood detection.
         if let Some(flags) = packet.tcp_flags() {
             if flags.syn && !flags.ack {
@@ -118,13 +118,16 @@ impl Ids {
                 if *count == self.config.syn_flood_threshold && !self.alerted_sources.contains(&src)
                 {
                     self.alerted_sources.push(src);
-                    self.events.push(NfEvent::alert(
-                        "syn-flood",
-                        format!(
-                            "{} sent {} SYNs within {}s",
-                            src, count, self.config.window_secs
+                    ctx.raise(
+                        &mut self.events,
+                        NfEvent::alert(
+                            "syn-flood",
+                            format!(
+                                "{} sent {} SYNs within {}s",
+                                src, count, self.config.window_secs
+                            ),
                         ),
-                    ));
+                    );
                 }
             }
         }
@@ -136,10 +139,13 @@ impl Ids {
                 .unwrap_or(false);
         if signature_hit {
             self.signature_matches += 1;
-            self.events.push(NfEvent::alert(
-                "malware-signature",
-                format!("payload signature matched in {}", packet.summary()),
-            ));
+            ctx.raise(
+                &mut self.events,
+                NfEvent::alert(
+                    "malware-signature",
+                    format!("payload signature matched in {}", packet.summary()),
+                ),
+            );
             if self.config.block_on_signature {
                 return Verdict::Drop("malicious payload signature".into());
             }
@@ -177,7 +183,7 @@ impl NetworkFunction for Ids {
     fn process(&mut self, packet: Packet, _direction: Direction, ctx: &NfContext) -> Verdict {
         self.stats.record_in(packet.len());
         self.roll_window(ctx.now);
-        let verdict = self.inspect(packet);
+        let verdict = self.inspect(packet, ctx);
         self.stats.record_verdict(&verdict);
         verdict
     }

@@ -14,6 +14,7 @@ use gnf_packet::{FieldMask, Packet};
 use gnf_types::{ClientId, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cell::Cell;
 
 /// Which side of the client's traffic a packet was captured on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -77,26 +78,46 @@ impl Verdict {
 }
 
 /// Per-packet context handed to the NF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NfContext {
     /// Current virtual time.
     pub now: SimTime,
     /// The client this NF instance is attached to, when known.
     pub client: Option<ClientId>,
+    /// Set once an NF queued an event through [`NfContext::raise`].
+    raised: Cell<bool>,
 }
 
 impl NfContext {
     /// Context with just a timestamp.
     pub fn at(now: SimTime) -> Self {
-        NfContext { now, client: None }
+        NfContext {
+            now,
+            client: None,
+            raised: Cell::new(false),
+        }
     }
 
     /// Context with a timestamp and client.
     pub fn for_client(now: SimTime, client: ClientId) -> Self {
         NfContext {
-            now,
             client: Some(client),
+            ..NfContext::at(now)
         }
+    }
+
+    /// Queues `event` on an NF's pending `events` — the queue its
+    /// [`NetworkFunction::drain_events`] hands over — and notes on this
+    /// context that an event is pending, so the caller knows which chains a
+    /// drain must visit without walking the idle ones.
+    pub fn raise(&self, events: &mut Vec<NfEvent>, event: NfEvent) {
+        events.push(event);
+        self.raised.set(true);
+    }
+
+    /// True once an NF processing under this context raised an event.
+    pub fn raised_event(&self) -> bool {
+        self.raised.get()
     }
 }
 
@@ -385,7 +406,9 @@ pub trait NetworkFunction: Send {
         apply_delta_via_export(self, delta);
     }
 
-    /// Drains any pending events to be relayed to the Manager.
+    /// Drains any pending events to be relayed to the Manager. An NF queues
+    /// them during [`NetworkFunction::process`] with [`NfContext::raise`]
+    /// only: the Agent drains just the chains a context saw raise.
     ///
     /// The default implementation returns no events.
     fn drain_events(&mut self) -> Vec<NfEvent> {

@@ -174,10 +174,13 @@ impl NetworkFunction for RateLimiter {
             self.dropped_bytes += packet.len() as u64;
             if !self.limit_engaged {
                 self.limit_engaged = true;
-                self.events.push(NfEvent::warning(
-                    "rate-limit",
-                    format!("client exceeded {} B/s", self.config.rate_bytes_per_sec),
-                ));
+                ctx.raise(
+                    &mut self.events,
+                    NfEvent::warning(
+                        "rate-limit",
+                        format!("client exceeded {} B/s", self.config.rate_bytes_per_sec),
+                    ),
+                );
             }
             Verdict::Drop("rate limit exceeded".into())
         };

@@ -37,7 +37,6 @@ use crate::switch::{PortId, SwitchDecision};
 use gnf_packet::FiveTuple;
 pub use gnf_types::FlowCacheStats;
 use gnf_types::{MacAddr, PathMap};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Default maximum number of cached flows per switch.
@@ -245,27 +244,6 @@ impl FlowCache {
             self.entries.remove(&key);
             self.stats.evictions += 1;
         }
-    }
-}
-
-// The cache is derived runtime state: a serialized switch carries only the
-// capacity, and deserializing yields an empty cache that re-warms itself.
-impl Serialize for FlowCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(
-            "capacity".to_string(),
-            serde::Value::UInt(self.capacity as u64),
-        )])
-    }
-}
-
-impl Deserialize for FlowCache {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let capacity = value
-            .get("capacity")
-            .and_then(serde::Value::as_u64)
-            .unwrap_or(DEFAULT_FLOW_CACHE_CAPACITY as u64) as usize;
-        Ok(FlowCache::with_capacity(capacity))
     }
 }
 

@@ -56,8 +56,7 @@
 use crate::switch::{PortId, SwitchDecision};
 use gnf_packet::{FieldMask, FiveTuple};
 pub use gnf_types::MegaflowStats;
-use gnf_types::{MacAddr, PathMap};
-use serde::{Deserialize, Serialize};
+use gnf_types::{InlineMap, MacAddr};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -119,11 +118,13 @@ struct MegaflowEntry {
     stamp: u64,
 }
 
-/// One mask's hash table: all entries sharing a wildcard pattern.
+/// One mask's table: all entries sharing a wildcard pattern. A fleet
+/// station's mask holds one entry per (client, masked pattern), a handful,
+/// so they live inline in the table list's one block.
 #[derive(Debug, Clone)]
 struct MaskTable {
     mask: FieldMask,
-    entries: PathMap<MegaflowKey, MegaflowEntry>,
+    entries: InlineMap<MegaflowKey, MegaflowEntry>,
 }
 
 /// A successful wildcard lookup.
@@ -295,7 +296,7 @@ impl MegaflowCache {
             None => {
                 self.tables.push(MaskTable {
                     mask,
-                    entries: PathMap::default(),
+                    entries: InlineMap::new(),
                 });
                 self.tables.len() - 1
             }
@@ -375,27 +376,6 @@ impl MegaflowCache {
                 return;
             }
         }
-    }
-}
-
-// The cache is derived runtime state: a serialized switch carries only the
-// capacity, and deserializing yields an empty cache that re-warms itself.
-impl Serialize for MegaflowCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(
-            "capacity".to_string(),
-            serde::Value::UInt(self.capacity as u64),
-        )])
-    }
-}
-
-impl Deserialize for MegaflowCache {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let capacity = value
-            .get("capacity")
-            .and_then(serde::Value::as_u64)
-            .unwrap_or(0) as usize;
-        Ok(MegaflowCache::with_capacity(capacity))
     }
 }
 

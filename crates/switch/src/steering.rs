@@ -10,7 +10,7 @@
 //! migration possible.
 
 use gnf_packet::{FieldMask, IpProtocol, MaskedTuple, Packet};
-use gnf_types::{ChainId, ClientId, MacAddr, PathMap};
+use gnf_types::{ChainId, ClientId, InlineMap, MacAddr};
 use serde::{Deserialize, Serialize};
 
 /// Narrows a steering rule to a subset of the client's traffic.
@@ -93,11 +93,56 @@ pub struct SteeringRule {
     pub chain: ChainId,
 }
 
+/// One client MAC's rules, in insertion order. A client has one rule on
+/// every station but a mid-migration one, so the first is held inline.
+#[derive(Debug, Clone)]
+enum MacRules {
+    One(SteeringRule),
+    Many(Vec<SteeringRule>),
+}
+
+impl MacRules {
+    fn as_slice(&self) -> &[SteeringRule] {
+        match self {
+            MacRules::One(rule) => std::slice::from_ref(rule),
+            MacRules::Many(rules) => rules,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [SteeringRule] {
+        match self {
+            MacRules::One(rule) => std::slice::from_mut(rule),
+            MacRules::Many(rules) => rules,
+        }
+    }
+
+    fn push(&mut self, rule: SteeringRule) {
+        match self {
+            MacRules::One(first) => *self = MacRules::Many(vec![*first, rule]),
+            MacRules::Many(rules) => rules.push(rule),
+        }
+    }
+
+    /// Drops the rules pointing at `chain`; `None` when none is left.
+    fn without_chain(self, chain: ChainId) -> Option<MacRules> {
+        let mut rules = match self {
+            MacRules::One(rule) => return (rule.chain != chain).then_some(MacRules::One(rule)),
+            MacRules::Many(rules) => rules,
+        };
+        rules.retain(|r| r.chain != chain);
+        match rules[..] {
+            [] => None,
+            [rule] => Some(MacRules::One(rule)),
+            _ => Some(MacRules::Many(rules)),
+        }
+    }
+}
+
 /// The per-switch steering table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SteeringTable {
     /// Rules per client MAC, evaluated in insertion order (first match wins).
-    rules: PathMap<MacAddr, Vec<SteeringRule>>,
+    rules: InlineMap<MacAddr, MacRules>,
     /// Generation counter bumped on every change (used to verify atomicity of
     /// make-before-break updates in tests).
     generation: u64,
@@ -111,7 +156,12 @@ impl SteeringTable {
 
     /// Installs (or appends) a rule for a client. Returns the new generation.
     pub fn install(&mut self, rule: SteeringRule) -> u64 {
-        self.rules.entry(rule.client_mac).or_default().push(rule);
+        match self.rules.get_mut(&rule.client_mac) {
+            Some(rules) => rules.push(rule),
+            None => {
+                self.rules.insert(rule.client_mac, MacRules::One(rule));
+            }
+        }
         self.generation += 1;
         self.generation
     }
@@ -126,7 +176,7 @@ impl SteeringTable {
     ) -> usize {
         let mut changed = 0;
         if let Some(rules) = self.rules.get_mut(&client_mac) {
-            for rule in rules.iter_mut() {
+            for rule in rules.as_mut_slice() {
                 if rule.chain == old_chain {
                     rule.chain = new_chain;
                     changed += 1;
@@ -143,12 +193,12 @@ impl SteeringTable {
     /// rules were removed.
     pub fn remove_chain(&mut self, client_mac: MacAddr, chain: ChainId) -> usize {
         let mut removed = 0;
-        if let Some(rules) = self.rules.get_mut(&client_mac) {
-            let before = rules.len();
-            rules.retain(|r| r.chain != chain);
-            removed = before - rules.len();
-            if rules.is_empty() {
-                self.rules.remove(&client_mac);
+        if let Some(rules) = self.rules.remove(&client_mac) {
+            let before = rules.as_slice().len();
+            let kept = rules.without_chain(chain);
+            removed = before - kept.as_ref().map_or(0, |r| r.as_slice().len());
+            if let Some(kept) = kept {
+                self.rules.insert(client_mac, kept);
             }
         }
         if removed > 0 {
@@ -159,7 +209,10 @@ impl SteeringTable {
 
     /// Removes every rule of a client (e.g. when it disconnects).
     pub fn remove_client(&mut self, client_mac: MacAddr) -> usize {
-        let removed = self.rules.remove(&client_mac).map(|r| r.len()).unwrap_or(0);
+        let removed = self
+            .rules
+            .remove(&client_mac)
+            .map_or(0, |r| r.as_slice().len());
         if removed > 0 {
             self.generation += 1;
         }
@@ -188,7 +241,7 @@ impl SteeringTable {
     ) -> Option<(SteeringRule, bool)> {
         // Upstream: the packet's source MAC is a steered client.
         if let Some(rules) = self.rules.get(&packet.src_mac()) {
-            for rule in rules {
+            for rule in rules.as_slice() {
                 if rule.selector.matches_masked(packet, mask) {
                     return Some((*rule, true));
                 }
@@ -196,7 +249,7 @@ impl SteeringTable {
         }
         // Downstream: the packet's destination MAC is a steered client.
         if let Some(rules) = self.rules.get(&packet.dst_mac()) {
-            for rule in rules {
+            for rule in rules.as_slice() {
                 if rule.selector.matches_masked(packet, mask) {
                     return Some((*rule, false));
                 }
@@ -207,15 +260,12 @@ impl SteeringTable {
 
     /// All rules of a client.
     pub fn rules_for(&self, client_mac: MacAddr) -> &[SteeringRule] {
-        self.rules
-            .get(&client_mac)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.rules.get(&client_mac).map_or(&[], MacRules::as_slice)
     }
 
     /// Total number of rules.
     pub fn len(&self) -> usize {
-        self.rules.values().map(|v| v.len()).sum()
+        self.rules.values().map(|r| r.as_slice().len()).sum()
     }
 
     /// True when the table has no rules.

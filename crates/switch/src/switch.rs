@@ -39,7 +39,7 @@ use crate::flow_cache::{FlowCache, FlowCacheStats, FlowKey, DEFAULT_FLOW_CACHE_C
 use crate::megaflow::{BypassOutcome, MegaflowCache, MegaflowStats};
 use crate::steering::{SteeringRule, SteeringTable};
 use gnf_packet::{FieldMask, FiveTuple, Packet};
-use gnf_types::{GnfError, GnfResult, MacAddr, PathMap, SimTime};
+use gnf_types::{GnfError, GnfResult, InlineMap, MacAddr, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -227,27 +227,32 @@ pub struct BatchCursor {
 }
 
 /// The software switch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// `repr(C)` keeps the declared order: the fields a packet's classification
+/// reads come first, the tables a one-client station keeps inline among
+/// them, and the counters and settings only control paths read come last.
+#[derive(Debug, Clone)]
+#[repr(C)]
 pub struct SoftwareSwitch {
-    ports: Vec<Port>,
-    /// The id the next added port gets. Ids are never reused, so a removed
-    /// veth's id cannot alias a live port.
-    next_port: u32,
-    mac_table: PathMap<MacAddr, (PortId, SimTime)>,
-    steering: SteeringTable,
-    mac_aging: u64,
-    dropped_frames: u64,
     /// Bumped on any port or MAC-mapping change; pairs with the steering
     /// table's generation to validate flow-cache entries.
     topology_generation: u64,
+    mac_table: InlineMap<MacAddr, (PortId, SimTime)>,
+    steering: SteeringTable,
     flow_cache: FlowCache,
     /// The wildcard second-level cache probed on exact-match misses
     /// (disabled — capacity 0 — unless the owner opts in).
     megaflow: MegaflowCache,
+    ports: Vec<Port>,
     /// Memoized flood port set per ingress port (rebuilt after port changes).
-    flood_sets: PathMap<PortId, Arc<[PortId]>>,
+    flood_sets: InlineMap<PortId, Arc<[PortId]>>,
     /// The shared empty flood set (hairpin suppression).
     empty_flood: Arc<[PortId]>,
+    /// The id the next added port gets. Ids are never reused, so a removed
+    /// veth's id cannot alias a live port.
+    next_port: u32,
+    mac_aging: u64,
+    dropped_frames: u64,
 }
 
 /// Default MAC-table aging time in seconds (the classic 300 s bridge default).
@@ -273,17 +278,17 @@ impl SoftwareSwitch {
     /// Creates a switch whose flow cache is bounded to `capacity` entries.
     pub fn with_flow_cache_capacity(capacity: usize) -> Self {
         let mut sw = SoftwareSwitch {
-            ports: Vec::new(),
-            next_port: 0,
-            mac_table: PathMap::default(),
-            steering: SteeringTable::new(),
-            mac_aging: DEFAULT_MAC_AGING_SECS,
-            dropped_frames: 0,
             topology_generation: 0,
+            mac_table: InlineMap::new(),
+            steering: SteeringTable::new(),
             flow_cache: FlowCache::with_capacity(capacity),
             megaflow: MegaflowCache::with_capacity(0),
-            flood_sets: PathMap::default(),
+            ports: Vec::new(),
+            flood_sets: InlineMap::new(),
             empty_flood: Arc::from(Vec::new()),
+            next_port: 0,
+            mac_aging: DEFAULT_MAC_AGING_SECS,
+            dropped_frames: 0,
         };
         let client = sw.add_port("wlan0", PortKind::ClientAccess);
         let uplink = sw.add_port("uplink0", PortKind::Uplink);
@@ -393,12 +398,6 @@ impl SoftwareSwitch {
             total.tx_bytes += port.counters.tx_bytes;
         }
         total
-    }
-
-    /// Total traffic through the switch (rx over access + uplink ports).
-    pub fn total_rx_bytes(&self) -> u64 {
-        self.aggregate_counters(|p| matches!(p.kind, PortKind::ClientAccess | PortKind::Uplink))
-            .rx_bytes
     }
 
     /// Number of MAC-table entries.
@@ -1006,7 +1005,6 @@ mod tests {
         assert_eq!(access.rx_bytes, pkt.len() as u64);
         assert_eq!(uplink.tx_packets, 1);
         assert_eq!(uplink.tx_bytes, pkt.len() as u64);
-        assert_eq!(sw.total_rx_bytes(), pkt.len() as u64);
     }
 
     #[test]
