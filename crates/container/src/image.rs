@@ -38,11 +38,6 @@ impl NfImage {
     pub fn size_mb(&self) -> u64 {
         self.layers.iter().map(|l| l.size_mb).sum()
     }
-
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 /// The central NF image repository ("hub") that Agents pull from.
@@ -187,7 +182,6 @@ mod tests {
             assert_eq!(image.name, kind.image_name());
             assert!(image.size_mb() >= 6, "base layer plus NF layer");
             assert!(image.size_mb() <= 20, "container images stay small");
-            assert_eq!(image.layer_count(), 2);
             assert_eq!(repo.by_id(image.id).unwrap().name, image.name);
         }
     }

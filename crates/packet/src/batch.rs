@@ -70,11 +70,6 @@ impl PacketBatch {
     pub fn iter(&self) -> std::slice::Iter<'_, Packet> {
         self.packets.iter()
     }
-
-    /// Consumes the batch, returning the underlying vector.
-    pub fn into_vec(self) -> Vec<Packet> {
-        self.packets
-    }
 }
 
 impl From<Vec<Packet>> for PacketBatch {
@@ -153,9 +148,6 @@ mod tests {
             .map(|p| p.five_tuple().unwrap().src_port)
             .collect();
         assert_eq!(ports, vec![1000, 1001, 1002]);
-        let back: Vec<Packet> = batch.clone().into_vec();
-        assert_eq!(back.len(), 3);
-        assert_eq!(PacketBatch::from(back), batch);
     }
 
     #[test]

@@ -173,13 +173,6 @@ impl Rng {
     pub fn exponential_duration(&mut self, mean: SimDuration) -> SimDuration {
         SimDuration::from_secs_f64(self.exponential(mean.as_secs_f64()))
     }
-
-    /// A duration drawn from a normal distribution truncated at zero.
-    pub fn normal_duration(&mut self, mean: SimDuration, std_dev: SimDuration) -> SimDuration {
-        SimDuration::from_secs_f64(
-            self.normal_non_negative(mean.as_secs_f64(), std_dev.as_secs_f64()),
-        )
-    }
 }
 
 /// A Zipf distribution over the ranks `[0, n)` with exponent `s`, sampled by
@@ -440,8 +433,6 @@ mod tests {
             (avg_ms - 100.0).abs() < 5.0,
             "mean inter-arrival {avg_ms}ms"
         );
-        let d = rng.normal_duration(SimDuration::from_millis(50), SimDuration::from_millis(10));
-        assert!(d.as_millis() < 200);
     }
 
     #[test]

@@ -25,7 +25,6 @@ use bytes::Bytes;
 use gnf_types::{GnfError, GnfResult, SimTime};
 use std::io::{self, Read, Write};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
 
 /// The pcap link-layer type for Ethernet frames — the only linktype the GNF
 /// data plane speaks.
@@ -530,60 +529,6 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-// ------------------------------------------------------------ shared sink
-
-/// A cloneable in-memory byte sink for capturing traces whose writer is
-/// consumed by the emulator (e.g. a [`CaptureWorkload`] boxed into a run):
-/// keep one clone, hand the other to the writer, and [`take`] the bytes
-/// after the run.
-///
-/// [`CaptureWorkload`]: crate::source::CaptureWorkload
-/// [`take`]: SharedBuffer::take
-#[derive(Debug, Clone, Default)]
-pub struct SharedBuffer {
-    bytes: Arc<Mutex<Vec<u8>>>,
-}
-
-impl SharedBuffer {
-    /// Creates an empty shared buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the bytes accumulated so far, leaving the buffer empty.
-    pub fn take(&self) -> Vec<u8> {
-        // Poisoned only if a writer panicked mid-append; the bytes are then
-        // unusable, and so is the capture.
-        std::mem::take(&mut self.bytes.lock().expect("buffer lock poisoned"))
-    }
-
-    /// Number of bytes accumulated so far.
-    pub fn len(&self) -> usize {
-        // As in `take`: only a panicked writer poisons the lock.
-        self.bytes.lock().expect("buffer lock poisoned").len()
-    }
-
-    /// True when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Write for SharedBuffer {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // As in `take`: only a panicked writer poisons the lock.
-        self.bytes
-            .lock()
-            .expect("buffer lock poisoned")
-            .extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,16 +675,5 @@ mod tests {
         bytes.truncate(bytes.len() - 5);
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         assert!(reader.next_record().is_err());
-    }
-
-    #[test]
-    fn shared_buffer_accumulates_and_takes() {
-        let shared = SharedBuffer::new();
-        let mut clone = shared.clone();
-        assert!(shared.is_empty());
-        clone.write_all(b"abc").unwrap();
-        assert_eq!(shared.len(), 3);
-        assert_eq!(shared.take(), b"abc".to_vec());
-        assert!(shared.is_empty());
     }
 }

@@ -193,11 +193,7 @@ impl<R: Read> Workload for TraceWorkload<R> {
 }
 
 /// Tees a workload's frames into a trace writer as they are pulled, so any
-/// run — synthetic or replayed — can be captured to a golden trace. Wrap the
-/// source before handing it to the emulator and pair the writer with a
-/// [`SharedBuffer`] (or a file) to collect the bytes after the run.
-///
-/// [`SharedBuffer`]: crate::pcap::SharedBuffer
+/// run — synthetic or replayed — can be captured to a golden trace.
 pub struct CaptureWorkload<W: Workload, S: Write> {
     inner: W,
     writer: TraceWriter<S>,

@@ -12,8 +12,8 @@ use gnf_sim::Rng;
 use gnf_switch::TrafficSelector;
 use gnf_types::{GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId};
 use gnf_workload::{
-    ArrivalModel, CaptureWorkload, FlowSizeModel, Population, SharedBuffer, SyntheticSpec,
-    TraceFormat, TraceReader, TraceRecord, TraceWorkload, TraceWriter, TrafficMix, Workload,
+    ArrivalModel, CaptureWorkload, FlowSizeModel, Population, SyntheticSpec, TraceFormat,
+    TraceReader, TraceRecord, TraceWorkload, TraceWriter, TrafficMix, Workload,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -161,25 +161,35 @@ fn replay_scenario() -> Scenario {
     sb.build()
 }
 
+/// Everything `workload` yields, captured as a pcap.
+fn capture(workload: impl Workload) -> Vec<u8> {
+    let mut capture = CaptureWorkload::new(workload, TraceWriter::pcap(Vec::new()).unwrap());
+    while capture.next_batch().is_some() {}
+    let (_, writer) = capture.into_parts();
+    writer.into_inner().unwrap()
+}
+
+/// A seeded attack-mix run of the replay scenario, and the capture of the
+/// workload it ran: the same seeded generator, drained into a pcap.
 fn captured_run() -> (RunReport, Vec<u8>, Population) {
     let scenario = replay_scenario();
     let population = Population::from_topology(&scenario.topology);
-    let buffer = SharedBuffer::new();
-    let writer = TraceWriter::pcap(buffer.clone()).unwrap();
-    let synth = SyntheticSpec::new("captured", 99)
-        .starting_at(SimTime::from_secs(3))
-        .with_mix(TrafficMix::attack())
-        .with_flow_sizes(FlowSizeModel::Zipf {
-            max_packets: 80,
-            exponent: 1.2,
-        })
-        .with_packet_gap(SimDuration::from_millis(2))
-        .with_packet_budget(4_000)
-        .build(population.clone());
+    let synth = || {
+        SyntheticSpec::new("captured", 99)
+            .starting_at(SimTime::from_secs(3))
+            .with_mix(TrafficMix::attack())
+            .with_flow_sizes(FlowSizeModel::Zipf {
+                max_packets: 80,
+                exponent: 1.2,
+            })
+            .with_packet_gap(SimDuration::from_millis(2))
+            .with_packet_budget(4_000)
+            .build(population.clone())
+    };
     let mut emulator = Emulator::new(scenario);
-    emulator.add_workload(Box::new(CaptureWorkload::new(synth, writer)));
+    emulator.add_workload(Box::new(synth()));
     let report = emulator.run();
-    (report, buffer.take(), population)
+    (report, capture(synth()), population)
 }
 
 #[test]
@@ -228,8 +238,5 @@ fn capture_of_a_replay_is_byte_identical() {
         population.clients_by_mac(),
     )
     .unwrap();
-    let buffer = SharedBuffer::new();
-    let mut capture = CaptureWorkload::new(replay, TraceWriter::pcap(buffer.clone()).unwrap());
-    while capture.next_batch().is_some() {}
-    assert_eq!(buffer.take(), bytes);
+    assert_eq!(capture(replay), bytes);
 }
