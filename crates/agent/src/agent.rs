@@ -137,7 +137,8 @@ pub struct Agent {
     /// Seeded flow-sampled flight recorder. Disabled by default.
     flight: FlightRecorder,
     /// Chains whose NFs raised an event since the last drain, in raise
-    /// order, repeats included: all a drain visits.
+    /// order (a chain raising right after itself is listed once): all a
+    /// drain visits.
     raised: Vec<ChainId>,
     switch: SoftwareSwitch,
     chains: InlineMap<ChainId, DeployedChain>,

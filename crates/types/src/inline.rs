@@ -114,11 +114,6 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
         }
     }
 
-    /// True when `key` has an entry.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Stores `value` under `key`, returning the value it replaced. The
     /// entry that would be the `INLINE_ENTRIES + 1`-th spills the map.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {

@@ -51,7 +51,7 @@ fn replay(ops: Vec<(u8, u8, u32)>) -> bool {
         }
         assert_eq!(map.len(), oracle.len());
         assert_eq!(map.is_empty(), oracle.is_empty());
-        assert_eq!(map.contains_key(&key), oracle.contains_key(&key));
+        assert_eq!(map.get(&key), oracle.get(&key));
         let expected = sorted(oracle.iter());
         assert_eq!(sorted(map.iter()), expected);
         let mut keys: Vec<u8> = map.keys().copied().collect();
