@@ -130,6 +130,7 @@ pub struct Agent {
     /// hints only — the encoder still compares hinted sections, and clears
     /// the bits when a keyframe resynchronises the stream.
     report_hints: SectionHints,
+    config: AgentConfig,
     batch_sizes: BatchTelemetry,
     /// Data-plane event sink (batch flushes, megaflow seals/evictions).
     /// Disabled by default: one branch on the hot path, nothing recorded.
@@ -142,7 +143,6 @@ pub struct Agent {
     raised: Vec<ChainId>,
     switch: SoftwareSwitch,
     chains: InlineMap<ChainId, DeployedChain>,
-    config: AgentConfig,
     cold: Box<AgentCold>,
 }
 
@@ -196,13 +196,13 @@ impl Agent {
         (
             Agent {
                 report_hints: SectionHints::all(),
+                config,
                 batch_sizes: BatchTelemetry::default(),
                 trace: TraceSink::default(),
                 flight: FlightRecorder::default(),
                 raised: Vec::new(),
                 switch: SoftwareSwitch::new(),
                 chains: InlineMap::new(),
-                config,
                 cold: Box::new(AgentCold {
                     runtime,
                     repository,

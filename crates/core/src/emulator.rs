@@ -772,11 +772,17 @@ impl Emulator {
     }
 
     fn control_latency(&self, station: StationId) -> SimDuration {
-        self.scenario
+        Self::link_latency(&self.scenario, station)
+    }
+
+    /// [`Emulator::control_latency`] off the scenario alone, for callers
+    /// holding another field of `self`.
+    fn link_latency(scenario: &Scenario, station: StationId) -> SimDuration {
+        scenario
             .topology
             .site(station)
             .map(|s| s.control_latency)
-            .unwrap_or(self.scenario.config.control_link_latency)
+            .unwrap_or(scenario.config.control_link_latency)
     }
 
     fn dispatch_manager_actions(&mut self, actions: Vec<ManagerAction>, now: SimTime) {
@@ -1259,7 +1265,6 @@ impl Emulator {
         }
         self.touched.sort_unstable();
         for &station in &self.touched {
-            let latency = self.control_latency(station);
             let Some(slot) = self.slots.get_mut(station.raw() as usize) else {
                 continue;
             };
@@ -1279,8 +1284,14 @@ impl Emulator {
                 );
                 // NF events (blocked URLs, floods) flow to the Manager as
                 // `dispatch_agent_messages` sends them, stamped with the
-                // time of the batch that raised them.
-                for msg in slot.agent.drain_nf_notifications(time) {
+                // time of the batch that raised them. A batch that raised
+                // none reads nothing more of the station.
+                let notifications = slot.agent.drain_nf_notifications(time);
+                if notifications.is_empty() {
+                    continue;
+                }
+                let latency = Self::link_latency(&self.scenario, station);
+                for msg in notifications {
                     self.queue
                         .schedule_at(time + latency, EmuEvent::ToManager { station, msg });
                 }

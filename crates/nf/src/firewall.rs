@@ -275,7 +275,14 @@ impl FirewallConfig {
 /// cannot be keyed that way (any-protocol, port ranges/wildcards) stay in a
 /// residual list. First-match-wins ordering is preserved exactly: candidates
 /// from the bucket and the residual list are merged in original rule order.
+///
+/// `repr(C)`: the counters a megaflow bypass credits come first, in one
+/// line, before the rule tables only a processed packet reads.
+#[repr(C)]
 pub struct Firewall {
+    stats: NfStats,
+    default_hits: u64,
+    rule_hits: Vec<u64>,
     name: String,
     config: FirewallConfig,
     conntrack: PathMap<FiveTuple, SimTime>,
@@ -286,9 +293,6 @@ pub struct Firewall {
     exact_rules: Vec<usize>,
     /// Rule indices that cannot be pre-bucketed, in rule order.
     residual_rules: Vec<usize>,
-    rule_hits: Vec<u64>,
-    default_hits: u64,
-    stats: NfStats,
     /// What the megaflow cache may assume about the last processed packet
     /// (see [`NetworkFunction::fields_consulted`]).
     last_consulted: FieldsConsulted,
@@ -325,15 +329,15 @@ impl Firewall {
         }
         let exact_rules = exact.into_iter().map(|(_, ix)| ix).collect();
         Firewall {
+            stats: NfStats::default(),
+            default_hits: 0,
+            rule_hits: vec![0; rule_count],
             name: name.to_string(),
             config,
             conntrack: PathMap::default(),
             exact_index,
             exact_rules,
             residual_rules,
-            rule_hits: vec![0; rule_count],
-            default_hits: 0,
-            stats: NfStats::default(),
             last_consulted: FieldsConsulted::Opaque,
         }
     }

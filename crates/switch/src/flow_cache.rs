@@ -71,15 +71,16 @@ struct CacheEntry {
     last_use: u64,
 }
 
-/// The exact-match flow cache.
+/// The exact-match flow cache. `repr(C)`: what a lookup reads first.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct FlowCache {
-    capacity: usize,
     entries: PathMap<FlowKey, CacheEntry>,
+    stats: FlowCacheStats,
+    use_seq: u64,
+    capacity: usize,
     /// `(key, use_stamp)` pairs in touch order; stale stamps are skipped.
     use_queue: VecDeque<(FlowKey, u64)>,
-    use_seq: u64,
-    stats: FlowCacheStats,
 }
 
 impl Default for FlowCache {

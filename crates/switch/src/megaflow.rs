@@ -125,8 +125,10 @@ struct MegaflowEntry {
 
 /// One mask's table: all entries sharing a wildcard pattern. A fleet
 /// station's mask holds one entry per (client, masked pattern), a handful,
-/// so they live inline in the table list's one block.
+/// so they live inline in the table list's one block. `repr(C)`: the mask
+/// and the entry count, all a skipped table costs, share its first line.
 #[derive(Debug, Clone)]
+#[repr(C)]
 struct MaskTable {
     mask: FieldMask,
     entries: InlineMap<MegaflowKey, MegaflowEntry>,
@@ -142,16 +144,18 @@ pub struct MegaflowHit {
 }
 
 /// The wildcard cache. Capacity 0 disables it entirely (every operation is a
-/// no-op and no statistics are recorded).
+/// no-op and no statistics are recorded). `repr(C)`: what a lookup reads
+/// first, the install-only FIFO last.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct MegaflowCache {
     capacity: usize,
     tables: Vec<MaskTable>,
+    stats: MegaflowStats,
     len: usize,
+    stamp_seq: u64,
     /// `(table index, key, stamp)` in install order; stale stamps are skipped.
     fifo: VecDeque<(usize, MegaflowKey, u64)>,
-    stamp_seq: u64,
-    stats: MegaflowStats,
 }
 
 impl MegaflowCache {

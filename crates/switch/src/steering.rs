@@ -138,14 +138,16 @@ impl MacRules {
     }
 }
 
-/// The per-switch steering table.
+/// The per-switch steering table. `repr(C)`: every classification reads
+/// the generation, only a slow-path one the rules.
 #[derive(Debug, Clone, Default)]
+#[repr(C)]
 pub struct SteeringTable {
-    /// Rules per client MAC, evaluated in insertion order (first match wins).
-    rules: InlineMap<MacAddr, MacRules>,
     /// Generation counter bumped on every change (used to verify atomicity of
     /// make-before-break updates in tests).
     generation: u64,
+    /// Rules per client MAC, evaluated in insertion order (first match wins).
+    rules: InlineMap<MacAddr, MacRules>,
 }
 
 impl SteeringTable {

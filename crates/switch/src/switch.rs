@@ -80,17 +80,19 @@ pub struct PortCounters {
     pub tx_bytes: u64,
 }
 
-/// A switch port.
+/// A switch port. `repr(C)`: a packet's RX and TX bookkeeping finds a port
+/// by its id and bumps its counters, both in the port's first 40 bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(C)]
 pub struct Port {
     /// Port identifier.
     pub id: PortId,
-    /// Human-readable name (`wlan0`, `uplink`, `veth-fw-0-in`, ...).
-    pub name: String,
-    /// What the port connects to.
-    pub kind: PortKind,
     /// Traffic counters.
     pub counters: PortCounters,
+    /// What the port connects to.
+    pub kind: PortKind,
+    /// Human-readable name (`wlan0`, `uplink`, `veth-fw-0-in`, ...).
+    pub name: String,
 }
 
 /// Where the switch decided to send a frame.
@@ -228,22 +230,24 @@ pub struct BatchCursor {
 
 /// The software switch.
 ///
-/// `repr(C)` keeps the declared order: the fields a packet's classification
-/// reads come first, the tables a one-client station keeps inline among
-/// them, and the counters and settings only control paths read come last.
+/// `repr(C)` keeps the declared order: what every packet's classification
+/// reads comes first (the cache headers, then the steering generation and
+/// the MAC table a one-client station keeps inline), the slow path's
+/// tables next, and the counters and settings only control paths read
+/// last.
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub struct SoftwareSwitch {
     /// Bumped on any port or MAC-mapping change; pairs with the steering
     /// table's generation to validate flow-cache entries.
     topology_generation: u64,
-    mac_table: InlineMap<MacAddr, (PortId, SimTime)>,
-    steering: SteeringTable,
+    ports: Vec<Port>,
     flow_cache: FlowCache,
     /// The wildcard second-level cache probed on exact-match misses
     /// (disabled — capacity 0 — unless the owner opts in).
     megaflow: MegaflowCache,
-    ports: Vec<Port>,
+    steering: SteeringTable,
+    mac_table: InlineMap<MacAddr, (PortId, SimTime)>,
     /// Memoized flood port set per ingress port (rebuilt after port changes).
     flood_sets: InlineMap<PortId, Arc<[PortId]>>,
     /// The shared empty flood set (hairpin suppression).
@@ -279,11 +283,11 @@ impl SoftwareSwitch {
     pub fn with_flow_cache_capacity(capacity: usize) -> Self {
         let mut sw = SoftwareSwitch {
             topology_generation: 0,
-            mac_table: InlineMap::new(),
-            steering: SteeringTable::new(),
+            ports: Vec::new(),
             flow_cache: FlowCache::with_capacity(capacity),
             megaflow: MegaflowCache::with_capacity(0),
-            ports: Vec::new(),
+            steering: SteeringTable::new(),
+            mac_table: InlineMap::new(),
             flood_sets: InlineMap::new(),
             empty_flood: Arc::from(Vec::new()),
             next_port: 0,

@@ -30,14 +30,22 @@ pub const INLINE_ENTRIES: usize = 4;
 /// in different orders, and code that leaks an inline map's order into a
 /// report fails the suites that compare two runs in one process, as it does
 /// for a salted [`PathMap`].
+///
+/// `len`, `is_empty` and the inline/spilled tag sit at the head of the map
+/// (`repr(C)`), so an owner asking whether a map is empty reads one line,
+/// not the key array.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct InlineMap<K, V> {
-    repr: Repr<K, V>,
+    /// Entries held inline (0 once spilled).
+    len: u8,
     /// The slot an inline insert scans from (0 in release builds).
     start: u8,
+    repr: Repr<K, V>,
 }
 
 #[derive(Debug, Clone)]
+#[repr(u8)]
 enum Repr<K, V> {
     /// `keys[i]` and `values[i]` are both `Some` or both `None`.
     Inline {
@@ -68,8 +76,9 @@ impl<K, V> Default for InlineMap<K, V> {
         #[cfg(not(debug_assertions))]
         let start = 0;
         InlineMap {
-            repr: Repr::empty(),
+            len: 0,
             start,
+            repr: Repr::empty(),
         }
     }
 }
@@ -83,17 +92,14 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
     /// Number of entries.
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Inline { keys, .. } => keys.iter().filter(|k| k.is_some()).count(),
+            Repr::Inline { .. } => usize::from(self.len),
             Repr::Spilled(map) => map.len(),
         }
     }
 
     /// True when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        match &self.repr {
-            Repr::Inline { keys, .. } => keys.iter().all(Option::is_none),
-            Repr::Spilled(map) => map.is_empty(),
-        }
+        self.len() == 0
     }
 
     /// The value stored under `key`.
@@ -130,6 +136,7 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
                     Some(slot) => {
                         keys[slot] = Some(key);
                         values[slot] = Some(value);
+                        self.len += 1;
                     }
                     None => {
                         let mut map = PathMap::default();
@@ -141,6 +148,7 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
                         );
                         map.insert(key, value);
                         self.repr = Repr::Spilled(map);
+                        self.len = 0;
                     }
                 }
             }
@@ -157,6 +165,7 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
             Repr::Inline { keys, values } => {
                 let slot = slot_of(keys, key)?;
                 keys[slot] = None;
+                self.len -= 1;
                 return values[slot].take();
             }
             Repr::Spilled(map) => map.remove(key),
@@ -174,6 +183,7 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
                         if !keep(k, v) {
                             *key = None;
                             *value = None;
+                            self.len -= 1;
                         }
                     }
                 }
@@ -188,6 +198,7 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
     /// Removes every entry; a spilled map gives its table back.
     pub fn clear(&mut self) {
         self.repr = Repr::empty();
+        self.len = 0;
     }
 
     /// Moves a spilled map that shrank to half the inline capacity back
