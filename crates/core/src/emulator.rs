@@ -137,13 +137,26 @@ impl EmuEvent {
 
 /// One station's place in the emulator, at index `station` of
 /// `Emulator::slots` (station ids are positions, `EdgeTopology::add_site`).
+/// The Agent lives in the slot itself: a packet's gap check and its flush
+/// reach the Agent's hot head without a pointer to chase.
 struct StationSlot {
+    /// The first batch admitted for the station since the last flush. A
+    /// fleet station admits one between two flushes, held here in the slot
+    /// rather than in a buffer of its own.
+    first: Option<(SimTime, PacketBatch)>,
+    /// The batches admitted after it, per batch time, in admission order.
+    /// Empty between flushes; the buffer is reused.
+    more: Vec<(SimTime, PacketBatch)>,
     /// The station's Agent.
-    agent: Box<Agent>,
-    /// Packets admitted for the station since the last flush, per batch
-    /// time, in admission order. Empty between flushes; the buffer is
-    /// reused.
-    batches: Vec<(SimTime, PacketBatch)>,
+    agent: Agent,
+}
+
+impl StationSlot {
+    /// Everything the slot holds for the next flush, in admission order.
+    #[cfg(test)]
+    fn held(&self) -> impl Iterator<Item = &(SimTime, PacketBatch)> {
+        self.first.iter().chain(&self.more)
+    }
 }
 
 /// Per-client gap state, computed once per (client, station) between two
@@ -264,8 +277,9 @@ impl Emulator {
             // Sites come in id order and ids are positions, so the slot
             // pushed here is the one at index `station`.
             slots.push(StationSlot {
-                agent: Box::new(agent),
-                batches: Vec::new(),
+                first: None,
+                more: Vec::new(),
+                agent,
             });
             queue.schedule_at(
                 SimTime::ZERO + site.control_latency,
@@ -728,7 +742,7 @@ impl Emulator {
     pub fn agent(&self, station: StationId) -> Option<&Agent> {
         self.slots
             .get(station.raw() as usize)
-            .map(|slot| &*slot.agent)
+            .map(|slot| &slot.agent)
     }
 
     /// Current virtual time.
@@ -745,17 +759,17 @@ impl Emulator {
 
     /// The Agent on a station, mutably.
     fn agent_mut(&mut self, station: StationId) -> Option<&mut Agent> {
-        self.slot(station).map(|slot| &mut *slot.agent)
+        self.slot(station).map(|slot| &mut slot.agent)
     }
 
     /// Every Agent, in station order.
     fn agents(&self) -> impl Iterator<Item = &Agent> {
-        self.slots.iter().map(|slot| &*slot.agent)
+        self.slots.iter().map(|slot| &slot.agent)
     }
 
     /// Every Agent, mutably, in station order.
     fn agents_mut(&mut self) -> impl Iterator<Item = &mut Agent> {
-        self.slots.iter_mut().map(|slot| &mut *slot.agent)
+        self.slots.iter_mut().map(|slot| &mut slot.agent)
     }
 
     /// Holds an admitted batch in its station's slot for the next flush,
@@ -765,10 +779,12 @@ impl Emulator {
         let Some(slot) = self.slots.get_mut(station.raw() as usize) else {
             return;
         };
-        if slot.batches.is_empty() {
+        if slot.first.is_none() {
             self.touched.push(station);
+            slot.first = Some((time, batch));
+        } else {
+            slot.more.push((time, batch));
         }
-        slot.batches.push((time, batch));
     }
 
     fn control_latency(&self, station: StationId) -> SimDuration {
@@ -1268,7 +1284,8 @@ impl Emulator {
             let Some(slot) = self.slots.get_mut(station.raw() as usize) else {
                 continue;
             };
-            for (time, batch) in slot.batches.drain(..) {
+            let first = slot.first.take();
+            for (time, batch) in first.into_iter().chain(slot.more.drain(..)) {
                 // Every generated packet is client → network: it arrives on
                 // the access port. The sink only tallies.
                 let tally = &mut self.tally;
@@ -1937,12 +1954,12 @@ mod tests {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, slot)| !slot.batches.is_empty())
-            .map(|(ix, slot)| (ix, slot.batches.iter().map(|(_, b)| b.len()).collect()))
+            .filter(|(_, slot)| slot.held().next().is_some())
+            .map(|(ix, slot)| (ix, slot.held().map(|(_, b)| b.len()).collect()))
             .collect();
         assert_eq!(held, vec![(2, vec![1, 1]), (5, vec![1]), (9, vec![1])]);
         // The detour is the roaming client's packet, after the native one.
-        let detour = emulator.slots[2].batches[1].1.iter().next();
+        let detour = emulator.slots[2].more[0].1.iter().next();
         assert_eq!(
             detour.and_then(|p| p.five_tuple()).map(|t| t.src_port),
             Some(40_003)
@@ -1952,7 +1969,10 @@ mod tests {
         // through the Agents, folds the tally and empties every slot.
         emulator.flush();
         assert!(emulator.touched.is_empty());
-        assert!(emulator.slots.iter().all(|slot| slot.batches.is_empty()));
+        assert!(emulator
+            .slots
+            .iter()
+            .all(|slot| slot.held().next().is_none()));
         assert!(emulator.gap_cache.is_empty());
         assert_eq!(emulator.tally, PacketStats::default());
         let ran = |p: &PacketStats| p.forwarded + p.dropped_by_nf + p.replied_by_nf;

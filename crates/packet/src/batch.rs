@@ -21,84 +21,157 @@ use crate::packet::Packet;
 /// * a batch holds packets that arrived on the same port of the same station
 ///   at the same virtual time (the emulator's batch-formation rule), so one
 ///   timestamp and one ingress port describe every packet in it.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A batch of one holds its packet inline: a fleet station's batches hold
+/// one packet each, and that packet costs no vector of its own.
+#[derive(Debug, Clone)]
 pub struct PacketBatch {
-    packets: Vec<Packet>,
+    packets: Packets,
+}
+
+#[derive(Debug, Clone)]
+enum Packets {
+    One(Packet),
+    Many(Vec<Packet>),
+}
+
+impl Default for PacketBatch {
+    fn default() -> Self {
+        PacketBatch::new()
+    }
+}
+
+impl PartialEq for PacketBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
 }
 
 impl PacketBatch {
     /// Creates an empty batch.
     pub fn new() -> Self {
         PacketBatch {
-            packets: Vec::new(),
+            packets: Packets::Many(Vec::new()),
         }
     }
 
-    /// Creates an empty batch with room for `capacity` packets.
+    /// Creates an empty batch with room for `capacity` packets; a batch
+    /// for one packet reserves nothing, since it holds that packet inline.
     pub fn with_capacity(capacity: usize) -> Self {
+        let packets = if capacity > 1 {
+            Vec::with_capacity(capacity)
+        } else {
+            Vec::new()
+        };
         PacketBatch {
-            packets: Vec::with_capacity(capacity),
+            packets: Packets::Many(packets),
         }
     }
 
     /// Appends a packet to the end of the batch.
     pub fn push(&mut self, packet: Packet) {
-        self.packets.push(packet);
+        self.packets = match std::mem::replace(&mut self.packets, Packets::Many(Vec::new())) {
+            Packets::Many(packets) if packets.capacity() == 0 => Packets::One(packet),
+            Packets::Many(mut packets) => {
+                packets.push(packet);
+                Packets::Many(packets)
+            }
+            Packets::One(first) => Packets::Many(vec![first, packet]),
+        };
     }
 
     /// Number of packets in the batch.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.as_slice().len()
     }
 
     /// True when the batch holds no packets.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Total frame bytes across the batch.
     pub fn total_bytes(&self) -> u64 {
-        self.packets.iter().map(|p| p.len() as u64).sum()
+        self.iter().map(|p| p.len() as u64).sum()
     }
 
     /// The packets as a slice, in arrival order.
     pub fn as_slice(&self) -> &[Packet] {
-        &self.packets
+        match &self.packets {
+            Packets::One(packet) => std::slice::from_ref(packet),
+            Packets::Many(packets) => packets,
+        }
     }
 
     /// Iterates over the packets in arrival order.
     pub fn iter(&self) -> std::slice::Iter<'_, Packet> {
-        self.packets.iter()
+        self.as_slice().iter()
     }
 }
 
 impl From<Vec<Packet>> for PacketBatch {
     fn from(packets: Vec<Packet>) -> Self {
-        PacketBatch { packets }
+        PacketBatch {
+            packets: Packets::Many(packets),
+        }
     }
 }
 
 impl From<Packet> for PacketBatch {
     fn from(packet: Packet) -> Self {
         PacketBatch {
-            packets: vec![packet],
+            packets: Packets::One(packet),
         }
     }
 }
 
 impl FromIterator<Packet> for PacketBatch {
     fn from_iter<I: IntoIterator<Item = Packet>>(iter: I) -> Self {
-        PacketBatch {
-            packets: iter.into_iter().collect(),
+        PacketBatch::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+/// The packets of a batch, by value, in arrival order.
+#[derive(Debug)]
+pub struct IntoIter(IntoIterRepr);
+
+#[derive(Debug)]
+enum IntoIterRepr {
+    One(Option<Packet>),
+    Many(std::vec::IntoIter<Packet>),
+}
+
+impl Iterator for IntoIter {
+    type Item = Packet;
+
+    fn next(&mut self) -> Option<Packet> {
+        match &mut self.0 {
+            IntoIterRepr::One(packet) => packet.take(),
+            IntoIterRepr::Many(packets) => packets.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            IntoIterRepr::One(packet) => {
+                let left = usize::from(packet.is_some());
+                (left, Some(left))
+            }
+            IntoIterRepr::Many(packets) => packets.size_hint(),
         }
     }
 }
 
+impl ExactSizeIterator for IntoIter {}
+
 impl IntoIterator for PacketBatch {
     type Item = Packet;
-    type IntoIter = std::vec::IntoIter<Packet>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.packets.into_iter()
+    type IntoIter = IntoIter;
+    fn into_iter(self) -> IntoIter {
+        IntoIter(match self.packets {
+            Packets::One(packet) => IntoIterRepr::One(Some(packet)),
+            Packets::Many(packets) => IntoIterRepr::Many(packets.into_iter()),
+        })
     }
 }
 
@@ -106,13 +179,15 @@ impl<'a> IntoIterator for &'a PacketBatch {
     type Item = &'a Packet;
     type IntoIter = std::slice::Iter<'a, Packet>;
     fn into_iter(self) -> Self::IntoIter {
-        self.packets.iter()
+        self.iter()
     }
 }
 
 impl Extend<Packet> for PacketBatch {
     fn extend<I: IntoIterator<Item = Packet>>(&mut self, iter: I) {
-        self.packets.extend(iter);
+        for packet in iter {
+            self.push(packet);
+        }
     }
 }
 
@@ -164,5 +239,34 @@ mod tests {
         assert_eq!(extended.as_slice().len(), 4);
         assert!(PacketBatch::new().is_empty());
         assert_eq!(PacketBatch::default().total_bytes(), 0);
+    }
+
+    /// A batch of one, held inline, is the same batch as its vector form,
+    /// and growing it keeps arrival order, by reference and by value.
+    #[test]
+    fn a_batch_of_one_is_its_vector_form() {
+        let ports = |batch: PacketBatch| -> Vec<u16> {
+            let by_ref: Vec<u16> = batch
+                .iter()
+                .map(|p| p.five_tuple().unwrap().src_port)
+                .collect();
+            let by_value: Vec<u16> = batch
+                .into_iter()
+                .map(|p| p.five_tuple().unwrap().src_port)
+                .collect();
+            assert_eq!(by_ref, by_value);
+            by_value
+        };
+        let mut one = PacketBatch::with_capacity(1);
+        one.push(pkt(7));
+        assert_eq!(one, PacketBatch::from(vec![pkt(7)]));
+        assert_eq!(one, PacketBatch::from(pkt(7)));
+        assert_eq!(one.into_iter().len(), 1);
+        let mut grown = PacketBatch::from(pkt(1));
+        grown.push(pkt(2));
+        grown.extend([pkt(3)]);
+        assert_eq!(grown, PacketBatch::from(vec![pkt(1), pkt(2), pkt(3)]));
+        assert_eq!(ports(grown), vec![1, 2, 3]);
+        assert_ne!(PacketBatch::from(pkt(1)), PacketBatch::new());
     }
 }

@@ -142,12 +142,13 @@ fn cloning_the_image_catalogue_makes_no_heap_request() {
 /// Live heap blocks per station after a whole 200-station run, as this test
 /// measures them (seed 7, debug build): everything the emulator holds — its
 /// scenario, Manager, queue and every Agent — over the station count. It
-/// reads 10 805 / 200 = 54.0 blocks (19.2 KB) per station. Before a
+/// reads 10 605 / 200 = 53.0 blocks (20.2 KB) per station. Before a
 /// station's small tables lived inline in their owners (MAC table, flood
 /// sets, steering rules, chain and client tables, megaflow masks, the
 /// firewall's port index, the Manager's chains per client: a heap table
-/// each) and the Agent's cold state moved behind one box, it read
-/// 12 605 / 200 = 63.0 blocks (17.5 KB). Before a chain's
+/// each), the Agent's cold state moved behind one box and the Agent into
+/// its emulator slot (it was boxed there), it read 12 605 / 200 = 63.0
+/// blocks (17.5 KB). Before a chain's
 /// ready time lived on the chain (each station with a chain kept a list of
 /// them in its emulator slot), it read 12 805 / 200 = 64.0 blocks
 /// (17.5 KB). Before the Manager
@@ -156,7 +157,7 @@ fn cloning_the_image_catalogue_makes_no_heap_request() {
 /// (17.9 KB); before every Agent shared one image catalogue (37 blocks,
 /// 1 544 B a copy) and the Manager kept its per-station tables in hashed
 /// maps, 20 298 / 200 = 101.5 blocks (19.9 KB).
-const LIVE_BLOCKS_PER_STATION: f64 = 10_805.0 / 200.0;
+const LIVE_BLOCKS_PER_STATION: f64 = 10_605.0 / 200.0;
 
 #[test]
 fn a_fleet_station_holds_few_heap_blocks_after_a_run() {
