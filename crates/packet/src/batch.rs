@@ -70,13 +70,17 @@ impl PacketBatch {
 
     /// Appends a packet to the end of the batch.
     pub fn push(&mut self, packet: Packet) {
-        self.packets = match std::mem::replace(&mut self.packets, Packets::Many(Vec::new())) {
-            Packets::Many(packets) if packets.capacity() == 0 => Packets::One(packet),
-            Packets::Many(mut packets) => {
+        if let Packets::Many(packets) = &mut self.packets {
+            if packets.capacity() > 0 {
                 packets.push(packet);
-                Packets::Many(packets)
+                return;
             }
+        }
+        // An empty batch without room takes the packet inline; a batch of
+        // one moves to a vector.
+        self.packets = match std::mem::replace(&mut self.packets, Packets::Many(Vec::new())) {
             Packets::One(first) => Packets::Many(vec![first, packet]),
+            Packets::Many(_) => Packets::One(packet),
         };
     }
 
