@@ -1328,7 +1328,11 @@ mod tests {
     /// chain, every NF, sorted by chain. The O(1) drain's oracle.
     fn drain_by_walk(agent: &mut Agent) -> Vec<AgentToManager> {
         let mut out = Vec::new();
-        for deployed in agent.chains.values_mut() {
+        let chains: Vec<ChainId> = agent.chains.keys().copied().collect();
+        for chain in chains {
+            let Some(deployed) = agent.chains.get_mut(&chain) else {
+                continue;
+            };
             for (nf_name, event) in deployed.chain.drain_events() {
                 out.push(AgentToManager::NfNotification {
                     chain: deployed.chain_id,

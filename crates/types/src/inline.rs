@@ -230,19 +230,6 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
         inline.chain(spilled.into_iter().flatten())
     }
 
-    /// Every entry with its value mutable, in unspecified order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        let (inline, spilled) = match &mut self.repr {
-            Repr::Inline { keys, values } => (Some(keys.iter().zip(values.iter_mut())), None),
-            Repr::Spilled(map) => (None, Some(map.iter_mut())),
-        };
-        let inline = inline
-            .into_iter()
-            .flatten()
-            .filter_map(|(key, value)| Some((key.as_ref()?, value.as_mut()?)));
-        inline.chain(spilled.into_iter().flatten())
-    }
-
     /// Every key, in unspecified order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(key, _)| key)
@@ -251,11 +238,6 @@ impl<K: Eq + Hash, V> InlineMap<K, V> {
     /// Every value, in unspecified order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, value)| value)
-    }
-
-    /// Every value, mutable, in unspecified order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.iter_mut().map(|(_, value)| value)
     }
 
     #[cfg(test)]

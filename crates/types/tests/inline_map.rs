@@ -41,8 +41,12 @@ fn replay(ops: Vec<(u8, u8, u32)>) -> bool {
                 oracle.retain(keep);
             }
             _ => {
-                for v in map.values_mut() {
-                    *v += 1;
+                // Every entry through `get_mut`, found by iterating keys.
+                let keys: Vec<u8> = map.keys().copied().collect();
+                for k in keys {
+                    if let Some(v) = map.get_mut(&k) {
+                        *v += 1;
+                    }
                 }
                 for v in oracle.values_mut() {
                     *v += 1;
