@@ -787,13 +787,9 @@ impl Emulator {
         }
     }
 
-    fn control_latency(&self, station: StationId) -> SimDuration {
-        Self::link_latency(&self.scenario, station)
-    }
-
-    /// [`Emulator::control_latency`] off the scenario alone, for callers
-    /// holding another field of `self`.
-    fn link_latency(scenario: &Scenario, station: StationId) -> SimDuration {
+    /// The station's control-link latency. Takes the scenario alone, so a
+    /// caller may hold another field of the emulator.
+    fn control_latency(scenario: &Scenario, station: StationId) -> SimDuration {
         scenario
             .topology
             .site(station)
@@ -804,7 +800,7 @@ impl Emulator {
     fn dispatch_manager_actions(&mut self, actions: Vec<ManagerAction>, now: SimTime) {
         for action in actions {
             let ManagerAction::Send { station, message } = action;
-            let latency = self.control_latency(station);
+            let latency = Self::control_latency(&self.scenario, station);
             self.queue.schedule_at(
                 now + latency,
                 EmuEvent::ToAgent {
@@ -822,7 +818,7 @@ impl Emulator {
         now: SimTime,
         extra_delay: SimDuration,
     ) {
-        let latency = self.control_latency(station);
+        let latency = Self::control_latency(&self.scenario, station);
         for msg in messages {
             self.queue.schedule_at(
                 now + latency + extra_delay,
@@ -1307,7 +1303,7 @@ impl Emulator {
                 if notifications.is_empty() {
                     continue;
                 }
-                let latency = Self::link_latency(&self.scenario, station);
+                let latency = Self::control_latency(&self.scenario, station);
                 for msg in notifications {
                     self.queue
                         .schedule_at(time + latency, EmuEvent::ToManager { station, msg });
