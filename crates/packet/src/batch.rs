@@ -12,6 +12,7 @@
 //! arrival order, and every stage keeps its outputs aligned with its inputs.
 
 use crate::packet::Packet;
+use gnf_types::InlineList;
 
 /// An ordered batch of packets processed as one unit of data-plane work.
 ///
@@ -24,74 +25,38 @@ use crate::packet::Packet;
 ///
 /// A batch of one holds its packet inline: a fleet station's batches hold
 /// one packet each, and that packet costs no vector of its own.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketBatch {
-    packets: Packets,
-}
-
-#[derive(Debug, Clone)]
-enum Packets {
-    One(Packet),
-    Many(Vec<Packet>),
-}
-
-impl Default for PacketBatch {
-    fn default() -> Self {
-        PacketBatch::new()
-    }
-}
-
-impl PartialEq for PacketBatch {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
+    packets: InlineList<Packet>,
 }
 
 impl PacketBatch {
     /// Creates an empty batch.
     pub fn new() -> Self {
-        PacketBatch {
-            packets: Packets::Many(Vec::new()),
-        }
+        Self::default()
     }
 
     /// Creates an empty batch with room for `capacity` packets; a batch
     /// for one packet reserves nothing, since it holds that packet inline.
     pub fn with_capacity(capacity: usize) -> Self {
-        let packets = if capacity > 1 {
-            Vec::with_capacity(capacity)
-        } else {
-            Vec::new()
-        };
         PacketBatch {
-            packets: Packets::Many(packets),
+            packets: InlineList::with_capacity(capacity),
         }
     }
 
     /// Appends a packet to the end of the batch.
     pub fn push(&mut self, packet: Packet) {
-        if let Packets::Many(packets) = &mut self.packets {
-            if packets.capacity() > 0 {
-                packets.push(packet);
-                return;
-            }
-        }
-        // An empty batch without room takes the packet inline; a batch of
-        // one moves to a vector.
-        self.packets = match std::mem::replace(&mut self.packets, Packets::Many(Vec::new())) {
-            Packets::One(first) => Packets::Many(vec![first, packet]),
-            Packets::Many(_) => Packets::One(packet),
-        };
+        self.packets.push(packet);
     }
 
     /// Number of packets in the batch.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.packets.len()
     }
 
     /// True when the batch holds no packets.
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.packets.is_empty()
     }
 
     /// Total frame bytes across the batch.
@@ -101,10 +66,7 @@ impl PacketBatch {
 
     /// The packets as a slice, in arrival order.
     pub fn as_slice(&self) -> &[Packet] {
-        match &self.packets {
-            Packets::One(packet) => std::slice::from_ref(packet),
-            Packets::Many(packets) => packets,
-        }
+        self.packets.as_slice()
     }
 
     /// Iterates over the packets in arrival order.
@@ -116,7 +78,7 @@ impl PacketBatch {
 impl From<Vec<Packet>> for PacketBatch {
     fn from(packets: Vec<Packet>) -> Self {
         PacketBatch {
-            packets: Packets::Many(packets),
+            packets: packets.into(),
         }
     }
 }
@@ -124,7 +86,7 @@ impl From<Vec<Packet>> for PacketBatch {
 impl From<Packet> for PacketBatch {
     fn from(packet: Packet) -> Self {
         PacketBatch {
-            packets: Packets::One(packet),
+            packets: packet.into(),
         }
     }
 }
@@ -135,47 +97,11 @@ impl FromIterator<Packet> for PacketBatch {
     }
 }
 
-/// The packets of a batch, by value, in arrival order.
-#[derive(Debug)]
-pub struct IntoIter(IntoIterRepr);
-
-#[derive(Debug)]
-enum IntoIterRepr {
-    One(Option<Packet>),
-    Many(std::vec::IntoIter<Packet>),
-}
-
-impl Iterator for IntoIter {
-    type Item = Packet;
-
-    fn next(&mut self) -> Option<Packet> {
-        match &mut self.0 {
-            IntoIterRepr::One(packet) => packet.take(),
-            IntoIterRepr::Many(packets) => packets.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            IntoIterRepr::One(packet) => {
-                let left = usize::from(packet.is_some());
-                (left, Some(left))
-            }
-            IntoIterRepr::Many(packets) => packets.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for IntoIter {}
-
 impl IntoIterator for PacketBatch {
     type Item = Packet;
-    type IntoIter = IntoIter;
-    fn into_iter(self) -> IntoIter {
-        IntoIter(match self.packets {
-            Packets::One(packet) => IntoIterRepr::One(Some(packet)),
-            Packets::Many(packets) => IntoIterRepr::Many(packets.into_iter()),
-        })
+    type IntoIter = gnf_types::inline::IntoIter<Packet>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.packets.into_iter()
     }
 }
 
@@ -189,9 +115,7 @@ impl<'a> IntoIterator for &'a PacketBatch {
 
 impl Extend<Packet> for PacketBatch {
     fn extend<I: IntoIterator<Item = Packet>>(&mut self, iter: I) {
-        for packet in iter {
-            self.push(packet);
-        }
+        self.packets.extend(iter);
     }
 }
 

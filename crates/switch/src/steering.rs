@@ -10,7 +10,7 @@
 //! migration possible.
 
 use gnf_packet::{FieldMask, IpProtocol, MaskedTuple, Packet};
-use gnf_types::{ChainId, ClientId, InlineMap, MacAddr};
+use gnf_types::{ChainId, ClientId, InlineList, InlineMap, MacAddr};
 use serde::{Deserialize, Serialize};
 
 /// Narrows a steering rule to a subset of the client's traffic.
@@ -93,51 +93,6 @@ pub struct SteeringRule {
     pub chain: ChainId,
 }
 
-/// One client MAC's rules, in insertion order. A client has one rule on
-/// every station but a mid-migration one, so the first is held inline.
-#[derive(Debug, Clone)]
-enum MacRules {
-    One(SteeringRule),
-    Many(Vec<SteeringRule>),
-}
-
-impl MacRules {
-    fn as_slice(&self) -> &[SteeringRule] {
-        match self {
-            MacRules::One(rule) => std::slice::from_ref(rule),
-            MacRules::Many(rules) => rules,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [SteeringRule] {
-        match self {
-            MacRules::One(rule) => std::slice::from_mut(rule),
-            MacRules::Many(rules) => rules,
-        }
-    }
-
-    fn push(&mut self, rule: SteeringRule) {
-        match self {
-            MacRules::One(first) => *self = MacRules::Many(vec![*first, rule]),
-            MacRules::Many(rules) => rules.push(rule),
-        }
-    }
-
-    /// Drops the rules pointing at `chain`; `None` when none is left.
-    fn without_chain(self, chain: ChainId) -> Option<MacRules> {
-        let mut rules = match self {
-            MacRules::One(rule) => return (rule.chain != chain).then_some(MacRules::One(rule)),
-            MacRules::Many(rules) => rules,
-        };
-        rules.retain(|r| r.chain != chain);
-        match rules[..] {
-            [] => None,
-            [rule] => Some(MacRules::One(rule)),
-            _ => Some(MacRules::Many(rules)),
-        }
-    }
-}
-
 /// The per-switch steering table. `repr(C)`: every classification reads
 /// the generation, only a slow-path one the rules.
 #[derive(Debug, Clone, Default)]
@@ -146,8 +101,10 @@ pub struct SteeringTable {
     /// Generation counter bumped on every change (used to verify atomicity of
     /// make-before-break updates in tests).
     generation: u64,
-    /// Rules per client MAC, evaluated in insertion order (first match wins).
-    rules: InlineMap<MacAddr, MacRules>,
+    /// Rules per client MAC, evaluated in insertion order (first match
+    /// wins). A client has one rule on every station but a mid-migration
+    /// one, held inline.
+    rules: InlineMap<MacAddr, InlineList<SteeringRule>>,
 }
 
 impl SteeringTable {
@@ -161,7 +118,7 @@ impl SteeringTable {
         match self.rules.get_mut(&rule.client_mac) {
             Some(rules) => rules.push(rule),
             None => {
-                self.rules.insert(rule.client_mac, MacRules::One(rule));
+                self.rules.insert(rule.client_mac, InlineList::from(rule));
             }
         }
         self.generation += 1;
@@ -195,12 +152,12 @@ impl SteeringTable {
     /// rules were removed.
     pub fn remove_chain(&mut self, client_mac: MacAddr, chain: ChainId) -> usize {
         let mut removed = 0;
-        if let Some(rules) = self.rules.remove(&client_mac) {
-            let before = rules.as_slice().len();
-            let kept = rules.without_chain(chain);
-            removed = before - kept.as_ref().map_or(0, |r| r.as_slice().len());
-            if let Some(kept) = kept {
-                self.rules.insert(client_mac, kept);
+        if let Some(rules) = self.rules.get_mut(&client_mac) {
+            let before = rules.len();
+            rules.retain(|r| r.chain != chain);
+            removed = before - rules.len();
+            if rules.is_empty() {
+                self.rules.remove(&client_mac);
             }
         }
         if removed > 0 {
@@ -211,10 +168,7 @@ impl SteeringTable {
 
     /// Removes every rule of a client (e.g. when it disconnects).
     pub fn remove_client(&mut self, client_mac: MacAddr) -> usize {
-        let removed = self
-            .rules
-            .remove(&client_mac)
-            .map_or(0, |r| r.as_slice().len());
+        let removed = self.rules.remove(&client_mac).map_or(0, |r| r.len());
         if removed > 0 {
             self.generation += 1;
         }
@@ -262,12 +216,14 @@ impl SteeringTable {
 
     /// All rules of a client.
     pub fn rules_for(&self, client_mac: MacAddr) -> &[SteeringRule] {
-        self.rules.get(&client_mac).map_or(&[], MacRules::as_slice)
+        self.rules
+            .get(&client_mac)
+            .map_or(&[], InlineList::as_slice)
     }
 
     /// Total number of rules.
     pub fn len(&self) -> usize {
-        self.rules.values().map(|r| r.as_slice().len()).sum()
+        self.rules.values().map(InlineList::len).sum()
     }
 
     /// True when the table has no rules.

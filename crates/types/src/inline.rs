@@ -1,4 +1,5 @@
-//! The small table of the packet path: [`InlineMap`].
+//! The small containers of the packet path: [`InlineMap`] and
+//! [`InlineList`].
 //!
 //! A fleet station holds one to three entries in most of its per-packet
 //! tables (one client MAC, one chain, one flood set, one or two megaflow
@@ -252,6 +253,183 @@ fn slot_of<K: Eq>(keys: &[Option<K>; INLINE_ENTRIES], key: &K) -> Option<usize> 
     keys.iter().position(|k| k.as_ref() == Some(key))
 }
 
+/// A list that holds a lone element inline and moves to a vector from the
+/// second: one client's steering rules, one batch's packets. A list of one
+/// costs no heap block.
+#[derive(Debug, Clone)]
+pub struct InlineList<T> {
+    items: Items<T>,
+}
+
+#[derive(Debug, Clone)]
+enum Items<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Default for InlineList<T> {
+    fn default() -> Self {
+        InlineList {
+            items: Items::Many(Vec::new()),
+        }
+    }
+}
+
+impl<T> InlineList<T> {
+    /// An empty list; it allocates nothing until its second element.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty list with room for `capacity` elements; room for one is
+    /// the inline slot, so it reserves nothing.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let items = if capacity > 1 {
+            Vec::with_capacity(capacity)
+        } else {
+            Vec::new()
+        };
+        InlineList {
+            items: Items::Many(items),
+        }
+    }
+
+    /// Appends `item`.
+    pub fn push(&mut self, item: T) {
+        if let Items::Many(items) = &mut self.items {
+            if items.capacity() > 0 {
+                items.push(item);
+                return;
+            }
+        }
+        // An empty list without room takes the element inline; a list of
+        // one moves to a vector.
+        self.items = match mem::replace(&mut self.items, Items::Many(Vec::new())) {
+            Items::One(first) => {
+                // The room a vector's first growth would give it.
+                let mut items = Vec::with_capacity(4);
+                items.push(first);
+                items.push(item);
+                Items::Many(items)
+            }
+            Items::Many(_) => Items::One(item),
+        };
+    }
+
+    /// Keeps the elements for which `keep` returns true, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        match &mut self.items {
+            Items::One(item) => {
+                if !keep(item) {
+                    self.items = Items::Many(Vec::new());
+                }
+            }
+            Items::Many(items) => items.retain(keep),
+        }
+    }
+
+    /// The elements, in order.
+    pub fn as_slice(&self) -> &[T] {
+        match &self.items {
+            Items::One(item) => std::slice::from_ref(item),
+            Items::Many(items) => items,
+        }
+    }
+
+    /// The elements, mutably, in order.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        match &mut self.items {
+            Items::One(item) => std::slice::from_mut(item),
+            Items::Many(items) => items,
+        }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// True when the list holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+}
+
+impl<T: PartialEq> PartialEq for InlineList<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T> From<T> for InlineList<T> {
+    fn from(item: T) -> Self {
+        InlineList {
+            items: Items::One(item),
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for InlineList<T> {
+    fn from(items: Vec<T>) -> Self {
+        InlineList {
+            items: Items::Many(items),
+        }
+    }
+}
+
+impl<T> Extend<T> for InlineList<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for item in iter {
+            self.push(item);
+        }
+    }
+}
+
+/// The elements of an [`InlineList`], by value, in order.
+#[derive(Debug)]
+pub struct IntoIter<T>(IntoIterRepr<T>);
+
+#[derive(Debug)]
+enum IntoIterRepr<T> {
+    One(Option<T>),
+    Many(std::vec::IntoIter<T>),
+}
+
+impl<T> Iterator for IntoIter<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match &mut self.0 {
+            IntoIterRepr::One(item) => item.take(),
+            IntoIterRepr::Many(items) => items.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            IntoIterRepr::One(item) => {
+                let left = usize::from(item.is_some());
+                (left, Some(left))
+            }
+            IntoIterRepr::Many(items) => items.size_hint(),
+        }
+    }
+}
+
+impl<T> ExactSizeIterator for IntoIter<T> {}
+
+impl<T> IntoIterator for InlineList<T> {
+    type Item = T;
+    type IntoIter = IntoIter<T>;
+
+    fn into_iter(self) -> IntoIter<T> {
+        IntoIter(match self.items {
+            Items::One(item) => IntoIterRepr::One(Some(item)),
+            Items::Many(items) => IntoIterRepr::Many(items.into_iter()),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +456,26 @@ mod tests {
         assert!(map.is_inline());
         assert_eq!(map.len(), INLINE_ENTRIES / 2);
         assert_eq!(map.get(&3), Some(&30));
+    }
+
+    /// A list of one is its vector form; growing and shrinking keep order.
+    #[test]
+    fn a_list_of_one_is_its_vector_form() {
+        let mut one = InlineList::with_capacity(1);
+        one.push(7);
+        assert_eq!(one, InlineList::from(vec![7]));
+        assert_eq!(one, InlineList::from(7));
+        assert_eq!(one.clone().into_iter().len(), 1);
+        one.push(8);
+        one.extend([9]);
+        assert_eq!(one.as_slice(), [7, 8, 9]);
+        one.as_mut_slice()[0] = 6;
+        one.retain(|x| *x != 8);
+        assert_eq!(one.into_iter().collect::<Vec<_>>(), [6, 9]);
+        let mut lone = InlineList::from(1);
+        lone.retain(|x| *x != 1);
+        assert!(lone.is_empty());
+        assert_ne!(InlineList::from(1), InlineList::new());
     }
 
     #[test]

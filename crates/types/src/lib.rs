@@ -31,7 +31,7 @@ pub use ids::{
     AgentId, CellId, ChainId, ClientId, ContainerId, FlowId, ImageId, MigrationId, NfInstanceId,
     NotificationId, StationId, VmId,
 };
-pub use inline::{InlineMap, INLINE_ENTRIES};
+pub use inline::{InlineList, InlineMap, INLINE_ENTRIES};
 pub use net::{FlowCacheStats, MacAddr, MegaflowStats};
 pub use resources::{HostClass, ResourceSpec, ResourceUsage};
 pub use time::{SimDuration, SimTime};
