@@ -33,7 +33,7 @@
 //! through borrowed views ([`gnf_packet::Packet::http_request_view`], the
 //! payload and five-tuple accessors) and rewrite them copy-on-write
 //! ([`gnf_packet::Packet::into_rewritten_endpoints`]: in the frame itself
-//! when the packet is its only owner).
+//! when the packet owns its whole buffer alone).
 //!
 //! There is deliberately no batched NF entry point: the only unit an NF
 //! could amortise over is a run of consecutive same-flow packets in one

@@ -7,8 +7,9 @@
 //!
 //! The rewrite, in both directions, is [`Packet::into_rewritten_endpoints`]:
 //! the addresses and ports patched copy-on-write — in the frame itself when
-//! the packet is its only owner, as it is on the data path, in one copy
-//! otherwise — and both checksums updated incrementally. Every other byte
+//! the packet owns its whole buffer alone, as a built frame does, in one
+//! copy otherwise (a replayed frame is a slice of a shared read block) —
+//! and both checksums updated incrementally. Every other byte
 //! survives — IPv4 and TCP options, the payload, padding beyond the IP total
 //! length, and a UDP datagram sent without a checksum stays without one.
 

@@ -315,7 +315,8 @@ pub trait NetworkFunction: Send {
     /// (an event string, a cache key) and forward the packet that came in.
     /// An NF that rewrites addresses moves the packet through
     /// [`Packet::into_rewritten_endpoints`] — the frame patched in place when
-    /// the packet is its only owner (a shared frame is copied once),
+    /// the packet owns its whole buffer alone (a shared frame, or a slice of
+    /// a replay's read block, is copied once),
     /// checksums updated incrementally — rather than re-emitting headers.
     /// The typed accessors (`ipv4()`, `tcp()`, ...) build the full layer
     /// view on first use: fine on a rare branch (building a reject reply),

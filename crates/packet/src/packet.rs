@@ -546,8 +546,9 @@ impl Packet {
     /// untouched as `Err`.
     ///
     /// The frame is patched copy-on-write ([`Bytes::patch`]): in place when
-    /// this packet is its only owner, in one fresh copy when a clone shares
-    /// it (the clone keeps the old bytes). The twelve endpoint bytes are
+    /// this packet owns its whole buffer alone, in one fresh copy of the
+    /// frame when a clone shares it (the clone keeps the old bytes) or it is
+    /// a slice of a wider buffer, such as a replay's read block. The twelve endpoint bytes are
     /// written at the fast-scan offsets, and the IPv4 header and transport
     /// checksums are updated incrementally
     /// ([`checksum::incremental_update`]) instead of re-summing the

@@ -31,7 +31,7 @@ pub mod population;
 pub mod source;
 pub mod synth;
 
-pub use pcap::{TraceFormat, TraceReader, TraceRecord, TraceWriter};
+pub use pcap::{TraceFormat, TraceReader, TraceRecord, TraceWriter, TRACE_BLOCK_BYTES};
 pub use population::{ClientEndpoint, Population};
 pub use source::{CaptureWorkload, TimedBatch, TraceWorkload, Workload, UNKNOWN_CLIENT};
 pub use synth::{

@@ -15,9 +15,11 @@
 //!   Simple Packet blocks are accepted with a zero timestamp. The writer
 //!   emits little-endian blocks with a nanosecond `if_tsresol`.
 //!
-//! Both readers are streaming, so multi-gigabyte traces replay in constant
-//! memory, and a record costs one allocation — the copy the caller keeps:
-//! record bodies are read into one buffer the reader reuses.
+//! Both formats share one streaming read path, so multi-gigabyte traces
+//! replay in constant memory: the reader reads the source a block at a
+//! time ([`TRACE_BLOCK_BYTES`]), and a replayed frame is a slice of its
+//! block — a block costs one heap request, a frame none. A frame keeps its
+//! block alive while it lives.
 //!
 //! [`TraceWorkload`]: crate::source::TraceWorkload
 
@@ -177,6 +179,11 @@ impl<W: Write> TraceWriter<W> {
 
 // ---------------------------------------------------------------- reading
 
+/// The most a read block holds: the unread tail of the block before it,
+/// then what the source returns, up to this many bytes in all (a record
+/// longer than this gets a block of its own length).
+pub const TRACE_BLOCK_BYTES: usize = 256 * 1024;
+
 /// Per-interface timestamp scaling for pcapng (`if_tsresol`).
 #[derive(Debug, Clone, Copy)]
 enum TsResol {
@@ -211,29 +218,77 @@ enum ReaderKind {
     },
 }
 
-/// Streaming trace reader. The container format and byte order are detected
-/// from the first bytes; records are then pulled one at a time.
-pub struct TraceReader<R: Read> {
+/// What has been read from the source: the current block, whose bytes from
+/// `pos` on are not consumed yet. A read lands in a reused staging buffer
+/// and is copied once, with the unread tail before it, into an exact-size
+/// block, so a block costs one heap request, a frame sliced from it none,
+/// and a source that returns short reads pins no more than it returned.
+struct Input<R> {
     source: R,
-    kind: ReaderKind,
-    records: u64,
-    /// The last record's body (a classic record's frame, a pcapng block's
-    /// whole body), reused from record to record.
-    body: Vec<u8>,
+    block: Bytes,
+    pos: usize,
+    staging: Vec<u8>,
 }
 
-fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> GnfResult<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match source.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(pcap_error("truncated record")),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(pcap_error(format!("read failed: {e}"))),
+impl<R: Read> Input<R> {
+    /// Makes at least `len` bytes unread in the block, reading a new one
+    /// when fewer are, and returns how many are unread — below `len` only
+    /// at the end of the stream.
+    fn fill(&mut self, len: usize) -> GnfResult<usize> {
+        let tail = &self.block[self.pos..];
+        if tail.len() >= len {
+            return Ok(tail.len());
+        }
+        let size = len.max(TRACE_BLOCK_BYTES);
+        if self.staging.len() < size {
+            self.staging = vec![0; size];
+        }
+        let mut filled = tail.len();
+        self.staging[..filled].copy_from_slice(tail);
+        while filled < len {
+            match self.source.read(&mut self.staging[filled..]) {
+                Ok(0) => return Ok(filled),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(pcap_error(format!("read failed: {e}"))),
+            }
+        }
+        self.block = Bytes::copy_from_slice(&self.staging[..filled]);
+        self.pos = 0;
+        Ok(filled)
+    }
+
+    /// Consumes the next `len` bytes and returns where they lie in the
+    /// block: `Ok(None)` at a clean end of stream (no byte left), a
+    /// "truncated record" error when it ends partway.
+    fn take(&mut self, len: usize) -> GnfResult<Option<Range<usize>>> {
+        match self.fill(len)? {
+            unread if unread >= len => Ok(Some(self.consume(len))),
+            0 => Ok(None),
+            _ => Err(pcap_error("truncated record")),
         }
     }
-    Ok(true)
+
+    /// Consumes `len` bytes [`Input::fill`] made unread and returns where
+    /// they lie in the block.
+    fn consume(&mut self, len: usize) -> Range<usize> {
+        self.pos += len;
+        self.pos - len..self.pos
+    }
+
+    /// The 4-byte words of `range` of the block.
+    fn words(&self, range: Range<usize>) -> &[[u8; 4]] {
+        self.block[range].as_chunks().0
+    }
+}
+
+/// Streaming trace reader. The container format and byte order are detected
+/// from the first bytes; records are then pulled one at a time, each a
+/// slice of the block it was read in.
+pub struct TraceReader<R: Read> {
+    input: Input<R>,
+    kind: ReaderKind,
+    records: u64,
 }
 
 fn read_u32(big_endian: bool, b: [u8; 4]) -> u32 {
@@ -252,38 +307,46 @@ fn read_u16(big_endian: bool, b: [u8; 2]) -> u16 {
     }
 }
 
+/// The pcapng byte order a section header's byte-order magic names.
+fn pcapng_big_endian(bom: [u8; 4]) -> GnfResult<bool> {
+    match u32::from_le_bytes(bom) {
+        PCAPNG_BOM => Ok(false),
+        b if b.swap_bytes() == PCAPNG_BOM => Ok(true),
+        other => Err(pcap_error(format!(
+            "bad pcapng byte-order magic {other:#010x}"
+        ))),
+    }
+}
+
 impl<R: Read> TraceReader<R> {
     /// Opens a trace, detecting classic pcap vs pcapng and the byte order.
-    pub fn new(mut source: R) -> GnfResult<Self> {
-        let mut magic = [0u8; 4];
-        if !read_exact_or_eof(&mut source, &mut magic)? {
+    pub fn new(source: R) -> GnfResult<Self> {
+        let mut input = Input {
+            source,
+            block: Bytes::new(),
+            pos: 0,
+            staging: Vec::new(),
+        };
+        let Some(at) = input.take(4)? else {
             return Err(pcap_error("empty trace"));
-        }
+        };
+        let magic = input.words(at)[0];
         let magic_le = u32::from_le_bytes(magic);
         let magic_be = u32::from_be_bytes(magic);
         let kind = if magic_le == PCAPNG_BLOCK_SHB {
             // pcapng: the SHB carries the byte-order magic.
-            let mut rest = [[0u8; 4]; 2];
-            if !read_exact_or_eof(&mut source, rest.as_flattened_mut())? {
+            let Some(at) = input.take(8)? else {
                 return Err(pcap_error("truncated section header"));
-            }
-            let bom = u32::from_le_bytes(rest[1]);
-            let big_endian = match bom {
-                PCAPNG_BOM => false,
-                b if b.swap_bytes() == PCAPNG_BOM => true,
-                other => {
-                    return Err(pcap_error(format!(
-                        "bad pcapng byte-order magic {other:#010x}"
-                    )))
-                }
             };
+            let words = input.words(at);
+            let (length, bom) = (words[0], words[1]);
+            let big_endian = pcapng_big_endian(bom)?;
             // Skip the rest of the SHB (version + section length + options).
-            let total = read_u32(big_endian, rest[0]) as usize;
+            let total = read_u32(big_endian, length) as usize;
             if !(12..=1 << 26).contains(&total) {
                 return Err(pcap_error(format!("bad SHB length {total}")));
             }
-            let mut remainder = vec![0u8; total - 12];
-            if !read_exact_or_eof(&mut source, &mut remainder)? {
+            if input.take(total - 12)?.is_none() {
                 return Err(pcap_error("truncated section header"));
             }
             ReaderKind::PcapNg {
@@ -302,11 +365,10 @@ impl<R: Read> TraceReader<R> {
                     )))
                 }
             };
-            let mut header = [[0u8; 4]; 5];
-            if !read_exact_or_eof(&mut source, header.as_flattened_mut())? {
+            let Some(at) = input.take(20)? else {
                 return Err(pcap_error("truncated pcap header"));
-            }
-            let network = read_u32(big_endian, header[4]);
+            };
+            let network = read_u32(big_endian, input.words(at)[4]);
             if network != LINKTYPE_ETHERNET {
                 return Err(pcap_error(format!(
                     "unsupported linktype {network} (only Ethernet is supported)"
@@ -315,10 +377,9 @@ impl<R: Read> TraceReader<R> {
             ReaderKind::Pcap { big_endian, nanos }
         };
         Ok(TraceReader {
-            source,
+            input,
             kind,
             records: 0,
-            body: Vec::new(),
         })
     }
 
@@ -329,43 +390,34 @@ impl<R: Read> TraceReader<R> {
 
     /// Reads the next frame, or `None` at a clean end of stream.
     pub fn next_record(&mut self) -> GnfResult<Option<TraceRecord>> {
-        Ok(self.read_body()?.map(|(at, frame)| TraceRecord {
+        Ok(self.next_frame()?.map(|(at, frame)| TraceRecord {
             at,
             frame: frame.to_vec(),
         }))
     }
 
     /// [`next_record`] for the replay path: the frame arrives as the
-    /// [`Bytes`] a packet is parsed from, its one allocation.
+    /// [`Bytes`] a packet is parsed from, a slice of the block it was read
+    /// in — no heap request, no copy. It keeps that block alive.
     ///
     /// [`next_record`]: TraceReader::next_record
     pub fn next_frame(&mut self) -> GnfResult<Option<(SimTime, Bytes)>> {
-        Ok(self
-            .read_body()?
-            .map(|(at, frame)| (at, Bytes::copy_from_slice(frame))))
-    }
-
-    /// Reads the next record into the reused body buffer: its timestamp and
-    /// its frame, valid until the next read.
-    fn read_body(&mut self) -> GnfResult<Option<(SimTime, &[u8])>> {
-        let body = &mut self.body;
+        let input = &mut self.input;
         let found = match &mut self.kind {
-            ReaderKind::Pcap { big_endian, nanos } => {
-                Self::next_pcap(&mut self.source, *big_endian, *nanos, body)?
-            }
+            ReaderKind::Pcap { big_endian, nanos } => Self::next_pcap(input, *big_endian, *nanos)?,
             ReaderKind::PcapNg {
                 big_endian,
                 tsresol,
-            } => Self::next_pcapng(&mut self.source, big_endian, tsresol, body)?,
+            } => Self::next_pcapng(input, big_endian, tsresol)?,
         };
         Ok(found.map(|(at, frame)| {
             self.records += 1;
-            (at, &self.body[frame])
+            (at, self.input.block.slice(frame))
         }))
     }
 
     /// Reads every remaining record into a vector (tests and small traces;
-    /// replay paths should stream via [`TraceReader::next_record`]).
+    /// replay paths should stream via [`TraceReader::next_frame`]).
     pub fn read_all(&mut self) -> GnfResult<Vec<TraceRecord>> {
         let mut out = Vec::new();
         while let Some(record) = self.next_record()? {
@@ -375,86 +427,82 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn next_pcap(
-        source: &mut R,
+        input: &mut Input<R>,
         big_endian: bool,
         nanos: bool,
-        frame: &mut Vec<u8>,
     ) -> GnfResult<Option<(SimTime, Range<usize>)>> {
-        let mut header = [[0u8; 4]; 4];
-        if !read_exact_or_eof(source, header.as_flattened_mut())? {
+        let Some(at) = input.take(16)? else {
             return Ok(None);
-        }
+        };
+        let header = input.words(at);
         let sec = u64::from(read_u32(big_endian, header[0]));
         let frac = u64::from(read_u32(big_endian, header[1]));
         let incl = read_u32(big_endian, header[2]);
         if incl > TRACE_SNAPLEN {
             return Err(pcap_error(format!("record length {incl} above snaplen")));
         }
-        frame.resize(incl as usize, 0);
-        if !read_exact_or_eof(source, frame)? && incl > 0 {
+        let Some(frame) = input.take(incl as usize)? else {
             return Err(pcap_error("truncated record body"));
-        }
+        };
         let frac_nanos = if nanos { frac } else { frac * 1_000 };
         Ok(Some((
             SimTime::from_nanos(sec * 1_000_000_000 + frac_nanos),
-            0..frame.len(),
+            frame,
         )))
     }
 
     fn next_pcapng(
-        source: &mut R,
+        input: &mut Input<R>,
         big_endian: &mut bool,
         tsresol: &mut Vec<TsResol>,
-        body: &mut Vec<u8>,
     ) -> GnfResult<Option<(SimTime, Range<usize>)>> {
         loop {
-            let mut head = [[0u8; 4]; 2];
-            if !read_exact_or_eof(source, head.as_flattened_mut())? {
+            let Some(at) = input.take(8)? else {
                 return Ok(None);
-            }
-            let block_type = read_u32(*big_endian, head[0]);
+            };
+            let words = input.words(at);
+            let (kind, length) = (words[0], words[1]);
+            let block_type = read_u32(*big_endian, kind);
             // A new section may switch byte order: peek the BOM before
             // trusting the length field.
             if block_type == PCAPNG_BLOCK_SHB || block_type.swap_bytes() == PCAPNG_BLOCK_SHB {
-                let mut bom = [0u8; 4];
-                if !read_exact_or_eof(source, &mut bom)? {
+                let Some(at) = input.take(4)? else {
                     return Err(pcap_error("truncated section header"));
-                }
-                *big_endian = match u32::from_le_bytes(bom) {
-                    PCAPNG_BOM => false,
-                    b if b.swap_bytes() == PCAPNG_BOM => true,
-                    other => {
-                        return Err(pcap_error(format!(
-                            "bad pcapng byte-order magic {other:#010x}"
-                        )))
-                    }
                 };
+                *big_endian = pcapng_big_endian(input.words(at)[0])?;
                 tsresol.clear();
-                let total = read_u32(*big_endian, head[1]) as usize;
+                let total = read_u32(*big_endian, length) as usize;
                 if !(16..=1 << 26).contains(&total) {
                     return Err(pcap_error(format!("bad SHB length {total}")));
                 }
-                let mut rest = vec![0u8; total - 12];
-                if !read_exact_or_eof(source, &mut rest)? {
+                if input.take(total - 12)?.is_none() {
                     return Err(pcap_error("truncated section header"));
                 }
                 continue;
             }
-            let total = read_u32(*big_endian, head[1]) as usize;
+            let total = read_u32(*big_endian, length) as usize;
             if !(12..=1 << 26).contains(&total) || !total.is_multiple_of(4) {
                 return Err(pcap_error(format!("bad block length {total}")));
             }
-            body.resize(total - 12, 0);
-            if !read_exact_or_eof(source, body)? && total > 12 {
-                return Err(pcap_error("truncated block body"));
+            // The body and its trailer, taken together so that the body
+            // lies in the block the trailer check leaves current.
+            let body_len = total - 12;
+            let unread = input.fill(body_len + 4)?;
+            if unread < body_len + 4 {
+                return Err(pcap_error(if unread == body_len {
+                    "truncated block trailer"
+                } else if unread == 0 {
+                    "truncated block body"
+                } else {
+                    "truncated record"
+                }));
             }
-            let mut trailer = [0u8; 4];
-            if !read_exact_or_eof(source, &mut trailer)? {
-                return Err(pcap_error("truncated block trailer"));
-            }
-            if read_u32(*big_endian, trailer) != total as u32 {
+            let at = input.consume(body_len + 4);
+            let body = at.start..at.end - 4;
+            if read_u32(*big_endian, input.words(body.end..at.end)[0]) != total as u32 {
                 return Err(pcap_error("block trailer length mismatch"));
             }
+            let (start, body) = (body.start, &input.block[body]);
             match block_type {
                 PCAPNG_BLOCK_IDB => {
                     if body.len() < 8 {
@@ -512,7 +560,8 @@ impl<R: Read> TraceReader<R> {
                         .copied()
                         .unwrap_or(TsResol::Decimal(6));
                     let nanos = resol.to_nanos((high << 32) | low);
-                    return Ok(Some((SimTime::from_nanos(nanos), 20..20 + captured)));
+                    let frame = start + 20..start + 20 + captured;
+                    return Ok(Some((SimTime::from_nanos(nanos), frame)));
                 }
                 PCAPNG_BLOCK_SPB => {
                     if body.len() < 4 {
@@ -520,7 +569,7 @@ impl<R: Read> TraceReader<R> {
                     }
                     let original = read_u32(*big_endian, body.as_chunks().0[0]) as usize;
                     let captured = original.min(body.len() - 4);
-                    return Ok(Some((SimTime::ZERO, 4..4 + captured)));
+                    return Ok(Some((SimTime::ZERO, start + 4..start + 4 + captured)));
                 }
                 // Name resolution, statistics, custom blocks: skip.
                 _ => continue,

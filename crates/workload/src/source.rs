@@ -4,8 +4,8 @@
 //! non-decreasing time order. The emulator pulls the next batch only after
 //! delivering the previous one, so a source never needs to materialize a
 //! whole trace: synthetic generators keep one pending packet per active flow,
-//! trace replays keep one record of read-ahead, and million-flow runs stay
-//! flat in RSS.
+//! trace replays keep one read block of read-ahead (plus the blocks live
+//! packets still pin), and million-flow runs stay flat in RSS.
 
 use crate::pcap::{TraceReader, TraceWriter};
 use gnf_packet::Packet;

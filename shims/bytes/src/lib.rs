@@ -1,79 +1,130 @@
 //! Minimal stand-in for the `bytes` crate.
 //!
-//! [`Bytes`] is a cheaply clonable, immutable byte buffer (an `Arc<[u8]>`
-//! under the hood — cloning a parsed packet never copies the frame), which
+//! [`Bytes`] is a cheaply clonable, immutable view of a shared buffer (an
+//! `Arc<[u8]>` plus an offset and a length): cloning a parsed packet never
+//! copies the frame, and [`Bytes::slice`] hands out part of a buffer — a
+//! frame of a trace's read block — without a copy or a heap request.
 //! [`Bytes::patch`] edits copy-on-write.
 //! [`BytesMut`] is a growable buffer with an efficient consumed-prefix
 //! cursor so `advance`/`split_to` are O(1) amortized, as the real crate
 //! promises. Only the API surface this workspace uses is provided.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize, Value};
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Deref, Index};
+use std::hash::{Hash, Hasher};
+use std::ops::{Bound, Deref, Index, RangeBounds};
 use std::sync::Arc;
 
-/// A reference-counted byte buffer whose shared bytes never change: only
-/// [`Bytes::patch`] writes, and only to bytes no other handle sees.
-#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A view of a reference-counted buffer whose shared bytes never change:
+/// only [`Bytes::patch`] writes, and only to bytes no other handle sees.
+/// Equality, order and hash are those of the viewed bytes, wherever they
+/// lie.
+#[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<[u8]>,
+    /// The view is `data[start..start + len]`; `u32`s keep the handle at
+    /// 24 bytes.
+    start: u32,
+    len: u32,
 }
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(&[][..]),
-        }
+        Bytes::from(Arc::from(&[][..]))
     }
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
+        Bytes::from(Arc::from(data))
+    }
+
+    /// The bytes of `range` (relative to this view) as a view of the same
+    /// buffer: no copy, no heap request. Panics when `range` runs past the
+    /// view, as the real crate does.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let start = match range.start_bound() {
+            Bound::Included(&at) => at,
+            Bound::Excluded(&at) => at + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&at) => at + 1,
+            Bound::Excluded(&at) => at,
+            Bound::Unbounded => self.len(),
+        };
+        assert!(
+            start <= end && end <= self.len(),
+            "range {start}..{end} out of bounds of a {}-byte view",
+            self.len()
+        );
         Bytes {
-            data: Arc::from(data),
+            data: Arc::clone(&self.data),
+            start: self.start + start as u32,
+            len: (end - start) as u32,
         }
     }
 
-    /// Lets `patch` edit the buffer, copy-on-write: in place when this
-    /// handle is the buffer's only owner, otherwise in a private copy (one
-    /// allocation and one copy) that this handle then owns, leaving every
-    /// other handle's bytes as they were. Returns what `patch` returns.
+    /// Lets `patch` edit the viewed bytes, copy-on-write: in place when this
+    /// handle views the whole buffer and is its only owner, otherwise in a
+    /// private copy of the view (one allocation and one copy) that this
+    /// handle then owns, leaving every other handle's bytes as they were.
+    /// Returns what `patch` returns.
     pub fn patch<R>(&mut self, patch: impl FnOnce(&mut [u8]) -> R) -> R {
+        if self.len() != self.data.len() {
+            *self = Bytes::copy_from_slice(self);
+        }
         patch(Arc::make_mut(&mut self.data))
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len as usize
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Copies the contents into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
+        self.as_ref().to_vec()
+    }
+}
+
+impl From<Arc<[u8]>> for Bytes {
+    /// A view of the whole buffer. Panics on a buffer of 4 GiB or more.
+    fn from(data: Arc<[u8]>) -> Self {
+        let len = u32::try_from(data.len()).expect("a Bytes buffer is below 4 GiB");
+        Bytes {
+            data,
+            start: 0,
+            len,
+        }
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        let start = self.start as usize;
+        &self.data[start..start + self.len as usize]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Bytes { data: data.into() }
+        Bytes::from(Arc::<[u8]>::from(data))
     }
 }
 
@@ -98,6 +149,32 @@ impl fmt::Debug for Bytes {
             }
         }
         write!(f, "\"")
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> Ordering {
+        self.as_ref().cmp(other.as_ref())
+    }
+}
+
+impl Hash for Bytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
     }
 }
 

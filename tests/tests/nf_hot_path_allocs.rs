@@ -7,7 +7,9 @@
 //!   request is read through a view borrowing the frame;
 //! * a NAT translation of an established flow allocates a new frame only
 //!   when it must: none when the packet owns its frame alone (the frame is
-//!   patched in place), one copy when a clone still shares it;
+//!   patched in place), one copy when a clone still shares it or the frame
+//!   is a slice of a replay's read block (`Bytes::patch` copies only the
+//!   view's own range);
 //! * draining notifications from five idle NFs allocates nothing — an NF
 //!   is named only when it has events;
 //! * a batch through the five-NF chain allocates what its packets do one at
@@ -36,11 +38,13 @@
 //! heap request, the table's copy, at either size, and replacing a fresh
 //! firewall's state with it requests nothing: the table moves in.
 //!
-//! The same counter guards trace ingest (PR 21): a replayed frame allocates
-//! the buffer its packet is parsed from and nothing else — the reader's
-//! record body lands in a buffer it reuses — and `TraceReader::next_frame`,
-//! which the replay pulls, agrees with `next_record` on every record and
-//! every error, for pcap and pcapng alike.
+//! The same counter guards trace ingest: a replay makes one heap request
+//! per read block and its batch vectors, and none per frame — a frame is a
+//! slice of the block it was read in — and `TraceReader::next_frame`, which
+//! the replay pulls, agrees with `next_record` on every record and every
+//! error, for pcap and pcapng alike (`crates/workload/tests/hostile_input.rs`
+//! checks both against the record-at-a-time reader on cut and corrupt
+//! traces).
 //!
 //! And the cost of generating a packet: `tcp_syn`, `udp_packet`,
 //! `dns_query` and `http_get` write each frame once and make one heap
@@ -57,6 +61,7 @@
 //! except that it counts per thread: the test harness runs the tests of
 //! this file on parallel threads.
 
+use bytes::Bytes;
 use gnf_agent::{Agent, AgentConfig, PacketOutcome};
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_container::ImageRepository;
@@ -85,12 +90,13 @@ use gnf_types::{
 };
 use gnf_workload::{
     ArrivalModel, Population, SyntheticSpec, TraceFormat, TraceReader, TraceWorkload, TraceWriter,
-    TrafficMix, Workload,
+    TrafficMix, Workload, TRACE_BLOCK_BYTES,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::Cursor;
+use std::io::{self, Cursor, Read};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 thread_local! {
     // `const` initialisers and no destructors: reading these from inside
@@ -682,34 +688,112 @@ fn replay(trace: &[u8]) -> TraceWorkload<&[u8]> {
     .unwrap()
 }
 
+/// A trace source that counts the reads that returned bytes: with a source
+/// that fills each read, one per block the reader makes.
+struct CountedReads<'a> {
+    trace: &'a [u8],
+    reads: Rc<Cell<u64>>,
+}
+
+impl Read for CountedReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let read = self.trace.read(buf)?;
+        self.reads.set(self.reads.get() + u64::from(read > 0));
+        Ok(read)
+    }
+}
+
 #[test]
-fn a_replayed_frame_allocates_its_buffer_and_nothing_else() {
-    const FRAMES: u16 = 32;
+fn a_replayed_frame_makes_no_heap_request_of_its_own() {
+    // Enough frames for several read blocks.
+    const FRAMES: u16 = 6_000;
     let frames: Vec<Packet> = (0..FRAMES)
         .map(|i| http_get_from(41_001 + i, "example.com"))
         .collect();
     for format in [TraceFormat::Pcap, TraceFormat::PcapNg] {
         let trace = capture(format, &frames);
-        let mut workload = replay(&trace);
-        // The first pull also reads the capture's preamble and sizes the
-        // reader's body buffer (the frames are of equal length).
+        let reads = Rc::new(Cell::new(0));
+        let source = CountedReads {
+            trace: &trace,
+            reads: Rc::clone(&reads),
+        };
+        let mut workload = TraceWorkload::new(
+            "replay",
+            source,
+            StationId::new(0),
+            [(MacAddr::derived(0xA0, 0), StationId::new(0))].into(),
+            [(client_mac(), ClientId::new(0))].into(),
+        )
+        .unwrap();
+        // The first pull also reads the capture's preamble (pcapng: its
+        // interface table).
         assert_eq!(workload.next_batch().map(|batch| batch.len()), Some(1));
+        let mut blocks = 0;
         for pull in 2..=FRAMES {
+            let before = reads.get();
             let (batch, allocations) = counted(|| workload.next_batch());
             assert_eq!(batch.map(|batch| batch.len()), Some(1));
-            // Every pull reads one frame ahead to find the batch boundary;
-            // the last finds the end of the stream instead.
-            let read_ahead = u64::from(pull < FRAMES);
+            // Every pull reads one frame ahead to find the batch boundary,
+            // from the current block or from a new one.
+            let read = reads.get() - before;
+            blocks += read;
             assert_eq!(
                 allocations,
-                read_ahead + 1,
-                "{format:?}, pull {pull}: one buffer per frame read plus the batch vector"
+                read + 1,
+                "{format:?}, pull {pull}: the blocks read plus the batch vector"
             );
         }
         assert!(workload.next_batch().is_none());
-        assert_eq!(workload.malformed_frames(), 0);
         assert!(workload.read_error().is_none());
+        let whole_blocks = (trace.len() / TRACE_BLOCK_BYTES) as u64;
+        assert!(
+            (whole_blocks.max(2)..=whole_blocks + 1).contains(&blocks),
+            "{format:?}: {blocks} blocks after the first for {} bytes",
+            trace.len()
+        );
     }
+}
+
+#[test]
+fn a_nat_translation_of_a_replayed_frame_is_one_copy() {
+    let mut nat = Nat::new("nat", Ipv4Addr::new(198, 51, 100, 1));
+    // The flow's first packet also fills the translation table.
+    nat.process(http_get("example.com"), Direction::Ingress, &ctx());
+    for format in [TraceFormat::Pcap, TraceFormat::PcapNg] {
+        let frames = [http_get("example.com"), http_get("example.com")];
+        let trace = capture(format, &frames);
+        let mut workload = replay(&trace);
+        let (_, packet) = workload.next_batch().unwrap().packets.remove(0);
+        // The frame is a slice of the block its neighbour (the read-ahead)
+        // shares: it is copied once, and the block is left as it was read.
+        let (verdict, allocations) = counted(|| nat.process(packet, Direction::Ingress, &ctx()));
+        let translated = verdict.into_forwarded().unwrap();
+        assert_eq!(
+            translated.five_tuple().unwrap().src_ip,
+            Ipv4Addr::new(198, 51, 100, 1)
+        );
+        assert_eq!(allocations, 1, "{format:?}");
+        let (_, neighbour) = workload.next_batch().unwrap().packets.remove(0);
+        assert_eq!(neighbour, frames[1], "{format:?}");
+    }
+}
+
+#[test]
+fn a_patch_copies_only_a_view_that_shares_or_narrows_its_buffer() {
+    let frame = http_get("example.com").bytes().to_vec();
+    // The sole owner of a whole buffer patches it where it lies.
+    let mut whole = Bytes::from(frame.clone());
+    let at = whole.as_ptr();
+    let ((), allocations) = counted(|| whole.patch(|bytes| bytes[0] ^= 0xff));
+    assert_eq!((allocations, whole.as_ptr()), (0, at));
+    // A slice of a block copies its own range and nothing more: one
+    // request of its length plus the two reference counts.
+    let block = Bytes::from(frame.clone());
+    let mut slice = block.slice(14..34);
+    let (((), allocations), bytes) = counted_bytes(|| slice.patch(|bytes| bytes[0] ^= 0xff));
+    let with_counts = (2 * size_of::<usize>() + 20).next_multiple_of(align_of::<usize>());
+    assert_eq!((allocations, bytes), (1, with_counts as u64));
+    assert_eq!((slice[0], block[14]), (frame[14] ^ 0xff, frame[14]));
 }
 
 /// Drains a reader through `next`, returning the records read and the error
@@ -981,9 +1065,13 @@ fn one_roam_wave() -> Emulator {
 /// 23 026 / 5 017 = 4.590, 13 124 / 4 000 = 3.281 and
 /// 20 526 / 16 660 = 1.232; then, before a batch of one held its packet
 /// inline (one vector per admitted batch), 21 226 / 5 017 = 4.231,
-/// 13 052 / 4 000 = 3.263 and 20 334 / 16 660 = 1.221.
+/// 13 052 / 4 000 = 3.263 and 20 334 / 16 660 = 1.221. Before a replayed
+/// frame was a slice of its read block, the replay read 10 026 / 4 000 =
+/// 2.506: one copy per frame at ingest, where there is now one per frame
+/// the NAT translates (it copies its frame out of the shared block) plus
+/// one per read block and the reader's staging buffer.
 const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 16_149.0 / 5_017.0;
-const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 10_026.0 / 4_000.0;
+const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 10_029.0 / 4_000.0;
 const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 3_674.0 / 16_660.0;
 
 #[test]

@@ -10,6 +10,12 @@
 //! * after a whole run, a 200-station `fleet_steady`-shaped emulator holds
 //!   at most [`LIVE_BLOCKS_PER_STATION`] + 2 live heap blocks per station.
 //!
+//! The same counter bounds what a trace replay keeps. Its frames are slices
+//! of shared read blocks, so a live packet keeps its block alive: a replay
+//! drained with every packet dropped holds one read block (and the reader's
+//! staging buffer), never the blocks behind it, and a packet kept from the
+//! start of a trace pins its own block and nothing more.
+//!
 //! The counting allocator has the shape of the one in `nf_hot_path_allocs.rs`
 //! but also subtracts deallocations, so it reads what is still held, not
 //! what was ever requested. It counts per thread (the test harness runs
@@ -20,10 +26,14 @@ use gnf_container::ImageRepository;
 use gnf_core::{Emulator, Scenario};
 use gnf_edge::TrafficProfile;
 use gnf_nf::testing::sample_specs;
+use gnf_packet::builder;
 use gnf_switch::TrafficSelector;
-use gnf_types::{GnfConfig, HostClass, SimDuration, SimTime};
+use gnf_types::{GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId};
+use gnf_workload::{TraceWorkload, TraceWriter, Workload, TRACE_BLOCK_BYTES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 thread_local! {
     // `const` initialisers and no destructors: reading these from inside
@@ -179,4 +189,86 @@ fn a_fleet_station_holds_few_heap_blocks_after_a_run() {
         "{per_station:.1} live heap blocks per station, ceiling {LIVE_BLOCKS_PER_STATION:.1} + 2"
     );
     drop(emulator);
+}
+
+/// A capture of 12 000 UDP frames of 42 to 401 bytes, one per millisecond:
+/// about eleven read blocks.
+fn long_capture() -> Vec<u8> {
+    let mut writer = TraceWriter::pcap(Vec::new()).unwrap();
+    let payload = [0x5a; 360];
+    for i in 0..12_000u16 {
+        let frame = builder::udp_packet(
+            MacAddr::derived(1, 1),
+            MacAddr::derived(0xA0, 0),
+            Ipv4Addr::new(10, 0, 0, 2),
+            Ipv4Addr::new(203, 0, 113, 9),
+            40_000 + i % 1_000,
+            53,
+            &payload[..usize::from(i) % 360],
+        );
+        writer
+            .write_record(SimTime::from_millis(u64::from(i)), frame.bytes())
+            .unwrap();
+    }
+    writer.into_inner().unwrap()
+}
+
+/// Drains a replay of `trace`, keeping its first packet when `keep_first`:
+/// the most bytes live after any pull, and the drained workload with what
+/// it kept.
+fn drain_replay(trace: &[u8], keep_first: bool) -> (i64, impl Sized + '_, Counted) {
+    let ((peak, kept), counted) = counted(|| {
+        let start = LIVE_BYTES.get();
+        let mut workload = TraceWorkload::new(
+            "replay",
+            trace,
+            StationId::new(0),
+            HashMap::new(),
+            HashMap::new(),
+        )
+        .unwrap();
+        let (mut peak, mut kept) = (0, None);
+        while let Some(batch) = workload.next_batch() {
+            if keep_first && kept.is_none() {
+                kept = batch.packets.into_iter().next();
+            }
+            peak = peak.max(LIVE_BYTES.get() - start);
+        }
+        assert!(workload.read_error().is_none());
+        (peak, (workload, kept))
+    });
+    (peak, kept, counted)
+}
+
+#[test]
+fn a_replay_holds_one_read_block_and_a_kept_packet_pins_only_its_own() {
+    let trace = long_capture();
+    let block = TRACE_BLOCK_BYTES as i64;
+    assert!(trace.len() as i64 > 8 * block, "{} bytes", trace.len());
+    // A few KiB for the workload itself: its maps, its reader.
+    let slack = 4 * 1024;
+
+    let (peak, drained, dropped) = drain_replay(&trace, false);
+    println!(
+        "every packet dropped: peak {peak} B, then {} B live",
+        dropped.live_bytes
+    );
+    // The staging buffer and the last block; while reading, also the block
+    // the read-ahead packet still pins.
+    assert!(dropped.live_bytes <= 2 * block + slack, "{dropped:?}");
+    assert!(peak <= 3 * block + slack, "peak {peak} B");
+    drop(drained);
+
+    let (peak, drained, kept) = drain_replay(&trace, true);
+    println!(
+        "first packet kept: peak {peak} B, then {} B live",
+        kept.live_bytes
+    );
+    let pinned = kept.live_bytes - dropped.live_bytes;
+    assert!(
+        (1..=block + slack).contains(&pinned),
+        "the kept packet pins {pinned} B"
+    );
+    assert!(peak <= 4 * block + slack, "peak {peak} B");
+    drop(drained);
 }

@@ -4,10 +4,12 @@
 The protocol of `choosing-metrics` §8 on the repository benchmark
 (`BENCHMARK.json`): export the parent and the change into two fresh
 directories, build each once, run >= 10 alternating parent/change pairs of
-the `BENCHMARK.json` command on the claimed workload, run every other
-workload once per side, and record every run. A gain is claimed only when the
-change wins at least nine tenths of the pairs (ties count for neither) and
-the medians are further apart than the parent's own quartile distance.
+the `BENCHMARK.json` command on the claimed workload, then 5 alternating
+pairs of every other workload, round-robin, and record every run. A gain is
+claimed only when the change wins at least nine tenths of the pairs (ties
+count for neither) and the medians are further apart than the parent's own
+quartile distance; every other workload and metric gets the no-claim
+verdict below.
 
     # measure: the staged index against HEAD, both seeds, write the ledger
     tools/bench_pair.py --parent HEAD --change INDEX --workload fleet_steady \
@@ -17,8 +19,9 @@ the medians are further apart than the parent's own quartile distance.
     # ok, regressed, or unresolved
     tools/bench_pair.py --parent HEAD --change INDEX --seeds 7,1016 --out BENCH_18.json
     # CI: re-judge a ledger from its recorded runs; fail if a RunReport digest
-    # pair differs, the claim does not follow from the pairs (no-claim: a
-    # metric regressed), or more operations failed on the change side. Also
+    # pair differs, the claim does not follow from the pairs, any metric
+    # regressed beyond its bound, or more operations failed on the change
+    # side. Also
     # prints (never fails on) the drift since the previous ledger beside it:
     # that ledger's change medians against this one's parent medians
     tools/bench_pair.py --check BENCH_15.json
@@ -39,6 +42,9 @@ import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Pairs of each workload without a claim: of every workload in a no-claim
+# ledger (the minimum), of every other workload in a claim ledger.
+OTHER_PAIRS = 5
 DIGEST = re.compile(r"RunReport fnv ([0-9a-f]+)")
 LEDGER = re.compile(r"BENCH_(\d+)\.json$")
 
@@ -162,7 +168,7 @@ def measure(args):
     claimed = args.workload is not None
     if claimed and (args.workload not in workloads or args.metric not in better):
         raise SystemExit(f"unknown workload or metric; have {workloads} x {list(better)}")
-    least = 10 if claimed else 5
+    least = 10 if claimed else OTHER_PAIRS
     pair_count = args.pairs or least
     if pair_count < least:
         raise SystemExit(f"the protocol needs at least {least} pairs")
@@ -195,39 +201,39 @@ def measure(args):
             print(f"seed {seed} pair {i + 1}/{pair_count}:",
                   *(f"{side} {pairs[-1][side]['metrics'][args.metric]:.6g}" for side in dirs),
                   flush=True)
-        others = {
-            name: pair(i, name, seed)
-            for i, name in enumerate(w for w in workloads if w != args.workload)
-        }
-        digests = {name: {side: sides[side]["digest"] for side in dirs} for name, sides in others.items()}
-        digests[args.workload] = {side: one_digest(p[side] for p in pairs) for side in dirs}
         verdict = judge(pairs, args.metric, better[args.metric] == "higher")
         print(f"seed {seed}: {verdict}", flush=True)
-        return {"verdict": verdict, "pairs": pairs, "others": others, "digests": digests}
+        others = no_claim_seed(seed, [w for w in workloads if w != args.workload], OTHER_PAIRS)
+        others["digests"][args.workload] = {side: one_digest(p[side] for p in pairs) for side in dirs}
+        # The claimed workload's pairs also answer for its other metrics.
+        others["verdicts"][args.workload] = verdicts(pairs)
+        return {"verdict": verdict, "pairs": pairs, **others}
 
-    def no_claim_seed(seed):
+    def no_claim_seed(seed, names, count):
         # Round-robin over the workloads, so host drift during the session
         # spreads over all of them instead of landing on one.
-        runs = {name: [] for name in workloads}
-        for i in range(pair_count):
-            for name in workloads:
+        runs = {name: [] for name in names}
+        for i in range(count):
+            for name in names:
                 runs[name].append(pair(i, name, seed))
-                print(f"seed {seed} pair {i + 1}/{pair_count} {name}:",
+                print(f"seed {seed} pair {i + 1}/{count} {name}:",
                       *(f"{side} {runs[name][-1][side]['metrics']['pkts_per_s']:.6g}" for side in dirs),
                       flush=True)
-        verdicts = {
-            name: {m["name"]: no_regression(pairs, m["name"], m["better"] == "higher", m["bound"])
-                   for m in bench["end_to_end"]}
-            for name, pairs in runs.items()
-        }
-        for name, by_metric in verdicts.items():
+        by_workload = {name: verdicts(pairs) for name, pairs in runs.items()}
+        for name, by_metric in by_workload.items():
             print(f"seed {seed} {name}:", {m: v["verdict"] for m, v in by_metric.items()}, flush=True)
         digests = {name: {side: one_digest(p[side] for p in pairs) for side in dirs}
                    for name, pairs in runs.items()}
-        return {"verdicts": verdicts, "workloads": runs, "digests": digests}
+        return {"verdicts": by_workload, "workloads": runs, "digests": digests}
+
+    def verdicts(pairs):
+        return {m["name"]: no_regression(pairs, m["name"], m["better"] == "higher", m["bound"])
+                for m in bench["end_to_end"]}
 
     for seed in args.seeds:
-        ledger["seeds"][str(seed)] = claimed_seed(seed) if claimed else no_claim_seed(seed)
+        ledger["seeds"][str(seed)] = (
+            claimed_seed(seed) if claimed else no_claim_seed(seed, workloads, pair_count)
+        )
 
     with open(args.out, "w") as f:
         json.dump(ledger, f, indent=1)
@@ -249,12 +255,15 @@ def failure_share_rose(sides):
 
 def pairs_by_workload(block, claim):
     """Every pair one seed of a ledger records, by workload: all of a
-    no-claim ledger's, or a claim ledger's claimed pairs plus the one pair
-    it ran of each other workload."""
+    no-claim ledger's, or a claim ledger's claimed pairs plus the pairs it
+    ran of each other workload (one each, in ledgers before `BENCH_42.json`;
+    those are judged by their digests and failure shares alone)."""
     if "workloads" in block:
-        return block["workloads"]
-    by_workload = {name: [pair] for name, pair in block["others"].items()}
-    by_workload[claim["workload"] if claim else "?"] = block["pairs"]
+        by_workload = dict(block["workloads"])
+    else:
+        by_workload = {name: [pair] for name, pair in block["others"].items()}
+    if "pairs" in block:
+        by_workload[claim["workload"] if claim else "?"] = block["pairs"]
     return by_workload
 
 
@@ -302,9 +311,10 @@ def check(path):
     """Re-judges a ledger from the runs it records. Fails (returns 1) if a
     parent/change digest pair differs, if the ledger names a claim that the
     section 8 rule does not grant on its recorded pairs (or whose recorded
-    verdict is not what `judge` computes from them), if a no-claim ledger
-    records a metric that regressed beyond its `BENCHMARK.json` bound (or a
-    verdict that is not what `no_regression` computes), or if any recorded
+    verdict is not what `judge` computes from them), if a metric the ledger
+    records a no-claim verdict for (every metric of every workload; claim
+    ledgers before `BENCH_42.json` record none) regressed beyond its `BENCHMARK.json` bound (or has a recorded verdict
+    that is not what `no_regression` computes), or if any recorded
     pair of runs failed a larger share of its operations on the change side.
     An `unresolved` verdict is printed, not failed: it says these runs cannot
     tell, which is what the ledger is there to record. Ends with the drift
@@ -339,7 +349,9 @@ def check(path):
                   f" quartile distance {verdict['parent']['q3'] - verdict['parent']['q1']:.6g}:"
                   f" {'GRANTED' if verdict['gain'] else 'NOT MET'}"
                   f"{'' if followed else ', and the recorded verdict DIFFERS'}")
-        for workload, pairs in sorted(block.get("workloads", {}).items()):
+        for workload, pairs in sorted(pairs_by_workload(block, claim).items()):
+            if workload not in block.get("verdicts", {}):
+                continue
             for m in end_to_end:
                 verdict = no_regression(pairs, m["name"], m["better"] == "higher", m["bound"])
                 followed = verdict == block["verdicts"][workload][m["name"]]
