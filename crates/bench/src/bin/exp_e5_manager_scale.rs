@@ -21,8 +21,9 @@
 //!   with nonzero delta traffic and at least one forced keyframe resync.
 //! * **station data-plane slope** — `Agent::process` on one-packet batches,
 //!   round-robin over N warmed one-client stations (N = 200, 2 000 and
-//!   20 000, as far as `--stations` allows): ns/packet per N and the
-//!   largest-N / 200 ratio, the cost of a station whose state went cold
+//!   20 000, as far as `--stations` allows): ns/packet per N, the
+//!   largest-N / 200 ratio and the cold-station excess (largest-N minus
+//!   200-station ns/packet), the cost of a station whose state went cold
 //!   between its packets, free of the event loop. Only deterministic facts
 //!   are asserted: every station's outcomes equal one reference station's.
 //!
@@ -393,6 +394,12 @@ fn main() {
         println!(
             "slope ratio {top_n}/{base_n}: {:.2}x  (wall clock; compare within one host)",
             top / base
+        );
+        // The ratio divides by the warm cost, so a cheaper packet raises it
+        // although no station got slower; the excess is the cold cost alone.
+        println!(
+            "cold-station excess {top_n} - {base_n}: {:.1} ns/pkt",
+            top - base
         );
     }
 

@@ -60,7 +60,7 @@ impl Workload for Probe {
 }
 
 /// The conntrack-off 100-rule firewall (pure masks: megaflow-bypassable) —
-/// the same rule shape the `flow_cache`/`megaflow` criterion groups walk.
+/// the rule shape `exp_e4_dataplane`'s cache sections walk.
 fn pure_firewall() -> NfSpec {
     NfSpec::new("edge-fw", NfConfig::Firewall(hundred_rule_config(false)))
 }

@@ -4,9 +4,9 @@
 //! one: clients associated, chains deployed with
 //! [`ManagerToAgent::DeployChain`], the megaflow layer switched on where
 //! asked. `exp_e4_dataplane`'s cache sections (the guardrails it asserts)
-//! and the criterion `workload` and `trace_overhead` groups step these
-//! stations through `Agent::process`, so what they time is the production
-//! pipeline, not a copy of it.
+//! step these stations through `Agent::process`, so what they time is the
+//! production pipeline, not a copy of it; `exp_e5_manager_scale`'s slope
+//! section builds its one-client fleet with [`station_agent`].
 
 use gnf_agent::{Agent, AgentConfig, PacketOutcome};
 use gnf_api::messages::{AgentToManager, ManagerToAgent};
@@ -28,8 +28,8 @@ pub const NOW: SimTime = SimTime::from_secs(1);
 
 /// A 100-rule edge firewall of range and CIDR rules — the shapes the
 /// exact-port index cannot bucket, so the uncached path walks the list per
-/// packet. (Exact-port rule sets are covered by the `firewall_rule_count`
-/// bench group, where the index makes them O(1).)
+/// packet. (Exact-port rule sets are [`exact_port_config`], where the index
+/// makes them O(1).)
 pub fn hundred_rule_config(track_connections: bool) -> FirewallConfig {
     let mut rules = Vec::with_capacity(100);
     for i in 0..60u16 {
@@ -212,58 +212,5 @@ fn flow_frames(count: u32, dst_port: u16) -> Vec<Packet> {
                 &[0xAB; 10],
             )
         })
-        .collect()
-}
-
-/// The IP a hot-station client sources its traffic from.
-fn hot_station_ip(client: u32) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 1 + (client / 250) as u8, 2 + (client % 250) as u8)
-}
-
-/// One *hot* station: `clients` clients, each steered through its own 2-NF
-/// chain — the 100-rule conntrack-on firewall followed by the IDS — with
-/// megaflow on. The IDS is deliberately opaque (it reads the whole payload),
-/// so the chains never seal a wildcard bypass and every packet of every
-/// established flow still pays the full chain walk: the per-packet work the
-/// `trace_overhead` criterion group traces.
-pub fn hot_station_agent(clients: u32) -> Agent {
-    station_agent(
-        (0..clients).map(|client| {
-            (
-                ClientId::new(u64::from(client)),
-                MacAddr::derived(1, client),
-                hot_station_ip(client),
-            )
-        }),
-        &[
-            NfSpec::new("fw", NfConfig::Firewall(hundred_rule_config(true))),
-            NfSpec::new("ids", NfConfig::Ids(IdsConfig::default())),
-        ],
-        true,
-    )
-}
-
-/// The hot station's upstream batch: `per_client` 1000-byte TCP data frames
-/// per client (one established flow each), the clients interleaved
-/// round-robin — the mixed-flow shape the emulator's batches have, where a
-/// packet's predecessor is almost never of its own flow — so consecutive
-/// packets belong to different chains and the IDS signature scan dominates
-/// the per-packet cost.
-pub fn hot_station_frames(clients: u32, per_client: usize) -> Vec<Packet> {
-    let frames: Vec<Packet> = (0..clients)
-        .map(|client| {
-            builder::tcp_data(
-                MacAddr::derived(1, client),
-                MacAddr::derived(0xA0, 0),
-                hot_station_ip(client),
-                Ipv4Addr::new(203, 0, 113, 9),
-                40_000 + client as u16,
-                443,
-                &vec![0xAB; 1000],
-            )
-        })
-        .collect();
-    (0..per_client)
-        .flat_map(|_| frames.iter().cloned())
         .collect()
 }

@@ -1,18 +1,16 @@
 //! # gnf-bench
 //!
-//! Benchmarks and experiment harnesses for the GNF reproduction.
-//!
-//! * `benches/` — Criterion micro-benchmarks of the data plane (packet
-//!   parsing, firewall, chains, switch), the runtime lifecycle (container vs
-//!   VM deployment, checkpoint/restore) and the control plane (codec,
-//!   Manager message handling). Run with `cargo bench --workspace`.
-//! * `src/bin/exp_*` — one harness per experiment in `EXPERIMENTS.md`
-//!   (E1–E9), each printing the table/series that reproduces the
-//!   corresponding claim or figure of the paper. Run with, e.g.:
+//! The experiment harnesses of the GNF reproduction and their shared
+//! fixtures. Each `src/bin/exp_*` binary (E1–E9) prints the table or series
+//! that reproduces one claim or figure of the paper; all but E2 and E3 also
+//! assert their own contract. Run one with, e.g.:
 //!
 //! ```text
 //! cargo run --release -p gnf-bench --bin exp_e1_roaming
 //! ```
+//!
+//! Host-time numbers that count come from the repository benchmark,
+//! `gnf_benchmark`, compared in pairs by `tools/bench_pair.py`.
 
 #![forbid(unsafe_code)]
 
@@ -210,8 +208,8 @@ pub fn pct(num: u64, den: u64) -> f64 {
 /// A realistic steady-state station report: populated cache counters and a
 /// batch distribution — what a full report re-ships every interval
 /// regardless of what changed, and what the delta transport avoids
-/// re-shipping. Shared by `exp_e5_manager_scale` and the `control_plane`
-/// criterion bench.
+/// re-shipping. `exp_e5_manager_scale` feeds it to the Manager and the
+/// delta encoder.
 pub fn station_report(station: u64, cpu: f64, at: SimTime) -> StationReport {
     let flow_cache = gnf_telemetry::FlowCacheTelemetry {
         stats: gnf_types::FlowCacheStats {

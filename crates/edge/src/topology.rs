@@ -235,28 +235,6 @@ impl EdgeTopology {
             .collect()
     }
 
-    /// Moves a client to a new position and re-associates it with the nearest
-    /// cell. Returns `Some((old_cell, new_cell))` when the attachment changed.
-    pub fn move_client(
-        &mut self,
-        client: ClientId,
-        position: Position,
-    ) -> GnfResult<Option<(Option<CellId>, CellId)>> {
-        let new_cell = self
-            .nearest_cell(position)
-            .map(|s| s.cell)
-            .ok_or_else(|| GnfError::invalid_state("topology has no cells"))?;
-        let device = self.client_mut(client)?;
-        device.position = position;
-        let old_cell = device.attached_cell;
-        if old_cell != Some(new_cell) {
-            device.attached_cell = Some(new_cell);
-            Ok(Some((old_cell, new_cell)))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Directly re-attaches a client to a cell (used by trace-driven roaming).
     pub fn attach_client(&mut self, client: ClientId, cell: CellId) -> GnfResult<Option<CellId>> {
         let position = self.site_for_cell(cell)?.position;
@@ -265,15 +243,6 @@ impl EdgeTopology {
         device.attached_cell = Some(cell);
         device.position = position;
         Ok(old)
-    }
-
-    /// Clients currently attached to a cell.
-    pub fn clients_in_cell(&self, cell: CellId) -> Vec<ClientId> {
-        self.clients
-            .iter()
-            .filter(|c| c.attached_cell == Some(cell))
-            .map(|c| c.client)
-            .collect()
     }
 }
 
@@ -319,25 +288,14 @@ mod tests {
             topo.client(client).unwrap().attached_cell,
             Some(CellId::new(0))
         );
-        assert_eq!(topo.clients_in_cell(CellId::new(0)), vec![client]);
-
-        // Moving near cell 3 triggers a handover.
-        let change = topo
-            .move_client(client, Position::new(95.0, 95.0))
-            .unwrap()
-            .expect("attachment must change");
-        assert_eq!(change.0, Some(CellId::new(0)));
-        assert_eq!(change.1, CellId::new(3));
-        // Moving within the same cell does not.
-        assert!(topo
-            .move_client(client, Position::new(99.0, 99.0))
-            .unwrap()
-            .is_none());
 
         // Direct attachment by cell id.
         let old = topo.attach_client(client, CellId::new(1)).unwrap();
-        assert_eq!(old, Some(CellId::new(3)));
-        assert_eq!(topo.clients_in_cell(CellId::new(1)), vec![client]);
+        assert_eq!(old, Some(CellId::new(0)));
+        assert_eq!(
+            topo.client(client).unwrap().attached_cell,
+            Some(CellId::new(1))
+        );
     }
 
     #[test]

@@ -342,11 +342,6 @@ impl Firewall {
         }
     }
 
-    /// Number of currently tracked connections.
-    pub fn tracked_connections(&self) -> usize {
-        self.conntrack.len()
-    }
-
     /// Hit count per rule, in rule order.
     pub fn rule_hits(&self) -> &[u64] {
         &self.rule_hits
@@ -807,7 +802,7 @@ mod tests {
         );
         let up = tcp_to_port(443);
         assert!(fw.process(up, Direction::Ingress, &ctx()).is_forward());
-        assert_eq!(fw.tracked_connections(), 1);
+        assert_eq!(fw.conntrack.len(), 1);
         // The response packet (reversed tuple) is allowed because the flow is
         // established.
         let down = builder::tcp_data(
@@ -826,7 +821,7 @@ mod tests {
     fn conntrack_state_migrates() {
         let mut fw1 = Firewall::new("fw", FirewallConfig::default());
         fw1.process(tcp_to_port(443), Direction::Ingress, &ctx());
-        assert_eq!(fw1.tracked_connections(), 1);
+        assert_eq!(fw1.conntrack.len(), 1);
         let snapshot = fw1.export_state();
         assert!(!snapshot.is_empty());
 
@@ -842,7 +837,7 @@ mod tests {
             },
         );
         fw2.import_state(snapshot);
-        assert_eq!(fw2.tracked_connections(), 1);
+        assert_eq!(fw2.conntrack.len(), 1);
         let down = builder::tcp_data(
             MacAddr::derived(2, 1),
             MacAddr::derived(1, 1),
@@ -863,10 +858,10 @@ mod tests {
     fn idle_connections_expire() {
         let mut fw = Firewall::new("fw", FirewallConfig::default());
         fw.process(tcp_to_port(443), Direction::Ingress, &ctx());
-        assert_eq!(fw.tracked_connections(), 1);
+        assert_eq!(fw.conntrack.len(), 1);
         let evicted = fw.expire_idle_connections(SimTime::from_secs(300));
         assert_eq!(evicted, 1);
-        assert_eq!(fw.tracked_connections(), 0);
+        assert_eq!(fw.conntrack.len(), 0);
         // Fresh traffic is unaffected by expiry.
         assert_eq!(fw.expire_idle_connections(SimTime::from_secs(301)), 0);
     }
@@ -1181,6 +1176,6 @@ mod tests {
         let mut fw = Firewall::new("fw", FirewallConfig::default());
         fw.import_state(NfStateSnapshot::Stateless);
         fw.import_state(NfStateSnapshot::HttpCache { entries: vec![] });
-        assert_eq!(fw.tracked_connections(), 0);
+        assert_eq!(fw.conntrack.len(), 0);
     }
 }

@@ -55,11 +55,6 @@ impl Nat {
         self.public_ip
     }
 
-    /// Number of active translations.
-    pub fn active_translations(&self) -> usize {
-        self.forward.len()
-    }
-
     /// Total packets whose headers were rewritten.
     pub fn translated_packets(&self) -> u64 {
         self.translated_packets
@@ -277,7 +272,7 @@ mod tests {
         assert_eq!(tcp.dst_port, 80);
         // Payload survives the rewrite.
         assert_eq!(out.tcp_payload().unwrap(), b"hello");
-        assert_eq!(nat.active_translations(), 1);
+        assert_eq!(nat.forward.len(), 1);
     }
 
     #[test]
@@ -316,14 +311,14 @@ mod tests {
             .into_forwarded()
             .unwrap();
         assert_ne!(a.tcp().unwrap().src_port, b.tcp().unwrap().src_port);
-        assert_eq!(nat.active_translations(), 2);
+        assert_eq!(nat.forward.len(), 2);
         // Re-sending on the first flow reuses its port.
         let again = nat
             .process(upstream_tcp(50_000, b""), Direction::Ingress, &ctx())
             .into_forwarded()
             .unwrap();
         assert_eq!(again.tcp().unwrap().src_port, a.tcp().unwrap().src_port);
-        assert_eq!(nat.active_translations(), 2);
+        assert_eq!(nat.forward.len(), 2);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl FiveTuple {
         }
     }
 
-    /// True when this tuple and `other` belong to the same bidirectional flow.
-    pub fn same_flow(&self, other: &FiveTuple) -> bool {
-        self.canonical() == other.canonical()
-    }
-
     /// RSS-style shard hash of the flow: direction-symmetric (both
     /// directions of a flow hash identically, because the hash runs over
     /// the [`canonical`] tuple) and stable across runs and platforms (FNV-1a
@@ -168,7 +163,6 @@ mod tests {
     fn canonical_is_direction_agnostic() {
         let t = tuple();
         assert_eq!(t.canonical(), t.reversed().canonical());
-        assert!(t.same_flow(&t.reversed()));
         let other = FiveTuple::new(
             Ipv4Addr::new(10, 0, 0, 3),
             Ipv4Addr::new(93, 184, 216, 34),
@@ -176,7 +170,7 @@ mod tests {
             49152,
             80,
         );
-        assert!(!t.same_flow(&other));
+        assert_ne!(t.canonical(), other.canonical());
     }
 
     #[test]

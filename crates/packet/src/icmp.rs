@@ -73,16 +73,6 @@ impl IcmpMessage {
         }
     }
 
-    /// Builds the echo reply matching a request.
-    pub fn echo_reply_to(request: &IcmpMessage) -> Self {
-        IcmpMessage {
-            kind: IcmpKind::EchoReply,
-            identifier: request.identifier,
-            sequence: request.sequence,
-            payload: request.payload.clone(),
-        }
-    }
-
     /// Parses an ICMP message, verifying its checksum.
     pub fn parse(data: &[u8]) -> GnfResult<(Self, usize)> {
         if data.len() < ICMP_HEADER_LEN {
@@ -143,12 +133,6 @@ mod tests {
         let (parsed, consumed) = IcmpMessage::parse(&buf).unwrap();
         assert_eq!(consumed, buf.len());
         assert_eq!(parsed, req);
-
-        let reply = IcmpMessage::echo_reply_to(&req);
-        assert_eq!(reply.kind, IcmpKind::EchoReply);
-        assert_eq!(reply.identifier, req.identifier);
-        assert_eq!(reply.sequence, req.sequence);
-        assert_eq!(reply.payload, req.payload);
     }
 
     #[test]

@@ -189,18 +189,6 @@ impl Ipv4Header {
         buf[start + 10..start + 12].copy_from_slice(&checksum.to_be_bytes());
     }
 
-    /// Decrements the TTL, returning `false` when the packet must be dropped
-    /// (TTL reached zero).
-    pub fn decrement_ttl(&mut self) -> bool {
-        if self.ttl <= 1 {
-            self.ttl = 0;
-            false
-        } else {
-            self.ttl -= 1;
-            true
-        }
-    }
-
     /// Starts a transport-checksum accumulator seeded with this header's
     /// pseudo-header fields.
     pub fn pseudo_header_checksum(&self, transport_len: usize) -> Checksum {
@@ -268,17 +256,6 @@ mod tests {
         hdr.emit(&mut buf, 0);
         buf[0] = 0x4f; // IHL = 60 bytes, but buffer is only 20
         assert!(Ipv4Header::parse(&buf).is_err());
-    }
-
-    #[test]
-    fn ttl_decrement_reports_expiry() {
-        let mut hdr = sample(0);
-        hdr.ttl = 2;
-        assert!(hdr.decrement_ttl());
-        assert_eq!(hdr.ttl, 1);
-        assert!(!hdr.decrement_ttl());
-        assert_eq!(hdr.ttl, 0);
-        assert!(!hdr.decrement_ttl());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! popped in `O(1)` and never deepens the heap that every other event sifts
 //! through.
 
-use gnf_types::{SimDuration, SimTime};
+use gnf_types::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -200,17 +200,6 @@ impl<E> EventQueue<E> {
         Entry { time, seq, event }
     }
 
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Schedules an event at the current time (runs after already-pending
-    /// events with the same timestamp).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_at(self.now, event);
-    }
-
     /// The time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.front(self.head()).map(|e| e.time)
@@ -286,6 +275,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnf_types::SimDuration;
 
     #[test]
     fn events_pop_in_time_order() {
@@ -314,10 +304,10 @@ mod tests {
     #[test]
     fn clock_advances_with_pops_and_relative_scheduling_uses_it() {
         let mut q = EventQueue::new();
-        q.schedule_after(SimDuration::from_secs(5), "first");
+        q.schedule_at(q.now() + SimDuration::from_secs(5), "first");
         let first = q.pop().unwrap();
         assert_eq!(first.time, SimTime::from_secs(5));
-        q.schedule_after(SimDuration::from_secs(2), "second");
+        q.schedule_at(q.now() + SimDuration::from_secs(2), "second");
         let second = q.pop().unwrap();
         assert_eq!(second.time, SimTime::from_secs(7));
     }
@@ -355,8 +345,8 @@ mod tests {
     #[test]
     fn clear_empties_the_queue() {
         let mut q = EventQueue::new();
-        q.schedule_now(1);
-        q.schedule_now(2);
+        q.schedule_at(SimTime::ZERO, 1);
+        q.schedule_at(SimTime::ZERO, 2);
         assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.is_empty());

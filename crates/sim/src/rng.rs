@@ -117,14 +117,6 @@ impl Rng {
         }
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below((i + 1) as u64) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// An exponentially distributed value with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         if mean <= 0.0 {
@@ -132,20 +124,6 @@ impl Rng {
         }
         let u = 1.0 - self.next_f64(); // avoid ln(0)
         -mean * u.ln()
-    }
-
-    /// A normally distributed value (Box–Muller) with the given mean and
-    /// standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
-    /// A normally distributed value truncated below at zero.
-    pub fn normal_non_negative(&mut self, mean: f64, std_dev: f64) -> f64 {
-        self.normal(mean, std_dev).max(0.0)
     }
 
     /// A Pareto-distributed value with scale `x_min` and shape `alpha`
@@ -324,20 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_are_close() {
-        let mut rng = Rng::new(17);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 3.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.15);
-        assert!((var.sqrt() - 3.0).abs() < 0.15);
-        for _ in 0..1000 {
-            assert!(rng.normal_non_negative(0.1, 5.0) >= 0.0);
-        }
-    }
-
-    #[test]
     fn zipf_prefers_low_ranks() {
         let mut rng = Rng::new(19);
         let zipf = Zipf::new(20, 1.0);
@@ -412,14 +376,6 @@ mod tests {
             assert!(items.contains(rng.choose(&items).unwrap()));
         }
         assert!(rng.choose::<u32>(&[]).is_none());
-
-        let mut v: Vec<u32> = (0..50).collect();
-        let original = v.clone();
-        rng.shuffle(&mut v);
-        assert_ne!(v, original, "a 50-element shuffle should not be identity");
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, original);
     }
 
     #[test]

@@ -16,11 +16,6 @@ impl Counter {
         Self::default()
     }
 
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
     /// Increments by `n`.
     pub fn add(&mut self, n: u64) {
         self.value += n;
@@ -224,21 +219,6 @@ impl Histogram {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
-
-    /// A fixed-width CDF as `(value, cumulative_fraction)` pairs over `points`
-    /// evenly spaced quantiles — the series experiment harnesses print for
-    /// CDF figures.
-    pub fn cdf(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        (0..=points)
-            .map(|i| {
-                let q = i as f64 / points as f64;
-                (self.quantile(q), q)
-            })
-            .collect()
-    }
 }
 
 /// A time series of (time, value) points, e.g. per-station CPU load over a run.
@@ -292,26 +272,6 @@ impl TimeSeries {
         self.points.iter().map(|(_, v)| v).sum::<f64>() / self.points.len() as f64
     }
 
-    /// Time-weighted average between the first and last point, treating each
-    /// value as holding until the next sample; 0 when fewer than two points.
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.mean();
-        }
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for w in self.points.windows(2) {
-            let dt = w[1].0.duration_since(w[0].0).as_secs_f64();
-            weighted += w[0].1 * dt;
-            total += dt;
-        }
-        if total == 0.0 {
-            self.mean()
-        } else {
-            weighted / total
-        }
-    }
-
     /// Maximum value, 0 when empty.
     pub fn max(&self) -> f64 {
         self.points
@@ -338,7 +298,7 @@ mod tests {
     #[test]
     fn counter_accumulates() {
         let mut c = Counter::new();
-        c.incr();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
     }
@@ -417,7 +377,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.median(), 0.0);
         assert_eq!(h.quantile(0.9), 0.0);
-        assert!(h.cdf(10).is_empty());
     }
 
     #[test]
@@ -436,13 +395,9 @@ mod tests {
         for i in 0..1000 {
             h.record((i % 37) as f64);
         }
-        let cdf = h.cdf(20);
-        assert_eq!(cdf.len(), 21);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(cdf.last().unwrap().1, 1.0);
+        let cdf: Vec<f64> = (0..=20).map(|i| h.quantile(f64::from(i) / 20.0)).collect();
+        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(cdf[20], h.max());
     }
 
     #[test]
@@ -455,8 +410,6 @@ mod tests {
         assert!(ts.is_monotonic());
         assert_eq!(ts.last(), Some(0.5));
         assert!((ts.mean() - 0.5).abs() < 1e-12);
-        // Time-weighted: 0.0 for 10 s then 1.0 for 10 s = 0.5.
-        assert!((ts.time_weighted_mean() - 0.5).abs() < 1e-12);
         assert_eq!(ts.max(), 1.0);
     }
 

@@ -166,15 +166,6 @@ impl SteeringTable {
         removed
     }
 
-    /// Removes every rule of a client (e.g. when it disconnects).
-    pub fn remove_client(&mut self, client_mac: MacAddr) -> usize {
-        let removed = self.rules.remove(&client_mac).map_or(0, |r| r.len());
-        if removed > 0 {
-            self.generation += 1;
-        }
-        removed
-    }
-
     /// Finds the chain a packet must be diverted through, if any, together
     /// with whether the packet is upstream (`true`, sent by the client) or
     /// downstream (`false`, addressed to the client).
@@ -404,9 +395,10 @@ mod tests {
             table.lookup(&dns_packet()).is_some(),
             "falls through to catch-all"
         );
-        assert_eq!(table.remove_client(client_mac()), 1);
+        // The client's last rule takes its entry with it.
+        assert_eq!(table.remove_chain(client_mac(), ChainId::new(2)), 1);
         assert!(table.is_empty());
         assert!(table.lookup(&http_packet()).is_none());
-        assert_eq!(table.remove_client(client_mac()), 0);
+        assert_eq!(table.remove_chain(client_mac(), ChainId::new(2)), 0);
     }
 }

@@ -470,12 +470,6 @@ impl SoftwareSwitch {
         self.note_topology_change();
     }
 
-    /// The current topology generation — the stamp new cache entries carry
-    /// and old ones are validated against.
-    pub fn cache_generation(&self) -> u64 {
-        self.topology_generation
-    }
-
     /// Forgets every learned MAC location (a rebooted switch has an empty
     /// MAC table). No generation bump needed: cached flows validate their
     /// destination's MAC mapping on lookup, as with [`age_mac_table`].
@@ -913,9 +907,9 @@ mod tests {
         assert_eq!(warm.hits, 1, "second identical frame hits the flow cache");
         assert!(sw.mac_table_len() > 0);
 
-        let gen_before = sw.cache_generation();
+        let gen_before = sw.topology_generation;
         sw.invalidate_caches();
-        assert_eq!(sw.cache_generation(), gen_before + 1);
+        assert_eq!(sw.topology_generation, gen_before + 1);
 
         // The memoized decision is stamped with the old generation, so the
         // next lookup must fall through to the slow path, not hit.

@@ -180,20 +180,6 @@ impl GnfConfig {
         self.delta_reports = enabled;
         self
     }
-
-    /// Returns a copy with a different keyframe cadence (deltas between
-    /// keyframes; 0 sends only keyframes).
-    pub fn with_report_keyframe_interval(mut self, interval: u64) -> Self {
-        self.report_keyframe_interval = interval;
-        self
-    }
-
-    /// Returns a copy with a different region-aggregator fan-in (stations
-    /// per region; 0 disables the aggregation tier).
-    pub fn with_region_size(mut self, region_size: usize) -> Self {
-        self.region_size = region_size;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -276,22 +262,23 @@ mod tests {
 
     #[test]
     fn control_plane_builders_set_their_knobs() {
-        let cfg = GnfConfig::default()
-            .with_migration_precopy(true)
-            .with_delta_reports(true)
-            .with_report_keyframe_interval(4)
-            .with_region_size(100);
+        let cfg = GnfConfig {
+            report_keyframe_interval: 4,
+            region_size: 100,
+            ..GnfConfig::default()
+        }
+        .with_migration_precopy(true)
+        .with_delta_reports(true);
         assert!(cfg.migration_precopy);
         assert!(cfg.delta_reports);
-        assert_eq!(cfg.report_keyframe_interval, 4);
-        assert_eq!(cfg.region_size, 100);
         assert!(cfg.validate().is_ok());
         // Every-frame-a-keyframe and no-region-tier are both valid.
-        assert!(GnfConfig::default()
-            .with_report_keyframe_interval(0)
-            .with_region_size(0)
-            .validate()
-            .is_ok());
+        let cfg = GnfConfig {
+            report_keyframe_interval: 0,
+            region_size: 0,
+            ..GnfConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -151,11 +151,6 @@ impl MacAddr {
         MacAddr([0x02, namespace, ix[0], ix[1], ix[2], ix[3]])
     }
 
-    /// True for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
     /// True if the group bit (least-significant bit of the first octet) is set,
     /// i.e. the address is multicast (broadcast included).
     pub fn is_multicast(&self) -> bool {
@@ -165,11 +160,6 @@ impl MacAddr {
     /// True for unicast (non-group) addresses.
     pub fn is_unicast(&self) -> bool {
         !self.is_multicast()
-    }
-
-    /// True if the locally-administered bit is set.
-    pub fn is_locally_administered(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 }
 
@@ -249,17 +239,14 @@ mod tests {
 
     #[test]
     fn broadcast_and_multicast_predicates() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(MacAddr::BROADCAST.is_multicast());
         assert!(!MacAddr::BROADCAST.is_unicast());
 
         let multicast = MacAddr::new([0x01, 0x00, 0x5e, 0x00, 0x00, 0x01]);
         assert!(multicast.is_multicast());
-        assert!(!multicast.is_broadcast());
 
         let unicast = MacAddr::derived(1, 7);
         assert!(unicast.is_unicast());
-        assert!(unicast.is_locally_administered());
     }
 
     #[test]

@@ -67,16 +67,6 @@ impl ResourceSpec {
         }
     }
 
-    /// How many instances of `unit` fit into this spec (the minimum across the
-    /// dimensions; a dimension that `unit` does not use is unconstrained).
-    pub fn how_many_fit(&self, unit: &ResourceSpec) -> u64 {
-        let per_dim =
-            |capacity: u64, need: u64| -> u64 { capacity.checked_div(need).unwrap_or(u64::MAX) };
-        per_dim(self.cpu_millicores, unit.cpu_millicores)
-            .min(per_dim(self.memory_mb, unit.memory_mb))
-            .min(per_dim(self.disk_mb, unit.disk_mb))
-    }
-
     /// True if all dimensions are zero.
     pub fn is_zero(&self) -> bool {
         *self == Self::ZERO
@@ -247,21 +237,6 @@ mod tests {
         assert_eq!(c, ResourceSpec::new(150, 164, 15));
         c -= a;
         assert_eq!(c, ResourceSpec::new(50, 100, 5));
-    }
-
-    #[test]
-    fn how_many_fit_uses_the_tightest_dimension() {
-        let host = HostClass::HomeRouter.capacity();
-        let nf = ResourceSpec::new(5, 2, 1); // a tiny containerised NF
-                                             // memory is the binding constraint: 128 / 2 = 64
-        assert_eq!(host.how_many_fit(&nf), 64);
-
-        let vm = ResourceSpec::new(500, 512, 2048); // a VM image
-        assert_eq!(host.how_many_fit(&vm), 0);
-
-        // zero-requirement dimensions are unconstrained
-        let cpu_only = ResourceSpec::new(100, 0, 0);
-        assert_eq!(host.how_many_fit(&cpu_only), 10);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! [`SimTime`] is an absolute instant (nanoseconds since the start of the
 //! simulation) and [`SimDuration`] a span between two instants. Both are plain
 //! `u64` nanosecond counts: cheap to copy, totally ordered, exact, and free of
-//! the platform-dependence of `std::time::Instant`. Wall-clock benchmarks
-//! (Criterion) never use these — they exist so that control-plane latencies
-//! such as container start time or migration downtime are deterministic and
-//! reproducible from a seed.
+//! the platform-dependence of `std::time::Instant`. Wall-clock measurements
+//! (`gnf_benchmark`, the `exp_e*` host timings) never use these — they
+//! exist so that control-plane latencies such as container start time or
+//! migration downtime are deterministic and reproducible from a seed.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -344,12 +344,6 @@ impl SyntheticSpec {
         self
     }
 
-    /// Sets the batching quantum.
-    pub fn with_quantum(mut self, quantum: SimDuration) -> Self {
-        self.quantum = quantum;
-        self
-    }
-
     /// Sets the total packet budget.
     pub fn with_packet_budget(mut self, packets: u64) -> Self {
         self.max_packets = packets;
@@ -942,13 +936,13 @@ mod tests {
 
     #[test]
     fn quantum_groups_same_tick_packets_into_batches() {
-        let spec = SyntheticSpec::new("batched", 13)
+        let mut spec = SyntheticSpec::new("batched", 13)
             .with_arrivals(ArrivalModel::Poisson {
                 flows_per_sec: 20_000.0,
             })
-            .with_quantum(SimDuration::from_millis(10))
             .with_mix(TrafficMix::churn())
             .with_packet_budget(5_000);
+        spec.quantum = SimDuration::from_millis(10);
         let (batches, _) = drain(spec.build(Population::synthetic(1, 8)));
         let mean = 5_000.0 / batches.len() as f64;
         assert!(mean > 10.0, "quantised arrivals batch up: {mean}");
