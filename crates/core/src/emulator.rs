@@ -35,6 +35,7 @@ use gnf_types::{
 use gnf_workload::{TimedBatch, Workload};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Events driving the emulator.
 enum EmuEvent {
@@ -151,12 +152,118 @@ struct StationSlot {
     agent: Agent,
 }
 
+// A split flush moves the slot to a worker thread.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<StationSlot>();
+};
+
 impl StationSlot {
     /// Everything the slot holds for the next flush, in admission order.
-    #[cfg(test)]
     fn held(&self) -> impl Iterator<Item = &(SimTime, PacketBatch)> {
         self.first.iter().chain(&self.more)
     }
+
+    /// The packets the slot holds for the next flush.
+    fn held_packets(&self) -> u64 {
+        self.held().map(|(_, batch)| batch.len() as u64).sum()
+    }
+}
+
+/// Held packets per touched station at which a flush splits its stations
+/// over threads: below it a thread spawn costs more than the jobs it moves.
+const SPLIT_MIN_PACKETS_PER_STATION: u64 = 1024;
+
+/// What one lane of a flush hands back to the merge: its stations' packet
+/// outcomes and each batch's NF notifications, in station order, then
+/// batch order.
+#[derive(Default)]
+struct LaneOutcome {
+    /// `forwarded`, `dropped_by_nf` and `replied_by_nf` of its batches.
+    tally: PacketStats,
+    /// `(station, batch time, notifications)` of each batch that raised
+    /// any.
+    notifications: Vec<(StationId, SimTime, Vec<AgentToManager>)>,
+}
+
+impl LaneOutcome {
+    /// Runs the held batches of `stations` (sorted), whose slots are
+    /// `slots`, the run that starts at station id `base`: each station's
+    /// batches in admission order, each followed by its notifications'
+    /// drain. It reads and writes only those stations' Agents.
+    fn run(slots: &mut [StationSlot], base: usize, stations: &[StationId]) -> Self {
+        let mut lane = LaneOutcome::default();
+        for &station in stations {
+            let Some(slot) = slots.get_mut(station.raw() as usize - base) else {
+                continue;
+            };
+            let first = slot.first.take();
+            for (time, batch) in first.into_iter().chain(slot.more.drain(..)) {
+                // Every generated packet is client → network: it arrives on
+                // the access port. The sink only tallies.
+                let tally = &mut lane.tally;
+                slot.agent.process(
+                    Direction::Ingress,
+                    batch,
+                    time,
+                    &mut |result| match result {
+                        PacketOutcome::Forwarded(_) => tally.forwarded += 1,
+                        PacketOutcome::Dropped(_) => tally.dropped_by_nf += 1,
+                        PacketOutcome::Replied(_) => tally.replied_by_nf += 1,
+                    },
+                );
+                // NF events (blocked URLs, floods) flow to the Manager,
+                // stamped with the time of the batch that raised them. A
+                // batch that raised none reads nothing more of the station.
+                let notifications = slot.agent.drain_nf_notifications(time);
+                if !notifications.is_empty() {
+                    lane.notifications.push((station, time, notifications));
+                }
+            }
+        }
+        lane
+    }
+}
+
+/// Splits stations holding `held` packets each into at most `lanes`
+/// contiguous, non-empty groups whose largest sum is as small as any
+/// contiguous split allows: the smallest cap under which greedy packing
+/// needs no more than `lanes` groups, packed.
+fn contiguous_groups(held: &[u64], lanes: usize) -> Vec<Range<usize>> {
+    let lanes = lanes.max(1);
+    let (mut low, mut high) = (
+        held.iter().copied().max().unwrap_or(0),
+        held.iter().sum::<u64>(),
+    );
+    while low < high {
+        let cap = low + (high - low) / 2;
+        if pack(held, cap).count() <= lanes {
+            high = cap;
+        } else {
+            low = cap + 1;
+        }
+    }
+    pack(held, low).collect()
+}
+
+/// Greedy packing left to right: each group takes stations while its sum
+/// stays within `cap`, and at least one.
+fn pack(held: &[u64], cap: u64) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let (&first, rest) = held.get(start..)?.split_first()?;
+        let mut sum = first;
+        let taken = rest
+            .iter()
+            .take_while(|&&next| {
+                sum += next;
+                sum <= cap
+            })
+            .count();
+        let group = start..start + 1 + taken;
+        start = group.end;
+        Some(group)
+    })
 }
 
 /// Per-client gap state, computed once per (client, station) between two
@@ -189,6 +296,14 @@ pub struct Emulator {
     /// The stations whose slot holds admitted packets, each once, in
     /// admission order; the flush sorts it into station order.
     touched: Vec<StationId>,
+    /// The packets the slots hold, summed.
+    held: u64,
+    /// Threads a flush may split its stations over
+    /// (`available_parallelism`).
+    lanes: usize,
+    /// Held packets per touched station at which a flush splits
+    /// ([`SPLIT_MIN_PACKETS_PER_STATION`]).
+    split_min_per_station: u64,
     queue: EventQueue<EmuEvent>,
     deploy_latency_ms: Histogram,
     packets: PacketStats,
@@ -446,6 +561,9 @@ impl Emulator {
             manager,
             slots,
             touched: Vec::new(),
+            held: 0,
+            lanes: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            split_min_per_station: SPLIT_MIN_PACKETS_PER_STATION,
             queue,
             deploy_latency_ms: Histogram::new(),
             packets: PacketStats::default(),
@@ -779,6 +897,7 @@ impl Emulator {
         let Some(slot) = self.slots.get_mut(station.raw() as usize) else {
             return;
         };
+        self.held += batch.len() as u64;
         if slot.first.is_none() {
             self.touched.push(station);
             slot.first = Some((time, batch));
@@ -1263,12 +1382,17 @@ impl Emulator {
 
     /// Runs the packets admitted since the last flush: the touched
     /// stations in station order, each station's batches in admission
-    /// order. A station's batches read and write only its own Agent, and
-    /// each batch's NF notifications go out right after it, stamped with
-    /// the batch's time (the queue clamps delivery to the current virtual
-    /// time when a later control event triggered this flush), so the
-    /// dispatch order is fixed. The flush then folds the tally into the
-    /// run's counters and forgets the gap states.
+    /// order. A station's batches read and write only its own Agent, so a
+    /// flush holding enough work per station splits the stations into
+    /// contiguous groups balanced by held packets, one per thread
+    /// ([`Emulator::run_split`]); otherwise one lane runs them all here.
+    /// Either way the lanes merge in station order: each batch's NF
+    /// notifications go out in station order, then batch order, stamped
+    /// with the batch's time (the queue clamps delivery to the current
+    /// virtual time when a later control event triggered this flush). Those
+    /// are the queue calls, and so the sequence numbers, of a serial loop.
+    /// The flush then folds the tally into the run's counters and forgets
+    /// the gap states.
     fn flush(&mut self) {
         // Nothing admitted since the last flush (every admitted packet
         // counts as generated): nothing to run, fold or forget.
@@ -1276,41 +1400,21 @@ impl Emulator {
             return;
         }
         self.touched.sort_unstable();
-        for &station in &self.touched {
-            let Some(slot) = self.slots.get_mut(station.raw() as usize) else {
-                continue;
-            };
-            let first = slot.first.take();
-            for (time, batch) in first.into_iter().chain(slot.more.drain(..)) {
-                // Every generated packet is client → network: it arrives on
-                // the access port. The sink only tallies.
-                let tally = &mut self.tally;
-                slot.agent.process(
-                    Direction::Ingress,
-                    batch,
-                    time,
-                    &mut |result| match result {
-                        PacketOutcome::Forwarded(_) => tally.forwarded += 1,
-                        PacketOutcome::Dropped(_) => tally.dropped_by_nf += 1,
-                        PacketOutcome::Replied(_) => tally.replied_by_nf += 1,
-                    },
-                );
-                // NF events (blocked URLs, floods) flow to the Manager as
-                // `dispatch_agent_messages` sends them, stamped with the
-                // time of the batch that raised them. A batch that raised
-                // none reads nothing more of the station.
-                let notifications = slot.agent.drain_nf_notifications(time);
-                if notifications.is_empty() {
-                    continue;
-                }
-                let latency = Self::control_latency(&self.scenario, station);
-                for msg in notifications {
-                    self.queue
-                        .schedule_at(time + latency, EmuEvent::ToManager { station, msg });
-                }
+        let split = self.lanes > 1
+            && self.touched.len() > 1
+            && self.held >= self.split_min_per_station * self.touched.len() as u64;
+        if split {
+            let started = self.stages.start();
+            for lane in self.run_split() {
+                self.merge(lane);
             }
+            self.stages.stop(Stage::StationJobsSplit, started);
+        } else {
+            let lane = LaneOutcome::run(&mut self.slots, 0, &self.touched);
+            self.merge(lane);
         }
         self.touched.clear();
+        self.held = 0;
 
         let tally = std::mem::take(&mut self.tally);
         self.packets.generated += tally.generated;
@@ -1324,6 +1428,74 @@ impl Emulator {
         self.gap_cache.clear();
         self.stages.lap(Stage::StationJobs);
         debug_assert!(self.packets.is_conserved(), "{:?}", self.packets);
+    }
+
+    /// Folds one lane's packet outcomes into the tally and sends its NF
+    /// notifications, in the lane's order.
+    fn merge(&mut self, lane: LaneOutcome) {
+        self.tally.forwarded += lane.tally.forwarded;
+        self.tally.dropped_by_nf += lane.tally.dropped_by_nf;
+        self.tally.replied_by_nf += lane.tally.replied_by_nf;
+        for (station, time, notifications) in lane.notifications {
+            let latency = Self::control_latency(&self.scenario, station);
+            for msg in notifications {
+                self.queue
+                    .schedule_at(time + latency, EmuEvent::ToManager { station, msg });
+            }
+        }
+    }
+
+    /// Runs the touched stations' jobs in contiguous groups balanced by
+    /// held packets ([`contiguous_groups`]), one per lane: the first on this
+    /// thread, the others on scoped threads, each over its own run of
+    /// `slots`. Returns the lanes' outcomes in station order; a worker's
+    /// panic is re-raised here.
+    fn run_split(&mut self) -> Vec<LaneOutcome> {
+        let held: Vec<u64> = self
+            .touched
+            .iter()
+            .map(|station| {
+                self.slots
+                    .get(station.raw() as usize)
+                    .map_or(0, StationSlot::held_packets)
+            })
+            .collect();
+        let groups = contiguous_groups(&held, self.lanes);
+        // Cut `slots` at the first station of each later group, so every
+        // group owns the run from its first station to the next group's.
+        let mut rest: &mut [StationSlot] = &mut self.slots;
+        let mut base = 0;
+        let mut runs = Vec::with_capacity(groups.len());
+        for (ix, group) in groups.iter().enumerate() {
+            let end = groups
+                .get(ix + 1)
+                .map_or(usize::MAX, |next| self.touched[next.start].raw() as usize);
+            let taken = std::mem::take(&mut rest);
+            let (run, tail) = taken.split_at_mut(end.saturating_sub(base).min(taken.len()));
+            runs.push((run, base, &self.touched[group.clone()]));
+            base = end;
+            rest = tail;
+        }
+        std::thread::scope(|scope| {
+            let mut runs = runs.into_iter();
+            let Some((slots, base, stations)) = runs.next() else {
+                return Vec::new();
+            };
+            let workers: Vec<_> = runs
+                .map(|(slots, base, stations)| {
+                    scope.spawn(move || LaneOutcome::run(slots, base, stations))
+                })
+                .collect();
+            let mut lanes = Vec::with_capacity(groups.len());
+            lanes.push(LaneOutcome::run(slots, base, stations));
+            for worker in workers {
+                match worker.join() {
+                    Ok(lane) => lanes.push(lane),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            lanes
+        })
     }
 
     /// Gap-filters one packet event's batch into the station slots as it
@@ -1979,6 +2151,171 @@ mod tests {
             emulator.packets
         );
         assert_eq!(emulator.packets.hairpinned - before.hairpinned, 1);
+    }
+
+    /// Checks `contiguous_groups` against every contiguous split into at
+    /// most `lanes` non-empty groups.
+    fn assert_best_contiguous_split(held: &[u64], lanes: usize) {
+        let groups = contiguous_groups(held, lanes);
+        assert!(
+            groups.len() <= lanes.max(1),
+            "{held:?} / {lanes}: {groups:?}"
+        );
+        assert!(groups.iter().all(|g| !g.is_empty()), "{groups:?}");
+        let covered: Vec<usize> = groups.iter().cloned().flatten().collect();
+        assert_eq!(covered, (0..held.len()).collect::<Vec<_>>(), "{groups:?}");
+        let largest = |groups: &[Range<usize>]| {
+            groups
+                .iter()
+                .map(|g| held[g.clone()].iter().sum::<u64>())
+                .max()
+                .unwrap_or(0)
+        };
+        // Every set of cut points between stations, as a bit mask over the
+        // n - 1 gaps.
+        let n = held.len();
+        let best = (0u32..1 << n.saturating_sub(1))
+            .filter(|cuts| (cuts.count_ones() as usize) < lanes.max(1))
+            .map(|cuts| {
+                let mut split = Vec::new();
+                let mut start = 0;
+                for gap in 0..n.saturating_sub(1) {
+                    if cuts & (1 << gap) != 0 {
+                        split.push(start..gap + 1);
+                        start = gap + 1;
+                    }
+                }
+                split.push(start..n);
+                largest(&split)
+            })
+            .min()
+            .unwrap_or(0);
+        assert_eq!(largest(&groups), best, "{held:?} / {lanes}: {groups:?}");
+    }
+
+    #[test]
+    fn stations_split_into_contiguous_groups_with_the_smallest_largest_group() {
+        assert_eq!(contiguous_groups(&[], 2), Vec::<Range<usize>>::new());
+        assert_eq!(contiguous_groups(&[4_000], 2), vec![0..1]);
+        assert_eq!(contiguous_groups(&[5, 5, 5, 5], 2), vec![0..2, 2..4]);
+        // More lanes than stations: one station per group at most.
+        assert_eq!(contiguous_groups(&[7, 3], 8), vec![0..1, 1..2]);
+        // One dominant station takes a lane of its own.
+        assert_eq!(contiguous_groups(&[1, 40_000, 2, 3], 2), vec![0..2, 2..4]);
+        // Stations holding nothing join a neighbour's group.
+        assert_eq!(contiguous_groups(&[0, 0, 0], 2), vec![0..3]);
+        let cases: [&[u64]; 10] = [
+            &[1],
+            &[0],
+            &[3, 0, 0, 3],
+            &[0, 9, 0, 0, 1],
+            &[12_000, 11_000, 13_000, 12_500],
+            &[1, 1, 1, 1, 1, 1, 1],
+            &[100, 1, 1, 1, 1, 1, 100],
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            &[48_000, 10, 10, 10],
+            &[5, 0, 7, 0, 2, 9, 0, 4, 4],
+        ];
+        for held in cases {
+            for lanes in 1..=held.len() + 2 {
+                assert_best_contiguous_split(held, lanes);
+            }
+        }
+        let mut rng = Rng::new(45);
+        for _ in 0..200 {
+            let held: Vec<u64> = (0..1 + rng.next_u64() % 9)
+                .map(|_| rng.next_u64() % 50 * (rng.next_u64() % 2))
+                .collect();
+            assert_best_contiguous_split(&held, 1 + (rng.next_u64() % 5) as usize);
+        }
+    }
+
+    /// Four stations, every client behind an HTTP filter and a
+    /// low-threshold IDS, under an attack mix: SYN-flood alerts come from
+    /// several stations inside one flush. Any flush over two or more
+    /// stations splits into up to `lanes` groups.
+    fn notifying_emulator(lanes: usize) -> Emulator {
+        use gnf_nf::ids::IdsConfig;
+        use gnf_nf::{NfConfig, NfSpec};
+        use gnf_workload::{ArrivalModel, Population, SyntheticSpec, TrafficMix};
+
+        let specs = vec![
+            sample_specs()[1].clone(),
+            NfSpec::new(
+                "ids",
+                NfConfig::Ids(IdsConfig {
+                    syn_flood_threshold: 3,
+                    window_secs: 1,
+                    ..IdsConfig::default()
+                }),
+            ),
+        ];
+        let mut builder = Scenario::builder(4, HostClass::EdgeServer);
+        let clients = builder.add_clients(12, TrafficProfile::Idle);
+        let mut sb = builder.with_duration(SimDuration::from_secs(12));
+        for client in &clients {
+            sb = sb.attach_policy(
+                *client,
+                specs.clone(),
+                TrafficSelector::all(),
+                SimTime::from_secs(1),
+            );
+        }
+        let scenario = sb.build();
+        let population = Population::from_topology(&scenario.topology);
+        let mut emulator = Emulator::new(scenario);
+        emulator.add_workload(Box::new(
+            SyntheticSpec::new("attack", 45)
+                .starting_at(SimTime::from_secs(2))
+                .with_arrivals(ArrivalModel::Poisson {
+                    flows_per_sec: 400.0,
+                })
+                .with_mix(TrafficMix::attack().with(0.3, gnf_workload::FlowKind::Http))
+                .with_packet_budget(6_000)
+                .build(population),
+        ));
+        emulator.enable_tracing();
+        emulator.lanes = lanes;
+        emulator.split_min_per_station = 1;
+        emulator
+    }
+
+    #[test]
+    fn a_split_flush_merges_like_a_serial_one() {
+        let run = |lanes: usize| {
+            let mut emulator = notifying_emulator(lanes);
+            let report = emulator.run();
+            let splits = emulator
+                .host_stages()
+                .map_or(0, |table| table.row(Stage::StationJobsSplit).count);
+            let notifications = emulator.manager().notifications();
+            let stations: std::collections::BTreeSet<StationId> = notifications
+                .entries()
+                .filter_map(|n| match n.source {
+                    gnf_telemetry::NotificationSource::NetworkFunction { station, .. } => {
+                        Some(station)
+                    }
+                    _ => None,
+                })
+                .collect();
+            (
+                serde_json::to_string(&report).unwrap(),
+                serde_json::to_string(notifications).unwrap(),
+                emulator.trace_log().to_csv(),
+                splits,
+                stations.len(),
+            )
+        };
+        let (report, notifications, trace, splits, stations) = run(1);
+        assert_eq!(splits, 0, "one lane never splits");
+        assert!(stations >= 3, "NF events from {stations} stations");
+        for lanes in [2, 3] {
+            let split = run(lanes);
+            assert!(split.3 > 0, "{lanes} lanes split some flush");
+            assert_eq!(report, split.0, "RunReport at {lanes} lanes");
+            assert_eq!(notifications, split.1, "notification log at {lanes} lanes");
+            assert_eq!(trace, split.2, "trace at {lanes} lanes");
+        }
     }
 
     #[test]

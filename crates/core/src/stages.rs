@@ -27,9 +27,9 @@
 //! [`Stage::Run`] is timed on its own, from `HostStages::begin_run` to
 //! `HostStages::end_run`, and [`StageTable::closes`] checks the tiles
 //! against it: a lap charged outside `run()` or a stage counted twice
-//! breaks it. A sub-row (the gap filter's `gap_state` walk) is timed by a
-//! `HostStages::start` / `HostStages::stop` pair inside its parent's
-//! lap and is not summed.
+//! breaks it. A sub-row (the gap filter's `gap_state` walk, the split
+//! flushes) is timed by a `HostStages::start` / `HostStages::stop` pair
+//! inside its parent's lap and is not summed.
 
 use std::time::Instant;
 
@@ -47,9 +47,13 @@ pub enum Stage {
     GapFilter,
     /// Sub-row of [`Stage::GapFilter`]: the `gap_state` walks it paid for.
     GapState,
-    /// A flush: the touched stations' batches, each followed by its NF
-    /// notifications' dispatch, then the fold of the packet counters.
+    /// A flush: the touched stations' batches, their NF notifications'
+    /// dispatch in station then batch order, and the fold of the packet
+    /// counters.
     StationJobs,
+    /// Sub-row of [`Stage::StationJobs`]: the flushes that split their
+    /// stations over threads, and their wall time.
+    StationJobsSplit,
     /// `handle` of a control message to the Manager.
     HandleToManager,
     /// `handle` of a control message to an Agent, migration commands
@@ -79,13 +83,14 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in table order.
-    pub const ALL: [Stage; 18] = [
+    pub const ALL: [Stage; 19] = [
         Stage::QueuePop,
         Stage::MetricsSample,
         Stage::WorkloadPump,
         Stage::GapFilter,
         Stage::GapState,
         Stage::StationJobs,
+        Stage::StationJobsSplit,
         Stage::HandleToManager,
         Stage::HandleToAgent,
         Stage::HandleAttach,
@@ -109,6 +114,7 @@ impl Stage {
             Stage::GapFilter => "flush.gap_filter",
             Stage::GapState => "flush.gap_filter.gap_state",
             Stage::StationJobs => "flush.station_jobs",
+            Stage::StationJobsSplit => "flush.station_jobs.split",
             Stage::HandleToManager => "handle.to_manager",
             Stage::HandleToAgent => "handle.to_agent",
             Stage::HandleAttach => "handle.attach",
@@ -128,6 +134,7 @@ impl Stage {
     pub fn parent(self) -> Option<Stage> {
         match self {
             Stage::GapState => Some(Stage::GapFilter),
+            Stage::StationJobsSplit => Some(Stage::StationJobs),
             _ => None,
         }
     }
