@@ -11,8 +11,8 @@ use gnf_switch::{
     SteeringRule, TrafficSelector, DEFAULT_MEGAFLOW_CAPACITY,
 };
 use gnf_telemetry::{
-    BatchTelemetry, ChaosTelemetry, DeltaEncoder, FlightRecorder, FlowRecord, SectionHints,
-    StationReport, TraceKind, TraceSink,
+    BatchTelemetry, ChaosTelemetry, DeltaEncoder, FlightRecorder, FlowRecord, StationReport,
+    TraceKind, TraceSink,
 };
 use gnf_types::{
     AgentId, ChainId, ClientId, GnfError, GnfResult, HostClass, InlineMap, MacAddr, ResourceUsage,
@@ -125,11 +125,6 @@ fn seal_report(
 /// [`Box`], so a cold station's batch does not fetch it.
 #[repr(C)]
 pub struct Agent {
-    /// Dirty bits piggybacked on the mutation paths: which report sections
-    /// may differ from the delta stream's current keyframe. Conservative
-    /// hints only — the encoder still compares hinted sections, and clears
-    /// the bits when a keyframe resynchronises the stream.
-    report_hints: SectionHints,
     config: AgentConfig,
     batch_sizes: BatchTelemetry,
     /// Data-plane event sink (batch flushes, megaflow seals/evictions).
@@ -195,7 +190,6 @@ impl Agent {
         };
         (
             Agent {
-                report_hints: SectionHints::all(),
                 config,
                 batch_sizes: BatchTelemetry::default(),
                 trace: TraceSink::default(),
@@ -224,7 +218,6 @@ impl Agent {
     /// reports are byte-identical to full-report mode.
     pub fn set_delta_reporting(&mut self, keyframe_interval: u64) {
         self.cold.delta = Some(DeltaEncoder::new(keyframe_interval));
-        self.report_hints = SectionHints::all();
     }
 
     /// Arms (or disarms) the data-plane observability sinks: `trace`
@@ -296,7 +289,6 @@ impl Agent {
         } else {
             0
         });
-        self.report_hints.traffic = true;
     }
 
     /// True when the megaflow (wildcard) cache layer is enabled.
@@ -349,7 +341,6 @@ impl Agent {
         self.cold.chaos.crashes += 1;
         // The manager's held keyframe describes pre-crash state: the next
         // report must open a new generation (chaos-safe forced resync).
-        self.report_hints = SectionHints::all();
         if let Some(encoder) = &mut self.cold.delta {
             encoder.force_resync();
         }
@@ -385,8 +376,6 @@ impl Agent {
             self.switch.steering_mut().remove_chain(mac, chain);
         }
         self.cold.chaos.steering_churn_rules += rules;
-        self.report_hints.chaos = true;
-        self.report_hints.traffic = true;
     }
 
     /// Applies a cache-invalidation flood: bumps the switch's topology
@@ -397,8 +386,6 @@ impl Agent {
             self.switch.invalidate_caches();
         }
         self.cold.chaos.cache_invalidations += floods;
-        self.report_hints.chaos = true;
-        self.report_hints.traffic = true;
     }
 
     /// Handles a client associating with this station's cell.
@@ -409,7 +396,6 @@ impl Agent {
         ip: Ipv4Addr,
     ) -> Vec<AgentToManager> {
         self.cold.clients.insert(client, (mac, ip));
-        self.report_hints.clients = true;
         vec![AgentToManager::ClientConnected { client, mac, ip }]
     }
 
@@ -418,7 +404,6 @@ impl Agent {
         if self.cold.clients.remove(&client).is_none() {
             return Vec::new();
         }
-        self.report_hints.clients = true;
         vec![AgentToManager::ClientDisconnected { client }]
     }
 
@@ -571,13 +556,7 @@ impl Agent {
         match &mut self.cold.delta {
             None => AgentToManager::Report(Box::new(self.cold.scratch.clone())),
             Some(encoder) => {
-                let frame = encoder.encode_with_hints(&self.cold.scratch, self.report_hints);
-                if frame.is_keyframe() {
-                    // The keyframe snapshot now equals the current state:
-                    // every section is clean until the next mutation.
-                    self.report_hints = SectionHints::none();
-                }
-                AgentToManager::ReportDelta(Box::new(frame))
+                AgentToManager::ReportDelta(Box::new(encoder.encode(&self.cold.scratch)))
             }
         }
     }
@@ -680,7 +659,6 @@ impl Agent {
         now: SimTime,
         sink: &mut impl FnMut(PacketOutcome),
     ) {
-        self.report_hints.traffic = true;
         if batch.is_empty() {
             return;
         }
@@ -754,8 +732,6 @@ impl Agent {
         staged: bool,
         now: SimTime,
     ) -> GnfResult<(SimDuration, bool)> {
-        self.report_hints.nfs = true;
-        self.report_hints.traffic = true;
         // Restoring state costs time proportional to its size (the transfer
         // is serialised). The containers are already running after
         // `deploy()`, so the restore is charged through the cost model.
@@ -821,8 +797,6 @@ impl Agent {
     /// Tears a chain down: removes steering, stops and removes its containers
     /// and drops the NF instances.
     fn remove_chain(&mut self, chain_id: ChainId) -> GnfResult<()> {
-        self.report_hints.nfs = true;
-        self.report_hints.traffic = true;
         let deployed = self
             .chains
             .remove(&chain_id)
@@ -924,8 +898,6 @@ impl Agent {
         deltas: Vec<NfStateDelta>,
         now: SimTime,
     ) -> GnfResult<SimDuration> {
-        self.report_hints.nfs = true;
-        self.report_hints.traffic = true;
         let deployed = self
             .chains
             .get_mut(&chain_id)
@@ -2472,68 +2444,140 @@ mod tests {
         assert_eq!(agent.commands_handled(), 1);
     }
 
-    /// Two identically-driven agents — one sending full reports, one delta
-    /// frames — must describe the identical station state at every interval
-    /// once the delta stream reaches a receiver's station view.
-    #[test]
-    fn delta_reports_reconstruct_byte_identically() {
-        use gnf_telemetry::MonitoringStore;
-        let (mut full, _) = agent();
-        let (mut delta, _) = agent();
-        delta.set_delta_reporting(2);
-        let mut store = MonitoringStore::new(SimDuration::from_secs(2), 3);
-
-        let drive = |a: &mut Agent, step: u64| {
-            let now = SimTime::from_secs(step * 2);
-            match step {
-                1 => {
-                    a.client_associated(ClientId::new(0), client_mac(), client_ip());
+    /// Applies generated operation `op` for client `ix` (`n` sizes the chaos
+    /// storms and picks the flow) to `agent`; returns true on a crash.
+    fn apply_report_op(agent: &mut Agent, op: u8, ix: u8, n: u64, now: SimTime) -> bool {
+        let client = ClientId::new(u64::from(ix));
+        let mac = MacAddr::derived(1, u32::from(ix));
+        let ip = Ipv4Addr::new(172, 16, 0, 2 + ix);
+        let chain = ChainId::new(1 + u64::from(ix));
+        let migration = MigrationId::new(u64::from(ix));
+        match op {
+            0 => drop(agent.client_associated(client, mac, ip)),
+            1 => drop(agent.client_disassociated(client)),
+            2 => drop(agent.handle_manager_msg(
+                ManagerToAgent::DeployChain {
+                    chain,
+                    client,
+                    client_mac: mac,
+                    specs: sample_specs(),
+                    selector: TrafficSelector::all(),
+                    restore_state: None,
+                    migration: None,
+                },
+                now,
+            )),
+            3 => {
+                let mut baseline = NfChain::new("baseline");
+                for spec in sample_specs() {
+                    baseline.push(spec.instantiate());
                 }
-                2 => {
-                    a.handle_manager_msg(deploy_msg(1, sample_specs()), now);
-                }
-                3 => {
-                    let pkt = builder::udp_packet(
-                        client_mac(),
-                        MacAddr::derived(0xA0, 0),
-                        Ipv4Addr::new(172, 16, 0, 2),
-                        Ipv4Addr::new(93, 184, 216, 34),
-                        4444,
-                        53,
-                        b"x",
-                    );
-                    let _ = upstream(a, pkt, now);
-                }
-                5 => a.crash(),
-                _ => {}
+                agent.handle_manager_msg(
+                    ManagerToAgent::PrepareChain {
+                        chain,
+                        client,
+                        client_mac: mac,
+                        specs: sample_specs(),
+                        selector: TrafficSelector::all(),
+                        precopy_state: baseline.export_state(),
+                        migration,
+                    },
+                    now,
+                );
+                agent.handle_manager_msg(
+                    ManagerToAgent::ActivateChain {
+                        chain,
+                        client,
+                        migration,
+                        deltas: Vec::new(),
+                    },
+                    now,
+                );
             }
-        };
-
-        for step in 0..8u64 {
-            let now = SimTime::from_secs(step * 2 + 1);
-            drive(&mut full, step);
-            drive(&mut delta, step);
-            let AgentToManager::Report(expected) = full.make_report(now) else {
-                panic!("expected a full report");
-            };
-            let AgentToManager::ReportDelta(frame) = delta.make_report(now) else {
-                panic!("expected a delta frame");
-            };
-            if step == 5 {
-                // First frame after the crash: a forced keyframe.
-                assert!(frame.is_keyframe());
-                assert!(frame.forced);
+            4 => drop(agent.handle_manager_msg(
+                ManagerToAgent::RemoveChain {
+                    chain,
+                    client,
+                    migration: None,
+                },
+                now,
+            )),
+            5 | 6 => {
+                let packet = builder::udp_packet(
+                    mac,
+                    MacAddr::derived(0xA0, 0),
+                    ip,
+                    Ipv4Addr::new(93, 184, 216, 34),
+                    4_000 + n as u16,
+                    53,
+                    b"x",
+                );
+                collect_outcomes(agent, Direction::Ingress, packet, now);
             }
-            store.ingest_delta(&frame, now).expect("in-order frame");
-            let rebuilt = store.station(frame.station).unwrap().last_report.as_ref();
-            assert_eq!(
-                serde_json::to_string(rebuilt.unwrap()).unwrap(),
-                serde_json::to_string(&*expected).unwrap(),
-                "step {step}"
-            );
+            7 => agent.chaos_steering_churn(n),
+            8 => agent.chaos_invalidate_caches(n),
+            9 => agent.set_megaflow_enabled(false),
+            10 => agent.set_megaflow_enabled(true),
+            _ => {
+                agent.crash();
+                let _ = agent.rejoin();
+                return true;
+            }
         }
-        assert!(store.stats().deltas_applied > 0);
-        assert_eq!(store.stats().forced_resyncs, 1);
+        false
+    }
+
+    proptest::proptest! {
+        /// Two identically-driven agents — one sending full reports, one
+        /// delta frames with a keyframe every third report — describe the
+        /// identical station state at every interval once the delta stream
+        /// reaches a receiver's station view, over generated intervals of
+        /// associations, chain deploys, stagings and removals, traffic,
+        /// chaos storms, megaflow toggles and crashes.
+        #[test]
+        fn delta_reports_reconstruct_byte_identically(
+            intervals in proptest::collection::vec(
+                proptest::collection::vec((0u8..12, 0u8..2, 1u64..4), 0..4),
+                1..16,
+            )
+        ) {
+            use gnf_telemetry::MonitoringStore;
+            let (mut full, _) = agent();
+            let (mut delta, _) = agent();
+            delta.set_delta_reporting(2);
+            let mut store = MonitoringStore::new(SimDuration::from_secs(2), 3);
+            let mut crashed_intervals = 0;
+            for (interval, ops) in intervals.into_iter().enumerate() {
+                let start = SimTime::from_secs(2 * interval as u64);
+                let mut crashed = false;
+                for (step, (op, ix, n)) in ops.into_iter().enumerate() {
+                    let now = start + SimDuration::from_millis(100 * step as u64);
+                    apply_report_op(&mut full, op, ix, n, now);
+                    crashed |= apply_report_op(&mut delta, op, ix, n, now);
+                }
+                let now = start + SimDuration::from_secs(1);
+                let AgentToManager::Report(expected) = full.make_report(now) else {
+                    panic!("expected a full report");
+                };
+                let AgentToManager::ReportDelta(frame) = delta.make_report(now) else {
+                    panic!("expected a delta frame");
+                };
+                // The first frame after a crash is a forced keyframe.
+                proptest::prop_assert_eq!(crashed, frame.forced);
+                crashed_intervals += u64::from(crashed);
+                proptest::prop_assert!(store.ingest_delta(&frame, now).is_ok());
+                let rebuilt = store.station(frame.station).unwrap().last_report.as_ref();
+                let (rebuilt, expected) = (
+                    serde_json::to_string(rebuilt.unwrap()).unwrap(),
+                    serde_json::to_string(&*expected).unwrap(),
+                );
+                proptest::prop_assert!(
+                    rebuilt == expected,
+                    "interval {interval}:\n{rebuilt}\n{expected}"
+                );
+            }
+            proptest::prop_assert_eq!(store.stats().forced_resyncs, crashed_intervals);
+        }
     }
 
     /// The scratch buffer must not leak state between intervals: a section

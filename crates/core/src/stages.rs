@@ -289,6 +289,16 @@ impl HostStages {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// Busy work the optimiser cannot fold away: spins on the clock for
+    /// `at_least`, so a lap outlasts the clock reads around it by far.
+    fn work(at_least: Duration) {
+        let started = Instant::now();
+        while started.elapsed() < at_least {
+            std::hint::spin_loop();
+        }
+    }
 
     #[test]
     fn an_off_sink_reads_no_clock_and_records_nothing() {
@@ -308,7 +318,7 @@ mod tests {
         stages.begin_run();
         for stage in [Stage::QueuePop, Stage::HandleAttach, Stage::QueuePop] {
             let started = stages.start();
-            std::hint::black_box((0..1_000u64).sum::<u64>());
+            work(Duration::from_micros(25));
             stages.stop(Stage::GapState, started);
             stages.lap(stage);
         }

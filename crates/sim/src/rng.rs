@@ -126,26 +126,6 @@ impl Rng {
         -mean * u.ln()
     }
 
-    /// A Pareto-distributed value with scale `x_min` and shape `alpha`
-    /// (heavy-tailed flow sizes / content popularity).
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        let u = 1.0 - self.next_f64();
-        x_min / u.powf(1.0 / alpha)
-    }
-
-    /// A bounded-Pareto value in `[x_min, x_max]` with shape `alpha`, via the
-    /// inverse CDF of the truncated distribution. Heavy-tailed like
-    /// [`Rng::pareto`], but with a hard cap — the shape flow-size models need
-    /// (mice dominate, elephants exist, nothing is unbounded).
-    pub fn pareto_bounded(&mut self, x_min: f64, x_max: f64, alpha: f64) -> f64 {
-        if x_max <= x_min {
-            return x_min;
-        }
-        let u = self.next_f64();
-        let ratio = (x_min / x_max).powf(alpha);
-        x_min / (1.0 - u * (1.0 - ratio)).powf(1.0 / alpha)
-    }
-
     /// An exponentially distributed duration with the given mean — the
     /// inter-arrival time of a Poisson process.
     pub fn exponential_duration(&mut self, mean: SimDuration) -> SimDuration {
@@ -336,36 +316,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let mut rng = Rng::new(23);
-        for _ in 0..5000 {
-            assert!(rng.pareto(1.5, 2.0) >= 1.5);
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_range_and_is_heavy_tailed() {
-        let mut rng = Rng::new(41);
-        let mut small = 0usize;
-        let mut large = 0usize;
-        for _ in 0..20_000 {
-            let x = rng.pareto_bounded(1.0, 1000.0, 1.2);
-            assert!((1.0..=1000.0).contains(&x));
-            if x < 10.0 {
-                small += 1;
-            }
-            if x > 100.0 {
-                large += 1;
-            }
-        }
-        assert!(small > 15_000, "mice dominate: {small}");
-        assert!(large > 50, "elephants exist: {large}");
-        // Degenerate range collapses to the minimum.
-        assert_eq!(rng.pareto_bounded(5.0, 5.0, 1.2), 5.0);
-        assert_eq!(rng.pareto_bounded(5.0, 1.0, 1.2), 5.0);
     }
 
     #[test]

@@ -50,53 +50,6 @@ pub struct NfSection {
     pub cached_images: usize,
 }
 
-/// Which report sections *may* differ from the current keyframe. Agents set
-/// these bits on the mutation paths themselves (client association, chain
-/// commands, packet processing, chaos events) so the encoder can skip
-/// comparing sections that cannot have changed. Hints are conservative: a
-/// set bit only means "compare this section", never "send it regardless".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionHints {
-    /// Connected-client set may have changed.
-    pub clients: bool,
-    /// NF inventory (running instances, cached images) may have changed.
-    pub nfs: bool,
-    /// Traffic counters (flow cache, megaflow, batches) may have changed.
-    pub traffic: bool,
-    /// Chaos counters (crashes, generation, churn, invalidations) may have
-    /// changed.
-    pub chaos: bool,
-}
-
-impl SectionHints {
-    /// Hints claiming every section may have changed (always safe).
-    pub fn all() -> Self {
-        SectionHints {
-            clients: true,
-            nfs: true,
-            traffic: true,
-            chaos: true,
-        }
-    }
-
-    /// Hints claiming no section changed (only safe right after a keyframe
-    /// when no mutation path ran).
-    pub fn none() -> Self {
-        SectionHints {
-            clients: false,
-            nfs: false,
-            traffic: false,
-            chaos: false,
-        }
-    }
-}
-
-impl Default for SectionHints {
-    fn default() -> Self {
-        SectionHints::all()
-    }
-}
-
 /// One frame of the delta stream: a keyframe when `seq == 0` (all sections
 /// present), otherwise a cumulative delta against the generation's keyframe
 /// (absent sections mean "unchanged since the keyframe"). On the wire an
@@ -204,39 +157,17 @@ impl ReportDelta {
     }
 
     /// Builds a cumulative delta: only the sections of `current` whose value
-    /// differs from the generation's keyframe `base` are carried. `hints`
-    /// lets the caller skip comparisons for sections no mutation path
-    /// touched; identity and usage are always compared (usage drifts with
-    /// virtual time through the bits-per-second rates, so it has no single
-    /// mutation path to piggyback on).
-    pub fn diff(
-        base: &StationReport,
-        current: &StationReport,
-        generation: u64,
-        seq: u64,
-        hints: SectionHints,
-    ) -> Self {
-        debug_assert!(hints.clients || current.connected_clients == base.connected_clients);
-        debug_assert!(
-            hints.nfs
-                || (current.running_nfs == base.running_nfs
-                    && current.cached_images == base.cached_images)
-        );
-        debug_assert!(
-            hints.traffic
-                || (current.flow_cache == base.flow_cache
-                    && current.megaflow == base.megaflow
-                    && current.batches == base.batches)
-        );
-        debug_assert!(hints.chaos || current.chaos == base.chaos);
+    /// differs from the generation's keyframe `base` are carried. Every
+    /// section is compared, so a frame is exactly the difference of the two
+    /// reports and no mutation path needs to announce what it touched.
+    pub fn diff(base: &StationReport, current: &StationReport, generation: u64, seq: u64) -> Self {
         let identity = (current.host_class != base.host_class || current.capacity != base.capacity)
             .then_some(IdentitySection {
                 host_class: current.host_class,
                 capacity: current.capacity,
             });
-        let nfs = (hints.nfs
-            && (current.running_nfs != base.running_nfs
-                || current.cached_images != base.cached_images))
+        let nfs = (current.running_nfs != base.running_nfs
+            || current.cached_images != base.cached_images)
             .then_some(NfSection {
                 running_nfs: current.running_nfs,
                 cached_images: current.cached_images,
@@ -250,16 +181,13 @@ impl ReportDelta {
             forced: false,
             identity,
             usage: (current.usage != base.usage).then_some(current.usage),
-            clients: (hints.clients && current.connected_clients != base.connected_clients)
+            clients: (current.connected_clients != base.connected_clients)
                 .then(|| current.connected_clients.clone()),
             nfs,
-            flow_cache: (hints.traffic && current.flow_cache != base.flow_cache)
-                .then_some(current.flow_cache),
-            megaflow: (hints.traffic && current.megaflow != base.megaflow)
-                .then_some(current.megaflow),
-            batches: (hints.traffic && current.batches != base.batches)
-                .then(|| current.batches.clone()),
-            chaos: (hints.chaos && current.chaos != base.chaos).then_some(current.chaos),
+            flow_cache: (current.flow_cache != base.flow_cache).then_some(current.flow_cache),
+            megaflow: (current.megaflow != base.megaflow).then_some(current.megaflow),
+            batches: (current.batches != base.batches).then(|| current.batches.clone()),
+            chaos: (current.chaos != base.chaos).then_some(current.chaos),
         }
     }
 
@@ -368,18 +296,9 @@ impl DeltaEncoder {
         self.generation
     }
 
-    /// Encodes the next frame for `report` with every section compared.
+    /// Encodes the next frame for `report`: a keyframe when one is due or
+    /// forced, else the cumulative delta against the held keyframe.
     pub fn encode(&mut self, report: &StationReport) -> ReportDelta {
-        self.encode_with_hints(report, SectionHints::all())
-    }
-
-    /// Encodes the next frame for `report`, comparing only hinted sections
-    /// (plus identity and usage, which are always compared).
-    pub fn encode_with_hints(
-        &mut self,
-        report: &StationReport,
-        hints: SectionHints,
-    ) -> ReportDelta {
         let due = self.force_keyframe || self.seq >= self.interval;
         let (false, Some(keyframe)) = (due, &self.keyframe) else {
             self.generation += 1;
@@ -390,7 +309,7 @@ impl DeltaEncoder {
             return ReportDelta::keyframe(report, self.generation, forced);
         };
         self.seq += 1;
-        ReportDelta::diff(keyframe, report, self.generation, self.seq, hints)
+        ReportDelta::diff(keyframe, report, self.generation, self.seq)
     }
 }
 
@@ -526,7 +445,7 @@ mod tests {
         let _ = encoder.encode(&base);
         let mut next = base.clone();
         next.produced_at = SimTime::from_secs(4);
-        let frame = encoder.encode_with_hints(&next, SectionHints::none());
+        let frame = encoder.encode(&next);
         assert_eq!(frame.sections_carried(), 0);
         // An idle delta is far smaller on the wire than the full report.
         let delta_bytes = serde_json::to_string(&frame).unwrap().len();

@@ -48,7 +48,6 @@ pub mod trace;
 
 pub use delta::{
     DeltaEncoder, DeltaReject, IdentitySection, NfSection, ReassemblerStats, ReportDelta,
-    SectionHints,
 };
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_SAMPLE_RATE};
 pub use metrics::{LogHistogram, MetricsSample, MetricsSeries, VIRTUAL_SHARDS};

@@ -5,15 +5,13 @@
 //! the Manager: it keeps the region's stations in the Manager's own table
 //! type, [`MonitoringStore`] (so the wire format — full or delta — is
 //! transparent, and liveness and hotspots follow the Manager's rules), and
-//! periodically emits one [`RegionSummary`] — merged data-plane counters,
+//! periodically emits one [`RegionSummary`] — station, client and NF counts,
 //! resource totals, hotspot candidates and offline stations — so the Manager
 //! observes thousands of stations through a handful of region feeds.
 
 use crate::delta::DeltaReject;
 use crate::monitor::MonitoringStore;
-use crate::report::{
-    BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, StationReport,
-};
+use crate::report::StationReport;
 use crate::ReportDelta;
 use gnf_types::{ResourceSpec, SimDuration, SimTime, StationId};
 use serde::{Deserialize, Serialize};
@@ -41,14 +39,6 @@ pub struct RegionSummary {
     pub connected_clients: usize,
     /// Running NF instances across the region.
     pub running_nfs: usize,
-    /// Merged exact-match flow-cache counters.
-    pub flow_cache: FlowCacheTelemetry,
-    /// Merged megaflow counters.
-    pub megaflow: MegaflowTelemetry,
-    /// Merged batch-size distribution.
-    pub batches: BatchTelemetry,
-    /// Merged chaos counters.
-    pub chaos: ChaosTelemetry,
     /// Stations over the hotspot threshold, most loaded first, with their
     /// dominant utilisation fraction.
     pub hotspots: Vec<(StationId, f64)>,
@@ -132,10 +122,6 @@ impl RegionAggregator {
             cpu_sum += report.usage.cpu_fraction;
             summary.connected_clients += report.connected_clients.len();
             summary.running_nfs += report.running_nfs;
-            summary.flow_cache.merge(&report.flow_cache);
-            summary.megaflow.merge(&report.megaflow);
-            summary.batches.merge(&report.batches);
-            summary.chaos.merge(&report.chaos);
         }
         if summary.reporting > 0 {
             summary.mean_cpu_fraction = cpu_sum / summary.reporting as f64;
@@ -148,6 +134,7 @@ impl RegionAggregator {
 mod tests {
     use super::*;
     use crate::delta::DeltaEncoder;
+    use crate::report::{BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry};
     use gnf_types::{AgentId, ClientId, HostClass, ResourceUsage};
 
     fn report(station: u64, cpu: f64, at: SimTime) -> StationReport {
@@ -197,7 +184,6 @@ mod tests {
         assert_eq!(summary.reporting, 3);
         assert_eq!(summary.connected_clients, 3);
         assert_eq!(summary.running_nfs, 6);
-        assert_eq!(summary.flow_cache.entries, 15);
         assert_eq!(summary.hotspots, vec![(StationId::new(2), 0.95)]);
         assert!(summary.offline.is_empty());
         assert!((summary.mean_cpu_fraction - (0.3 + 0.3 + 0.95) / 3.0).abs() < 1e-9);

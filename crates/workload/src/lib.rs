@@ -8,7 +8,7 @@
 //! * [`pcap`] — std-only pcap/pcapng reading and writing (Ethernet
 //!   linktype, both byte orders), so real captures replay into the emulator
 //!   and any run can be captured to a golden trace.
-//! * [`synth`] — seeded generators with heavy-tail (Zipf/Pareto) flow
+//! * [`synth`] — seeded generators with heavy-tail (Zipf) flow
 //!   sizes, Poisson/periodic/MMPP-bursty arrivals and application mixes
 //!   from web browsing to port scans and SYN floods.
 //! * [`source`] — the streaming [`Workload`] contract the emulator ingests:

@@ -6,8 +6,8 @@
 //! [`SyntheticWorkload`] models exactly those axes on top of `gnf-sim`'s
 //! deterministic RNG:
 //!
-//! * **flow sizes** — [`FlowSizeModel`]: fixed, uniform, Zipf (`P(size=k) ∝
-//!   k^-s`) or bounded Pareto, all capped so a run's packet budget is exact;
+//! * **flow sizes** — [`FlowSizeModel`]: Zipf (`P(size=k) ∝ k^-s` up to a
+//!   cap), so a run's packet budget is exact;
 //! * **flow arrivals** — [`ArrivalModel`]: Poisson, periodic, or MMPP-style
 //!   on/off bursts (exponential dwell times, Poisson arrivals while on);
 //! * **application mix** — [`TrafficMix`] over [`FlowKind`]s: HTTP request
@@ -62,15 +62,6 @@ fn object_path(ix: u64) -> &'static str {
 /// How many packets a flow carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlowSizeModel {
-    /// Every flow has exactly this many packets.
-    Fixed(u32),
-    /// Uniform in `[min, max]`.
-    Uniform {
-        /// Smallest flow size.
-        min: u32,
-        /// Largest flow size.
-        max: u32,
-    },
     /// Heavy tail via `P(size = k) ∝ k^-exponent` for `k in 1..=max_packets`:
     /// size-1 mice dominate, size-`max_packets` elephants are rare but real.
     Zipf {
@@ -79,67 +70,36 @@ pub enum FlowSizeModel {
         /// Tail exponent (≈1.1–1.6 for measured traffic).
         exponent: f64,
     },
-    /// Heavy tail via a bounded Pareto with shape `alpha` on `[1, cap]`.
-    Pareto {
-        /// Largest flow size.
-        cap: u32,
-        /// Tail shape (lower = heavier tail).
-        alpha: f64,
-    },
 }
 
-/// A size sampler with any precomputation done once (the Zipf CDF table, so
-/// drawing stays O(log n) per flow instead of O(n)).
-enum SizeSampler {
-    Fixed(u32),
-    Uniform(u32, u32),
-    Pareto { cap: f64, alpha: f64 },
-    Table(Vec<f64>),
+/// A size sampler holding the Zipf CDF table, built once so drawing stays
+/// O(log n) per flow instead of O(n).
+struct SizeSampler {
+    cumulative: Vec<f64>,
 }
 
 impl SizeSampler {
     fn new(model: FlowSizeModel) -> Self {
-        match model {
-            FlowSizeModel::Fixed(n) => SizeSampler::Fixed(n.max(1)),
-            FlowSizeModel::Uniform { min, max } => {
-                SizeSampler::Uniform(min.max(1), max.max(min).max(1))
-            }
-            FlowSizeModel::Pareto { cap, alpha } => SizeSampler::Pareto {
-                cap: f64::from(cap.max(1)),
-                alpha,
-            },
-            FlowSizeModel::Zipf {
-                max_packets,
-                exponent,
-            } => {
-                let n = max_packets.max(1) as usize;
-                let mut cumulative = Vec::with_capacity(n);
-                let mut total = 0.0f64;
-                for k in 1..=n {
-                    total += 1.0 / (k as f64).powf(exponent);
-                    cumulative.push(total);
-                }
-                SizeSampler::Table(cumulative)
-            }
+        let FlowSizeModel::Zipf {
+            max_packets,
+            exponent,
+        } = model;
+        let n = max_packets.max(1) as usize;
+        let mut cumulative = Vec::with_capacity(n);
+        let mut total = 0.0f64;
+        for k in 1..=n {
+            total += 1.0 / (k as f64).powf(exponent);
+            cumulative.push(total);
         }
+        SizeSampler { cumulative }
     }
 
     fn sample(&self, rng: &mut Rng) -> u32 {
-        match self {
-            SizeSampler::Fixed(n) => *n,
-            SizeSampler::Uniform(min, max) => {
-                rng.range_inclusive(u64::from(*min), u64::from(*max)) as u32
-            }
-            SizeSampler::Pareto { cap, alpha } => {
-                rng.pareto_bounded(1.0, *cap, *alpha).round().max(1.0) as u32
-            }
-            SizeSampler::Table(cumulative) => {
-                let total = *cumulative.last().expect("non-empty table");
-                let target = rng.next_f64() * total;
-                let ix = cumulative.partition_point(|&c| c < target);
-                (ix.min(cumulative.len() - 1) + 1) as u32
-            }
-        }
+        let cumulative = &self.cumulative;
+        let total = *cumulative.last().expect("non-empty table");
+        let target = rng.next_f64() * total;
+        let ix = cumulative.partition_point(|&c| c < target);
+        (ix.min(cumulative.len() - 1) + 1) as u32
     }
 }
 
