@@ -1,6 +1,6 @@
 //! Experiment E5 — fleet-scale control plane: Manager reconciliation cost,
-//! delta vs full report transport, hotspot detection and the region
-//! aggregation tier, from 100 stations up to 10 000.
+//! delta vs full report transport and hotspot detection, from 100 stations
+//! up to 10 000.
 //!
 //! Sections:
 //!
@@ -12,9 +12,6 @@
 //! * **bytes/station** — what one steady-state reporting interval costs on
 //!   the wire: a full report vs an idle/churn delta frame, with the ≥5×
 //!   steady-state guardrail asserted on the 5 %-hot blend.
-//! * **region aggregation** — the fleet rolled into per-region summaries:
-//!   the Manager sees `O(regions)` messages per interval instead of
-//!   `O(stations)`, and still raises hotspot and offline alerts.
 //! * **RunReport byte-identity** — a 4-station emulator scenario with a
 //!   mid-run station crash, replayed on the delta transport: it must
 //!   produce a byte-identical `RunReport` to the full-transport baseline,
@@ -44,8 +41,8 @@ use gnf_packet::{builder, Packet, PacketBatch};
 use gnf_sim::Histogram;
 use gnf_switch::TrafficSelector;
 use gnf_telemetry::{
-    DeltaEncoder, MetricsSeries, NotificationSeverity, RegionAggregator, StationReport, TraceLog,
-    TraceScope, TraceSink, DEFAULT_TRACE_CAPACITY,
+    DeltaEncoder, MetricsSeries, StationReport, TraceLog, TraceScope, TraceSink,
+    DEFAULT_TRACE_CAPACITY,
 };
 use gnf_types::{CellId, ClientId, GnfConfig, HostClass, MacAddr, SimDuration, SimTime, StationId};
 use std::net::Ipv4Addr;
@@ -315,7 +312,7 @@ fn crash_fault() -> FaultSchedule {
 }
 
 fn main() {
-    println!("E5 — fleet-scale control plane: reconciliation, delta telemetry, regions");
+    println!("E5 — fleet-scale control plane: reconciliation, delta telemetry");
     let seed = gnf_bench::seed_arg();
     let config = GnfConfig::default().with_seed(seed);
     let cap: u64 = arg_value("--stations").unwrap_or(10_000);
@@ -436,93 +433,6 @@ fn main() {
         "steady-state delta transport must cut control-plane bytes at least 5x \
          (full={full_bytes} B, blended delta={blended:.0} B)"
     );
-
-    let region_size = if top >= 1_000 { 100 } else { 10 };
-    let regions = top.div_ceil(region_size);
-    section(&format!(
-        "region aggregation: {top} stations -> {regions} regions (region size {region_size})"
-    ));
-    {
-        let mut manager = Manager::new(config.clone());
-        register_fleet(&mut manager, top);
-        let mut aggregators: Vec<RegionAggregator> = (0..regions)
-            .map(|r| {
-                RegionAggregator::new(
-                    r,
-                    config.hotspot_threshold,
-                    config.agent_report_interval,
-                    config.missed_reports_for_offline,
-                )
-            })
-            .collect();
-        for s in 0..top {
-            aggregators[(s / region_size) as usize].register_station(StationId::new(s));
-        }
-        let hot = (top / 20).max(1);
-        let mut now = SimTime::ZERO;
-        let mut absorbed = 0u64;
-        let start = Instant::now();
-        for interval in 0..60u64 {
-            now += config.agent_report_interval;
-            for s in 0..top {
-                // The last station goes dark halfway through the run: after
-                // `missed_reports_for_offline` silent intervals its region
-                // must carry it as offline and the Manager must alert.
-                if interval >= 30 && s == top - 1 {
-                    continue;
-                }
-                let cpu = if s < hot { 0.95 } else { 0.30 };
-                aggregators[(s / region_size) as usize]
-                    .ingest_report(station_report(s, cpu, now), now);
-                absorbed += 1;
-            }
-            for aggregator in &aggregators {
-                manager.ingest_region_summary(aggregator.summary(now), now);
-            }
-            manager.tick(now);
-        }
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let stats = manager.control_plane_stats();
-        // The hotspot flood rotates older entries out of the bounded
-        // notification ring, so count through the unbounded totals: offline
-        // transitions are the only Critical alerts this drive raises.
-        let offline_alerts = manager
-            .notifications()
-            .total(NotificationSeverity::Critical);
-        let hotspot_alerts = manager.stats().hotspot_alerts;
-        println!(
-            "station reports absorbed by the tier: {absorbed} | summaries to the Manager: {}",
-            stats.region_summaries
-        );
-        println!(
-            "manager-visible messages cut {:.0}x ({} stations -> {regions} regions); wall-clock {wall_ms:.1} ms",
-            absorbed as f64 / stats.region_summaries as f64,
-            top
-        );
-        println!(
-            "alerts still flow through summaries: {hotspot_alerts} hotspot, {offline_alerts} station-offline"
-        );
-        assert!(stats.region_summaries > 0);
-        assert_eq!(
-            stats.full_reports, 0,
-            "no station report reached the Manager"
-        );
-        assert!(
-            offline_alerts >= 1,
-            "the dark station must surface as a region offline alert"
-        );
-        assert!(
-            hotspot_alerts >= 1,
-            "hot stations must surface via summaries"
-        );
-        let dark = StationId::new(top - 1);
-        assert!(
-            manager
-                .region_summaries()
-                .any(|summary| summary.offline.contains(&dark)),
-            "the final summary of the dark station's region must list it offline"
-        );
-    }
 
     section("hotspot detection precision (100 stations, 7 genuinely overloaded)");
     let obs = gnf_bench::observability_args();

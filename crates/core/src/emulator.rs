@@ -24,9 +24,9 @@ use gnf_packet::{Packet, PacketBatch};
 use gnf_sim::{EventQueue, Histogram, Rng};
 use gnf_telemetry::{
     FlightRecorder, FlowCacheTelemetry, FlowRecord, MegaflowTelemetry, MetricsSample,
-    MetricsSeries, MigrationPoolTelemetry, NotificationSeverity, RegionAggregator, TraceKind,
-    TraceLog, TraceScope, TraceSink, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_SAMPLE_RATE,
-    DEFAULT_TRACE_CAPACITY, VIRTUAL_SHARDS,
+    MetricsSeries, MigrationPoolTelemetry, NotificationSeverity, TraceKind, TraceLog, TraceScope,
+    TraceSink, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_SAMPLE_RATE, DEFAULT_TRACE_CAPACITY,
+    VIRTUAL_SHARDS,
 };
 use gnf_types::{
     AgentId, CellId, ClientId, FlowCacheStats, MegaflowStats, PathMap, SimDuration, SimTime,
@@ -86,12 +86,6 @@ enum EmuEvent {
     },
     /// The Manager's periodic housekeeping timer fires.
     ManagerTick,
-    /// A region aggregator's flush timer fires: roll the region's station
-    /// telemetry into one summary for the Manager.
-    RegionFlush {
-        /// The region being flushed.
-        region: u64,
-    },
     /// The operator attaches an NF policy (from the scenario description).
     OperatorAttach {
         /// Index into the scenario's policy list.
@@ -127,7 +121,6 @@ impl EmuEvent {
             EmuEvent::WorkloadBatch { .. } => Stage::WorkloadPump,
             EmuEvent::ReportTimer { .. } => Stage::HandleReportTimer,
             EmuEvent::ManagerTick => Stage::HandleManagerTick,
-            EmuEvent::RegionFlush { .. } => Stage::HandleRegionFlush,
             EmuEvent::OperatorAttach { .. } => Stage::HandleOperatorAttach,
             EmuEvent::Fault { .. } => Stage::HandleFault,
             EmuEvent::StationRestart { .. } => Stage::HandleStationRestart,
@@ -337,10 +330,6 @@ pub struct Emulator {
     /// The virtual-time metrics sampler, armed by
     /// [`Emulator::enable_metrics`].
     sampler: Option<MetricsSampler>,
-    /// The region aggregation tier (one aggregator per region), built when
-    /// `GnfConfig::region_size > 0`. Station reports are absorbed here and
-    /// reach the Manager as per-region summaries on the flush timer.
-    regions: BTreeMap<u64, RegionAggregator>,
     /// The gap states admission read since the last flush, which clears
     /// them.
     gap_cache: PathMap<(ClientId, StationId), GapState>,
@@ -419,38 +408,6 @@ impl Emulator {
             SimTime::ZERO + config.hotspot_scan_interval,
             EmuEvent::ManagerTick,
         );
-
-        // Region aggregation tier: group stations into regions of
-        // `region_size` consecutive station ids, each with an aggregator
-        // that absorbs the region's reports and flushes one summary per
-        // report interval to the Manager.
-        let mut regions: BTreeMap<u64, RegionAggregator> = BTreeMap::new();
-        if config.region_size > 0 {
-            for site in scenario.topology.sites() {
-                let region = site.station.raw() / config.region_size as u64;
-                regions
-                    .entry(region)
-                    .or_insert_with(|| {
-                        RegionAggregator::new(
-                            region,
-                            config.hotspot_threshold,
-                            config.agent_report_interval,
-                            config.missed_reports_for_offline,
-                        )
-                    })
-                    .register_station(site.station);
-            }
-            for &region in regions.keys() {
-                // Flush after the stations' staggered report timers have
-                // fired, staggered per region for the same reason.
-                queue.schedule_at(
-                    SimTime::ZERO
-                        + config.agent_report_interval
-                        + SimDuration::from_millis(200 + region % 89),
-                    EmuEvent::RegionFlush { region },
-                );
-            }
-        }
 
         // Initial client associations.
         for device in scenario.topology.clients() {
@@ -580,7 +537,6 @@ impl Emulator {
             stages: HostStages::default(),
             flight: FlightRecorder::default(),
             sampler: None,
-            regions,
             gap_cache: PathMap::default(),
         }
     }
@@ -933,7 +889,7 @@ impl Emulator {
     fn dispatch_agent_messages(
         &mut self,
         station: StationId,
-        messages: Vec<AgentToManager>,
+        messages: impl IntoIterator<Item = AgentToManager>,
         now: SimTime,
         extra_delay: SimDuration,
     ) {
@@ -1050,45 +1006,12 @@ impl Emulator {
                 if !self.dead.contains_key(&station) {
                     if let Some(agent) = self.agent_mut(station) {
                         let report = agent.make_report(now);
-                        // Region tier: the report is absorbed by the
-                        // station's (co-located) region aggregator and
-                        // reaches the Manager as part of the region's next
-                        // summary instead of travelling itself. Without
-                        // regions there is no aggregator, and it travels.
-                        let region_size = self.scenario.config.region_size.max(1) as u64;
-                        match (self.regions.get_mut(&(station.raw() / region_size)), report) {
-                            (Some(aggregator), AgentToManager::Report(full)) => {
-                                aggregator.ingest_report(*full, now);
-                            }
-                            (Some(aggregator), AgentToManager::ReportDelta(delta)) => {
-                                // Rejections heal at the next keyframe,
-                                // exactly as on the direct path.
-                                let _ = aggregator.ingest_delta(&delta, now);
-                            }
-                            (_, report) => {
-                                self.dispatch_agent_messages(
-                                    station,
-                                    vec![report],
-                                    now,
-                                    SimDuration::ZERO,
-                                );
-                            }
-                        }
+                        self.dispatch_agent_messages(station, [report], now, SimDuration::ZERO);
                     }
                 }
                 self.queue.schedule_timer(
                     now + self.scenario.config.agent_report_interval,
                     EmuEvent::ReportTimer { station },
-                );
-            }
-            EmuEvent::RegionFlush { region } => {
-                if let Some(aggregator) = self.regions.get(&region) {
-                    let summary = aggregator.summary(now);
-                    self.manager.ingest_region_summary(summary, now);
-                }
-                self.queue.schedule_at(
-                    now + self.scenario.config.agent_report_interval,
-                    EmuEvent::RegionFlush { region },
                 );
             }
             EmuEvent::ManagerTick => {
@@ -1244,7 +1167,7 @@ impl Emulator {
             },
         );
         self.recovery_pending.insert(station, now);
-        self.dispatch_agent_messages(station, vec![register], now, SimDuration::ZERO);
+        self.dispatch_agent_messages(station, [register], now, SimDuration::ZERO);
         // Re-associate the clients whose cells this station serves (their
         // radios never moved; only the station-side soft state was lost).
         let parked: Vec<_> = self
@@ -2737,31 +2660,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn region_mode_rolls_reports_into_summaries_for_the_manager() {
-        let mut scenario = observability_scenario();
-        scenario.config.region_size = 2; // 4 stations -> 2 regions
-        scenario.config.delta_reports = true;
-        let mut emulator = Emulator::new(scenario);
-        emulator.set_fault_schedule(observability_fault_schedule());
-        let report = emulator.run();
-        assert!(report.all_migrations_completed());
-
-        let manager = emulator.manager();
-        let stats = manager.control_plane_stats();
-        assert!(stats.region_summaries > 0, "summaries reached the Manager");
-        // Reports were absorbed by the tier, not ingested directly.
-        assert_eq!(stats.full_reports, 0);
-        assert_eq!(stats.deltas_applied, 0);
-        let summaries: Vec<_> = manager.region_summaries().collect();
-        assert_eq!(summaries.len(), 2, "one summary per region");
-        for summary in summaries {
-            assert_eq!(summary.stations, 2);
-            assert!(summary.reports_ingested > 0, "stations fed the aggregator");
-            assert!(summary.connected_clients > 0 || summary.running_nfs > 0);
-        }
-    }
-
     /// `fleet_steady`'s shape at a tenth of its size: 200 stations with one
     /// smartphone client each behind the demo firewall, delta reports on.
     fn fleet_scenario() -> Scenario {
@@ -2778,6 +2676,37 @@ mod tests {
             );
         }
         sb.build()
+    }
+
+    /// Every station report travels one way, Agent → control link →
+    /// Manager: at the end of a fault-free delta-report fleet run, every
+    /// registered station's view holds a report produced within one report
+    /// interval plus its control latency, and no frame was rejected.
+    #[test]
+    fn every_station_reports_straight_to_the_manager() {
+        let mut emulator = Emulator::new(fleet_scenario());
+        emulator.run();
+        let scenario = &emulator.scenario;
+        let end = SimTime::ZERO + scenario.duration;
+        let interval = scenario.config.agent_report_interval;
+        let manager = emulator.manager();
+        let mut stations = 0;
+        for (view, _) in manager.stations() {
+            let latency = Emulator::control_latency(scenario, view.station);
+            let report = view.last_report.as_ref().expect("every station reported");
+            let age = end.duration_since(report.produced_at);
+            assert!(
+                age <= interval + latency,
+                "station {}'s last report is {age:?} old",
+                view.station
+            );
+            stations += 1;
+        }
+        assert_eq!(stations, scenario.topology.sites().len());
+        let stats = manager.control_plane_stats();
+        assert_eq!(stats.reports_rejected, 0, "{stats:?}");
+        assert_eq!(stats.full_reports, 0, "delta mode sends no full reports");
+        assert!(stats.deltas_applied > 0);
     }
 
     /// The host stage table rides `enable_tracing`, stays out of the

@@ -63,8 +63,6 @@ pub enum Stage {
     HandleAttach,
     /// `handle` of a station's report timer.
     HandleReportTimer,
-    /// `handle` of a region aggregator's flush timer.
-    HandleRegionFlush,
     /// `handle` of the Manager's housekeeping tick.
     HandleManagerTick,
     /// `handle` of an operator policy attach.
@@ -83,7 +81,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in table order.
-    pub const ALL: [Stage; 19] = [
+    pub const ALL: [Stage; 18] = [
         Stage::QueuePop,
         Stage::MetricsSample,
         Stage::WorkloadPump,
@@ -95,7 +93,6 @@ impl Stage {
         Stage::HandleToAgent,
         Stage::HandleAttach,
         Stage::HandleReportTimer,
-        Stage::HandleRegionFlush,
         Stage::HandleManagerTick,
         Stage::HandleOperatorAttach,
         Stage::HandleFault,
@@ -119,7 +116,6 @@ impl Stage {
             Stage::HandleToAgent => "handle.to_agent",
             Stage::HandleAttach => "handle.attach",
             Stage::HandleReportTimer => "handle.report_timer",
-            Stage::HandleRegionFlush => "handle.region_flush",
             Stage::HandleManagerTick => "handle.manager_tick",
             Stage::HandleOperatorAttach => "handle.operator_attach",
             Stage::HandleFault => "handle.fault",

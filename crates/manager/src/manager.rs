@@ -6,8 +6,8 @@ use gnf_api::messages::{AgentToManager, ManagerToAgent};
 use gnf_nf::{NfEventSeverity, NfSpec, NfStateDelta, NfStateSnapshot};
 use gnf_switch::TrafficSelector;
 use gnf_telemetry::{
-    MonitoringStore, NotificationLog, NotificationSeverity, NotificationSource, RegionSummary,
-    Registration, StationHealth, TraceKind, TraceSink,
+    MonitoringStore, NotificationLog, NotificationSeverity, NotificationSource, Registration,
+    StationHealth, TraceKind, TraceSink,
 };
 use gnf_types::ids::IdAllocator;
 use gnf_types::{
@@ -103,8 +103,7 @@ pub struct ManagerStats {
 
 /// Control-plane transport statistics: how station telemetry reached the
 /// Manager. Kept out of [`ManagerStats`] on purpose — the `RunReport` must
-/// stay byte-identical whether the fleet sends full reports, delta frames or
-/// region summaries.
+/// stay byte-identical whether the fleet sends full reports or delta frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ControlPlaneStats {
     /// Full `StationReport`s ingested directly.
@@ -120,8 +119,6 @@ pub struct ControlPlaneStats {
     /// keyframe), and any report or `Register` naming a station other than
     /// its sender.
     pub reports_rejected: u64,
-    /// Region summaries ingested from the aggregation tier.
-    pub region_summaries: u64,
 }
 
 /// A scheduled retry of a timed-out/failed migration: re-examined when due,
@@ -181,9 +178,6 @@ pub struct Manager {
     /// Reports and registrations dropped because they named a station other
     /// than their sender.
     misaddressed: u64,
-    region_summaries_ingested: u64,
-    /// Latest summary per region, from the aggregation tier.
-    region_summaries: BTreeMap<u64, RegionSummary>,
     /// Migration-lifecycle event sink: one span per phase a migration
     /// passes through, one instant per terminal outcome. Disabled by
     /// default (a single branch per phase transition).
@@ -216,8 +210,6 @@ impl Manager {
             retry_seq: 0,
             stats: ManagerStats::default(),
             misaddressed: 0,
-            region_summaries_ingested: 0,
-            region_summaries: BTreeMap::new(),
             trace: TraceSink::default(),
             phase_entered: BTreeMap::new(),
         }
@@ -552,14 +544,33 @@ impl Manager {
 
         // Station liveness.
         for station in self.monitoring.refresh_liveness(now) {
-            self.raise_offline(station, format!("station {station} stopped reporting"), now);
+            self.notifications.raise(
+                now,
+                NotificationSeverity::Critical,
+                NotificationSource::Station { station },
+                "station-offline",
+                format!("station {station} stopped reporting"),
+                None,
+            );
         }
 
         // Hotspot detection.
         if now.duration_since(self.last_hotspot_scan) >= self.config.hotspot_scan_interval {
             self.last_hotspot_scan = now;
-            let hotspots = self.monitoring.hotspots(self.config.hotspot_threshold);
-            self.raise_hotspots(&hotspots, now);
+            for (station, utilisation) in self.monitoring.hotspots(self.config.hotspot_threshold) {
+                self.stats.hotspot_alerts += 1;
+                self.notifications.raise(
+                    now,
+                    NotificationSeverity::Warning,
+                    NotificationSource::Manager,
+                    "hotspot",
+                    format!(
+                        "station {station} at {:.0}% of capacity — consider upgrading",
+                        utilisation * 100.0
+                    ),
+                    None,
+                );
+            }
         }
 
         // Reconcile scheduled activation windows: pop the window boundaries
@@ -729,59 +740,6 @@ impl Manager {
         self.pending_retries.insert(key, plan);
     }
 
-    /// Ingests one summary from the region aggregation tier. Hotspots and
-    /// newly-offline stations surface as notifications exactly as they would
-    /// from direct per-station reports; the summary itself replaces the
-    /// region's previous one.
-    pub fn ingest_region_summary(&mut self, summary: RegionSummary, now: SimTime) {
-        self.region_summaries_ingested += 1;
-        // Alert on edges only: a station the region's previous summary
-        // already listed offline raised its alert then.
-        let previous = self.region_summaries.remove(&summary.region);
-        for &station in &summary.offline {
-            if previous
-                .as_ref()
-                .is_none_or(|prev| !prev.offline.contains(&station))
-            {
-                let region = summary.region;
-                let message = format!("station {station} stopped reporting (region {region})");
-                self.raise_offline(station, message, now);
-            }
-        }
-        self.raise_hotspots(&summary.hotspots, now);
-        self.region_summaries.insert(summary.region, summary);
-    }
-
-    /// One critical alert for a station that stopped reporting.
-    fn raise_offline(&mut self, station: StationId, message: String, now: SimTime) {
-        self.notifications.raise(
-            now,
-            NotificationSeverity::Critical,
-            NotificationSource::Station { station },
-            "station-offline",
-            message,
-            None,
-        );
-    }
-
-    /// One warning per station over the hotspot threshold.
-    fn raise_hotspots(&mut self, hotspots: &[(StationId, f64)], now: SimTime) {
-        for &(station, utilisation) in hotspots {
-            self.stats.hotspot_alerts += 1;
-            self.notifications.raise(
-                now,
-                NotificationSeverity::Warning,
-                NotificationSource::Manager,
-                "hotspot",
-                format!(
-                    "station {station} at {:.0}% of capacity — consider upgrading",
-                    utilisation * 100.0
-                ),
-                None,
-            );
-        }
-    }
-
     // ------------------------------------------------------------------
     // Views (consumed by the UI and by experiments)
     // ------------------------------------------------------------------
@@ -862,8 +820,8 @@ impl Manager {
         self.stats
     }
 
-    /// Control-plane transport statistics (full reports vs delta frames vs
-    /// region summaries). Deliberately separate from [`ManagerStats`], so the
+    /// Control-plane transport statistics (full reports vs delta frames).
+    /// Deliberately separate from [`ManagerStats`], so the
     /// `RunReport` stays byte-identical across transport modes.
     pub fn control_plane_stats(&self) -> ControlPlaneStats {
         let r = self.monitoring.stats();
@@ -873,13 +831,7 @@ impl Manager {
             delta_forced_resyncs: r.forced_resyncs,
             deltas_applied: r.deltas_applied,
             reports_rejected: r.deltas_rejected + self.misaddressed,
-            region_summaries: self.region_summaries_ingested,
         }
-    }
-
-    /// Latest summary ingested for each region, in region order.
-    pub fn region_summaries(&self) -> impl Iterator<Item = &RegionSummary> {
-        self.region_summaries.values()
     }
 
     /// The configuration in effect.

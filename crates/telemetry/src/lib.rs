@@ -22,9 +22,6 @@
 //! forces a keyframe); the receiver side is
 //! [`monitor::MonitoringStore::ingest_delta`], which keeps each station's
 //! report byte-identical to the full one by overwriting it in place.
-//! [`region`] stacks a hierarchical tier on top: [`region::RegionAggregator`]
-//! keeps a region's stations in its own `MonitoringStore` and rolls them into
-//! one [`region::RegionSummary`] feed for the Manager.
 //!
 //! Time-resolved observability lives in three further modules, all driven by
 //! **virtual time** so the determinism contract survives: [`trace`] (typed
@@ -42,7 +39,6 @@ pub mod flight;
 pub mod metrics;
 pub mod monitor;
 pub mod notification;
-pub mod region;
 pub mod report;
 pub mod trace;
 
@@ -53,7 +49,6 @@ pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_SAMPLE_
 pub use metrics::{LogHistogram, MetricsSample, MetricsSeries, VIRTUAL_SHARDS};
 pub use monitor::{MonitoringStore, Registration, StationHealth, StationStatus};
 pub use notification::{Notification, NotificationLog, NotificationSeverity, NotificationSource};
-pub use region::{RegionAggregator, RegionSummary};
 pub use report::{
     BatchTelemetry, ChaosTelemetry, FlowCacheTelemetry, MegaflowTelemetry, MigrationPoolTelemetry,
     StationReport,

@@ -3,7 +3,7 @@
 //! and its latest report — in one [`MonitoringStore`], with the rules read
 //! from it: offline detection based on missed reports, and resource-hotspot
 //! detection ("the part of the infrastructure that should be upgraded").
-//! The Manager keeps one store; every region aggregator keeps another.
+//! The Manager keeps the one store; every station report lands in it.
 
 use crate::delta::{DeltaReject, ReassemblerStats, ReportDelta};
 use crate::report::StationReport;
@@ -208,26 +208,6 @@ impl MonitoringStore {
         }
         newly_offline.sort_unstable();
         newly_offline
-    }
-
-    /// The stations that have reported but are offline at `now` by the
-    /// same rule as [`MonitoringStore::refresh_liveness`], in station order.
-    pub fn offline_at(&self, now: SimTime) -> Vec<StationId> {
-        let offline = |seen| {
-            status(
-                now.duration_since(seen),
-                self.report_interval,
-                self.offline_after,
-            ) == StationStatus::Offline
-        };
-        let mut stations: Vec<StationId> = self
-            .stations
-            .values()
-            .filter(|view| view.last_seen.is_some_and(offline))
-            .map(|view| view.station)
-            .collect();
-        stations.sort_unstable();
-        stations
     }
 
     /// The stations whose latest report is at or above `threshold`, with

@@ -70,12 +70,6 @@ pub struct GnfConfig {
     /// keyframes (0 makes every frame a keyframe). Crashes and rejoins force
     /// an immediate keyframe regardless of this cadence.
     pub report_keyframe_interval: u64,
-    /// Hierarchical aggregation: stations per region aggregator. When
-    /// non-zero, agents report to an emulator-driven per-region
-    /// `RegionAggregator` (region = station id / `region_size`) and the
-    /// Manager ingests one `RegionSummary` feed per region instead of every
-    /// station's report. 0 (the default) disables the tier.
-    pub region_size: usize,
     /// Sampling period of the virtual-time metrics sampler: when metrics
     /// collection is enabled, the emulator snapshots the fleet's counters at
     /// every multiple of this interval. Purely observational — sampling
@@ -102,7 +96,6 @@ impl Default for GnfConfig {
             migration_precopy: false,
             delta_reports: false,
             report_keyframe_interval: 16,
-            region_size: 0,
             metrics_interval: SimDuration::from_secs(1),
         }
     }
@@ -264,7 +257,6 @@ mod tests {
     fn control_plane_builders_set_their_knobs() {
         let cfg = GnfConfig {
             report_keyframe_interval: 4,
-            region_size: 100,
             ..GnfConfig::default()
         }
         .with_migration_precopy(true)
@@ -272,10 +264,9 @@ mod tests {
         assert!(cfg.migration_precopy);
         assert!(cfg.delta_reports);
         assert!(cfg.validate().is_ok());
-        // Every-frame-a-keyframe and no-region-tier are both valid.
+        // Every frame a keyframe is valid.
         let cfg = GnfConfig {
             report_keyframe_interval: 0,
-            region_size: 0,
             ..GnfConfig::default()
         };
         assert!(cfg.validate().is_ok());

@@ -69,11 +69,6 @@ impl SimDuration {
         self.nanos
     }
 
-    /// Whole microseconds (truncated).
-    pub const fn as_micros(&self) -> u64 {
-        self.nanos / 1_000
-    }
-
     /// Whole milliseconds (truncated).
     pub const fn as_millis(&self) -> u64 {
         self.nanos / 1_000_000
@@ -311,7 +306,6 @@ mod tests {
     fn duration_conversions_are_consistent() {
         let d = SimDuration::from_millis(1500);
         assert_eq!(d.as_nanos(), 1_500_000_000);
-        assert_eq!(d.as_micros(), 1_500_000);
         assert_eq!(d.as_millis(), 1500);
         assert!((d.as_secs_f64() - 1.5).abs() < 1e-12);
     }

@@ -1069,10 +1069,13 @@ fn one_roam_wave() -> Emulator {
 /// frame was a slice of its read block, the replay read 10 026 / 4 000 =
 /// 2.506: one copy per frame at ingest, where there is now one per frame
 /// the NAT translates (it copies its frame out of the shared block) plus
-/// one per read block and the reader's staging buffer.
-const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 16_149.0 / 5_017.0;
-const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 10_029.0 / 4_000.0;
-const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 3_674.0 / 16_660.0;
+/// one per read block and the reader's staging buffer. Before a report
+/// timer handed its one report to the control link without wrapping it in a
+/// vector, the three read 16 149 / 5 017 = 3.219, 10 029 / 4 000 = 2.507
+/// and 3 674 / 16 660 = 0.221: one request per report.
+const FLEET_HEAP_REQUESTS_PER_PACKET: f64 = 14_346.0 / 5_017.0;
+const REPLAY_HEAP_REQUESTS_PER_PACKET: f64 = 9_912.0 / 4_000.0;
+const ROAM_WAVE_HEAP_REQUESTS_PER_PACKET: f64 = 3_481.0 / 16_660.0;
 
 #[test]
 fn a_run_allocates_per_packet_within_its_ceiling() {

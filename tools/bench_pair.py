@@ -36,6 +36,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,6 +48,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OTHER_PAIRS = 5
 DIGEST = re.compile(r"RunReport fnv ([0-9a-f]+)")
 LEDGER = re.compile(r"BENCH_(\d+)\.json$")
+CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
 
 
 def git(*args):
@@ -79,11 +81,36 @@ def build(command, cwd):
     subprocess.run(["cargo", "build"] + [a for a in command[2:] if a != "--"], cwd=cwd, check=True)
 
 
+def host_cpu_ticks():
+    """The aggregate `cpu` line of `/proc/stat`: (busy, steal) clock ticks
+    since boot, busy being user + nice + system + irq + softirq; None where
+    there is no `/proc/stat`."""
+    try:
+        with open("/proc/stat") as f:
+            fields = [int(x) for x in f.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    user, nice, system, _idle, _iowait, irq, softirq, steal = fields
+    return user + nice + system + irq + softirq, steal
+
+
+def children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run(command, cwd, workload, seed, seconds):
-    """One driver-mode run: the end-to-end metrics, the operation counts and
-    the RunReport digest it printed."""
+    """One `--workload` run: the end-to-end metrics, the operation counts,
+    the RunReport digest it printed and what else the host did meanwhile —
+    the CPU seconds stolen from this guest and those other processes spent
+    (the host's busy time less the run's own). `/proc/stat` counts clock
+    ticks and the kernel splits a run's own time more finely, so the two
+    disagree by up to a few tenths of a second: a figure that small,
+    negative ones included, says nothing else ran."""
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    ticks, own = host_cpu_ticks(), children_cpu_s()
     done = subprocess.run(command + args, cwd=cwd, capture_output=True, text=True)
+    ticks_after, own = host_cpu_ticks(), children_cpu_s() - own
     if done.returncode != 0:
         raise SystemExit(f"{workload} failed in {cwd}:\n{done.stdout}\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -93,7 +120,22 @@ def run(command, cwd, workload, seed, seconds):
         "attempted": result["attempted"],
         "failed": result["failed"],
         "digest": digest.group(1) if digest else None,
+        "host": None if ticks is None or ticks_after is None else {
+            "steal_s": (ticks_after[1] - ticks[1]) / CLOCK_TICKS,
+            "other_cpu_s": (ticks_after[0] - ticks[0]) / CLOCK_TICKS - own,
+        },
     }
+
+
+def host_load(pairs):
+    """The largest steal and other-process CPU seconds of any run in
+    `pairs`, as printed beside a verdict; `-` for ledgers that predate the
+    record."""
+    hosts = [p[side].get("host") for p in pairs for side in ("parent", "change")]
+    if not all(hosts):
+        return "-"
+    return (f"steal <= {max(h['steal_s'] for h in hosts):.2f} s, other CPU <="
+            f" {max(h['other_cpu_s'] for h in hosts):.2f} s")
 
 
 def one_digest(runs):
@@ -316,6 +358,8 @@ def check(path):
     ledgers before `BENCH_42.json` record none) regressed beyond its `BENCHMARK.json` bound (or has a recorded verdict
     that is not what `no_regression` computes), or if any recorded
     pair of runs failed a larger share of its operations on the change side.
+    Each no-claim verdict is printed with the largest steal and other-process
+    CPU seconds of its runs, so a slow side can be told from a busy host.
     An `unresolved` verdict is printed, not failed: it says these runs cannot
     tell, which is what the ledger is there to record. Ends with the drift
     since the previous ledger (see `drift`), which never fails."""
@@ -361,7 +405,7 @@ def check(path):
                       f" (x{verdict['median_ratio']:.3f}), parent quartile distance"
                       f" {verdict['parent']['q3'] - verdict['parent']['q1']:.6g}, bound"
                       f" {m['bound']:.0%}: {verdict['verdict'].upper()}"
-                      f"{'' if followed else ', and the recorded verdict DIFFERS'}")
+                      f"{'' if followed else ', and the recorded verdict DIFFERS'}; host {host_load(pairs)}")
     if not ledger["seeds"]:
         print(f"{path}: no seeds recorded")
         bad += 1
